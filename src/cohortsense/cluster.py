@@ -1,15 +1,16 @@
-"""Insertion-only incremental density clustering plus cohort identity tracking.
+"""Insertion-only density clustering plus cohort identity tracking.
 
-The registry maintains, after every insertion, the same partition a batch
-DBSCAN run would produce on the current point set with the current density
-threshold. That makes results independent of insertion order: a point is
-core when its eps-ball holds at least min_pts points (self included),
-clusters are the connected components of the core-core eps graph, and a
-border point joins the cluster of its smallest-id core neighbor.
+The registry stores points as they arrive and computes its partition on
+demand, once per weekly snapshot: the same partition a batch DBSCAN run
+gives on the current point set with the current density threshold, so
+results do not depend on insertion order. A point is core when its
+eps-ball holds at least min_pts points (self included), clusters are the
+connected components of the core-core eps graph, and a border point joins
+the cluster of its smallest-id core neighbor.
 
 min_pts = max(min_pts_floor, ceil(density_fraction * point_count)) grows
-with the stream; a rising threshold can demote marginal cores, which
-triggers a partition rebuild.
+with the stream, so a point that was core at one snapshot may be a border
+or noise point at the next.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .core import ValidationError
 
@@ -84,21 +86,10 @@ def batch_dbscan(
 
 
 @dataclass(frozen=True)
-class InsertOutcome:
-    kind: str  # noise | joined_existing | seeded_new | merged
-    cluster_id: str | None = None  # canonical internal id after the insert
-    merged: tuple[str, ...] = ()  # pre-insert ids of clusters united
-    cohort: str | None = None  # tracked label, when the cluster has one
-
-
-@dataclass(frozen=True)
 class ClusterSnapshot:
     week: int
     cohorts: dict[str, frozenset[str]]  # cohort label -> member point ids
     noise: frozenset[str]
-
-    def sizes(self) -> dict[str, int]:
-        return {label: len(members) for label, members in self.cohorts.items()}
 
 
 def track_identity(
@@ -177,32 +168,8 @@ def track_identity(
     return mapping, vanished, next_index
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: list[int] = []
-
-    def add(self) -> int:
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int) -> tuple[int, int] | None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return None
-        self.parent[rb] = ra
-        return ra, rb
-
-
 class ClusterRegistry:
-    """Single-writer incremental DBSCAN state over a growing point set."""
+    """Single-writer append-only point store with an on-demand DBSCAN partition."""
 
     def __init__(
         self, eps: float, density_fraction: float = 0.1, min_pts_floor: int = 5
@@ -219,12 +186,7 @@ class ClusterRegistry:
 
         self._ids: list[str] = []
         self._index: dict[str, int] = {}
-        self._vectors = np.empty((0, 0))
-        self._neighbors: list[list[int]] = []
-        self._counts = np.empty(0, dtype=np.int64)
-        self._core = np.empty(0, dtype=bool)
-        self._uf = _UnionFind()
-        self._live: dict[int, str] = {}  # root index -> canonical cluster id
+        self._vectors = np.empty((0, 0))  # rows beyond point_count are spare capacity
 
         # cohort identity tracking across snapshots
         self.cohort_ids: dict[str, str] = {}  # internal id -> label
@@ -244,191 +206,75 @@ class ClusterRegistry:
             max(self.point_count, 1), self.density_fraction, self.min_pts_floor
         )
 
-    @property
-    def dim(self) -> int | None:
-        return self._vectors.shape[1] if self._ids else None
-
-    # ------------------------------------------------------------ internals
-
-    def _grow_capacity(self, dim: int) -> None:
-        n = len(self._ids)
-        if self._vectors.shape[1] != dim:
-            self._vectors = np.empty((max(16, n), dim))
-        if n >= self._vectors.shape[0]:
-            extra = np.empty((self._vectors.shape[0], dim))
-            self._vectors = np.vstack([self._vectors[:n], extra])
-
-    def _canonical_key(self, indices: list[int]) -> str:
-        return min(self._ids[i] for i in indices)
-
-    def _rebuild_components(self) -> None:
-        """Recompute the core-core components from adjacency (post demotion)."""
-        n = len(self._ids)
-        self._uf = _UnionFind()
-        for _ in range(n):
-            self._uf.add()
-        self._live = {}
-        core_idx = np.nonzero(self._core[:n])[0]
-        if len(core_idx) == 0:
-            return
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        for i in core_idx:
-            nbrs = np.array(self._neighbors[i], dtype=np.int64)
-            if len(nbrs) == 0:
-                continue
-            nbrs = nbrs[self._core[nbrs]]
-            rows.append(np.full(len(nbrs), i, dtype=np.int64))
-            cols.append(nbrs)
-        if rows:
-            r = np.concatenate(rows)
-            c = np.concatenate(cols)
-            graph = sparse.coo_matrix(
-                (np.ones(len(r), dtype=np.int8), (r, c)), shape=(n, n)
-            )
-            _, labels = connected_components(graph, directed=False)
-        else:
-            labels = np.arange(n)
-        groups: dict[int, list[int]] = {}
-        for i in core_idx:
-            groups.setdefault(int(labels[i]), []).append(int(i))
-        for members in groups.values():
-            root = members[0]
-            for m in members[1:]:
-                self._uf.union(root, m)
-            root = self._uf.find(root)
-            self._live[root] = self._canonical_key(members)
-
-    def _assignment_index(self, i: int) -> int | None:
-        """Root of point i's cluster, or None for noise."""
-        if self._core[i]:
-            return self._uf.find(i)
-        best: str | None = None
-        best_idx = -1
-        for j in self._neighbors[i]:
-            if self._core[j] and (best is None or self._ids[j] < best):
-                best = self._ids[j]
-                best_idx = j
-        if best is None:
-            return None
-        return self._uf.find(best_idx)
-
-    def assignment_of(self, point_id: str) -> str | None:
-        """Canonical internal cluster id of a point, or None for noise."""
-        if point_id not in self._index:
-            raise ValidationError(f"unknown point id {point_id!r}")
-        root = self._assignment_index(self._index[point_id])
-        return None if root is None else self._live[root]
-
-    def cohort_of(self, point_id: str) -> str | None:
-        """Tracked cohort label of a point's cluster, when one exists."""
-        internal = self.assignment_of(point_id)
-        if internal is None:
-            return None
-        return self.cohort_ids.get(internal)
-
     # ------------------------------------------------------------ mutation
 
-    def insert(self, point_id: str, vector) -> InsertOutcome:
+    def insert(self, point_id: str, vector) -> None:
         if point_id in self._index:
             raise ValidationError(f"duplicate point id {point_id!r}")
         x = np.asarray(vector, dtype=float).ravel()
-        if self._ids and x.shape[0] != self._vectors.shape[1]:
+        n = len(self._ids)
+        if n and x.shape[0] != self._vectors.shape[1]:
             raise ValidationError(
                 f"vector dimension {x.shape[0]} does not match registry "
                 f"dimension {self._vectors.shape[1]}"
             )
-
-        pre_live_keys = sorted(self._live.values())  # canonical ids before insert
-
-        n = len(self._ids)
-        self._grow_capacity(x.shape[0])
-        idx = n
+        if self._vectors.shape[1] != x.shape[0]:
+            self._vectors = np.empty((16, x.shape[0]))
+        elif n == self._vectors.shape[0]:
+            self._vectors = np.vstack([self._vectors, np.empty_like(self._vectors)])
+        self._vectors[n] = x
         self._ids.append(point_id)
-        self._index[point_id] = idx
-        self._vectors[idx] = x
-        self._uf.add()
-
-        if n:
-            d2 = ((self._vectors[:n] - x) ** 2).sum(axis=1)
-            nbrs = np.nonzero(d2 <= self.eps * self.eps)[0]
-        else:
-            nbrs = np.empty(0, dtype=np.int64)
-        self._neighbors.append([int(j) for j in nbrs])
-        for j in nbrs:
-            self._neighbors[j].append(idx)
-
-        self._counts = np.append(self._counts, 0)
-        self._core = np.append(self._core, False)
-        self._counts[nbrs] += 1
-        self._counts[idx] = len(nbrs) + 1
-
-        new_min_pts = self.min_pts
-        new_core = self._counts[: idx + 1] >= new_min_pts
-        demoted = self._core[: idx + 1] & ~new_core
-        promoted = np.nonzero(~self._core[: idx + 1] & new_core)[0]
-        self._core[: idx + 1] = new_core
-
-        if demoted.any():
-            self._rebuild_components()
-        else:
-            for c in promoted:
-                root = self._uf.find(int(c))
-                if root not in self._live:
-                    self._live[root] = self._ids[int(c)]
-                c_nbrs = np.array(self._neighbors[int(c)], dtype=np.int64)
-                c_nbrs = c_nbrs[self._core[c_nbrs]] if len(c_nbrs) else c_nbrs
-                for b in c_nbrs:
-                    ra, rb = self._uf.find(int(c)), self._uf.find(int(b))
-                    if ra == rb:
-                        continue
-                    key_a = self._live.get(ra, self._ids[ra])
-                    key_b = self._live.get(rb, self._ids[rb])
-                    merged = self._uf.union(ra, rb)
-                    if merged is None:
-                        continue
-                    keep = merged[0]
-                    self._live.pop(ra, None)
-                    self._live.pop(rb, None)
-                    self._live[keep] = min(key_a, key_b)
-
-        # classify the outcome against the pre-insert live clusters
-        my_root = self._assignment_index(idx)
-        if my_root is None:
-            return InsertOutcome(kind="noise")
-        cluster_id = self._live[my_root]
-        absorbed = []
-        for key in pre_live_keys:
-            anchor = self._index[key]  # the pre-insert canonical core point
-            anchor_root = self._assignment_index(anchor)
-            if anchor_root is not None and anchor_root == my_root:
-                absorbed.append(key)
-        cohort = self.cohort_ids.get(cluster_id)
-        if len(absorbed) >= 2:
-            return InsertOutcome(
-                kind="merged",
-                cluster_id=cluster_id,
-                merged=tuple(sorted(absorbed)),
-                cohort=cohort,
-            )
-        if len(absorbed) == 1:
-            return InsertOutcome(kind="joined_existing", cluster_id=cluster_id, cohort=cohort)
-        return InsertOutcome(kind="seeded_new", cluster_id=cluster_id, cohort=cohort)
+        self._index[point_id] = n
 
     # ------------------------------------------------------------ observation
 
     def partition(self) -> tuple[dict[str, frozenset[str]], frozenset[str]]:
-        """Current clusters (canonical id -> members) and noise ids."""
+        """Current clusters (canonical id -> members) and noise ids.
+
+        Equal to `batch_dbscan` on the current points and min_pts. The k-d
+        tree query runs at a slightly widened radius and each pair is then
+        kept by the oracle's own squared-distance rule, so pairs exactly
+        eps apart are decided as the oracle decides them.
+        """
         n = len(self._ids)
-        clusters: dict[str, set[str]] = {key: set() for key in self._live.values()}
+        if n == 0:
+            return {}, frozenset()
+        # work in id order, so that a smaller index is a smaller id: a border
+        # point joins its smallest-id core neighbor, and a cluster is keyed by
+        # its smallest-id core point
+        names = sorted(self._ids)
+        X = self._vectors[[self._index[pid] for pid in names]]
+        pairs = cKDTree(X).query_pairs(self.eps * (1 + 1e-9), output_type="ndarray")
+        i, j = pairs[:, 0], pairs[:, 1]
+        keep = ((X[i] - X[j]) ** 2).sum(axis=1) <= self.eps * self.eps
+        i, j = i[keep], j[keep]
+        counts = np.bincount(np.concatenate([i, j]), minlength=n) + 1
+        core = counts >= self.min_pts
+
+        both = core[i] & core[j]
+        graph = sparse.coo_matrix(
+            (np.ones(int(both.sum()), dtype=np.int8), (i[both], j[both])), shape=(n, n)
+        )
+        _, comp = connected_components(graph, directed=False)
+        head = np.full(n, n, dtype=np.int64)  # smallest core index per component
+        np.minimum.at(head, comp[core], np.nonzero(core)[0])
+
+        owner = np.full(n, n, dtype=np.int64)
+        for a, b in ((i, j), (j, i)):
+            mask = ~core[a] & core[b]
+            np.minimum.at(owner, a[mask], b[mask])
+        key = np.where(core, head[comp], -1)
+        border = ~core & (owner < n)
+        key[border] = head[comp[owner[border]]]
+
+        clusters: dict[str, set[str]] = {}
         noise: set[str] = set()
-        for i in range(n):
-            root = self._assignment_index(i)
-            if root is None:
-                noise.add(self._ids[i])
+        for name, k in zip(names, key.tolist()):
+            if k < 0:
+                noise.add(name)
             else:
-                clusters[self._live[root]].add(self._ids[i])
-        return {k: frozenset(v) for k, v in clusters.items()}, frozenset(noise)
+                clusters.setdefault(names[k], set()).add(name)
+        return {k: frozenset(m) for k, m in clusters.items()}, frozenset(noise)
 
     def snapshot(self, week: int) -> ClusterSnapshot:
         """Read-only copy of the partition with stable cohort labels.
@@ -453,20 +299,10 @@ class ClusterRegistry:
 
     def copy(self) -> "ClusterRegistry":
         """Independent deep copy; the original is never affected by the copy."""
-        new = ClusterRegistry(
-            eps=self.eps,
-            density_fraction=self.density_fraction,
-            min_pts_floor=self.min_pts_floor,
-        )
+        new = ClusterRegistry(self.eps, self.density_fraction, self.min_pts_floor)
         new._ids = list(self._ids)
         new._index = dict(self._index)
         new._vectors = self._vectors.copy()
-        new._neighbors = [list(nbrs) for nbrs in self._neighbors]
-        new._counts = self._counts.copy()
-        new._core = self._core.copy()
-        new._uf = _UnionFind()
-        new._uf.parent = list(self._uf.parent)
-        new._live = dict(self._live)
         new.cohort_ids = dict(self.cohort_ids)
         new._prev_memberships = dict(self._prev_memberships)
         new._vanished = dict(self._vanished)
@@ -494,14 +330,16 @@ class ClusterRegistry:
     @classmethod
     def from_json(cls, doc: dict) -> "ClusterRegistry":
         reg = cls(
-            eps=float(doc["eps"]),
-            density_fraction=float(doc["density_fraction"]),
-            min_pts_floor=int(doc["min_pts_floor"]),
+            float(doc["eps"]), float(doc["density_fraction"]), int(doc["min_pts_floor"])
         )
         ids = list(doc["ids"])
-        vectors = np.array(doc["vectors"], dtype=float)
-        if ids:
-            reg._bulk_load(ids, vectors)
+        if ids:  # fill the store directly: a load is not a stream of inserts
+            reg._ids, reg._index = ids, {pid: k for k, pid in enumerate(ids)}
+            reg._vectors = np.array(doc["vectors"], dtype=float)
+            if len(reg._index) != len(ids) or reg._vectors.shape[:1] != (len(ids),):
+                raise ValidationError("registry ids not unique or not one per vector")
+            if reg._vectors.ndim != 2:
+                raise ValidationError("registry vectors are not a matrix")
         reg._prev_memberships = {
             label: frozenset(m) for label, m in doc["prev_memberships"].items()
         }
@@ -509,17 +347,3 @@ class ClusterRegistry:
         reg._next_label_index = int(doc["next_label_index"])
         reg.cohort_ids = dict(doc["cohort_ids"])
         return reg
-
-    def _bulk_load(self, ids: list[str], vectors: np.ndarray) -> None:
-        """Rebuild full state from a point set (partition is canonical)."""
-        n = len(ids)
-        self._ids = list(ids)
-        self._index = {pid: i for i, pid in enumerate(ids)}
-        self._vectors = vectors.astype(float).copy()
-        d2 = ((vectors[:, None, :] - vectors[None, :, :]) ** 2).sum(axis=2)
-        within = d2 <= self.eps * self.eps
-        np.fill_diagonal(within, False)
-        self._neighbors = [list(np.nonzero(within[i])[0]) for i in range(n)]
-        self._counts = within.sum(axis=1).astype(np.int64) + 1
-        self._core = self._counts >= self.min_pts
-        self._rebuild_components()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import gzip
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -291,8 +292,20 @@ def save(state: EngineState, path: str | Path) -> Path:
     }
     out = Path(path)
     payload = json.dumps(doc, sort_keys=True).encode("utf-8")
-    with gzip.GzipFile(out, "wb", mtime=0) as fh:
-        fh.write(payload)
+    # write beside the target and rename over it, so that a failed write
+    # leaves the previous checkpoint in place; the gzip header names the
+    # final file, so the bytes equal a direct write to it
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as raw:
+            with gzip.GzipFile(filename=out.name, fileobj=raw, mode="wb", mtime=0) as fh:
+                fh.write(payload)
+            raw.flush()
+            os.fsync(raw.fileno())
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return out
 
 
@@ -303,12 +316,21 @@ def load(path: str | Path) -> EngineState:
         doc = json.loads(payload.decode("utf-8"))
     except (OSError, EOFError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    version = doc.get("schema_version")
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointError(
             f"checkpoint {path} has schema version {version!r}, "
             f"expected {CHECKPOINT_SCHEMA_VERSION}"
         )
+    try:
+        return _state_from_json(doc)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(
+            f"malformed checkpoint {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _state_from_json(doc: dict) -> EngineState:
     config_doc = dict(doc["config"])
     config_doc["learners"] = LearnerConfig(**config_doc["learners"])
     config = EngineConfig(**config_doc)
@@ -347,7 +369,9 @@ def run_replay(
     """Fold `step` over consecutive weekly batches, writing reports as files.
 
     Accepts either a fresh config or a loaded state (resume). Batches must
-    cover consecutive weeks continuing from the state's current week.
+    cover consecutive weeks continuing from the state's current week. On a
+    resume, `summary.csv` keeps the rows an earlier run wrote for the weeks
+    already done, so the files match those of an uninterrupted replay.
     """
     if isinstance(config_or_state, EngineState):
         state = config_or_state
@@ -365,6 +389,7 @@ def run_replay(
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+    start_week = state.current_week
 
     reports: list[WeeklyReport] = []
     for batch in batches:
@@ -378,7 +403,7 @@ def run_replay(
         if checkpoint_path is not None:
             save(state, checkpoint_path)
     if out is not None and reports:
-        reporting.write_summary(out, reports)
+        reporting.write_summary(out, reports, keep_through=start_week)
         if plot:
             reporting.write_metric_charts(out, reports)
     return reports, state

@@ -8,18 +8,26 @@ from ..core import ValidationError
 from .base import Dataset
 
 
+BLOCK_ROWS = 256  # rows of the distance matrix held at once
+
+
 def _minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
     """Indices of each minority point's k nearest minority neighbors.
 
     Euclidean distance; distance ties broken by lower index so results are
-    stable under any input permutation of equal points.
+    stable under any input permutation of equal points. Distances are
+    computed BLOCK_ROWS rows at a time, so memory is O(BLOCK_ROWS * n * d).
     """
     n = points.shape[0]
-    diffs = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diffs**2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")
-    return order[:, :k]
+    order = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, BLOCK_ROWS):
+        block = points[start : start + BLOCK_ROWS]
+        diffs = block[:, None, :] - points[None, :, :]
+        dist = np.sqrt((diffs**2).sum(axis=2))
+        rows = np.arange(len(block))
+        dist[rows, start + rows] = np.inf
+        order[start + rows] = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return order
 
 
 def smote(dataset: Dataset, k_neighbors: int, seed: int) -> Dataset:

@@ -145,13 +145,28 @@ def summary_rows(reports: list["WeeklyReport"]) -> list[dict]:
     return rows
 
 
-def write_summary(out_dir: str | Path, reports: list["WeeklyReport"]) -> Path:
+def write_summary(
+    out_dir: str | Path, reports: list["WeeklyReport"], keep_through: int = 0
+) -> Path:
+    """Write `summary.csv` for `reports`.
+
+    With keep_through > 0 (a resumed replay), the rows of weeks up to
+    keep_through are first copied verbatim from the existing file, if any.
+    """
     path = Path(out_dir) / "summary.csv"
+    kept: list[str] = []
+    if keep_through > 0 and path.exists():
+        with open(path, newline="", encoding="utf-8") as fh:
+            for line in fh.read().splitlines(keepends=True)[1:]:
+                week = line.split(",", 1)[0]
+                if week.isdigit() and int(week) <= keep_through:
+                    kept.append(line)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["week", "scope", "cohort", "kind", "accuracy", "precision", "recall", "f1"]
         )
+        fh.writelines(kept)
         for row in summary_rows(reports):
             writer.writerow(
                 [

@@ -6,6 +6,7 @@ criteria share session fixtures; the full suite takes several minutes.
 
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,31 @@ EXPECTED_SEQUENCE = [3, 3, 3, 3, 4, 4, 4, 3, 4, 4]
 
 def announce(number: int, name: str) -> None:
     print(f"ACCEPTANCE {number} ({name}): PASS")
+
+
+def adjusted_rand_index(truth: list, pred: list) -> float:
+    """ARI from pair counts over the contingency table (Hubert & Arabie 1985)."""
+
+    def pairs(counts) -> int:
+        return sum(c * (c - 1) // 2 for c in counts)
+
+    index = pairs(Counter(zip(truth, pred)).values())
+    rows = pairs(Counter(truth).values())
+    cols = pairs(Counter(pred).values())
+    total = pairs([len(truth)])
+    expected = rows * cols / total if total else 0.0
+    best = (rows + cols) / 2
+    if best == expected:
+        return 1.0
+    return (index - expected) / (best - expected)
+
+
+def test_adjusted_rand_index_known_values():
+    assert adjusted_rand_index([0, 0, 1, 1], [5, 5, 7, 7]) == 1.0
+    assert adjusted_rand_index([0, 0, 1, 2], [0, 0, 1, 1]) == pytest.approx(4 / 7)
+    assert adjusted_rand_index([0, 0, 1, 1], [0, 0, 0, 1]) == 0.0
+    spread = adjusted_rand_index([0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2])
+    assert spread == pytest.approx(-4 / 11)
 
 
 # ------------------------------------------------------------------ fixtures
@@ -113,7 +139,6 @@ def test_criterion_2_cohort_trajectory(default_replay):
     assert re_emergent == emergent_w7  # same cohort label restored
 
     # planted-structure recovery: clustering matches planted membership
-    sklearn_metrics = pytest.importorskip("sklearn.metrics")
     clusters, noise = state.registry.partition()
     label_of = {}
     for i, (key, members) in enumerate(sorted(clusters.items())):
@@ -129,7 +154,7 @@ def test_criterion_2_cohort_trajectory(default_replay):
                     truth.append(group)
                     pred.append(label_of.get(point, -1 - j))
                     j += 1
-    ari = sklearn_metrics.adjusted_rand_score(truth, pred)
+    ari = adjusted_rand_index(truth, pred)
     assert ari >= 0.8, f"adjusted Rand index {ari:.3f} below 0.8"
     announce(2, f"cohort trajectory {sequence}, ARI {ari:.3f}, {elapsed:.0f}s")
 

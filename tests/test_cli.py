@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through main()."""
 
+import gzip
 import json
 from pathlib import Path
 
@@ -191,6 +192,24 @@ def test_replay_bad_config_exits_one(tmp_path):
         )
         == 1
     )
+
+
+def test_replay_resume_malformed_checkpoint_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    plan_path = tmp_path / "plan.json"
+    write_tiny_plan(plan_path, weeks=1)
+    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+    ckpt = tmp_path / "bad.csk"
+    with gzip.GzipFile(ckpt, "wb", mtime=0) as fh:
+        fh.write(json.dumps({"schema_version": 1}).encode("utf-8"))
+    capsys.readouterr()
+    code = main(
+        ["replay", "--data-dir", str(data), "--out-dir", str(tmp_path / "out"),
+         "--resume", str(ckpt)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_eval_oracle_gradients(capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohortsense.cluster import (
     ClusterRegistry,
@@ -99,23 +100,21 @@ def test_batch_matches_sklearn_on_cores_and_noise():
 
 def test_first_point_is_noise():
     reg = ClusterRegistry(eps=0.5)
-    outcome = reg.insert("p0", [0.0, 0.0])
-    assert outcome.kind == "noise"
+    assert reg.insert("p0", [0.0, 0.0]) is None
+    assert reg.partition() == ({}, frozenset({"p0"}))
 
 
 def test_min_pts_th_point_seeds_cluster():
     reg = ClusterRegistry(eps=0.5, density_fraction=0.01, min_pts_floor=5)
     rng = np.random.default_rng(0)
+    points = {f"p{i}": rng.normal(0, 0.05, 2) for i in range(5)}
     for i in range(4):
-        out = reg.insert(f"p{i}", rng.normal(0, 0.05, 2))
-        assert out.kind == "noise"
-    out = reg.insert("p4", rng.normal(0, 0.05, 2))
-    assert out.kind == "seeded_new"
+        reg.insert(f"p{i}", points[f"p{i}"])
+        assert reg.partition() == ({}, frozenset(f"p{k}" for k in range(i + 1)))
+    reg.insert("p4", points["p4"])
     clusters, noise = reg.partition()
-    assert len(clusters) == 1 and noise == frozenset()
-    oracle, oracle_noise = batch_dbscan(
-        {f"p{i}": reg._vectors[i] for i in range(5)}, 0.5, 5
-    )
+    assert clusters == {"p0": frozenset(points)} and noise == frozenset()
+    oracle, oracle_noise = batch_dbscan(points, 0.5, 5)
     assert clusters == oracle and noise == oracle_noise
 
 
@@ -124,35 +123,41 @@ def test_joining_existing_cluster():
     reg.insert("p0", [0.0, 0.0])
     reg.insert("p1", [0.1, 0.0])
     reg.insert("p2", [0.0, 0.1])
-    out = reg.insert("p3", [0.1, 0.1])
-    assert out.kind == "joined_existing"
-    assert out.cluster_id == "p0"
+    assert reg.partition() == ({"p0": frozenset({"p0", "p1", "p2"})}, frozenset())
+    reg.insert("p3", [0.1, 0.1])
+    assert reg.partition() == (
+        {"p0": frozenset({"p0", "p1", "p2", "p3"})},
+        frozenset(),
+    )
 
 
 def test_dumbbell_merge():
     # two tight triangles, bridged by a point within eps of both cores
     reg = ClusterRegistry(eps=1.0, density_fraction=0.01, min_pts_floor=3)
-    left = [(-2.0, 0.0), (-2.5, 0.4), (-2.5, -0.4)]
-    right = [(2.0, 0.0), (2.5, 0.4), (2.5, -0.4)]
-    for i, xy in enumerate(left):
-        reg.insert(f"l{i}", xy)
-    for i, xy in enumerate(right):
-        reg.insert(f"r{i}", xy)
+    points = {}
+    for i, xy in enumerate([(-2.0, 0.0), (-2.5, 0.4), (-2.5, -0.4)]):
+        points[f"l{i}"] = np.array(xy)
+    for i, xy in enumerate([(2.0, 0.0), (2.5, 0.4), (2.5, -0.4)]):
+        points[f"r{i}"] = np.array(xy)
+    for pid, xy in points.items():
+        reg.insert(pid, xy)
     clusters, _ = reg.partition()
-    assert len(clusters) == 2
-    # the bridge sits within eps of l0 and r0 and becomes core itself
-    out = reg.insert("bridge", (0.0, 0.0))
-    assert out.kind == "noise"  # 2 neighbors < min_pts 3 and no core in reach
-    out2 = reg.insert("bridge2", (-1.0, 0.0))
-    out3 = reg.insert("bridge3", (1.0, 0.0))
+    assert set(clusters) == {"l0", "r0"}
+    # 2 neighbors < min_pts 3 and no core in reach
+    points["bridge"] = np.array((0.0, 0.0))
+    reg.insert("bridge", points["bridge"])
     clusters, noise = reg.partition()
-    assert len(clusters) == 1
-    oracle, oracle_noise = batch_dbscan(
-        {pid: reg._vectors[reg._index[pid]] for pid in reg._index}, 1.0, 3
-    )
+    assert set(clusters) == {"l0", "r0"} and noise == frozenset({"bridge"})
+    points["bridge2"] = np.array((-1.0, 0.0))
+    points["bridge3"] = np.array((1.0, 0.0))
+    reg.insert("bridge2", points["bridge2"])
+    reg.insert("bridge3", points["bridge3"])
+    clusters, noise = reg.partition()
+    # the bridge points become cores and chain both triangles into one
+    # cluster, keyed by its smallest core id
+    assert clusters == {"bridge": frozenset(points)}
+    oracle, oracle_noise = batch_dbscan(points, 1.0, 3)
     assert clusters == oracle and noise == oracle_noise
-    assert out3.kind == "merged"
-    assert len(out3.merged) == 2
 
 
 def test_duplicate_and_dimension_errors():
@@ -180,6 +185,48 @@ def test_registry_equals_batch_oracle_any_order(seed):
     oracle = batch_dbscan(pts, 0.9, final_min_pts)
     for part in partitions:
         assert part == oracle
+
+
+@st.composite
+def registry_cases(draw):
+    """Small point sets on a 0.1 lattice, with partners placed eps apart.
+
+    Lattice coordinates make many pairwise distances land on eps itself or
+    one rounding step beside it, which is where a k-d tree query and the
+    oracle's squared-distance rule could disagree.
+    """
+    eps = draw(st.sampled_from([0.5, 1.0]))
+    dim = draw(st.integers(1, 3))
+    coord = st.integers(0, 30).map(lambda k: k / 10)
+    vectors = draw(st.lists(st.tuples(*[coord] * dim), max_size=30))
+    diagonal = np.r_[0.6, 0.8, np.zeros(dim - 2)] if dim > 1 else np.ones(1)
+    partners = draw(st.integers(0, len(vectors)))
+    for v in list(vectors[:partners]):
+        axis = draw(st.integers(0, dim - 1))
+        step = diagonal if draw(st.booleans()) else np.eye(dim)[axis]
+        vectors.append(tuple(np.asarray(v) + eps * step))
+    ids = draw(
+        st.lists(
+            st.text("abz09|w", min_size=1, max_size=5),
+            min_size=len(vectors),
+            max_size=len(vectors),
+            unique=True,
+        )
+    )
+    order = draw(st.permutations(range(len(vectors))))
+    floor = draw(st.integers(1, 5))
+    fraction = draw(st.sampled_from([0.01, 0.1, 0.3]))
+    return eps, floor, fraction, [(ids[k], np.asarray(vectors[k])) for k in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(registry_cases())
+def test_registry_partition_equals_batch_dbscan(case):
+    eps, floor, fraction, stream = case
+    reg = ClusterRegistry(eps=eps, density_fraction=fraction, min_pts_floor=floor)
+    for pid, vector in stream:
+        reg.insert(pid, vector)
+    assert reg.partition() == batch_dbscan(dict(stream), eps, reg.min_pts)
 
 
 def test_min_pts_growth_formula():
@@ -315,6 +362,7 @@ def test_registry_json_round_trip():
     assert restored.cohort_ids == reg.cohort_ids
     assert restored.min_pts == reg.min_pts
     # both must continue identically
-    a = reg.insert("zz_new", np.zeros(3))
-    b = restored.insert("zz_new", np.zeros(3))
-    assert a == b
+    reg.insert("zz_new", np.zeros(3))
+    restored.insert("zz_new", np.zeros(3))
+    assert restored.partition() == reg.partition()
+    assert restored.to_json() == reg.to_json()

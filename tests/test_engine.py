@@ -212,6 +212,63 @@ def test_checkpoint_truncated_file(tmp_path, mini_batches):
         load(path)
 
 
+def test_checkpoint_missing_fields_is_checkpoint_error(tmp_path):
+    path = tmp_path / "state.csk"
+    with gzip.GzipFile(path, "wb", mtime=0) as fh:
+        fh.write(json.dumps({"schema_version": 1}).encode("utf-8"))
+    with pytest.raises(CheckpointError, match="config"):
+        load(path)
+
+
+def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches):
+    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
+    path = tmp_path / "state.csk"
+    save(state, path)
+    good = json.loads(gzip.open(path, "rb").read())
+    broken = [("rows", 7), ("current_week", "x"), ("registry", []), ("pipeline", [])]
+    for field, value in broken:
+        doc = dict(good, **{field: value})
+        with gzip.GzipFile(path, "wb", mtime=0) as fh:
+            fh.write(json.dumps(doc).encode("utf-8"))
+        with pytest.raises(CheckpointError):
+            load(path)
+
+
+def test_checkpoint_failed_write_keeps_previous(tmp_path, mini_batches, monkeypatch):
+    state = new_state(FAST_CONFIG)
+    state, _ = step(state, mini_batches[0])
+    path = tmp_path / "state.csk"
+    save(state, path)
+    before = path.read_bytes()
+    state, _ = step(state, mini_batches[1])
+
+    real_write = gzip.GzipFile.write
+
+    def write_half_then_fail(self, data):
+        real_write(self, bytes(data)[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(gzip.GzipFile, "write", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save(state, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load(path).current_week == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["state.csk"]
+
+
+def test_checkpoint_bytes_name_the_final_file(tmp_path, mini_batches):
+    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
+    path = tmp_path / "state.csk"
+    save(state, path)
+    payload = gzip.open(path, "rb").read()
+    reference = tmp_path / "ref" / "state.csk"
+    reference.parent.mkdir()
+    with gzip.GzipFile(reference, "wb", mtime=0) as fh:
+        fh.write(payload)
+    assert path.read_bytes() == reference.read_bytes()
+
+
 # ---------------------------------------------------------------- replay
 
 
@@ -255,3 +312,28 @@ def test_run_replay_gap_detection(mini_batches):
 def test_run_replay_requires_week_one_start(mini_batches):
     with pytest.raises(ValidationError, match="missing week 1"):
         run_replay(FAST_CONFIG, mini_batches[1:])
+
+
+def test_resumed_replay_same_files_as_straight(tmp_path, profiles):
+    batches = generate_cohort(mini_plan(weeks=4), profiles, seed=3)
+    straight = tmp_path / "straight"
+    run_replay(FAST_CONFIG, batches, out_dir=straight)
+
+    resumed = tmp_path / "resumed"
+    ckpt = tmp_path / "mid.csk"
+    run_replay(FAST_CONFIG, batches[:2], out_dir=resumed, checkpoint_path=ckpt)
+    run_replay(load(ckpt), batches[2:], out_dir=resumed)
+
+    names = sorted(p.name for p in straight.iterdir())
+    assert names == sorted(p.name for p in resumed.iterdir())
+    assert "summary.csv" in names
+    for name in names:
+        assert (straight / name).read_bytes() == (resumed / name).read_bytes(), name
+
+
+def test_fresh_replay_ignores_old_summary(tmp_path, mini_batches):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.csv").write_text("week,scope\r\n1,stale\r\n", encoding="utf-8")
+    run_replay(FAST_CONFIG, mini_batches[:1], out_dir=out)
+    assert "stale" not in (out / "summary.csv").read_text(encoding="utf-8")

@@ -132,6 +132,24 @@ def test_smote_count_arithmetic():
     assert np.array_equal(out.labels[:120], labels)
 
 
+@pytest.mark.parametrize("block_rows", [1, 7, 256])
+def test_minority_neighbors_blocked_equals_dense(monkeypatch, block_rows):
+    from cohortsense.learners import sampling
+
+    monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(block_rows)
+    for n, dim in [(2, 1), (23, 2), (60, 3)]:
+        # a coarse lattice, so that duplicates and distance ties are common
+        points = rng.integers(0, 4, size=(n, dim)).astype(float)
+        points[n // 2] = points[0]
+        k = min(5, n - 1)
+        diffs = points[:, None, :] - points[None, :, :]
+        dense = np.sqrt((diffs**2).sum(axis=2))
+        np.fill_diagonal(dense, np.inf)
+        expected = np.argsort(dense, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(sampling._minority_neighbors(points, k), expected)
+
+
 def test_smote_minority_too_small():
     ds = make_dataset([[0.0], [1.0], [2.0]], [1, 0, 0])
     with pytest.raises(ValidationError):
