@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
     replay.add_argument("--data-dir", required=True)
     replay.add_argument("--out-dir", required=True)
     replay.add_argument("--checkpoint", help="write a checkpoint after each week")
-    replay.add_argument("--resume", help="resume from a checkpoint file")
+    replay.add_argument("--resume", help="resume from a checkpoint; --config must match it")
     replay.add_argument("--plot", action="store_true", help="emit SVG metric charts")
 
     report = sub.add_parser("report", help="print one week's report")
@@ -91,6 +91,10 @@ def _cmd_replay(args) -> int:
     batches = load_batches(args.data_dir)
     if args.resume:
         state = load(args.resume)
+        if args.config and config != state.config:
+            raise ConfigError(
+                f"config {args.config} differs from the config in checkpoint {args.resume}"
+            )
         batches = [b for b in batches if b.week > state.current_week]
         start: EngineConfig | object = state
     else:

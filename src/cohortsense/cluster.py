@@ -189,7 +189,6 @@ class ClusterRegistry:
         self._vectors = np.empty((0, 0))  # rows beyond point_count are spare capacity
 
         # cohort identity tracking across snapshots
-        self.cohort_ids: dict[str, str] = {}  # internal id -> label
         self._prev_memberships: dict[str, frozenset[str]] = {}
         self._vanished: dict[str, frozenset[str]] = {}
         self._next_label_index = 1
@@ -227,6 +226,12 @@ class ClusterRegistry:
         self._index[point_id] = n
 
     # ------------------------------------------------------------ observation
+
+    def vector(self, point_id: str) -> np.ndarray:
+        """A copy of the stored vector of one point."""
+        if point_id not in self._index:
+            raise ValidationError(f"unknown point id {point_id!r}")
+        return self._vectors[self._index[point_id]].copy()
 
     def partition(self) -> tuple[dict[str, frozenset[str]], frozenset[str]]:
         """Current clusters (canonical id -> members) and noise ids.
@@ -292,7 +297,6 @@ class ClusterRegistry:
         )
         self._vanished = vanished
         self._next_label_index = next_index
-        self.cohort_ids = dict(mapping)
         cohorts = {mapping[key]: members for key, members in partition.items()}
         self._prev_memberships = dict(cohorts)
         return ClusterSnapshot(week=week, cohorts=cohorts, noise=noise)
@@ -303,7 +307,6 @@ class ClusterRegistry:
         new._ids = list(self._ids)
         new._index = dict(self._index)
         new._vectors = self._vectors.copy()
-        new.cohort_ids = dict(self.cohort_ids)
         new._prev_memberships = dict(self._prev_memberships)
         new._vanished = dict(self._vanished)
         new._next_label_index = self._next_label_index
@@ -324,7 +327,6 @@ class ClusterRegistry:
             },
             "vanished": {label: sorted(m) for label, m in self._vanished.items()},
             "next_label_index": self._next_label_index,
-            "cohort_ids": dict(self.cohort_ids),
         }
 
     @classmethod
@@ -345,5 +347,4 @@ class ClusterRegistry:
         }
         reg._vanished = {label: frozenset(m) for label, m in doc["vanished"].items()}
         reg._next_label_index = int(doc["next_label_index"])
-        reg.cohort_ids = dict(doc["cohort_ids"])
         return reg

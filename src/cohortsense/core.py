@@ -122,24 +122,50 @@ class WeeklyBatch:
                     f"labeled participant {pid} has no records in week {self.week}"
                 )
 
-    def participants(self) -> list[str]:
-        return sorted({rec.participant_id for rec in self.records})
+
+def _within(default, interval: str):
+    """A config field whose value must lie in `interval`, e.g. "(0, 1]"."""
+    return field(default=default, metadata={"interval": interval})
+
+
+def _check_fields(config) -> None:
+    """Raise ConfigError unless each field has its type and lies in its interval.
+
+    A float field takes an int or a float, an int field only an int; a bool
+    is neither. NaN and infinities lie in no interval.
+    """
+    for f in fields(config):
+        if "interval" not in f.metadata:
+            continue
+        value, interval = getattr(config, f.name), f.metadata["interval"]
+        types = (int, float) if f.type == "float" else (int,)
+        if isinstance(value, bool) or not isinstance(value, types):
+            noun = "a number" if f.type == "float" else "an integer"
+            raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+        low, high = (float(x) for x in interval[1:-1].split(","))
+        above = value > low if interval[0] == "(" else value >= low
+        below = value < high if interval[-1] == ")" else value <= high
+        if not (above and below):
+            raise ConfigError(f"{f.name} must lie in {interval}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class LearnerConfig:
     """Hyperparameters for the four classifier kinds (invented defaults)."""
 
-    logreg_iterations: int = 500
-    logreg_step: float = 0.1
-    logreg_l2: float = 1e-3
-    svm_epochs: int = 500
-    svm_l2: float = 1e-3
-    forest_trees: int = 100
-    forest_depth: int = 8
-    gbt_rounds: int = 100
-    gbt_depth: int = 3
-    gbt_learning_rate: float = 0.1
+    logreg_iterations: int = _within(500, "[1, inf)")
+    logreg_step: float = _within(0.1, "(0, inf)")
+    logreg_l2: float = _within(1e-3, "[0, inf)")
+    svm_epochs: int = _within(500, "[1, inf)")
+    svm_l2: float = _within(1e-3, "(0, inf)")
+    forest_trees: int = _within(100, "[1, inf)")
+    forest_depth: int = _within(8, "[1, inf)")
+    gbt_rounds: int = _within(100, "[1, inf)")
+    gbt_depth: int = _within(3, "[1, inf)")
+    gbt_learning_rate: float = _within(0.1, "(0, inf)")
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -151,33 +177,25 @@ class EngineConfig:
     ``smote_neighbors`` the validation loop.
     """
 
-    eps: float = 0.5
-    density_fraction: float = 0.1
-    min_pts_floor: int = 5
-    cv_folds: int = 10
-    smote_neighbors: int = 5
-    score_threshold: int = 20
-    pca_variance_target: float = 0.90
-    rng_seed: int = 42
-    refit_every_n_weeks: int = 0  # 0 = fit preprocessing once at week 1
-    holdout_fraction: float = 0.2
-    min_cohort_size: int = 15
-    min_class_count: int = 5
+    eps: float = _within(0.5, "(0, inf)")
+    density_fraction: float = _within(0.1, "(0, 1)")
+    min_pts_floor: int = _within(5, "[1, inf)")
+    cv_folds: int = _within(10, "[2, inf)")
+    smote_neighbors: int = _within(5, "[1, inf)")
+    score_threshold: int = _within(20, f"[{SCORE_MIN}, {SCORE_MAX})")
+    pca_variance_target: float = _within(0.90, "(0, 1]")
+    rng_seed: int = _within(42, "[0, inf)")
+    # 0 = fit preprocessing once at week 1
+    refit_every_n_weeks: int = _within(0, "[0, inf)")
+    holdout_fraction: float = _within(0.2, "(0, 1)")
+    min_cohort_size: int = _within(15, "[1, inf)")
+    min_class_count: int = _within(5, "[1, inf)")
     learners: LearnerConfig = field(default_factory=LearnerConfig)
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
-        if not 0 < self.density_fraction < 1:
-            raise ConfigError(
-                f"density_fraction must lie in (0, 1), got {self.density_fraction}"
-            )
-        if self.cv_folds < 2:
-            raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
-        if self.smote_neighbors < 1:
-            raise ConfigError(
-                f"smote_neighbors must be >= 1, got {self.smote_neighbors}"
-            )
+        _check_fields(self)
+        if not isinstance(self.learners, LearnerConfig):
+            raise ConfigError(f"learners must be a LearnerConfig, got {self.learners!r}")
 
 
 def _config_from_mapping(data: dict) -> EngineConfig:

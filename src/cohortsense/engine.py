@@ -52,31 +52,26 @@ class CheckpointError(ValueError):
 @dataclass
 class EngineState:
     config: EngineConfig
+    registry: ClusterRegistry
     current_week: int = 0
     pipeline: FittedPipeline | None = None
-    registry: ClusterRegistry | None = None
     pool: ModelPool = field(default_factory=ModelPool)
     rows: list[LabeledRow] = field(default_factory=list)
     holdout: frozenset[str] = frozenset()
     scores: dict[str, int] = field(default_factory=dict)
-    run_log: list[dict] = field(default_factory=list)
 
     def copy(self) -> "EngineState":
         return EngineState(
             config=self.config,
             current_week=self.current_week,
             pipeline=self.pipeline,
-            registry=None if self.registry is None else self.registry.copy(),
+            registry=self.registry.copy(),
             pool=ModelPool(
-                generic=self.pool.generic,
-                specialized=dict(self.pool.specialized),
-                min_cohort_size=self.pool.min_cohort_size,
-                min_class_count=self.pool.min_class_count,
+                generic=self.pool.generic, specialized=dict(self.pool.specialized)
             ),
             rows=list(self.rows),
             holdout=self.holdout,
             scores=dict(self.scores),
-            run_log=[dict(entry) for entry in self.run_log],
         )
 
 
@@ -89,7 +84,6 @@ class WeeklyReport:
     assignments: dict[str, str | None]  # this week's point id -> cohort label
     eval_rows: list[EvalRow]
     votes: dict[str, VoteOutcome]  # participant id -> outcome
-    omitted: tuple[str, ...]
     events: tuple[str, ...]
 
 
@@ -100,10 +94,6 @@ def new_state(config: EngineConfig) -> EngineState:
             eps=config.eps,
             density_fraction=config.density_fraction,
             min_pts_floor=config.min_pts_floor,
-        ),
-        pool=ModelPool(
-            min_cohort_size=config.min_cohort_size,
-            min_class_count=config.min_class_count,
         ),
     )
 
@@ -221,12 +211,7 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
     votes: dict[str, VoteOutcome] = {}
     if st.pool.generic is not None:
         for pid in sorted(vector_of):
-            votes[pid] = vote(
-                st.pool,
-                vector_of[pid],
-                point_label.get(week_points[pid]),
-                st.config,
-            )
+            votes[pid] = vote(st.pool, vector_of[pid], point_label.get(week_points[pid]))
 
     holdout_rows = [
         (row, point_label.get(row.point_id))
@@ -235,7 +220,7 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
     ]
     eval_rows: list[EvalRow] = []
     if st.pool.generic is not None and holdout_rows:
-        eval_rows = evaluate_week(st.pool, holdout_rows, snapshot, st.config)
+        eval_rows = evaluate_week(st.pool, holdout_rows)
     elif st.pool.generic is not None:
         raise ValidationError(f"week {week}: empty hold-out, cannot evaluate")
 
@@ -247,9 +232,6 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
     noise_count = len(snapshot.noise & set(week_points.values()))
 
     st.current_week = week
-    for event in events:
-        st.run_log.append({"week": week, "event": event})
-
     report = WeeklyReport(
         week=week,
         cohort_sizes=cohort_sizes,
@@ -258,7 +240,6 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
         assignments=assignments,
         eval_rows=eval_rows,
         votes=votes,
-        omitted=tuple(omitted),
         events=tuple(events),
     )
     return st, report
@@ -268,27 +249,28 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
 
 
 def save(state: EngineState, path: str | Path) -> Path:
-    """Write the full engine state as a gzip-compressed JSON checkpoint."""
+    """Write the full engine state as a gzip-compressed JSON checkpoint.
+
+    Each row's vector is stored once, in the registry, under its point id.
+    """
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "config": asdict(state.config),
         "current_week": state.current_week,
         "pipeline": None if state.pipeline is None else pipeline_to_json(state.pipeline),
-        "registry": None if state.registry is None else state.registry.to_json(),
+        "registry": state.registry.to_json(),
         "pool": pool_to_json(state.pool),
         "rows": [
             {
                 "point_id": r.point_id,
                 "participant_id": r.participant_id,
                 "week": r.week,
-                "vector": r.vector.tolist(),
                 "label": r.label,
             }
             for r in state.rows
         ],
         "holdout": sorted(state.holdout),
         "scores": dict(sorted(state.scores.items())),
-        "run_log": state.run_log,
     }
     out = Path(path)
     payload = json.dumps(doc, sort_keys=True).encode("utf-8")
@@ -331,28 +313,30 @@ def load(path: str | Path) -> EngineState:
 
 
 def _state_from_json(doc: dict) -> EngineState:
+    # keys are picked one by one, so the keys an older writer added (row
+    # vectors, the run log, copies of config values) are ignored
     config_doc = dict(doc["config"])
     config_doc["learners"] = LearnerConfig(**config_doc["learners"])
     config = EngineConfig(**config_doc)
+    registry = ClusterRegistry.from_json(doc["registry"])
     return EngineState(
         config=config,
         current_week=int(doc["current_week"]),
         pipeline=None if doc["pipeline"] is None else pipeline_from_json(doc["pipeline"]),
-        registry=None if doc["registry"] is None else ClusterRegistry.from_json(doc["registry"]),
+        registry=registry,
         pool=pool_from_json(doc["pool"]),
         rows=[
             LabeledRow(
                 point_id=r["point_id"],
                 participant_id=r["participant_id"],
                 week=int(r["week"]),
-                vector=np.array(r["vector"], dtype=float),
+                vector=registry.vector(r["point_id"]),
                 label=int(r["label"]),
             )
             for r in doc["rows"]
         ],
         holdout=frozenset(doc["holdout"]),
         scores={pid: int(s) for pid, s in doc["scores"].items()},
-        run_log=list(doc["run_log"]),
     )
 
 
@@ -370,8 +354,10 @@ def run_replay(
 
     Accepts either a fresh config or a loaded state (resume). Batches must
     cover consecutive weeks continuing from the state's current week. On a
-    resume, `summary.csv` keeps the rows an earlier run wrote for the weeks
-    already done, so the files match those of an uninterrupted replay.
+    resume, `runlog.jsonl` and `summary.csv` keep the lines an earlier run
+    wrote for the weeks already done, and the charts are drawn from every
+    week's summary rows, so the files match those of an uninterrupted
+    replay; a fresh replay starts them anew.
     """
     if isinstance(config_or_state, EngineState):
         state = config_or_state
@@ -387,9 +373,10 @@ def run_replay(
         expected += 1
 
     out = Path(out_dir) if out_dir is not None else None
+    start_week = state.current_week
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    start_week = state.current_week
+        reporting.start_run_log(out, keep_through=start_week)
 
     reports: list[WeeklyReport] = []
     for batch in batches:
@@ -405,5 +392,5 @@ def run_replay(
     if out is not None and reports:
         reporting.write_summary(out, reports, keep_through=start_week)
         if plot:
-            reporting.write_metric_charts(out, reports)
+            reporting.write_metric_charts(out)
     return reports, state

@@ -49,7 +49,6 @@ class ModelSet:
     validation_f1: dict[ModelKind, float]
     trained_through_week: int
     input_dim: int
-    trained_on: tuple[str, ...] = ()  # point ids, provenance
 
     def __post_init__(self) -> None:
         if set(self.models) != set(KIND_ORDER):
@@ -60,8 +59,6 @@ class ModelSet:
 class ModelPool:
     generic: ModelSet | None = None
     specialized: dict[str, ModelSet] = field(default_factory=dict)
-    min_cohort_size: int = 15
-    min_class_count: int = 5
 
 
 @dataclass(frozen=True)
@@ -163,6 +160,13 @@ def _fit_set(
         def train_fn(ds: Dataset, fold_seed: int, _kind=kind, _init=init):
             return _train_kind(_kind, ds, fold_seed, config.learners, init=_init)
 
+        models[kind] = _train_kind(
+            kind,
+            _balanced(dataset, config, derive_seed(kind_seed, "smote")),
+            kind_seed,
+            config.learners,
+            init=init,
+        )
         if k >= 2:
             metrics = kfold_cv(
                 dataset,
@@ -173,36 +177,21 @@ def _fit_set(
             )
             scores[kind] = metrics.f1
         else:
-            # too few rows in one class for any fold split: score on the
-            # training data itself and say so
+            # too few rows in one class for any fold split: score the
+            # deployed model on its own training data and say so
             events.append(
                 f"{scope}: class counts {zeros}/{ones} too small for CV; "
                 f"validation_f1 for {kind.value} uses training predictions"
             )
-            interim = _train_kind(
-                kind,
-                _balanced(dataset, config, derive_seed(kind_seed, "smote")),
-                kind_seed,
-                config.learners,
-                init=init,
-            )
             scores[kind] = compute_metrics(
-                interim.predict(dataset.vectors), dataset.labels
+                models[kind].predict(dataset.vectors), dataset.labels
             ).f1
-        models[kind] = _train_kind(
-            kind,
-            _balanced(dataset, config, derive_seed(kind_seed, "smote")),
-            kind_seed,
-            config.learners,
-            init=init,
-        )
     model_set = ModelSet(
         scope=scope,
         models=models,
         validation_f1=scores,
         trained_through_week=week,
         input_dim=dataset.dim,
-        trained_on=tuple(sorted(r.point_id for r in rows)),
     )
     return model_set, events
 
@@ -230,13 +219,7 @@ def refresh_generic(
     model_set, events = _fit_set(
         GENERIC_SCOPE, rows, config, seed, week, previous=pool.generic
     )
-    new_pool = ModelPool(
-        generic=model_set,
-        specialized=dict(pool.specialized),
-        min_cohort_size=pool.min_cohort_size,
-        min_class_count=pool.min_class_count,
-    )
-    return new_pool, events
+    return ModelPool(generic=model_set, specialized=dict(pool.specialized)), events
 
 
 def refresh_specialized(
@@ -257,19 +240,19 @@ def refresh_specialized(
     by_point = {r.point_id: r for r in rows}
     for label in sorted(snapshot.cohorts):
         members = snapshot.cohorts[label]
-        if len(members) < pool.min_cohort_size:
+        if len(members) < config.min_cohort_size:
             events.append(
                 f"week {week}: cohort {label} has {len(members)} members, "
-                f"below min_cohort_size {pool.min_cohort_size}; no specialized set"
+                f"below min_cohort_size {config.min_cohort_size}; no specialized set"
             )
             continue
         cohort_rows = [by_point[p] for p in sorted(members) if p in by_point]
         ones = sum(r.label for r in cohort_rows)
         zeros = len(cohort_rows) - ones
-        if min(zeros, ones) < pool.min_class_count:
+        if min(zeros, ones) < config.min_class_count:
             events.append(
                 f"week {week}: cohort {label} class counts {zeros}/{ones} below "
-                f"min_class_count {pool.min_class_count}; no specialized set"
+                f"min_class_count {config.min_class_count}; no specialized set"
             )
             continue
         model_set, fit_events = _fit_set(
@@ -282,21 +265,10 @@ def refresh_specialized(
         )
         specialized[label] = model_set
         events.extend(fit_events)
-    new_pool = ModelPool(
-        generic=pool.generic,
-        specialized=specialized,
-        min_cohort_size=pool.min_cohort_size,
-        min_class_count=pool.min_class_count,
-    )
-    return new_pool, events
+    return ModelPool(generic=pool.generic, specialized=specialized), events
 
 
-def vote(
-    pool: ModelPool,
-    vector: np.ndarray,
-    assignment: str | None,
-    config: EngineConfig,
-) -> VoteOutcome:
+def vote(pool: ModelPool, vector: np.ndarray, assignment: str | None) -> VoteOutcome:
     """Majority vote over the generic set plus the cohort's specialized set.
 
     A tie is broken by summing each side's validation F1 weights; a
@@ -364,10 +336,7 @@ def vote(
 
 
 def evaluate_week(
-    pool: ModelPool,
-    holdout: list[tuple[LabeledRow, str | None]],
-    snapshot: ClusterSnapshot,
-    config: EngineConfig,
+    pool: ModelPool, holdout: list[tuple[LabeledRow, str | None]]
 ) -> list[EvalRow]:
     """Metrics for generic kinds, each live specialized set, and voting.
 
@@ -412,7 +381,7 @@ def evaluate_week(
             )
 
     vote_preds = np.array(
-        [vote(pool, row.vector, assignment, config).prediction for row, assignment in holdout],
+        [vote(pool, row.vector, assignment).prediction for row, assignment in holdout],
         dtype=int,
     )
     out.append(
@@ -436,7 +405,6 @@ def _set_to_json(model_set: ModelSet) -> dict:
         "input_dim": model_set.input_dim,
         "validation_f1": {k.value: v for k, v in model_set.validation_f1.items()},
         "models": {k.value: model_to_json(m) for k, m in model_set.models.items()},
-        "trained_on": list(model_set.trained_on),
     }
 
 
@@ -447,7 +415,6 @@ def _set_from_json(doc: dict) -> ModelSet:
         validation_f1={ModelKind(k): float(v) for k, v in doc["validation_f1"].items()},
         trained_through_week=int(doc["trained_through_week"]),
         input_dim=int(doc["input_dim"]),
-        trained_on=tuple(doc["trained_on"]),
     )
 
 
@@ -457,8 +424,6 @@ def pool_to_json(pool: ModelPool) -> dict:
         "specialized": {
             label: _set_to_json(s) for label, s in sorted(pool.specialized.items())
         },
-        "min_cohort_size": pool.min_cohort_size,
-        "min_class_count": pool.min_class_count,
     }
 
 
@@ -468,6 +433,4 @@ def pool_from_json(doc: dict) -> ModelPool:
         specialized={
             label: _set_from_json(s) for label, s in doc["specialized"].items()
         },
-        min_cohort_size=int(doc["min_cohort_size"]),
-        min_class_count=int(doc["min_class_count"]),
     )

@@ -80,15 +80,6 @@ class Dataset:
         return self.subset(self.canonical_order())
 
 
-def from_rows(rows: list[tuple[np.ndarray, int, str]]) -> Dataset:
-    if not rows:
-        raise ValidationError("cannot build a dataset from zero rows")
-    vectors = np.array([np.asarray(v, dtype=float) for v, _, _ in rows])
-    labels = np.array([lab for _, lab, _ in rows], dtype=int)
-    pids = tuple(pid for _, _, pid in rows)
-    return Dataset(vectors=vectors, labels=labels, participant_ids=pids)
-
-
 def derive_seed(seed: int, *parts: object) -> int:
     """Deterministically mix a root seed with context labels."""
     entropy = [seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF]

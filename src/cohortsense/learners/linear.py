@@ -43,36 +43,21 @@ def logreg_gradient(
 class LogRegModel:
     weights: np.ndarray
     bias: float
-    seed: int
-    iterations: int
 
     kind = ModelKind.LOGREG
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights + self.bias
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.decision_scores(X)))
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_scores(X) >= 0.0).astype(int)
 
     def to_json(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "seed": self.seed,
-            "iterations": self.iterations,
-        }
+        return {"weights": self.weights.tolist(), "bias": self.bias}
 
     @classmethod
     def from_json(cls, doc: dict) -> "LogRegModel":
-        return cls(
-            weights=np.array(doc["weights"], dtype=float),
-            bias=float(doc["bias"]),
-            seed=int(doc["seed"]),
-            iterations=int(doc["iterations"]),
-        )
+        return cls(weights=np.array(doc["weights"], dtype=float), bias=float(doc["bias"]))
 
 
 def train_logreg(
@@ -86,7 +71,8 @@ def train_logreg(
     """Full-batch gradient descent on L2-regularized logistic loss.
 
     The step size halves whenever a step would increase the loss, so the
-    accepted-loss sequence is nonincreasing. Training is deterministic;
+    accepted-loss sequence is nonincreasing. Training is deterministic
+    (``seed`` is part of the shared trainer signature and unused);
     ``init`` warm-starts from a previous model when dimensions match.
     """
     _require_both_classes(dataset, "logistic regression")
@@ -111,15 +97,13 @@ def train_logreg(
             w, b, loss = cand_w, cand_b, cand_loss
         else:
             lr *= 0.5
-    return LogRegModel(weights=w, bias=b, seed=seed, iterations=iterations)
+    return LogRegModel(weights=w, bias=b)
 
 
 @dataclass(frozen=True)
 class LinearSVMModel:
     weights: np.ndarray
     bias: float
-    seed: int
-    epochs: int
 
     kind = ModelKind.LINEAR_SVM
 
@@ -130,21 +114,11 @@ class LinearSVMModel:
         return (self.decision_scores(X) >= 0.0).astype(int)
 
     def to_json(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "seed": self.seed,
-            "epochs": self.epochs,
-        }
+        return {"weights": self.weights.tolist(), "bias": self.bias}
 
     @classmethod
     def from_json(cls, doc: dict) -> "LinearSVMModel":
-        return cls(
-            weights=np.array(doc["weights"], dtype=float),
-            bias=float(doc["bias"]),
-            seed=int(doc["seed"]),
-            epochs=int(doc["epochs"]),
-        )
+        return cls(weights=np.array(doc["weights"], dtype=float), bias=float(doc["bias"]))
 
 
 def train_linear_svm(
@@ -160,7 +134,8 @@ def train_linear_svm(
     augmented, regularized coordinate; iterates are projected onto the
     ball of radius 1/sqrt(l2) and the returned parameters are the
     t-weighted iterate average, which converges where the raw last
-    iterate of a subgradient method keeps oscillating.
+    iterate of a subgradient method keeps oscillating. Training is
+    deterministic; ``seed`` is part of the shared trainer signature.
     """
     _require_both_classes(dataset, "linear SVM")
     X = dataset.vectors.astype(float)
@@ -186,6 +161,4 @@ def train_linear_svm(
             theta = theta * (radius / norm)
         averaged += t * theta
     averaged *= 2.0 / (epochs * (epochs + 1))
-    return LinearSVMModel(
-        weights=averaged[:d], bias=float(averaged[d]), seed=seed, epochs=epochs
-    )
+    return LinearSVMModel(weights=averaged[:d], bias=float(averaged[d]))

@@ -27,19 +27,6 @@ class _Tree:
     right: np.ndarray
     value: np.ndarray  # (n_nodes,) float leaf outputs
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        rows = np.arange(X.shape[0])
-        for _ in range(64):  # depth is bounded far below this
-            internal = self.left[idx] >= 0
-            if not internal.any():
-                break
-            feat = np.where(internal, self.feature[idx], 0)
-            go_left = X[rows, feat] <= self.threshold[idx]
-            nxt = np.where(go_left, self.left[idx], self.right[idx])
-            idx = np.where(internal, nxt, idx)
-        return self.value[idx]
-
     def to_json(self) -> dict:
         def node(i: int) -> dict:
             if self.left[i] < 0:
@@ -114,7 +101,7 @@ def _stacked_predict(stack: dict, X: np.ndarray) -> np.ndarray:
     n = X.shape[0]
     idx = np.broadcast_to(stack["roots"], (n, stack["roots"].size)).copy()
     rows = np.arange(n)[:, None]
-    for _ in range(64):
+    for _ in range(64):  # depth is bounded far below this
         internal = stack["left"][idx] >= 0
         if not internal.any():
             break
@@ -280,9 +267,6 @@ def _grow_tree(
 @dataclass(frozen=True)
 class ForestModel:
     trees: list[_Tree]
-    seed: int
-    n_trees: int
-    max_depth: int
 
     kind = ModelKind.RANDOM_FOREST
 
@@ -296,21 +280,11 @@ class ForestModel:
         return (2.0 * votes >= len(self.trees)).astype(int)
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "trees": [t.to_json() for t in self.trees],
-        }
+        return {"trees": [t.to_json() for t in self.trees]}
 
     @classmethod
     def from_json(cls, doc: dict) -> "ForestModel":
-        return cls(
-            trees=[_Tree.from_json(t) for t in doc["trees"]],
-            seed=int(doc["seed"]),
-            n_trees=int(doc["n_trees"]),
-            max_depth=int(doc["max_depth"]),
-        )
+        return cls(trees=[_Tree.from_json(t) for t in doc["trees"]])
 
 
 def train_random_forest(
@@ -347,7 +321,7 @@ def train_random_forest(
             classification=True,
         )
         trees.append(tree)
-    return ForestModel(trees=trees, seed=seed, n_trees=n_trees, max_depth=max_depth)
+    return ForestModel(trees=trees)
 
 
 @dataclass(frozen=True)
@@ -355,7 +329,6 @@ class GBTModel:
     init_score: float
     learning_rate: float
     trees: list[_Tree]
-    seed: int
     train_log_loss: list[float] = field(default_factory=list)
 
     kind = ModelKind.GBT
@@ -371,17 +344,13 @@ class GBTModel:
             scores = scores + self.learning_rate * leaf.sum(axis=1)
         return scores
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.decision_scores(X)))
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(int)
+        return (1.0 / (1.0 + np.exp(-self.decision_scores(X))) >= 0.5).astype(int)
 
     def to_json(self) -> dict:
         return {
             "init_score": self.init_score,
             "learning_rate": self.learning_rate,
-            "seed": self.seed,
             "train_log_loss": list(self.train_log_loss),
             "trees": [t.to_json() for t in self.trees],
         }
@@ -392,7 +361,6 @@ class GBTModel:
             init_score=float(doc["init_score"]),
             learning_rate=float(doc["learning_rate"]),
             trees=[_Tree.from_json(t) for t in doc["trees"]],
-            seed=int(doc["seed"]),
             train_log_loss=[float(x) for x in doc["train_log_loss"]],
         )
 
@@ -412,7 +380,8 @@ def train_gbt(
 
     First-order boosting only: each round fits a squared-error tree to the
     residual y - sigmoid(score) and adds it with a fixed learning rate.
-    The initial score is the log-odds of the training base rate.
+    The initial score is the log-odds of the training base rate. Training
+    is deterministic; ``seed`` is part of the shared trainer signature.
     """
     zeros, ones = dataset.class_counts()
     if zeros == 0 or ones == 0:
@@ -449,6 +418,5 @@ def train_gbt(
         init_score=init_score,
         learning_rate=learning_rate,
         trees=trees,
-        seed=seed,
         train_log_loss=losses,
     )

@@ -262,10 +262,6 @@ class FittedPipeline:
     scaler: FittedScaler
     projector: FittedProjector
 
-    @property
-    def output_dim(self) -> int:
-        return self.projector.components.shape[0]
-
     def block_width(self) -> int:
         return len(self.continuous_features) + sum(
             len(v) for v in self.vocabularies.values()
@@ -282,6 +278,8 @@ def _segment_mean_matrix(
 
     Records must already be imputed. A participant missing every record of
     one segment falls back to their own all-segment mean for that block.
+    Rows are summed in day order, so the means do not depend on the order
+    of the records in the batch.
     """
     width = len(continuous_features) + sum(len(vocabularies[c]) for c in categorical_features)
 
@@ -292,7 +290,7 @@ def _segment_mean_matrix(
         return np.concatenate(parts) if parts else np.empty(0)
 
     by_participant: dict[str, dict] = {}
-    for rec in records:
+    for rec in sorted(records, key=lambda r: r.day):
         entry = by_participant.setdefault(
             rec.participant_id, {seg: [] for seg in SEGMENT_ORDER}
         )

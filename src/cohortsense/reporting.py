@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -83,6 +84,30 @@ def write_votes(out_dir: str | Path, report: "WeeklyReport") -> Path:
     return path
 
 
+def _lines_through(path: Path, keep_through: int, week_pattern: str) -> list[str]:
+    """Lines of an existing file whose week, matched by `week_pattern`'s
+    group, is at most keep_through; none when keep_through is 0."""
+    if keep_through <= 0 or not path.exists():
+        return []
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    return [
+        line
+        for line in lines
+        if (m := re.search(week_pattern, line)) and int(m.group(1)) <= keep_through
+    ]
+
+
+def start_run_log(out_dir: str | Path, keep_through: int = 0) -> Path:
+    """Start `runlog.jsonl`: empty for a fresh replay; on a resume, the
+    existing lines of weeks up to keep_through."""
+    path = Path(out_dir) / "runlog.jsonl"
+    kept = _lines_through(path, keep_through, r'"week": (\d+)\}$')
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(kept)
+    return path
+
+
 def append_run_log(out_dir: str | Path, report: "WeeklyReport") -> Path:
     path = Path(out_dir) / "runlog.jsonl"
     with open(path, "a", encoding="utf-8") as fh:
@@ -154,13 +179,7 @@ def write_summary(
     keep_through are first copied verbatim from the existing file, if any.
     """
     path = Path(out_dir) / "summary.csv"
-    kept: list[str] = []
-    if keep_through > 0 and path.exists():
-        with open(path, newline="", encoding="utf-8") as fh:
-            for line in fh.read().splitlines(keepends=True)[1:]:
-                week = line.split(",", 1)[0]
-                if week.isdigit() and int(week) <= keep_through:
-                    kept.append(line)
+    kept = _lines_through(path, keep_through, r"^(\d+),")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -238,22 +257,20 @@ def svg_line_chart(
     return out
 
 
-def write_metric_charts(out_dir: str | Path, reports: list["WeeklyReport"]) -> list[Path]:
-    """One SVG per metric: weekly trajectories for generic kinds and voting."""
+def write_metric_charts(out_dir: str | Path) -> list[Path]:
+    """One SVG per metric: weekly trajectories for generic kinds and voting.
+
+    Drawn from every week's rows in `summary.csv`, whose shortest-repr
+    values parse back to the exact floats.
+    """
+    with open(Path(out_dir) / "summary.csv", newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["scope"] in ("generic", "voting")]
     out = []
     for metric in ("accuracy", "precision", "recall", "f1"):
         series: dict[str, list[tuple[int, float]]] = {}
-        for report in reports:
-            for er in report.eval_rows:
-                if er.scope == "generic":
-                    name = f"generic_{er.kind}"
-                elif er.scope == "voting":
-                    name = "voting"
-                else:
-                    continue
-                series.setdefault(name, []).append(
-                    (report.week, getattr(er.metrics, metric))
-                )
+        for row in rows:
+            name = "voting" if row["scope"] == "voting" else f"generic_{row['kind']}"
+            series.setdefault(name, []).append((int(row["week"]), float(row[metric])))
         out.append(
             svg_line_chart(
                 series,

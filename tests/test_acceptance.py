@@ -382,7 +382,6 @@ def _reference_vote(votes: list[int], weights: list[float]) -> tuple[int, str]:
 
 def test_criterion_9_voting_logic_exhaustive():
     weights = [0.81, 0.64, 0.55, 0.72, 0.69, 0.58, 0.77, 0.6]
-    config = EngineConfig()
     for pattern in range(2**8):
         votes = [(pattern >> i) & 1 for i in range(8)]
         generic = ModelSet(
@@ -400,14 +399,14 @@ def test_criterion_9_voting_logic_exhaustive():
             input_dim=2,
         )
         pool = ModelPool(generic=generic, specialized={"G1": special})
-        outcome = vote(pool, np.zeros(2), "G1", config)
+        outcome = vote(pool, np.zeros(2), "G1")
         expected_pred, expected_rule = _reference_vote(votes, weights)
         assert outcome.prediction == expected_pred, f"pattern {pattern:08b}"
         assert outcome.rule_used == expected_rule, f"pattern {pattern:08b}"
         assert len(outcome.tally) == 8
 
         # generic-only route on the same generic half
-        outcome4 = vote(pool, np.zeros(2), None, config)
+        outcome4 = vote(pool, np.zeros(2), None)
         pred4, _ = _reference_vote(votes[:4], weights[:4])
         assert outcome4.prediction == pred4
         assert outcome4.rule_used == "generic_only"

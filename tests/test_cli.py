@@ -194,6 +194,43 @@ def test_replay_bad_config_exits_one(tmp_path):
     )
 
 
+def test_replay_out_of_range_config_exits_one(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"holdout_fraction": 1.5}), encoding="utf-8")
+    code = main(
+        ["replay", "--config", str(config_path), "--data-dir", str(tmp_path),
+         "--out-dir", str(tmp_path / "out")]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "holdout_fraction" in err
+
+
+def test_replay_resume_with_a_different_config_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    plan_path = tmp_path / "plan.json"
+    config_path = tmp_path / "config.json"
+    write_tiny_plan(plan_path, weeks=2)
+    config_path.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
+    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+    ckpt = tmp_path / "ckpt.csk"
+    (data / "week_2.csv").rename(tmp_path / "week_2.csv")
+    main(["replay", "--config", str(config_path), "--data-dir", str(data),
+          "--out-dir", str(tmp_path / "out"), "--checkpoint", str(ckpt)])
+    (tmp_path / "week_2.csv").rename(data / "week_2.csv")
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(dict(FAST_CONFIG, rng_seed=10)), encoding="utf-8")
+    capsys.readouterr()
+    code = main(
+        ["replay", "--config", str(other), "--data-dir", str(data),
+         "--out-dir", str(tmp_path / "out"), "--resume", str(ckpt)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "differs" in err
+    assert not (tmp_path / "out" / "report_week_2.csv").exists()
+
+
 def test_replay_resume_malformed_checkpoint_exits_one(tmp_path, capsys):
     data = tmp_path / "data"
     plan_path = tmp_path / "plan.json"

@@ -359,10 +359,10 @@ def test_registry_json_round_trip():
     reg.snapshot(week=1)
     restored = ClusterRegistry.from_json(reg.to_json())
     assert restored.partition() == reg.partition()
-    assert restored.cohort_ids == reg.cohort_ids
     assert restored.min_pts == reg.min_pts
-    # both must continue identically
+    # both must continue identically, cohort labels included
     reg.insert("zz_new", np.zeros(3))
     restored.insert("zz_new", np.zeros(3))
     assert restored.partition() == reg.partition()
+    assert restored.snapshot(week=2) == reg.snapshot(week=2)
     assert restored.to_json() == reg.to_json()

@@ -9,6 +9,7 @@ from cohortsense.core import (
     DaySegment,
     EngineConfig,
     FeatureRecord,
+    LearnerConfig,
     ValidationError,
     WeeklyBatch,
     label_from_score,
@@ -115,6 +116,32 @@ def test_config_validation():
         EngineConfig(density_fraction=1.5)
     with pytest.raises(ConfigError):
         EngineConfig(cv_folds=1)
+
+
+@pytest.mark.parametrize(
+    "make, kwargs",
+    [
+        (EngineConfig, {"holdout_fraction": 1.5}),
+        (EngineConfig, {"holdout_fraction": 0.0}),
+        (EngineConfig, {"pca_variance_target": 2.0}),
+        (EngineConfig, {"min_pts_floor": -3}),
+        (EngineConfig, {"refit_every_n_weeks": -1}),
+        (EngineConfig, {"score_threshold": 40}),
+        (EngineConfig, {"eps": float("nan")}),
+        (EngineConfig, {"eps": "0.5"}),
+        (EngineConfig, {"cv_folds": True}),
+        (EngineConfig, {"cv_folds": 3.0}),
+        (EngineConfig, {"learners": {"forest_trees": 5}}),
+        (LearnerConfig, {"forest_trees": 0}),
+        (LearnerConfig, {"svm_l2": 0.0}),
+        (LearnerConfig, {"gbt_learning_rate": "fast"}),
+        (LearnerConfig, {"logreg_iterations": False}),
+    ],
+)
+def test_config_rejects_out_of_range_values_and_wrong_types(make, kwargs):
+    (name,) = kwargs
+    with pytest.raises(ConfigError, match=name):
+        make(**kwargs)
 
 
 def test_config_file_round_trip(tmp_path):

@@ -1,10 +1,16 @@
 """Tests for the weekly replay engine: stepping, checkpoints, reports."""
 
+import dataclasses
 import gzip
 import json
+import random
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohortsense.core import EngineConfig, LearnerConfig, ValidationError
 from cohortsense.engine import (
@@ -225,7 +231,14 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
     path = tmp_path / "state.csk"
     save(state, path)
     good = json.loads(gzip.open(path, "rb").read())
-    broken = [("rows", 7), ("current_week", "x"), ("registry", []), ("pipeline", [])]
+    broken = [
+        ("rows", 7),
+        ("current_week", "x"),
+        ("registry", []),
+        ("pipeline", []),
+        ("rows", [dict(good["rows"][0], point_id="P999|w01")]),
+        ("config", dict(good["config"], holdout_fraction=1.5)),
+    ]
     for field, value in broken:
         doc = dict(good, **{field: value})
         with gzip.GzipFile(path, "wb", mtime=0) as fh:
@@ -317,16 +330,16 @@ def test_run_replay_requires_week_one_start(mini_batches):
 def test_resumed_replay_same_files_as_straight(tmp_path, profiles):
     batches = generate_cohort(mini_plan(weeks=4), profiles, seed=3)
     straight = tmp_path / "straight"
-    run_replay(FAST_CONFIG, batches, out_dir=straight)
+    run_replay(FAST_CONFIG, batches, out_dir=straight, plot=True)
 
     resumed = tmp_path / "resumed"
     ckpt = tmp_path / "mid.csk"
-    run_replay(FAST_CONFIG, batches[:2], out_dir=resumed, checkpoint_path=ckpt)
-    run_replay(load(ckpt), batches[2:], out_dir=resumed)
+    run_replay(FAST_CONFIG, batches[:2], out_dir=resumed, checkpoint_path=ckpt, plot=True)
+    run_replay(load(ckpt), batches[2:], out_dir=resumed, plot=True)
 
     names = sorted(p.name for p in straight.iterdir())
     assert names == sorted(p.name for p in resumed.iterdir())
-    assert "summary.csv" in names
+    assert {"summary.csv", "runlog.jsonl", "chart_f1.svg"} <= set(names)
     for name in names:
         assert (straight / name).read_bytes() == (resumed / name).read_bytes(), name
 
@@ -337,3 +350,123 @@ def test_fresh_replay_ignores_old_summary(tmp_path, mini_batches):
     (out / "summary.csv").write_text("week,scope\r\n1,stale\r\n", encoding="utf-8")
     run_replay(FAST_CONFIG, mini_batches[:1], out_dir=out)
     assert "stale" not in (out / "summary.csv").read_text(encoding="utf-8")
+
+
+def test_run_log_restarts_on_a_fresh_replay_and_keeps_done_weeks_on_resume(tmp_path, profiles):
+    batches = generate_cohort(mini_plan(weeks=4), profiles, seed=3)
+    out = tmp_path / "out"
+    run_replay(FAST_CONFIG, batches, out_dir=out)
+    log = (out / "runlog.jsonl").read_bytes()
+    assert len(log.splitlines()) > len(batches)
+
+    run_replay(FAST_CONFIG, batches, out_dir=out)
+    assert (out / "runlog.jsonl").read_bytes() == log
+
+    # a 2+2 resume into the directory of the longer run above
+    ckpt = tmp_path / "mid.csk"
+    run_replay(FAST_CONFIG, batches[:2], checkpoint_path=ckpt)
+    run_replay(load(ckpt), batches[2:], out_dir=out)
+    assert (out / "runlog.jsonl").read_bytes() == log
+
+
+def test_checkpoint_in_the_older_layout_loads_and_resumes(tmp_path, profiles):
+    batches = generate_cohort(mini_plan(weeks=4), profiles, seed=3)
+    straight = tmp_path / "straight"
+    run_replay(FAST_CONFIG, batches, out_dir=straight)
+    resumed = tmp_path / "resumed"
+    ckpt = tmp_path / "mid.csk"
+    run_replay(FAST_CONFIG, batches[:2], out_dir=resumed, checkpoint_path=ckpt)
+
+    # the older layout also held each row's vector, the run log, the pool's
+    # copies of two config values, each set's training point ids, and the
+    # models' seeds and sizes
+    doc = json.loads(gzip.open(ckpt, "rb").read())
+    reg = doc["registry"]
+    vector_of = dict(zip(reg["ids"], reg["vectors"]))
+    for row in doc["rows"]:
+        row["vector"] = vector_of[row["point_id"]]
+    doc["run_log"] = [{"event": "week 1: preprocessing pipeline fitted", "week": 1}]
+    reg["cohort_ids"] = {"p0": "G1"}
+    doc["pool"].update(min_cohort_size=15, min_class_count=5)
+    for model_set in [doc["pool"]["generic"], *doc["pool"]["specialized"].values()]:
+        model_set["trained_on"] = sorted(row["point_id"] for row in doc["rows"])
+        model_set["models"]["logreg"].update(seed=1, iterations=80)
+        model_set["models"]["linear_svm"].update(seed=1, epochs=80)
+        model_set["models"]["random_forest"].update(seed=1, n_trees=10, max_depth=4)
+        model_set["models"]["gbt"]["seed"] = 1
+    older = tmp_path / "older.csk"
+    with gzip.GzipFile(older, "wb", mtime=0) as fh:
+        fh.write(json.dumps(doc, sort_keys=True).encode("utf-8"))
+
+    state = load(older)
+    again = tmp_path / "again.csk"
+    save(state, again)
+    assert gzip.open(again, "rb").read() == gzip.open(ckpt, "rb").read()
+    for row in state.rows:
+        assert np.array_equal(row.vector, vector_of[row.point_id])
+
+    run_replay(state, batches[2:], out_dir=resumed)
+    for name in sorted(p.name for p in straight.iterdir()):
+        assert (straight / name).read_bytes() == (resumed / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------- properties
+
+
+@pytest.fixture(scope="module")
+def four_week_run(profiles, tmp_path_factory):
+    """A straight 4-week replay, plus the checkpoint after each of weeks 1-3."""
+    batches = generate_cohort(mini_plan(weeks=4), profiles, seed=3)
+    root = tmp_path_factory.mktemp("four_weeks")
+    run_replay(FAST_CONFIG, batches, out_dir=root / "straight", plot=True)
+    state = new_state(FAST_CONFIG)
+    for batch in batches[:3]:
+        state, _ = step(state, batch)
+        save(state, root / f"week_{batch.week}.csk")
+    return batches, root
+
+
+@settings(max_examples=6, deadline=None)
+@given(boundary=st.integers(1, 3), longer_run_in_dir=st.booleans())
+def test_resume_from_every_week_boundary_gives_the_straight_files(
+    four_week_run, boundary, longer_run_in_dir
+):
+    batches, root = four_week_run
+    straight = root / "straight"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        if longer_run_in_dir:
+            shutil.copytree(straight, out)
+        else:
+            run_replay(FAST_CONFIG, batches[:boundary], out_dir=out, plot=True)
+        run_replay(load(root / f"week_{boundary}.csk"), batches[boundary:], out_dir=out, plot=True)
+        names = sorted(p.name for p in straight.iterdir())
+        assert names == sorted(p.name for p in out.iterdir())
+        for name in names:
+            assert (straight / name).read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def two_steps(mini_batches, tmp_path_factory):
+    """Reports and checkpoint bytes of weeks 1-2 stepped in record order."""
+    path = tmp_path_factory.mktemp("steps") / "state.csk"
+    state, outputs = new_state(FAST_CONFIG), []
+    for batch in mini_batches[:2]:
+        state, report = step(state, batch)
+        save(state, path)
+        outputs.append((report, path.read_bytes()))
+    return outputs, path
+
+
+@settings(max_examples=5, deadline=None)
+@given(shuffle_seed=st.integers(0, 2**32 - 1))
+def test_step_outputs_do_not_depend_on_record_order(mini_batches, two_steps, shuffle_seed):
+    expected, path = two_steps
+    state = new_state(FAST_CONFIG)
+    for batch, (report, checkpoint) in zip(mini_batches[:2], expected):
+        records = list(batch.records)
+        random.Random(shuffle_seed).shuffle(records)
+        state, got = step(state, dataclasses.replace(batch, records=tuple(records)))
+        assert got == report
+        save(state, path)
+        assert path.read_bytes() == checkpoint

@@ -120,7 +120,7 @@ def test_refresh_specialized_gates_small_cohorts():
     members = frozenset(r.point_id for r in rows[:10])
     snapshot = ClusterSnapshot(week=1, cohorts={"G1": members}, noise=frozenset())
     pool, events = refresh_specialized(
-        ModelPool(min_cohort_size=15), snapshot, rows, config(), seed=0, week=1
+        ModelPool(), snapshot, rows, config(min_cohort_size=15), seed=0, week=1
     )
     assert pool.specialized == {}
     assert any("below min_cohort_size" in e for e in events)
@@ -141,26 +141,20 @@ def test_refresh_specialized_trains_only_on_cohort_rows():
     rows = two_class_rows(n_per_class=20, seed=9)
     members = frozenset(r.point_id for r in rows if int(r.point_id[1:4]) % 2 == 0)
     snapshot = ClusterSnapshot(week=1, cohorts={"G1": members}, noise=frozenset())
-    pool, _ = refresh_specialized(
-        ModelPool(min_cohort_size=5, min_class_count=3),
-        snapshot,
-        rows,
-        config(),
-        seed=0,
-        week=1,
-    )
+    cfg = config(min_cohort_size=5, min_class_count=3)
+    pool, _ = refresh_specialized(ModelPool(), snapshot, rows, cfg, seed=0, week=1)
     assert "G1" in pool.specialized
-    assert set(pool.specialized["G1"].trained_on) <= set(members)
+    cohort_rows = [r for r in rows if r.point_id in members]
+    alone, _ = refresh_specialized(ModelPool(), snapshot, cohort_rows, cfg, seed=0, week=1)
+    assert pool_to_json(alone)["specialized"]["G1"] == pool_to_json(pool)["specialized"]["G1"]
 
 
 def test_refresh_specialized_keeps_vanished_sets_frozen():
     rows = two_class_rows(n_per_class=20, seed=4)
     members = frozenset(r.point_id for r in rows)
     snap1 = ClusterSnapshot(week=1, cohorts={"G2": members}, noise=frozenset())
-    cfg = config()
-    pool, _ = refresh_specialized(
-        ModelPool(min_cohort_size=5, min_class_count=3), snap1, rows, cfg, seed=0, week=1
-    )
+    cfg = config(min_cohort_size=5, min_class_count=3)
+    pool, _ = refresh_specialized(ModelPool(), snap1, rows, cfg, seed=0, week=1)
     assert pool.specialized["G2"].trained_through_week == 1
     # G2 vanishes in week 2: its set must stay exactly as trained
     snap2 = ClusterSnapshot(week=2, cohorts={}, noise=members)
@@ -189,13 +183,13 @@ def test_specialized_beats_generic_on_planted_group_structure():
                 )
             )
             i += 1
-    cfg = config()
+    cfg = config(min_cohort_size=10)
     g1 = frozenset(r.point_id for r in rows[:30])
     snapshot = ClusterSnapshot(
         week=1, cohorts={"G1": g1, "G2": frozenset(r.point_id for r in rows[30:])},
         noise=frozenset(),
     )
-    pool, _ = refresh_generic(ModelPool(min_cohort_size=10), rows, cfg, seed=0, week=1)
+    pool, _ = refresh_generic(ModelPool(), rows, cfg, seed=0, week=1)
     pool, _ = refresh_specialized(pool, snapshot, rows, cfg, seed=0, week=1)
     g1_f1 = pool.specialized["G1"].validation_f1[ModelKind.LOGREG]
     generic_f1 = pool.generic.validation_f1[ModelKind.LOGREG]
@@ -210,7 +204,7 @@ def test_vote_majority_with_eight_voters():
         generic=stub_set(GENERIC_SCOPE, [1, 1, 1, 0], [0.5] * 4),
         specialized={"G1": stub_set("G1", [1, 1, 0, 0], [0.5] * 4)},
     )
-    outcome = vote(pool, np.zeros(2), "G1", config())
+    outcome = vote(pool, np.zeros(2), "G1")
     assert outcome.prediction == 1
     assert outcome.rule_used == "majority"
     assert len(outcome.tally) == 8
@@ -222,7 +216,7 @@ def test_vote_noise_routes_generic_only():
         generic=stub_set(GENERIC_SCOPE, [0, 0, 1, 0], [0.5] * 4),
         specialized={"G1": stub_set("G1", [1, 1, 1, 1], [0.9] * 4)},
     )
-    outcome = vote(pool, np.zeros(2), None, config())
+    outcome = vote(pool, np.zeros(2), None)
     assert len(outcome.tally) == 4
     assert outcome.rule_used == "generic_only"
     assert outcome.prediction == 0
@@ -230,7 +224,7 @@ def test_vote_noise_routes_generic_only():
 
 def test_vote_missing_specialized_set_routes_generic_only():
     pool = ModelPool(generic=stub_set(GENERIC_SCOPE, [1, 1, 0, 0], [0.6, 0.6, 0.5, 0.4]))
-    outcome = vote(pool, np.zeros(2), "G9", config())
+    outcome = vote(pool, np.zeros(2), "G9")
     assert len(outcome.tally) == 4
     assert outcome.rule_used == "generic_only"
     # internal 2-2 tie: weights 1.2 for ones vs 0.9 for zeros
@@ -243,7 +237,7 @@ def test_vote_weighted_tie_break_hand_computed():
         generic=stub_set(GENERIC_SCOPE, [0, 0, 1, 1], [0.8, 0.7, 0.6, 0.7]),
         specialized={"G2": stub_set("G2", [0, 0, 1, 1], [0.7, 0.7, 0.6, 0.6])},
     )
-    outcome = vote(pool, np.zeros(2), "G2", config())
+    outcome = vote(pool, np.zeros(2), "G2")
     assert outcome.rule_used == "weighted_f1"
     weight_zero = 0.8 + 0.7 + 0.7 + 0.7
     weight_one = 0.6 + 0.7 + 0.6 + 0.6
@@ -257,13 +251,13 @@ def test_vote_tie_with_equal_weights_predicts_lonely():
         generic=stub_set(GENERIC_SCOPE, [0, 0, 1, 1], [0.5] * 4),
         specialized={"G1": stub_set("G1", [0, 0, 1, 1], [0.5] * 4)},
     )
-    assert vote(pool, np.zeros(2), "G1", config()).prediction == 1
+    assert vote(pool, np.zeros(2), "G1").prediction == 1
 
 
 def test_vote_dimension_mismatch_error():
     pool = ModelPool(generic=stub_set(GENERIC_SCOPE, [1, 1, 1, 1], [0.5] * 4, dim=3))
     with pytest.raises(ValidationError):
-        vote(pool, np.zeros(2), None, config())
+        vote(pool, np.zeros(2), None)
 
 
 def test_vote_tally_size_invariant():
@@ -272,7 +266,7 @@ def test_vote_tally_size_invariant():
         specialized={"G1": stub_set("G1", [1, 1, 1, 1], [0.9] * 4)},
     )
     for assignment in (None, "G1", "G7"):
-        outcome = vote(pool, np.zeros(2), assignment, config())
+        outcome = vote(pool, np.zeros(2), assignment)
         assert len(outcome.tally) in (4, 8)
         assert (outcome.rule_used == "generic_only") == (len(outcome.tally) == 4)
 
@@ -283,7 +277,7 @@ def test_weighted_rule_never_overrides_strict_majority():
         generic=stub_set(GENERIC_SCOPE, [1, 1, 1, 0], [0.1, 0.1, 0.1, 0.99]),
         specialized={"G1": stub_set("G1", [1, 1, 0, 0], [0.1, 0.1, 0.99, 0.99])},
     )
-    outcome = vote(pool, np.zeros(2), "G1", config())
+    outcome = vote(pool, np.zeros(2), "G1")
     assert outcome.prediction == 1
     assert outcome.rule_used == "majority"
 
@@ -297,13 +291,13 @@ def eval_holdout(rows, assignments):
 
 def test_evaluate_week_report_axes():
     rows = two_class_rows(n_per_class=20, seed=6)
-    cfg = config()
+    cfg = config(min_cohort_size=10, min_class_count=3)
     members = frozenset(r.point_id for r in rows)
     snapshot = ClusterSnapshot(week=1, cohorts={"G1": members}, noise=frozenset())
-    pool, _ = refresh_generic(ModelPool(min_cohort_size=10, min_class_count=3), rows, cfg, seed=0, week=1)
+    pool, _ = refresh_generic(ModelPool(), rows, cfg, seed=0, week=1)
     pool, _ = refresh_specialized(pool, snapshot, rows, cfg, seed=0, week=1)
     holdout = eval_holdout(rows, ["G1"] * len(rows))
-    report = evaluate_week(pool, holdout, snapshot, cfg)
+    report = evaluate_week(pool, holdout)
     axes = {(r.scope, r.cohort, r.kind) for r in report}
     assert ("generic", "", "gbt") in axes
     assert ("specialized", "G1", "gbt") in axes
@@ -317,8 +311,7 @@ def test_evaluate_week_perfect_pool_alls_ones():
     pool = ModelPool(generic=stub_set(GENERIC_SCOPE, [1, 1, 1, 1], [0.5] * 4))
     # stub predicts all ones; feed rows where truth is all ones
     ones_rows = [r for r in rows if r.label == 1]
-    snapshot = ClusterSnapshot(week=1, cohorts={}, noise=frozenset(r.point_id for r in ones_rows))
-    report = evaluate_week(pool, eval_holdout(ones_rows, [None] * len(ones_rows)), snapshot, config())
+    report = evaluate_week(pool, eval_holdout(ones_rows, [None] * len(ones_rows)))
     for row in report:
         assert row.metrics.accuracy == 1.0
         assert row.metrics.f1 == 1.0
@@ -326,9 +319,8 @@ def test_evaluate_week_perfect_pool_alls_ones():
 
 def test_evaluate_week_empty_holdout_error():
     pool = ModelPool(generic=stub_set(GENERIC_SCOPE, [1, 1, 1, 1], [0.5] * 4))
-    snapshot = ClusterSnapshot(week=1, cohorts={}, noise=frozenset())
     with pytest.raises(ValidationError):
-        evaluate_week(pool, [], snapshot, config())
+        evaluate_week(pool, [])
 
 
 # ---------------------------------------------------------------- persistence
@@ -336,10 +328,10 @@ def test_evaluate_week_empty_holdout_error():
 
 def test_pool_json_round_trip():
     rows = two_class_rows(n_per_class=15, seed=8)
-    cfg = config()
+    cfg = config(min_cohort_size=10, min_class_count=3)
     members = frozenset(r.point_id for r in rows)
     snapshot = ClusterSnapshot(week=1, cohorts={"G1": members}, noise=frozenset())
-    pool, _ = refresh_generic(ModelPool(min_cohort_size=10, min_class_count=3), rows, cfg, seed=0, week=1)
+    pool, _ = refresh_generic(ModelPool(), rows, cfg, seed=0, week=1)
     pool, _ = refresh_specialized(pool, snapshot, rows, cfg, seed=0, week=1)
     restored = pool_from_json(pool_to_json(pool))
     assert pool_to_json(restored) == pool_to_json(pool)
