@@ -8,12 +8,9 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from .cluster import ClusterRegistry, batch_dbscan
 from .core import ConfigError, EngineConfig, ValidationError, load_config
 from .engine import CheckpointError, load, run_replay
-from .learners.linear import logreg_gradient, logreg_loss
+from .oracles import dbscan_trials, gradient_max_rel_error
 from .synthgen import (
     build_default_plan,
     build_default_profiles,
@@ -128,51 +125,19 @@ def _cmd_report(args) -> int:
 
 
 def _oracle_dbscan() -> bool:
-    rng_master = np.random.default_rng(2024)
     ok = True
     start = time.monotonic()
-    for trial in range(10):
-        dim = 2 + trial % 7
-        rng = np.random.default_rng(rng_master.integers(2**32))
-        centers = rng.uniform(-5, 5, size=(3, dim))
-        rows = [centers[i % 3] + rng.normal(0, 0.3, dim) for i in range(170)]
-        rows += [rng.uniform(-8, 8, dim) for _ in range(30)]
-        points = {f"q{i:04d}": np.asarray(v) for i, v in enumerate(rows)}
-        oracle = batch_dbscan(points, eps=0.9, min_pts=20)
-        for perm in range(5):
-            order = list(points)
-            rng.shuffle(order)
-            registry = ClusterRegistry(eps=0.9, density_fraction=0.1, min_pts_floor=5)
-            for pid in order:
-                registry.insert(pid, points[pid])
-            if registry.partition() != oracle:
-                print(f"dbscan trial {trial} perm {perm}: MISMATCH", file=sys.stderr)
-                ok = False
+    for trial, perm, registry, oracle in dbscan_trials(2024):
+        if registry.partition() != oracle:
+            print(f"dbscan trial {trial} perm {perm}: MISMATCH", file=sys.stderr)
+            ok = False
     elapsed = time.monotonic() - start
     print(f"dbscan oracle: {'PASS' if ok else 'FAIL'} ({elapsed:.1f}s)", file=sys.stderr)
     return ok
 
 
 def _oracle_gradients() -> bool:
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    h = 1e-5
-    for _ in range(20):
-        n, d = int(rng.integers(5, 40)), int(rng.integers(1, 8))
-        X = rng.normal(size=(n, d))
-        y = rng.integers(0, 2, n).astype(float)
-        w = rng.normal(size=d)
-        b = float(rng.normal())
-        grad_w, grad_b = logreg_gradient(w, b, X, y, 1e-3)
-        for j in range(d):
-            wp, wm = w.copy(), w.copy()
-            wp[j] += h
-            wm[j] -= h
-            num = (logreg_loss(wp, b, X, y, 1e-3) - logreg_loss(wm, b, X, y, 1e-3)) / (2 * h)
-            rel = abs(grad_w[j] - num) / max(abs(num), abs(grad_w[j]), 1e-8)
-            worst = max(worst, rel)
-        num_b = (logreg_loss(w, b + h, X, y, 1e-3) - logreg_loss(w, b - h, X, y, 1e-3)) / (2 * h)
-        worst = max(worst, abs(grad_b - num_b) / max(abs(num_b), abs(grad_b), 1e-8))
+    worst = gradient_max_rel_error(7)
     ok = worst < 1e-4
     print(
         f"gradient oracle: {'PASS' if ok else 'FAIL'} (max rel err {worst:.2e})",

@@ -96,8 +96,8 @@ class FeatureRecord:
     categorical: dict[str, str | None] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.week <= 10:
-            raise ValidationError(f"week {self.week} outside [1, 10]")
+        if self.week < 1:
+            raise ValidationError(f"week {self.week} below 1")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import gzip
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -78,13 +79,23 @@ class EngineState:
 @dataclass(frozen=True)
 class WeeklyReport:
     week: int
-    cohort_sizes: dict[str, int]  # this week's points per cohort label
-    noise_count: int
-    participants_seen: int
     assignments: dict[str, str | None]  # this week's point id -> cohort label
     eval_rows: list[EvalRow]
     votes: dict[str, VoteOutcome]  # participant id -> outcome
     events: tuple[str, ...]
+
+    # the week's counts, all derived from the assignments
+    @property
+    def cohort_sizes(self) -> dict[str, int]:
+        return dict(Counter(sorted(a for a in self.assignments.values() if a is not None)))
+
+    @property
+    def noise_count(self) -> int:
+        return sum(a is None for a in self.assignments.values())
+
+    @property
+    def participants_seen(self) -> int:
+        return len(self.assignments)
 
 
 def new_state(config: EngineConfig) -> EngineState:
@@ -98,8 +109,16 @@ def new_state(config: EngineConfig) -> EngineState:
     )
 
 
+MAX_WEEK = 99  # point ids end in a two-digit week, so they sort by (participant, week)
+
+
 def _point_id(pid: str, week: int) -> str:
     return f"{pid}|w{week:02d}"
+
+
+def _check_week(week: int) -> None:
+    if week > MAX_WEEK:
+        raise ValidationError(f"batch week {week} above the last replayable week {MAX_WEEK}")
 
 
 def _pick_holdout(scores: dict[str, int], config: EngineConfig) -> frozenset[str]:
@@ -134,6 +153,7 @@ def _pick_holdout(scores: dict[str, int], config: EngineConfig) -> frozenset[str
 
 def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyReport]:
     """Run one week: preprocess, cluster, refresh models, vote, evaluate."""
+    _check_week(batch.week)
     if batch.week != state.current_week + 1:
         raise ValidationError(
             f"batch week {batch.week} out of order; expected week "
@@ -158,11 +178,12 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
     for pid in omitted:
         events.append(f"week {week}: participant {pid} omitted, no surviving records")
 
-    week_points: dict[str, str] = {}
-    for pv in sorted(vectors, key=lambda v: v.participant_id):
-        pt = _point_id(pv.participant_id, week)
-        st.registry.insert(pt, pv.values)
-        week_points[pv.participant_id] = pt
+    # this week's participants in id order, with their vectors and points
+    order = sorted(vectors, key=lambda v: v.participant_id)
+    X = np.array([pv.values for pv in order], dtype=float)
+    week_points = {pv.participant_id: _point_id(pv.participant_id, week) for pv in order}
+    for pv in order:
+        st.registry.insert(week_points[pv.participant_id], pv.values)
     snapshot = st.registry.snapshot(week)
 
     st.scores.update(batch.labels)
@@ -172,18 +193,18 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
             f"week {week}: fixed hold-out of {len(st.holdout)} participants"
         )
 
-    vector_of = {pv.participant_id: pv.values for pv in vectors}
-    for pid in sorted(vector_of):
-        if pid in st.scores:
-            st.rows.append(
-                LabeledRow(
-                    point_id=week_points[pid],
-                    participant_id=pid,
-                    week=week,
-                    vector=vector_of[pid],
-                    label=label_from_score(st.scores[pid], st.config.score_threshold),
-                )
-            )
+    week_rows = [
+        LabeledRow(
+            point_id=week_points[pv.participant_id],
+            participant_id=pv.participant_id,
+            week=week,
+            vector=pv.values,
+            label=label_from_score(st.scores[pv.participant_id], st.config.score_threshold),
+        )
+        for pv in order
+        if pv.participant_id in st.scores
+    ]
+    st.rows.extend(week_rows)
 
     train_rows = [r for r in st.rows if r.participant_id not in st.holdout]
     st.pool, gen_events = refresh_generic(
@@ -200,49 +221,30 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
     )
     events.extend(spec_events)
 
-    point_label: dict[str, str | None] = {}
-    for label, members in snapshot.cohorts.items():
-        for pt in members:
-            point_label[pt] = label
-    assignments = {
-        pt: point_label.get(pt) for pt in week_points.values()
-    }
+    label_of = {pt: label for label, members in snapshot.cohorts.items() for pt in members}
+    assignments = {pt: label_of.get(pt) for pt in week_points.values()}
 
     votes: dict[str, VoteOutcome] = {}
-    if st.pool.generic is not None:
-        for pid in sorted(vector_of):
-            votes[pid] = vote(st.pool, vector_of[pid], point_label.get(week_points[pid]))
-
-    holdout_rows = [
-        (row, point_label.get(row.point_id))
-        for row in st.rows
-        if row.week == week and row.participant_id in st.holdout
-    ]
     eval_rows: list[EvalRow] = []
-    if st.pool.generic is not None and holdout_rows:
-        eval_rows = evaluate_week(st.pool, holdout_rows)
-    elif st.pool.generic is not None:
-        raise ValidationError(f"week {week}: empty hold-out, cannot evaluate")
-
-    cohort_sizes: dict[str, int] = {}
-    for label, members in snapshot.cohorts.items():
-        count = len(members & set(week_points.values()))
-        if count:
-            cohort_sizes[label] = count
-    noise_count = len(snapshot.noise & set(week_points.values()))
+    if st.pool.generic is not None:
+        held = [r for r in week_rows if r.participant_id in st.holdout]
+        if not held:
+            raise ValidationError(f"week {week}: empty hold-out, cannot evaluate")
+        votes = dict(zip(week_points, vote(st.pool, X, list(assignments.values()))))
+        eval_rows = evaluate_week(
+            [r.label for r in held],
+            [assignments[r.point_id] for r in held],
+            [votes[r.participant_id] for r in held],
+        )
 
     st.current_week = week
-    report = WeeklyReport(
+    return st, WeeklyReport(
         week=week,
-        cohort_sizes=cohort_sizes,
-        noise_count=noise_count,
-        participants_seen=len(vector_of),
         assignments=assignments,
         eval_rows=eval_rows,
         votes=votes,
         events=tuple(events),
     )
-    return st, report
 
 
 # ---------------------------------------------------------------- checkpoints
@@ -366,6 +368,7 @@ def run_replay(
 
     expected = state.current_week + 1
     for batch in batches:
+        _check_week(batch.week)
         if batch.week != expected:
             raise ValidationError(
                 f"missing week {expected}: next batch is week {batch.week}"

@@ -268,130 +268,84 @@ def refresh_specialized(
     return ModelPool(generic=pool.generic, specialized=specialized), events
 
 
-def vote(pool: ModelPool, vector: np.ndarray, assignment: str | None) -> VoteOutcome:
-    """Majority vote over the generic set plus the cohort's specialized set.
-
-    A tie is broken by summing each side's validation F1 weights; a
+def vote(
+    pool: ModelPool, X: np.ndarray, assignments: list[str | None]
+) -> list[VoteOutcome]:
+    """Majority vote per row of ``X`` over the generic set plus the set of
+    the row's cohort ``assignments[i]``; each model predicts its rows in one
+    call. A tie is broken by summing each side's validation F1 weights; a
     persisting tie predicts lonely (1): in a screening setting false
-    negatives cost more. Noise assignments and cohorts without a live set
-    vote generic-only.
+    negatives cost more. Noise and cohorts without a live set vote
+    generic-only.
     """
     if pool.generic is None:
         raise ValidationError("cannot vote before the generic set exists")
-    x = np.asarray(vector, dtype=float).ravel()
-    if x.shape[0] != pool.generic.input_dim:
+    X = np.asarray(X, dtype=float)
+    if X.shape != (len(assignments), pool.generic.input_dim):
         raise ValidationError(
-            f"vector dimension {x.shape[0]} does not match model dimension "
-            f"{pool.generic.input_dim}"
+            f"vectors of shape {X.shape} do not match {len(assignments)} "
+            f"assignments and model dimension {pool.generic.input_dim}"
         )
-    voters: list[tuple[str, object, float]] = []
-    for kind in KIND_ORDER:
-        voters.append(
-            (
-                f"generic:{kind.value}",
-                pool.generic.models[kind],
-                pool.generic.validation_f1[kind],
-            )
-        )
-    specialized = (
-        pool.specialized.get(assignment) if assignment is not None else None
-    )
-    if specialized is not None:
+    voters = [(GENERIC_SCOPE, pool.generic, list(range(len(X))))] + [
+        (label, pool.specialized[label], [i for i, a in enumerate(assignments) if a == label])
+        for label in sorted({a for a in assignments if a in pool.specialized})
+    ]
+    # per row, (voter name, validation F1, vote) in voting order
+    ballots: list[list[tuple[str, float, int]]] = [[] for _ in range(len(X))]
+    for label, model_set, rows in voters:
         for kind in KIND_ORDER:
-            voters.append(
-                (
-                    f"{assignment}:{kind.value}",
-                    specialized.models[kind],
-                    specialized.validation_f1[kind],
-                )
-            )
+            f1 = model_set.validation_f1[kind]
+            for i, p in zip(rows, model_set.models[kind].predict(X[rows])):
+                ballots[i].append((f"{label}:{kind.value}", f1, int(p)))
+    return [_decide(ballot) for ballot in ballots]
 
-    tally: dict[str, int] = {}
-    weights: dict[str, float] = {}
-    for name, model, f1 in voters:
-        tally[name] = int(model.predict(x[None, :])[0])
-        weights[name] = f1
 
+def _decide(ballot: list[tuple[str, float, int]]) -> VoteOutcome:
+    tally = {name: v for name, _, v in ballot}
     ones = sum(tally.values())
     zeros = len(tally) - ones
-    if specialized is None:
+    if len(ballot) == len(KIND_ORDER):
         rule = "generic_only"
-    elif ones != zeros:
-        rule = "majority"
     else:
-        rule = "weighted_f1"
-
+        rule = "majority" if ones != zeros else "weighted_f1"
     if ones != zeros:
-        prediction = 1 if ones > zeros else 0
+        prediction = int(ones > zeros)
     else:
-        weight_one = sum(weights[n] for n, v in tally.items() if v == 1)
-        weight_zero = sum(weights[n] for n, v in tally.items() if v == 0)
-        if weight_one > weight_zero:
-            prediction = 1
-        elif weight_zero > weight_one:
-            prediction = 0
-        else:
-            prediction = 1
+        weight_one = sum(f1 for _, f1, v in ballot if v == 1)
+        weight_zero = sum(f1 for _, f1, v in ballot if v == 0)
+        prediction = int(weight_one >= weight_zero)
     return VoteOutcome(prediction=prediction, tally=tally, rule_used=rule)
 
 
 def evaluate_week(
-    pool: ModelPool, holdout: list[tuple[LabeledRow, str | None]]
+    labels: list[int], assignments: list[str | None], outcomes: list[VoteOutcome]
 ) -> list[EvalRow]:
-    """Metrics for generic kinds, each live specialized set, and voting.
-
-    ``holdout`` pairs each labeled row with its cluster assignment (cohort
-    label or None for noise).
+    """Metrics for generic kinds, each live specialized set, and voting, on
+    the hold-out rows' labels, cluster assignments and vote outcomes. Each
+    model's predictions are read from the tallies.
     """
-    if not holdout:
+    if not labels:
         raise ValidationError("cannot evaluate an empty hold-out set")
-    if pool.generic is None:
-        raise ValidationError("cannot evaluate before the generic set exists")
-
-    rows = [r for r, _ in holdout]
-    X = np.array([r.vector for r in rows], dtype=float)
-    y = np.array([r.label for r in rows], dtype=int)
-
-    out: list[EvalRow] = []
-    for kind in KIND_ORDER:
-        preds = pool.generic.models[kind].predict(X)
-        out.append(
-            EvalRow(
-                scope="generic",
-                cohort="",
-                kind=kind.value,
-                metrics=compute_metrics(preds, y),
-            )
-        )
-
-    for label in sorted(pool.specialized):
-        model_set = pool.specialized[label]
-        idx = [i for i, (_, a) in enumerate(holdout) if a == label]
-        if not idx:
-            continue
-        for kind in KIND_ORDER:
-            preds = model_set.models[kind].predict(X[idx])
-            out.append(
-                EvalRow(
-                    scope="specialized",
-                    cohort=label,
-                    kind=kind.value,
-                    metrics=compute_metrics(preds, y[idx]),
-                )
-            )
-
-    vote_preds = np.array(
-        [vote(pool, row.vector, assignment).prediction for row, assignment in holdout],
-        dtype=int,
-    )
-    out.append(
+    y = np.array(labels, dtype=int)
+    live = sorted({a for a, o in zip(assignments, outcomes) if o.rule_used != "generic_only"})
+    groups = [("generic", "", GENERIC_SCOPE, list(range(len(y))))] + [
+        ("specialized", label, label, [i for i, a in enumerate(assignments) if a == label])
+        for label in live
+    ]
+    out = [
         EvalRow(
-            scope="voting",
-            cohort="",
-            kind="ensemble",
-            metrics=compute_metrics(vote_preds, y),
+            scope=scope,
+            cohort=cohort,
+            kind=kind.value,
+            metrics=compute_metrics(
+                [outcomes[i].tally[f"{voter}:{kind.value}"] for i in rows], y[rows]
+            ),
         )
-    )
+        for scope, cohort, voter, rows in groups
+        for kind in KIND_ORDER
+    ]
+    voting = compute_metrics([o.prediction for o in outcomes], y)
+    out.append(EvalRow(scope="voting", cohort="", kind="ensemble", metrics=voting))
     return out
 
 

@@ -233,10 +233,6 @@ def pca_fit(matrix: np.ndarray, variance_target: float) -> FittedProjector:
     )
 
 
-def pca_project(projector: FittedProjector, vector: np.ndarray) -> np.ndarray:
-    return projector.components @ (np.asarray(vector, dtype=float) - projector.mean)
-
-
 def pca_project_matrix(projector: FittedProjector, matrix: np.ndarray) -> np.ndarray:
     return (np.asarray(matrix, dtype=float) - projector.mean) @ projector.components.T
 

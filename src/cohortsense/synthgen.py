@@ -30,6 +30,7 @@ from .core import (
     FeatureRecord,
     ValidationError,
     WeeklyBatch,
+    validate_score,
 )
 
 FEATURES = (
@@ -250,12 +251,6 @@ class CohortPlan:
 
     def weeks(self) -> list[int]:
         return sorted(self.weekly_group_membership)
-
-    def group_of(self, week: int, pid: str) -> str:
-        for group, members in self.weekly_group_membership[week].items():
-            if pid in members:
-                return group
-        raise ValidationError(f"participant {pid} has no group in week {week}")
 
 
 def _ordinal_step(value: float, direction: int) -> float:
@@ -645,44 +640,64 @@ def load_plan(path: str | Path) -> CohortPlan:
     )
 
 
+def _read_csv(path: Path, columns: tuple[str, ...], parse) -> list:
+    """``parse`` of each data row of a CSV file with the given columns; a
+    missing column or a rejected row raises ValidationError with its line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValidationError(f"{path}, line 1: missing columns {', '.join(missing)}")
+        parsed = []
+        for row in reader:
+            try:
+                parsed.append(parse(row))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
+    return parsed
+
+
+def _record(row: dict) -> FeatureRecord:
+    token = row[CATEGORICAL_FEATURE]
+    return FeatureRecord(
+        participant_id=row["participant_id"],
+        week=int(row["week"]),
+        day=row["day"],
+        segment=DaySegment(row["segment"]),
+        continuous={
+            feat: float(row[feat]) if row[feat] != "" else None
+            for feat in sorted(FEATURES)
+        },
+        categorical={CATEGORICAL_FEATURE: token if token else None},
+    )
+
+
 def load_batches(data_dir: str | Path) -> list[WeeklyBatch]:
-    """Read week_<n>.csv files plus labels.csv back into WeeklyBatch values."""
+    """Read week_<n>.csv files plus labels.csv back into WeeklyBatch values;
+    a malformed file raises ValidationError naming it."""
     data = Path(data_dir)
     labels_path = data / "labels.csv"
     if not labels_path.exists():
         raise ValidationError(f"missing labels.csv in {data}")
-    labels: dict[str, int] = {}
-    with open(labels_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            labels[row["participant_id"]] = int(row["score"])
-
-    week_files = sorted(
-        data.glob("week_*.csv"), key=lambda p: int(p.stem.split("_")[1])
+    labels = dict(
+        _read_csv(
+            labels_path,
+            ("participant_id", "score"),
+            lambda row: (row["participant_id"], validate_score(int(row["score"]))),
+        )
     )
+
+    week_files = []
+    for path in data.glob("week_*.csv"):
+        number = path.stem.removeprefix("week_")
+        if not number.isdecimal():
+            raise ValidationError(f"{path}: a week file must be named week_<n>.csv")
+        week_files.append((int(number), path))
     if not week_files:
         raise ValidationError(f"no week_<n>.csv files found in {data}")
-    segments = {seg.value: seg for seg in DaySegment}
     batches = []
-    for path in week_files:
-        week = int(path.stem.split("_")[1])
-        records = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                continuous: dict[str, float | None] = {}
-                for feat in sorted(FEATURES):
-                    raw = row[feat]
-                    continuous[feat] = float(raw) if raw != "" else None
-                token = row[CATEGORICAL_FEATURE]
-                records.append(
-                    FeatureRecord(
-                        participant_id=row["participant_id"],
-                        week=int(row["week"]),
-                        day=row["day"],
-                        segment=segments[row["segment"]],
-                        continuous=continuous,
-                        categorical={CATEGORICAL_FEATURE: token if token else None},
-                    )
-                )
+    for week, path in sorted(week_files):
+        records = _read_csv(path, _CSV_COLUMNS, _record)
         present = {rec.participant_id for rec in records}
         batches.append(
             WeeklyBatch(

@@ -15,19 +15,17 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from planted import FIXTURE_SEED, build_planted_fixture
 
-from cohortsense.cluster import ClusterRegistry, batch_dbscan
 from cohortsense.core import EngineConfig, LearnerConfig
 from cohortsense.engine import load, new_state, run_replay, save, step
 from cohortsense.ensemble import GENERIC_SCOPE, ModelPool, ModelSet, vote
 from cohortsense.learners import (
     Dataset,
     compute_metrics,
-    logreg_gradient,
-    logreg_loss,
     smote,
     stratified_folds,
 )
 from cohortsense.learners.base import KIND_ORDER
+from cohortsense.oracles import dbscan_trials, gradient_max_rel_error
 from cohortsense.synthgen import (
     CohortPlan,
     build_default_plan,
@@ -96,24 +94,10 @@ def planted_replay():
 def test_criterion_1_incremental_vs_batch_equivalence():
     """Registry partitions equal batch DBSCAN over seeds and orders."""
     start = time.monotonic()
-    master = np.random.default_rng(1234)
-    for trial in range(10):
-        dim = 2 + trial % 7
-        rng = np.random.default_rng(master.integers(2**32))
-        centers = rng.uniform(-5.0, 5.0, size=(3, dim))
-        rows = [centers[i % 3] + rng.normal(0, 0.3, dim) for i in range(170)]
-        rows += [rng.uniform(-8.0, 8.0, dim) for _ in range(30)]
-        points = {f"q{i:04d}": np.asarray(v) for i, v in enumerate(rows)}
-        assert len(points) == 200
-        oracle = batch_dbscan(points, eps=0.9, min_pts=20)
-        for _ in range(5):
-            order = list(points)
-            rng.shuffle(order)
-            registry = ClusterRegistry(eps=0.9, density_fraction=0.1, min_pts_floor=5)
-            for pid in order:
-                registry.insert(pid, points[pid])
-            assert registry.min_pts == 20
-            assert registry.partition() == oracle
+    for _, _, registry, oracle in dbscan_trials(1234):
+        assert registry.point_count == 200
+        assert registry.min_pts == 20
+        assert registry.partition() == oracle
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s, budget is 60s"
     announce(1, f"incremental-vs-batch equivalence, {elapsed:.1f}s")
@@ -238,28 +222,7 @@ def test_criterion_4_smote_geometry_and_balance():
 
 
 def test_criterion_5_gradient_oracle():
-    rng = np.random.default_rng(41)
-    h = 1e-5
-    worst = 0.0
-    for _ in range(20):
-        n, d = int(rng.integers(5, 40)), int(rng.integers(1, 8))
-        X = rng.normal(size=(n, d))
-        y = rng.integers(0, 2, n).astype(float)
-        w = rng.normal(size=d)
-        b = float(rng.normal())
-        grad_w, grad_b = logreg_gradient(w, b, X, y, 1e-3)
-        for j in range(d):
-            wp, wm = w.copy(), w.copy()
-            wp[j] += h
-            wm[j] -= h
-            num = (
-                logreg_loss(wp, b, X, y, 1e-3) - logreg_loss(wm, b, X, y, 1e-3)
-            ) / (2 * h)
-            worst = max(worst, abs(grad_w[j] - num) / max(abs(num), abs(grad_w[j]), 1e-8))
-        num_b = (
-            logreg_loss(w, b + h, X, y, 1e-3) - logreg_loss(w, b - h, X, y, 1e-3)
-        ) / (2 * h)
-        worst = max(worst, abs(grad_b - num_b) / max(abs(num_b), abs(grad_b), 1e-8))
+    worst = gradient_max_rel_error(41)
     assert worst < 1e-4
     announce(5, f"gradient oracle, max relative error {worst:.2e}")
 
@@ -399,14 +362,14 @@ def test_criterion_9_voting_logic_exhaustive():
             input_dim=2,
         )
         pool = ModelPool(generic=generic, specialized={"G1": special})
-        outcome = vote(pool, np.zeros(2), "G1")
+        [outcome] = vote(pool, np.zeros((1, 2)), ["G1"])
         expected_pred, expected_rule = _reference_vote(votes, weights)
         assert outcome.prediction == expected_pred, f"pattern {pattern:08b}"
         assert outcome.rule_used == expected_rule, f"pattern {pattern:08b}"
         assert len(outcome.tally) == 8
 
         # generic-only route on the same generic half
-        outcome4 = vote(pool, np.zeros(2), None)
+        [outcome4] = vote(pool, np.zeros((1, 2)), [None])
         pred4, _ = _reference_vote(votes[:4], weights[:4])
         assert outcome4.prediction == pred4
         assert outcome4.rule_used == "generic_only"

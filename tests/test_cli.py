@@ -1,11 +1,14 @@
 """End-to-end CLI tests driven through main()."""
 
+import csv
 import gzip
 import json
 from pathlib import Path
 
+import pytest
+
 from cohortsense.cli import main
-from cohortsense.synthgen import CohortPlan
+from cohortsense.synthgen import FEATURES, CohortPlan
 
 
 def tiny_plan(weeks=3, per_group=12):
@@ -252,3 +255,74 @@ def test_replay_resume_malformed_checkpoint_exits_one(tmp_path, capsys):
 def test_eval_oracle_gradients(capsys):
     assert main(["eval-oracle", "--suite", "gradients"]) == 0
     assert "gradient oracle: PASS" in capsys.readouterr().err
+
+
+FEATURE = sorted(FEATURES)[0]
+
+
+def _edit_csv(path: Path, edit) -> None:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _set_cell(path: Path, column: str, value: str) -> None:
+    def edit(rows):
+        rows[1][rows[0].index(column)] = value
+
+    _edit_csv(path, edit)
+
+
+def _drop_column(path: Path, column: str) -> None:
+    def edit(rows):
+        at = rows[0].index(column)
+        for row in rows:
+            del row[at]
+
+    _edit_csv(path, edit)
+
+
+MALFORMED_DATA = {
+    "non_numeric_feature": (
+        lambda d: _set_cell(d / "week_1.csv", FEATURE, "abc"),
+        "week_1.csv, line 2",
+    ),
+    "missing_feature_column": (
+        lambda d: _drop_column(d / "week_1.csv", FEATURE),
+        "week_1.csv, line 1",
+    ),
+    "non_integer_score": (
+        lambda d: _set_cell(d / "labels.csv", "score", "2x"),
+        "labels.csv, line 2",
+    ),
+    "out_of_range_score": (
+        lambda d: _set_cell(d / "labels.csv", "score", "55"),
+        "labels.csv, line 2",
+    ),
+    "unknown_segment": (
+        lambda d: _set_cell(d / "week_1.csv", "segment", "noon"),
+        "week_1.csv, line 2",
+    ),
+    "week_file_name": (
+        lambda d: (d / "week_x.csv").write_bytes((d / "week_1.csv").read_bytes()),
+        "week_x.csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DATA))
+def test_replay_malformed_data_file_exits_one(tmp_path, capsys, case):
+    data = tmp_path / "data"
+    plan_path = tmp_path / "plan.json"
+    write_tiny_plan(plan_path, weeks=1)
+    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+    corrupt, where = MALFORMED_DATA[case]
+    corrupt(data)
+    capsys.readouterr()
+    code = main(["replay", "--data-dir", str(data), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and where in err
+    assert not (tmp_path / "out").exists()

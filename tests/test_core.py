@@ -65,14 +65,18 @@ def test_segment_partitions_day_equally():
 
 
 def test_record_week_bounds():
-    with pytest.raises(ValidationError):
-        FeatureRecord(
+    def record(week):
+        return FeatureRecord(
             participant_id="p",
-            week=11,
+            week=week,
             day="2019-04-01",
             segment=DaySegment.NIGHT,
             continuous={},
         )
+
+    with pytest.raises(ValidationError):
+        record(0)
+    assert record(11).week == 11  # no upper bound: a study may run past week 10
 
 
 def test_batch_week_consistency():

@@ -327,6 +327,37 @@ def test_run_replay_requires_week_one_start(mini_batches):
         run_replay(FAST_CONFIG, mini_batches[1:])
 
 
+def test_replay_runs_past_week_ten(tmp_path, profiles):
+    extended = [
+        dataclasses.replace(p, week_interval=(p.week_interval[0], 11))
+        if p.week_interval[1] == 10
+        else p
+        for p in profiles
+    ]
+    batches = generate_cohort(mini_plan(weeks=11), extended, seed=3)
+    out = tmp_path / "out"
+    run_replay(FAST_CONFIG, batches, out_dir=out)
+    assert (out / "report_week_11.csv").exists()
+    clusters = (out / "clusters_week_11.csv").read_text().splitlines()[1:]
+    assert clusters and all("|w11," in line for line in clusters)
+
+
+def test_week_above_99_is_rejected_before_any_file_is_written(tmp_path, mini_batches):
+    def moved(batch, week):
+        records = tuple(dataclasses.replace(r, week=week) for r in batch.records)
+        return dataclasses.replace(batch, week=week, records=records)
+
+    state = dataclasses.replace(new_state(FAST_CONFIG), current_week=98)
+    batches = [moved(mini_batches[0], 99), moved(mini_batches[1], 100)]
+    out, ckpt = tmp_path / "out", tmp_path / "ckpt.csk"
+    with pytest.raises(ValidationError, match="week 100"):
+        run_replay(state, batches, out_dir=out, checkpoint_path=ckpt)
+    assert not out.exists() and not ckpt.exists()
+    state, _ = step(state, batches[0])
+    with pytest.raises(ValidationError, match="week 100"):
+        step(state, batches[1])
+
+
 def test_resumed_replay_same_files_as_straight(tmp_path, profiles):
     batches = generate_cohort(mini_plan(weeks=4), profiles, seed=3)
     straight = tmp_path / "straight"

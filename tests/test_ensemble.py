@@ -17,6 +17,7 @@ from cohortsense.ensemble import (
     refresh_specialized,
     vote,
 )
+from cohortsense.learners import compute_metrics
 from cohortsense.learners.base import KIND_ORDER, ModelKind
 
 FAST = LearnerConfig(
@@ -204,7 +205,7 @@ def test_vote_majority_with_eight_voters():
         generic=stub_set(GENERIC_SCOPE, [1, 1, 1, 0], [0.5] * 4),
         specialized={"G1": stub_set("G1", [1, 1, 0, 0], [0.5] * 4)},
     )
-    outcome = vote(pool, np.zeros(2), "G1")
+    [outcome] = vote(pool, np.zeros((1, 2)), ["G1"])
     assert outcome.prediction == 1
     assert outcome.rule_used == "majority"
     assert len(outcome.tally) == 8
@@ -216,7 +217,7 @@ def test_vote_noise_routes_generic_only():
         generic=stub_set(GENERIC_SCOPE, [0, 0, 1, 0], [0.5] * 4),
         specialized={"G1": stub_set("G1", [1, 1, 1, 1], [0.9] * 4)},
     )
-    outcome = vote(pool, np.zeros(2), None)
+    [outcome] = vote(pool, np.zeros((1, 2)), [None])
     assert len(outcome.tally) == 4
     assert outcome.rule_used == "generic_only"
     assert outcome.prediction == 0
@@ -224,7 +225,7 @@ def test_vote_noise_routes_generic_only():
 
 def test_vote_missing_specialized_set_routes_generic_only():
     pool = ModelPool(generic=stub_set(GENERIC_SCOPE, [1, 1, 0, 0], [0.6, 0.6, 0.5, 0.4]))
-    outcome = vote(pool, np.zeros(2), "G9")
+    [outcome] = vote(pool, np.zeros((1, 2)), ["G9"])
     assert len(outcome.tally) == 4
     assert outcome.rule_used == "generic_only"
     # internal 2-2 tie: weights 1.2 for ones vs 0.9 for zeros
@@ -237,7 +238,7 @@ def test_vote_weighted_tie_break_hand_computed():
         generic=stub_set(GENERIC_SCOPE, [0, 0, 1, 1], [0.8, 0.7, 0.6, 0.7]),
         specialized={"G2": stub_set("G2", [0, 0, 1, 1], [0.7, 0.7, 0.6, 0.6])},
     )
-    outcome = vote(pool, np.zeros(2), "G2")
+    [outcome] = vote(pool, np.zeros((1, 2)), ["G2"])
     assert outcome.rule_used == "weighted_f1"
     weight_zero = 0.8 + 0.7 + 0.7 + 0.7
     weight_one = 0.6 + 0.7 + 0.6 + 0.6
@@ -251,13 +252,13 @@ def test_vote_tie_with_equal_weights_predicts_lonely():
         generic=stub_set(GENERIC_SCOPE, [0, 0, 1, 1], [0.5] * 4),
         specialized={"G1": stub_set("G1", [0, 0, 1, 1], [0.5] * 4)},
     )
-    assert vote(pool, np.zeros(2), "G1").prediction == 1
+    assert vote(pool, np.zeros((1, 2)), ["G1"])[0].prediction == 1
 
 
 def test_vote_dimension_mismatch_error():
     pool = ModelPool(generic=stub_set(GENERIC_SCOPE, [1, 1, 1, 1], [0.5] * 4, dim=3))
     with pytest.raises(ValidationError):
-        vote(pool, np.zeros(2), None)
+        vote(pool, np.zeros((1, 2)), [None])
 
 
 def test_vote_tally_size_invariant():
@@ -266,7 +267,7 @@ def test_vote_tally_size_invariant():
         specialized={"G1": stub_set("G1", [1, 1, 1, 1], [0.9] * 4)},
     )
     for assignment in (None, "G1", "G7"):
-        outcome = vote(pool, np.zeros(2), assignment)
+        [outcome] = vote(pool, np.zeros((1, 2)), [assignment])
         assert len(outcome.tally) in (4, 8)
         assert (outcome.rule_used == "generic_only") == (len(outcome.tally) == 4)
 
@@ -277,16 +278,43 @@ def test_weighted_rule_never_overrides_strict_majority():
         generic=stub_set(GENERIC_SCOPE, [1, 1, 1, 0], [0.1, 0.1, 0.1, 0.99]),
         specialized={"G1": stub_set("G1", [1, 1, 0, 0], [0.1, 0.1, 0.99, 0.99])},
     )
-    outcome = vote(pool, np.zeros(2), "G1")
+    [outcome] = vote(pool, np.zeros((1, 2)), ["G1"])
     assert outcome.prediction == 1
     assert outcome.rule_used == "majority"
+
+
+def one_cohort_pool():
+    """A trained pool with one specialized set, G1, plus its rows and a
+    mix of assignments: G1, noise, and a label with no set."""
+    rows = two_class_rows(n_per_class=20, seed=6)
+    cfg = config(min_cohort_size=10, min_class_count=3)
+    members = frozenset(r.point_id for r in rows[::2])
+    snapshot = ClusterSnapshot(week=1, cohorts={"G1": members}, noise=frozenset())
+    pool, _ = refresh_generic(ModelPool(), rows, cfg, seed=0, week=1)
+    pool, _ = refresh_specialized(pool, snapshot, rows, cfg, seed=0, week=1)
+    assert list(pool.specialized) == ["G1"]
+    assignments = [("G1", None, "G7")[i % 3] for i in range(len(rows))]
+    return pool, rows, assignments
+
+
+def test_vote_batch_equals_one_row_at_a_time_in_any_order():
+    pool, rows, assignments = one_cohort_pool()
+    X = np.array([r.vector for r in rows])
+    alone = [vote(pool, X[i : i + 1], [a])[0] for i, a in enumerate(assignments)]
+    assert {len(o.tally) for o in alone} == {4, 8}
+    assert vote(pool, X, assignments) == alone
+    order = np.random.default_rng(2).permutation(len(rows))
+    shuffled = vote(pool, X[order], [assignments[i] for i in order])
+    assert shuffled == [alone[i] for i in order]
 
 
 # ---------------------------------------------------------------- evaluation
 
 
-def eval_holdout(rows, assignments):
-    return list(zip(rows, assignments))
+def voted_holdout(pool, rows, assignments):
+    """The hold-out arguments of evaluate_week: labels, assignments, outcomes."""
+    outcomes = vote(pool, np.array([r.vector for r in rows]), assignments)
+    return [r.label for r in rows], assignments, outcomes
 
 
 def test_evaluate_week_report_axes():
@@ -296,8 +324,7 @@ def test_evaluate_week_report_axes():
     snapshot = ClusterSnapshot(week=1, cohorts={"G1": members}, noise=frozenset())
     pool, _ = refresh_generic(ModelPool(), rows, cfg, seed=0, week=1)
     pool, _ = refresh_specialized(pool, snapshot, rows, cfg, seed=0, week=1)
-    holdout = eval_holdout(rows, ["G1"] * len(rows))
-    report = evaluate_week(pool, holdout)
+    report = evaluate_week(*voted_holdout(pool, rows, ["G1"] * len(rows)))
     axes = {(r.scope, r.cohort, r.kind) for r in report}
     assert ("generic", "", "gbt") in axes
     assert ("specialized", "G1", "gbt") in axes
@@ -311,16 +338,38 @@ def test_evaluate_week_perfect_pool_alls_ones():
     pool = ModelPool(generic=stub_set(GENERIC_SCOPE, [1, 1, 1, 1], [0.5] * 4))
     # stub predicts all ones; feed rows where truth is all ones
     ones_rows = [r for r in rows if r.label == 1]
-    report = evaluate_week(pool, eval_holdout(ones_rows, [None] * len(ones_rows)))
+    report = evaluate_week(*voted_holdout(pool, ones_rows, [None] * len(ones_rows)))
     for row in report:
         assert row.metrics.accuracy == 1.0
         assert row.metrics.f1 == 1.0
 
 
+def test_evaluate_week_rows_equal_each_models_own_predictions():
+    pool, rows, assignments = one_cohort_pool()
+    labels, _, outcomes = voted_holdout(pool, rows, assignments)
+    report = evaluate_week(labels, assignments, outcomes)
+    X = np.array([r.vector for r in rows])
+    y = np.array(labels)
+    idx = [i for i, a in enumerate(assignments) if a == "G1"]
+    expected = [
+        ("generic", "", k.value, compute_metrics(pool.generic.models[k].predict(X), y))
+        for k in KIND_ORDER
+    ] + [
+        (
+            "specialized",
+            "G1",
+            k.value,
+            compute_metrics(pool.specialized["G1"].models[k].predict(X[idx]), y[idx]),
+        )
+        for k in KIND_ORDER
+    ]
+    assert [(r.scope, r.cohort, r.kind, r.metrics) for r in report[:-1]] == expected
+    assert (report[-1].scope, report[-1].kind) == ("voting", "ensemble")
+
+
 def test_evaluate_week_empty_holdout_error():
-    pool = ModelPool(generic=stub_set(GENERIC_SCOPE, [1, 1, 1, 1], [0.5] * 4))
     with pytest.raises(ValidationError):
-        evaluate_week(pool, [])
+        evaluate_week([], [], [])
 
 
 # ---------------------------------------------------------------- persistence

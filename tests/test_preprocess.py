@@ -9,7 +9,6 @@ from cohortsense.preprocess import (
     fit_pipeline,
     impute,
     pca_fit,
-    pca_project,
     pca_project_matrix,
     pca_reconstruct,
     pipeline_from_json,
@@ -185,7 +184,7 @@ def test_pca_projecting_mean_gives_zero():
     rng = np.random.default_rng(34)
     matrix = rng.normal(size=(40, 5))
     proj = pca_fit(matrix, variance_target=0.9)
-    assert np.allclose(pca_project(proj, matrix.mean(axis=0)), 0.0, atol=1e-12)
+    assert np.allclose(pca_project_matrix(proj, matrix.mean(axis=0)[None, :]), 0.0, atol=1e-12)
 
 
 def test_pca_reconstruction_with_all_components():
@@ -261,7 +260,7 @@ def test_vectorize_identical_records_equals_single_profile_projection():
     raw = np.tile([0.2, 0.9], 4)
     assert width * 4 == len(raw)
     scaled = scaler_apply(pipeline.scaler, raw[None, :])
-    expected = pca_project(pipeline.projector, scaled[0])
+    expected = pca_project_matrix(pipeline.projector, scaled[:1])[0]
     assert np.allclose(vectors[0].values, expected, atol=1e-10)
 
 
