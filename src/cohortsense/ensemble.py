@@ -18,6 +18,7 @@ from .learners import (
     model_to_json,
     smote,
     train_gbt,
+    train_gbt_many,
     train_linear_svm,
     train_logreg,
     train_random_forest,
@@ -111,14 +112,16 @@ def _train_kind(
             dataset, seed, n_trees=lc.forest_trees, max_depth=lc.forest_depth
         )
     if kind is ModelKind.GBT:
-        return train_gbt(
-            dataset,
-            seed,
-            n_rounds=lc.gbt_rounds,
-            max_depth=lc.gbt_depth,
-            learning_rate=lc.gbt_learning_rate,
-        )
+        return train_gbt(dataset, seed, **_gbt_options(lc))
     raise AssertionError(f"unhandled kind {kind}")
+
+
+def _gbt_options(lc: LearnerConfig) -> dict:
+    return {
+        "n_rounds": lc.gbt_rounds,
+        "max_depth": lc.gbt_depth,
+        "learning_rate": lc.gbt_learning_rate,
+    }
 
 
 def _balanced(dataset: Dataset, config: EngineConfig, seed: int) -> Dataset:
@@ -157,8 +160,11 @@ def _fit_set(
             if prior is not None and previous.input_dim == dataset.dim:
                 init = prior
 
-        def train_fn(ds: Dataset, fold_seed: int, _kind=kind, _init=init):
-            return _train_kind(_kind, ds, fold_seed, config.learners, init=_init)
+        def train_fn(datasets: list[Dataset], seeds: list[int], _kind=kind, _init=init):
+            lc = config.learners
+            if _kind is ModelKind.GBT:  # the folds boost in lockstep
+                return train_gbt_many(datasets, seeds, **_gbt_options(lc))
+            return [_train_kind(_kind, ds, s, lc, init=_init) for ds, s in zip(datasets, seeds)]
 
         models[kind] = _train_kind(
             kind,

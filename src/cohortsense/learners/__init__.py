@@ -10,7 +10,7 @@ from .linear import (
     train_logreg,
 )
 from .sampling import smote
-from .trees import ForestModel, GBTModel, train_gbt, train_random_forest
+from .trees import ForestModel, GBTModel, train_gbt, train_gbt_many, train_random_forest
 from .validation import Metrics, compute_metrics, kfold_cv, stratified_folds
 
 __all__ = [
@@ -33,4 +33,5 @@ __all__ = [
     "train_linear_svm",
     "train_random_forest",
     "train_gbt",
+    "train_gbt_many",
 ]

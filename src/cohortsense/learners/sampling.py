@@ -56,13 +56,16 @@ def smote(dataset: Dataset, k_neighbors: int, seed: int) -> Dataset:
     points = dataset.vectors[minority_rows]
     neighbors = _minority_neighbors(points, k)
 
+    # the neighbour pick and u alternate in one stream, one pair per row
     rng = np.random.default_rng(seed)
-    synth_vectors = np.empty((n_needed, dataset.dim))
+    src = np.arange(n_needed) % n_min
+    pick = np.empty(n_needed, dtype=np.int64)
+    u = np.empty(n_needed)
     for i in range(n_needed):
-        src = i % n_min
-        nn = neighbors[src][rng.integers(0, k)]
-        u = rng.random()
-        synth_vectors[i] = points[src] + u * (points[nn] - points[src])
+        pick[i] = rng.integers(0, k)
+        u[i] = rng.random()
+    nn = neighbors[src, pick]
+    synth_vectors = points[src] + u[:, None] * (points[nn] - points[src])
 
     vectors = np.vstack([dataset.vectors, synth_vectors])
     labels = np.concatenate(

@@ -1,9 +1,16 @@
 """CART random forest and gradient-boosted trees, built from scratch.
 
-Both learners share one level-wise tree grower. Split candidates are the
-midpoints between distinct sorted feature values, capped at 32 quantile
-bins per feature for large cardinalities; search is exact over those
-candidates (Gini for classification, squared error for regression).
+Both learners share one level-wise grower that grows many trees at once:
+a forest's trees, or the next boosting round of every dataset that
+``train_gbt_many`` trains in lockstep (the folds of one CV). Each tree's
+root carries its own binned rows, thresholds and target; each level's
+histograms for every frontier node of every root come from one pair of
+``bincount`` calls, and each tree is the one a one-root call grows. A
+pass holds at most ``PASS_ROWS`` training rows, which bounds its memory.
+Split candidates are the midpoints between distinct sorted feature
+values, capped at 32 quantile bins per feature for large cardinalities;
+search is exact over those candidates (Gini for classification, squared
+error for regression).
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from ..core import ValidationError
 from .base import Dataset, ModelKind, derive_seed
 
 MAX_BINS = 32
+PASS_ROWS = 20_000  # training rows, summed over roots, grown in one pass
 
 
 @dataclass
@@ -112,7 +120,7 @@ def _stacked_predict(stack: dict, X: np.ndarray) -> np.ndarray:
     return stack["value"][idx]
 
 
-def _bin_columns(X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, int]:
+def _bin_columns(X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-feature candidate thresholds and the bin index of every value."""
     n, d = X.shape
     edges_list: list[np.ndarray] = []
@@ -130,42 +138,76 @@ def _bin_columns(X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, int]:
         # bin b holds values v with edges[b-1] < v <= edges[b]
         binned[:, f] = np.searchsorted(edges, vals, side="left")
         edges_list.append(edges)
-    n_bins = max(len(e) for e in edges_list) + 1
-    return edges_list, binned, n_bins
+    return edges_list, binned
 
 
-def _grow_tree(
+def _edge_table(edges: list[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate thresholds of every root as one (roots, d, width) array,
+    padded to the widest root, plus the mask of real candidates.
+
+    The width is at least 1, so a root whose features are all constant
+    still has a (never valid) candidate and grows a single leaf.
+    """
+    width = max([1] + [len(e) for per_root in edges for e in per_root])
+    values = np.array([[np.pad(e, (0, width - len(e))) for e in per_root] for per_root in edges])
+    counts = np.array([[len(e) for e in per_root] for per_root in edges])
+    return values, np.arange(width) < counts[:, :, None]
+
+
+def _passes(sizes: list[int]) -> list[slice]:
+    """Consecutive runs of roots with at most PASS_ROWS rows each; a root
+    larger than that gets a pass of its own."""
+    bounds, rows = [0], 0
+    for i, size in enumerate(sizes):
+        if i > bounds[-1] and rows + size > PASS_ROWS:
+            bounds.append(i)
+            rows = 0
+        rows += size
+    bounds.append(len(sizes))
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+def _grow(
     binned: np.ndarray,
-    edges_list: list[np.ndarray],
+    root_rows: list[int],
+    edge_values: np.ndarray,
+    edge_ok: np.ndarray,
     target: np.ndarray,
     max_depth: int,
-    features_per_split: int,
-    rng: np.random.Generator | None,
     classification: bool,
-) -> tuple[_Tree, np.ndarray]:
-    """Level-wise growth, vectorized across all nodes of a level.
+    rngs: list[np.random.Generator] | None = None,
+    features_per_split: int = 0,
+) -> tuple[list[_Tree], np.ndarray]:
+    """Grow one tree per root, level by level, all roots at once.
 
-    Split ties resolve to the lowest feature index, then lowest threshold.
-    Returns the tree plus its outputs on the training rows (their final
-    leaf values), which spares boosting a full predict per round.
+    Rows are laid out root after root (``root_rows`` of them each) and
+    ``edge_values``/``edge_ok`` hold each root's thresholds as built by
+    ``_edge_table``. At each level, one ``bincount`` builds the row-count
+    histograms and one the target-sum histograms of every frontier node of
+    every root; a bin's rows are added in the order a one-root call adds
+    them, so every sum, split and leaf is bit-identical to it. Split ties
+    resolve to the lowest feature index, then lowest threshold (padding
+    bins score -inf). With ``rngs``, each root draws its own
+    ``random((frontier, d))`` per level below ``max_depth`` and keeps the
+    ``features_per_split`` best-ranked features of each node.
+
+    Returns the trees plus their outputs on the training rows (their
+    final leaf values), which spares boosting a full predict per round.
     """
     n, d = binned.shape
-    B = max(len(e) for e in edges_list) + 1
-    edge_ok = np.zeros((d, max(B - 1, 1)), dtype=bool)
-    edge_values = np.zeros((d, max(B - 1, 1)))
-    for f, e in enumerate(edges_list):
-        edge_ok[f, : len(e)] = True
-        edge_values[f, : len(e)] = e
+    n_roots = len(root_rows)
+    B = edge_values.shape[2] + 1
 
-    feature = np.full(1, -1, dtype=np.int64)
-    threshold = np.zeros(1)
-    left = np.full(1, -1, dtype=np.int64)
-    right = np.full(1, -1, dtype=np.int64)
-    value = np.zeros(1)
+    node_root = np.arange(n_roots)
+    feature = np.full(n_roots, -1, dtype=np.int64)
+    threshold = np.zeros(n_roots)
+    left = np.full(n_roots, -1, dtype=np.int64)
+    right = np.full(n_roots, -1, dtype=np.int64)
+    value = np.zeros(n_roots)
 
-    row_node = np.zeros(n, dtype=np.int64)
+    row_node = np.repeat(np.arange(n_roots), root_rows)
     active = np.ones(n, dtype=bool)
-    frontier = np.array([0], dtype=np.int64)
+    frontier = np.arange(n_roots)
 
     for depth in range(max_depth + 1):
         if frontier.size == 0:
@@ -208,13 +250,16 @@ def _grow_tree(
             else:
                 score = wL**2 / nL + wR**2 / nR
                 parent = node_w**2 / node_n
-        invalid = (nL == 0) | (nR == 0) | ~edge_ok[None, :, : B - 1]
-        score[invalid] = -np.inf
+        owner = node_root[frontier]
+        score[(nL == 0) | (nR == 0) | ~edge_ok[owner]] = -np.inf
 
-        if features_per_split < d and rng is not None:
-            draw = rng.random((m, d))
+        if rngs is not None:
+            per_root = np.bincount(owner, minlength=n_roots)
+            draw = np.concatenate(
+                [rngs[r].random((c, d)) for r, c in enumerate(per_root) if c]
+            )
             ranks = np.argsort(np.argsort(draw, axis=1, kind="stable"), axis=1, kind="stable")
-            score[(ranks >= features_per_split)[:, :, None] & np.ones((1, 1, B - 1), bool)] = -np.inf
+            score[ranks >= features_per_split] = -np.inf
 
         flat_score = score.reshape(m, -1)
         flat_best = flat_score.argmax(axis=1)
@@ -223,7 +268,6 @@ def _grow_tree(
 
         split_local = np.nonzero(do_split)[0]
         if split_local.size == 0:
-            active[rows] = False
             break
         split_nodes = frontier[split_local]
         f_best = flat_best[split_local] // (B - 1)
@@ -231,6 +275,7 @@ def _grow_tree(
 
         n_split = split_local.size
         child_base = feature.size
+        node_root = np.concatenate([node_root, np.repeat(owner[split_local], 2)])
         feature = np.concatenate([feature, np.full(2 * n_split, -1, dtype=np.int64)])
         threshold = np.concatenate([threshold, np.zeros(2 * n_split)])
         left = np.concatenate([left, np.full(2 * n_split, -1, dtype=np.int64)])
@@ -238,7 +283,7 @@ def _grow_tree(
         value = np.concatenate([value, np.zeros(2 * n_split)])
 
         feature[split_nodes] = f_best
-        threshold[split_nodes] = edge_values[f_best, b_best]
+        threshold[split_nodes] = edge_values[owner[split_local], f_best, b_best]
         left[split_nodes] = child_base + 2 * np.arange(n_split)
         right[split_nodes] = child_base + 2 * np.arange(n_split) + 1
 
@@ -254,14 +299,23 @@ def _grow_tree(
 
         frontier = child_base + np.arange(2 * n_split, dtype=np.int64)
 
-    tree = _Tree(
-        feature=feature,
-        threshold=threshold,
-        left=left,
-        right=right,
-        value=value,
-    )
-    return tree, value[row_node]
+    # Split the node tables by root. A root's nodes, in global id order,
+    # are its root and then its children level by level: the numbering a
+    # one-root call gives them.
+    order = np.argsort(node_root, kind="stable")
+    counts = np.bincount(node_root, minlength=n_roots)
+    local = np.empty_like(order)
+    local[order] = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    tables = [
+        feature[order],
+        threshold[order],
+        np.where(left >= 0, local[left], -1)[order],
+        np.where(right >= 0, local[right], -1)[order],
+        value[order],
+    ]
+    ends = np.cumsum(counts).tolist()
+    trees = [_Tree(*(t[a:b] for t in tables)) for a, b in zip([0] + ends, ends)]
+    return trees, value[row_node]
 
 
 @dataclass(frozen=True)
@@ -306,21 +360,29 @@ def train_random_forest(
 
     # candidate thresholds come from the full training data; each bootstrap
     # then selects rows of the pre-binned matrix
-    edges_list, binned, _ = _bin_columns(X)
+    edges, binned = _bin_columns(X)
+    edge_values, edge_ok = _edge_table([edges])
     trees: list[_Tree] = []
-    for t in range(n_trees):
-        rng = np.random.default_rng(derive_seed(seed, "tree", t))
-        boot = rng.integers(0, n, size=n)
-        tree, _ = _grow_tree(
+    for run in _passes([n] * n_trees):
+        # one stream per tree: its bootstrap, then its per-level draws
+        rngs = [
+            np.random.default_rng(derive_seed(seed, "tree", t))
+            for t in range(n_trees)[run]
+        ]
+        boot = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+        shape = (len(rngs),) + edge_values.shape[1:]
+        grown, _ = _grow(
             binned[boot],
-            edges_list,
+            [n] * len(rngs),
+            np.broadcast_to(edge_values, shape),
+            np.broadcast_to(edge_ok, shape),
             y[boot],
             max_depth=max_depth,
-            features_per_split=features_per_split,
-            rng=rng,
             classification=True,
+            rngs=rngs if features_per_split < d else None,
+            features_per_split=features_per_split,
         )
-        trees.append(tree)
+        trees.extend(grown)
     return ForestModel(trees=trees)
 
 
@@ -365,10 +427,6 @@ class GBTModel:
         )
 
 
-def _log_loss(y: np.ndarray, scores: np.ndarray) -> float:
-    return float((np.logaddexp(0.0, scores) - y * scores).mean())
-
-
 def train_gbt(
     dataset: Dataset,
     seed: int = 0,
@@ -383,40 +441,80 @@ def train_gbt(
     The initial score is the log-odds of the training base rate. Training
     is deterministic; ``seed`` is part of the shared trainer signature.
     """
-    zeros, ones = dataset.class_counts()
-    if zeros == 0 or ones == 0:
-        raise ValidationError(
-            f"gradient boosting requires both classes, got {zeros} zeros / {ones} ones"
-        )
-    ds = dataset.canonicalized()
-    X = ds.vectors.astype(float)
-    y = ds.labels.astype(float)
+    return train_gbt_many(
+        [dataset],
+        [seed],
+        n_rounds=n_rounds,
+        max_depth=max_depth,
+        learning_rate=learning_rate,
+    )[0]
 
-    base = y.mean()
-    init_score = float(np.log(base / (1.0 - base)))
-    scores = np.full(len(y), init_score)
 
-    edges_list, binned, _ = _bin_columns(X)
-    trees: list[_Tree] = []
-    losses: list[float] = []
+def train_gbt_many(
+    datasets: list[Dataset],
+    seeds: list[int],
+    n_rounds: int = 100,
+    max_depth: int = 3,
+    learning_rate: float = 0.1,
+) -> list[GBTModel]:
+    """``train_gbt`` on each dataset, boosted in lockstep.
+
+    Each round grows the next tree of every dataset in one grower call
+    (datasets are taken PASS_ROWS rows at a time), and model i equals
+    ``train_gbt(datasets[i], seeds[i])``.
+    """
+    if len(seeds) != len(datasets):
+        raise ValidationError(f"{len(datasets)} datasets but {len(seeds)} seeds")
+    for dataset in datasets:
+        zeros, ones = dataset.class_counts()
+        if zeros == 0 or ones == 0:
+            raise ValidationError(
+                f"gradient boosting requires both classes, got {zeros} zeros / {ones} ones"
+            )
+    models: list[GBTModel] = []
+    for run in _passes([len(ds) for ds in datasets]):
+        models.extend(_boost(datasets[run], n_rounds, max_depth, learning_rate))
+    return models
+
+
+def _boost(
+    datasets: list[Dataset], n_rounds: int, max_depth: int, learning_rate: float
+) -> list[GBTModel]:
+    """One pass of ``train_gbt_many``: each round grows one tree per dataset."""
+    canon = [ds.canonicalized() for ds in datasets]
+    labels = [ds.labels.astype(float) for ds in canon]
+    init_scores = []
+    for y in labels:
+        base = y.mean()
+        init_scores.append(float(np.log(base / (1.0 - base))))
+    sizes = [len(y) for y in labels]
+    ends = np.cumsum(sizes).tolist()
+
+    edges, binned = zip(*(_bin_columns(ds.vectors.astype(float)) for ds in canon))
+    edge_values, edge_ok = _edge_table(list(edges))
+    binned = np.concatenate(binned)
+    y = np.concatenate(labels)
+    scores = np.repeat(init_scores, sizes)
+    trees: list[list[_Tree]] = [[] for _ in canon]
+    losses: list[list[float]] = [[] for _ in canon]
     for _ in range(n_rounds):
         resid = y - 1.0 / (1.0 + np.exp(-scores))
-        tree, train_out = _grow_tree(
-            binned,
-            edges_list,
-            resid,
-            max_depth=max_depth,
-            features_per_split=X.shape[1],
-            rng=None,
-            classification=False,
+        grown, train_out = _grow(
+            binned, sizes, edge_values, edge_ok, resid, max_depth, classification=False
         )
-        trees.append(tree)
         scores = scores + learning_rate * train_out
-        losses.append(_log_loss(y, scores))
+        # mean log loss of each dataset, over its own rows
+        loss = np.logaddexp(0.0, scores) - y * scores
+        for r, (a, b) in enumerate(zip([0] + ends, ends)):
+            trees[r].append(grown[r])
+            losses[r].append(float(loss[a:b].mean()))
 
-    return GBTModel(
-        init_score=init_score,
-        learning_rate=learning_rate,
-        trees=trees,
-        train_log_loss=losses,
-    )
+    return [
+        GBTModel(
+            init_score=init_score,
+            learning_rate=learning_rate,
+            trees=t,
+            train_log_loss=loss_list,
+        )
+        for init_score, t, loss_list in zip(init_scores, trees, losses)
+    ]

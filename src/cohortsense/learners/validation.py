@@ -121,23 +121,21 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
 def kfold_cv(
     dataset: Dataset,
     k: int,
-    train_fn: Callable[[Dataset, int], object],
+    train_fn: Callable[[list[Dataset], list[int]], list],
     seed: int,
     smote_neighbors: int | None = None,
 ) -> Metrics:
     """Stratified k-fold CV; metrics pooled over all test predictions.
 
-    When ``smote_neighbors`` is set, SMOTE rebalances each training fold
-    (never the test fold) before ``train_fn`` runs.
+    Every fold's training set is built first and ``train_fn`` fits them
+    all in one call, returning one model per (dataset, seed) pair, so a
+    learner may train the folds together. When ``smote_neighbors`` is
+    set, SMOTE rebalances each training fold (never the test fold).
     """
-    folds = stratified_folds(dataset, k, seed)
+    folds = [(j, f) for j, f in enumerate(stratified_folds(dataset, k, seed)) if len(f)]
     n = len(dataset)
-    all_preds = np.empty(n, dtype=int)
-    tested = np.zeros(n, dtype=bool)
-
-    for j, test_idx in enumerate(folds):
-        if len(test_idx) == 0:
-            continue
+    train_sets: list[Dataset] = []
+    for j, test_idx in folds:
         train_mask = np.ones(n, dtype=bool)
         train_mask[test_idx] = False
         train_ds = dataset.subset(np.nonzero(train_mask)[0])
@@ -145,10 +143,14 @@ def kfold_cv(
             zeros, ones = train_ds.class_counts()
             if zeros != ones and min(zeros, ones) >= 2:
                 train_ds = smote(train_ds, smote_neighbors, derive_seed(seed, "smote", j))
-        model = train_fn(train_ds, derive_seed(seed, "fold", j))
+        train_sets.append(train_ds)
+    models = train_fn(train_sets, [derive_seed(seed, "fold", j) for j, _ in folds])
+
+    all_preds = np.empty(n, dtype=int)
+    tested = np.zeros(n, dtype=bool)
+    for (_, test_idx), model in zip(folds, models, strict=True):
         all_preds[test_idx] = model.predict(dataset.vectors[test_idx])
         tested[test_idx] = True
-
     if not tested.all():
         raise AssertionError("every row must appear in exactly one test fold")
     return compute_metrics(all_preds, dataset.labels)

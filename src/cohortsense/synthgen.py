@@ -687,16 +687,19 @@ def load_batches(data_dir: str | Path) -> list[WeeklyBatch]:
         )
     )
 
-    week_files = []
-    for path in data.glob("week_*.csv"):
+    week_files: dict[int, Path] = {}
+    for path in sorted(data.glob("week_*.csv")):
         number = path.stem.removeprefix("week_")
         if not number.isdecimal():
             raise ValidationError(f"{path}: a week file must be named week_<n>.csv")
-        week_files.append((int(number), path))
+        week = int(number)
+        if week in week_files:
+            raise ValidationError(f"{week_files[week]} and {path} are both week {week}")
+        week_files[week] = path
     if not week_files:
         raise ValidationError(f"no week_<n>.csv files found in {data}")
     batches = []
-    for week, path in sorted(week_files):
+    for week, path in sorted(week_files.items()):
         records = _read_csv(path, _CSV_COLUMNS, _record)
         present = {rec.participant_id for rec in records}
         batches.append(

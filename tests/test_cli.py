@@ -309,6 +309,10 @@ MALFORMED_DATA = {
         lambda d: (d / "week_x.csv").write_bytes((d / "week_1.csv").read_bytes()),
         "week_x.csv",
     ),
+    "duplicate_week_file": (
+        lambda d: (d / "week_01.csv").write_bytes((d / "week_1.csv").read_bytes()),
+        f"{Path('data', 'week_01.csv')} and ",
+    ),
 }
 
 
@@ -325,4 +329,6 @@ def test_replay_malformed_data_file_exits_one(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and where in err
+    if case == "duplicate_week_file":
+        assert str(Path("data", "week_1.csv")) in err
     assert not (tmp_path / "out").exists()

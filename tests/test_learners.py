@@ -130,6 +130,18 @@ def test_smote_count_arithmetic():
     # originals unchanged, order preserved
     assert np.array_equal(out.vectors[:120], vectors)
     assert np.array_equal(out.labels[:120], labels)
+    # each synthetic row is the per-row formula x + u * (x_nn - x), with the
+    # neighbour pick and u drawn alternately from one stream
+    from cohortsense.learners.sampling import _minority_neighbors
+
+    points = vectors[:30]  # the minority rows, already in canonical order
+    neighbors = _minority_neighbors(points, 5)
+    rng = np.random.default_rng(1)
+    for i, row in enumerate(out.vectors[120:]):
+        src = i % 30
+        nn = neighbors[src][rng.integers(0, 5)]
+        u = rng.random()
+        assert np.array_equal(row, points[src] + u * (points[nn] - points[src]))
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 256])
@@ -378,7 +390,7 @@ def test_kfold_constant_classifier_metrics():
     vectors = rng.normal(size=(40, 2))
     labels = np.array([1] * 20 + [0] * 20)
     ds = make_dataset(vectors, labels)
-    metrics = kfold_cv(ds, 4, lambda d, s: _ConstantOne(), seed=0)
+    metrics = kfold_cv(ds, 4, lambda dss, seeds: [_ConstantOne() for _ in dss], seed=0)
     assert metrics.accuracy == pytest.approx(0.5)
     assert metrics.recall == pytest.approx(1.0)
     assert metrics.precision == pytest.approx(0.5)

@@ -260,3 +260,10 @@ def test_write_and_load_round_trip(tmp_path, batches, plan):
     plan_back = load_plan(tmp_path / "plan.json")
     assert plan_back.weekly_group_membership == plan.weekly_group_membership
     assert plan_back.lonely_count == plan.lonely_count
+
+
+def test_load_rejects_two_files_for_one_week(tmp_path, batches, plan):
+    write_cohort(tmp_path, batches[:3], plan)
+    (tmp_path / "week_02.csv").write_bytes((tmp_path / "week_2.csv").read_bytes())
+    with pytest.raises(ValidationError, match=r"week_02\.csv and .*week_2\.csv"):
+        load_batches(tmp_path)

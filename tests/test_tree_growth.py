@@ -1,0 +1,172 @@
+"""The tree learners grow many trees per pass yet give the same models.
+
+The digests below were recorded with the one-tree-at-a-time grower that
+the multi-root grower replaced: any change to a split, a leaf value, a
+threshold or a training loss changes them.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from cohortsense.core import ValidationError
+from cohortsense.learners import (
+    Dataset,
+    kfold_cv,
+    model_to_json,
+    train_gbt,
+    train_gbt_many,
+    train_linear_svm,
+    train_logreg,
+    train_random_forest,
+)
+from cohortsense.learners import trees
+
+
+def tied_dataset():
+    """<= 32 distinct values per feature (midpoint edges, many ties), one constant feature."""
+    rng = np.random.default_rng(606)
+    n = 150
+    coarse = rng.integers(0, 6, size=n).astype(float)
+    constant = np.full(n, 1.5)
+    grid = rng.integers(0, 24, size=n) / 4.0
+    vectors = np.column_stack([coarse, constant, grid])
+    labels = ((coarse + 0.3 * grid + rng.normal(0, 1.5, n)) > 5.2).astype(int)
+    pids = tuple(f"t{i:03d}" for i in range(n))
+    return Dataset(vectors=vectors, labels=labels, participant_ids=pids)
+
+
+def spread_dataset():
+    """> 32 distinct values per feature (quantile edges)."""
+    rng = np.random.default_rng(607)
+    n = 180
+    vectors = rng.normal(size=(n, 2))
+    labels = ((vectors[:, 0] - 0.7 * vectors[:, 1] + rng.normal(0, 0.8, n)) > 0.6).astype(int)
+    pids = tuple(f"s{i:03d}" for i in range(n))
+    return Dataset(vectors=vectors, labels=labels, participant_ids=pids)
+
+
+DATASETS = {"tied": tied_dataset, "spread": spread_dataset}
+
+DIGESTS = {
+    "tied/forest": "db916fafdd3b752390e25aecb330e2606bf393535a52e359aa93a3399563cb1a",
+    "tied/gbt": "a11e7d167c36c8c505b94899017d5fd7083da87f5ee6aeb8582a5c9d5cbb1db3",
+    "tied/cv/logreg": "49fc8b17db9e334075d5e8470e146d25388ea1c6bf1b07a0df352ba5ba35c792",
+    "tied/cv/linear_svm": "a1643e81896e0a74e969e3b118c97cbb9d7aae9e5f0efb29e69aa466f5b72d43",
+    "tied/cv/random_forest": "e74994e8b5890172191a31eb27a700a1f77afed01edcd032007c54ca0498f38b",
+    "tied/cv/gbt": "41cdce0e5e599d4c1dd8b4ac9e8d210cb4580e8d21c49db17ff252e51630655e",
+    "spread/forest": "b58f3412cd5270cfefb709d0078b65859de13fc64a847332eea05a04fe5b7880",
+    "spread/gbt": "61a9d3beed5c06a59e58925b338175e3c0e1465f2efa39a324079091567193c4",
+    "spread/cv/logreg": "06af45cae45bcdfef14bdbe1ac7bd0fd696991827b51f4287b030453fc7ec037",
+    "spread/cv/linear_svm": "4097dcdf09b4c9cc3ba2b443956886940aa570be826125ecaac85dc62f3c2ed3",
+    "spread/cv/random_forest": "e4f3343decdd57b7cff1419ccd1ad78aa80b412d0ce6411ba895f99720042406",
+    "spread/cv/gbt": "b0750d37e2a617e8fb5da469f26cb276bc000eb901016a11273db20655c7fa20",
+}
+
+PER_FOLD = {
+    "logreg": train_logreg,
+    "linear_svm": train_linear_svm,
+    "random_forest": train_random_forest,
+}
+
+
+def digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", DATASETS)
+def test_forest_digest(name):
+    model = train_random_forest(DATASETS[name](), seed=11, n_trees=100, max_depth=8)
+    assert digest(model_to_json(model)) == DIGESTS[f"{name}/forest"]
+
+
+@pytest.mark.parametrize("name", DATASETS)
+def test_gbt_digest(name):
+    model = train_gbt(DATASETS[name](), seed=11, n_rounds=100)
+    assert digest(model_to_json(model)) == DIGESTS[f"{name}/gbt"]
+
+
+@pytest.mark.parametrize("kind", ["logreg", "linear_svm", "random_forest", "gbt"])
+@pytest.mark.parametrize("name", DATASETS)
+def test_kfold_cv_with_smote_digest(name, kind):
+    fitted = []
+
+    def train_fn(datasets, seeds):
+        if kind == "gbt":
+            models = train_gbt_many(datasets, seeds)
+        else:
+            models = [PER_FOLD[kind](ds, s) for ds, s in zip(datasets, seeds)]
+        fitted.extend(models)
+        return models
+
+    metrics = kfold_cv(DATASETS[name](), 5, train_fn, seed=13, smote_neighbors=5)
+    doc = {"metrics": metrics.as_row(), "models": [model_to_json(m) for m in fitted]}
+    assert digest(doc) == DIGESTS[f"{name}/cv/{kind}"]
+
+
+@pytest.mark.parametrize("name", DATASETS)
+def test_forest_independent_of_trees_per_pass(monkeypatch, name):
+    ds = DATASETS[name]()
+    n, n_trees = len(ds), 30
+    docs = []
+    for trees_per_pass in (1, 7, n_trees):
+        monkeypatch.setattr(trees, "PASS_ROWS", trees_per_pass * n)
+        model = train_random_forest(ds, seed=11, n_trees=n_trees, max_depth=6)
+        docs.append(model_to_json(model))
+    assert docs[0] == docs[1] == docs[2]
+
+
+def test_passes_cover_every_root_in_order_within_the_row_budget(monkeypatch):
+    monkeypatch.setattr(trees, "PASS_ROWS", 10)
+    sizes = [4, 4, 4, 12, 3, 7, 10]
+    runs = trees._passes(sizes)
+    assert [i for run in runs for i in range(len(sizes))[run]] == list(range(len(sizes)))
+    for run in runs:
+        assert sum(sizes[run]) <= 10 or len(sizes[run]) == 1
+
+
+def unequal_datasets():
+    """Different lengths, different per-feature edge counts, ties and a constant column."""
+    rng = np.random.default_rng(5)
+    out = []
+    for n, levels in [(40, 3), (97, 12), (23, 2), (160, 0)]:
+        if levels:
+            vectors = rng.integers(0, levels, size=(n, 2)).astype(float)
+            vectors[:, 1] = 0.25 if levels == 2 else vectors[:, 1]
+        else:
+            vectors = rng.normal(size=(n, 2))
+        labels = (vectors[:, 0] + rng.normal(0, 0.7, n) > vectors[:, 0].mean()).astype(int)
+        labels[:2] = (0, 1)
+        pids = tuple(f"u{n}_{i:03d}" for i in range(n))
+        out.append(Dataset(vectors=vectors, labels=labels, participant_ids=pids))
+    return out
+
+
+@pytest.mark.parametrize("pass_rows", [1, 150, trees.PASS_ROWS])
+@pytest.mark.parametrize("n_rounds", [0, 1, 25])
+def test_gbt_many_equals_one_at_a_time(monkeypatch, pass_rows, n_rounds):
+    datasets = unequal_datasets()
+    seeds = [3, 1, 4, 1]
+    single = [model_to_json(train_gbt(ds, s, n_rounds=n_rounds)) for ds, s in zip(datasets, seeds)]
+    monkeypatch.setattr(trees, "PASS_ROWS", pass_rows)
+    many = [model_to_json(m) for m in train_gbt_many(datasets, seeds, n_rounds=n_rounds)]
+    assert many == single
+
+
+def test_gbt_many_rejects_single_class_and_seed_mismatch():
+    good, bad = unequal_datasets()[0], Dataset(np.zeros((3, 2)), np.ones(3, dtype=int), ("a", "b", "c"))
+    with pytest.raises(ValidationError, match="both classes"):
+        train_gbt_many([good, bad], [0, 0])
+    with pytest.raises(ValidationError, match="seeds"):
+        train_gbt_many([good], [0, 1])
+
+
+def test_all_constant_features_grow_single_leaves():
+    ds = Dataset(np.ones((6, 2)), np.array([0, 1, 0, 1, 1, 1]), tuple("abcdef"))
+    forest = train_random_forest(ds, seed=0, n_trees=3, max_depth=3)
+    assert all("leaf" in doc for doc in model_to_json(forest)["trees"])
+    gbt = train_gbt(ds, seed=0, n_rounds=2)
+    assert all("leaf" in doc for doc in model_to_json(gbt)["trees"])
+    assert np.array_equal(gbt.predict(np.zeros((2, 2))), [1, 1])
