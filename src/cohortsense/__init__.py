@@ -11,12 +11,10 @@ from .cluster import ClusterRegistry, ClusterSnapshot, batch_dbscan, track_ident
 from .core import (
     DaySegment,
     EngineConfig,
-    FeatureRecord,
     LearnerConfig,
     WeeklyBatch,
     label_from_score,
     load_config,
-    segment_of,
 )
 from .engine import EngineState, WeeklyReport, load, new_state, run_replay, save, step
 from .ensemble import ModelPool, ModelSet, VoteOutcome, vote
@@ -26,7 +24,6 @@ from .synthgen import (
     build_default_plan,
     build_default_profiles,
     generate_cohort,
-    inject_drift,
     load_batches,
     write_cohort,
 )
@@ -40,7 +37,6 @@ __all__ = [
     "DaySegment",
     "EngineConfig",
     "EngineState",
-    "FeatureRecord",
     "GroupProfile",
     "LearnerConfig",
     "ModelPool",
@@ -52,7 +48,6 @@ __all__ = [
     "build_default_plan",
     "build_default_profiles",
     "generate_cohort",
-    "inject_drift",
     "label_from_score",
     "load",
     "load_batches",
@@ -60,7 +55,6 @@ __all__ = [
     "new_state",
     "run_replay",
     "save",
-    "segment_of",
     "step",
     "track_identity",
     "vote",

@@ -1,8 +1,8 @@
-"""Shared domain types: feature records, weekly batches, labels, config.
+"""Shared domain types: weekly batches, labels, config.
 
 Everything here is an immutable value object; instances can be shared freely
-across threads. Score thresholds, day segmentation and the engine-wide knob
-set live here so every other module works against one vocabulary.
+across threads. Score thresholds, day segments and the engine-wide knob set
+live here so every other module works against one vocabulary.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 SCORE_MIN = 10
 SCORE_MAX = 40
-
-MINUTES_PER_DAY = 1440
 
 
 class ValidationError(ValueError):
@@ -41,14 +41,6 @@ SEGMENT_ORDER = (
     DaySegment.EVENING,
 )
 
-# Half-open [start, end) minute windows; each minute belongs to exactly one.
-_SEGMENT_BOUNDS = (
-    (0, 360, DaySegment.NIGHT),
-    (360, 720, DaySegment.MORNING),
-    (720, 1080, DaySegment.AFTERNOON),
-    (1080, 1440, DaySegment.EVENING),
-)
-
 
 def validate_score(score: int) -> int:
     if not isinstance(score, (int,)) or isinstance(score, bool):
@@ -66,61 +58,90 @@ def label_from_score(score: int, threshold: int = 20) -> int:
     return 1 if score > threshold else 0
 
 
-def segment_of(minutes_since_midnight: int) -> DaySegment:
-    """Map a minute of the day onto its segment (half-open windows)."""
-    m = minutes_since_midnight
-    if m < 0 or m >= MINUTES_PER_DAY:
-        raise ValidationError(
-            f"time of day {m} outside [0, {MINUTES_PER_DAY}) minutes"
-        )
-    for start, end, seg in _SEGMENT_BOUNDS:
-        if start <= m < end:
-            return seg
-    raise AssertionError("unreachable: segment windows partition the day")
+@dataclass(frozen=True, eq=False)
+class WeeklyBatch:
+    """One study week's rows as columns, plus known ground-truth scores.
 
-
-@dataclass(frozen=True)
-class FeatureRecord:
-    """One participant-segment-day row of named behavioral features.
-
-    ``continuous`` maps feature name to a float (None marks a missing value
-    awaiting imputation); ``categorical`` maps feature name to a token
-    (None likewise missing).
+    Row i belongs to ``participant_ids[participants[i]]`` (ids sorted), on
+    the ISO day ``days[i]``, in segment ``SEGMENT_ORDER[segments[i]]``.
+    ``records[i, j]`` is its value of ``continuous_features[j]`` (NaN when
+    missing), so ``len(records)`` is the row count; ``categories[i, j]``
+    indexes ``tokens[j]``, the token table of ``categorical_features[j]``
+    sorted by token (-1 when missing).
     """
 
-    participant_id: str
     week: int
-    day: str  # ISO date
-    segment: DaySegment
-    continuous: dict[str, float | None]
-    categorical: dict[str, str | None] = field(default_factory=dict)
+    participant_ids: tuple[str, ...]
+    participants: np.ndarray
+    days: np.ndarray
+    segments: np.ndarray
+    continuous_features: tuple[str, ...]
+    records: np.ndarray
+    categorical_features: tuple[str, ...]
+    tokens: tuple[tuple[str, ...], ...]
+    categories: np.ndarray
+    labels: dict[str, int]  # participant_id -> questionnaire score
 
     def __post_init__(self) -> None:
         if self.week < 1:
             raise ValidationError(f"week {self.week} below 1")
-
-
-@dataclass(frozen=True)
-class WeeklyBatch:
-    """All records plus known ground-truth scores for one study week."""
-
-    week: int
-    records: tuple[FeatureRecord, ...]
-    labels: dict[str, int]  # participant_id -> questionnaire score
-
-    def __post_init__(self) -> None:
-        for rec in self.records:
-            if rec.week != self.week:
-                raise ValidationError(
-                    f"record for {rec.participant_id} has week {rec.week}, "
-                    f"batch is week {self.week}"
-                )
-        present = {rec.participant_id for rec in self.records}
         for pid in self.labels:
-            if pid not in present:
+            if pid not in self.participant_ids:
                 raise ValidationError(
                     f"labeled participant {pid} has no records in week {self.week}"
                 )
+
+    @classmethod
+    def from_columns(
+        cls,
+        week: int,
+        participant_ids,
+        days,
+        segments,
+        continuous: dict,
+        categorical: dict,
+        labels: dict[str, int],
+    ) -> "WeeklyBatch":
+        """Build a batch from per-row columns: participant ids, ISO days,
+        segment codes, one float column per continuous feature (NaN where
+        missing) and one token column per categorical feature (None where
+        missing). Feature names are sorted; the id and token tables are
+        derived here."""
+        table, participants = np.unique(np.asarray(participant_ids, dtype=str), return_inverse=True)
+        n = len(participants)
+        records = np.empty((n, len(continuous)))
+        for j, name in enumerate(sorted(continuous)):
+            records[:, j] = continuous[name]
+        tables, categories = [], np.empty((n, len(categorical)), dtype=np.int64)
+        for j, name in enumerate(sorted(categorical)):
+            tables.append(tuple(sorted({t for t in categorical[name] if t is not None})))
+            code = {t: c for c, t in enumerate(tables[-1])}
+            categories[:, j] = [code.get(t, -1) for t in categorical[name]]
+        return cls(
+            week=week,
+            participant_ids=tuple(table.tolist()),
+            participants=participants.reshape(n).astype(np.int64),
+            days=np.asarray(days, dtype=str).reshape(n),
+            segments=np.asarray(segments, dtype=np.int64).reshape(n),
+            continuous_features=tuple(sorted(continuous)),
+            records=records,
+            categorical_features=tuple(sorted(categorical)),
+            tokens=tuple(tables),
+            categories=categories,
+            labels=dict(labels),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeeklyBatch):
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(a, np.ndarray):
+                if not np.array_equal(a, b, equal_nan=a.dtype.kind == "f"):
+                    return False
+            elif a != b:
+                return False
+        return True
 
 
 def _within(default, interval: str):

@@ -159,7 +159,7 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
             f"batch week {batch.week} out of order; expected week "
             f"{state.current_week + 1}"
         )
-    if not batch.records:
+    if not len(batch.records):
         raise ValidationError(f"week {batch.week}: empty batch")
 
     st = state.copy()
@@ -171,19 +171,16 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
         and (week - 1) % st.config.refit_every_n_weeks == 0
     )
     if refit:
-        st.pipeline = fit_pipeline(list(batch.records), st.config.pca_variance_target)
+        st.pipeline = fit_pipeline(batch, st.config.pca_variance_target)
         events.append(f"week {week}: preprocessing pipeline fitted")
 
-    vectors, omitted = vectorize_week(batch, st.pipeline)
+    # this week's participants in id order, with their vectors and points
+    pids, X, omitted = vectorize_week(batch, st.pipeline)
     for pid in omitted:
         events.append(f"week {week}: participant {pid} omitted, no surviving records")
-
-    # this week's participants in id order, with their vectors and points
-    order = sorted(vectors, key=lambda v: v.participant_id)
-    X = np.array([pv.values for pv in order], dtype=float)
-    week_points = {pv.participant_id: _point_id(pv.participant_id, week) for pv in order}
-    for pv in order:
-        st.registry.insert(week_points[pv.participant_id], pv.values)
+    week_points = {pid: _point_id(pid, week) for pid in pids}
+    for pid, x in zip(pids, X):
+        st.registry.insert(week_points[pid], x)
     snapshot = st.registry.snapshot(week)
 
     st.scores.update(batch.labels)
@@ -195,14 +192,14 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
 
     week_rows = [
         LabeledRow(
-            point_id=week_points[pv.participant_id],
-            participant_id=pv.participant_id,
+            point_id=week_points[pid],
+            participant_id=pid,
             week=week,
-            vector=pv.values,
-            label=label_from_score(st.scores[pv.participant_id], st.config.score_threshold),
+            vector=x,
+            label=label_from_score(st.scores[pid], st.config.score_threshold),
         )
-        for pv in order
-        if pv.participant_id in st.scores
+        for pid, x in zip(pids, X)
+        if pid in st.scores
     ]
     st.rows.extend(week_rows)
 

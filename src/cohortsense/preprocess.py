@@ -1,4 +1,4 @@
-"""Raw weekly records to fixed-length vectors.
+"""Weekly batches of raw rows to fixed-length vectors.
 
 Per-batch hygiene (outlier removal, imputation) is recomputed on every
 incoming week; the encoding vocabulary, min-max scaler, and PCA projection
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SEGMENT_ORDER, FeatureRecord, ValidationError, WeeklyBatch
+from .core import SEGMENT_ORDER, ValidationError, WeeklyBatch
 
 log = logging.getLogger(__name__)
 
@@ -22,138 +22,68 @@ PIPELINE_SCHEMA_VERSION = 1
 IQR_FACTOR = 1.5
 
 
-def _feature_names(records: list[FeatureRecord]) -> tuple[list[str], list[str]]:
-    continuous: set[str] = set()
-    categorical: set[str] = set()
-    for rec in records:
-        continuous.update(rec.continuous)
-        categorical.update(rec.categorical)
-    return sorted(continuous), sorted(categorical)
-
-
-def remove_outliers(records: list[FeatureRecord]) -> list[FeatureRecord]:
-    """Drop records with any continuous value outside the 1.5*IQR fence.
+def remove_outliers(batch: WeeklyBatch) -> np.ndarray:
+    """Mask of the rows with no continuous value outside the 1.5*IQR fence.
 
     Quartiles are computed per feature over the batch's observed values;
-    missing values never mark a record as an outlier. Survivor order is
-    preserved.
+    missing values never mark a row as an outlier.
     """
-    if not records:
-        return []
-    cont_names, _ = _feature_names(records)
-    fences: dict[str, tuple[float, float]] = {}
-    for name in cont_names:
-        values = [
-            rec.continuous[name]
-            for rec in records
-            if rec.continuous.get(name) is not None
-        ]
-        if not values:
+    keep = np.ones(len(batch.records), dtype=bool)
+    if not keep.size:
+        return keep
+    for j, name in enumerate(batch.continuous_features):
+        column = batch.records[:, j]
+        observed = column[~np.isnan(column)]
+        if not observed.size:
             raise ValidationError(f"feature {name!r} has no observed values")
-        q1, q3 = np.percentile(values, [25, 75])
+        q1, q3 = np.percentile(observed, [25, 75])
         iqr = q3 - q1
-        fences[name] = (q1 - IQR_FACTOR * iqr, q3 + IQR_FACTOR * iqr)
-
-    survivors = []
-    for rec in records:
-        ok = True
-        for name, value in rec.continuous.items():
-            if value is None:
-                continue
-            lo, hi = fences[name]
-            if value < lo or value > hi:
-                ok = False
-                break
-        if ok:
-            survivors.append(rec)
-    return survivors
+        keep &= ~((column < q1 - IQR_FACTOR * iqr) | (column > q3 + IQR_FACTOR * iqr))
+    return keep
 
 
-def _mode(tokens: list[str]) -> str:
-    counts: dict[str, int] = {}
-    for tok in tokens:
-        counts[tok] = counts.get(tok, 0) + 1
-    best = max(counts.values())
-    # tie-break: lexicographically smallest token, for determinism
-    return min(tok for tok, c in counts.items() if c == best)
+def impute(batch: WeeklyBatch, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kept rows' values and category codes, gaps filled with the
+    per-participant per-segment median (continuous) or mode (categorical),
+    falling back to batch-level statistics over the kept rows.
 
-
-def impute(records: list[FeatureRecord]) -> list[FeatureRecord]:
-    """Fill gaps with the per-participant per-segment median (continuous)
-    or mode (categorical), falling back to batch-level statistics.
-
-    Observed values are never altered. A feature with no observed value
-    anywhere in the batch is an error.
+    Observed values are never altered. A mode tie goes to the lowest code,
+    which is the smallest token. A feature with no observed value among the
+    kept rows is an error.
     """
-    if not records:
-        return []
-    cont_names, cat_names = _feature_names(records)
-
-    group_cont: dict[tuple, dict[str, list[float]]] = {}
-    group_cat: dict[tuple, dict[str, list[str]]] = {}
-    batch_cont: dict[str, list[float]] = {name: [] for name in cont_names}
-    batch_cat: dict[str, list[str]] = {name: [] for name in cat_names}
-    for rec in records:
-        key = (rec.participant_id, rec.segment)
-        gc = group_cont.setdefault(key, {n: [] for n in cont_names})
-        gk = group_cat.setdefault(key, {n: [] for n in cat_names})
-        for name in cont_names:
-            value = rec.continuous.get(name)
-            if value is not None:
-                gc[name].append(value)
-                batch_cont[name].append(value)
-        for name in cat_names:
-            token = rec.categorical.get(name)
-            if token is not None:
-                gk[name].append(token)
-                batch_cat[name].append(token)
-
-    for name in cont_names:
-        if not batch_cont[name]:
-            raise ValidationError(f"feature {name!r} has no observed values to impute from")
-    for name in cat_names:
-        if not batch_cat[name]:
-            raise ValidationError(f"feature {name!r} has no observed values to impute from")
-
-    batch_median = {name: float(np.median(vals)) for name, vals in batch_cont.items()}
-    batch_mode = {name: _mode(vals) for name, vals in batch_cat.items()}
-
-    filled = []
-    for rec in records:
-        key = (rec.participant_id, rec.segment)
-        cont = {}
-        for name in cont_names:
-            value = rec.continuous.get(name)
-            if value is None:
-                group_vals = group_cont[key][name]
-                value = float(np.median(group_vals)) if group_vals else batch_median[name]
-            cont[name] = value
-        cat = {}
-        for name in cat_names:
-            token = rec.categorical.get(name)
-            if token is None:
-                group_vals = group_cat[key][name]
-                token = _mode(group_vals) if group_vals else batch_mode[name]
-            cat[name] = token
-        filled.append(
-            FeatureRecord(
-                participant_id=rec.participant_id,
-                week=rec.week,
-                day=rec.day,
-                segment=rec.segment,
-                continuous=cont,
-                categorical=cat,
-            )
-        )
-    return filled
-
-
-def encode_onehot(token: str | None, vocabulary: tuple[str, ...]) -> np.ndarray:
-    """Indicator row for one token; unseen (or missing) encodes all-zeros."""
-    row = np.zeros(len(vocabulary))
-    if token is not None and token in vocabulary:
-        row[vocabulary.index(token)] = 1.0
-    return row
+    rows = np.flatnonzero(keep)
+    values, codes = batch.records[rows], batch.categories[rows]
+    if not rows.size:
+        return values, codes
+    group = batch.participants[rows] * len(SEGMENT_ORDER) + batch.segments[rows]
+    keys, member, sizes = np.unique(group, return_inverse=True, return_counts=True)
+    starts = np.cumsum(sizes) - sizes
+    names = batch.continuous_features + batch.categorical_features
+    ncont = len(batch.continuous_features)
+    for j, column in enumerate([*values.T, *codes.T]):
+        missing = np.isnan(column) if j < ncont else column < 0
+        if missing.all():
+            raise ValidationError(f"feature {names[j]!r} has no observed values to impute from")
+        if not missing.any():
+            continue
+        observed = np.bincount(member[~missing], minlength=len(keys))
+        if j < ncont:
+            # rows by group, then by value with the gaps last: a group's
+            # observed values start its slice, in order
+            ranked = column[np.lexsort((column, group))]
+            low = ranked[starts + (observed - 1) // 2]
+            high = ranked[starts + observed // 2]
+            fill = np.where(observed % 2 == 1, low, (low + high) / 2)
+            fallback = float(np.median(column[~missing]))
+        else:
+            width = len(batch.tokens[j - ncont])
+            counts = np.bincount(
+                member[~missing] * width + column[~missing], minlength=len(keys) * width
+            ).reshape(len(keys), width)
+            fill = counts.argmax(axis=1)
+            fallback = counts.sum(axis=0).argmax()
+        column[missing] = np.where(observed > 0, fill, fallback)[member[missing]]
+    return values, codes
 
 
 @dataclass(frozen=True)
@@ -242,13 +172,6 @@ def pca_reconstruct(projector: FittedProjector, coords: np.ndarray) -> np.ndarra
 
 
 @dataclass(frozen=True)
-class ParticipantVector:
-    participant_id: str
-    week: int
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class FittedPipeline:
     """Frozen preprocessing state: feature order, vocabularies, scaler, PCA."""
 
@@ -265,63 +188,77 @@ class FittedPipeline:
 
 
 def _segment_mean_matrix(
-    records: list[FeatureRecord],
-    continuous_features: list[str] | tuple[str, ...],
-    categorical_features: list[str] | tuple[str, ...],
+    batch: WeeklyBatch,
+    keep: np.ndarray,
+    values: np.ndarray,
+    codes: np.ndarray,
+    continuous_features: tuple[str, ...],
+    categorical_features: tuple[str, ...],
     vocabularies: dict[str, tuple[str, ...]],
 ) -> tuple[list[str], np.ndarray]:
     """Per participant: per-segment feature means, segment blocks concatenated.
 
-    Records must already be imputed. A participant missing every record of
-    one segment falls back to their own all-segment mean for that block.
-    Rows are summed in day order, so the means do not depend on the order
-    of the records in the batch.
+    ``values`` and ``codes`` are the imputed rows of ``batch`` that ``keep``
+    selects. A token outside its vocabulary encodes all-zeros. A participant
+    missing every row of one segment falls back to their own all-segment
+    mean for that block. Rows are summed in day order (segment order, then
+    day order, for that mean), so the means do not depend on the order of
+    the rows in the batch.
     """
-    width = len(continuous_features) + sum(len(vocabularies[c]) for c in categorical_features)
+    rows = np.flatnonzero(keep)
+    parts = [values[:, [batch.continuous_features.index(n) for n in continuous_features]]]
+    for name in categorical_features:
+        j = batch.categorical_features.index(name)
+        vocab = vocabularies[name]
+        index = np.array([vocab.index(t) if t in vocab else -1 for t in batch.tokens[j]], dtype=int)
+        parts.append((index[codes[:, j]][:, None] == np.arange(len(vocab))).astype(float))
+    order = np.lexsort((batch.days[rows], batch.segments[rows], batch.participants[rows]))
+    full = np.concatenate(parts, axis=1)[order]
+    participant, segment = batch.participants[rows][order], batch.segments[rows][order]
 
-    def record_row(rec: FeatureRecord) -> np.ndarray:
-        parts = [np.array([rec.continuous[name] for name in continuous_features])]
-        for name in categorical_features:
-            parts.append(encode_onehot(rec.categorical.get(name), vocabularies[name]))
-        return np.concatenate(parts) if parts else np.empty(0)
-
-    by_participant: dict[str, dict] = {}
-    for rec in sorted(records, key=lambda r: r.day):
-        entry = by_participant.setdefault(
-            rec.participant_id, {seg: [] for seg in SEGMENT_ORDER}
-        )
-        entry[rec.segment].append(record_row(rec))
-
-    pids = sorted(by_participant)
-    matrix = np.zeros((len(pids), width * len(SEGMENT_ORDER)))
-    for i, pid in enumerate(pids):
-        entry = by_participant[pid]
-        all_rows = [row for seg_rows in entry.values() for row in seg_rows]
-        overall = np.mean(all_rows, axis=0)
-        for s, seg in enumerate(SEGMENT_ORDER):
-            rows = entry[seg]
-            block = np.mean(rows, axis=0) if rows else overall
-            matrix[i, s * width : (s + 1) * width] = block
-    return pids, matrix
+    present, member = np.unique(participant, return_inverse=True)
+    width, nseg = full.shape[1], len(SEGMENT_ORDER)
+    matrix = np.zeros((len(present), nseg, width))
+    filled = np.zeros((len(present), nseg), dtype=bool)
+    group = participant * nseg + segment
+    bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(group)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        i, s = member[start], segment[start]
+        matrix[i, s] = full[start:stop].sum(axis=0) / (stop - start)
+        filled[i, s] = True
+    first = np.searchsorted(participant, present)
+    last = np.searchsorted(participant, present, side="right")
+    for i, s in zip(*np.nonzero(~filled)):
+        matrix[i, s] = full[first[i] : last[i]].sum(axis=0) / (last[i] - first[i])
+    pids = [batch.participant_ids[c] for c in present.tolist()]
+    return pids, matrix.reshape(len(present), nseg * width)
 
 
-def fit_pipeline(records: list[FeatureRecord], variance_target: float) -> FittedPipeline:
+def _clean(batch: WeeklyBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The outlier mask and the surviving rows' imputed values and codes."""
+    keep = remove_outliers(batch)
+    return (keep, *impute(batch, keep))
+
+
+def fit_pipeline(batch: WeeklyBatch, variance_target: float) -> FittedPipeline:
     """Clean one batch, then freeze vocabulary, scaler, and projection."""
-    cleaned = impute(remove_outliers(list(records)))
-    if not cleaned:
+    keep, values, codes = _clean(batch)
+    if not keep.any():
         raise ValidationError("cannot fit the preprocessing pipeline on an empty batch")
-    cont, cat = _feature_names(cleaned)
-    vocabularies = {}
-    for name in cat:
-        tokens = sorted({rec.categorical[name] for rec in cleaned})
-        vocabularies[name] = tuple(tokens)
-    _, matrix = _segment_mean_matrix(cleaned, cont, cat, vocabularies)
+    vocabularies = {
+        name: tuple(batch.tokens[j][c] for c in np.unique(codes[:, j]).tolist())
+        for j, name in enumerate(batch.categorical_features)
+    }
+    _, matrix = _segment_mean_matrix(
+        batch, keep, values, codes,
+        batch.continuous_features, batch.categorical_features, vocabularies,
+    )
     scaler = scaler_fit(matrix)
     scaled = scaler_apply(scaler, matrix)
     projector = pca_fit(scaled, variance_target)
     return FittedPipeline(
-        continuous_features=tuple(cont),
-        categorical_features=tuple(cat),
+        continuous_features=batch.continuous_features,
+        categorical_features=batch.categorical_features,
         vocabularies=vocabularies,
         scaler=scaler,
         projector=projector,
@@ -330,32 +267,25 @@ def fit_pipeline(records: list[FeatureRecord], variance_target: float) -> Fitted
 
 def vectorize_week(
     batch: WeeklyBatch, pipeline: FittedPipeline
-) -> tuple[list[ParticipantVector], list[str]]:
-    """Produce one projected vector per participant for the batch's week.
+) -> tuple[list[str], np.ndarray, list[str]]:
+    """Project one vector per participant for the batch's week.
 
-    Returns the vectors plus the ids of participants omitted because no
-    record of theirs survived cleaning (callers log these).
+    Returns the participant ids in sorted order, their vectors as the rows
+    of one matrix, and the ids of participants omitted because no row of
+    theirs survived cleaning (callers log these).
     """
-    cleaned = impute(remove_outliers(list(batch.records)))
-    present = {rec.participant_id for rec in batch.records}
-    if not cleaned:
-        return [], sorted(present)
-    pids, matrix = _segment_mean_matrix(
-        cleaned,
-        pipeline.continuous_features,
-        pipeline.categorical_features,
-        pipeline.vocabularies,
-    )
-    scaled = scaler_apply(pipeline.scaler, matrix)
-    projected = pca_project_matrix(pipeline.projector, scaled)
-    vectors = [
-        ParticipantVector(participant_id=pid, week=batch.week, values=projected[i])
-        for i, pid in enumerate(pids)
-    ]
-    omitted = sorted(present - set(pids))
+    keep, values, codes = _clean(batch)
+    pids, projected = [], np.empty((0, len(pipeline.projector.components)))
+    if keep.any():
+        pids, matrix = _segment_mean_matrix(
+            batch, keep, values, codes,
+            pipeline.continuous_features, pipeline.categorical_features, pipeline.vocabularies,
+        )
+        projected = pca_project_matrix(pipeline.projector, scaler_apply(pipeline.scaler, matrix))
+    omitted = sorted(set(batch.participant_ids) - set(pids))
     for pid in omitted:
         log.warning("participant %s omitted in week %d: no surviving records", pid, batch.week)
-    return vectors, omitted
+    return pids, projected, omitted
 
 
 def pipeline_to_json(pipeline: FittedPipeline) -> dict:

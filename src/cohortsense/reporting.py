@@ -119,54 +119,33 @@ def append_run_log(out_dir: str | Path, report: "WeeklyReport") -> Path:
 
 def summary_rows(reports: list["WeeklyReport"]) -> list[dict]:
     """Per week: generic kinds, mean specialized F1 per kind, and voting."""
+
+    def row(week: int, scope: str, kind: str, group: list) -> dict:
+        means = {
+            name: sum(getattr(m, name) for m in group) / len(group)
+            for name in ("accuracy", "precision", "recall", "f1")
+        }
+        return {"week": week, "scope": scope, "cohort": "", "kind": kind, **means}
+
     rows: list[dict] = []
     for report in reports:
-        for er in report.eval_rows:
-            if er.scope == "generic":
-                rows.append(
-                    {
-                        "week": report.week,
-                        "scope": "generic",
-                        "cohort": "",
-                        "kind": er.kind,
-                        "accuracy": er.metrics.accuracy,
-                        "precision": er.metrics.precision,
-                        "recall": er.metrics.recall,
-                        "f1": er.metrics.f1,
-                    }
-                )
         by_kind: dict[str, list] = {}
         for er in report.eval_rows:
             if er.scope == "specialized":
                 by_kind.setdefault(er.kind, []).append(er.metrics)
-        for kind in sorted(by_kind):
-            group = by_kind[kind]
-            rows.append(
-                {
-                    "week": report.week,
-                    "scope": "specialized_mean",
-                    "cohort": "",
-                    "kind": kind,
-                    "accuracy": sum(m.accuracy for m in group) / len(group),
-                    "precision": sum(m.precision for m in group) / len(group),
-                    "recall": sum(m.recall for m in group) / len(group),
-                    "f1": sum(m.f1 for m in group) / len(group),
-                }
-            )
-        for er in report.eval_rows:
-            if er.scope == "voting":
-                rows.append(
-                    {
-                        "week": report.week,
-                        "scope": "voting",
-                        "cohort": "",
-                        "kind": er.kind,
-                        "accuracy": er.metrics.accuracy,
-                        "precision": er.metrics.precision,
-                        "recall": er.metrics.recall,
-                        "f1": er.metrics.f1,
-                    }
-                )
+        rows.extend(
+            row(report.week, "generic", er.kind, [er.metrics])
+            for er in report.eval_rows
+            if er.scope == "generic"
+        )
+        rows.extend(
+            row(report.week, "specialized_mean", kind, by_kind[kind]) for kind in sorted(by_kind)
+        )
+        rows.extend(
+            row(report.week, "voting", er.kind, [er.metrics])
+            for er in report.eval_rows
+            if er.scope == "voting"
+        )
     return rows
 
 

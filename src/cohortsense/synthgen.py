@@ -26,8 +26,6 @@ import numpy as np
 from .core import (
     SEGMENT_ORDER,
     ConfigError,
-    DaySegment,
-    FeatureRecord,
     ValidationError,
     WeeklyBatch,
     validate_score,
@@ -458,57 +456,54 @@ def _lonely_displacement(profile: GroupProfile) -> dict[str, float]:
     return {f: LONELY_SHIFT * d for f, d in direction.items()}
 
 
+# a participant-week's 28 rows are drawn day by day in SEGMENT_ORDER and
+# stored day by day in segment-name order
+_SEGMENT_NAME_ORDER = np.argsort([seg.value for seg in SEGMENT_ORDER], kind="stable")
+_WEEK_ROWS = (np.arange(7)[:, None] * len(SEGMENT_ORDER) + _SEGMENT_NAME_ORDER).ravel()
+_COLUMN_OF_FEATURE = np.argsort(FEATURES, kind="stable")  # FEATURES order -> sorted
+
+
 def _sample_participant_week(
-    pid: str,
-    week: int,
     profile: GroupProfile,
     offsets: dict[str, float],
     rng: np.random.Generator,
-    corrupt: bool = True,
-    displacement: dict[str, float] | None = None,
-) -> list[FeatureRecord]:
-    """One record per (day x segment); optionally with missingness/outliers."""
-    records = []
-    token = profile.social_token
-    if token is None:
-        token = GROUP_TOKENS.get(profile.group_id, profile.group_id)
-    displacement = displacement or {}
-    for day_idx in range(7):
-        day = (STUDY_START + timedelta(days=(week - 1) * 7 + day_idx)).isoformat()
-        for s, segment in enumerate(SEGMENT_ORDER):
-            values: dict[str, float | None] = {}
-            for f in FEATURES:
-                mean = profile.feature_means[f] * profile.segment_weights[f][s]
-                mean += displacement.get(f, 0.0)
-                values[f] = max(
-                    0.0, mean + offsets[f] + float(rng.normal(0.0, DAY_NOISE))
-                )
-            cat: dict[str, str | None] = {CATEGORICAL_FEATURE: token}
-            if corrupt:
-                if rng.random() < OUTLIER_RECORD_RATE:
-                    values = {f: v * OUTLIER_FACTOR for f, v in values.items()}
-                for f in FEATURES:
-                    if rng.random() < MISSING_CELL_RATE:
-                        values[f] = None
-                if rng.random() < MISSING_CELL_RATE:
-                    cat[CATEGORICAL_FEATURE] = None
-            records.append(
-                FeatureRecord(
-                    participant_id=pid,
-                    week=week,
-                    day=day,
-                    segment=segment,
-                    continuous=values,
-                    categorical=cat,
-                )
-            )
-    return records
+    displacement: dict[str, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """One participant-week's 28 rows, day by day in segment-name order:
+    the float matrix (features sorted, NaN where missing) and a mask of the
+    rows whose categorical token is missing. Missing cells and x10 outlier
+    rows are drawn per row."""
+    base = np.array(
+        [
+            [
+                profile.feature_means[f] * profile.segment_weights[f][s]
+                + displacement.get(f, 0.0)
+                + offsets[f]
+                for f in FEATURES
+            ]
+            for s in range(len(SEGMENT_ORDER))
+        ]
+    )
+    k = len(FEATURES)
+    draws = [
+        (rng.normal(0.0, DAY_NOISE, size=k), rng.random(), rng.random(k), rng.random())
+        for _ in range(len(_WEEK_ROWS))
+    ]
+    noise, outlier, missing, token_missing = (np.array(d) for d in zip(*draws))
+    values = np.maximum(0.0, np.tile(base, (7, 1)) + noise)
+    values[outlier < OUTLIER_RECORD_RATE] *= OUTLIER_FACTOR
+    values[missing < MISSING_CELL_RATE] = np.nan
+    token_missing = token_missing < MISSING_CELL_RATE
+    return values[_WEEK_ROWS][:, _COLUMN_OF_FEATURE], token_missing[_WEEK_ROWS]
 
 
 def generate_cohort(
     plan: CohortPlan, profiles: list[GroupProfile], seed: int
 ) -> list[WeeklyBatch]:
-    """Emit one WeeklyBatch per planned week; bit-identical per seed."""
+    """Emit one WeeklyBatch per planned week; bit-identical per seed.
+
+    Rows run by participant, day and segment name.
+    """
     for week in plan.weeks():
         for group in plan.weekly_group_membership[week]:
             _profile_for(profiles, group, week)
@@ -518,71 +513,37 @@ def generate_cohort(
 
     batches = []
     for week in plan.weeks():
-        records: list[FeatureRecord] = []
         groups = plan.weekly_group_membership[week]
-        for group in sorted(groups):
-            profile = _profile_for(profiles, group, week)
-            displacement = _lonely_displacement(profile)
-            for pid in sorted(groups[group]):
-                rng = _sub_rng(seed, "records", week, pid)
-                records.extend(
-                    _sample_participant_week(
-                        pid,
-                        week,
-                        profile,
-                        traits[pid],
-                        rng,
-                        displacement=displacement
-                        if scores[pid] > SCORE_THRESHOLD
-                        else None,
-                    )
-                )
-        records.sort(key=lambda r: (r.participant_id, r.day, r.segment.value))
-        labels = {
-            pid: scores[pid] for members in groups.values() for pid in members
-        }
-        batches.append(WeeklyBatch(week=week, records=tuple(records), labels=labels))
-    return batches
-
-
-def inject_drift(
-    batch: WeeklyBatch,
-    moves: list[tuple[str, str]],
-    profiles: list[GroupProfile] | None = None,
-) -> WeeklyBatch:
-    """Re-sample the given participants' records from a target group profile.
-
-    All other records pass through unchanged; resampling is deterministic
-    per (participant, week, target group).
-    """
-    if not moves:
-        return batch
-    profiles = profiles if profiles is not None else build_default_profiles()
-    present = {rec.participant_id for rec in batch.records}
-    replacements: dict[str, list[FeatureRecord]] = {}
-    for pid, target in moves:
-        if pid not in present:
-            raise ValidationError(f"unknown participant {pid!r} in drift moves")
-        profile = _profile_for(profiles, target, batch.week)
-        rng = _sub_rng(0, "drift", batch.week, pid, target)
-        offsets = {
-            f: float(rng.normal(0.0, profile.feature_spreads[f])) for f in FEATURES
-        }
-        replacements[pid] = _sample_participant_week(
-            pid, batch.week, profile, offsets, rng, corrupt=False
+        group_of = {pid: group for group, members in groups.items() for pid in members}
+        pids = sorted(group_of)
+        blocks, tokens = [], []
+        for pid in pids:
+            profile = _profile_for(profiles, group_of[pid], week)
+            values, token_missing = _sample_participant_week(
+                profile,
+                traits[pid],
+                _sub_rng(seed, "records", week, pid),
+                _lonely_displacement(profile) if scores[pid] > SCORE_THRESHOLD else {},
+            )
+            token = profile.social_token
+            if token is None:
+                token = GROUP_TOKENS.get(profile.group_id, profile.group_id)
+            blocks.append(values)
+            tokens.extend(None if gap else token for gap in token_missing.tolist())
+        days = [(STUDY_START + timedelta(days=(week - 1) * 7 + d)).isoformat() for d in range(7)]
+        values = np.concatenate(blocks) if blocks else np.empty((0, len(FEATURES)))
+        batches.append(
+            WeeklyBatch.from_columns(
+                week=week,
+                participant_ids=np.repeat(pids, len(_WEEK_ROWS)),
+                days=np.tile(np.repeat(days, len(SEGMENT_ORDER)), len(pids)),
+                segments=np.tile(_WEEK_ROWS % len(SEGMENT_ORDER), len(pids)),
+                continuous=dict(zip(sorted(FEATURES), values.T)),
+                categorical={CATEGORICAL_FEATURE: tokens},
+                labels={pid: scores[pid] for pid in pids},
+            )
         )
-
-    consumed = {pid: 0 for pid in replacements}
-    records = []
-    for rec in batch.records:
-        if rec.participant_id in replacements:
-            i = consumed[rec.participant_id]
-            fresh = replacements[rec.participant_id]
-            records.append(fresh[i % len(fresh)])
-            consumed[rec.participant_id] += 1
-        else:
-            records.append(rec)
-    return WeeklyBatch(week=batch.week, records=tuple(records), labels=dict(batch.labels))
+    return batches
 
 
 # ---------------------------------------------------------------- file I/O
@@ -598,18 +559,26 @@ def write_cohort(out_dir: str | Path, batches: list[WeeklyBatch], plan: CohortPl
     out.mkdir(parents=True, exist_ok=True)
     all_labels: dict[str, int] = {}
     for batch in batches:
+        features = batch.continuous_features + batch.categorical_features
+        if features != _CSV_COLUMNS[4:]:
+            raise ValidationError(f"week {batch.week}: features {features} differ from the file's")
         all_labels.update(batch.labels)
+        table = batch.tokens[0] + ("",)  # code -1 (missing) reads the blank
         with open(out / f"week_{batch.week}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(_CSV_COLUMNS)
-            for rec in batch.records:
-                row = [rec.participant_id, rec.week, rec.day, rec.segment.value]
-                for feat in sorted(FEATURES):
-                    value = rec.continuous.get(feat)
-                    row.append("" if value is None else repr(value))
-                token = rec.categorical.get(CATEGORICAL_FEATURE)
-                row.append("" if token is None else token)
-                writer.writerow(row)
+            for pid, day, segment, values, code in zip(
+                [batch.participant_ids[i] for i in batch.participants.tolist()],
+                batch.days.tolist(),
+                batch.segments.tolist(),
+                batch.records.tolist(),
+                batch.categories[:, 0].tolist(),
+            ):
+                writer.writerow(
+                    [pid, batch.week, day, SEGMENT_ORDER[segment].value]
+                    + ["" if v != v else repr(v) for v in values]
+                    + [table[code]]
+                )
     with open(out / "labels.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["participant_id", "score"])
@@ -641,40 +610,62 @@ def load_plan(path: str | Path) -> CohortPlan:
 
 
 def _read_csv(path: Path, columns: tuple[str, ...], parse) -> list:
-    """``parse`` of each data row of a CSV file with the given columns; a
-    missing column or a rejected row raises ValidationError with its line."""
+    """``parse(*cells)`` of each data row of a CSV file, cells in the order of
+    ``columns``; a missing column or a rejected row raises ValidationError
+    with its line."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
         if missing:
             raise ValidationError(f"{path}, line 1: missing columns {', '.join(missing)}")
+        at = [header.index(c) for c in columns]
         parsed = []
         for row in reader:
+            if not row:
+                continue
             try:
-                parsed.append(parse(row))
+                if len(row) < len(header):
+                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+                parsed.append(parse(*[row[i] for i in at]))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
     return parsed
 
 
-def _record(row: dict) -> FeatureRecord:
-    token = row[CATEGORICAL_FEATURE]
-    return FeatureRecord(
-        participant_id=row["participant_id"],
-        week=int(row["week"]),
-        day=row["day"],
-        segment=DaySegment(row["segment"]),
-        continuous={
-            feat: float(row[feat]) if row[feat] != "" else None
-            for feat in sorted(FEATURES)
-        },
-        categorical={CATEGORICAL_FEATURE: token if token else None},
-    )
+_SEGMENT_CODE = {seg.value: code for code, seg in enumerate(SEGMENT_ORDER)}
+
+
+def _cell(text: str) -> float:
+    """A feature cell: blank is missing (NaN); otherwise a finite number."""
+    if not text:
+        return math.nan
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"feature value {text!r} is not a finite number")
+    return value
+
+
+def _week_row(week: int):
+    """Parser of one week_<n>.csv row, checked against the file's week."""
+
+    def parse(pid, row_week, day, segment, *cells):
+        if int(row_week) != week:
+            raise ValueError(f"row has week {row_week}, the file is week {week}")
+        if date.fromisoformat(day).isoformat() != day:
+            raise ValueError(f"day {day!r} is not an ISO date (YYYY-MM-DD)")
+        if segment not in _SEGMENT_CODE:
+            raise ValueError(f"unknown segment {segment!r}")
+        values = [_cell(c) for c in cells[:-1]]
+        return pid, day, _SEGMENT_CODE[segment], values, cells[-1] or None
+
+    return parse
 
 
 def load_batches(data_dir: str | Path) -> list[WeeklyBatch]:
     """Read week_<n>.csv files plus labels.csv back into WeeklyBatch values;
-    a malformed file raises ValidationError naming it."""
+    a malformed file raises ValidationError naming it and, for a bad row,
+    its line."""
     data = Path(data_dir)
     labels_path = data / "labels.csv"
     if not labels_path.exists():
@@ -683,7 +674,7 @@ def load_batches(data_dir: str | Path) -> list[WeeklyBatch]:
         _read_csv(
             labels_path,
             ("participant_id", "score"),
-            lambda row: (row["participant_id"], validate_score(int(row["score"]))),
+            lambda pid, score: (pid, validate_score(int(score))),
         )
     )
 
@@ -700,13 +691,18 @@ def load_batches(data_dir: str | Path) -> list[WeeklyBatch]:
         raise ValidationError(f"no week_<n>.csv files found in {data}")
     batches = []
     for week, path in sorted(week_files.items()):
-        records = _read_csv(path, _CSV_COLUMNS, _record)
-        present = {rec.participant_id for rec in records}
+        rows = _read_csv(path, _CSV_COLUMNS, _week_row(week))
+        pids, days, segments, values, tokens = zip(*rows) if rows else ((),) * 5
+        values = np.array(values, dtype=float).reshape(len(rows), len(FEATURES))
         batches.append(
-            WeeklyBatch(
+            WeeklyBatch.from_columns(
                 week=week,
-                records=tuple(records),
-                labels={pid: labels[pid] for pid in present if pid in labels},
+                participant_ids=pids,
+                days=days,
+                segments=segments,
+                continuous=dict(zip(sorted(FEATURES), values.T)),
+                categorical={CATEGORICAL_FEATURE: tokens},
+                labels={pid: labels[pid] for pid in set(pids) if pid in labels},
             )
         )
     return batches

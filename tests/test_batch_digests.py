@@ -1,0 +1,129 @@
+"""Columnar weekly batches give the bytes the per-record path gave.
+
+The digests below were recorded with the per-record pipeline that the
+columnar `WeeklyBatch` replaced, where every row was an object holding a
+dict of floats and a dict of tokens. Any change to a fence, a median, a
+mode, a one-hot block, the order of a segment-mean sum, a generator draw
+or a written cell changes them.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from cohortsense.cli import main
+from cohortsense.preprocess import fit_pipeline, pipeline_to_json, vectorize_week
+from cohortsense.synthgen import CohortPlan, build_default_profiles, generate_cohort
+
+from columns import batch_of
+
+SEGMENTS = ("night", "morning", "afternoon", "evening")
+
+
+def hand_rows(week, tokens):
+    """Rows of a hand-built batch in shuffled order. Participant h2 misses
+    its whole evening segment; h1 has two rows for one (day, segment); no
+    row of (h3, afternoon) observes x and no row of (h4, night) a token, so
+    both fall back to batch statistics; h5's morning tokens tie; one x is
+    an outlier."""
+    rng = np.random.default_rng(700 + week)
+    days = [f"2019-04-{7 * (week - 1) + d:02d}" for d in (1, 2, 3)]
+    rows = []
+    for n, pid in enumerate(("h1", "h2", "h3", "h4", "h5")):
+        for day in days:
+            for seg in SEGMENTS:
+                if pid == "h2" and seg == "evening":
+                    continue
+                x, y = (rng.random(2) * (1 + n)).tolist()
+                rows.append([pid, day, seg, x, y, tokens[(n + len(rows)) % len(tokens)]])
+    rows.append(["h1", days[1], "morning", 0.123456789, 0.987654321, tokens[0]])
+    for row in rows:
+        if row[0] == "h3" and row[2] == "afternoon":
+            row[3] = None
+        if row[0] == "h4" and row[2] == "night":
+            row[5] = None
+    morning = [r for r in rows if r[0] == "h5" and r[2] == "morning"]
+    morning[0][5], morning[1][5], morning[2][5] = "q", "p", None
+    rows[3][4] = None
+    rows[10][3] = None
+    rows[17][3] = 40.0
+    order = rng.permutation(len(rows))
+    return [
+        (pid, day, seg, {"x": x, "y": y}, {"c": c})
+        for pid, day, seg, x, y, c in (rows[i] for i in order)
+    ]
+
+
+def mini_batches():
+    pids = [f"P{i:03d}" for i in range(1, 43)]
+    groups = {
+        "G1": frozenset(pids[:14]),
+        "G2": frozenset(pids[14:28]),
+        "G3": frozenset(pids[28:]),
+    }
+    plan = CohortPlan(
+        total_participants=42,
+        lonely_count=18,
+        weekly_group_membership={w: dict(groups) for w in (1, 2, 3)},
+    )
+    return generate_cohort(plan, build_default_profiles(), seed=3)
+
+
+def hand_batches():
+    # week 2 carries the token "zz", outside the vocabulary frozen in week 1,
+    # which encodes all-zeros
+    return [
+        batch_of(hand_rows(1, ("p", "q", "r")), week=1),
+        batch_of(hand_rows(2, ("q", "zz", "p", "r")), week=2),
+    ]
+
+
+def sha(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+DIGESTS = {
+    "hand/pipeline": "297a4b5c9c2fd257e798c6de9367e43bc9202788962b46c9fefae991883ae4e6",
+    "hand/vectors": "81f7329c68b82414e0de0220ba37a365c668f6f8ba6c74950f809fc14c0b8921",
+    "mini/pipeline": "33a9ad425e3887b56618a58673522876cdc45c4f59ae50fa4fd4d89e6de52982",
+    "mini/vectors": "578aefdfe756b23e8c373fa8b90bd4cd89963c9ece504b829d1fa63cee0d29f4",
+    "synth/labels.csv": "58dc574e5ab95e74340aab4208ea1b4f207348e4647425c2debb8a1b724beaa1",
+    "synth/plan.json": "790343b9cb1847d10df69074fd7e7b617381b0fde30ff9c917fbbc913088a6ea",
+    "synth/week_1.csv": "6e9da5c02f0263365b73e8f16607a1c5c7645db1b8d5a2767b49d999ab48a56a",
+    "synth/week_2.csv": "f0b751ea47faad129dc498571cec5e203b81a674f08a17f472c31bf2ba4a916a",
+}
+
+
+@pytest.mark.parametrize("name, make", [("hand", hand_batches), ("mini", mini_batches)])
+def test_pipeline_and_vectors_match_the_per_record_path(name, make):
+    batches = make()
+    pipeline = fit_pipeline(batches[0], 0.9)
+    weeks = []
+    for batch in batches:
+        pids, X, omitted = vectorize_week(batch, pipeline)
+        weeks.append({"pids": pids, "X": X.tolist(), "omitted": omitted})
+    assert sha(pipeline_to_json(pipeline)) == DIGESTS[f"{name}/pipeline"]
+    assert sha(weeks) == DIGESTS[f"{name}/vectors"]
+
+
+def test_synth_writes_the_per_record_files(tmp_path):
+    members = {
+        "G1": [f"P{i:03d}" for i in range(1, 13)],
+        "G2": [f"P{i:03d}" for i in range(13, 25)],
+        "G3": [f"P{i:03d}" for i in range(25, 37)],
+    }
+    doc = {
+        "total_participants": 36,
+        "lonely_count": 15,
+        "weekly_group_membership": {str(w): members for w in (1, 2)},
+    }
+    (tmp_path / "plan.json").write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "synth"
+    plan = str(tmp_path / "plan.json")
+    assert main(["synth", "--seed", "42", "--out-dir", str(out), "--plan", plan]) == 0
+    written = {
+        f"synth/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+    }
+    assert written == {k: v for k, v in DIGESTS.items() if k.startswith("synth/")}

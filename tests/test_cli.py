@@ -301,6 +301,26 @@ MALFORMED_DATA = {
         lambda d: _set_cell(d / "labels.csv", "score", "55"),
         "labels.csv, line 2",
     ),
+    "nan_feature": (
+        lambda d: _set_cell(d / "week_1.csv", FEATURE, "nan"),
+        "week_1.csv, line 2",
+    ),
+    "inf_feature": (
+        lambda d: _set_cell(d / "week_1.csv", FEATURE, "inf"),
+        "week_1.csv, line 2",
+    ),
+    "negative_inf_feature": (
+        lambda d: _set_cell(d / "week_1.csv", FEATURE, "-inf"),
+        "week_1.csv, line 2",
+    ),
+    "row_of_another_week": (
+        lambda d: _set_cell(d / "week_1.csv", "week", "2"),
+        "week_1.csv, line 2",
+    ),
+    "non_iso_day": (
+        lambda d: _set_cell(d / "week_1.csv", "day", "garbage"),
+        "week_1.csv, line 2",
+    ),
     "unknown_segment": (
         lambda d: _set_cell(d / "week_1.csv", "segment", "noon"),
         "week_1.csv, line 2",

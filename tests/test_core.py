@@ -1,4 +1,4 @@
-"""Tests for label derivation, day segments, and config loading."""
+"""Tests for label derivation, weekly batches, and config loading."""
 
 import json
 
@@ -8,14 +8,14 @@ from cohortsense.core import (
     ConfigError,
     DaySegment,
     EngineConfig,
-    FeatureRecord,
     LearnerConfig,
     ValidationError,
-    WeeklyBatch,
     label_from_score,
     load_config,
-    segment_of,
 )
+from cohortsense.synthgen import _CSV_COLUMNS, load_batches
+
+from columns import batch_of
 
 
 def test_label_threshold_is_strict():
@@ -40,67 +40,31 @@ def test_label_monotone_in_score():
     assert labels == sorted(labels)
 
 
-def test_segment_boundaries():
-    assert segment_of(360) is DaySegment.MORNING
-    assert segment_of(0) is DaySegment.NIGHT
-    assert segment_of(720) is DaySegment.AFTERNOON
-    assert segment_of(1080) is DaySegment.EVENING
-    assert segment_of(1439) is DaySegment.EVENING
-
-
-def test_segment_rejects_out_of_range():
-    with pytest.raises(ValidationError):
-        segment_of(1440)
-    with pytest.raises(ValidationError):
-        segment_of(-1)
-
-
-def test_segment_partitions_day_equally():
-    counts: dict[DaySegment, int] = {}
-    for minute in range(1440):
-        seg = segment_of(minute)
-        counts[seg] = counts.get(seg, 0) + 1
-    assert set(counts.values()) == {360}
-    assert len(counts) == 4
-
-
 def test_record_week_bounds():
     def record(week):
-        return FeatureRecord(
-            participant_id="p",
-            week=week,
-            day="2019-04-01",
-            segment=DaySegment.NIGHT,
-            continuous={},
-        )
+        return batch_of([("p", "2019-04-01", DaySegment.NIGHT, {}, {})], week=week)
 
     with pytest.raises(ValidationError):
         record(0)
     assert record(11).week == 11  # no upper bound: a study may run past week 10
 
 
-def test_batch_week_consistency():
-    rec = FeatureRecord(
-        participant_id="p",
-        week=2,
-        day="2019-04-08",
-        segment=DaySegment.NIGHT,
-        continuous={"x": 1.0},
+def test_batch_week_consistency(tmp_path):
+    # a week-2 row in the week-1 file
+    (tmp_path / "labels.csv").write_text("participant_id,score\n", encoding="utf-8")
+    (tmp_path / "week_1.csv").write_text(
+        ",".join(_CSV_COLUMNS) + "\n"
+        + ",".join(["p", "2", "2019-04-08", "night"] + ["1.0"] * 7 + ["a"]) + "\n",
+        encoding="utf-8",
     )
     with pytest.raises(ValidationError):
-        WeeklyBatch(week=1, records=(rec,), labels={})
+        load_batches(tmp_path)
 
 
 def test_batch_labeled_participant_needs_records():
-    rec = FeatureRecord(
-        participant_id="p",
-        week=1,
-        day="2019-04-01",
-        segment=DaySegment.NIGHT,
-        continuous={"x": 1.0},
-    )
+    row = ("p", "2019-04-01", DaySegment.NIGHT, {"x": 1.0}, {})
     with pytest.raises(ValidationError):
-        WeeklyBatch(week=1, records=(rec,), labels={"q": 25})
+        batch_of([row], labels={"q": 25})
 
 
 def test_config_defaults():

@@ -27,6 +27,8 @@ from cohortsense.synthgen import (
     generate_cohort,
 )
 
+from columns import batch_of
+
 FAST_CONFIG = EngineConfig(
     cv_folds=3,
     rng_seed=5,
@@ -72,11 +74,9 @@ def test_step_rejects_out_of_order_week(mini_batches):
 
 
 def test_step_rejects_empty_batch(mini_batches):
-    from cohortsense.core import WeeklyBatch
-
     state = new_state(FAST_CONFIG)
     with pytest.raises(ValidationError, match="empty"):
-        step(state, WeeklyBatch(week=1, records=(), labels={}))
+        step(state, batch_of([], week=1))
 
 
 def test_step_week_one_fits_pipeline_and_reports(mini_batches):
@@ -106,19 +106,12 @@ def test_step_failure_leaves_prior_state_usable(mini_batches, profiles):
     state = new_state(FAST_CONFIG)
     state, _ = step(state, mini_batches[0])
     # a week-2 batch whose only feature values are missing fails mid-step
-    from cohortsense.core import FeatureRecord, WeeklyBatch, DaySegment
+    from cohortsense.core import DaySegment
 
-    bad_records = tuple(
-        FeatureRecord(
-            participant_id="P001",
-            week=2,
-            day="2019-04-08",
-            segment=seg,
-            continuous={"physical_activity": None},
-        )
-        for seg in DaySegment
+    bad = batch_of(
+        [("P001", "2019-04-08", seg, {"physical_activity": None}, {}) for seg in DaySegment],
+        week=2,
     )
-    bad = WeeklyBatch(week=2, records=bad_records, labels={})
     points_before = state.registry.point_count
     with pytest.raises(ValidationError):
         step(state, bad)
@@ -343,12 +336,11 @@ def test_replay_runs_past_week_ten(tmp_path, profiles):
 
 
 def test_week_above_99_is_rejected_before_any_file_is_written(tmp_path, mini_batches):
-    def moved(batch, week):
-        records = tuple(dataclasses.replace(r, week=week) for r in batch.records)
-        return dataclasses.replace(batch, week=week, records=records)
-
     state = dataclasses.replace(new_state(FAST_CONFIG), current_week=98)
-    batches = [moved(mini_batches[0], 99), moved(mini_batches[1], 100)]
+    batches = [
+        dataclasses.replace(mini_batches[0], week=99),
+        dataclasses.replace(mini_batches[1], week=100),
+    ]
     out, ckpt = tmp_path / "out", tmp_path / "ckpt.csk"
     with pytest.raises(ValidationError, match="week 100"):
         run_replay(state, batches, out_dir=out, checkpoint_path=ckpt)
@@ -495,9 +487,13 @@ def test_step_outputs_do_not_depend_on_record_order(mini_batches, two_steps, shu
     expected, path = two_steps
     state = new_state(FAST_CONFIG)
     for batch, (report, checkpoint) in zip(mini_batches[:2], expected):
-        records = list(batch.records)
-        random.Random(shuffle_seed).shuffle(records)
-        state, got = step(state, dataclasses.replace(batch, records=tuple(records)))
+        order = list(range(len(batch.records)))
+        random.Random(shuffle_seed).shuffle(order)
+        rows = {
+            name: getattr(batch, name)[order]
+            for name in ("participants", "days", "segments", "records", "categories")
+        }
+        state, got = step(state, dataclasses.replace(batch, **rows))
         assert got == report
         save(state, path)
         assert path.read_bytes() == checkpoint

@@ -1,11 +1,14 @@
 """Tests for outlier removal, imputation, encoding, scaling, PCA, vectorize."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from cohortsense.core import DaySegment, FeatureRecord, ValidationError, WeeklyBatch
+from cohortsense.core import DaySegment, ValidationError
 from cohortsense.preprocess import (
-    encode_onehot,
+    _segment_mean_matrix,
     fit_pipeline,
     impute,
     pca_fit,
@@ -19,35 +22,30 @@ from cohortsense.preprocess import (
     vectorize_week,
 )
 
+from columns import batch_of
+
 
 def rec(pid, value_map, segment=DaySegment.MORNING, week=1, day="2019-04-01", cat=None):
-    return FeatureRecord(
-        participant_id=pid,
-        week=week,
-        day=day,
-        segment=segment,
-        continuous=dict(value_map),
-        categorical=dict(cat or {}),
-    )
+    return (pid, day, segment, dict(value_map), dict(cat or {}))
 
 
 # ---------------------------------------------------------------- outliers
 
 
 def test_outlier_fence_drops_extreme_record():
-    records = [rec(f"p{i}", {"x": v}) for i, v in enumerate([1.0, 2.0, 3.0, 4.0, 100.0])]
-    kept = remove_outliers(records)
+    batch = batch_of(rec(f"p{i}", {"x": v}) for i, v in enumerate([1.0, 2.0, 3.0, 4.0, 100.0]))
+    kept = remove_outliers(batch)
     # Q1=2, Q3=4, fence = (-1, 7): only the 100 falls outside
-    assert [r.continuous["x"] for r in kept] == [1.0, 2.0, 3.0, 4.0]
+    assert batch.records[kept, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_outlier_identical_values_nothing_dropped():
     records = [rec(f"p{i}", {"x": 5.0}) for i in range(6)]
-    assert len(remove_outliers(records)) == 6
+    assert remove_outliers(batch_of(records)).sum() == 6
 
 
 def test_outlier_empty_batch():
-    assert remove_outliers([]) == []
+    assert remove_outliers(batch_of([])).tolist() == []
 
 
 def test_outlier_preserves_order_and_ignores_missing():
@@ -58,17 +56,24 @@ def test_outlier_preserves_order_and_ignores_missing():
         rec("p3", {"x": 4.0, "y": 1.0}),
         rec("p4", {"x": 2.5, "y": 1.0}),
     ]
-    kept = remove_outliers(records)
-    assert [r.participant_id for r in kept] == ["p0", "p1", "p2", "p3", "p4"]
+    batch = batch_of(records)
+    kept = remove_outliers(batch)
+    assert [batch.participant_ids[c] for c in batch.participants[kept]] == [
+        "p0", "p1", "p2", "p3", "p4"
+    ]
 
 
 def test_outlier_all_missing_feature_errors():
     records = [rec(f"p{i}", {"x": None}) for i in range(5)]
     with pytest.raises(ValidationError, match="'x'"):
-        remove_outliers(records)
+        remove_outliers(batch_of(records))
 
 
 # ---------------------------------------------------------------- imputation
+
+
+def impute_all(batch):
+    return impute(batch, np.ones(len(batch.records), dtype=bool))
 
 
 def test_impute_median_within_participant_segment():
@@ -77,11 +82,17 @@ def test_impute_median_within_participant_segment():
         rec("p0", {"x": None}),
         rec("p0", {"x": 4.0}),
     ]
-    filled = impute(records)
-    assert filled[1].continuous["x"] == pytest.approx(3.0)
+    filled, _ = impute_all(batch_of(records))
+    assert filled[1, 0] == pytest.approx(3.0)
     # observed values untouched
-    assert filled[0].continuous["x"] == 2.0
-    assert filled[2].continuous["x"] == 4.0
+    assert filled[0, 0] == 2.0
+    assert filled[2, 0] == 4.0
+
+
+def token_after_impute(records, i):
+    batch = batch_of(records)
+    _, codes = impute_all(batch)
+    return batch.tokens[0][codes[i, 0]]
 
 
 def test_impute_mode_and_tie_break():
@@ -91,7 +102,7 @@ def test_impute_mode_and_tie_break():
         rec("p0", {}, cat={"c": None}),
         rec("p0", {}, cat={"c": "B"}),
     ]
-    assert impute(records)[2].categorical["c"] == "A"
+    assert token_after_impute(records, 2) == "A"
 
     tied = [
         rec("p0", {}, cat={"c": "B"}),
@@ -99,7 +110,7 @@ def test_impute_mode_and_tie_break():
         rec("p0", {}, cat={"c": None}),
     ]
     # tie between A and B resolves to the lexicographically smallest
-    assert impute(tied)[2].categorical["c"] == "A"
+    assert token_after_impute(tied, 2) == "A"
 
 
 def test_impute_falls_back_to_batch_level():
@@ -108,24 +119,83 @@ def test_impute_falls_back_to_batch_level():
         rec("p1", {"x": 10.0}, segment=DaySegment.MORNING),
         rec("p1", {"x": 20.0}, segment=DaySegment.MORNING),
     ]
-    filled = impute(records)
-    assert filled[0].continuous["x"] == pytest.approx(15.0)
+    filled, _ = impute_all(batch_of(records))
+    assert filled[0, 0] == pytest.approx(15.0)
 
 
 def test_impute_feature_missing_everywhere_errors():
     records = [rec("p0", {"x": None}), rec("p1", {"x": None})]
     with pytest.raises(ValidationError, match="'x'"):
-        impute(records)
+        impute_all(batch_of(records))
+
+
+def impute_by_loop(rows):
+    """Reference imputation, one gap at a time: the median or mode of the
+    row's (participant, segment) group, else of the batch; a mode tie goes
+    to the smallest token."""
+
+    def mode(tokens):
+        counts = Counter(tokens)
+        return min(t for t, c in counts.items() if c == max(counts.values()))
+
+    def group(row):
+        return [r for r in rows if (r[0], r[2]) == (row[0], row[2])]
+
+    xs = [r[3]["x"] for r in rows if r[3]["x"] is not None]
+    cs = [r[4]["c"] for r in rows if r[4]["c"] is not None]
+    filled = []
+    for row in rows:
+        x, c = row[3]["x"], row[4]["c"]
+        if x is None:
+            near = [r[3]["x"] for r in group(row) if r[3]["x"] is not None]
+            x = float(np.median(near or xs))
+        if c is None:
+            c = mode([r[4]["c"] for r in group(row) if r[4]["c"] is not None] or cs)
+        filled.append((x, c))
+    return filled
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["p0", "p1", "p2"]),
+            st.sampled_from(list(DaySegment)),
+            st.none() | st.floats(-5, 5, allow_nan=False),
+            st.none() | st.sampled_from(["a", "b", "c"]),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_impute_equals_the_loop_reference(cells):
+    assume(any(x is not None for _, _, x, _ in cells))
+    assume(any(c is not None for _, _, _, c in cells))
+    rows = [(pid, "2019-04-01", seg, {"x": x}, {"c": c}) for pid, seg, x, c in cells]
+    batch = batch_of(rows)
+    values, codes = impute_all(batch)
+    got = [(v, batch.tokens[0][code]) for v, code in zip(values[:, 0].tolist(), codes[:, 0])]
+    assert got == impute_by_loop(rows)
 
 
 # ---------------------------------------------------------------- one-hot
 
 
+def onehot_block(token, vocabulary):
+    """The indicator block one row with this token adds to its segment means."""
+    batch = batch_of([rec("p0", {}, cat={"c": token})])
+    keep = np.ones(1, dtype=bool)
+    _, matrix = _segment_mean_matrix(
+        batch, keep, batch.records, batch.categories, (), ("c",), {"c": vocabulary}
+    )
+    return matrix[0, : len(vocabulary)]
+
+
 def test_onehot_known_unseen_and_width():
     vocab = ("A", "B", "C")
-    assert np.array_equal(encode_onehot("B", vocab), [0.0, 1.0, 0.0])
-    assert np.array_equal(encode_onehot("D", vocab), [0.0, 0.0, 0.0])
-    assert len(encode_onehot("A", ("A", "B"))) + len(encode_onehot("A", vocab)) == 5
+    assert np.array_equal(onehot_block("B", vocab), [0.0, 1.0, 0.0])
+    assert np.array_equal(onehot_block("D", vocab), [0.0, 0.0, 0.0])
+    assert len(onehot_block("A", ("A", "B"))) + len(onehot_block("A", vocab)) == 5
 
 
 # ---------------------------------------------------------------- scaler
@@ -249,11 +319,11 @@ def test_vectorize_identical_records_equals_single_profile_projection():
         "p2": constant_profile(0.5, 0.5),
     }
     records = [r for pid, prof in profiles.items() for r in week_records(pid, prof)]
-    batch = WeeklyBatch(week=1, records=tuple(records), labels={})
-    pipeline = fit_pipeline(records, variance_target=0.95)
-    vectors, omitted = vectorize_week(batch, pipeline)
+    batch = batch_of(records)
+    pipeline = fit_pipeline(batch, variance_target=0.95)
+    pids, vectors, omitted = vectorize_week(batch, pipeline)
     assert omitted == []
-    assert [v.participant_id for v in vectors] == ["p0", "p1", "p2"]
+    assert pids == ["p0", "p1", "p2"]
 
     # p0's vector equals the projection of its constant segment profile
     width = pipeline.block_width()
@@ -261,7 +331,7 @@ def test_vectorize_identical_records_equals_single_profile_projection():
     assert width * 4 == len(raw)
     scaled = scaler_apply(pipeline.scaler, raw[None, :])
     expected = pca_project_matrix(pipeline.projector, scaled[:1])[0]
-    assert np.allclose(vectors[0].values, expected, atol=1e-10)
+    assert np.allclose(vectors[0], expected, atol=1e-10)
 
 
 def test_vectorize_identical_participants_identical_vectors():
@@ -269,10 +339,10 @@ def test_vectorize_identical_participants_identical_vectors():
     records = week_records("p0", prof) + week_records("p1", prof) + week_records(
         "p2", constant_profile(0.9, 0.1)
     )
-    batch = WeeklyBatch(week=1, records=tuple(records), labels={})
-    pipeline = fit_pipeline(records, variance_target=0.95)
-    vectors, _ = vectorize_week(batch, pipeline)
-    assert np.allclose(vectors[0].values, vectors[1].values)
+    batch = batch_of(records)
+    pipeline = fit_pipeline(batch, variance_target=0.95)
+    _, vectors, _ = vectorize_week(batch, pipeline)
+    assert np.allclose(vectors[0], vectors[1])
 
 
 def test_vectorize_affine_feature_rescale_absorbed():
@@ -282,15 +352,14 @@ def test_vectorize_affine_feature_rescale_absorbed():
             "p1": {seg: {"x": 0.8 * scale + shift, "y": 0.1} for seg in DaySegment},
             "p2": {seg: {"x": 0.5 * scale + shift, "y": 0.5} for seg in DaySegment},
         }
-        records = [r for pid, prof in profiles.items() for r in week_records(pid, prof)]
-        return records, WeeklyBatch(week=1, records=tuple(records), labels={})
+        return batch_of(r for pid, prof in profiles.items() for r in week_records(pid, prof))
 
-    rec_a, batch_a = batch_for(1.0, 0.0)
-    rec_b, batch_b = batch_for(2.0, 3.0)
-    vec_a, _ = vectorize_week(batch_a, fit_pipeline(rec_a, 0.95))
-    vec_b, _ = vectorize_week(batch_b, fit_pipeline(rec_b, 0.95))
+    batch_a = batch_for(1.0, 0.0)
+    batch_b = batch_for(2.0, 3.0)
+    _, vec_a, _ = vectorize_week(batch_a, fit_pipeline(batch_a, 0.95))
+    _, vec_b, _ = vectorize_week(batch_b, fit_pipeline(batch_b, 0.95))
     for a, b in zip(vec_a, vec_b):
-        assert np.allclose(a.values, b.values, atol=1e-10)
+        assert np.allclose(a, b, atol=1e-10)
 
 
 def test_vectorize_unseen_category_encodes_zeros():
@@ -298,11 +367,11 @@ def test_vectorize_unseen_category_encodes_zeros():
         week_records("p0", constant_profile(0.1, 0.2), cat_token="alpha")
         + week_records("p1", constant_profile(0.9, 0.8), cat_token="beta")
     )
-    pipeline = fit_pipeline(records, variance_target=0.95)
+    pipeline = fit_pipeline(batch_of(records), variance_target=0.95)
     assert pipeline.vocabularies["ctx"] == ("alpha", "beta")
     later = week_records("p9", constant_profile(0.5, 0.5), cat_token="gamma", week=2)
-    batch = WeeklyBatch(week=2, records=tuple(later), labels={})
-    vectors, omitted = vectorize_week(batch, pipeline)
+    batch = batch_of(later, week=2)
+    _, vectors, omitted = vectorize_week(batch, pipeline)
     assert omitted == [] and len(vectors) == 1
 
 
@@ -312,20 +381,20 @@ def test_pipeline_json_round_trip():
         + week_records("p1", constant_profile(0.9, 0.8), cat_token="beta")
         + week_records("p2", constant_profile(0.4, 0.3), cat_token="alpha")
     )
-    pipeline = fit_pipeline(records, variance_target=0.9)
+    batch = batch_of(records)
+    pipeline = fit_pipeline(batch, variance_target=0.9)
     restored = pipeline_from_json(pipeline_to_json(pipeline))
-    batch = WeeklyBatch(week=1, records=tuple(records), labels={})
-    v1, _ = vectorize_week(batch, pipeline)
-    v2, _ = vectorize_week(batch, restored)
+    _, v1, _ = vectorize_week(batch, pipeline)
+    _, v2, _ = vectorize_week(batch, restored)
     for a, b in zip(v1, v2):
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
 
 def test_pipeline_schema_version_gate():
     records = week_records("p0", constant_profile(0.1, 0.2)) + week_records(
         "p1", constant_profile(0.9, 0.8)
     )
-    doc = pipeline_to_json(fit_pipeline(records, 0.9))
+    doc = pipeline_to_json(fit_pipeline(batch_of(records), 0.9))
     doc["schema_version"] = 99
     with pytest.raises(ValidationError):
         pipeline_from_json(doc)

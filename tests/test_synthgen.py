@@ -11,11 +11,12 @@ from cohortsense.synthgen import (
     build_default_plan,
     build_default_profiles,
     generate_cohort,
-    inject_drift,
     load_batches,
     load_plan,
     write_cohort,
 )
+
+from columns import batch_of
 
 
 @pytest.fixture(scope="module")
@@ -113,10 +114,8 @@ def test_generate_different_seeds_differ(plan, profiles, batches):
 
 def test_each_participant_week_has_28_records(batches):
     for batch in batches:
-        per_pid: dict[str, int] = {}
-        for rec in batch.records:
-            per_pid[rec.participant_id] = per_pid.get(rec.participant_id, 0) + 1
-        assert set(per_pid.values()) == {28}
+        per_pid = np.bincount(batch.participants, minlength=len(batch.participant_ids))
+        assert set(per_pid.tolist()) == {28}
 
 
 def test_label_prevalence_exact(batches, plan):
@@ -136,21 +135,12 @@ def test_scores_within_final_group_ranges(batches, plan, profiles):
 
 
 def test_missingness_and_outliers_present(batches):
-    n_missing = sum(
-        1
-        for rec in batches[0].records
-        for v in rec.continuous.values()
-        if v is None
-    )
-    total = sum(len(rec.continuous) for rec in batches[0].records)
+    values = batches[0].records
+    n_missing = np.isnan(values).sum()
+    total = values.size
     assert 0.03 < n_missing / total < 0.07
     # injected outliers: some surviving values sit far above the honest scale
-    big = sum(
-        1
-        for rec in batches[0].records
-        for v in rec.continuous.values()
-        if v is not None and v > 3.0
-    )
+    big = (values > 3.0).sum()
     assert big > 0
 
 
@@ -177,58 +167,6 @@ def test_generate_errors_without_profile_coverage(profiles):
         generate_cohort(plan, profiles, seed=0)
 
 
-# ---------------------------------------------------------------- drift injection
-
-
-def test_inject_drift_empty_moves_identity(batches):
-    assert inject_drift(batches[0], []) is batches[0]
-
-
-def test_inject_drift_moves_feature_means(batches, plan, profiles):
-    week1 = batches[0]
-    pid = sorted(plan.weekly_group_membership[1]["G1"])[0]
-
-    def means(batch, who):
-        phone, act = [], []
-        for rec in batch.records:
-            if rec.participant_id == who:
-                if rec.continuous.get("phone_usage_min") is not None:
-                    phone.append(rec.continuous["phone_usage_min"])
-                if rec.continuous.get("physical_activity") is not None:
-                    act.append(rec.continuous["physical_activity"])
-        return np.mean(phone), np.mean(act)
-
-    phone_before, act_before = means(week1, pid)
-    moved = inject_drift(week1, [(pid, "G3")], profiles)
-    phone_after, act_after = means(moved, pid)
-    assert phone_after > phone_before
-    assert act_after < act_before
-    # all other records unchanged
-    untouched = [r for r in moved.records if r.participant_id != pid]
-    original = [r for r in week1.records if r.participant_id != pid]
-    assert untouched == original
-
-
-def test_inject_drift_can_empty_a_group(batches, plan, profiles):
-    week1 = batches[0]
-    moves = [(pid, "G1") for pid in sorted(plan.weekly_group_membership[1]["G2"])]
-    moved = inject_drift(week1, moves, profiles)
-    # planted G2 no longer exists as a distinct population: every one of its
-    # members now carries G1's token
-    tokens = {
-        rec.categorical["social_context"]
-        for rec in moved.records
-        if rec.participant_id in plan.weekly_group_membership[1]["G2"]
-        and rec.categorical["social_context"] is not None
-    }
-    assert tokens == {"high_social"}
-
-
-def test_inject_drift_unknown_participant(batches):
-    with pytest.raises(ValidationError):
-        inject_drift(batches[0], [("NOBODY", "G1")])
-
-
 # ---------------------------------------------------------------- file I/O
 
 
@@ -247,19 +185,23 @@ def test_write_and_load_round_trip(tmp_path, batches, plan):
         assert back.labels == orig.labels
         assert len(back.records) == len(orig.records)
     # numeric round trip is exact (repr formatting)
-    orig_rec = batches[0].records[0]
-    back_rec = next(
-        r
-        for r in loaded[0].records
-        if r.participant_id == orig_rec.participant_id
-        and r.day == orig_rec.day
-        and r.segment == orig_rec.segment
-    )
-    assert back_rec.continuous == orig_rec.continuous
+    orig, back = batches[0], loaded[0]
+
+    def key(batch, i):
+        return batch.participant_ids[batch.participants[i]], batch.days[i], batch.segments[i]
+
+    j = next(j for j in range(len(back.records)) if key(back, j) == key(orig, 0))
+    assert np.array_equal(back.records[j], orig.records[0], equal_nan=True)
 
     plan_back = load_plan(tmp_path / "plan.json")
     assert plan_back.weekly_group_membership == plan.weekly_group_membership
     assert plan_back.lonely_count == plan.lonely_count
+
+
+def test_write_rejects_a_batch_with_other_features(tmp_path, plan):
+    batch = batch_of([("P001", "2019-04-01", "night", {"x": 1.0}, {})])
+    with pytest.raises(ValidationError, match="features"):
+        write_cohort(tmp_path, [batch], plan)
 
 
 def test_load_rejects_two_files_for_one_week(tmp_path, batches, plan):
