@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -20,7 +21,9 @@ from .learners import (
     train_gbt,
     train_gbt_many,
     train_linear_svm,
+    train_linear_svm_many,
     train_logreg,
+    train_logreg_many,
     train_random_forest,
 )
 from .learners.base import KIND_ORDER, ModelKind, derive_seed
@@ -87,41 +90,49 @@ def _dataset(rows: list[LabeledRow]) -> Dataset:
     )
 
 
-def _train_kind(
-    kind: ModelKind,
-    dataset: Dataset,
-    seed: int,
-    lc: LearnerConfig,
-    init: object | None = None,
-):
+def _options(kind: ModelKind, lc: LearnerConfig, init: object | None) -> dict:
+    """Keyword arguments of ``kind``'s trainers; ``init`` warm-starts the linear kinds."""
     if kind is ModelKind.LOGREG:
-        return train_logreg(
-            dataset,
-            seed,
-            iterations=lc.logreg_iterations,
-            step=lc.logreg_step,
-            l2=lc.logreg_l2,
-            init=init,
-        )
+        return {
+            "iterations": lc.logreg_iterations,
+            "step": lc.logreg_step,
+            "l2": lc.logreg_l2,
+            "init": init,
+        }
     if kind is ModelKind.LINEAR_SVM:
-        return train_linear_svm(
-            dataset, seed, epochs=lc.svm_epochs, l2=lc.svm_l2, init=init
-        )
+        return {"epochs": lc.svm_epochs, "l2": lc.svm_l2, "init": init}
     if kind is ModelKind.RANDOM_FOREST:
-        return train_random_forest(
-            dataset, seed, n_trees=lc.forest_trees, max_depth=lc.forest_depth
-        )
-    if kind is ModelKind.GBT:
-        return train_gbt(dataset, seed, **_gbt_options(lc))
-    raise AssertionError(f"unhandled kind {kind}")
-
-
-def _gbt_options(lc: LearnerConfig) -> dict:
+        return {"n_trees": lc.forest_trees, "max_depth": lc.forest_depth}
     return {
         "n_rounds": lc.gbt_rounds,
         "max_depth": lc.gbt_depth,
         "learning_rate": lc.gbt_learning_rate,
     }
+
+
+def _train_kind(kind: ModelKind, dataset: Dataset, seed: int, lc: LearnerConfig, init=None):
+    # looked up per call, so that a wrapper patched over a trainer is used
+    trainer = {
+        ModelKind.LOGREG: train_logreg,
+        ModelKind.LINEAR_SVM: train_linear_svm,
+        ModelKind.RANDOM_FOREST: train_random_forest,
+        ModelKind.GBT: train_gbt,
+    }[kind]
+    return trainer(dataset, seed, **_options(kind, lc, init))
+
+
+def _train_many(
+    kind: ModelKind, datasets: list[Dataset], seeds: list[int], lc: LearnerConfig, init=None
+) -> list:
+    """One model per (dataset, seed); all kinds but the forest train them in lockstep."""
+    if kind is ModelKind.RANDOM_FOREST:
+        return [_train_kind(kind, ds, s, lc) for ds, s in zip(datasets, seeds)]
+    trainer = {
+        ModelKind.LOGREG: train_logreg_many,
+        ModelKind.LINEAR_SVM: train_linear_svm_many,
+        ModelKind.GBT: train_gbt_many,
+    }[kind]
+    return trainer(datasets, seeds, **_options(kind, lc, init))
 
 
 def _balanced(dataset: Dataset, config: EngineConfig, seed: int) -> Dataset:
@@ -142,13 +153,15 @@ def _fit_set(
     """Train all four kinds with k-fold validation scores.
 
     SMOTE is applied inside training folds during validation and to the
-    full data for the deployed fit. Linear kinds warm-start from the
+    full data for the deployed fit; each kind trains its folds and its
+    deployed model in one batched call. Linear kinds warm-start from the
     previous week's parameters.
     """
     events: list[str] = []
     dataset = _dataset(rows)
     zeros, ones = dataset.class_counts()
     k = min(config.cv_folds, zeros, ones)
+    lc = config.learners
 
     models: dict[ModelKind, object] = {}
     scores: dict[ModelKind, float] = {}
@@ -159,32 +172,21 @@ def _fit_set(
             prior = previous.models.get(kind)
             if prior is not None and previous.input_dim == dataset.dim:
                 init = prior
-
-        def train_fn(datasets: list[Dataset], seeds: list[int], _kind=kind, _init=init):
-            lc = config.learners
-            if _kind is ModelKind.GBT:  # the folds boost in lockstep
-                return train_gbt_many(datasets, seeds, **_gbt_options(lc))
-            return [_train_kind(_kind, ds, s, lc, init=_init) for ds, s in zip(datasets, seeds)]
-
-        models[kind] = _train_kind(
-            kind,
-            _balanced(dataset, config, derive_seed(kind_seed, "smote")),
-            kind_seed,
-            config.learners,
-            init=init,
-        )
+        balanced = _balanced(dataset, config, derive_seed(kind_seed, "smote"))
         if k >= 2:
-            metrics = kfold_cv(
+            metrics, models[kind] = kfold_cv(
                 dataset,
                 k,
-                train_fn,
+                functools.partial(_train_many, kind, lc=lc, init=init),
                 derive_seed(kind_seed, "cv"),
                 smote_neighbors=config.smote_neighbors,
+                deployed=(balanced, kind_seed),
             )
             scores[kind] = metrics.f1
         else:
             # too few rows in one class for any fold split: score the
             # deployed model on its own training data and say so
+            models[kind] = _train_kind(kind, balanced, kind_seed, lc, init=init)
             events.append(
                 f"{scope}: class counts {zeros}/{ones} too small for CV; "
                 f"validation_f1 for {kind.value} uses training predictions"

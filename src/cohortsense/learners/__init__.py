@@ -7,7 +7,9 @@ from .linear import (
     logreg_gradient,
     logreg_loss,
     train_linear_svm,
+    train_linear_svm_many,
     train_logreg,
+    train_logreg_many,
 )
 from .sampling import smote
 from .trees import ForestModel, GBTModel, train_gbt, train_gbt_many, train_random_forest
@@ -30,7 +32,9 @@ __all__ = [
     "model_to_json",
     "smote",
     "train_logreg",
+    "train_logreg_many",
     "train_linear_svm",
+    "train_linear_svm_many",
     "train_random_forest",
     "train_gbt",
     "train_gbt_many",

@@ -65,16 +65,19 @@ class Dataset:
         return len(self) - ones, ones
 
     def canonical_order(self) -> np.ndarray:
-        """Row permutation sorted by participant id, then row content.
+        """Row permutation sorted by row id (``participant_ids``).
 
         All seeded sampling is performed on this ordering so results do not
-        depend on how the caller happened to arrange rows.
+        depend on how the caller happened to arrange rows. Row ids must be
+        unique: point ids, and ``synthetic_NNNNN`` for SMOTE's rows.
         """
-        keys = [
-            (self.participant_ids[i], int(self.labels[i]), self.vectors[i].tobytes())
-            for i in range(len(self))
-        ]
-        return np.array(sorted(range(len(self)), key=lambda i: keys[i]), dtype=int)
+        ids = np.array(self.participant_ids, dtype=str)
+        order = np.argsort(ids, kind="stable")
+        ranked = ids[order]
+        repeats = np.flatnonzero(ranked[1:] == ranked[:-1])
+        if len(repeats):
+            raise ValidationError(f"row id {str(ranked[repeats[0]])!r} is not unique")
+        return order
 
     def canonicalized(self) -> "Dataset":
         return self.subset(self.canonical_order())

@@ -60,6 +60,39 @@ class LogRegModel:
         return cls(weights=np.array(doc["weights"], dtype=float), bias=float(doc["bias"]))
 
 
+def _stacked(datasets: list[Dataset], seeds: list[int], kind: str, bias_column: bool):
+    """Zero-padded ``(R, n_max, d)`` vectors (plus a column of ones on the
+    real rows when ``bias_column``), ``(R, n_max)`` labels and row counts."""
+    if len(seeds) != len(datasets):
+        raise ValidationError(f"{len(datasets)} datasets but {len(seeds)} seeds")
+    if len({ds.dim for ds in datasets}) > 1:
+        raise ValidationError(f"{kind} datasets differ in dimension")
+    for dataset in datasets:
+        _require_both_classes(dataset, kind)
+    sizes = [len(ds) for ds in datasets]
+    d = datasets[0].dim
+    X = np.zeros((len(datasets), max(sizes), d + bias_column))
+    y = np.zeros((len(datasets), max(sizes)))
+    for r, ds in enumerate(datasets):
+        X[r, : sizes[r], :d] = ds.vectors
+        y[r, : sizes[r]] = ds.labels
+        if bias_column:
+            X[r, : sizes[r], d] = 1.0
+    return X, y, sizes
+
+
+def _scores(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``X[r] @ W[r]`` for every r: one stacked matvec, each slice the same
+    gemv as the one-dataset product."""
+    return np.matmul(X, W[:, :, None])[:, :, 0]
+
+
+def _means(values: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Mean of each row's first ``sizes[r]`` entries, summed exactly as
+    ``ndarray.mean`` sums (pairwise, so its rounding depends on the length)."""
+    return np.array([np.add.reduce(row[:n]) for row, n in zip(values, sizes)]) / sizes
+
+
 def train_logreg(
     dataset: Dataset,
     seed: int = 0,
@@ -75,29 +108,60 @@ def train_logreg(
     (``seed`` is part of the shared trainer signature and unused);
     ``init`` warm-starts from a previous model when dimensions match.
     """
-    _require_both_classes(dataset, "logistic regression")
-    X = dataset.vectors.astype(float)
-    y = dataset.labels.astype(float)
-    d = X.shape[1]
-    if init is not None and init.weights.shape == (d,):
-        w = init.weights.copy()
-        b = init.bias
-    else:
-        w = np.zeros(d)
-        b = 0.0
+    return train_logreg_many([dataset], [seed], iterations, step, l2, init)[0]
 
-    lr = step
-    loss = logreg_loss(w, b, X, y, l2)
+
+def train_logreg_many(
+    datasets: list[Dataset],
+    seeds: list[int],
+    iterations: int = 500,
+    step: float = 0.1,
+    l2: float = 1e-3,
+    init: LogRegModel | None = None,
+) -> list[LogRegModel]:
+    """``train_logreg`` on each dataset, in lockstep.
+
+    Every iteration takes one gradient step on all datasets, held in one
+    zero-padded block; each dataset keeps its own step size. Only the sums
+    whose rounding depends on the row count (``X.T @ resid`` and the means)
+    run one dataset at a time, so model i equals
+    ``train_logreg(datasets[i], seeds[i])`` bit for bit.
+    """
+    if not datasets:
+        return []
+    X, y, sizes = _stacked(datasets, seeds, "logistic regression", bias_column=False)
+    R, _, d = X.shape
+    if init is not None and init.weights.shape == (d,):
+        W = np.tile(init.weights, (R, 1))
+        b = np.full(R, init.bias)
+    else:
+        W = np.zeros((R, d))
+        b = np.zeros(R)
+    n = np.array(sizes, dtype=float)
+
+    def loss_of(scores, W):
+        # log(1 + exp(s)) - y*s, evaluated stably; the bias is unregularized
+        ce = np.logaddexp(0.0, scores) - y * scores
+        return _means(ce, sizes) + np.vecdot(0.5 * l2 * W, W)
+
+    lr = np.full(R, step)
+    scores = _scores(X, W) + b[:, None]
+    loss = loss_of(scores, W)
     for _ in range(iterations):
-        grad_w, grad_b = logreg_gradient(w, b, X, y, l2)
-        cand_w = w - lr * grad_w
-        cand_b = b - lr * grad_b
-        cand_loss = logreg_loss(cand_w, cand_b, X, y, l2)
-        if cand_loss <= loss:
-            w, b, loss = cand_w, cand_b, cand_loss
-        else:
-            lr *= 0.5
-    return LogRegModel(weights=w, bias=b)
+        resid = 1.0 / (1.0 + np.exp(-scores)) - y
+        grad_w = np.stack([X[r, :m].T @ resid[r, :m] for r, m in enumerate(sizes)])
+        grad_w = grad_w / n[:, None] + l2 * W
+        cand_W = W - lr[:, None] * grad_w
+        cand_b = b - lr * _means(resid, sizes)
+        cand_scores = _scores(X, cand_W) + cand_b[:, None]
+        cand_loss = loss_of(cand_scores, cand_W)
+        ok = cand_loss <= loss
+        W = np.where(ok[:, None], cand_W, W)
+        b = np.where(ok, cand_b, b)
+        loss = np.where(ok, cand_loss, loss)
+        scores = np.where(ok[:, None], cand_scores, scores)  # the next gradient's
+        lr = np.where(ok, lr, lr * 0.5)
+    return [LogRegModel(weights=W[r], bias=float(b[r])) for r in range(R)]
 
 
 @dataclass(frozen=True)
@@ -137,28 +201,46 @@ def train_linear_svm(
     iterate of a subgradient method keeps oscillating. Training is
     deterministic; ``seed`` is part of the shared trainer signature.
     """
-    _require_both_classes(dataset, "linear SVM")
-    X = dataset.vectors.astype(float)
-    y = 2.0 * dataset.labels.astype(float) - 1.0
-    n, d = X.shape
-    Xa = np.hstack([X, np.ones((n, 1))])
+    return train_linear_svm_many([dataset], [seed], epochs, l2, init)[0]
 
-    if init is not None and init.weights.shape == (d,):
-        theta = np.concatenate([init.weights, [init.bias]])
+
+def train_linear_svm_many(
+    datasets: list[Dataset],
+    seeds: list[int],
+    epochs: int = 500,
+    l2: float = 1e-3,
+    init: LinearSVMModel | None = None,
+) -> list[LinearSVMModel]:
+    """``train_linear_svm`` on each dataset, in lockstep.
+
+    Every epoch steps all datasets at once on one zero-padded block; a
+    padded row has label 0, so it never adds to a subgradient. Model i
+    equals ``train_linear_svm(datasets[i], seeds[i])`` bit for bit.
+    """
+    if not datasets:
+        return []
+    Xa, y, sizes = _stacked(datasets, seeds, "linear SVM", bias_column=True)
+    y = np.where(np.arange(y.shape[1]) < np.array(sizes)[:, None], 2.0 * y - 1.0, 0.0)
+    R, _, d1 = Xa.shape
+    if init is not None and init.weights.shape == (d1 - 1,):
+        theta = np.tile(np.concatenate([init.weights, [init.bias]]), (R, 1))
     else:
-        theta = np.zeros(d + 1)
+        theta = np.zeros((R, d1))
+    n = np.array(sizes, dtype=float)[:, None]
 
     radius = 1.0 / np.sqrt(l2)
-    averaged = np.zeros(d + 1)
+    averaged = np.zeros((R, d1))
     for t in range(1, epochs + 1):
         eta = 1.0 / (l2 * t)
-        margins = y * (Xa @ theta)
-        violating = margins < 1.0
-        grad = l2 * theta - (Xa[violating] * y[violating, None]).sum(axis=0) / n
-        theta = theta - eta * grad
-        norm = np.linalg.norm(theta)
-        if norm > radius:
-            theta = theta * (radius / norm)
+        margins = y * _scores(Xa, theta)
+        pull = (Xa * np.where(margins < 1.0, y, 0.0)[:, :, None]).sum(axis=1)
+        theta = theta - eta * (l2 * theta - pull / n)
+        norm = np.sqrt(np.vecdot(theta, theta))
+        outside = norm > radius
+        if outside.any():
+            theta[outside] *= (radius / norm[outside])[:, None]
         averaged += t * theta
     averaged *= 2.0 / (epochs * (epochs + 1))
-    return LinearSVMModel(weights=averaged[:d], bias=float(averaged[d]))
+    return [
+        LinearSVMModel(weights=averaged[r, :-1], bias=float(averaged[r, -1])) for r in range(R)
+    ]

@@ -17,6 +17,8 @@ def _minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
     Euclidean distance; distance ties broken by lower index so results are
     stable under any input permutation of equal points. Distances are
     computed BLOCK_ROWS rows at a time, so memory is O(BLOCK_ROWS * n * d).
+    Each row's k-th smallest distance is found by partition; only the
+    candidates at or below it are sorted, by (distance, column).
     """
     n = points.shape[0]
     order = np.empty((n, k), dtype=np.int64)
@@ -26,7 +28,12 @@ def _minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
         dist = np.sqrt((diffs**2).sum(axis=2))
         rows = np.arange(len(block))
         dist[rows, start + rows] = np.inf
-        order[start + rows] = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        # row-major, so each row's candidates come in column order
+        cand_rows, cand_cols = np.nonzero(dist <= kth[:, None])
+        ranked = np.lexsort((cand_cols, dist[cand_rows, cand_cols], cand_rows))
+        first = np.searchsorted(cand_rows[ranked], rows)
+        order[start + rows] = cand_cols[ranked][first[:, None] + np.arange(k)]
     return order
 
 
@@ -45,7 +52,7 @@ def smote(dataset: Dataset, k_neighbors: int, seed: int) -> Dataset:
     n_needed = abs(zeros - ones)
 
     order = dataset.canonical_order()
-    minority_rows = [i for i in order if dataset.labels[i] == minority_label]
+    minority_rows = order[dataset.labels[order] == minority_label]
     n_min = len(minority_rows)
     if n_min < 2:
         raise ValidationError(

@@ -101,7 +101,7 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
 
     folds: list[list[int]] = [[] for _ in range(k)]
     for label in (0, 1):
-        rows = np.array([i for i in order if dataset.labels[i] == label], dtype=int)
+        rows = order[dataset.labels[order] == label]
         if len(rows) == 0:
             continue
         rng.shuffle(rows)
@@ -124,13 +124,16 @@ def kfold_cv(
     train_fn: Callable[[list[Dataset], list[int]], list],
     seed: int,
     smote_neighbors: int | None = None,
-) -> Metrics:
+    deployed: tuple[Dataset, int] | None = None,
+):
     """Stratified k-fold CV; metrics pooled over all test predictions.
 
     Every fold's training set is built first and ``train_fn`` fits them
     all in one call, returning one model per (dataset, seed) pair, so a
     learner may train the folds together. When ``smote_neighbors`` is
-    set, SMOTE rebalances each training fold (never the test fold).
+    set, SMOTE rebalances each training fold (never the test fold). A
+    ``deployed`` (dataset, seed) pair is trained in the same call, after
+    the folds, and the result is then (metrics, deployed model).
     """
     folds = [(j, f) for j, f in enumerate(stratified_folds(dataset, k, seed)) if len(f)]
     n = len(dataset)
@@ -144,13 +147,20 @@ def kfold_cv(
             if zeros != ones and min(zeros, ones) >= 2:
                 train_ds = smote(train_ds, smote_neighbors, derive_seed(seed, "smote", j))
         train_sets.append(train_ds)
-    models = train_fn(train_sets, [derive_seed(seed, "fold", j) for j, _ in folds])
+    seeds = [derive_seed(seed, "fold", j) for j, _ in folds]
+    if deployed is not None:
+        train_sets.append(deployed[0])
+        seeds.append(deployed[1])
+    models = train_fn(train_sets, seeds)
+    if len(models) != len(train_sets):
+        raise AssertionError("train_fn must return one model per dataset")
 
     all_preds = np.empty(n, dtype=int)
     tested = np.zeros(n, dtype=bool)
-    for (_, test_idx), model in zip(folds, models, strict=True):
+    for (_, test_idx), model in zip(folds, models):
         all_preds[test_idx] = model.predict(dataset.vectors[test_idx])
         tested[test_idx] = True
     if not tested.all():
         raise AssertionError("every row must appear in exactly one test fold")
-    return compute_metrics(all_preds, dataset.labels)
+    metrics = compute_metrics(all_preds, dataset.labels)
+    return metrics if deployed is None else (metrics, models[-1])

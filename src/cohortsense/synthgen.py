@@ -609,10 +609,11 @@ def load_plan(path: str | Path) -> CohortPlan:
     )
 
 
-def _read_csv(path: Path, columns: tuple[str, ...], parse) -> list:
-    """``parse(*cells)`` of each data row of a CSV file, cells in the order of
-    ``columns``; a missing column or a rejected row raises ValidationError
-    with its line."""
+def _read_csv(path: Path, columns: tuple[str, ...], convert):
+    """``convert(*cells)`` of a CSV file's data rows, given one tuple of cells
+    per name in ``columns``. A missing column raises ValidationError naming
+    the file; when ``convert`` rejects the file, it is applied again row by
+    row, so that the error names the first rejected line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -620,46 +621,61 @@ def _read_csv(path: Path, columns: tuple[str, ...], parse) -> list:
         if missing:
             raise ValidationError(f"{path}, line 1: missing columns {', '.join(missing)}")
         at = [header.index(c) for c in columns]
-        parsed = []
+        rows = [row for row in reader if row]
+    if min(map(len, rows), default=len(header)) >= len(header):
+        cells = list(zip(*rows)) or [()] * len(header)
+        try:
+            return convert(*[cells[i] for i in at])
+        except (ValueError, KeyError, TypeError):
+            pass
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for row in reader:
             if not row:
                 continue
             try:
                 if len(row) < len(header):
                     raise ValueError(f"{len(row)} fields, the header has {len(header)}")
-                parsed.append(parse(*[row[i] for i in at]))
+                convert(*[(row[i],) for i in at])
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
-    return parsed
+    raise AssertionError(f"{path}: rejected as a whole, yet every row passes")
 
 
 _SEGMENT_CODE = {seg.value: code for code, seg in enumerate(SEGMENT_ORDER)}
 
 
-def _cell(text: str) -> float:
-    """A feature cell: blank is missing (NaN); otherwise a finite number."""
-    if not text:
-        return math.nan
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"feature value {text!r} is not a finite number")
-    return value
+def _feature_column(cells: tuple[str, ...]) -> np.ndarray:
+    """A feature column: blank cells are missing (NaN), any other cell must
+    be a finite number. One conversion of the whole column, with ``float``'s
+    own parsing and errors."""
+    values = np.array([c or "nan" for c in cells], dtype=float)
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        if cells[i]:
+            raise ValueError(f"feature value {cells[i]!r} is not a finite number")
+    return values
 
 
-def _week_row(week: int):
-    """Parser of one week_<n>.csv row, checked against the file's week."""
+def _week_columns(week: int):
+    """Converter of a week_<n>.csv file's columns, checked against the file's
+    week: distinct week, day and segment cells are checked once each."""
 
-    def parse(pid, row_week, day, segment, *cells):
-        if int(row_week) != week:
-            raise ValueError(f"row has week {row_week}, the file is week {week}")
-        if date.fromisoformat(day).isoformat() != day:
-            raise ValueError(f"day {day!r} is not an ISO date (YYYY-MM-DD)")
-        if segment not in _SEGMENT_CODE:
-            raise ValueError(f"unknown segment {segment!r}")
-        values = [_cell(c) for c in cells[:-1]]
-        return pid, day, _SEGMENT_CODE[segment], values, cells[-1] or None
+    def convert(pids, weeks, days, segments, *cells):
+        for row_week in set(weeks):
+            if int(row_week) != week:
+                raise ValueError(f"row has week {row_week}, the file is week {week}")
+        for day in set(days):
+            if date.fromisoformat(day).isoformat() != day:
+                raise ValueError(f"day {day!r} is not an ISO date (YYYY-MM-DD)")
+        for segment in set(segments):
+            if segment not in _SEGMENT_CODE:
+                raise ValueError(f"unknown segment {segment!r}")
+        features = [_feature_column(column) for column in cells[:-1]]
+        tokens = [t or None for t in cells[-1]]
+        return pids, days, [_SEGMENT_CODE[seg] for seg in segments], features, tokens
 
-    return parse
+    return convert
 
 
 def load_batches(data_dir: str | Path) -> list[WeeklyBatch]:
@@ -674,7 +690,7 @@ def load_batches(data_dir: str | Path) -> list[WeeklyBatch]:
         _read_csv(
             labels_path,
             ("participant_id", "score"),
-            lambda pid, score: (pid, validate_score(int(score))),
+            lambda pids, scores: list(zip(pids, [validate_score(int(s)) for s in scores])),
         )
     )
 
@@ -691,16 +707,14 @@ def load_batches(data_dir: str | Path) -> list[WeeklyBatch]:
         raise ValidationError(f"no week_<n>.csv files found in {data}")
     batches = []
     for week, path in sorted(week_files.items()):
-        rows = _read_csv(path, _CSV_COLUMNS, _week_row(week))
-        pids, days, segments, values, tokens = zip(*rows) if rows else ((),) * 5
-        values = np.array(values, dtype=float).reshape(len(rows), len(FEATURES))
+        pids, days, segments, features, tokens = _read_csv(path, _CSV_COLUMNS, _week_columns(week))
         batches.append(
             WeeklyBatch.from_columns(
                 week=week,
                 participant_ids=pids,
                 days=days,
                 segments=segments,
-                continuous=dict(zip(sorted(FEATURES), values.T)),
+                continuous=dict(zip(sorted(FEATURES), features)),
                 categorical={CATEGORICAL_FEATURE: tokens},
                 labels={pid: labels[pid] for pid in set(pids) if pid in labels},
             )

@@ -1,5 +1,7 @@
 """Tests for batch DBSCAN, the incremental registry, and identity tracking."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,8 +66,48 @@ def test_batch_stacked_duplicates_form_one_cluster():
     assert clusters["p0"] == frozenset({"p0", "p1", "p2", "p3"})
 
 
+def textbook_dbscan(X, eps, min_pts):
+    """DBSCAN as Ester et al. (KDD 1996) state it: a core has at least
+    ``min_pts`` points within ``eps``, itself included; each cluster is a
+    breadth-first search over the eps-graph from an unlabelled core, which
+    labels borders but expands only from cores. Returns the core mask and
+    one label per point, -1 for noise."""
+    adjacent = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2) <= eps * eps
+    core = adjacent.sum(axis=1) >= min_pts
+    labels = np.full(len(X), -1)
+    cluster = 0
+    for start in np.flatnonzero(core):
+        if labels[start] >= 0:
+            continue
+        labels[start] = cluster
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            if core[i]:
+                for j in np.flatnonzero(adjacent[i] & (labels < 0)):
+                    labels[j] = cluster
+                    queue.append(j)
+        cluster += 1
+    return core, labels
+
+
+def cores_noise_parts(ids, core, labels):
+    """Core ids, noise ids, and the core partition up to relabelling."""
+    parts = [{ids[i] for i in np.flatnonzero(core & (labels == c))} for c in set(labels[core])]
+    return (
+        {ids[i] for i in np.flatnonzero(core)},
+        {ids[i] for i in np.flatnonzero(labels == -1)},
+        sorted(map(sorted, parts)),
+    )
+
+
 def test_batch_matches_sklearn_on_cores_and_noise():
-    sklearn_cluster = pytest.importorskip("sklearn.cluster")
+    """Batch DBSCAN against the textbook search always, and against
+    scikit-learn's DBSCAN too where it is installed."""
+    try:
+        from sklearn.cluster import DBSCAN
+    except ImportError:
+        DBSCAN = None
     for seed in range(5):
         pts = clustered_data(seed, n=100, dim=2)
         ids = sorted(pts)
@@ -73,26 +115,18 @@ def test_batch_matches_sklearn_on_cores_and_noise():
         eps, min_pts = 0.9, 5
         clusters, noise = batch_dbscan(pts, eps, min_pts)
 
-        ref = sklearn_cluster.DBSCAN(eps=eps, min_samples=min_pts).fit(X)
-        ref_core = {ids[i] for i in ref.core_sample_indices_}
-        ref_noise = {ids[i] for i in range(len(ids)) if ref.labels_[i] == -1}
-
-        mine_core = set()
-        counts = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2) <= eps * eps
-        for i, pid in enumerate(ids):
-            if counts[i].sum() >= min_pts:
-                mine_core.add(pid)
-        assert mine_core == ref_core
+        ref_core, ref_noise, ref_parts = cores_noise_parts(ids, *textbook_dbscan(X, eps, min_pts))
+        assert ref_parts and ref_noise  # the draw has both clusters and noise
         assert set(noise) == ref_noise
         # core points must be partitioned identically (up to relabeling)
-        ref_part = {}
-        for i, pid in enumerate(ids):
-            if pid in ref_core:
-                ref_part.setdefault(ref.labels_[i], set()).add(pid)
-        my_part = {k: set(m) & mine_core for k, m in clusters.items()}
-        assert sorted(map(sorted, ref_part.values())) == sorted(
-            map(sorted, my_part.values())
-        )
+        assert sorted(sorted(set(m) & ref_core) for m in clusters.values()) == ref_parts
+        assert set().union(*clusters.values()) | ref_noise == set(ids)
+
+        if DBSCAN is not None:
+            ref = DBSCAN(eps=eps, min_samples=min_pts).fit(X)
+            sk_core = np.zeros(len(ids), dtype=bool)
+            sk_core[ref.core_sample_indices_] = True
+            assert cores_noise_parts(ids, sk_core, ref.labels_) == (ref_core, ref_noise, ref_parts)
 
 
 # ---------------------------------------------------------------- registry

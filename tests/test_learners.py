@@ -144,6 +144,20 @@ def test_smote_count_arithmetic():
         assert np.array_equal(row, points[src] + u * (points[nn] - points[src]))
 
 
+def argsort_neighbors(points, k, block_rows):
+    """The earlier selection, kept as the reference: a full stable argsort
+    of each block of distance rows."""
+    n = points.shape[0]
+    order = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, block_rows):
+        block = points[start : start + block_rows]
+        dist = np.sqrt(((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+        rows = np.arange(len(block))
+        dist[rows, start + rows] = np.inf
+        order[start + rows] = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return order
+
+
 @pytest.mark.parametrize("block_rows", [1, 7, 256])
 def test_minority_neighbors_blocked_equals_dense(monkeypatch, block_rows):
     from cohortsense.learners import sampling
@@ -154,12 +168,33 @@ def test_minority_neighbors_blocked_equals_dense(monkeypatch, block_rows):
         # a coarse lattice, so that duplicates and distance ties are common
         points = rng.integers(0, 4, size=(n, dim)).astype(float)
         points[n // 2] = points[0]
-        k = min(5, n - 1)
-        diffs = points[:, None, :] - points[None, :, :]
-        dense = np.sqrt((diffs**2).sum(axis=2))
-        np.fill_diagonal(dense, np.inf)
-        expected = np.argsort(dense, axis=1, kind="stable")[:, :k]
-        assert np.array_equal(sampling._minority_neighbors(points, k), expected)
+        for k in range(1, n):
+            expected = argsort_neighbors(points, k, block_rows)
+            assert np.array_equal(sampling._minority_neighbors(points, k), expected), (n, k)
+
+
+def key_order(dataset):
+    """The earlier canonical order: sorted by (row id, label, vector bytes)."""
+    keys = [
+        (dataset.participant_ids[i], int(dataset.labels[i]), dataset.vectors[i].tobytes())
+        for i in range(len(dataset))
+    ]
+    return np.array(sorted(range(len(dataset)), key=lambda i: keys[i]), dtype=int)
+
+
+def test_canonical_order_sorts_row_ids_and_rejects_repeats():
+    rng = np.random.default_rng(31)
+    for trial in range(5):
+        n = int(rng.integers(20, 80))
+        labels = (rng.random(n) < 0.25).astype(int)
+        labels[:2] = 1
+        pids = [f"P{i:03d}_w{int(rng.integers(1, 11)):02d}" for i in rng.permutation(n)]
+        ds = smote(make_dataset(rng.normal(size=(n, 2)), labels, pids), 5, seed=trial)
+        ds = ds.subset(rng.permutation(len(ds)))  # originals and synthetics interleaved
+        assert np.array_equal(ds.canonical_order(), key_order(ds))
+    twice = make_dataset(np.zeros((3, 2)), [0, 1, 1], ("b", "a", "b"))
+    with pytest.raises(ValidationError, match="'b' is not unique"):
+        twice.canonical_order()
 
 
 def test_smote_minority_too_small():

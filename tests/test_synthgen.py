@@ -1,5 +1,7 @@
 """Tests for the synthetic cohort generator and its file formats."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,55 @@ def test_load_rejects_two_files_for_one_week(tmp_path, batches, plan):
     (tmp_path / "week_02.csv").write_bytes((tmp_path / "week_2.csv").read_bytes())
     with pytest.raises(ValidationError, match=r"week_02\.csv and .*week_2\.csv"):
         load_batches(tmp_path)
+
+
+def _edit_week_1(path, edits):
+    """Apply {(line, column): text} to week_1.csv; a column of None cuts the row short."""
+    with open(path / "week_1.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    for (line, column), text in edits.items():
+        row = rows[line - 1]
+        if column is None:
+            del row[3:]
+        else:
+            row[rows[0].index(column)] = text
+    with open(path / "week_1.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+FEATURE = sorted(FEATURES)[0]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({(40, FEATURE): "1x"}, "line 40: could not convert string to float: '1x'"),
+        ({(40, FEATURE): "nan"}, "line 40: feature value 'nan' is not a finite number"),
+        ({(40, FEATURE): "-inf"}, "line 40: feature value '-inf' is not a finite number"),
+        ({(40, "segment"): "noon"}, "line 40: unknown segment 'noon'"),
+        ({(40, "day"): "20190401"}, "line 40: day '20190401' is not an ISO date"),
+        ({(40, "week"): "3"}, "line 40: row has week 3, the file is week 1"),
+        ({(40, None): ""}, "line 40: 3 fields"),
+    ],
+    ids=["text", "nan", "inf", "segment", "day", "week", "short"],
+)
+def test_load_names_the_first_bad_line(tmp_path, batches, plan, bad, message):
+    write_cohort(tmp_path, batches[:1], plan)
+    # a later bad row, and blank or padded cells that are accepted
+    later = {(55, "segment"): "dusk", (30, FEATURE): "", (31, FEATURE): " 2.5"}
+    _edit_week_1(tmp_path, later | bad)
+    with pytest.raises(ValidationError, match=r"week_1\.csv, " + message.replace("(", r"\(")):
+        load_batches(tmp_path)
+
+
+def test_load_reads_blank_cells_as_missing_and_numbers_as_float_does(tmp_path, batches, plan):
+    write_cohort(tmp_path, batches[:1], plan)
+    cells = {30: "", 31: " 2.5", 32: "1_0"}
+    _edit_week_1(tmp_path, {(line, FEATURE): text for line, text in cells.items()})
+    back = load_batches(tmp_path)[0]
+    column = back.records[:, back.continuous_features.index(FEATURE)]
+    # rows keep their file order; line 2 is row 0
+    assert np.isnan(column[28]) and column[29] == 2.5 and column[30] == 10.0
+    unedited = np.ones(len(column), dtype=bool)
+    unedited[28:31] = False
+    assert np.array_equal(column[unedited], batches[0].records[unedited, 0], equal_nan=True)
