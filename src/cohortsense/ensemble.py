@@ -25,6 +25,7 @@ from .learners import (
     train_logreg,
     train_logreg_many,
     train_random_forest,
+    train_random_forest_many,
 )
 from .learners.base import KIND_ORDER, ModelKind, derive_seed
 
@@ -124,12 +125,11 @@ def _train_kind(kind: ModelKind, dataset: Dataset, seed: int, lc: LearnerConfig,
 def _train_many(
     kind: ModelKind, datasets: list[Dataset], seeds: list[int], lc: LearnerConfig, init=None
 ) -> list:
-    """One model per (dataset, seed); all kinds but the forest train them in lockstep."""
-    if kind is ModelKind.RANDOM_FOREST:
-        return [_train_kind(kind, ds, s, lc) for ds, s in zip(datasets, seeds)]
+    """One model per (dataset, seed), all trained in one call."""
     trainer = {
         ModelKind.LOGREG: train_logreg_many,
         ModelKind.LINEAR_SVM: train_linear_svm_many,
+        ModelKind.RANDOM_FOREST: train_random_forest_many,
         ModelKind.GBT: train_gbt_many,
     }[kind]
     return trainer(datasets, seeds, **_options(kind, lc, init))
@@ -371,12 +371,16 @@ def _set_to_json(model_set: ModelSet) -> dict:
 
 
 def _set_from_json(doc: dict) -> ModelSet:
+    input_dim = int(doc["input_dim"])
+    models = {ModelKind(k): model_from_json(m) for k, m in doc["models"].items()}
+    for model in models.values():
+        model.check_input_dim(input_dim)
     return ModelSet(
         scope=doc["scope"],
-        models={ModelKind(k): model_from_json(m) for k, m in doc["models"].items()},
+        models=models,
         validation_f1={ModelKind(k): float(v) for k, v in doc["validation_f1"].items()},
         trained_through_week=int(doc["trained_through_week"]),
-        input_dim=int(doc["input_dim"]),
+        input_dim=input_dim,
     )
 
 

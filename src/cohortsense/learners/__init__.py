@@ -12,7 +12,14 @@ from .linear import (
     train_logreg_many,
 )
 from .sampling import smote
-from .trees import ForestModel, GBTModel, train_gbt, train_gbt_many, train_random_forest
+from .trees import (
+    ForestModel,
+    GBTModel,
+    train_gbt,
+    train_gbt_many,
+    train_random_forest,
+    train_random_forest_many,
+)
 from .validation import Metrics, compute_metrics, kfold_cv, stratified_folds
 
 __all__ = [
@@ -36,6 +43,7 @@ __all__ = [
     "train_linear_svm",
     "train_linear_svm_many",
     "train_random_forest",
+    "train_random_forest_many",
     "train_gbt",
     "train_gbt_many",
 ]

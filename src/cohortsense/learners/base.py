@@ -83,17 +83,79 @@ class Dataset:
         return self.subset(self.canonical_order())
 
 
-def derive_seed(seed: int, *parts: object) -> int:
-    """Deterministically mix a root seed with context labels."""
-    entropy = [seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF]
+def _entropy(seed: int, parts: tuple) -> list[int]:
+    words = [seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF]
     for part in parts:
         if isinstance(part, int):
-            entropy.append(part & 0xFFFFFFFF)
+            words.append(part & 0xFFFFFFFF)
         else:
-            for byte in str(part).encode("utf-8"):
-                entropy.append(byte)
-    state = np.random.SeedSequence(entropy).generate_state(2)
+            words.extend(str(part).encode("utf-8"))
+    return words
+
+
+def derive_seed(seed: int, *parts: object) -> int:
+    """Deterministically mix a root seed with context labels."""
+    state = np.random.SeedSequence(_entropy(seed, parts)).generate_state(2)
     return int(state[0]) << 32 | int(state[1])
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def derive_seeds(seed: int, label: object, count: int) -> list[int]:
+    """``[derive_seed(seed, label, t) for t in range(count)]``, mixed at once.
+
+    Applies SeedSequence's pool mixing and ``generate_state(2)`` to all
+    ``count`` entropy vectors together in uint32 arithmetic (which wraps,
+    as the reference's does). The hash constants depend only on the
+    position of a word, never on its value, so every vector steps through
+    the same sequence of them.
+    """
+    prefix = _entropy(seed, (label,))
+    words = np.empty((len(prefix) + 1, count), dtype=np.uint32)
+    words[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
+    words[-1] = np.arange(count, dtype=np.uint64) & 0xFFFFFFFF
+
+    def hasher(const: int, mult: int):
+        def hash_words(value: np.ndarray) -> np.ndarray:
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & 0xFFFFFFFF
+            value = value * np.uint32(const)
+            return value ^ (value >> np.uint32(16))
+
+        return hash_words
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    zeros = np.zeros(count, dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(words)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(words[src]))
+
+    generate = hasher(_INIT_B, _MULT_B)
+    high, low = (generate(word).astype(np.uint64) for word in pool[:2])
+    return ((high << np.uint64(32)) | low).tolist()
+
+
+def check_batch(datasets: list[Dataset], seeds: list[int], kind: str) -> None:
+    """The preconditions every ``train_*_many`` trainer shares."""
+    if len(seeds) != len(datasets):
+        raise ValidationError(f"{len(datasets)} datasets but {len(seeds)} seeds")
+    if len({ds.dim for ds in datasets}) > 1:
+        raise ValidationError(f"{kind} datasets differ in dimension")
 
 
 def model_to_json(model) -> dict:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import ValidationError
-from .base import Dataset, ModelKind
+from .base import Dataset, ModelKind, check_batch
 
 
 def _require_both_classes(dataset: Dataset, kind: str) -> None:
@@ -15,6 +15,13 @@ def _require_both_classes(dataset: Dataset, kind: str) -> None:
     if zeros == 0 or ones == 0:
         raise ValidationError(
             f"{kind} training requires both classes, got {zeros} zeros / {ones} ones"
+        )
+
+
+def _check_weights(weights: np.ndarray, input_dim: int) -> None:
+    if weights.shape != (input_dim,):
+        raise ValidationError(
+            f"linear weights have shape {weights.shape}, expected ({input_dim},)"
         )
 
 
@@ -52,6 +59,9 @@ class LogRegModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_scores(X) >= 0.0).astype(int)
 
+    def check_input_dim(self, input_dim: int) -> None:
+        _check_weights(self.weights, input_dim)
+
     def to_json(self) -> dict:
         return {"weights": self.weights.tolist(), "bias": self.bias}
 
@@ -63,10 +73,7 @@ class LogRegModel:
 def _stacked(datasets: list[Dataset], seeds: list[int], kind: str, bias_column: bool):
     """Zero-padded ``(R, n_max, d)`` vectors (plus a column of ones on the
     real rows when ``bias_column``), ``(R, n_max)`` labels and row counts."""
-    if len(seeds) != len(datasets):
-        raise ValidationError(f"{len(datasets)} datasets but {len(seeds)} seeds")
-    if len({ds.dim for ds in datasets}) > 1:
-        raise ValidationError(f"{kind} datasets differ in dimension")
+    check_batch(datasets, seeds, kind)
     for dataset in datasets:
         _require_both_classes(dataset, kind)
     sizes = [len(ds) for ds in datasets]
@@ -85,12 +92,6 @@ def _scores(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """``X[r] @ W[r]`` for every r: one stacked matvec, each slice the same
     gemv as the one-dataset product."""
     return np.matmul(X, W[:, :, None])[:, :, 0]
-
-
-def _means(values: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """Mean of each row's first ``sizes[r]`` entries, summed exactly as
-    ``ndarray.mean`` sums (pairwise, so its rounding depends on the length)."""
-    return np.array([np.add.reduce(row[:n]) for row, n in zip(values, sizes)]) / sizes
 
 
 def train_logreg(
@@ -122,14 +123,22 @@ def train_logreg_many(
     """``train_logreg`` on each dataset, in lockstep.
 
     Every iteration takes one gradient step on all datasets, held in one
-    zero-padded block; each dataset keeps its own step size. Only the sums
-    whose rounding depends on the row count (``X.T @ resid`` and the means)
-    run one dataset at a time, so model i equals
+    zero-padded block; each dataset keeps its own step size. The sums
+    whose rounding depends on the row count (``X.T @ resid`` and the
+    means) run once per distinct dataset length, over the datasets of
+    that length stacked: each slice of a stacked ``matmul`` is the same
+    gemv as the one-dataset product, and a row-wise ``np.add.reduce``
+    sums each row pairwise as ``mean`` does. So model i equals
     ``train_logreg(datasets[i], seeds[i])`` bit for bit.
     """
     if not datasets:
         return []
-    X, y, sizes = _stacked(datasets, seeds, "logistic regression", bias_column=False)
+    # datasets sorted by length (stably), so those of one length are a
+    # slice; the seeds are unused, so only their count matters
+    order = np.argsort([len(ds) for ds in datasets], kind="stable")
+    X, y, sizes = _stacked(
+        [datasets[r] for r in order], seeds, "logistic regression", bias_column=False
+    )
     R, _, d = X.shape
     if init is not None and init.weights.shape == (d,):
         W = np.tile(init.weights, (R, 1))
@@ -138,21 +147,29 @@ def train_logreg_many(
         W = np.zeros((R, d))
         b = np.zeros(R)
     n = np.array(sizes, dtype=float)
+    ends = np.cumsum(np.unique(sizes, return_counts=True)[1]).tolist()
+    groups = [(slice(a, e), sizes[a]) for a, e in zip([0] + ends, ends)]
+    X_t = [X[g, :m].transpose(0, 2, 1) for g, m in groups]
+
+    def means(values):
+        return np.concatenate([np.add.reduce(values[g, :m], axis=1) for g, m in groups]) / n
 
     def loss_of(scores, W):
         # log(1 + exp(s)) - y*s, evaluated stably; the bias is unregularized
         ce = np.logaddexp(0.0, scores) - y * scores
-        return _means(ce, sizes) + np.vecdot(0.5 * l2 * W, W)
+        return means(ce) + np.vecdot(0.5 * l2 * W, W)
 
     lr = np.full(R, step)
     scores = _scores(X, W) + b[:, None]
     loss = loss_of(scores, W)
     for _ in range(iterations):
         resid = 1.0 / (1.0 + np.exp(-scores)) - y
-        grad_w = np.stack([X[r, :m].T @ resid[r, :m] for r, m in enumerate(sizes)])
+        grad_w = np.concatenate(
+            [np.matmul(x_t, resid[g, :m, None])[:, :, 0] for x_t, (g, m) in zip(X_t, groups)]
+        )
         grad_w = grad_w / n[:, None] + l2 * W
         cand_W = W - lr[:, None] * grad_w
-        cand_b = b - lr * _means(resid, sizes)
+        cand_b = b - lr * means(resid)
         cand_scores = _scores(X, cand_W) + cand_b[:, None]
         cand_loss = loss_of(cand_scores, cand_W)
         ok = cand_loss <= loss
@@ -161,7 +178,10 @@ def train_logreg_many(
         loss = np.where(ok, cand_loss, loss)
         scores = np.where(ok[:, None], cand_scores, scores)  # the next gradient's
         lr = np.where(ok, lr, lr * 0.5)
-    return [LogRegModel(weights=W[r], bias=float(b[r])) for r in range(R)]
+    return [
+        LogRegModel(weights=W[slot], bias=float(b[slot]))
+        for slot in np.argsort(order).tolist()
+    ]
 
 
 @dataclass(frozen=True)
@@ -176,6 +196,9 @@ class LinearSVMModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_scores(X) >= 0.0).astype(int)
+
+    def check_input_dim(self, input_dim: int) -> None:
+        _check_weights(self.weights, input_dim)
 
     def to_json(self) -> dict:
         return {"weights": self.weights.tolist(), "bias": self.bias}

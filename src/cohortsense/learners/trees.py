@@ -1,12 +1,15 @@
 """CART random forest and gradient-boosted trees, built from scratch.
 
 Both learners share one level-wise grower that grows many trees at once:
-a forest's trees, or the next boosting round of every dataset that
-``train_gbt_many`` trains in lockstep (the folds of one CV). Each tree's
+the trees of every forest that ``train_random_forest_many`` trains (the
+folds of one CV and the deployed fit), or the next boosting round of
+every dataset that ``train_gbt_many`` trains in lockstep. Each tree's
 root carries its own binned rows, thresholds and target; each level's
 histograms for every frontier node of every root come from one pair of
 ``bincount`` calls, and each tree is the one a one-root call grows. A
 pass holds at most ``PASS_ROWS`` training rows, which bounds its memory.
+A model keeps all its trees in one stacked ``NodeTable``, gathered from
+the grower's raw node tables by one stable sort per trainer call.
 Split candidates are the midpoints between distinct sorted feature
 values, capped at 32 quantile bins per feature for large cardinalities;
 search is exact over those candidates (Gini for classification, squared
@@ -16,40 +19,78 @@ error for regression).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from ..core import ValidationError
-from .base import Dataset, ModelKind, derive_seed
+from .base import Dataset, ModelKind, check_batch, derive_seeds
 
 MAX_BINS = 32
 PASS_ROWS = 20_000  # training rows, summed over roots, grown in one pass
 
 
-@dataclass
-class _Tree:
+@dataclass(frozen=True)
+class NodeTable:
+    """The nodes of a model's trees in one table, grouped tree by tree.
+
+    ``roots`` holds the index of each tree's root; child ids index the
+    table itself, so prediction walks every tree at once.
+    """
+
+    roots: np.ndarray  # (n_trees,) int
     feature: np.ndarray  # (n_nodes,) int, -1 at leaves
     threshold: np.ndarray  # (n_nodes,) float
     left: np.ndarray  # (n_nodes,) int child ids, -1 at leaves
     right: np.ndarray
     value: np.ndarray  # (n_nodes,) float leaf outputs
 
-    def to_json(self) -> dict:
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """Leaf values of every tree for every row; shape (n_rows, n_trees)."""
+        n = X.shape[0]
+        idx = np.broadcast_to(self.roots, (n, self.roots.size)).copy()
+        rows = np.arange(n)[:, None]
+        for _ in range(64):  # depth is bounded far below this
+            internal = self.left[idx] >= 0
+            if not internal.any():
+                break
+            feat = np.where(internal, self.feature[idx], 0)
+            go_left = X[rows, feat] <= self.threshold[idx]
+            nxt = np.where(go_left, self.left[idx], self.right[idx])
+            idx = np.where(internal, nxt, idx)
+        return self.value[idx]
+
+    def check_input_dim(self, input_dim: int) -> None:
+        """Raise ValidationError unless every split reads a feature of an
+        ``input_dim``-wide vector at a finite threshold."""
+        split = self.left >= 0
+        bad = split & ((self.feature < 0) | (self.feature >= input_dim))
+        if bad.any():
+            raise ValidationError(
+                f"tree split on feature {int(self.feature[bad][0])}, "
+                f"outside [0, {input_dim})"
+            )
+        if not np.isfinite(self.threshold[split]).all():
+            raise ValidationError("tree split threshold is not finite")
+
+    def to_json(self) -> list[dict]:
+        feature, threshold, left, right, value = (
+            a.tolist() for a in (self.feature, self.threshold, self.left, self.right, self.value)
+        )
+
         def node(i: int) -> dict:
-            if self.left[i] < 0:
-                return {"leaf": float(self.value[i])}
+            if left[i] < 0:
+                return {"leaf": value[i]}
             return {
-                "feature": int(self.feature[i]),
-                "threshold": float(self.threshold[i]),
-                "left": node(int(self.left[i])),
-                "right": node(int(self.right[i])),
+                "feature": feature[i],
+                "threshold": threshold[i],
+                "left": node(left[i]),
+                "right": node(right[i]),
             }
 
-        return node(0)
+        return [node(r) for r in self.roots.tolist()]
 
     @classmethod
-    def from_json(cls, doc: dict) -> "_Tree":
+    def from_json(cls, docs: list[dict]) -> "NodeTable":
         feature: list[int] = []
         threshold: list[float] = []
         left: list[int] = []
@@ -72,8 +113,9 @@ class _Tree:
                 right[i] = build(node["right"])
             return i
 
-        build(doc)
+        roots = [build(doc) for doc in docs]
         return cls(
+            roots=np.array(roots, dtype=np.int64),
             feature=np.array(feature, dtype=np.int64),
             threshold=np.array(threshold, dtype=float),
             left=np.array(left, dtype=np.int64),
@@ -82,42 +124,46 @@ class _Tree:
         )
 
 
-def _stack_trees(trees: list[_Tree]) -> dict:
-    """Concatenate tree node tables so prediction walks all trees at once."""
-    offsets = np.cumsum([0] + [t.feature.size for t in trees[:-1]], dtype=np.int64)
-    feature = np.concatenate([t.feature for t in trees])
-    threshold = np.concatenate([t.threshold for t in trees])
-    left = np.concatenate(
-        [np.where(t.left >= 0, t.left + off, -1) for t, off in zip(trees, offsets)]
-    )
-    right = np.concatenate(
-        [np.where(t.right >= 0, t.right + off, -1) for t, off in zip(trees, offsets)]
-    )
-    value = np.concatenate([t.value for t in trees])
-    return {
-        "roots": offsets,
-        "feature": feature,
-        "threshold": threshold,
-        "left": left,
-        "right": right,
-        "value": value,
-    }
+def _collect(parts: list[tuple], n_models: int, trees_per_model: int) -> list[NodeTable]:
+    """Group the raw node tables of ``_grow`` calls into one table per model.
 
-
-def _stacked_predict(stack: dict, X: np.ndarray) -> np.ndarray:
-    """Leaf values of every tree for every row; shape (n_rows, n_trees)."""
-    n = X.shape[0]
-    idx = np.broadcast_to(stack["roots"], (n, stack["roots"].size)).copy()
-    rows = np.arange(n)[:, None]
-    for _ in range(64):  # depth is bounded far below this
-        internal = stack["left"][idx] >= 0
-        if not internal.any():
-            break
-        feat = np.where(internal, stack["feature"][idx], 0)
-        go_left = X[rows, feat] <= stack["threshold"][idx]
-        nxt = np.where(go_left, stack["left"][idx], stack["right"][idx])
-        idx = np.where(internal, nxt, idx)
-    return stack["value"][idx]
+    Each part is ``(tree id, feature, threshold, left, right, value)`` per
+    node, with child ids local to its call; model m holds trees
+    ``m * trees_per_model`` onward. One stable argsort groups the nodes by
+    tree, which keeps each tree's nodes in the order its call numbered
+    them: its root, then its children level by level. Each model gathers
+    its own rows, so it keeps none of the other models' nodes alive.
+    """
+    sizes = np.array([p[0].size for p in parts], dtype=np.int64)
+    tree, feature, threshold, left, right, value = (
+        np.concatenate([np.empty(0, dtype=dt)] + [p[c] for p in parts])
+        for c, dt in enumerate((np.int64, np.int64, float, np.int64, np.int64, float))
+    )
+    offset = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    order = np.argsort(tree, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    # child ids as positions in the grouped order; leaves keep -1
+    left = np.where(left >= 0, position[left + offset], -1)
+    right = np.where(right >= 0, position[right + offset], -1)
+    counts = np.bincount(tree, minlength=n_models * trees_per_model)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    tables = []
+    for m in range(n_models):
+        first = starts[m * trees_per_model : (m + 1) * trees_per_model + 1]
+        a = first[0]
+        rows = order[a : first[-1]]
+        tables.append(
+            NodeTable(
+                roots=first[:-1] - a,
+                feature=feature[rows],
+                threshold=threshold[rows],
+                left=np.where(left[rows] >= 0, left[rows] - a, -1),
+                right=np.where(right[rows] >= 0, right[rows] - a, -1),
+                value=value[rows],
+            )
+        )
+    return tables
 
 
 def _bin_columns(X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -173,11 +219,12 @@ def _grow(
     edge_values: np.ndarray,
     edge_ok: np.ndarray,
     target: np.ndarray,
+    tree_ids: np.ndarray,
     max_depth: int,
     classification: bool,
     rngs: list[np.random.Generator] | None = None,
     features_per_split: int = 0,
-) -> tuple[list[_Tree], np.ndarray]:
+) -> tuple[tuple, np.ndarray]:
     """Grow one tree per root, level by level, all roots at once.
 
     Rows are laid out root after root (``root_rows`` of them each) and
@@ -191,8 +238,10 @@ def _grow(
     ``random((frontier, d))`` per level below ``max_depth`` and keeps the
     ``features_per_split`` best-ranked features of each node.
 
-    Returns the trees plus their outputs on the training rows (their
-    final leaf values), which spares boosting a full predict per round.
+    Returns the raw node table, each node tagged with its root's entry of
+    ``tree_ids``, in the layout ``_collect`` takes, plus the trees' outputs
+    on the training rows (their final leaf values), which spares boosting
+    a full predict per round.
     """
     n, d = binned.shape
     n_roots = len(root_rows)
@@ -299,46 +348,29 @@ def _grow(
 
         frontier = child_base + np.arange(2 * n_split, dtype=np.int64)
 
-    # Split the node tables by root. A root's nodes, in global id order,
-    # are its root and then its children level by level: the numbering a
-    # one-root call gives them.
-    order = np.argsort(node_root, kind="stable")
-    counts = np.bincount(node_root, minlength=n_roots)
-    local = np.empty_like(order)
-    local[order] = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    tables = [
-        feature[order],
-        threshold[order],
-        np.where(left >= 0, local[left], -1)[order],
-        np.where(right >= 0, local[right], -1)[order],
-        value[order],
-    ]
-    ends = np.cumsum(counts).tolist()
-    trees = [_Tree(*(t[a:b] for t in tables)) for a, b in zip([0] + ends, ends)]
-    return trees, value[row_node]
+    return (tree_ids[node_root], feature, threshold, left, right, value), value[row_node]
 
 
 @dataclass(frozen=True)
 class ForestModel:
-    trees: list[_Tree]
+    nodes: NodeTable
 
     kind = ModelKind.RANDOM_FOREST
 
-    @cached_property
-    def _stack(self) -> dict:
-        return _stack_trees(self.trees)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        votes = _stacked_predict(self._stack, np.asarray(X, dtype=float)).sum(axis=1)
+        votes = self.nodes.leaves(np.asarray(X, dtype=float)).sum(axis=1)
         # majority of tree votes; exact tie predicts lonely (1)
-        return (2.0 * votes >= len(self.trees)).astype(int)
+        return (2.0 * votes >= self.nodes.roots.size).astype(int)
+
+    def check_input_dim(self, input_dim: int) -> None:
+        self.nodes.check_input_dim(input_dim)
 
     def to_json(self) -> dict:
-        return {"trees": [t.to_json() for t in self.trees]}
+        return {"trees": self.nodes.to_json()}
 
     @classmethod
     def from_json(cls, doc: dict) -> "ForestModel":
-        return cls(trees=[_Tree.from_json(t) for t in doc["trees"]])
+        return cls(nodes=NodeTable.from_json(doc["trees"]))
 
 
 def train_random_forest(
@@ -350,71 +382,95 @@ def train_random_forest(
     independent of input row order. Single-class data is allowed and
     yields a constant predictor.
     """
-    if len(dataset) == 0:
-        raise ValidationError("random forest requires a nonempty dataset")
-    ds = dataset.canonicalized()
-    X = ds.vectors.astype(float)
-    y = ds.labels.astype(float)
-    n, d = X.shape
-    features_per_split = max(1, int(np.sqrt(d)))
+    return train_random_forest_many([dataset], [seed], n_trees=n_trees, max_depth=max_depth)[0]
 
-    # candidate thresholds come from the full training data; each bootstrap
-    # then selects rows of the pre-binned matrix
-    edges, binned = _bin_columns(X)
-    edge_values, edge_ok = _edge_table([edges])
-    trees: list[_Tree] = []
-    for run in _passes([n] * n_trees):
+
+def train_random_forest_many(
+    datasets: list[Dataset], seeds: list[int], n_trees: int = 100, max_depth: int = 8
+) -> list[ForestModel]:
+    """``train_random_forest`` on each dataset, all trees grown together.
+
+    The trees of every dataset are laid out dataset after dataset and
+    grown PASS_ROWS rows at a time, so a pass may hold trees of several
+    datasets; each root reads its own dataset's thresholds. Model i equals
+    ``train_random_forest(datasets[i], seeds[i])``.
+    """
+    check_batch(datasets, seeds, "random forest")
+    if any(len(ds) == 0 for ds in datasets):
+        raise ValidationError("random forest requires a nonempty dataset")
+    if not datasets:
+        return []
+    canon = [ds.canonicalized() for ds in datasets]
+    d = canon[0].dim
+    features_per_split = max(1, int(np.sqrt(d)))
+    sizes = [len(ds) for ds in canon]
+    starts = np.cumsum([0] + sizes[:-1])
+
+    # candidate thresholds come from each dataset's full training data; each
+    # bootstrap then selects rows of its dataset's pre-binned matrix
+    edges, binned = zip(*(_bin_columns(ds.vectors.astype(float)) for ds in canon))
+    edge_values, edge_ok = _edge_table(list(edges))
+    binned = np.concatenate(binned)
+    y = np.concatenate([ds.labels.astype(float) for ds in canon])
+
+    # tree t of dataset i is root i * n_trees + t
+    owner = np.repeat(np.arange(len(canon)), n_trees)
+    tree_seeds = [s for seed in seeds for s in derive_seeds(seed, "tree", n_trees)]
+    root_rows = [sizes[i] for i in owner.tolist()]
+    parts = []
+    for run in _passes(root_rows):
         # one stream per tree: its bootstrap, then its per-level draws
-        rngs = [
-            np.random.default_rng(derive_seed(seed, "tree", t))
-            for t in range(n_trees)[run]
-        ]
-        boot = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
-        shape = (len(rngs),) + edge_values.shape[1:]
-        grown, _ = _grow(
+        rngs = [np.random.default_rng(s) for s in tree_seeds[run]]
+        boot = np.concatenate(
+            [
+                rng.integers(0, n, size=n) + starts[i]
+                for rng, n, i in zip(rngs, root_rows[run], owner[run])
+            ]
+        )
+        part, _ = _grow(
             binned[boot],
-            [n] * len(rngs),
-            np.broadcast_to(edge_values, shape),
-            np.broadcast_to(edge_ok, shape),
+            root_rows[run],
+            edge_values[owner[run]],
+            edge_ok[owner[run]],
             y[boot],
+            np.arange(len(owner))[run],
             max_depth=max_depth,
             classification=True,
             rngs=rngs if features_per_split < d else None,
             features_per_split=features_per_split,
         )
-        trees.extend(grown)
-    return ForestModel(trees=trees)
+        parts.append(part)
+    return [ForestModel(nodes) for nodes in _collect(parts, len(canon), n_trees)]
 
 
 @dataclass(frozen=True)
 class GBTModel:
     init_score: float
     learning_rate: float
-    trees: list[_Tree]
+    nodes: NodeTable
     train_log_loss: list[float] = field(default_factory=list)
 
     kind = ModelKind.GBT
 
-    @cached_property
-    def _stack(self) -> dict:
-        return _stack_trees(self.trees)
-
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
         scores = np.full(X.shape[0], self.init_score)
-        if self.trees:
-            leaf = _stacked_predict(self._stack, np.asarray(X, dtype=float))
+        if self.nodes.roots.size:
+            leaf = self.nodes.leaves(np.asarray(X, dtype=float))
             scores = scores + self.learning_rate * leaf.sum(axis=1)
         return scores
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (1.0 / (1.0 + np.exp(-self.decision_scores(X))) >= 0.5).astype(int)
 
+    def check_input_dim(self, input_dim: int) -> None:
+        self.nodes.check_input_dim(input_dim)
+
     def to_json(self) -> dict:
         return {
             "init_score": self.init_score,
             "learning_rate": self.learning_rate,
             "train_log_loss": list(self.train_log_loss),
-            "trees": [t.to_json() for t in self.trees],
+            "trees": self.nodes.to_json(),
         }
 
     @classmethod
@@ -422,7 +478,7 @@ class GBTModel:
         return cls(
             init_score=float(doc["init_score"]),
             learning_rate=float(doc["learning_rate"]),
-            trees=[_Tree.from_json(t) for t in doc["trees"]],
+            nodes=NodeTable.from_json(doc["trees"]),
             train_log_loss=[float(x) for x in doc["train_log_loss"]],
         )
 
@@ -463,58 +519,81 @@ def train_gbt_many(
     (datasets are taken PASS_ROWS rows at a time), and model i equals
     ``train_gbt(datasets[i], seeds[i])``.
     """
-    if len(seeds) != len(datasets):
-        raise ValidationError(f"{len(datasets)} datasets but {len(seeds)} seeds")
+    check_batch(datasets, seeds, "gradient boosting")
     for dataset in datasets:
         zeros, ones = dataset.class_counts()
         if zeros == 0 or ones == 0:
             raise ValidationError(
                 f"gradient boosting requires both classes, got {zeros} zeros / {ones} ones"
             )
-    models: list[GBTModel] = []
+    init_scores: list[float] = []
+    losses: list[list[float]] = []
+    parts: list[tuple] = []
     for run in _passes([len(ds) for ds in datasets]):
-        models.extend(_boost(datasets[run], n_rounds, max_depth, learning_rate))
-    return models
+        scores, loss, grown = _boost(
+            datasets[run], run.start, n_rounds, max_depth, learning_rate
+        )
+        init_scores.extend(scores)
+        losses.extend(loss)
+        parts.extend(grown)
+    return [
+        GBTModel(
+            init_score=init_score,
+            learning_rate=learning_rate,
+            nodes=nodes,
+            train_log_loss=loss,
+        )
+        for init_score, nodes, loss in zip(
+            init_scores, _collect(parts, len(datasets), n_rounds), losses
+        )
+    ]
 
 
 def _boost(
-    datasets: list[Dataset], n_rounds: int, max_depth: int, learning_rate: float
-) -> list[GBTModel]:
-    """One pass of ``train_gbt_many``: each round grows one tree per dataset."""
+    datasets: list[Dataset], first: int, n_rounds: int, max_depth: int, learning_rate: float
+) -> tuple[list[float], list[list[float]], list[tuple]]:
+    """One pass of ``train_gbt_many``: each round grows one tree per dataset.
+
+    Dataset r of the pass is dataset ``first + r`` of the call, and its
+    tree of round k gets tree id ``(first + r) * n_rounds + k``. Returns
+    the initial scores, the per-round training losses and the raw node
+    tables.
+    """
     canon = [ds.canonicalized() for ds in datasets]
     labels = [ds.labels.astype(float) for ds in canon]
     init_scores = []
     for y in labels:
         base = y.mean()
         init_scores.append(float(np.log(base / (1.0 - base))))
-    sizes = [len(y) for y in labels]
-    ends = np.cumsum(sizes).tolist()
+    root_rows = [len(y) for y in labels]
+    sizes = np.array(root_rows)
+    starts = np.cumsum(sizes) - sizes
+    # the rows of the datasets of each distinct length, one dataset a row,
+    # so that one row-wise sum adds each dataset's losses as its own
+    # ``mean`` would (pairwise, so the rounding depends on the length)
+    groups = []
+    for m in np.unique(sizes).tolist():
+        idx = np.flatnonzero(sizes == m)
+        groups.append((idx, starts[idx][:, None] + np.arange(m)))
 
     edges, binned = zip(*(_bin_columns(ds.vectors.astype(float)) for ds in canon))
     edge_values, edge_ok = _edge_table(list(edges))
     binned = np.concatenate(binned)
     y = np.concatenate(labels)
     scores = np.repeat(init_scores, sizes)
-    trees: list[list[_Tree]] = [[] for _ in canon]
-    losses: list[list[float]] = [[] for _ in canon]
-    for _ in range(n_rounds):
+    first_ids = (first + np.arange(len(canon))) * n_rounds
+    sums = np.empty((len(canon), n_rounds))
+    parts = []
+    for k in range(n_rounds):
         resid = y - 1.0 / (1.0 + np.exp(-scores))
-        grown, train_out = _grow(
-            binned, sizes, edge_values, edge_ok, resid, max_depth, classification=False
+        part, train_out = _grow(
+            binned, root_rows, edge_values, edge_ok, resid, first_ids + k, max_depth,
+            classification=False,
         )
+        parts.append(part)
         scores = scores + learning_rate * train_out
-        # mean log loss of each dataset, over its own rows
+        # log loss of every training row, summed over each dataset's rows
         loss = np.logaddexp(0.0, scores) - y * scores
-        for r, (a, b) in enumerate(zip([0] + ends, ends)):
-            trees[r].append(grown[r])
-            losses[r].append(float(loss[a:b].mean()))
-
-    return [
-        GBTModel(
-            init_score=init_score,
-            learning_rate=learning_rate,
-            trees=t,
-            train_log_loss=loss_list,
-        )
-        for init_score, t, loss_list in zip(init_scores, trees, losses)
-    ]
+        for idx, rows in groups:
+            sums[idx, k] = np.add.reduce(loss[rows], axis=1)
+    return init_scores, (sums / sizes[:, None]).tolist(), parts

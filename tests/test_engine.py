@@ -240,6 +240,55 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
             load(path)
 
 
+def first_split(trees: list[dict]) -> dict:
+    """The first internal node of a model's serialized trees."""
+    stack = list(reversed(trees))
+    while stack:
+        node = stack.pop()
+        if "feature" in node:
+            return node
+    raise AssertionError("no tree splits")
+
+
+def misfit_models(good: dict, dim: int):
+    """Checkpoints whose generic set holds a model that cannot read its vectors."""
+
+    def tree_split(kind, **change):
+        doc = json.loads(json.dumps(good))
+        first_split(doc["pool"]["generic"]["models"][kind]["trees"]).update(change)
+        return doc
+
+    def weights(kind, values):
+        doc = json.loads(json.dumps(good))
+        doc["pool"]["generic"]["models"][kind]["weights"] = values
+        return doc
+
+    yield "forest feature", tree_split("random_forest", feature=99)
+    yield "forest feature at input_dim", tree_split("random_forest", feature=dim)
+    yield "negative feature", tree_split("gbt", feature=-1)
+    yield "NaN threshold", tree_split("random_forest", threshold=float("nan"))
+    yield "infinite threshold", tree_split("gbt", threshold=float("inf"))
+    yield "long weights", weights("logreg", [0.5] * (dim + 1))
+    yield "short weights", weights("linear_svm", [0.5] * (dim - 1))
+
+
+def test_checkpoint_model_misfitting_input_dim_is_checkpoint_error(tmp_path, mini_batches):
+    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
+    path = tmp_path / "state.csk"
+    save(state, path)
+    good = json.loads(gzip.open(path, "rb").read())
+    dim = good["pool"]["generic"]["input_dim"]
+    for name, doc in misfit_models(good, dim):
+        with gzip.GzipFile(path, "wb", mtime=0) as fh:
+            fh.write(json.dumps(doc).encode("utf-8"))
+        with pytest.raises(CheckpointError):
+            load(path)
+            pytest.fail(f"{name} loaded")
+    with gzip.GzipFile(path, "wb", mtime=0) as fh:
+        fh.write(json.dumps(good).encode("utf-8"))
+    assert load(path).pool.generic.input_dim == dim
+
+
 def test_checkpoint_failed_write_keeps_previous(tmp_path, mini_batches, monkeypatch):
     state = new_state(FAST_CONFIG)
     state, _ = step(state, mini_batches[0])

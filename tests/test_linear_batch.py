@@ -122,6 +122,19 @@ def test_many_equals_one_at_a_time(kind, count, warm):
     assert [model_to_json(m) for m in many] == [model_to_json(m) for m in single]
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_logreg_many_with_repeated_lengths_equals_one_at_a_time(warm):
+    # as CV hands it over: SMOTE'd folds of two lengths in no order, and a
+    # longer deployed set; the equal-length folds are summed together
+    lengths = [141, 143, 143, 141, 141, 143, 141, 143, 143, 141, 310]
+    datasets = [linear_dataset(n, 3, seed=60 + i) for i, n in enumerate(lengths)]
+    seeds = list(range(len(lengths)))
+    init = warm_start("logreg", 3) if warm else None
+    many = linear.train_logreg_many(datasets, seeds, iterations=150, init=init)
+    single = [linear.train_logreg(ds, s, iterations=150, init=init) for ds, s in zip(datasets, seeds)]
+    assert [model_to_json(m) for m in many] == [model_to_json(m) for m in single]
+
+
 @pytest.mark.parametrize("kind", list(MODELS))
 def test_many_rejects_bad_inputs(kind):
     train_many = getattr(linear, f"train_{kind}_many")

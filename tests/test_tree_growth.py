@@ -15,14 +15,17 @@ from cohortsense.core import ValidationError
 from cohortsense.learners import (
     Dataset,
     kfold_cv,
+    model_from_json,
     model_to_json,
     train_gbt,
     train_gbt_many,
     train_linear_svm,
     train_logreg,
     train_random_forest,
+    train_random_forest_many,
 )
 from cohortsense.learners import trees
+from cohortsense.learners.base import derive_seed, derive_seeds
 
 
 def tied_dataset():
@@ -153,6 +156,61 @@ def test_gbt_many_equals_one_at_a_time(monkeypatch, pass_rows, n_rounds):
     monkeypatch.setattr(trees, "PASS_ROWS", pass_rows)
     many = [model_to_json(m) for m in train_gbt_many(datasets, seeds, n_rounds=n_rounds)]
     assert many == single
+
+
+@pytest.mark.parametrize("pass_rows", [1, 150, trees.PASS_ROWS])
+@pytest.mark.parametrize("n_trees", [1, 7, 30])
+def test_forest_many_equals_one_at_a_time(monkeypatch, pass_rows, n_trees):
+    # passes hold trees of several datasets, each with its own edge table
+    datasets = unequal_datasets()
+    seeds = [3, 1, 4, 1]
+    single = [
+        model_to_json(train_random_forest(ds, s, n_trees=n_trees, max_depth=5))
+        for ds, s in zip(datasets, seeds)
+    ]
+    monkeypatch.setattr(trees, "PASS_ROWS", pass_rows)
+    many = train_random_forest_many(datasets, seeds, n_trees=n_trees, max_depth=5)
+    assert [model_to_json(m) for m in many] == single
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -7])
+@pytest.mark.parametrize("label", ["tree", "bäume→🌲"])
+@pytest.mark.parametrize("count", [0, 1, 257])
+def test_derive_seeds_equals_derive_seed(seed, label, count):
+    assert derive_seeds(seed, label, count) == [derive_seed(seed, label, t) for t in range(count)]
+
+
+@pytest.mark.parametrize(
+    "train_many", [train_gbt_many, train_random_forest_many], ids=["gbt", "forest"]
+)
+def test_tree_many_rejects_mixed_widths(train_many):
+    narrow, wide = unequal_datasets()[0], unequal_datasets()[1]
+    wide = Dataset(
+        np.column_stack([wide.vectors, wide.vectors[:, :1]]), wide.labels, wide.participant_ids
+    )
+    with pytest.raises(ValidationError, match="datasets differ in dimension"):
+        train_many([narrow, wide], [0, 0])
+    assert train_many([], []) == []
+
+
+def roundtrip_cases():
+    ds = unequal_datasets()[1]
+    yield "forest", train_random_forest(ds, seed=2, n_trees=9, max_depth=5)
+    yield "gbt", train_gbt(ds, seed=2, n_rounds=12)
+    yield "gbt0", train_gbt(ds, seed=2, n_rounds=0)
+
+
+@pytest.mark.parametrize("name", ["forest", "gbt", "gbt0"])
+def test_tree_models_survive_json_roundtrip(name):
+    model = dict(roundtrip_cases())[name]
+    doc = model_to_json(model)
+    back = model_from_json(json.loads(json.dumps(doc)))
+    assert model_to_json(back) == doc
+    X = np.random.default_rng(8).normal(size=(64, 2)) * 3.0
+    X = np.vstack([X, unequal_datasets()[1].vectors])
+    assert np.array_equal(back.predict(X), model.predict(X))
+    if name != "forest":
+        assert np.array_equal(back.decision_scores(X), model.decision_scores(X))
 
 
 def test_gbt_many_rejects_single_class_and_seed_mismatch():
