@@ -227,11 +227,13 @@ class ClusterRegistry:
 
     # ------------------------------------------------------------ observation
 
-    def vector(self, point_id: str) -> np.ndarray:
-        """A copy of the stored vector of one point."""
-        if point_id not in self._index:
-            raise ValidationError(f"unknown point id {point_id!r}")
-        return self._vectors[self._index[point_id]].copy()
+    def vectors(self, point_ids) -> np.ndarray:
+        """A copy of the stored vectors of ``point_ids``, one row each."""
+        try:
+            rows = [self._index[pid] for pid in point_ids]
+        except KeyError as exc:
+            raise ValidationError(f"unknown point id {exc.args[0]!r}") from None
+        return self._vectors[rows]
 
     def partition(self) -> tuple[dict[str, frozenset[str]], frozenset[str]]:
         """Current clusters (canonical id -> members) and noise ids.

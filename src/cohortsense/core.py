@@ -8,6 +8,7 @@ live here so every other module works against one vocabulary.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -56,6 +57,41 @@ def label_from_score(score: int, threshold: int = 20) -> int:
     """Binarize a questionnaire sum: 1 iff strictly above the threshold."""
     validate_score(score)
     return 1 if score > threshold else 0
+
+
+def apportion(amount: int, weights: dict, capacity: dict) -> dict:
+    """Split ``amount`` over the keys of ``weights`` by largest remainder.
+
+    Each key first gets the floor of ``amount * weight / total``, capped by
+    its capacity; the rest is handed out one at a time, round-robin in order
+    of falling fractional part (ties by key), to keys with room left.
+    """
+    if amount > sum(capacity.values()):
+        raise ConfigError(f"cannot apportion {amount} within capacity {sum(capacity.values())}")
+    total = sum(weights.values())
+    ideal = {k: amount * w / total if total else 0.0 for k, w in weights.items()}
+    counts = {k: min(math.floor(x), capacity[k]) for k, x in ideal.items()}
+    order = sorted(ideal, key=lambda k: (-(ideal[k] - math.floor(ideal[k])), k))
+    remaining = amount - sum(counts.values())
+    while remaining > 0:
+        for k in order:
+            if remaining > 0 and counts[k] < capacity[k]:
+                counts[k] += 1
+                remaining -= 1
+    return counts
+
+
+def seed_entropy(seed: int, *parts: object) -> list[int]:
+    """SeedSequence entropy words for a root seed and context labels: the
+    seed's two 32-bit halves, then an int part's low 32 bits or the UTF-8
+    bytes of any other part's ``str``."""
+    words = [seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF]
+    for part in parts:
+        if isinstance(part, int):
+            words.append(part & 0xFFFFFFFF)
+        else:
+            words.extend(str(part).encode("utf-8"))
+    return words
 
 
 @dataclass(frozen=True, eq=False)

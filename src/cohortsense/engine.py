@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import math
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -20,10 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import ClusterRegistry
-from .core import EngineConfig, LearnerConfig, ValidationError, WeeklyBatch, label_from_score
+from .core import (
+    EngineConfig,
+    LearnerConfig,
+    ValidationError,
+    WeeklyBatch,
+    apportion,
+    label_from_score,
+    validate_score,
+)
 from .ensemble import (
     EvalRow,
-    LabeledRow,
     ModelPool,
     VoteOutcome,
     evaluate_week,
@@ -33,6 +39,7 @@ from .ensemble import (
     refresh_specialized,
     vote,
 )
+from .learners import Dataset
 from .learners.base import derive_seed
 from .preprocess import (
     FittedPipeline,
@@ -57,7 +64,7 @@ class EngineState:
     current_week: int = 0
     pipeline: FittedPipeline | None = None
     pool: ModelPool = field(default_factory=ModelPool)
-    rows: list[LabeledRow] = field(default_factory=list)
+    rows: dict[str, int] = field(default_factory=dict)  # point id -> label, in arrival order
     holdout: frozenset[str] = frozenset()
     scores: dict[str, int] = field(default_factory=dict)
 
@@ -70,7 +77,7 @@ class EngineState:
             pool=ModelPool(
                 generic=self.pool.generic, specialized=dict(self.pool.specialized)
             ),
-            rows=list(self.rows),
+            rows=dict(self.rows),
             holdout=self.holdout,
             scores=dict(self.scores),
         )
@@ -116,6 +123,10 @@ def _point_id(pid: str, week: int) -> str:
     return f"{pid}|w{week:02d}"
 
 
+def _participant(point_id: str) -> str:
+    return point_id.rpartition("|")[0]
+
+
 def _check_week(week: int) -> None:
     if week > MAX_WEEK:
         raise ValidationError(f"batch week {week} above the last replayable week {MAX_WEEK}")
@@ -128,26 +139,13 @@ def _pick_holdout(scores: dict[str, int], config: EngineConfig) -> frozenset[str
     by_label: dict[int, list[str]] = {0: [], 1: []}
     for pid in sorted(scores):
         by_label[label_from_score(scores[pid], config.score_threshold)].append(pid)
-    ideal = {
-        lab: target * len(pids) / total for lab, pids in by_label.items() if pids
-    }
-    counts = {lab: math.floor(x) for lab, x in ideal.items()}
-    leftovers = sorted(
-        ideal, key=lambda lab: (-(ideal[lab] - math.floor(ideal[lab])), lab)
-    )
-    i = 0
-    while sum(counts.values()) < target and leftovers:
-        lab = leftovers[i % len(leftovers)]
-        if counts[lab] < len(by_label[lab]):
-            counts[lab] += 1
-        i += 1
+    sizes = {lab: len(pids) for lab, pids in by_label.items()}
+    counts = apportion(target, sizes, sizes)
     rng = np.random.default_rng(derive_seed(config.rng_seed, "holdout"))
     chosen: set[str] = set()
     for lab in sorted(counts):
-        pids = by_label[lab]
-        take = min(counts[lab], len(pids))
-        if take:
-            chosen.update(rng.choice(pids, size=take, replace=False).tolist())
+        if counts[lab]:
+            chosen.update(rng.choice(by_label[lab], size=counts[lab], replace=False).tolist())
     return frozenset(chosen)
 
 
@@ -190,28 +188,29 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
             f"week {week}: fixed hold-out of {len(st.holdout)} participants"
         )
 
-    week_rows = [
-        LabeledRow(
-            point_id=week_points[pid],
-            participant_id=pid,
-            week=week,
-            vector=x,
-            label=label_from_score(st.scores[pid], st.config.score_threshold),
-        )
-        for pid, x in zip(pids, X)
+    week_rows = {
+        week_points[pid]: label_from_score(st.scores[pid], st.config.score_threshold)
+        for pid in pids
         if pid in st.scores
-    ]
-    st.rows.extend(week_rows)
+    }
+    st.rows.update(week_rows)
 
-    train_rows = [r for r in st.rows if r.participant_id not in st.holdout]
+    # point ids are unique and sort by (participant, week); as the dataset's
+    # row ids they give every seeded learner a canonical ordering
+    train_ids = [pt for pt in st.rows if _participant(pt) not in st.holdout]
+    train = Dataset(
+        vectors=st.registry.vectors(train_ids),
+        labels=np.array([st.rows[pt] for pt in train_ids], dtype=int),
+        participant_ids=tuple(train_ids),
+    )
     st.pool, gen_events = refresh_generic(
-        st.pool, train_rows, st.config, derive_seed(st.config.rng_seed, "generic", week), week
+        st.pool, train, st.config, derive_seed(st.config.rng_seed, "generic", week), week
     )
     events.extend(gen_events)
     st.pool, spec_events = refresh_specialized(
         st.pool,
         snapshot,
-        train_rows,
+        train,
         st.config,
         derive_seed(st.config.rng_seed, "specialized", week),
         week,
@@ -224,14 +223,14 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
     votes: dict[str, VoteOutcome] = {}
     eval_rows: list[EvalRow] = []
     if st.pool.generic is not None:
-        held = [r for r in week_rows if r.participant_id in st.holdout]
+        held = [pt for pt in week_rows if _participant(pt) in st.holdout]
         if not held:
             raise ValidationError(f"week {week}: empty hold-out, cannot evaluate")
         votes = dict(zip(week_points, vote(st.pool, X, list(assignments.values()))))
         eval_rows = evaluate_week(
-            [r.label for r in held],
-            [assignments[r.point_id] for r in held],
-            [votes[r.participant_id] for r in held],
+            [week_rows[pt] for pt in held],
+            [assignments[pt] for pt in held],
+            [votes[_participant(pt)] for pt in held],
         )
 
     st.current_week = week
@@ -259,15 +258,7 @@ def save(state: EngineState, path: str | Path) -> Path:
         "pipeline": None if state.pipeline is None else pipeline_to_json(state.pipeline),
         "registry": state.registry.to_json(),
         "pool": pool_to_json(state.pool),
-        "rows": [
-            {
-                "point_id": r.point_id,
-                "participant_id": r.participant_id,
-                "week": r.week,
-                "label": r.label,
-            }
-            for r in state.rows
-        ],
+        "rows": [{"point_id": pt, "label": label} for pt, label in state.rows.items()],
         "holdout": sorted(state.holdout),
         "scores": dict(sorted(state.scores.items())),
     }
@@ -313,29 +304,30 @@ def load(path: str | Path) -> EngineState:
 
 def _state_from_json(doc: dict) -> EngineState:
     # keys are picked one by one, so the keys an older writer added (row
-    # vectors, the run log, copies of config values) are ignored
+    # vectors, participant ids and weeks, the run log, copies of config
+    # values) are ignored
     config_doc = dict(doc["config"])
     config_doc["learners"] = LearnerConfig(**config_doc["learners"])
     config = EngineConfig(**config_doc)
     registry = ClusterRegistry.from_json(doc["registry"])
+    rows: dict[str, int] = {}
+    for r in doc["rows"]:
+        pt, label = r["point_id"], r["label"]
+        if label not in (0, 1):
+            raise ValidationError(f"row {pt!r} has label {label!r}, not 0 or 1")
+        if pt in rows:  # a dict would keep only the last of the repeats
+            raise ValidationError(f"row {pt!r} appears more than once")
+        rows[pt] = int(label)
+    registry.vectors(rows)  # every row's vector is in the registry
     return EngineState(
         config=config,
         current_week=int(doc["current_week"]),
         pipeline=None if doc["pipeline"] is None else pipeline_from_json(doc["pipeline"]),
         registry=registry,
         pool=pool_from_json(doc["pool"]),
-        rows=[
-            LabeledRow(
-                point_id=r["point_id"],
-                participant_id=r["participant_id"],
-                week=int(r["week"]),
-                vector=registry.vector(r["point_id"]),
-                label=int(r["label"]),
-            )
-            for r in doc["rows"]
-        ],
+        rows=rows,
         holdout=frozenset(doc["holdout"]),
-        scores={pid: int(s) for pid, s in doc["scores"].items()},
+        scores={pid: validate_score(s) for pid, s in doc["scores"].items()},
     )
 
 

@@ -34,17 +34,6 @@ log = logging.getLogger(__name__)
 GENERIC_SCOPE = "generic"
 
 
-@dataclass(frozen=True)
-class LabeledRow:
-    """One training/evaluation row: a participant-week vector plus label."""
-
-    point_id: str
-    participant_id: str
-    week: int
-    vector: np.ndarray
-    label: int
-
-
 @dataclass
 class ModelSet:
     """All four trained kinds for one scope, with validation scores."""
@@ -79,16 +68,6 @@ class EvalRow:
     cohort: str  # cohort label for specialized rows, else ""
     kind: str  # model kind value, or "ensemble"
     metrics: Metrics
-
-
-def _dataset(rows: list[LabeledRow]) -> Dataset:
-    # point ids are unique and sort by (participant, week); using them as the
-    # dataset's row ids gives every seeded learner a canonical ordering
-    return Dataset(
-        vectors=np.array([r.vector for r in rows], dtype=float),
-        labels=np.array([r.label for r in rows], dtype=int),
-        participant_ids=tuple(r.point_id for r in rows),
-    )
 
 
 def _options(kind: ModelKind, lc: LearnerConfig, init: object | None) -> dict:
@@ -144,7 +123,7 @@ def _balanced(dataset: Dataset, config: EngineConfig, seed: int) -> Dataset:
 
 def _fit_set(
     scope: str,
-    rows: list[LabeledRow],
+    dataset: Dataset,
     config: EngineConfig,
     seed: int,
     week: int,
@@ -158,7 +137,6 @@ def _fit_set(
     previous week's parameters.
     """
     events: list[str] = []
-    dataset = _dataset(rows)
     zeros, ones = dataset.class_counts()
     k = min(config.cv_folds, zeros, ones)
     lc = config.learners
@@ -206,17 +184,17 @@ def _fit_set(
 
 def refresh_generic(
     pool: ModelPool,
-    rows: list[LabeledRow],
+    rows: Dataset,
     config: EngineConfig,
     seed: int,
     week: int,
 ) -> tuple[ModelPool, list[str]]:
-    """Retrain the generic set on cumulative labeled data.
+    """Retrain the generic set on the cumulative labeled rows.
 
     Single-class data leaves the pool untouched (warning logged): there is
     nothing a binary classifier can learn from it yet.
     """
-    labels = {r.label for r in rows}
+    labels = set(rows.labels.tolist())
     if labels != {0, 1}:
         message = (
             f"week {week}: generic refresh skipped, cumulative data is "
@@ -233,19 +211,21 @@ def refresh_generic(
 def refresh_specialized(
     pool: ModelPool,
     snapshot: ClusterSnapshot,
-    rows: list[LabeledRow],
+    rows: Dataset,
     config: EngineConfig,
     seed: int,
     week: int,
 ) -> tuple[ModelPool, list[str]]:
     """(Re)train one set per sufficiently large, two-class cohort.
 
+    A cohort trains on its members among ``rows``, in point-id order.
     Cohorts absent from the snapshot keep their last set frozen; undersized
     or single-class-dominated cohorts are skipped with a log entry.
     """
     events: list[str] = []
     specialized = dict(pool.specialized)
-    by_point = {r.point_id: r for r in rows}
+    order = rows.canonical_order()
+    ids = np.array(rows.participant_ids, dtype=str)[order]
     for label in sorted(snapshot.cohorts):
         members = snapshot.cohorts[label]
         if len(members) < config.min_cohort_size:
@@ -254,9 +234,8 @@ def refresh_specialized(
                 f"below min_cohort_size {config.min_cohort_size}; no specialized set"
             )
             continue
-        cohort_rows = [by_point[p] for p in sorted(members) if p in by_point]
-        ones = sum(r.label for r in cohort_rows)
-        zeros = len(cohort_rows) - ones
+        cohort_rows = rows.subset(order[np.isin(ids, list(members))])
+        zeros, ones = cohort_rows.class_counts()
         if min(zeros, ones) < config.min_class_count:
             events.append(
                 f"week {week}: cohort {label} class counts {zeros}/{ones} below "

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..core import ValidationError
+from ..core import ValidationError, seed_entropy
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -83,19 +83,9 @@ class Dataset:
         return self.subset(self.canonical_order())
 
 
-def _entropy(seed: int, parts: tuple) -> list[int]:
-    words = [seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF]
-    for part in parts:
-        if isinstance(part, int):
-            words.append(part & 0xFFFFFFFF)
-        else:
-            words.extend(str(part).encode("utf-8"))
-    return words
-
-
 def derive_seed(seed: int, *parts: object) -> int:
     """Deterministically mix a root seed with context labels."""
-    state = np.random.SeedSequence(_entropy(seed, parts)).generate_state(2)
+    state = np.random.SeedSequence(seed_entropy(seed, *parts)).generate_state(2)
     return int(state[0]) << 32 | int(state[1])
 
 
@@ -115,7 +105,7 @@ def derive_seeds(seed: int, label: object, count: int) -> list[int]:
     position of a word, never on its value, so every vector steps through
     the same sequence of them.
     """
-    prefix = _entropy(seed, (label,))
+    prefix = seed_entropy(seed, label)
     words = np.empty((len(prefix) + 1, count), dtype=np.uint32)
     words[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
     words[-1] = np.arange(count, dtype=np.uint64) & 0xFFFFFFFF

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -28,6 +27,8 @@ from .core import (
     ConfigError,
     ValidationError,
     WeeklyBatch,
+    apportion,
+    seed_entropy,
     validate_score,
 )
 
@@ -358,13 +359,7 @@ def _profile_for(profiles: list[GroupProfile], group: str, week: int) -> GroupPr
 
 
 def _sub_rng(seed: int, *parts: object) -> np.random.Generator:
-    entropy = [seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF]
-    for part in parts:
-        if isinstance(part, int):
-            entropy.append(part & 0xFFFFFFFF)
-        else:
-            entropy.extend(str(part).encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(np.random.SeedSequence(seed_entropy(seed, *parts)))
 
 
 def _assign_scores(
@@ -394,27 +389,7 @@ def _assign_scores(
             f"plan wants {plan.lonely_count} lonely participants but score "
             f"ranges only allow {sum(capacity.values())}"
         )
-    total_share = sum(shares.values())
-    ideal = {
-        g: plan.lonely_count * shares[g] / total_share if total_share else 0.0
-        for g in rosters
-    }
-    counts = {g: min(int(math.floor(ideal[g])), capacity[g]) for g in rosters}
-    remaining = plan.lonely_count - sum(counts.values())
-    by_remainder = sorted(
-        rosters, key=lambda g: (-(ideal[g] - math.floor(ideal[g])), g)
-    )
-    while remaining > 0:
-        progressed = False
-        for g in by_remainder:
-            if remaining == 0:
-                break
-            if counts[g] < capacity[g]:
-                counts[g] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:
-            raise ConfigError("cannot apportion lonely count within capacities")
+    counts = apportion(plan.lonely_count, shares, capacity)
 
     scores: dict[str, int] = {}
     for group in sorted(rosters):

@@ -1,8 +1,10 @@
 """Tests for label derivation, weekly batches, and config loading."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cohortsense.core import (
     ConfigError,
@@ -10,6 +12,7 @@ from cohortsense.core import (
     EngineConfig,
     LearnerConfig,
     ValidationError,
+    apportion,
     label_from_score,
     load_config,
 )
@@ -145,3 +148,54 @@ def test_config_invalid_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+# ---------------------------------------------------------------- apportionment
+
+
+def holdout_quotas(target: int, sizes: dict[int, int]) -> dict[int, int]:
+    """The hold-out's class quotas as the engine computed them before the
+    shared helper: floors of the exact shares, then one more each,
+    round-robin by falling remainder, while a class has participants left."""
+    total = sum(sizes.values())
+    ideal = {lab: target * n / total for lab, n in sizes.items() if n}
+    counts = {lab: math.floor(x) for lab, x in ideal.items()}
+    leftovers = sorted(ideal, key=lambda lab: (-(ideal[lab] - math.floor(ideal[lab])), lab))
+    i = 0
+    while sum(counts.values()) < target and leftovers:
+        lab = leftovers[i % len(leftovers)]
+        if counts[lab] < sizes[lab]:
+            counts[lab] += 1
+        i += 1
+    return counts
+
+
+@given(
+    zeros=st.integers(0, 300),
+    ones=st.integers(0, 300),
+    fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_apportion_equals_the_holdout_quota_loop(zeros, ones, fraction):
+    sizes = {0: zeros, 1: ones}
+    if not zeros + ones:
+        return
+    target = int(round(fraction * (zeros + ones)))
+    quotas = apportion(target, sizes, sizes)
+    assert {lab: n for lab, n in quotas.items() if sizes[lab]} == holdout_quotas(target, sizes)
+    assert sum(quotas.values()) == target
+
+
+@given(
+    groups=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=6),
+    amount=st.integers(0, 200),
+)
+def test_apportion_keeps_within_capacity_and_hands_out_the_amount(groups, amount):
+    weights = {f"G{i}": float(w) for i, (w, _) in enumerate(groups)}
+    capacity = {f"G{i}": c for i, (_, c) in enumerate(groups)}
+    if amount > sum(capacity.values()):
+        with pytest.raises(ConfigError):
+            apportion(amount, weights, capacity)
+        return
+    counts = apportion(amount, weights, capacity)
+    assert sum(counts.values()) == amount
+    assert all(0 <= counts[g] <= capacity[g] for g in counts)

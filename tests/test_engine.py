@@ -162,9 +162,8 @@ def test_checkpoint_round_trip(tmp_path, mini_batches):
     assert restored.current_week == state.current_week
     assert restored.holdout == state.holdout
     assert restored.registry.partition() == state.registry.partition()
-    assert len(restored.rows) == len(state.rows)
-    for a, b in zip(restored.rows, state.rows):
-        assert a.point_id == b.point_id and np.array_equal(a.vector, b.vector)
+    assert list(restored.rows.items()) == list(state.rows.items())
+    assert np.array_equal(restored.registry.vectors(state.rows), state.registry.vectors(state.rows))
 
 
 def test_checkpoint_resume_byte_identical_reports(tmp_path, mini_batches):
@@ -224,7 +223,16 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
     path = tmp_path / "state.csk"
     save(state, path)
     good = json.loads(gzip.open(path, "rb").read())
+    held = [r["point_id"].rpartition("|")[0] in good["holdout"] for r in good["rows"]]
+    assert any(held) and not all(held)
+    pid = next(iter(good["scores"]))
     broken = [
+        # label 7 on a hold-out participant's row, then on a training one's
+        ("rows", [dict(r, label=7) if h else r for r, h in zip(good["rows"], held)]),
+        ("rows", [dict(r, label=7) if not h else r for r, h in zip(good["rows"], held)]),
+        ("rows", good["rows"] + good["rows"][:1]),
+        ("scores", dict(good["scores"], **{pid: 41})),
+        ("scores", dict(good["scores"], **{pid: 9})),
         ("rows", 7),
         ("current_week", "x"),
         ("registry", []),
@@ -449,14 +457,16 @@ def test_checkpoint_in_the_older_layout_loads_and_resumes(tmp_path, profiles):
     ckpt = tmp_path / "mid.csk"
     run_replay(FAST_CONFIG, batches[:2], out_dir=resumed, checkpoint_path=ckpt)
 
-    # the older layout also held each row's vector, the run log, the pool's
-    # copies of two config values, each set's training point ids, and the
-    # models' seeds and sizes
+    # the older layout also held each row's vector, participant id and
+    # week, the run log, the pool's copies of two config values, each
+    # set's training point ids, and the models' seeds and sizes
     doc = json.loads(gzip.open(ckpt, "rb").read())
     reg = doc["registry"]
     vector_of = dict(zip(reg["ids"], reg["vectors"]))
     for row in doc["rows"]:
         row["vector"] = vector_of[row["point_id"]]
+        participant, _, week = row["point_id"].rpartition("|w")
+        row.update(participant_id=participant, week=int(week))
     doc["run_log"] = [{"event": "week 1: preprocessing pipeline fitted", "week": 1}]
     reg["cohort_ids"] = {"p0": "G1"}
     doc["pool"].update(min_cohort_size=15, min_class_count=5)
@@ -474,8 +484,7 @@ def test_checkpoint_in_the_older_layout_loads_and_resumes(tmp_path, profiles):
     again = tmp_path / "again.csk"
     save(state, again)
     assert gzip.open(again, "rb").read() == gzip.open(ckpt, "rb").read()
-    for row in state.rows:
-        assert np.array_equal(row.vector, vector_of[row.point_id])
+    assert np.array_equal(state.registry.vectors(state.rows), [vector_of[pt] for pt in state.rows])
 
     run_replay(state, batches[2:], out_dir=resumed)
     for name in sorted(p.name for p in straight.iterdir()):

@@ -7,7 +7,6 @@ from cohortsense.cluster import ClusterSnapshot
 from cohortsense.core import EngineConfig, LearnerConfig, ValidationError
 from cohortsense.ensemble import (
     GENERIC_SCOPE,
-    LabeledRow,
     ModelPool,
     ModelSet,
     evaluate_week,
@@ -17,7 +16,7 @@ from cohortsense.ensemble import (
     refresh_specialized,
     vote,
 )
-from cohortsense.learners import compute_metrics
+from cohortsense.learners import Dataset, compute_metrics
 from cohortsense.learners.base import KIND_ORDER, ModelKind
 
 FAST = LearnerConfig(
@@ -34,16 +33,20 @@ def config(**kwargs):
 
 
 def make_rows(vectors, labels, week=1, prefix="P"):
-    return [
-        LabeledRow(
-            point_id=f"{prefix}{i:03d}|w{week:02d}",
-            participant_id=f"{prefix}{i:03d}",
-            week=week,
-            vector=np.asarray(v, dtype=float),
-            label=int(lab),
-        )
-        for i, (v, lab) in enumerate(zip(vectors, labels))
-    ]
+    """Labeled rows keyed by point id, as the engine passes them."""
+    return Dataset(
+        vectors=np.asarray(vectors, dtype=float),
+        labels=np.asarray(labels, dtype=int),
+        participant_ids=tuple(f"{prefix}{i:03d}|w{week:02d}" for i in range(len(labels))),
+    )
+
+
+def join(a, b):
+    return Dataset(
+        np.vstack([a.vectors, b.vectors]),
+        np.concatenate([a.labels, b.labels]),
+        a.participant_ids + b.participant_ids,
+    )
 
 
 def two_class_rows(n_per_class=20, gap=3.0, seed=0, week=1):
@@ -106,9 +109,9 @@ def test_refresh_generic_f1_nondecreasing_on_growing_separable_data():
     cfg = config()
     pool = ModelPool()
     prev_f1 = None
-    rows = []
+    rows = make_rows(np.empty((0, 2)), [])
     for week in range(1, 4):
-        rows = rows + two_class_rows(n_per_class=25, gap=4.0, seed=week, week=week)
+        rows = join(rows, two_class_rows(n_per_class=25, gap=4.0, seed=week, week=week))
         pool, _ = refresh_generic(pool, rows, cfg, seed=0, week=week)
         f1 = pool.generic.validation_f1[ModelKind.LOGREG]
         if prev_f1 is not None:
@@ -118,7 +121,7 @@ def test_refresh_generic_f1_nondecreasing_on_growing_separable_data():
 
 def test_refresh_specialized_gates_small_cohorts():
     rows = two_class_rows(n_per_class=10)
-    members = frozenset(r.point_id for r in rows[:10])
+    members = frozenset(rows.participant_ids[:10])
     snapshot = ClusterSnapshot(week=1, cohorts={"G1": members}, noise=frozenset())
     pool, events = refresh_specialized(
         ModelPool(), snapshot, rows, config(min_cohort_size=15), seed=0, week=1
@@ -129,7 +132,7 @@ def test_refresh_specialized_gates_small_cohorts():
 
 def test_refresh_specialized_gates_single_class_cohorts():
     rows = two_class_rows(n_per_class=20)
-    all_negative = frozenset(r.point_id for r in rows if r.label == 0)
+    all_negative = frozenset(p for p, lab in zip(rows.participant_ids, rows.labels) if lab == 0)
     snapshot = ClusterSnapshot(week=1, cohorts={"G1": all_negative}, noise=frozenset())
     pool, events = refresh_specialized(
         ModelPool(), snapshot, rows, config(), seed=0, week=1
@@ -140,19 +143,19 @@ def test_refresh_specialized_gates_single_class_cohorts():
 
 def test_refresh_specialized_trains_only_on_cohort_rows():
     rows = two_class_rows(n_per_class=20, seed=9)
-    members = frozenset(r.point_id for r in rows if int(r.point_id[1:4]) % 2 == 0)
+    members = frozenset(p for p in rows.participant_ids if int(p[1:4]) % 2 == 0)
     snapshot = ClusterSnapshot(week=1, cohorts={"G1": members}, noise=frozenset())
     cfg = config(min_cohort_size=5, min_class_count=3)
     pool, _ = refresh_specialized(ModelPool(), snapshot, rows, cfg, seed=0, week=1)
     assert "G1" in pool.specialized
-    cohort_rows = [r for r in rows if r.point_id in members]
+    cohort_rows = rows.subset(np.flatnonzero([p in members for p in rows.participant_ids]))
     alone, _ = refresh_specialized(ModelPool(), snapshot, cohort_rows, cfg, seed=0, week=1)
     assert pool_to_json(alone)["specialized"]["G1"] == pool_to_json(pool)["specialized"]["G1"]
 
 
 def test_refresh_specialized_keeps_vanished_sets_frozen():
     rows = two_class_rows(n_per_class=20, seed=4)
-    members = frozenset(r.point_id for r in rows)
+    members = frozenset(rows.participant_ids)
     snap1 = ClusterSnapshot(week=1, cohorts={"G2": members}, noise=frozenset())
     cfg = config(min_cohort_size=5, min_class_count=3)
     pool, _ = refresh_specialized(ModelPool(), snap1, rows, cfg, seed=0, week=1)
@@ -167,27 +170,18 @@ def test_refresh_specialized_keeps_vanished_sets_frozen():
 def test_specialized_beats_generic_on_planted_group_structure():
     """Two planted groups with opposite label directions: pooling hurts."""
     rng = np.random.default_rng(11)
-    rows = []
-    i = 0
+    vectors, labels = [], []
     for center, direction in (((0.0, 0.0), +1.0), ((6.0, 6.0), -1.0)):
         for _ in range(30):
             label = int(rng.random() < 0.5)
             offset = direction * (1.0 if label else -1.0)
-            vec = rng.normal(center, 0.3, 2) + np.array([offset, 0.0])
-            rows.append(
-                LabeledRow(
-                    point_id=f"P{i:03d}|w01",
-                    participant_id=f"P{i:03d}",
-                    week=1,
-                    vector=vec,
-                    label=label,
-                )
-            )
-            i += 1
+            vectors.append(rng.normal(center, 0.3, 2) + np.array([offset, 0.0]))
+            labels.append(label)
+    rows = make_rows(vectors, labels)
     cfg = config(min_cohort_size=10)
-    g1 = frozenset(r.point_id for r in rows[:30])
+    g1 = frozenset(rows.participant_ids[:30])
     snapshot = ClusterSnapshot(
-        week=1, cohorts={"G1": g1, "G2": frozenset(r.point_id for r in rows[30:])},
+        week=1, cohorts={"G1": g1, "G2": frozenset(rows.participant_ids[30:])},
         noise=frozenset(),
     )
     pool, _ = refresh_generic(ModelPool(), rows, cfg, seed=0, week=1)
@@ -288,7 +282,7 @@ def one_cohort_pool():
     mix of assignments: G1, noise, and a label with no set."""
     rows = two_class_rows(n_per_class=20, seed=6)
     cfg = config(min_cohort_size=10, min_class_count=3)
-    members = frozenset(r.point_id for r in rows[::2])
+    members = frozenset(rows.participant_ids[::2])
     snapshot = ClusterSnapshot(week=1, cohorts={"G1": members}, noise=frozenset())
     pool, _ = refresh_generic(ModelPool(), rows, cfg, seed=0, week=1)
     pool, _ = refresh_specialized(pool, snapshot, rows, cfg, seed=0, week=1)
@@ -299,7 +293,7 @@ def one_cohort_pool():
 
 def test_vote_batch_equals_one_row_at_a_time_in_any_order():
     pool, rows, assignments = one_cohort_pool()
-    X = np.array([r.vector for r in rows])
+    X = rows.vectors
     alone = [vote(pool, X[i : i + 1], [a])[0] for i, a in enumerate(assignments)]
     assert {len(o.tally) for o in alone} == {4, 8}
     assert vote(pool, X, assignments) == alone
@@ -313,14 +307,14 @@ def test_vote_batch_equals_one_row_at_a_time_in_any_order():
 
 def voted_holdout(pool, rows, assignments):
     """The hold-out arguments of evaluate_week: labels, assignments, outcomes."""
-    outcomes = vote(pool, np.array([r.vector for r in rows]), assignments)
-    return [r.label for r in rows], assignments, outcomes
+    outcomes = vote(pool, rows.vectors, assignments)
+    return rows.labels.tolist(), assignments, outcomes
 
 
 def test_evaluate_week_report_axes():
     rows = two_class_rows(n_per_class=20, seed=6)
     cfg = config(min_cohort_size=10, min_class_count=3)
-    members = frozenset(r.point_id for r in rows)
+    members = frozenset(rows.participant_ids)
     snapshot = ClusterSnapshot(week=1, cohorts={"G1": members}, noise=frozenset())
     pool, _ = refresh_generic(ModelPool(), rows, cfg, seed=0, week=1)
     pool, _ = refresh_specialized(pool, snapshot, rows, cfg, seed=0, week=1)
@@ -334,10 +328,9 @@ def test_evaluate_week_report_axes():
 
 def test_evaluate_week_perfect_pool_alls_ones():
     rows = two_class_rows(n_per_class=6, seed=7)
-    labels = [r.label for r in rows]
     pool = ModelPool(generic=stub_set(GENERIC_SCOPE, [1, 1, 1, 1], [0.5] * 4))
     # stub predicts all ones; feed rows where truth is all ones
-    ones_rows = [r for r in rows if r.label == 1]
+    ones_rows = rows.subset(np.flatnonzero(rows.labels == 1))
     report = evaluate_week(*voted_holdout(pool, ones_rows, [None] * len(ones_rows)))
     for row in report:
         assert row.metrics.accuracy == 1.0
@@ -348,7 +341,7 @@ def test_evaluate_week_rows_equal_each_models_own_predictions():
     pool, rows, assignments = one_cohort_pool()
     labels, _, outcomes = voted_holdout(pool, rows, assignments)
     report = evaluate_week(labels, assignments, outcomes)
-    X = np.array([r.vector for r in rows])
+    X = rows.vectors
     y = np.array(labels)
     idx = [i for i, a in enumerate(assignments) if a == "G1"]
     expected = [
@@ -378,7 +371,7 @@ def test_evaluate_week_empty_holdout_error():
 def test_pool_json_round_trip():
     rows = two_class_rows(n_per_class=15, seed=8)
     cfg = config(min_cohort_size=10, min_class_count=3)
-    members = frozenset(r.point_id for r in rows)
+    members = frozenset(rows.participant_ids)
     snapshot = ClusterSnapshot(week=1, cohorts={"G1": members}, noise=frozenset())
     pool, _ = refresh_generic(ModelPool(), rows, cfg, seed=0, week=1)
     pool, _ = refresh_specialized(pool, snapshot, rows, cfg, seed=0, week=1)

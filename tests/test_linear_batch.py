@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cohortsense.core import EngineConfig, LearnerConfig, ValidationError
-from cohortsense.ensemble import LabeledRow, _fit_set, _set_to_json
+from cohortsense.ensemble import _fit_set, _set_to_json
 from cohortsense.learners import Dataset, linear, model_to_json
 
 DIGESTS = {
@@ -61,17 +61,14 @@ def one_dataset_doc(kind: str, d: int, warm: bool) -> dict:
     return model_to_json(train_one(kind, linear_dataset(130, d, seed=d), 7, init=init))
 
 
-def labeled_rows(n: int, ones: int, seed: int) -> list[LabeledRow]:
+def labeled_rows(n: int, ones: int, seed: int) -> Dataset:
     """``n`` rows in 2-d, the ``ones`` rows with the largest noisy score labelled 1."""
     rng = np.random.default_rng(seed)
     vectors = rng.normal(size=(n, 2))
     score = vectors[:, 0] - 0.5 * vectors[:, 1] + rng.normal(0.0, 0.8, n)
     labels = np.zeros(n, dtype=int)
     labels[np.argsort(score)[n - ones :]] = 1
-    return [
-        LabeledRow(f"P{i:03d}_w01", f"P{i:03d}", 1, vectors[i], int(labels[i]))
-        for i in range(n)
-    ]
+    return Dataset(vectors, labels, tuple(f"P{i:03d}_w01" for i in range(n)))
 
 
 FIT_CONFIG = EngineConfig(learners=LearnerConfig(forest_trees=12, gbt_rounds=15))
