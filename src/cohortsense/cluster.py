@@ -200,6 +200,16 @@ class ClusterRegistry:
         return len(self._ids)
 
     @property
+    def point_ids(self) -> tuple[str, ...]:
+        """Every stored point id, in insertion order."""
+        return tuple(self._ids)
+
+    @property
+    def dim(self) -> int:
+        """Width of the stored vectors; 0 before the first point."""
+        return self._vectors.shape[1]
+
+    @property
     def min_pts(self) -> int:
         return _min_pts_for(
             max(self.point_count, 1), self.density_fraction, self.min_pts_floor

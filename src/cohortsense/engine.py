@@ -64,9 +64,13 @@ class EngineState:
     current_week: int = 0
     pipeline: FittedPipeline | None = None
     pool: ModelPool = field(default_factory=ModelPool)
-    rows: dict[str, int] = field(default_factory=dict)  # point id -> label, in arrival order
     holdout: frozenset[str] = frozenset()
     scores: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def rows(self) -> list[str]:
+        """The labeled point ids in arrival order: those whose participant has a score."""
+        return [pt for pt in self.registry.point_ids if _participant(pt) in self.scores]
 
     def copy(self) -> "EngineState":
         return EngineState(
@@ -77,7 +81,6 @@ class EngineState:
             pool=ModelPool(
                 generic=self.pool.generic, specialized=dict(self.pool.specialized)
             ),
-            rows=dict(self.rows),
             holdout=self.holdout,
             scores=dict(self.scores),
         )
@@ -127,9 +130,23 @@ def _participant(point_id: str) -> str:
     return point_id.rpartition("|")[0]
 
 
-def _check_week(week: int) -> None:
-    if week > MAX_WEEK:
-        raise ValidationError(f"batch week {week} above the last replayable week {MAX_WEEK}")
+def _week_of(point_id: str) -> int:
+    return int(point_id.rpartition("|w")[2])
+
+
+def _check_batch(batch: WeeklyBatch, scores: dict[str, int]) -> None:
+    """Reject a week past ``MAX_WEEK``, and a score that differs from the
+    known one: a participant's one score labels all of their points."""
+    if batch.week > MAX_WEEK:
+        raise ValidationError(
+            f"batch week {batch.week} above the last replayable week {MAX_WEEK}"
+        )
+    for pid, score in sorted(batch.labels.items()):
+        if scores.get(pid, score) != score:
+            raise ValidationError(
+                f"week {batch.week}: participant {pid} has score {score}, "
+                f"but an earlier week gave {scores[pid]}"
+            )
 
 
 def _pick_holdout(scores: dict[str, int], config: EngineConfig) -> frozenset[str]:
@@ -151,7 +168,7 @@ def _pick_holdout(scores: dict[str, int], config: EngineConfig) -> frozenset[str
 
 def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyReport]:
     """Run one week: preprocess, cluster, refresh models, vote, evaluate."""
-    _check_week(batch.week)
+    _check_batch(batch, state.scores)
     if batch.week != state.current_week + 1:
         raise ValidationError(
             f"batch week {batch.week} out of order; expected week "
@@ -188,19 +205,14 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
             f"week {week}: fixed hold-out of {len(st.holdout)} participants"
         )
 
-    week_rows = {
-        week_points[pid]: label_from_score(st.scores[pid], st.config.score_threshold)
-        for pid in pids
-        if pid in st.scores
-    }
-    st.rows.update(week_rows)
-
+    # a participant's one score labels every point of theirs
+    label = {pid: label_from_score(s, st.config.score_threshold) for pid, s in st.scores.items()}
     # point ids are unique and sort by (participant, week); as the dataset's
     # row ids they give every seeded learner a canonical ordering
     train_ids = [pt for pt in st.rows if _participant(pt) not in st.holdout]
     train = Dataset(
         vectors=st.registry.vectors(train_ids),
-        labels=np.array([st.rows[pt] for pt in train_ids], dtype=int),
+        labels=np.array([label[_participant(pt)] for pt in train_ids], dtype=int),
         participant_ids=tuple(train_ids),
     )
     st.pool, gen_events = refresh_generic(
@@ -223,12 +235,12 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
     votes: dict[str, VoteOutcome] = {}
     eval_rows: list[EvalRow] = []
     if st.pool.generic is not None:
-        held = [pt for pt in week_rows if _participant(pt) in st.holdout]
+        held = [pt for pt in week_points.values() if _participant(pt) in st.holdout]
         if not held:
             raise ValidationError(f"week {week}: empty hold-out, cannot evaluate")
         votes = dict(zip(week_points, vote(st.pool, X, list(assignments.values()))))
         eval_rows = evaluate_week(
-            [week_rows[pt] for pt in held],
+            [label[_participant(pt)] for pt in held],
             [assignments[pt] for pt in held],
             [votes[_participant(pt)] for pt in held],
         )
@@ -249,7 +261,8 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
 def save(state: EngineState, path: str | Path) -> Path:
     """Write the full engine state as a gzip-compressed JSON checkpoint.
 
-    Each row's vector is stored once, in the registry, under its point id.
+    Each point's vector is stored once, in the registry, under its point id;
+    its label is derived from its participant's score.
     """
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
@@ -258,7 +271,6 @@ def save(state: EngineState, path: str | Path) -> Path:
         "pipeline": None if state.pipeline is None else pipeline_to_json(state.pipeline),
         "registry": state.registry.to_json(),
         "pool": pool_to_json(state.pool),
-        "rows": [{"point_id": pt, "label": label} for pt, label in state.rows.items()],
         "holdout": sorted(state.holdout),
         "scores": dict(sorted(state.scores.items())),
     }
@@ -303,31 +315,42 @@ def load(path: str | Path) -> EngineState:
 
 
 def _state_from_json(doc: dict) -> EngineState:
-    # keys are picked one by one, so the keys an older writer added (row
-    # vectors, participant ids and weeks, the run log, copies of config
-    # values) are ignored
+    # keys are picked one by one, so the keys an older writer added (labeled
+    # rows, row vectors, the run log, copies of config values, each model
+    # set's scope and week, GBT training losses) are ignored
     config_doc = dict(doc["config"])
     config_doc["learners"] = LearnerConfig(**config_doc["learners"])
     config = EngineConfig(**config_doc)
     registry = ClusterRegistry.from_json(doc["registry"])
-    rows: dict[str, int] = {}
-    for r in doc["rows"]:
-        pt, label = r["point_id"], r["label"]
-        if label not in (0, 1):
-            raise ValidationError(f"row {pt!r} has label {label!r}, not 0 or 1")
-        if pt in rows:  # a dict would keep only the last of the repeats
-            raise ValidationError(f"row {pt!r} appears more than once")
-        rows[pt] = int(label)
-    registry.vectors(rows)  # every row's vector is in the registry
+    for key in ("eps", "density_fraction", "min_pts_floor"):
+        if getattr(registry, key) != getattr(config, key):
+            raise ValidationError(f"registry {key} differs from the config's value")
+    pipeline = None if doc["pipeline"] is None else pipeline_from_json(doc["pipeline"])
+    pool = pool_from_json(doc["pool"])
+    # the width the pipeline projects to and the model sets read
+    widths = {s.input_dim for s in (pool.generic, *pool.specialized.values()) if s is not None}
+    if pipeline is not None:
+        widths.add(len(pipeline.projector.components))
+    if registry.point_count and widths - {registry.dim}:
+        raise ValidationError(
+            f"registry vectors have width {registry.dim}; the pipeline and models {sorted(widths)}"
+        )
+    scores = {pid: validate_score(s) for pid, s in doc["scores"].items()}
+    holdout = doc["holdout"]
+    if not isinstance(holdout, list) or not set(holdout) <= scores.keys():
+        raise ValidationError("hold-out is not a list of scored participant ids")
+    week = doc["current_week"]
+    last = max(map(_week_of, registry.point_ids), default=0)
+    if type(week) is not int or not last <= week <= MAX_WEEK:
+        raise ValidationError(f"current week {week!r} is not an int in [{last}, {MAX_WEEK}]")
     return EngineState(
         config=config,
-        current_week=int(doc["current_week"]),
-        pipeline=None if doc["pipeline"] is None else pipeline_from_json(doc["pipeline"]),
+        current_week=week,
+        pipeline=pipeline,
         registry=registry,
-        pool=pool_from_json(doc["pool"]),
-        rows=rows,
-        holdout=frozenset(doc["holdout"]),
-        scores={pid: validate_score(s) for pid, s in doc["scores"].items()},
+        pool=pool,
+        holdout=frozenset(holdout),
+        scores=scores,
     )
 
 
@@ -356,8 +379,10 @@ def run_replay(
         state = new_state(config_or_state)
 
     expected = state.current_week + 1
+    scores = dict(state.scores)
     for batch in batches:
-        _check_week(batch.week)
+        _check_batch(batch, scores)
+        scores.update(batch.labels)
         if batch.week != expected:
             raise ValidationError(
                 f"missing week {expected}: next batch is week {batch.week}"

@@ -38,15 +38,16 @@ GENERIC_SCOPE = "generic"
 class ModelSet:
     """All four trained kinds for one scope, with validation scores."""
 
-    scope: str  # GENERIC_SCOPE or a cohort label
     models: dict[ModelKind, object]
     validation_f1: dict[ModelKind, float]
-    trained_through_week: int
     input_dim: int
 
     def __post_init__(self) -> None:
         if set(self.models) != set(KIND_ORDER):
             raise ValidationError("a model set must hold all four kinds")
+        f1 = self.validation_f1
+        if set(f1) != set(KIND_ORDER) or not all(0.0 <= v <= 1.0 for v in f1.values()):
+            raise ValidationError("a model set must hold one validation F1 in [0, 1] per kind")
 
 
 @dataclass
@@ -126,7 +127,6 @@ def _fit_set(
     dataset: Dataset,
     config: EngineConfig,
     seed: int,
-    week: int,
     previous: ModelSet | None,
 ) -> tuple[ModelSet, list[str]]:
     """Train all four kinds with k-fold validation scores.
@@ -172,14 +172,7 @@ def _fit_set(
             scores[kind] = compute_metrics(
                 models[kind].predict(dataset.vectors), dataset.labels
             ).f1
-    model_set = ModelSet(
-        scope=scope,
-        models=models,
-        validation_f1=scores,
-        trained_through_week=week,
-        input_dim=dataset.dim,
-    )
-    return model_set, events
+    return ModelSet(models=models, validation_f1=scores, input_dim=dataset.dim), events
 
 
 def refresh_generic(
@@ -202,9 +195,7 @@ def refresh_generic(
         )
         log.warning(message)
         return pool, [message]
-    model_set, events = _fit_set(
-        GENERIC_SCOPE, rows, config, seed, week, previous=pool.generic
-    )
+    model_set, events = _fit_set(GENERIC_SCOPE, rows, config, seed, previous=pool.generic)
     return ModelPool(generic=model_set, specialized=dict(pool.specialized)), events
 
 
@@ -247,7 +238,6 @@ def refresh_specialized(
             cohort_rows,
             config,
             derive_seed(seed, label),
-            week,
             previous=specialized.get(label),
         )
         specialized[label] = model_set
@@ -341,8 +331,6 @@ def evaluate_week(
 
 def _set_to_json(model_set: ModelSet) -> dict:
     return {
-        "scope": model_set.scope,
-        "trained_through_week": model_set.trained_through_week,
         "input_dim": model_set.input_dim,
         "validation_f1": {k.value: v for k, v in model_set.validation_f1.items()},
         "models": {k.value: model_to_json(m) for k, m in model_set.models.items()},
@@ -355,10 +343,8 @@ def _set_from_json(doc: dict) -> ModelSet:
     for model in models.values():
         model.check_input_dim(input_dim)
     return ModelSet(
-        scope=doc["scope"],
         models=models,
         validation_f1={ModelKind(k): float(v) for k, v in doc["validation_f1"].items()},
-        trained_through_week=int(doc["trained_through_week"]),
         input_dim=input_dim,
     )
 

@@ -18,7 +18,7 @@ error for regression).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -448,7 +448,6 @@ class GBTModel:
     init_score: float
     learning_rate: float
     nodes: NodeTable
-    train_log_loss: list[float] = field(default_factory=list)
 
     kind = ModelKind.GBT
 
@@ -469,7 +468,6 @@ class GBTModel:
         return {
             "init_score": self.init_score,
             "learning_rate": self.learning_rate,
-            "train_log_loss": list(self.train_log_loss),
             "trees": self.nodes.to_json(),
         }
 
@@ -479,7 +477,6 @@ class GBTModel:
             init_score=float(doc["init_score"]),
             learning_rate=float(doc["learning_rate"]),
             nodes=NodeTable.from_json(doc["trees"]),
-            train_log_loss=[float(x) for x in doc["train_log_loss"]],
         )
 
 
@@ -527,37 +524,25 @@ def train_gbt_many(
                 f"gradient boosting requires both classes, got {zeros} zeros / {ones} ones"
             )
     init_scores: list[float] = []
-    losses: list[list[float]] = []
     parts: list[tuple] = []
     for run in _passes([len(ds) for ds in datasets]):
-        scores, loss, grown = _boost(
-            datasets[run], run.start, n_rounds, max_depth, learning_rate
-        )
+        scores, grown = _boost(datasets[run], run.start, n_rounds, max_depth, learning_rate)
         init_scores.extend(scores)
-        losses.extend(loss)
         parts.extend(grown)
     return [
-        GBTModel(
-            init_score=init_score,
-            learning_rate=learning_rate,
-            nodes=nodes,
-            train_log_loss=loss,
-        )
-        for init_score, nodes, loss in zip(
-            init_scores, _collect(parts, len(datasets), n_rounds), losses
-        )
+        GBTModel(init_score=init_score, learning_rate=learning_rate, nodes=nodes)
+        for init_score, nodes in zip(init_scores, _collect(parts, len(datasets), n_rounds))
     ]
 
 
 def _boost(
     datasets: list[Dataset], first: int, n_rounds: int, max_depth: int, learning_rate: float
-) -> tuple[list[float], list[list[float]], list[tuple]]:
+) -> tuple[list[float], list[tuple]]:
     """One pass of ``train_gbt_many``: each round grows one tree per dataset.
 
     Dataset r of the pass is dataset ``first + r`` of the call, and its
     tree of round k gets tree id ``(first + r) * n_rounds + k``. Returns
-    the initial scores, the per-round training losses and the raw node
-    tables.
+    the initial scores and the raw node tables.
     """
     canon = [ds.canonicalized() for ds in datasets]
     labels = [ds.labels.astype(float) for ds in canon]
@@ -566,23 +551,13 @@ def _boost(
         base = y.mean()
         init_scores.append(float(np.log(base / (1.0 - base))))
     root_rows = [len(y) for y in labels]
-    sizes = np.array(root_rows)
-    starts = np.cumsum(sizes) - sizes
-    # the rows of the datasets of each distinct length, one dataset a row,
-    # so that one row-wise sum adds each dataset's losses as its own
-    # ``mean`` would (pairwise, so the rounding depends on the length)
-    groups = []
-    for m in np.unique(sizes).tolist():
-        idx = np.flatnonzero(sizes == m)
-        groups.append((idx, starts[idx][:, None] + np.arange(m)))
 
     edges, binned = zip(*(_bin_columns(ds.vectors.astype(float)) for ds in canon))
     edge_values, edge_ok = _edge_table(list(edges))
     binned = np.concatenate(binned)
     y = np.concatenate(labels)
-    scores = np.repeat(init_scores, sizes)
+    scores = np.repeat(init_scores, root_rows)
     first_ids = (first + np.arange(len(canon))) * n_rounds
-    sums = np.empty((len(canon), n_rounds))
     parts = []
     for k in range(n_rounds):
         resid = y - 1.0 / (1.0 + np.exp(-scores))
@@ -592,8 +567,4 @@ def _boost(
         )
         parts.append(part)
         scores = scores + learning_rate * train_out
-        # log loss of every training row, summed over each dataset's rows
-        loss = np.logaddexp(0.0, scores) - y * scores
-        for idx, rows in groups:
-            sums[idx, k] = np.add.reduce(loss[rows], axis=1)
-    return init_scores, (sums / sizes[:, None]).tolist(), parts
+    return init_scores, parts

@@ -17,7 +17,7 @@ from planted import FIXTURE_SEED, build_planted_fixture
 
 from cohortsense.core import EngineConfig, LearnerConfig
 from cohortsense.engine import load, new_state, run_replay, save, step
-from cohortsense.ensemble import GENERIC_SCOPE, ModelPool, ModelSet, vote
+from cohortsense.ensemble import ModelPool, ModelSet, vote
 from cohortsense.learners import (
     Dataset,
     compute_metrics,
@@ -348,17 +348,13 @@ def test_criterion_9_voting_logic_exhaustive():
     for pattern in range(2**8):
         votes = [(pattern >> i) & 1 for i in range(8)]
         generic = ModelSet(
-            scope=GENERIC_SCOPE,
             models={k: _FixedVote(votes[i]) for i, k in enumerate(KIND_ORDER)},
             validation_f1={k: weights[i] for i, k in enumerate(KIND_ORDER)},
-            trained_through_week=1,
             input_dim=2,
         )
         special = ModelSet(
-            scope="G1",
             models={k: _FixedVote(votes[4 + i]) for i, k in enumerate(KIND_ORDER)},
             validation_f1={k: weights[4 + i] for i, k in enumerate(KIND_ORDER)},
-            trained_through_week=1,
             input_dim=2,
         )
         pool = ModelPool(generic=generic, specialized={"G1": special})

@@ -280,6 +280,35 @@ def test_replay_resume_checkpoint_with_out_of_range_split_exits_one(tmp_path, ca
     assert not (tmp_path / "out" / "report_week_2.csv").exists()
 
 
+def test_replay_resume_with_a_changed_score_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    plan_path = tmp_path / "plan.json"
+    config_path = tmp_path / "config.json"
+    write_tiny_plan(plan_path, weeks=3)
+    config_path.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
+    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+    ckpt = tmp_path / "ckpt.csk"
+    (data / "week_3.csv").rename(tmp_path / "week_3.csv")
+    main(["replay", "--config", str(config_path), "--data-dir", str(data),
+          "--out-dir", str(tmp_path / "first"), "--checkpoint", str(ckpt)])
+    (tmp_path / "week_3.csv").rename(data / "week_3.csv")
+
+    def change_first_score(rows):
+        at = rows[0].index("score")
+        rows[1][at] = "35" if int(rows[1][at]) != 35 else "13"
+
+    _edit_csv(data / "labels.csv", change_first_score)
+    capsys.readouterr()
+    code = main(
+        ["replay", "--config", str(config_path), "--data-dir", str(data),
+         "--out-dir", str(tmp_path / "out"), "--resume", str(ckpt)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "score" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_oracle_gradients(capsys):
     assert main(["eval-oracle", "--suite", "gradients"]) == 0
     assert "gradient oracle: PASS" in capsys.readouterr().err

@@ -73,6 +73,30 @@ def test_step_rejects_out_of_order_week(mini_batches):
         step(state, mini_batches[1])
 
 
+def test_step_rejects_a_changed_score_and_keeps_the_state(mini_batches):
+    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
+    batch = mini_batches[1]
+    pid = min(batch.labels)
+    changed = dict(batch.labels, **{pid: 40 if batch.labels[pid] < 40 else 10})
+    with pytest.raises(ValidationError, match=f"participant {pid} has score"):
+        step(state, dataclasses.replace(batch, labels=changed))
+    after, report = step(state, batch)
+    _, straight = step(step(new_state(FAST_CONFIG), mini_batches[0])[0], batch)
+    assert after.current_week == 2 and report == straight
+
+
+def test_a_score_labels_every_point_of_its_participant(mini_batches):
+    first, second = mini_batches[:2]
+    pid = max(first.labels)
+    unlabeled = {p: s for p, s in first.labels.items() if p != pid}
+    state, _ = step(new_state(FAST_CONFIG), dataclasses.replace(first, labels=unlabeled))
+    assert f"{pid}|w01" in state.registry.point_ids
+    assert f"{pid}|w01" not in state.rows
+    state, _ = step(state, second)
+    assert f"{pid}|w01" in state.rows
+    assert state.rows == list(state.registry.point_ids)
+
+
 def test_step_rejects_empty_batch(mini_batches):
     state = new_state(FAST_CONFIG)
     with pytest.raises(ValidationError, match="empty"):
@@ -162,7 +186,7 @@ def test_checkpoint_round_trip(tmp_path, mini_batches):
     assert restored.current_week == state.current_week
     assert restored.holdout == state.holdout
     assert restored.registry.partition() == state.registry.partition()
-    assert list(restored.rows.items()) == list(state.rows.items())
+    assert restored.rows == state.rows
     assert np.array_equal(restored.registry.vectors(state.rows), state.registry.vectors(state.rows))
 
 
@@ -223,22 +247,44 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
     path = tmp_path / "state.csk"
     save(state, path)
     good = json.loads(gzip.open(path, "rb").read())
-    held = [r["point_id"].rpartition("|")[0] in good["holdout"] for r in good["rows"]]
-    assert any(held) and not all(held)
     pid = next(iter(good["scores"]))
+    reg, pipeline = good["registry"], good["pipeline"]
+    generic = good["pool"]["generic"]
+    f1 = generic["validation_f1"]
+
+    def pool_with_f1(value):
+        return dict(good["pool"], generic=dict(generic, validation_f1=value))
+
     broken = [
-        # label 7 on a hold-out participant's row, then on a training one's
-        ("rows", [dict(r, label=7) if h else r for r, h in zip(good["rows"], held)]),
-        ("rows", [dict(r, label=7) if not h else r for r, h in zip(good["rows"], held)]),
-        ("rows", good["rows"] + good["rows"][:1]),
         ("scores", dict(good["scores"], **{pid: 41})),
         ("scores", dict(good["scores"], **{pid: 9})),
-        ("rows", 7),
         ("current_week", "x"),
         ("registry", []),
         ("pipeline", []),
-        ("rows", [dict(good["rows"][0], point_id="P999|w01")]),
         ("config", dict(good["config"], holdout_fraction=1.5)),
+        # the registry's clustering parameters and vector width against the
+        # config, the pipeline and the model sets
+        ("registry", dict(reg, eps=5.0)),
+        ("registry", dict(reg, density_fraction=0.2)),
+        ("registry", dict(reg, min_pts_floor=6)),
+        ("registry", dict(reg, vectors=[v + [0.0] for v in reg["vectors"]])),
+        ("pipeline", dict(
+            pipeline,
+            pca_components=pipeline["pca_components"][:-1],
+            pca_explained_variance_ratio=pipeline["pca_explained_variance_ratio"][:-1],
+        )),
+        # validation F1: one finite value in [0, 1] per kind
+        ("pool", pool_with_f1({k: v for k, v in f1.items() if k != "gbt"})),
+        ("pool", pool_with_f1(dict(f1, gbt="nan"))),
+        ("pool", pool_with_f1(dict(f1, gbt=1.5))),
+        # the hold-out: a list of scored participant ids
+        ("holdout", good["holdout"][0]),
+        ("holdout", good["holdout"] + ["ZZZ"]),
+        # the current week: an int from the registry's last week to MAX_WEEK
+        ("current_week", 0),
+        ("current_week", 100),
+        ("current_week", 1.5),
+        ("current_week", True),
     ]
     for field, value in broken:
         doc = dict(good, **{field: value})
@@ -457,25 +503,34 @@ def test_checkpoint_in_the_older_layout_loads_and_resumes(tmp_path, profiles):
     ckpt = tmp_path / "mid.csk"
     run_replay(FAST_CONFIG, batches[:2], out_dir=resumed, checkpoint_path=ckpt)
 
-    # the older layout also held each row's vector, participant id and
-    # week, the run log, the pool's copies of two config values, each
-    # set's training point ids, and the models' seeds and sizes
+    # the older layout also held labeled rows, each with its vector,
+    # participant id and week, the run log, the pool's copies of two config
+    # values, each set's scope, week and training point ids, the models'
+    # seeds and sizes, and each GBT model's per-round training losses
     doc = json.loads(gzip.open(ckpt, "rb").read())
     reg = doc["registry"]
     vector_of = dict(zip(reg["ids"], reg["vectors"]))
-    for row in doc["rows"]:
-        row["vector"] = vector_of[row["point_id"]]
-        participant, _, week = row["point_id"].rpartition("|w")
-        row.update(participant_id=participant, week=int(week))
+    doc["rows"] = []
+    for point_id in reg["ids"]:
+        participant, _, week = point_id.rpartition("|w")
+        doc["rows"].append({
+            "point_id": point_id,
+            "label": int(doc["scores"][participant] > doc["config"]["score_threshold"]),
+            "vector": vector_of[point_id],
+            "participant_id": participant,
+            "week": int(week),
+        })
     doc["run_log"] = [{"event": "week 1: preprocessing pipeline fitted", "week": 1}]
     reg["cohort_ids"] = {"p0": "G1"}
     doc["pool"].update(min_cohort_size=15, min_class_count=5)
-    for model_set in [doc["pool"]["generic"], *doc["pool"]["specialized"].values()]:
+    scopes = {"generic": doc["pool"]["generic"], **doc["pool"]["specialized"]}
+    for scope, model_set in scopes.items():
+        model_set.update(scope=scope, trained_through_week=2)
         model_set["trained_on"] = sorted(row["point_id"] for row in doc["rows"])
         model_set["models"]["logreg"].update(seed=1, iterations=80)
         model_set["models"]["linear_svm"].update(seed=1, epochs=80)
         model_set["models"]["random_forest"].update(seed=1, n_trees=10, max_depth=4)
-        model_set["models"]["gbt"]["seed"] = 1
+        model_set["models"]["gbt"].update(seed=1, train_log_loss=[0.5] * 10)
     older = tmp_path / "older.csk"
     with gzip.GzipFile(older, "wb", mtime=0) as fh:
         fh.write(json.dumps(doc, sort_keys=True).encode("utf-8"))

@@ -6,7 +6,6 @@ import pytest
 from cohortsense.cluster import ClusterSnapshot
 from cohortsense.core import EngineConfig, LearnerConfig, ValidationError
 from cohortsense.ensemble import (
-    GENERIC_SCOPE,
     ModelPool,
     ModelSet,
     evaluate_week,
@@ -66,12 +65,10 @@ class _StubModel:
         return np.full(len(X), self.prediction, dtype=int)
 
 
-def stub_set(scope, votes, f1s, week=1, dim=2):
+def stub_set(votes, f1s, dim=2):
     return ModelSet(
-        scope=scope,
         models={k: _StubModel(v) for k, v in zip(KIND_ORDER, votes)},
         validation_f1={k: f for k, f in zip(KIND_ORDER, f1s)},
-        trained_through_week=week,
         input_dim=dim,
     )
 
@@ -85,7 +82,6 @@ def test_refresh_generic_builds_four_models():
     )
     assert pool.generic is not None
     assert set(pool.generic.models) == set(KIND_ORDER)
-    assert pool.generic.trained_through_week == 1
     assert all(0.0 <= f <= 1.0 for f in pool.generic.validation_f1.values())
 
 
@@ -159,11 +155,10 @@ def test_refresh_specialized_keeps_vanished_sets_frozen():
     snap1 = ClusterSnapshot(week=1, cohorts={"G2": members}, noise=frozenset())
     cfg = config(min_cohort_size=5, min_class_count=3)
     pool, _ = refresh_specialized(ModelPool(), snap1, rows, cfg, seed=0, week=1)
-    assert pool.specialized["G2"].trained_through_week == 1
     # G2 vanishes in week 2: its set must stay exactly as trained
     snap2 = ClusterSnapshot(week=2, cohorts={}, noise=members)
     pool2, _ = refresh_specialized(pool, snap2, rows, cfg, seed=0, week=2)
-    assert pool2.specialized["G2"].trained_through_week == 1
+    assert pool2.specialized["G2"] is pool.specialized["G2"]
     assert pool_to_json(pool2)["specialized"]["G2"] == pool_to_json(pool)["specialized"]["G2"]
 
 
@@ -196,8 +191,8 @@ def test_specialized_beats_generic_on_planted_group_structure():
 
 def test_vote_majority_with_eight_voters():
     pool = ModelPool(
-        generic=stub_set(GENERIC_SCOPE, [1, 1, 1, 0], [0.5] * 4),
-        specialized={"G1": stub_set("G1", [1, 1, 0, 0], [0.5] * 4)},
+        generic=stub_set([1, 1, 1, 0], [0.5] * 4),
+        specialized={"G1": stub_set([1, 1, 0, 0], [0.5] * 4)},
     )
     [outcome] = vote(pool, np.zeros((1, 2)), ["G1"])
     assert outcome.prediction == 1
@@ -208,8 +203,8 @@ def test_vote_majority_with_eight_voters():
 
 def test_vote_noise_routes_generic_only():
     pool = ModelPool(
-        generic=stub_set(GENERIC_SCOPE, [0, 0, 1, 0], [0.5] * 4),
-        specialized={"G1": stub_set("G1", [1, 1, 1, 1], [0.9] * 4)},
+        generic=stub_set([0, 0, 1, 0], [0.5] * 4),
+        specialized={"G1": stub_set([1, 1, 1, 1], [0.9] * 4)},
     )
     [outcome] = vote(pool, np.zeros((1, 2)), [None])
     assert len(outcome.tally) == 4
@@ -218,7 +213,7 @@ def test_vote_noise_routes_generic_only():
 
 
 def test_vote_missing_specialized_set_routes_generic_only():
-    pool = ModelPool(generic=stub_set(GENERIC_SCOPE, [1, 1, 0, 0], [0.6, 0.6, 0.5, 0.4]))
+    pool = ModelPool(generic=stub_set([1, 1, 0, 0], [0.6, 0.6, 0.5, 0.4]))
     [outcome] = vote(pool, np.zeros((1, 2)), ["G9"])
     assert len(outcome.tally) == 4
     assert outcome.rule_used == "generic_only"
@@ -229,8 +224,8 @@ def test_vote_missing_specialized_set_routes_generic_only():
 def test_vote_weighted_tie_break_hand_computed():
     # 4-4 tie; zeros carry weight 2.9, ones carry 2.5 -> prediction 0
     pool = ModelPool(
-        generic=stub_set(GENERIC_SCOPE, [0, 0, 1, 1], [0.8, 0.7, 0.6, 0.7]),
-        specialized={"G2": stub_set("G2", [0, 0, 1, 1], [0.7, 0.7, 0.6, 0.6])},
+        generic=stub_set([0, 0, 1, 1], [0.8, 0.7, 0.6, 0.7]),
+        specialized={"G2": stub_set([0, 0, 1, 1], [0.7, 0.7, 0.6, 0.6])},
     )
     [outcome] = vote(pool, np.zeros((1, 2)), ["G2"])
     assert outcome.rule_used == "weighted_f1"
@@ -243,22 +238,22 @@ def test_vote_weighted_tie_break_hand_computed():
 
 def test_vote_tie_with_equal_weights_predicts_lonely():
     pool = ModelPool(
-        generic=stub_set(GENERIC_SCOPE, [0, 0, 1, 1], [0.5] * 4),
-        specialized={"G1": stub_set("G1", [0, 0, 1, 1], [0.5] * 4)},
+        generic=stub_set([0, 0, 1, 1], [0.5] * 4),
+        specialized={"G1": stub_set([0, 0, 1, 1], [0.5] * 4)},
     )
     assert vote(pool, np.zeros((1, 2)), ["G1"])[0].prediction == 1
 
 
 def test_vote_dimension_mismatch_error():
-    pool = ModelPool(generic=stub_set(GENERIC_SCOPE, [1, 1, 1, 1], [0.5] * 4, dim=3))
+    pool = ModelPool(generic=stub_set([1, 1, 1, 1], [0.5] * 4, dim=3))
     with pytest.raises(ValidationError):
         vote(pool, np.zeros((1, 2)), [None])
 
 
 def test_vote_tally_size_invariant():
     pool = ModelPool(
-        generic=stub_set(GENERIC_SCOPE, [1, 0, 1, 0], [0.5] * 4),
-        specialized={"G1": stub_set("G1", [1, 1, 1, 1], [0.9] * 4)},
+        generic=stub_set([1, 0, 1, 0], [0.5] * 4),
+        specialized={"G1": stub_set([1, 1, 1, 1], [0.9] * 4)},
     )
     for assignment in (None, "G1", "G7"):
         [outcome] = vote(pool, np.zeros((1, 2)), [assignment])
@@ -269,8 +264,8 @@ def test_vote_tally_size_invariant():
 def test_weighted_rule_never_overrides_strict_majority():
     # 5 ones vs 3 zeros; zeros hold huge weights but majority stands
     pool = ModelPool(
-        generic=stub_set(GENERIC_SCOPE, [1, 1, 1, 0], [0.1, 0.1, 0.1, 0.99]),
-        specialized={"G1": stub_set("G1", [1, 1, 0, 0], [0.1, 0.1, 0.99, 0.99])},
+        generic=stub_set([1, 1, 1, 0], [0.1, 0.1, 0.1, 0.99]),
+        specialized={"G1": stub_set([1, 1, 0, 0], [0.1, 0.1, 0.99, 0.99])},
     )
     [outcome] = vote(pool, np.zeros((1, 2)), ["G1"])
     assert outcome.prediction == 1
@@ -328,7 +323,7 @@ def test_evaluate_week_report_axes():
 
 def test_evaluate_week_perfect_pool_alls_ones():
     rows = two_class_rows(n_per_class=6, seed=7)
-    pool = ModelPool(generic=stub_set(GENERIC_SCOPE, [1, 1, 1, 1], [0.5] * 4))
+    pool = ModelPool(generic=stub_set([1, 1, 1, 1], [0.5] * 4))
     # stub predicts all ones; feed rows where truth is all ones
     ones_rows = rows.subset(np.flatnonzero(rows.labels == 1))
     report = evaluate_week(*voted_holdout(pool, ones_rows, [None] * len(ones_rows)))

@@ -387,9 +387,15 @@ def test_gbt_log_loss_decreases():
     rng = np.random.default_rng(15)
     vectors = rng.normal(size=(60, 3))
     labels = (vectors[:, 0] + 0.5 * vectors[:, 1] + rng.normal(0, 0.3, 60) > 0).astype(int)
-    model = train_gbt(make_dataset(vectors, labels), seed=0, n_rounds=100)
-    assert model.train_log_loss[99] < model.train_log_loss[0]
-    diffs = np.diff(model.train_log_loss)
+    dataset = make_dataset(vectors, labels)
+    model = train_gbt(dataset, seed=0, n_rounds=100)
+    # the training scores after each round, from the staged tree outputs
+    X = dataset.vectors
+    staged = model.init_score + model.learning_rate * np.cumsum(model.nodes.leaves(X), axis=1)
+    y = dataset.labels[:, None]
+    loss = (np.logaddexp(0.0, staged) - y * staged).mean(axis=0)
+    assert loss[99] < loss[0]
+    diffs = np.diff(loss)
     assert np.all(diffs <= 1e-9)
 
 

@@ -25,8 +25,8 @@ DIGESTS = {
     "linear_svm/d3/cold": "33560ec68420b48477996025e6449dd5d599e60dbddf6abc773e025a4ac31aec",
     "linear_svm/d3/warm": "713cb0b2b71db1c2228e10d1dc3532122e0f65e9ee72c5bca9e82075174a0274",
     "logreg/d2/long": "cb6e89e5758aed12fe46291190340d2f12c92f33936ed8ee398e308eb12fa070",
-    "fit_set/cv": "bada194903348bf407398e33904c6c84f0b039fdae458d52fdeebc4de9c38c68",
-    "fit_set/no_cv": "798bd9b3e313046eebe7072a548379e257ed6178f65dcad855752e4ef91f2280",
+    "fit_set/cv": "1ea092f2dd3708f80cb8d62d815918096ba30d3ede10918d5dcc5c0228cc86c2",
+    "fit_set/no_cv": "d7937d5e25e0e87840134d371702e1c178e3afa4eb5066b55c9a553ee243330c",
 }
 
 MODELS = {"logreg": linear.LogRegModel, "linear_svm": linear.LinearSVMModel}
@@ -76,11 +76,11 @@ FIT_CONFIG = EngineConfig(learners=LearnerConfig(forest_trees=12, gbt_rounds=15)
 
 def fit_set_doc(case: str) -> dict:
     if case == "no_cv":  # one row of class 1: k = 1, so no folds
-        model_set, events = _fit_set("G9", labeled_rows(40, 1, 3), FIT_CONFIG, 5, 1, None)
+        model_set, events = _fit_set("G9", labeled_rows(40, 1, 3), FIT_CONFIG, 5, None)
         return {"sets": [_set_to_json(model_set)], "events": events}
     # 10 folds; the second fit warm-starts its linear kinds from the first
-    first, events = _fit_set("generic", labeled_rows(90, 14, 4), FIT_CONFIG, 5, 1, None)
-    second, more = _fit_set("generic", labeled_rows(120, 25, 6), FIT_CONFIG, 6, 2, first)
+    first, events = _fit_set("generic", labeled_rows(90, 14, 4), FIT_CONFIG, 5, None)
+    second, more = _fit_set("generic", labeled_rows(120, 25, 6), FIT_CONFIG, 6, first)
     return {"sets": [_set_to_json(first), _set_to_json(second)], "events": events + more}
 
 

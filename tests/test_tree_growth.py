@@ -1,8 +1,9 @@
 """The tree learners grow many trees per pass yet give the same models.
 
 The digests below were recorded with the one-tree-at-a-time grower that
-the multi-root grower replaced: any change to a split, a leaf value, a
-threshold or a training loss changes them.
+the multi-root grower replaced: any change to a split, a leaf value or a
+threshold changes them. The GBT digests drop the per-round training
+losses that models no longer store.
 """
 
 import hashlib
@@ -55,17 +56,17 @@ DATASETS = {"tied": tied_dataset, "spread": spread_dataset}
 
 DIGESTS = {
     "tied/forest": "db916fafdd3b752390e25aecb330e2606bf393535a52e359aa93a3399563cb1a",
-    "tied/gbt": "a11e7d167c36c8c505b94899017d5fd7083da87f5ee6aeb8582a5c9d5cbb1db3",
+    "tied/gbt": "089a9f0c0114211a6898e1d2232644ecdd6f6f4af578e99673527387f6cf39d5",
     "tied/cv/logreg": "49fc8b17db9e334075d5e8470e146d25388ea1c6bf1b07a0df352ba5ba35c792",
     "tied/cv/linear_svm": "a1643e81896e0a74e969e3b118c97cbb9d7aae9e5f0efb29e69aa466f5b72d43",
     "tied/cv/random_forest": "e74994e8b5890172191a31eb27a700a1f77afed01edcd032007c54ca0498f38b",
-    "tied/cv/gbt": "41cdce0e5e599d4c1dd8b4ac9e8d210cb4580e8d21c49db17ff252e51630655e",
+    "tied/cv/gbt": "620deb7651f93302b30e86cd2630db02c8f6d942d472df3efa13463b6942b45d",
     "spread/forest": "b58f3412cd5270cfefb709d0078b65859de13fc64a847332eea05a04fe5b7880",
-    "spread/gbt": "61a9d3beed5c06a59e58925b338175e3c0e1465f2efa39a324079091567193c4",
+    "spread/gbt": "1449b8fd8652db4cc5ff08fce065867e026a0c927400887560af3bf091e9ff80",
     "spread/cv/logreg": "06af45cae45bcdfef14bdbe1ac7bd0fd696991827b51f4287b030453fc7ec037",
     "spread/cv/linear_svm": "4097dcdf09b4c9cc3ba2b443956886940aa570be826125ecaac85dc62f3c2ed3",
     "spread/cv/random_forest": "e4f3343decdd57b7cff1419ccd1ad78aa80b412d0ce6411ba895f99720042406",
-    "spread/cv/gbt": "b0750d37e2a617e8fb5da469f26cb276bc000eb901016a11273db20655c7fa20",
+    "spread/cv/gbt": "f96750976dc218eda2d77f20fc469c7f50fe18619db3f6beca8b000ae92c4dfd",
 }
 
 PER_FOLD = {
