@@ -87,7 +87,6 @@ def batch_dbscan(
 
 @dataclass(frozen=True)
 class ClusterSnapshot:
-    week: int
     cohorts: dict[str, frozenset[str]]  # cohort label -> member point ids
     noise: frozenset[str]
 
@@ -293,7 +292,7 @@ class ClusterRegistry:
                 clusters.setdefault(names[k], set()).add(name)
         return {k: frozenset(m) for k, m in clusters.items()}, frozenset(noise)
 
-    def snapshot(self, week: int) -> ClusterSnapshot:
+    def snapshot(self) -> ClusterSnapshot:
         """Read-only copy of the partition with stable cohort labels.
 
         Taking a snapshot advances identity tracking: current clusters are
@@ -311,7 +310,7 @@ class ClusterRegistry:
         self._next_label_index = next_index
         cohorts = {mapping[key]: members for key, members in partition.items()}
         self._prev_memberships = dict(cohorts)
-        return ClusterSnapshot(week=week, cohorts=cohorts, noise=noise)
+        return ClusterSnapshot(cohorts=cohorts, noise=noise)
 
     def copy(self) -> "ClusterRegistry":
         """Independent deep copy; the original is never affected by the copy."""
@@ -359,4 +358,13 @@ class ClusterRegistry:
         }
         reg._vanished = {label: frozenset(m) for label, m in doc["vanished"].items()}
         reg._next_label_index = int(doc["next_label_index"])
+        tracked = [*reg._prev_memberships.items(), *reg._vanished.items()]
+        if not all(members.issubset(reg._index) for _, members in tracked):
+            raise ValidationError("cohort memberships name points outside the registry")
+        # track_identity hands out G<next_label_index> to the next new cohort
+        used = [int(label[1:]) for label, _ in tracked if label[:1] == "G" and label[1:].isdigit()]
+        if used and max(used) >= reg._next_label_index:
+            raise ValidationError(
+                f"next label index {reg._next_label_index} is not above cohort G{max(used)}"
+            )
         return reg

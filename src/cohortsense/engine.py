@@ -196,7 +196,7 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
     week_points = {pid: _point_id(pid, week) for pid in pids}
     for pid, x in zip(pids, X):
         st.registry.insert(week_points[pid], x)
-    snapshot = st.registry.snapshot(week)
+    snapshot = st.registry.snapshot()
 
     st.scores.update(batch.labels)
     if not st.holdout and st.scores:

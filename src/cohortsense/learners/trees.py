@@ -7,13 +7,16 @@ every dataset that ``train_gbt_many`` trains in lockstep. Each tree's
 root carries its own binned rows, thresholds and target; each level's
 histograms for every frontier node of every root come from one pair of
 ``bincount`` calls, and each tree is the one a one-root call grows. A
-pass holds at most ``PASS_ROWS`` training rows, which bounds its memory.
-A model keeps all its trees in one stacked ``NodeTable``, gathered from
-the grower's raw node tables by one stable sort per trainer call.
-Split candidates are the midpoints between distinct sorted feature
-values, capped at 32 quantile bins per feature for large cardinalities;
-search is exact over those candidates (Gini for classification, squared
-error for regression).
+forest tree grows on the distinct rows of its bootstrap, each weighted
+by its draw count, and a node bins only the features it drew; the last
+level bins one feature, since leaves read node totals only. A pass
+holds at most ``PASS_ROWS`` training rows (bootstrap draws, for a
+forest), which bounds its memory. A model keeps all its trees in one
+stacked ``NodeTable``, gathered from the grower's raw node tables by one
+stable sort per trainer call. Split candidates are the midpoints between
+distinct sorted feature values, capped at 32 quantile bins per feature
+for large cardinalities; search is exact over those candidates (Gini
+for classification, squared error for regression).
 """
 
 from __future__ import annotations
@@ -219,6 +222,7 @@ def _grow(
     edge_values: np.ndarray,
     edge_ok: np.ndarray,
     target: np.ndarray,
+    weight: np.ndarray,
     tree_ids: np.ndarray,
     max_depth: int,
     classification: bool,
@@ -227,16 +231,19 @@ def _grow(
 ) -> tuple[tuple, np.ndarray]:
     """Grow one tree per root, level by level, all roots at once.
 
-    Rows are laid out root after root (``root_rows`` of them each) and
-    ``edge_values``/``edge_ok`` hold each root's thresholds as built by
-    ``_edge_table``. At each level, one ``bincount`` builds the row-count
-    histograms and one the target-sum histograms of every frontier node of
-    every root; a bin's rows are added in the order a one-root call adds
-    them, so every sum, split and leaf is bit-identical to it. Split ties
-    resolve to the lowest feature index, then lowest threshold (padding
-    bins score -inf). With ``rngs``, each root draws its own
-    ``random((frontier, d))`` per level below ``max_depth`` and keeps the
-    ``features_per_split`` best-ranked features of each node.
+    Rows are laid out root after root (``root_rows`` of them each), each
+    row counting ``weight`` times, and ``edge_values``/``edge_ok`` hold
+    each root's thresholds as built by ``_edge_table``. At each level, one
+    weighted ``bincount`` builds the count histograms and one the target-sum
+    histograms of every frontier node of every root, over the node's
+    candidate features only: every feature, or with ``rngs`` the
+    ``features_per_split`` best-ranked of the ``random((frontier, d))``
+    block each root draws per level below ``max_depth``. The leaf level
+    reads node totals only, so it bins feature 0 alone. A bin's rows are
+    added in ascending row order, as a one-root call adds them, and weights
+    and 0/1 targets keep forest sums integral, so every sum, split and leaf
+    is bit-identical to it. Split ties resolve to the lowest feature index,
+    then lowest threshold (padding bins score -inf).
 
     Returns the raw node table, each node tagged with its root's entry of
     ``tree_ids``, in the layout ``_collect`` takes, plus the trees' outputs
@@ -246,6 +253,8 @@ def _grow(
     n, d = binned.shape
     n_roots = len(root_rows)
     B = edge_values.shape[2] + 1
+    weighted = weight * target
+    offset = binned + np.arange(d) * B  # feature f's bins follow those of lower features
 
     node_root = np.arange(n_roots)
     feature = np.full(n_roots, -1, dtype=np.int64)
@@ -255,27 +264,41 @@ def _grow(
     value = np.zeros(n_roots)
 
     row_node = np.repeat(np.arange(n_roots), root_rows)
-    active = np.ones(n, dtype=bool)
+    rows = np.arange(n)  # the rows of frontier nodes, ascending
     frontier = np.arange(n_roots)
 
     for depth in range(max_depth + 1):
-        if frontier.size == 0:
-            break
         m = frontier.size
         lookup = np.full(feature.size, -1, dtype=np.int64)
         lookup[frontier] = np.arange(m)
-        rows = np.nonzero(active)[0]
         loc = lookup[row_node[rows]]
+        owner = node_root[frontier]
 
-        flat = ((loc[:, None] * d + np.arange(d)[None, :]) * B + binned[rows]).ravel()
-        size = m * d * B
-        cnt = np.bincount(flat, minlength=size).reshape(m, d, B).astype(float)
-        wgt = np.bincount(
-            flat, weights=np.repeat(target[rows], d), minlength=size
-        ).reshape(m, d, B)
+        # each node's candidate features, ascending
+        if depth == max_depth:
+            feats = np.zeros((m, 1), dtype=np.int64)
+        elif rngs is None:
+            feats = np.arange(d)[None, :].repeat(m, axis=0)
+        else:
+            per_root = np.bincount(owner, minlength=n_roots)
+            draw = np.concatenate(
+                [rngs[r].random((c, d)) for r, c in enumerate(per_root) if c]
+            )
+            best_ranked = np.argsort(draw, axis=1, kind="stable")[:, :features_per_split]
+            feats = np.sort(best_ranked, axis=1)
+        k = feats.shape[1]
 
-        cum_n = np.cumsum(cnt, axis=2)
-        cum_w = np.cumsum(wgt, axis=2)
+        if k == d:  # every feature, in order
+            flat = (loc * (d * B))[:, None] + offset[rows]
+        else:
+            flat = ((loc * k)[:, None] + np.arange(k)) * B + binned[rows[:, None], feats[loc]]
+        flat = flat.ravel()
+        size = m * k * B
+        cnt = np.bincount(flat, weights=np.repeat(weight[rows], k), minlength=size)
+        wgt = np.bincount(flat, weights=np.repeat(weighted[rows], k), minlength=size)
+
+        cum_n = np.cumsum(cnt.reshape(m, k, B), axis=2)
+        cum_w = np.cumsum(wgt.reshape(m, k, B), axis=2)
         node_n = cum_n[:, 0, -1]
         node_w = cum_w[:, 0, -1]
 
@@ -299,16 +322,7 @@ def _grow(
             else:
                 score = wL**2 / nL + wR**2 / nR
                 parent = node_w**2 / node_n
-        owner = node_root[frontier]
-        score[(nL == 0) | (nR == 0) | ~edge_ok[owner]] = -np.inf
-
-        if rngs is not None:
-            per_root = np.bincount(owner, minlength=n_roots)
-            draw = np.concatenate(
-                [rngs[r].random((c, d)) for r, c in enumerate(per_root) if c]
-            )
-            ranks = np.argsort(np.argsort(draw, axis=1, kind="stable"), axis=1, kind="stable")
-            score[ranks >= features_per_split] = -np.inf
+        score[(nL == 0) | (nR == 0) | ~edge_ok[owner[:, None], feats]] = -np.inf
 
         flat_score = score.reshape(m, -1)
         flat_best = flat_score.argmax(axis=1)
@@ -319,7 +333,7 @@ def _grow(
         if split_local.size == 0:
             break
         split_nodes = frontier[split_local]
-        f_best = flat_best[split_local] // (B - 1)
+        f_best = feats[split_local, flat_best[split_local] // (B - 1)]
         b_best = flat_best[split_local] % (B - 1)
 
         n_split = split_local.size
@@ -339,12 +353,10 @@ def _grow(
         split_bin = np.zeros(feature.size, dtype=np.int64)
         split_bin[split_nodes] = b_best
 
-        row_split = do_split[loc]
-        active[rows[~row_split]] = False
-        sub_rows = rows[row_split]
-        parents = row_node[sub_rows]
-        go_left = binned[sub_rows, feature[parents]] <= split_bin[parents]
-        row_node[sub_rows] = np.where(go_left, left[parents], right[parents])
+        rows = rows[do_split[loc]]
+        parents = row_node[rows]
+        go_left = binned[rows, feature[parents]] <= split_bin[parents]
+        row_node[rows] = np.where(go_left, left[parents], right[parents])
 
         frontier = child_base + np.arange(2 * n_split, dtype=np.int64)
 
@@ -421,18 +433,21 @@ def train_random_forest_many(
     for run in _passes(root_rows):
         # one stream per tree: its bootstrap, then its per-level draws
         rngs = [np.random.default_rng(s) for s in tree_seeds[run]]
-        boot = np.concatenate(
-            [
-                rng.integers(0, n, size=n) + starts[i]
-                for rng, n, i in zip(rngs, root_rows[run], owner[run])
-            ]
-        )
+        sizes_run = root_rows[run]
+        slot_start = np.cumsum([0] + sizes_run[:-1])  # each tree's first slot
+        draws = np.concatenate([rng.integers(0, n, size=n) for rng, n in zip(rngs, sizes_run)])
+        counts = np.bincount(draws + np.repeat(slot_start, sizes_run), minlength=len(draws))
+        # each tree keeps its distinct rows, ascending, weighted by their counts
+        slots = np.nonzero(counts)[0]
+        tree = np.repeat(np.arange(len(sizes_run)), sizes_run)[slots]
+        rows = slots + (starts[owner[run]] - slot_start)[tree]
         part, _ = _grow(
-            binned[boot],
-            root_rows[run],
+            binned[rows],
+            np.bincount(tree, minlength=len(sizes_run)).tolist(),
             edge_values[owner[run]],
             edge_ok[owner[run]],
-            y[boot],
+            y[rows],
+            counts[slots].astype(float),
             np.arange(len(owner))[run],
             max_depth=max_depth,
             classification=True,
@@ -558,11 +573,12 @@ def _boost(
     y = np.concatenate(labels)
     scores = np.repeat(init_scores, root_rows)
     first_ids = (first + np.arange(len(canon))) * n_rounds
+    ones = np.ones(len(y))
     parts = []
     for k in range(n_rounds):
         resid = y - 1.0 / (1.0 + np.exp(-scores))
         part, train_out = _grow(
-            binned, root_rows, edge_values, edge_ok, resid, first_ids + k, max_depth,
+            binned, root_rows, edge_values, edge_ok, resid, ones, first_ids + k, max_depth,
             classification=False,
         )
         parts.append(part)

@@ -280,6 +280,33 @@ def test_replay_resume_checkpoint_with_out_of_range_split_exits_one(tmp_path, ca
     assert not (tmp_path / "out" / "report_week_2.csv").exists()
 
 
+def test_replay_resume_checkpoint_naming_an_unknown_point_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    plan_path = tmp_path / "plan.json"
+    config_path = tmp_path / "config.json"
+    write_tiny_plan(plan_path, weeks=2)
+    config_path.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
+    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+    ckpt = tmp_path / "ckpt.csk"
+    (data / "week_2.csv").rename(tmp_path / "week_2.csv")
+    main(["replay", "--config", str(config_path), "--data-dir", str(data),
+          "--out-dir", str(tmp_path / "out"), "--checkpoint", str(ckpt)])
+    (tmp_path / "week_2.csv").rename(data / "week_2.csv")
+    doc = json.loads(gzip.open(ckpt, "rb").read())
+    doc["registry"]["prev_memberships"] = {"G1": ["ZZZ|w01"]}
+    with gzip.GzipFile(ckpt, "wb", mtime=0) as fh:
+        fh.write(json.dumps(doc).encode("utf-8"))
+    capsys.readouterr()
+    code = main(
+        ["replay", "--config", str(config_path), "--data-dir", str(data),
+         "--out-dir", str(tmp_path / "out"), "--resume", str(ckpt)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "outside the registry" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "report_week_2.csv").exists()
+
+
 def test_replay_resume_with_a_changed_score_exits_one(tmp_path, capsys):
     data = tmp_path / "data"
     plan_path = tmp_path / "plan.json"

@@ -291,7 +291,7 @@ def test_noise_promotion_monotone_under_fixed_min_pts():
 
 def test_empty_registry_snapshot():
     reg = ClusterRegistry(eps=0.5)
-    snap = reg.snapshot(week=1)
+    snap = reg.snapshot()
     assert snap.cohorts == {} and snap.noise == frozenset()
 
 
@@ -302,7 +302,7 @@ def test_snapshot_labels_by_size_order():
         reg.insert(f"a{i}", (0.0, 0.0) + rng.normal(0, 0.05, 2))
     for i in range(4):
         reg.insert(f"b{i}", (5.0, 5.0) + rng.normal(0, 0.05, 2))
-    snap = reg.snapshot(week=1)
+    snap = reg.snapshot()
     assert set(snap.cohorts) == {"G1", "G2"}
     assert len(snap.cohorts["G1"]) == 8
     assert len(snap.cohorts["G2"]) == 4
@@ -314,7 +314,7 @@ def test_snapshot_membership_partitions_points():
     pts = clustered_data(12, n=60, dim=2)
     for pid in pts:
         reg.insert(pid, pts[pid])
-    snap = reg.snapshot(week=1)
+    snap = reg.snapshot()
     union = set(snap.noise)
     total = 0
     for members in snap.cohorts.values():
@@ -390,7 +390,7 @@ def test_registry_json_round_trip():
     reg = ClusterRegistry(eps=0.9, density_fraction=0.1, min_pts_floor=5)
     for pid in pts:
         reg.insert(pid, pts[pid])
-    reg.snapshot(week=1)
+    reg.snapshot()
     restored = ClusterRegistry.from_json(reg.to_json())
     assert restored.partition() == reg.partition()
     assert restored.min_pts == reg.min_pts
@@ -398,5 +398,5 @@ def test_registry_json_round_trip():
     reg.insert("zz_new", np.zeros(3))
     restored.insert("zz_new", np.zeros(3))
     assert restored.partition() == reg.partition()
-    assert restored.snapshot(week=2) == reg.snapshot(week=2)
+    assert restored.snapshot() == reg.snapshot()
     assert restored.to_json() == reg.to_json()

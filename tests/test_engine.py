@@ -251,6 +251,9 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
     reg, pipeline = good["registry"], good["pipeline"]
     generic = good["pool"]["generic"]
     f1 = generic["validation_f1"]
+    prev = reg["prev_memberships"]
+    assert sorted(prev) == ["G1", "G2", "G3"] and reg["next_label_index"] == 4
+    kept = {label: prev[label] for label in ("G1", "G2")}
 
     def pool_with_f1(value):
         return dict(good["pool"], generic=dict(generic, validation_f1=value))
@@ -285,6 +288,13 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
         ("current_week", 100),
         ("current_week", 1.5),
         ("current_week", True),
+        # cohort memberships name registry points, and fresh labels are unused
+        ("registry", dict(reg, prev_memberships=dict(prev, G1=["ZZZ|w01"]))),
+        ("registry", dict(reg, prev_memberships=kept, vanished={"G3": ["ZZZ|w01"]})),
+        ("registry", dict(reg, next_label_index=3)),
+        ("registry", dict(
+            reg, prev_memberships=kept, vanished={"G3": prev["G3"]}, next_label_index=3
+        )),
     ]
     for field, value in broken:
         doc = dict(good, **{field: value})

@@ -118,7 +118,7 @@ def test_refresh_generic_f1_nondecreasing_on_growing_separable_data():
 def test_refresh_specialized_gates_small_cohorts():
     rows = two_class_rows(n_per_class=10)
     members = frozenset(rows.participant_ids[:10])
-    snapshot = ClusterSnapshot(week=1, cohorts={"G1": members}, noise=frozenset())
+    snapshot = ClusterSnapshot(cohorts={"G1": members}, noise=frozenset())
     pool, events = refresh_specialized(
         ModelPool(), snapshot, rows, config(min_cohort_size=15), seed=0, week=1
     )
@@ -129,7 +129,7 @@ def test_refresh_specialized_gates_small_cohorts():
 def test_refresh_specialized_gates_single_class_cohorts():
     rows = two_class_rows(n_per_class=20)
     all_negative = frozenset(p for p, lab in zip(rows.participant_ids, rows.labels) if lab == 0)
-    snapshot = ClusterSnapshot(week=1, cohorts={"G1": all_negative}, noise=frozenset())
+    snapshot = ClusterSnapshot(cohorts={"G1": all_negative}, noise=frozenset())
     pool, events = refresh_specialized(
         ModelPool(), snapshot, rows, config(), seed=0, week=1
     )
@@ -140,7 +140,7 @@ def test_refresh_specialized_gates_single_class_cohorts():
 def test_refresh_specialized_trains_only_on_cohort_rows():
     rows = two_class_rows(n_per_class=20, seed=9)
     members = frozenset(p for p in rows.participant_ids if int(p[1:4]) % 2 == 0)
-    snapshot = ClusterSnapshot(week=1, cohorts={"G1": members}, noise=frozenset())
+    snapshot = ClusterSnapshot(cohorts={"G1": members}, noise=frozenset())
     cfg = config(min_cohort_size=5, min_class_count=3)
     pool, _ = refresh_specialized(ModelPool(), snapshot, rows, cfg, seed=0, week=1)
     assert "G1" in pool.specialized
@@ -152,11 +152,11 @@ def test_refresh_specialized_trains_only_on_cohort_rows():
 def test_refresh_specialized_keeps_vanished_sets_frozen():
     rows = two_class_rows(n_per_class=20, seed=4)
     members = frozenset(rows.participant_ids)
-    snap1 = ClusterSnapshot(week=1, cohorts={"G2": members}, noise=frozenset())
+    snap1 = ClusterSnapshot(cohorts={"G2": members}, noise=frozenset())
     cfg = config(min_cohort_size=5, min_class_count=3)
     pool, _ = refresh_specialized(ModelPool(), snap1, rows, cfg, seed=0, week=1)
     # G2 vanishes in week 2: its set must stay exactly as trained
-    snap2 = ClusterSnapshot(week=2, cohorts={}, noise=members)
+    snap2 = ClusterSnapshot(cohorts={}, noise=members)
     pool2, _ = refresh_specialized(pool, snap2, rows, cfg, seed=0, week=2)
     assert pool2.specialized["G2"] is pool.specialized["G2"]
     assert pool_to_json(pool2)["specialized"]["G2"] == pool_to_json(pool)["specialized"]["G2"]
@@ -176,8 +176,7 @@ def test_specialized_beats_generic_on_planted_group_structure():
     cfg = config(min_cohort_size=10)
     g1 = frozenset(rows.participant_ids[:30])
     snapshot = ClusterSnapshot(
-        week=1, cohorts={"G1": g1, "G2": frozenset(rows.participant_ids[30:])},
-        noise=frozenset(),
+        cohorts={"G1": g1, "G2": frozenset(rows.participant_ids[30:])}, noise=frozenset()
     )
     pool, _ = refresh_generic(ModelPool(), rows, cfg, seed=0, week=1)
     pool, _ = refresh_specialized(pool, snapshot, rows, cfg, seed=0, week=1)
@@ -278,7 +277,7 @@ def one_cohort_pool():
     rows = two_class_rows(n_per_class=20, seed=6)
     cfg = config(min_cohort_size=10, min_class_count=3)
     members = frozenset(rows.participant_ids[::2])
-    snapshot = ClusterSnapshot(week=1, cohorts={"G1": members}, noise=frozenset())
+    snapshot = ClusterSnapshot(cohorts={"G1": members}, noise=frozenset())
     pool, _ = refresh_generic(ModelPool(), rows, cfg, seed=0, week=1)
     pool, _ = refresh_specialized(pool, snapshot, rows, cfg, seed=0, week=1)
     assert list(pool.specialized) == ["G1"]
@@ -310,7 +309,7 @@ def test_evaluate_week_report_axes():
     rows = two_class_rows(n_per_class=20, seed=6)
     cfg = config(min_cohort_size=10, min_class_count=3)
     members = frozenset(rows.participant_ids)
-    snapshot = ClusterSnapshot(week=1, cohorts={"G1": members}, noise=frozenset())
+    snapshot = ClusterSnapshot(cohorts={"G1": members}, noise=frozenset())
     pool, _ = refresh_generic(ModelPool(), rows, cfg, seed=0, week=1)
     pool, _ = refresh_specialized(pool, snapshot, rows, cfg, seed=0, week=1)
     report = evaluate_week(*voted_holdout(pool, rows, ["G1"] * len(rows)))
@@ -367,7 +366,7 @@ def test_pool_json_round_trip():
     rows = two_class_rows(n_per_class=15, seed=8)
     cfg = config(min_cohort_size=10, min_class_count=3)
     members = frozenset(rows.participant_ids)
-    snapshot = ClusterSnapshot(week=1, cohorts={"G1": members}, noise=frozenset())
+    snapshot = ClusterSnapshot(cohorts={"G1": members}, noise=frozenset())
     pool, _ = refresh_generic(ModelPool(), rows, cfg, seed=0, week=1)
     pool, _ = refresh_specialized(pool, snapshot, rows, cfg, seed=0, week=1)
     restored = pool_from_json(pool_to_json(pool))

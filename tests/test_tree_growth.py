@@ -3,7 +3,10 @@
 The digests below were recorded with the one-tree-at-a-time grower that
 the multi-root grower replaced: any change to a split, a leaf value or a
 threshold changes them. The GBT digests drop the per-round training
-losses that models no longer store.
+losses that models no longer store. The forests of eight and sixteen
+features, whose nodes draw two and four of them, were recorded with the
+multi-root grower as it was before it binned only the drawn features of
+the distinct bootstrap rows.
 """
 
 import hashlib
@@ -54,6 +57,26 @@ def spread_dataset():
 
 DATASETS = {"tied": tied_dataset, "spread": spread_dataset}
 
+
+def wide_dataset(name: str, d: int) -> Dataset:
+    """``d`` features, so a forest node draws int(sqrt(d)) > 1 of them.
+
+    "tied": <= 32 values per feature (midpoint edges, many ties) and one
+    constant column; "spread": normal draws (quantile edges).
+    """
+    rng = np.random.default_rng(700 + d)
+    n = 170
+    if name == "tied":
+        vectors = rng.integers(0, 12, size=(n, d)) / 2.0
+        vectors[:, 1] = 0.5
+    else:
+        vectors = rng.normal(size=(n, d))
+    signal = vectors @ rng.normal(size=d)
+    labels = (signal + rng.normal(0, signal.std(), n) > np.median(signal)).astype(int)
+    pids = tuple(f"w{i:03d}" for i in range(n))
+    return Dataset(vectors=vectors, labels=labels, participant_ids=pids)
+
+
 DIGESTS = {
     "tied/forest": "db916fafdd3b752390e25aecb330e2606bf393535a52e359aa93a3399563cb1a",
     "tied/gbt": "089a9f0c0114211a6898e1d2232644ecdd6f6f4af578e99673527387f6cf39d5",
@@ -67,6 +90,11 @@ DIGESTS = {
     "spread/cv/linear_svm": "4097dcdf09b4c9cc3ba2b443956886940aa570be826125ecaac85dc62f3c2ed3",
     "spread/cv/random_forest": "e4f3343decdd57b7cff1419ccd1ad78aa80b412d0ce6411ba895f99720042406",
     "spread/cv/gbt": "f96750976dc218eda2d77f20fc469c7f50fe18619db3f6beca8b000ae92c4dfd",
+    # two and four drawn features per node
+    "tied8/forest": "70489da85d773b71cc80b43b7190132dd23734c7bb6894e677b24f8376671a03",
+    "tied16/forest": "86ec10fe2c6c9a4636d8bb8b135c987cae3fb4e6f5145cf498b932bf8325623f",
+    "spread8/forest": "1c7fbec8ee6bd5976a5e8b831f056da92e1b73d7397ce192c5e99ac8a676eaf0",
+    "spread16/forest": "2cf36c1943d3cb159f2ae32eaa235625082d76c74ac4c1c4697261ab6a9dca47",
 }
 
 PER_FOLD = {
@@ -84,6 +112,13 @@ def digest(doc) -> str:
 def test_forest_digest(name):
     model = train_random_forest(DATASETS[name](), seed=11, n_trees=100, max_depth=8)
     assert digest(model_to_json(model)) == DIGESTS[f"{name}/forest"]
+
+
+@pytest.mark.parametrize("d", [8, 16])
+@pytest.mark.parametrize("name", DATASETS)
+def test_forest_digest_with_several_drawn_features(name, d):
+    model = train_random_forest(wide_dataset(name, d), seed=11, n_trees=100, max_depth=8)
+    assert digest(model_to_json(model)) == DIGESTS[f"{name}{d}/forest"]
 
 
 @pytest.mark.parametrize("name", DATASETS)
@@ -132,7 +167,12 @@ def test_passes_cover_every_root_in_order_within_the_row_budget(monkeypatch):
 
 
 def unequal_datasets():
-    """Different lengths, different per-feature edge counts, ties and a constant column."""
+    """Different lengths, different per-feature edge counts, ties and a constant column.
+
+    The last two hold repeated rows (equal vectors, distinct ids, not
+    always one label) and a single minority row, so that many bootstraps
+    draw one class only.
+    """
     rng = np.random.default_rng(5)
     out = []
     for n, levels in [(40, 3), (97, 12), (23, 2), (160, 0)]:
@@ -145,6 +185,13 @@ def unequal_datasets():
         labels[:2] = (0, 1)
         pids = tuple(f"u{n}_{i:03d}" for i in range(n))
         out.append(Dataset(vectors=vectors, labels=labels, participant_ids=pids))
+    repeated = np.repeat(rng.normal(size=(12, 2)), 4, axis=0)
+    labels = (repeated[:, 0] + rng.normal(0, 0.7, 48) > 0).astype(int)
+    out.append(Dataset(repeated, labels, tuple(f"r{i:02d}" for i in range(48))))
+    minority = rng.normal(size=(30, 2))
+    labels = np.zeros(30, dtype=int)
+    labels[7] = 1
+    out.append(Dataset(minority, labels, tuple(f"m{i:02d}" for i in range(30))))
     return out
 
 
@@ -152,11 +199,16 @@ def unequal_datasets():
 @pytest.mark.parametrize("n_rounds", [0, 1, 25])
 def test_gbt_many_equals_one_at_a_time(monkeypatch, pass_rows, n_rounds):
     datasets = unequal_datasets()
-    seeds = [3, 1, 4, 1]
-    single = [model_to_json(train_gbt(ds, s, n_rounds=n_rounds)) for ds, s in zip(datasets, seeds)]
-    monkeypatch.setattr(trees, "PASS_ROWS", pass_rows)
-    many = [model_to_json(m) for m in train_gbt_many(datasets, seeds, n_rounds=n_rounds)]
-    assert many == single
+    seeds = [3, 1, 4, 1, 5, 9]
+    for max_depth in (1, 2, 3, 4):  # shallow trees reach the leaf level early
+        single = [
+            model_to_json(train_gbt(ds, s, n_rounds=n_rounds, max_depth=max_depth))
+            for ds, s in zip(datasets, seeds)
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(trees, "PASS_ROWS", pass_rows)
+            many = train_gbt_many(datasets, seeds, n_rounds=n_rounds, max_depth=max_depth)
+        assert [model_to_json(m) for m in many] == single
 
 
 @pytest.mark.parametrize("pass_rows", [1, 150, trees.PASS_ROWS])
@@ -164,14 +216,18 @@ def test_gbt_many_equals_one_at_a_time(monkeypatch, pass_rows, n_rounds):
 def test_forest_many_equals_one_at_a_time(monkeypatch, pass_rows, n_trees):
     # passes hold trees of several datasets, each with its own edge table
     datasets = unequal_datasets()
-    seeds = [3, 1, 4, 1]
-    single = [
-        model_to_json(train_random_forest(ds, s, n_trees=n_trees, max_depth=5))
-        for ds, s in zip(datasets, seeds)
-    ]
-    monkeypatch.setattr(trees, "PASS_ROWS", pass_rows)
-    many = train_random_forest_many(datasets, seeds, n_trees=n_trees, max_depth=5)
-    assert [model_to_json(m) for m in many] == single
+    seeds = [3, 1, 4, 1, 5, 9]
+    for max_depth in (1, 2, 3, 4, 5):
+        single = [
+            model_to_json(train_random_forest(ds, s, n_trees=n_trees, max_depth=max_depth))
+            for ds, s in zip(datasets, seeds)
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(trees, "PASS_ROWS", pass_rows)
+            many = train_random_forest_many(
+                datasets, seeds, n_trees=n_trees, max_depth=max_depth
+            )
+        assert [model_to_json(m) for m in many] == single
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -7])
