@@ -242,8 +242,6 @@ class EngineConfig:
     score_threshold: int = _within(20, f"[{SCORE_MIN}, {SCORE_MAX})")
     pca_variance_target: float = _within(0.90, "(0, 1]")
     rng_seed: int = _within(42, "[0, inf)")
-    # 0 = fit preprocessing once at week 1
-    refit_every_n_weeks: int = _within(0, "[0, inf)")
     holdout_fraction: float = _within(0.2, "(0, 1)")
     min_cohort_size: int = _within(15, "[1, inf)")
     min_class_count: int = _within(5, "[1, inf)")

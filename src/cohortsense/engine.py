@@ -21,9 +21,9 @@ import numpy as np
 from .cluster import ClusterRegistry
 from .core import (
     EngineConfig,
-    LearnerConfig,
     ValidationError,
     WeeklyBatch,
+    _config_from_mapping,
     apportion,
     label_from_score,
     validate_score,
@@ -181,11 +181,8 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
     week = batch.week
     events: list[str] = []
 
-    refit = st.pipeline is None or (
-        st.config.refit_every_n_weeks > 0
-        and (week - 1) % st.config.refit_every_n_weeks == 0
-    )
-    if refit:
+    # fitted once, at week 1, so that every point shares one projection
+    if st.pipeline is None:
         st.pipeline = fit_pipeline(batch, st.config.pca_variance_target)
         events.append(f"week {week}: preprocessing pipeline fitted")
 
@@ -319,8 +316,11 @@ def _state_from_json(doc: dict) -> EngineState:
     # rows, row vectors, the run log, copies of config values, each model
     # set's scope and week, GBT training losses) are ignored
     config_doc = dict(doc["config"])
-    config_doc["learners"] = LearnerConfig(**config_doc["learners"])
-    config = EngineConfig(**config_doc)
+    # an older writer stored the pipeline refit cadence; only 0, fit once
+    # at week 1, is the behaviour a resume can reproduce
+    if config_doc.pop("refit_every_n_weeks", 0) != 0:
+        raise ValidationError("refit_every_n_weeks must be 0: the pipeline is fitted once")
+    config = _config_from_mapping(config_doc)
     registry = ClusterRegistry.from_json(doc["registry"])
     for key in ("eps", "density_fraction", "min_pts_floor"):
         if getattr(registry, key) != getattr(config, key):

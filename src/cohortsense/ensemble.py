@@ -147,9 +147,7 @@ def _fit_set(
         kind_seed = derive_seed(config.rng_seed, "train", scope, kind.value, seed)
         init = None
         if previous is not None and kind in (ModelKind.LOGREG, ModelKind.LINEAR_SVM):
-            prior = previous.models.get(kind)
-            if prior is not None and previous.input_dim == dataset.dim:
-                init = prior
+            init = previous.models.get(kind)
         balanced = _balanced(dataset, config, derive_seed(kind_seed, "smote"))
         if k >= 2:
             metrics, models[kind] = kfold_cv(

@@ -9,7 +9,9 @@ histograms for every frontier node of every root come from one pair of
 ``bincount`` calls, and each tree is the one a one-root call grows. A
 forest tree grows on the distinct rows of its bootstrap, each weighted
 by its draw count, and a node bins only the features it drew; the last
-level bins one feature, since leaves read node totals only. A pass
+level bins one feature, since leaves read node totals only. Every
+forest draw, bootstrap row or feature rank, is a hash of (tree key,
+purpose, counter), so no tree needs a generator of its own. A pass
 holds at most ``PASS_ROWS`` training rows (bootstrap draws, for a
 forest), which bounds its memory. A model keeps all its trees in one
 stacked ``NodeTable``, gathered from the grower's raw node tables by one
@@ -26,10 +28,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import ValidationError
-from .base import Dataset, ModelKind, check_batch, derive_seeds
+from .base import Dataset, ModelKind, check_batch
 
 MAX_BINS = 32
 PASS_ROWS = 20_000  # training rows, summed over roots, grown in one pass
+
+# SplitMix64's increment and finalizer multipliers (Steele, Lea & Flood 2014)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+
+
+def _hash(*words) -> np.ndarray:
+    """SplitMix64's finalizer folded over ``words``, ints or integer arrays
+    that broadcast together. One must be an array: uint64 scalar products
+    warn on the wraparound the hash relies on. Each step is a bijection of
+    its word, so words that differ only in the last one never collide."""
+    h = np.zeros(np.broadcast_shapes(*(np.shape(w) for w in words)), dtype=np.uint64)
+    for w in words:
+        z = h ^ (np.asarray(w, dtype=np.uint64) + _GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * _MIX_1
+        z = (z ^ (z >> np.uint64(27))) * _MIX_2
+        h = z ^ (z >> np.uint64(31))
+    return h
+
+
+def _tree_keys(seed: int, n_trees: int) -> np.ndarray:
+    """The key of each tree of a forest seeded with ``seed``."""
+    return _hash(seed % 2**64, np.arange(n_trees))
+
+
+def _bootstrap(keys: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Tree after tree, the ``sizes[t]`` bootstrap draws of tree ``keys[t]``
+    from ``range(sizes[t])``: draw j scales the hash's high 32 bits."""
+    n = np.repeat(np.asarray(sizes, dtype=np.uint64), sizes)
+    j = np.arange(n.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    high = _hash(np.repeat(keys, sizes), 0, j) >> np.uint64(32)
+    return ((high * n) >> np.uint64(32)).astype(np.int64)
+
+
+def _drawn_features(
+    keys: np.ndarray, depth: int, place: np.ndarray, d: int, k: int
+) -> np.ndarray:
+    """The ``k`` of ``d`` features, ascending, drawn by the node at
+    ``place`` among the depth-``depth`` nodes of tree ``keys[i]``: the
+    ``k`` lowest hashes of (key, depth + 1, place, feature)."""
+    ranks = _hash(keys[:, None], depth + 1, place[:, None], np.arange(d))
+    return np.sort(np.argsort(ranks, axis=1, kind="stable")[:, :k], axis=1)
 
 
 @dataclass(frozen=True)
@@ -226,7 +271,7 @@ def _grow(
     tree_ids: np.ndarray,
     max_depth: int,
     classification: bool,
-    rngs: list[np.random.Generator] | None = None,
+    keys: np.ndarray | None = None,
     features_per_split: int = 0,
 ) -> tuple[tuple, np.ndarray]:
     """Grow one tree per root, level by level, all roots at once.
@@ -236,9 +281,11 @@ def _grow(
     each root's thresholds as built by ``_edge_table``. At each level, one
     weighted ``bincount`` builds the count histograms and one the target-sum
     histograms of every frontier node of every root, over the node's
-    candidate features only: every feature, or with ``rngs`` the
-    ``features_per_split`` best-ranked of the ``random((frontier, d))``
-    block each root draws per level below ``max_depth``. The leaf level
+    candidate features only: every feature, or with ``keys`` (one per
+    root) the ``features_per_split`` that ``_drawn_features`` draws for
+    each node below ``max_depth``. A node's draw reads its position among
+    its root's frontier nodes, which lie root after root, so it does not
+    depend on the other roots of the pass. The leaf level
     reads node totals only, so it bins feature 0 alone. A bin's rows are
     added in ascending row order, as a one-root call adds them, and weights
     and 0/1 targets keep forest sums integral, so every sum, split and leaf
@@ -277,15 +324,12 @@ def _grow(
         # each node's candidate features, ascending
         if depth == max_depth:
             feats = np.zeros((m, 1), dtype=np.int64)
-        elif rngs is None:
+        elif keys is None:
             feats = np.arange(d)[None, :].repeat(m, axis=0)
         else:
             per_root = np.bincount(owner, minlength=n_roots)
-            draw = np.concatenate(
-                [rngs[r].random((c, d)) for r, c in enumerate(per_root) if c]
-            )
-            best_ranked = np.argsort(draw, axis=1, kind="stable")[:, :features_per_split]
-            feats = np.sort(best_ranked, axis=1)
+            place = np.arange(m) - (np.cumsum(per_root) - per_root)[owner]
+            feats = _drawn_features(keys[owner], depth, place, d, features_per_split)
         k = feats.shape[1]
 
         if k == d:  # every feature, in order
@@ -427,15 +471,13 @@ def train_random_forest_many(
 
     # tree t of dataset i is root i * n_trees + t
     owner = np.repeat(np.arange(len(canon)), n_trees)
-    tree_seeds = [s for seed in seeds for s in derive_seeds(seed, "tree", n_trees)]
+    keys = np.concatenate([_tree_keys(seed, n_trees) for seed in seeds])
     root_rows = [sizes[i] for i in owner.tolist()]
     parts = []
     for run in _passes(root_rows):
-        # one stream per tree: its bootstrap, then its per-level draws
-        rngs = [np.random.default_rng(s) for s in tree_seeds[run]]
         sizes_run = root_rows[run]
         slot_start = np.cumsum([0] + sizes_run[:-1])  # each tree's first slot
-        draws = np.concatenate([rng.integers(0, n, size=n) for rng, n in zip(rngs, sizes_run)])
+        draws = _bootstrap(keys[run], sizes_run)
         counts = np.bincount(draws + np.repeat(slot_start, sizes_run), minlength=len(draws))
         # each tree keeps its distinct rows, ascending, weighted by their counts
         slots = np.nonzero(counts)[0]
@@ -451,7 +493,7 @@ def train_random_forest_many(
             np.arange(len(owner))[run],
             max_depth=max_depth,
             classification=True,
-            rngs=rngs if features_per_split < d else None,
+            keys=keys[run] if features_per_split < d else None,
             features_per_split=features_per_split,
         )
         parts.append(part)

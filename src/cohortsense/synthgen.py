@@ -573,15 +573,20 @@ def write_cohort(out_dir: str | Path, batches: list[WeeklyBatch], plan: CohortPl
 
 
 def load_plan(path: str | Path) -> CohortPlan:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return CohortPlan(
-        total_participants=int(doc["total_participants"]),
-        lonely_count=int(doc["lonely_count"]),
-        weekly_group_membership={
-            int(week): {g: frozenset(m) for g, m in groups.items()}
-            for week, groups in doc["weekly_group_membership"].items()
-        },
-    )
+    """Load a CohortPlan from a UTF-8 JSON file; a plan that is not valid
+    JSON or lacks a field raises ValidationError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return CohortPlan(
+            total_participants=int(doc["total_participants"]),
+            lonely_count=int(doc["lonely_count"]),
+            weekly_group_membership={
+                int(week): {g: frozenset(m) for g, m in groups.items()}
+                for week, groups in doc["weekly_group_membership"].items()
+            },
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"malformed plan file {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _read_csv(path: Path, columns: tuple[str, ...], convert):

@@ -185,6 +185,19 @@ def test_report_missing_week_exits_one(tmp_path):
     assert main(["report", "--out-dir", str(tmp_path), "--week", "4"]) == 1
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("{not json", "JSONDecodeError"), ('{"total_participants": 3}', "KeyError: 'lonely_count'")],
+)
+def test_synth_malformed_plan_exits_one(tmp_path, capsys, text, message):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(text, encoding="utf-8")
+    code = main(["synth", "--out-dir", str(tmp_path / "out"), "--plan", str(plan_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and str(plan_path) in err and message in err
+
+
 def test_replay_bad_config_exits_one(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"bogus_key": 1}), encoding="utf-8")

@@ -96,7 +96,7 @@ def test_config_validation():
         (EngineConfig, {"holdout_fraction": 0.0}),
         (EngineConfig, {"pca_variance_target": 2.0}),
         (EngineConfig, {"min_pts_floor": -3}),
-        (EngineConfig, {"refit_every_n_weeks": -1}),
+        (EngineConfig, {"rng_seed": -1}),
         (EngineConfig, {"score_threshold": 40}),
         (EngineConfig, {"eps": float("nan")}),
         (EngineConfig, {"eps": "0.5"}),

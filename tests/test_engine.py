@@ -304,6 +304,27 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
             load(path)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # an older writer's refit cadence, other than fit once at week 1
+        ({"refit_every_n_weeks": 2}, "refit_every_n_weeks must be 0"),
+        ({"surplus": 1}, "unknown config keys: surplus"),
+        ({"learners": {"forest_trees": 10, "surplus": 1}}, "unknown learner config keys: surplus"),
+    ],
+)
+def test_checkpoint_config_is_read_as_a_config_file_is(tmp_path, mini_batches, change, message):
+    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
+    path = tmp_path / "state.csk"
+    save(state, path)
+    doc = json.loads(gzip.open(path, "rb").read())
+    doc["config"].update(change)
+    with gzip.GzipFile(path, "wb", mtime=0) as fh:
+        fh.write(json.dumps(doc).encode("utf-8"))
+    with pytest.raises(CheckpointError, match=message):
+        load(path)
+
+
 def first_split(trees: list[dict]) -> dict:
     """The first internal node of a model's serialized trees."""
     stack = list(reversed(trees))
@@ -410,19 +431,6 @@ def test_run_replay_writes_reports_and_summary(tmp_path, mini_batches):
     assert len(gbt_rows) == len(mini_batches)
 
 
-def test_refit_cadence_refits_pipeline(mini_batches):
-    import dataclasses
-
-    config = dataclasses.replace(FAST_CONFIG, refit_every_n_weeks=1)
-    state = new_state(config)
-    pipelines = []
-    for batch in mini_batches:
-        state, report = step(state, batch)
-        pipelines.append(state.pipeline)
-        assert any("pipeline fitted" in e for e in report.events)
-    assert pipelines[0] is not pipelines[1]
-
-
 def test_run_replay_gap_detection(mini_batches):
     with pytest.raises(ValidationError, match="missing week 2"):
         run_replay(FAST_CONFIG, [mini_batches[0], mini_batches[2]])
@@ -514,7 +522,8 @@ def test_checkpoint_in_the_older_layout_loads_and_resumes(tmp_path, profiles):
     run_replay(FAST_CONFIG, batches[:2], out_dir=resumed, checkpoint_path=ckpt)
 
     # the older layout also held labeled rows, each with its vector,
-    # participant id and week, the run log, the pool's copies of two config
+    # participant id and week, the run log, the pipeline refit cadence of
+    # 0 (fit once, at week 1), the pool's copies of two config
     # values, each set's scope, week and training point ids, the models'
     # seeds and sizes, and each GBT model's per-round training losses
     doc = json.loads(gzip.open(ckpt, "rb").read())
@@ -531,6 +540,7 @@ def test_checkpoint_in_the_older_layout_loads_and_resumes(tmp_path, profiles):
             "week": int(week),
         })
     doc["run_log"] = [{"event": "week 1: preprocessing pipeline fitted", "week": 1}]
+    doc["config"]["refit_every_n_weeks"] = 0
     reg["cohort_ids"] = {"p0": "G1"}
     doc["pool"].update(min_cohort_size=15, min_class_count=5)
     scopes = {"generic": doc["pool"]["generic"], **doc["pool"]["specialized"]}

@@ -271,6 +271,27 @@ def test_logreg_gradient_matches_finite_differences():
         assert abs(grad_b - num_b) / max(abs(num_b), abs(grad_b), 1e-8) < 1e-4
 
 
+def test_logreg_trainer_steps_along_the_oracle_gradient():
+    # the trainer computes its gradient inline; from zero, its first
+    # iteration takes -step * logreg_gradient when that lowers the loss
+    rng = np.random.default_rng(23)
+    moved = 0
+    for _ in range(50):
+        n, d = int(rng.integers(4, 40)), int(rng.integers(1, 6))
+        X = rng.normal(size=(n, d)) * rng.uniform(0.5, 5.0)
+        y = rng.permutation(np.arange(n) % 2)
+        step, l2 = float(10 ** rng.uniform(-1, 1.5)), float(rng.choice([0.0, 1e-3, 0.1]))
+        model = train_logreg(make_dataset(X, y), iterations=1, step=step, l2=l2)
+        grad_w, grad_b = logreg_gradient(np.zeros(d), 0.0, X, y.astype(float), l2)
+        w, b = -step * grad_w, -step * grad_b
+        if logreg_loss(w, b, X, y, l2) <= logreg_loss(np.zeros(d), 0.0, X, y, l2):
+            moved += 1
+            assert np.array_equal(model.weights, w) and model.bias == b
+        else:
+            assert not model.weights.any() and model.bias == 0.0
+    assert 0 < moved < 50  # both branches ran
+
+
 def test_logreg_loss_nonincreasing():
     ds = separable_fixture(seed=8)
     X, y = ds.vectors, ds.labels.astype(float)

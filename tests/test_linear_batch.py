@@ -25,8 +25,8 @@ DIGESTS = {
     "linear_svm/d3/cold": "33560ec68420b48477996025e6449dd5d599e60dbddf6abc773e025a4ac31aec",
     "linear_svm/d3/warm": "713cb0b2b71db1c2228e10d1dc3532122e0f65e9ee72c5bca9e82075174a0274",
     "logreg/d2/long": "cb6e89e5758aed12fe46291190340d2f12c92f33936ed8ee398e308eb12fa070",
-    "fit_set/cv": "1ea092f2dd3708f80cb8d62d815918096ba30d3ede10918d5dcc5c0228cc86c2",
-    "fit_set/no_cv": "d7937d5e25e0e87840134d371702e1c178e3afa4eb5066b55c9a553ee243330c",
+    "fit_set/cv": "dc6dc5706035b90920a1030184362b856194cf5b0d78077219001b7b910dbadc",
+    "fit_set/no_cv": "e349f96541bfb8225378a571757b48d0e6cd2b98f0ceb1061a4afe927b5ec675",
 }
 
 MODELS = {"logreg": linear.LogRegModel, "linear_svm": linear.LinearSVMModel}

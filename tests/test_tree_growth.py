@@ -1,12 +1,14 @@
 """The tree learners grow many trees per pass yet give the same models.
 
-The digests below were recorded with the one-tree-at-a-time grower that
-the multi-root grower replaced: any change to a split, a leaf value or a
-threshold changes them. The GBT digests drop the per-round training
-losses that models no longer store. The forests of eight and sixteen
-features, whose nodes draw two and four of them, were recorded with the
-multi-root grower as it was before it binned only the drawn features of
-the distinct bootstrap rows.
+The GBT digests below were recorded with the one-tree-at-a-time grower
+that the multi-root grower replaced: any change to a split, a leaf value
+or a threshold changes them. They drop the per-round training losses
+that models no longer store. The forest digests, including those of
+eight and sixteen features, whose nodes draw two and four of them, were
+recorded when forest draws became counter hashes keyed by the tree, in
+place of one numpy generator per tree. The sampler tests check those
+hashes' statistics: bootstrap counts against the multinomial, uniform
+feature draws, and distinct tree keys and bootstraps.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import binom, chisquare
 
 from cohortsense.core import ValidationError
 from cohortsense.learners import (
@@ -29,7 +32,6 @@ from cohortsense.learners import (
     train_random_forest_many,
 )
 from cohortsense.learners import trees
-from cohortsense.learners.base import derive_seed, derive_seeds
 
 
 def tied_dataset():
@@ -78,23 +80,23 @@ def wide_dataset(name: str, d: int) -> Dataset:
 
 
 DIGESTS = {
-    "tied/forest": "db916fafdd3b752390e25aecb330e2606bf393535a52e359aa93a3399563cb1a",
+    "tied/forest": "3fa8371c79e5138975f1e5df805394c4c17bc867ecbd1bc380fa68382f173ffb",
     "tied/gbt": "089a9f0c0114211a6898e1d2232644ecdd6f6f4af578e99673527387f6cf39d5",
     "tied/cv/logreg": "49fc8b17db9e334075d5e8470e146d25388ea1c6bf1b07a0df352ba5ba35c792",
     "tied/cv/linear_svm": "a1643e81896e0a74e969e3b118c97cbb9d7aae9e5f0efb29e69aa466f5b72d43",
-    "tied/cv/random_forest": "e74994e8b5890172191a31eb27a700a1f77afed01edcd032007c54ca0498f38b",
+    "tied/cv/random_forest": "462bb1f7a9a15092882978043f7a19dd7fa2fed3674ede5ec63d7c8140f0787e",
     "tied/cv/gbt": "620deb7651f93302b30e86cd2630db02c8f6d942d472df3efa13463b6942b45d",
-    "spread/forest": "b58f3412cd5270cfefb709d0078b65859de13fc64a847332eea05a04fe5b7880",
+    "spread/forest": "3fb05ec8b89e278e83d75900007fad728089b3d0dbad13fa739a4b91c4e4877f",
     "spread/gbt": "1449b8fd8652db4cc5ff08fce065867e026a0c927400887560af3bf091e9ff80",
     "spread/cv/logreg": "06af45cae45bcdfef14bdbe1ac7bd0fd696991827b51f4287b030453fc7ec037",
     "spread/cv/linear_svm": "4097dcdf09b4c9cc3ba2b443956886940aa570be826125ecaac85dc62f3c2ed3",
-    "spread/cv/random_forest": "e4f3343decdd57b7cff1419ccd1ad78aa80b412d0ce6411ba895f99720042406",
+    "spread/cv/random_forest": "fc8f4bc40a4743d6d1f063dbd4306cc227123ab0ed7f6d5b04e922a304461488",
     "spread/cv/gbt": "f96750976dc218eda2d77f20fc469c7f50fe18619db3f6beca8b000ae92c4dfd",
     # two and four drawn features per node
-    "tied8/forest": "70489da85d773b71cc80b43b7190132dd23734c7bb6894e677b24f8376671a03",
-    "tied16/forest": "86ec10fe2c6c9a4636d8bb8b135c987cae3fb4e6f5145cf498b932bf8325623f",
-    "spread8/forest": "1c7fbec8ee6bd5976a5e8b831f056da92e1b73d7397ce192c5e99ac8a676eaf0",
-    "spread16/forest": "2cf36c1943d3cb159f2ae32eaa235625082d76c74ac4c1c4697261ab6a9dca47",
+    "tied8/forest": "15233502a0b12e1a5c82c922c472164da0011f02f76f9784d83cb9fc884eb8c7",
+    "tied16/forest": "2b2742cb7e35de2be7fcabf358fafab99de19afecb6a8f2689a06d4c93bb3129",
+    "spread8/forest": "d4c0ce0821e43678498551512df88c9c0b3ef0a6ceace7aa70471c953c57cddc",
+    "spread16/forest": "1bce83a63b230480a23b6f25ca990bd8f15aa796bb6919a275c1d084ac14b52b",
 }
 
 PER_FOLD = {
@@ -230,11 +232,39 @@ def test_forest_many_equals_one_at_a_time(monkeypatch, pass_rows, n_trees):
         assert [model_to_json(m) for m in many] == single
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -7])
-@pytest.mark.parametrize("label", ["tree", "bäume→🌲"])
-@pytest.mark.parametrize("count", [0, 1, 257])
-def test_derive_seeds_equals_derive_seed(seed, label, count):
-    assert derive_seeds(seed, label, count) == [derive_seed(seed, label, t) for t in range(count)]
+def test_bootstrap_counts_fit_the_multinomial():
+    n, n_trees = 40, 600
+    sizes = [n, 7] * (n_trees // 2)  # trees of two datasets, interleaved
+    draws = trees._bootstrap(trees._tree_keys(2024, n_trees), sizes)
+    per_tree = np.split(draws, np.cumsum(sizes)[:-1])
+    assert all(((t >= 0) & (t < size)).all() for t, size in zip(per_tree, sizes))
+    counts = np.stack([np.bincount(t, minlength=n) for t in per_tree[::2]])
+    # every row is drawn equally often over all trees ...
+    assert chisquare(counts.sum(axis=0)).pvalue > 1e-3
+    # ... and within one tree a row's count is Binomial(n, 1/n)
+    observed = np.bincount(np.minimum(counts.ravel(), 4), minlength=5)
+    expected = binom.pmf(np.arange(4), n, 1 / n)
+    expected = np.append(expected, 1 - expected.sum()) * observed.sum()
+    assert chisquare(observed, expected).pvalue > 1e-3
+
+
+def test_each_feature_is_drawn_equally_often():
+    d, k, n_trees, nodes = 16, 4, 50, 64
+    keys = np.repeat(trees._tree_keys(7, n_trees), nodes)
+    place = np.tile(np.arange(nodes), n_trees)
+    drawn = np.concatenate(
+        [trees._drawn_features(keys, depth, place, d, k) for depth in range(3)]
+    )
+    assert (np.diff(drawn, axis=1) > 0).all()  # k distinct features, ascending
+    assert chisquare(np.bincount(drawn.ravel(), minlength=d)).pvalue > 1e-3
+
+
+def test_tree_streams_do_not_repeat():
+    seeds = [-7, 0, 1, 2, 11, 42, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    keys = np.concatenate([trees._tree_keys(seed, 1000) for seed in seeds])
+    assert np.unique(keys).size == keys.size == 10_000
+    draws = trees._bootstrap(keys[:200], [50] * 200).reshape(200, 50)
+    assert np.unique(draws, axis=0).shape[0] == 200
 
 
 @pytest.mark.parametrize(
