@@ -19,13 +19,9 @@ from .learners import (
     model_to_json,
     smote,
     train_gbt,
-    train_gbt_many,
     train_linear_svm,
-    train_linear_svm_many,
     train_logreg,
-    train_logreg_many,
     train_random_forest,
-    train_random_forest_many,
 )
 from .learners.base import KIND_ORDER, ModelKind, derive_seed
 
@@ -91,26 +87,16 @@ def _options(kind: ModelKind, lc: LearnerConfig, init: object | None) -> dict:
     }
 
 
-def _train_kind(kind: ModelKind, dataset: Dataset, seed: int, lc: LearnerConfig, init=None):
+def _train(
+    kind: ModelKind, datasets: list[Dataset], seeds: list[int], lc: LearnerConfig, init=None
+) -> list:
+    """One model per (dataset, seed), all trained in one call."""
     # looked up per call, so that a wrapper patched over a trainer is used
     trainer = {
         ModelKind.LOGREG: train_logreg,
         ModelKind.LINEAR_SVM: train_linear_svm,
         ModelKind.RANDOM_FOREST: train_random_forest,
         ModelKind.GBT: train_gbt,
-    }[kind]
-    return trainer(dataset, seed, **_options(kind, lc, init))
-
-
-def _train_many(
-    kind: ModelKind, datasets: list[Dataset], seeds: list[int], lc: LearnerConfig, init=None
-) -> list:
-    """One model per (dataset, seed), all trained in one call."""
-    trainer = {
-        ModelKind.LOGREG: train_logreg_many,
-        ModelKind.LINEAR_SVM: train_linear_svm_many,
-        ModelKind.RANDOM_FOREST: train_random_forest_many,
-        ModelKind.GBT: train_gbt_many,
     }[kind]
     return trainer(datasets, seeds, **_options(kind, lc, init))
 
@@ -133,8 +119,9 @@ def _fit_set(
 
     SMOTE is applied inside training folds during validation and to the
     full data for the deployed fit; each kind trains its folds and its
-    deployed model in one batched call. Linear kinds warm-start from the
-    previous week's parameters.
+    deployed model in one batched call, or its deployed model alone when
+    a class has too few rows for two folds. Linear kinds warm-start from
+    the previous week's parameters.
     """
     events: list[str] = []
     zeros, ones = dataset.class_counts()
@@ -149,11 +136,12 @@ def _fit_set(
         if previous is not None and kind in (ModelKind.LOGREG, ModelKind.LINEAR_SVM):
             init = previous.models.get(kind)
         balanced = _balanced(dataset, config, derive_seed(kind_seed, "smote"))
+        train_fn = functools.partial(_train, kind, lc=lc, init=init)
         if k >= 2:
             metrics, models[kind] = kfold_cv(
                 dataset,
                 k,
-                functools.partial(_train_many, kind, lc=lc, init=init),
+                train_fn,
                 derive_seed(kind_seed, "cv"),
                 smote_neighbors=config.smote_neighbors,
                 deployed=(balanced, kind_seed),
@@ -162,7 +150,7 @@ def _fit_set(
         else:
             # too few rows in one class for any fold split: score the
             # deployed model on its own training data and say so
-            models[kind] = _train_kind(kind, balanced, kind_seed, lc, init=init)
+            [models[kind]] = train_fn([balanced], [kind_seed])
             events.append(
                 f"{scope}: class counts {zeros}/{ones} too small for CV; "
                 f"validation_f1 for {kind.value} uses training predictions"

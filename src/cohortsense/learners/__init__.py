@@ -7,19 +7,10 @@ from .linear import (
     logreg_gradient,
     logreg_loss,
     train_linear_svm,
-    train_linear_svm_many,
     train_logreg,
-    train_logreg_many,
 )
 from .sampling import smote
-from .trees import (
-    ForestModel,
-    GBTModel,
-    train_gbt,
-    train_gbt_many,
-    train_random_forest,
-    train_random_forest_many,
-)
+from .trees import ForestModel, GBTModel, train_gbt, train_random_forest
 from .validation import Metrics, compute_metrics, kfold_cv, stratified_folds
 
 __all__ = [
@@ -39,11 +30,7 @@ __all__ = [
     "model_to_json",
     "smote",
     "train_logreg",
-    "train_logreg_many",
     "train_linear_svm",
-    "train_linear_svm_many",
     "train_random_forest",
-    "train_random_forest_many",
     "train_gbt",
-    "train_gbt_many",
 ]

@@ -90,11 +90,21 @@ def derive_seed(seed: int, *parts: object) -> int:
 
 
 def check_batch(datasets: list[Dataset], seeds: list[int], kind: str) -> None:
-    """The preconditions every ``train_*_many`` trainer shares."""
+    """The preconditions every trainer shares: it takes a list of datasets
+    of one width and one seed per dataset."""
     if len(seeds) != len(datasets):
         raise ValidationError(f"{len(datasets)} datasets but {len(seeds)} seeds")
     if len({ds.dim for ds in datasets}) > 1:
         raise ValidationError(f"{kind} datasets differ in dimension")
+
+
+def require_both_classes(dataset: Dataset, kind: str) -> None:
+    """The precondition of every trainer but the forest's, per dataset."""
+    zeros, ones = dataset.class_counts()
+    if zeros == 0 or ones == 0:
+        raise ValidationError(
+            f"{kind} training requires both classes, got {zeros} zeros / {ones} ones"
+        )
 
 
 def model_to_json(model) -> dict:

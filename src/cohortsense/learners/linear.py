@@ -7,15 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import ValidationError
-from .base import Dataset, ModelKind, check_batch
-
-
-def _require_both_classes(dataset: Dataset, kind: str) -> None:
-    zeros, ones = dataset.class_counts()
-    if zeros == 0 or ones == 0:
-        raise ValidationError(
-            f"{kind} training requires both classes, got {zeros} zeros / {ones} ones"
-        )
+from .base import Dataset, ModelKind, check_batch, require_both_classes
 
 
 def _check_weights(weights: np.ndarray, input_dim: int) -> None:
@@ -75,7 +67,7 @@ def _stacked(datasets: list[Dataset], seeds: list[int], kind: str, bias_column: 
     real rows when ``bias_column``), ``(R, n_max)`` labels and row counts."""
     check_batch(datasets, seeds, kind)
     for dataset in datasets:
-        _require_both_classes(dataset, kind)
+        require_both_classes(dataset, kind)
     sizes = [len(ds) for ds in datasets]
     d = datasets[0].dim
     X = np.zeros((len(datasets), max(sizes), d + bias_column))
@@ -95,24 +87,6 @@ def _scores(X: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def train_logreg(
-    dataset: Dataset,
-    seed: int = 0,
-    iterations: int = 500,
-    step: float = 0.1,
-    l2: float = 1e-3,
-    init: LogRegModel | None = None,
-) -> LogRegModel:
-    """Full-batch gradient descent on L2-regularized logistic loss.
-
-    The step size halves whenever a step would increase the loss, so the
-    accepted-loss sequence is nonincreasing. Training is deterministic
-    (``seed`` is part of the shared trainer signature and unused);
-    ``init`` warm-starts from a previous model when dimensions match.
-    """
-    return train_logreg_many([dataset], [seed], iterations, step, l2, init)[0]
-
-
-def train_logreg_many(
     datasets: list[Dataset],
     seeds: list[int],
     iterations: int = 500,
@@ -120,7 +94,13 @@ def train_logreg_many(
     l2: float = 1e-3,
     init: LogRegModel | None = None,
 ) -> list[LogRegModel]:
-    """``train_logreg`` on each dataset, in lockstep.
+    """Full-batch gradient descent on L2-regularized logistic loss, one
+    model per (dataset, seed), all datasets in lockstep.
+
+    The step size halves whenever a step would increase the loss, so each
+    model's accepted-loss sequence is nonincreasing. Training is
+    deterministic (the seeds are part of the shared trainer signature and
+    unused); ``init`` warm-starts every model when its width matches.
 
     Every iteration takes one gradient step on all datasets, held in one
     zero-padded block; each dataset keeps its own step size. The sums
@@ -128,8 +108,8 @@ def train_logreg_many(
     means) run once per distinct dataset length, over the datasets of
     that length stacked: each slice of a stacked ``matmul`` is the same
     gemv as the one-dataset product, and a row-wise ``np.add.reduce``
-    sums each row pairwise as ``mean`` does. So model i equals
-    ``train_logreg(datasets[i], seeds[i])`` bit for bit.
+    sums each row pairwise as ``mean`` does. So model i equals the model
+    of ``datasets[i]`` trained alone, bit for bit.
     """
     if not datasets:
         return []
@@ -209,36 +189,25 @@ class LinearSVMModel:
 
 
 def train_linear_svm(
-    dataset: Dataset,
-    seed: int = 0,
-    epochs: int = 500,
-    l2: float = 1e-3,
-    init: LinearSVMModel | None = None,
-) -> LinearSVMModel:
-    """Full-batch subgradient descent on hinge loss + L2, step 1/(l2*t).
-
-    Labels are mapped to +/-1 internally. The bias rides along as an
-    augmented, regularized coordinate; iterates are projected onto the
-    ball of radius 1/sqrt(l2) and the returned parameters are the
-    t-weighted iterate average, which converges where the raw last
-    iterate of a subgradient method keeps oscillating. Training is
-    deterministic; ``seed`` is part of the shared trainer signature.
-    """
-    return train_linear_svm_many([dataset], [seed], epochs, l2, init)[0]
-
-
-def train_linear_svm_many(
     datasets: list[Dataset],
     seeds: list[int],
     epochs: int = 500,
     l2: float = 1e-3,
     init: LinearSVMModel | None = None,
 ) -> list[LinearSVMModel]:
-    """``train_linear_svm`` on each dataset, in lockstep.
+    """Full-batch subgradient descent on hinge loss + L2, step 1/(l2*t),
+    one model per (dataset, seed), all datasets in lockstep.
+
+    Labels are mapped to +/-1 internally. The bias rides along as an
+    augmented, regularized coordinate; iterates are projected onto the
+    ball of radius 1/sqrt(l2) and the returned parameters are the
+    t-weighted iterate average, which converges where the raw last
+    iterate of a subgradient method keeps oscillating. Training is
+    deterministic; the seeds are part of the shared trainer signature.
 
     Every epoch steps all datasets at once on one zero-padded block; a
     padded row has label 0, so it never adds to a subgradient. Model i
-    equals ``train_linear_svm(datasets[i], seeds[i])`` bit for bit.
+    equals the model of ``datasets[i]`` trained alone, bit for bit.
     """
     if not datasets:
         return []

@@ -1,9 +1,11 @@
 """CART random forest and gradient-boosted trees, built from scratch.
 
-Both learners share one level-wise grower that grows many trees at once:
-the trees of every forest that ``train_random_forest_many`` trains (the
-folds of one CV and the deployed fit), or the next boosting round of
-every dataset that ``train_gbt_many`` trains in lockstep. Each tree's
+Each trainer takes a list of datasets and returns one model per dataset,
+as if each were trained alone. Both learners share one level-wise grower
+that grows many trees at once: the trees of every forest of a
+``train_random_forest`` call (the folds of one CV and the deployed fit),
+or the next boosting round of every dataset of a ``train_gbt`` call, in
+lockstep. A one-dataset fit is a call with a one-element list. Each tree's
 root carries its own binned rows, thresholds and target; each level's
 histograms for every frontier node of every root come from one pair of
 ``bincount`` calls, and each tree is the one a one-root call grows. A
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import ValidationError
-from .base import Dataset, ModelKind, check_batch
+from .base import Dataset, ModelKind, check_batch, require_both_classes
 
 MAX_BINS = 32
 PASS_ROWS = 20_000  # training rows, summed over roots, grown in one pass
@@ -430,26 +432,18 @@ class ForestModel:
 
 
 def train_random_forest(
-    dataset: Dataset, seed: int = 0, n_trees: int = 100, max_depth: int = 8
-) -> ForestModel:
-    """Bagged CART trees: Gini splits, sqrt(d) features per split.
-
-    Rows are canonicalized before any seeded draw, so the forest is
-    independent of input row order. Single-class data is allowed and
-    yields a constant predictor.
-    """
-    return train_random_forest_many([dataset], [seed], n_trees=n_trees, max_depth=max_depth)[0]
-
-
-def train_random_forest_many(
     datasets: list[Dataset], seeds: list[int], n_trees: int = 100, max_depth: int = 8
 ) -> list[ForestModel]:
-    """``train_random_forest`` on each dataset, all trees grown together.
+    """Bagged CART trees: Gini splits, sqrt(d) features per split, one
+    forest per (dataset, seed), all trees grown together.
 
-    The trees of every dataset are laid out dataset after dataset and
-    grown PASS_ROWS rows at a time, so a pass may hold trees of several
-    datasets; each root reads its own dataset's thresholds. Model i equals
-    ``train_random_forest(datasets[i], seeds[i])``.
+    Rows are canonicalized before any seeded draw, so a forest is
+    independent of input row order. Single-class data is allowed and
+    yields a constant predictor. The trees of every dataset are laid out
+    dataset after dataset and grown PASS_ROWS rows at a time, so a pass
+    may hold trees of several datasets; each root reads its own dataset's
+    thresholds, and forest i equals the forest of ``datasets[i]`` trained
+    alone.
     """
     check_batch(datasets, seeds, "random forest")
     if any(len(ds) == 0 for ds in datasets):
@@ -538,48 +532,26 @@ class GBTModel:
 
 
 def train_gbt(
-    dataset: Dataset,
-    seed: int = 0,
-    n_rounds: int = 100,
-    max_depth: int = 3,
-    learning_rate: float = 0.1,
-) -> GBTModel:
-    """Additive regression trees fit to logistic-loss gradients.
-
-    First-order boosting only: each round fits a squared-error tree to the
-    residual y - sigmoid(score) and adds it with a fixed learning rate.
-    The initial score is the log-odds of the training base rate. Training
-    is deterministic; ``seed`` is part of the shared trainer signature.
-    """
-    return train_gbt_many(
-        [dataset],
-        [seed],
-        n_rounds=n_rounds,
-        max_depth=max_depth,
-        learning_rate=learning_rate,
-    )[0]
-
-
-def train_gbt_many(
     datasets: list[Dataset],
     seeds: list[int],
     n_rounds: int = 100,
     max_depth: int = 3,
     learning_rate: float = 0.1,
 ) -> list[GBTModel]:
-    """``train_gbt`` on each dataset, boosted in lockstep.
+    """Additive regression trees fit to logistic-loss gradients, one model
+    per (dataset, seed), boosted in lockstep.
 
+    First-order boosting only: each round fits a squared-error tree to the
+    residual y - sigmoid(score) and adds it with a fixed learning rate.
+    The initial score is the log-odds of the training base rate. Training
+    is deterministic; the seeds are part of the shared trainer signature.
     Each round grows the next tree of every dataset in one grower call
-    (datasets are taken PASS_ROWS rows at a time), and model i equals
-    ``train_gbt(datasets[i], seeds[i])``.
+    (datasets are taken PASS_ROWS rows at a time), and model i equals the
+    model of ``datasets[i]`` trained alone.
     """
     check_batch(datasets, seeds, "gradient boosting")
     for dataset in datasets:
-        zeros, ones = dataset.class_counts()
-        if zeros == 0 or ones == 0:
-            raise ValidationError(
-                f"gradient boosting requires both classes, got {zeros} zeros / {ones} ones"
-            )
+        require_both_classes(dataset, "gradient boosting")
     init_scores: list[float] = []
     parts: list[tuple] = []
     for run in _passes([len(ds) for ds in datasets]):
@@ -595,7 +567,7 @@ def train_gbt_many(
 def _boost(
     datasets: list[Dataset], first: int, n_rounds: int, max_depth: int, learning_rate: float
 ) -> tuple[list[float], list[tuple]]:
-    """One pass of ``train_gbt_many``: each round grows one tree per dataset.
+    """One pass of ``train_gbt``: each round grows one tree per dataset.
 
     Dataset r of the pass is dataset ``first + r`` of the call, and its
     tree of round k gets tree id ``(first + r) * n_rounds + k``. Returns

@@ -123,17 +123,17 @@ def kfold_cv(
     k: int,
     train_fn: Callable[[list[Dataset], list[int]], list],
     seed: int,
-    smote_neighbors: int | None = None,
-    deployed: tuple[Dataset, int] | None = None,
+    smote_neighbors: int,
+    deployed: tuple[Dataset, int],
 ):
-    """Stratified k-fold CV; metrics pooled over all test predictions.
+    """Stratified k-fold CV; returns (metrics pooled over all test
+    predictions, deployed model).
 
-    Every fold's training set is built first and ``train_fn`` fits them
-    all in one call, returning one model per (dataset, seed) pair, so a
-    learner may train the folds together. When ``smote_neighbors`` is
-    set, SMOTE rebalances each training fold (never the test fold). A
-    ``deployed`` (dataset, seed) pair is trained in the same call, after
-    the folds, and the result is then (metrics, deployed model).
+    SMOTE rebalances each training fold (never the test fold). Every
+    fold's training set is built first, and ``train_fn`` fits them all,
+    then the ``deployed`` (dataset, seed) pair, in one call that returns
+    one model per (dataset, seed) pair, so a learner may train them
+    together.
     """
     folds = [(j, f) for j, f in enumerate(stratified_folds(dataset, k, seed)) if len(f)]
     n = len(dataset)
@@ -142,17 +142,13 @@ def kfold_cv(
         train_mask = np.ones(n, dtype=bool)
         train_mask[test_idx] = False
         train_ds = dataset.subset(np.nonzero(train_mask)[0])
-        if smote_neighbors is not None:
-            zeros, ones = train_ds.class_counts()
-            if zeros != ones and min(zeros, ones) >= 2:
-                train_ds = smote(train_ds, smote_neighbors, derive_seed(seed, "smote", j))
+        zeros, ones = train_ds.class_counts()
+        if zeros != ones and min(zeros, ones) >= 2:
+            train_ds = smote(train_ds, smote_neighbors, derive_seed(seed, "smote", j))
         train_sets.append(train_ds)
     seeds = [derive_seed(seed, "fold", j) for j, _ in folds]
-    if deployed is not None:
-        train_sets.append(deployed[0])
-        seeds.append(deployed[1])
-    models = train_fn(train_sets, seeds)
-    if len(models) != len(train_sets):
+    models = train_fn(train_sets + [deployed[0]], seeds + [deployed[1]])
+    if len(models) != len(train_sets) + 1:
         raise AssertionError("train_fn must return one model per dataset")
 
     all_preds = np.empty(n, dtype=int)
@@ -162,5 +158,4 @@ def kfold_cv(
         tested[test_idx] = True
     if not tested.all():
         raise AssertionError("every row must appear in exactly one test fold")
-    metrics = compute_metrics(all_preds, dataset.labels)
-    return metrics if deployed is None else (metrics, models[-1])
+    return compute_metrics(all_preds, dataset.labels), models[-1]

@@ -573,10 +573,15 @@ def write_cohort(out_dir: str | Path, batches: list[WeeklyBatch], plan: CohortPl
 
 
 def load_plan(path: str | Path) -> CohortPlan:
-    """Load a CohortPlan from a UTF-8 JSON file; a plan that is not valid
-    JSON or lacks a field raises ValidationError naming the file."""
+    """Load a CohortPlan from a UTF-8 JSON file; a file that cannot be read
+    or a plan that is not valid JSON or lacks a field raises
+    ValidationError naming the file."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot read plan file {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
         return CohortPlan(
             total_participants=int(doc["total_participants"]),
             lonely_count=int(doc["lonely_count"]),
@@ -585,7 +590,7 @@ def load_plan(path: str | Path) -> CohortPlan:
                 for week, groups in doc["weekly_group_membership"].items()
             },
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise ValidationError(f"malformed plan file {path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -185,13 +185,22 @@ def test_report_missing_week_exits_one(tmp_path):
     assert main(["report", "--out-dir", str(tmp_path), "--week", "4"]) == 1
 
 
+NESTED = "[" * 200_000
+
+
 @pytest.mark.parametrize(
     "text, message",
-    [("{not json", "JSONDecodeError"), ('{"total_participants": 3}', "KeyError: 'lonely_count'")],
+    [
+        ("{not json", "JSONDecodeError"),
+        ('{"total_participants": 3}', "KeyError: 'lonely_count'"),
+        pytest.param(NESTED, "RecursionError", id="nested"),
+        pytest.param(None, "cannot read plan file", id="missing"),
+    ],
 )
 def test_synth_malformed_plan_exits_one(tmp_path, capsys, text, message):
     plan_path = tmp_path / "plan.json"
-    plan_path.write_text(text, encoding="utf-8")
+    if text is not None:
+        plan_path.write_text(text, encoding="utf-8")
     code = main(["synth", "--out-dir", str(tmp_path / "out"), "--plan", str(plan_path)])
     err = capsys.readouterr().err
     assert code == 1
@@ -220,6 +229,27 @@ def test_replay_out_of_range_config_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "holdout_fraction" in err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--resume"])
+def test_replay_nested_json_exits_one(tmp_path, capsys, flag):
+    data = tmp_path / "data"
+    plan_path = tmp_path / "plan.json"
+    write_tiny_plan(plan_path, weeks=1)
+    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+    path = tmp_path / "nested"
+    if flag == "--config":
+        path.write_text(NESTED, encoding="utf-8")
+    else:
+        with gzip.GzipFile(path, "wb", mtime=0) as fh:
+            fh.write(NESTED.encode("utf-8"))
+    capsys.readouterr()
+    code = main(
+        ["replay", flag, str(path), "--data-dir", str(data), "--out-dir", str(tmp_path / "out")]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and str(path) in err and "Traceback" not in err
 
 
 def test_replay_resume_with_a_different_config_exits_one(tmp_path, capsys):

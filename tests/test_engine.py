@@ -5,6 +5,7 @@ import gzip
 import json
 import random
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohortsense import engine
 from cohortsense.core import EngineConfig, LearnerConfig, ValidationError
 from cohortsense.engine import (
     CheckpointError,
@@ -302,6 +304,37 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
             fh.write(json.dumps(doc).encode("utf-8"))
         with pytest.raises(CheckpointError):
             load(path)
+
+
+def test_checkpoint_tree_too_deep_to_read_is_checkpoint_error(
+    tmp_path, mini_batches, monkeypatch
+):
+    # a GBT tree 300 splits deep, which the JSON parser reads, while the
+    # recursive tree reader has 100 frames to spare
+    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
+    path = tmp_path / "state.csk"
+    save(state, path)
+    doc = json.loads(gzip.open(path, "rb").read())
+    doc["pool"]["generic"]["models"]["gbt"]["trees"] = ["DEEP"]
+    split = '{"feature": 0, "threshold": 0.0, "right": {"leaf": 1.0}, "left": '
+    tree = split * 300 + '{"leaf": 0.0}' + "}" * 300
+    with gzip.GzipFile(path, "wb", mtime=0) as fh:
+        fh.write(json.dumps(doc).replace('"DEEP"', tree).encode("utf-8"))
+    read_pool = engine.pool_from_json
+
+    def with_little_stack(pool_doc):
+        limit, depth, frame = sys.getrecursionlimit(), 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        sys.setrecursionlimit(depth + 100)
+        try:
+            return read_pool(pool_doc)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    monkeypatch.setattr(engine, "pool_from_json", with_little_stack)
+    with pytest.raises(CheckpointError, match="malformed checkpoint .*RecursionError"):
+        load(path)
 
 
 @pytest.mark.parametrize(

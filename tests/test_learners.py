@@ -237,7 +237,7 @@ def test_smote_convex_hull_property():
 
 def test_logreg_separable_training_accuracy():
     ds = separable_fixture()
-    model = train_logreg(ds, seed=0)
+    model = train_logreg([ds], [0])[0]
     assert np.array_equal(model.predict(ds.vectors), ds.labels)
 
 
@@ -246,7 +246,7 @@ def test_logreg_symmetric_data_zero_bias():
     pts = rng.normal(size=(15, 3))
     vectors = np.vstack([pts, -pts])
     labels = np.array([1] * 15 + [0] * 15)
-    model = train_logreg(make_dataset(vectors, labels), seed=0)
+    model = train_logreg([make_dataset(vectors, labels)], [0])[0]
     assert abs(model.bias) < 1e-6
 
 
@@ -281,7 +281,7 @@ def test_logreg_trainer_steps_along_the_oracle_gradient():
         X = rng.normal(size=(n, d)) * rng.uniform(0.5, 5.0)
         y = rng.permutation(np.arange(n) % 2)
         step, l2 = float(10 ** rng.uniform(-1, 1.5)), float(rng.choice([0.0, 1e-3, 0.1]))
-        model = train_logreg(make_dataset(X, y), iterations=1, step=step, l2=l2)
+        model = train_logreg([make_dataset(X, y)], [0], iterations=1, step=step, l2=l2)[0]
         grad_w, grad_b = logreg_gradient(np.zeros(d), 0.0, X, y.astype(float), l2)
         w, b = -step * grad_w, -step * grad_b
         if logreg_loss(w, b, X, y, l2) <= logreg_loss(np.zeros(d), 0.0, X, y, l2):
@@ -295,7 +295,7 @@ def test_logreg_trainer_steps_along_the_oracle_gradient():
 def test_logreg_loss_nonincreasing():
     ds = separable_fixture(seed=8)
     X, y = ds.vectors, ds.labels.astype(float)
-    model = train_logreg(ds, seed=0, iterations=50)
+    model = train_logreg([ds], [0], iterations=50)[0]
     # final loss must not exceed the zero-init loss
     assert logreg_loss(model.weights, model.bias, X, y, 1e-3) <= logreg_loss(
         np.zeros(ds.dim), 0.0, X, y, 1e-3
@@ -305,7 +305,7 @@ def test_logreg_loss_nonincreasing():
 def test_logreg_single_class_error():
     ds = make_dataset([[0.0], [1.0]], [1, 1])
     with pytest.raises(ValidationError):
-        train_logreg(ds, seed=0)
+        train_logreg([ds], [0])
 
 
 # ---------------------------------------------------------------- linear SVM
@@ -313,19 +313,19 @@ def test_logreg_single_class_error():
 
 def test_svm_separable_training_accuracy():
     ds = separable_fixture(seed=5)
-    model = train_linear_svm(ds, seed=0)
+    model = train_linear_svm([ds], [0])[0]
     assert np.array_equal(model.predict(ds.vectors), ds.labels)
 
 
 def test_svm_scaling_leaves_training_signs_unchanged():
     ds = separable_fixture(seed=6)
-    base = train_linear_svm(ds, seed=0)
+    base = train_linear_svm([ds], [0])[0]
     scaled = Dataset(
         vectors=ds.vectors * 3.0,
         labels=ds.labels,
         participant_ids=ds.participant_ids,
     )
-    rescaled = train_linear_svm(scaled, seed=0)
+    rescaled = train_linear_svm([scaled], [0])[0]
     assert np.array_equal(base.predict(ds.vectors), rescaled.predict(scaled.vectors))
 
 
@@ -336,8 +336,8 @@ def test_svm_duplicated_dataset_same_predictions():
         labels=np.concatenate([ds.labels, ds.labels]),
         participant_ids=ds.participant_ids + tuple(f"{p}x" for p in ds.participant_ids),
     )
-    m1 = train_linear_svm(ds, seed=0)
-    m2 = train_linear_svm(doubled, seed=0)
+    m1 = train_linear_svm([ds], [0])[0]
+    m2 = train_linear_svm([doubled], [0])[0]
     probe = np.array([[0.3, -0.2], [-1.0, 0.5], [2.0, 2.0]])
     assert np.array_equal(m1.predict(probe), m2.predict(probe))
 
@@ -345,7 +345,7 @@ def test_svm_duplicated_dataset_same_predictions():
 def test_svm_single_class_error():
     ds = make_dataset([[0.0], [1.0]], [0, 0])
     with pytest.raises(ValidationError):
-        train_linear_svm(ds, seed=0)
+        train_linear_svm([ds], [0])
 
 
 # ---------------------------------------------------------------- random forest
@@ -353,38 +353,36 @@ def test_svm_single_class_error():
 
 def test_forest_single_class_constant_prediction():
     ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [1, 1, 1, 1])
-    model = train_random_forest(ds, seed=0, n_trees=5, max_depth=3)
+    model = train_random_forest([ds], [0], n_trees=5, max_depth=3)[0]
     assert np.array_equal(model.predict(np.array([[10.0], [-5.0]])), [1, 1])
 
 
 def test_forest_heldout_accuracy_on_margin_fixture():
     train = separable_fixture(n_per_class=40, seed=10)
     test = separable_fixture(n_per_class=25, seed=99)
-    model = train_random_forest(train, seed=0, n_trees=50, max_depth=6)
+    model = train_random_forest([train], [0], n_trees=50, max_depth=6)[0]
     acc = (model.predict(test.vectors) == test.labels).mean()
     assert acc >= 0.9
 
 
 def test_forest_same_seed_identical():
     ds = separable_fixture(n_per_class=15, seed=12)
-    m1 = train_random_forest(ds, seed=4, n_trees=10, max_depth=4)
-    m2 = train_random_forest(ds, seed=4, n_trees=10, max_depth=4)
+    m1 = train_random_forest([ds], [4], n_trees=10, max_depth=4)[0]
+    m2 = train_random_forest([ds], [4], n_trees=10, max_depth=4)[0]
     assert model_to_json(m1) == model_to_json(m2)
 
 
 def test_forest_row_order_invariance():
     ds = separable_fixture(n_per_class=12, seed=13)
     perm = np.random.default_rng(0).permutation(len(ds))
-    m1 = train_random_forest(ds, seed=4, n_trees=10, max_depth=4)
-    m2 = train_random_forest(ds.subset(perm), seed=4, n_trees=10, max_depth=4)
+    m1 = train_random_forest([ds], [4], n_trees=10, max_depth=4)[0]
+    m2 = train_random_forest([ds.subset(perm)], [4], n_trees=10, max_depth=4)[0]
     assert model_to_json(m1) == model_to_json(m2)
 
 
 def test_forest_empty_dataset_error():
     with pytest.raises(ValidationError):
-        train_random_forest(
-            Dataset(np.empty((0, 2)), np.empty(0, dtype=int), ()), seed=0
-        )
+        train_random_forest([Dataset(np.empty((0, 2)), np.empty(0, dtype=int), ())], [0])
 
 
 # ---------------------------------------------------------------- GBT
@@ -392,14 +390,14 @@ def test_forest_empty_dataset_error():
 
 def test_gbt_separable_training_accuracy():
     ds = separable_fixture(seed=14)
-    model = train_gbt(ds, seed=0, n_rounds=60)
+    model = train_gbt([ds], [0], n_rounds=60)[0]
     assert np.array_equal(model.predict(ds.vectors), ds.labels)
 
 
 def test_gbt_zero_rounds_predicts_prior():
     vectors = np.random.default_rng(1).normal(size=(10, 2))
     labels = np.array([1] * 7 + [0] * 3)
-    model = train_gbt(make_dataset(vectors, labels), seed=0, n_rounds=0)
+    model = train_gbt([make_dataset(vectors, labels)], [0], n_rounds=0)[0]
     assert model.init_score == pytest.approx(np.log(0.7 / 0.3))
     assert np.array_equal(model.predict(vectors), np.ones(10, dtype=int))
 
@@ -409,7 +407,7 @@ def test_gbt_log_loss_decreases():
     vectors = rng.normal(size=(60, 3))
     labels = (vectors[:, 0] + 0.5 * vectors[:, 1] + rng.normal(0, 0.3, 60) > 0).astype(int)
     dataset = make_dataset(vectors, labels)
-    model = train_gbt(dataset, seed=0, n_rounds=100)
+    model = train_gbt([dataset], [0], n_rounds=100)[0]
     # the training scores after each round, from the staged tree outputs
     X = dataset.vectors
     staged = model.init_score + model.learning_rate * np.cumsum(model.nodes.leaves(X), axis=1)
@@ -423,7 +421,7 @@ def test_gbt_log_loss_decreases():
 def test_gbt_single_class_error():
     ds = make_dataset([[0.0], [1.0]], [1, 1])
     with pytest.raises(ValidationError):
-        train_gbt(ds, seed=0)
+        train_gbt([ds], [0])
 
 
 # ---------------------------------------------------------------- k-fold CV
@@ -452,7 +450,12 @@ def test_kfold_constant_classifier_metrics():
     vectors = rng.normal(size=(40, 2))
     labels = np.array([1] * 20 + [0] * 20)
     ds = make_dataset(vectors, labels)
-    metrics = kfold_cv(ds, 4, lambda dss, seeds: [_ConstantOne() for _ in dss], seed=0)
+
+    def train_fn(datasets, seeds):
+        return [_ConstantOne() for _ in datasets]
+
+    metrics, deployed = kfold_cv(ds, 4, train_fn, seed=0, smote_neighbors=5, deployed=(ds, 0))
+    assert isinstance(deployed, _ConstantOne)
     assert metrics.accuracy == pytest.approx(0.5)
     assert metrics.recall == pytest.approx(1.0)
     assert metrics.precision == pytest.approx(0.5)
@@ -499,7 +502,7 @@ def test_kfold_stratification_balance():
 )
 def test_model_json_round_trip(trainer, kwargs):
     ds = separable_fixture(seed=30)
-    model = trainer(ds, seed=1, **kwargs)
+    model = trainer([ds], [1], **kwargs)[0]
     doc = model_to_json(model)
     restored = model_from_json(doc)
     probe = np.random.default_rng(2).normal(size=(20, 2))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cohortsense.core import EngineConfig, LearnerConfig, ValidationError
-from cohortsense.ensemble import _fit_set, _set_to_json
+from cohortsense.ensemble import ModelPool, _fit_set, _set_to_json, refresh_generic
 from cohortsense.learners import Dataset, linear, model_to_json
 
 DIGESTS = {
@@ -27,6 +27,7 @@ DIGESTS = {
     "logreg/d2/long": "cb6e89e5758aed12fe46291190340d2f12c92f33936ed8ee398e308eb12fa070",
     "fit_set/cv": "dc6dc5706035b90920a1030184362b856194cf5b0d78077219001b7b910dbadc",
     "fit_set/no_cv": "e349f96541bfb8225378a571757b48d0e6cd2b98f0ceb1061a4afe927b5ec675",
+    "refresh_generic/no_cv": "c66e15071e1c8bcb8e4708d3000b0f01c43013cc90b886ac57a1657e2c329ed3",
 }
 
 MODELS = {"logreg": linear.LogRegModel, "linear_svm": linear.LinearSVMModel}
@@ -52,8 +53,7 @@ def warm_start(kind: str, d: int):
 
 
 def train_one(kind: str, dataset: Dataset, seed: int, init=None):
-    trainer = linear.train_logreg if kind == "logreg" else linear.train_linear_svm
-    return trainer(dataset, seed, init=init)
+    return getattr(linear, f"train_{kind}")([dataset], [seed], init=init)[0]
 
 
 def one_dataset_doc(kind: str, d: int, warm: bool) -> dict:
@@ -93,7 +93,8 @@ def test_one_dataset_digest(kind, d, warm):
 
 
 def long_logreg_doc() -> dict:
-    return model_to_json(linear.train_logreg(linear_dataset(130, 2, seed=3), 7, iterations=2000))
+    [model] = linear.train_logreg([linear_dataset(130, 2, seed=3)], [7], iterations=2000)
+    return model_to_json(model)
 
 
 def test_long_logreg_digest():
@@ -106,6 +107,18 @@ def test_fit_set_digest(case):
     assert digest(fit_set_doc(case)) == DIGESTS[f"fit_set/{case}"]
 
 
+def test_refresh_generic_without_cv_digest():
+    # 29 rows of class 0 and one of class 1: k = 1, so each kind trains
+    # once, on rows too few to SMOTE, and is scored on its training data
+    pool, events = refresh_generic(ModelPool(), labeled_rows(30, 1, 8), FIT_CONFIG, 3, week=2)
+    assert events == [
+        f"generic: class counts 29/1 too small for CV; "
+        f"validation_f1 for {kind} uses training predictions"
+        for kind in ("logreg", "linear_svm", "random_forest", "gbt")
+    ]
+    assert digest(_set_to_json(pool.generic)) == DIGESTS["refresh_generic/no_cv"]
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("count", [1, 3, 11])
 @pytest.mark.parametrize("kind", list(MODELS))
@@ -114,7 +127,7 @@ def test_many_equals_one_at_a_time(kind, count, warm):
     datasets = [linear_dataset(23 + 37 * ((5 * i) % 11), 3, seed=40 + i) for i in range(count)]
     seeds = list(range(count))
     init = warm_start(kind, 3) if warm else None
-    many = getattr(linear, f"train_{kind}_many")(datasets, seeds, init=init)
+    many = getattr(linear, f"train_{kind}")(datasets, seeds, init=init)
     single = [train_one(kind, ds, s, init=init) for ds, s in zip(datasets, seeds)]
     assert [model_to_json(m) for m in many] == [model_to_json(m) for m in single]
 
@@ -127,14 +140,17 @@ def test_logreg_many_with_repeated_lengths_equals_one_at_a_time(warm):
     datasets = [linear_dataset(n, 3, seed=60 + i) for i, n in enumerate(lengths)]
     seeds = list(range(len(lengths)))
     init = warm_start("logreg", 3) if warm else None
-    many = linear.train_logreg_many(datasets, seeds, iterations=150, init=init)
-    single = [linear.train_logreg(ds, s, iterations=150, init=init) for ds, s in zip(datasets, seeds)]
+    many = linear.train_logreg(datasets, seeds, iterations=150, init=init)
+    single = [
+        linear.train_logreg([ds], [s], iterations=150, init=init)[0]
+        for ds, s in zip(datasets, seeds)
+    ]
     assert [model_to_json(m) for m in many] == [model_to_json(m) for m in single]
 
 
 @pytest.mark.parametrize("kind", list(MODELS))
 def test_many_rejects_bad_inputs(kind):
-    train_many = getattr(linear, f"train_{kind}_many")
+    train_many = getattr(linear, f"train_{kind}")
     good = linear_dataset(30, 2, seed=1)
     single_class = Dataset(np.zeros((3, 2)), np.ones(3, dtype=int), ("a", "b", "c"))
     with pytest.raises(ValidationError, match="both classes"):

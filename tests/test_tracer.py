@@ -1,7 +1,8 @@
 """The benchmark's tracer must still find every name it wraps in the package.
 
-`perfbench/run.py --trace 1` patches package functions by name; this test
-fails as soon as a refactor drops or renames one of them.
+`perfbench/run.py --trace 1` patches package functions by name; these tests
+fail as soon as a refactor drops or renames one of them, or routes the
+training around the names the tracer times.
 """
 
 import sys
@@ -11,7 +12,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracer import Tracer  # noqa: E402
 
 from cohortsense import cluster, engine, ensemble, reporting, synthgen  # noqa: E402
+from cohortsense.core import EngineConfig, LearnerConfig  # noqa: E402
 from cohortsense.learners import validation  # noqa: E402
+from test_cli import FAST_CONFIG, tiny_plan  # noqa: E402
 
 OWNERS = (synthgen, engine, ensemble, reporting, validation, cluster.ClusterRegistry)
 
@@ -31,3 +34,22 @@ def test_tracer_installs_and_restores_every_patched_name():
         assert set(now) == set(names)
         changed = [name for name, value in names.items() if now[name] is not value]
         assert not changed, f"{owner.__name__}: {changed} not restored"
+
+
+def test_traced_replay_reports_each_kind_under_cv():
+    # every (set, kind) trains its folds and deployed model inside
+    # kfold_cv, so each kind's CV seconds and the call counts are nonzero
+    plan = tiny_plan(weeks=2)
+    batches = synthgen.generate_cohort(plan, synthgen.build_default_profiles(), seed=3)
+    learners = LearnerConfig(**FAST_CONFIG["learners"])
+    config = EngineConfig(**dict(FAST_CONFIG, learners=learners))
+    tracer = Tracer().install()
+    try:
+        engine.run_replay(config, batches)
+    finally:
+        tracer.close()
+    metrics = tracer.layer_metrics()
+    for kind in ("logreg", "linear_svm", "random_forest", "gbt"):
+        assert metrics[f"learners.{kind}.cv_s"] > 0, kind
+    assert metrics["learners.cv_fits"] > 0
+    assert metrics["learners.smote_calls"] > 0

@@ -25,11 +25,9 @@ from cohortsense.learners import (
     model_from_json,
     model_to_json,
     train_gbt,
-    train_gbt_many,
     train_linear_svm,
     train_logreg,
     train_random_forest,
-    train_random_forest_many,
 )
 from cohortsense.learners import trees
 
@@ -99,10 +97,11 @@ DIGESTS = {
     "spread16/forest": "1bce83a63b230480a23b6f25ca990bd8f15aa796bb6919a275c1d084ac14b52b",
 }
 
-PER_FOLD = {
+TRAINERS = {
     "logreg": train_logreg,
     "linear_svm": train_linear_svm,
     "random_forest": train_random_forest,
+    "gbt": train_gbt,
 }
 
 
@@ -112,20 +111,20 @@ def digest(doc) -> str:
 
 @pytest.mark.parametrize("name", DATASETS)
 def test_forest_digest(name):
-    model = train_random_forest(DATASETS[name](), seed=11, n_trees=100, max_depth=8)
+    model = train_random_forest([DATASETS[name]()], [11], n_trees=100, max_depth=8)[0]
     assert digest(model_to_json(model)) == DIGESTS[f"{name}/forest"]
 
 
 @pytest.mark.parametrize("d", [8, 16])
 @pytest.mark.parametrize("name", DATASETS)
 def test_forest_digest_with_several_drawn_features(name, d):
-    model = train_random_forest(wide_dataset(name, d), seed=11, n_trees=100, max_depth=8)
+    model = train_random_forest([wide_dataset(name, d)], [11], n_trees=100, max_depth=8)[0]
     assert digest(model_to_json(model)) == DIGESTS[f"{name}{d}/forest"]
 
 
 @pytest.mark.parametrize("name", DATASETS)
 def test_gbt_digest(name):
-    model = train_gbt(DATASETS[name](), seed=11, n_rounds=100)
+    model = train_gbt([DATASETS[name]()], [11], n_rounds=100)[0]
     assert digest(model_to_json(model)) == DIGESTS[f"{name}/gbt"]
 
 
@@ -135,15 +134,17 @@ def test_kfold_cv_with_smote_digest(name, kind):
     fitted = []
 
     def train_fn(datasets, seeds):
-        if kind == "gbt":
-            models = train_gbt_many(datasets, seeds)
-        else:
-            models = [PER_FOLD[kind](ds, s) for ds, s in zip(datasets, seeds)]
+        models = TRAINERS[kind](datasets, seeds)
         fitted.extend(models)
         return models
 
-    metrics = kfold_cv(DATASETS[name](), 5, train_fn, seed=13, smote_neighbors=5)
-    doc = {"metrics": metrics.as_row(), "models": [model_to_json(m) for m in fitted]}
+    dataset = DATASETS[name]()
+    metrics, deployed = kfold_cv(
+        dataset, 5, train_fn, seed=13, smote_neighbors=5, deployed=(dataset, 17)
+    )
+    assert deployed is fitted[-1]
+    # the pins were recorded before CV trained a deployed model too
+    doc = {"metrics": metrics.as_row(), "models": [model_to_json(m) for m in fitted[:-1]]}
     assert digest(doc) == DIGESTS[f"{name}/cv/{kind}"]
 
 
@@ -154,7 +155,7 @@ def test_forest_independent_of_trees_per_pass(monkeypatch, name):
     docs = []
     for trees_per_pass in (1, 7, n_trees):
         monkeypatch.setattr(trees, "PASS_ROWS", trees_per_pass * n)
-        model = train_random_forest(ds, seed=11, n_trees=n_trees, max_depth=6)
+        model = train_random_forest([ds], [11], n_trees=n_trees, max_depth=6)[0]
         docs.append(model_to_json(model))
     assert docs[0] == docs[1] == docs[2]
 
@@ -204,12 +205,12 @@ def test_gbt_many_equals_one_at_a_time(monkeypatch, pass_rows, n_rounds):
     seeds = [3, 1, 4, 1, 5, 9]
     for max_depth in (1, 2, 3, 4):  # shallow trees reach the leaf level early
         single = [
-            model_to_json(train_gbt(ds, s, n_rounds=n_rounds, max_depth=max_depth))
+            model_to_json(train_gbt([ds], [s], n_rounds=n_rounds, max_depth=max_depth)[0])
             for ds, s in zip(datasets, seeds)
         ]
         with monkeypatch.context() as patch:
             patch.setattr(trees, "PASS_ROWS", pass_rows)
-            many = train_gbt_many(datasets, seeds, n_rounds=n_rounds, max_depth=max_depth)
+            many = train_gbt(datasets, seeds, n_rounds=n_rounds, max_depth=max_depth)
         assert [model_to_json(m) for m in many] == single
 
 
@@ -221,12 +222,12 @@ def test_forest_many_equals_one_at_a_time(monkeypatch, pass_rows, n_trees):
     seeds = [3, 1, 4, 1, 5, 9]
     for max_depth in (1, 2, 3, 4, 5):
         single = [
-            model_to_json(train_random_forest(ds, s, n_trees=n_trees, max_depth=max_depth))
+            model_to_json(train_random_forest([ds], [s], n_trees=n_trees, max_depth=max_depth)[0])
             for ds, s in zip(datasets, seeds)
         ]
         with monkeypatch.context() as patch:
             patch.setattr(trees, "PASS_ROWS", pass_rows)
-            many = train_random_forest_many(
+            many = train_random_forest(
                 datasets, seeds, n_trees=n_trees, max_depth=max_depth
             )
         assert [model_to_json(m) for m in many] == single
@@ -268,7 +269,7 @@ def test_tree_streams_do_not_repeat():
 
 
 @pytest.mark.parametrize(
-    "train_many", [train_gbt_many, train_random_forest_many], ids=["gbt", "forest"]
+    "train_many", [train_gbt, train_random_forest], ids=["gbt", "forest"]
 )
 def test_tree_many_rejects_mixed_widths(train_many):
     narrow, wide = unequal_datasets()[0], unequal_datasets()[1]
@@ -282,9 +283,9 @@ def test_tree_many_rejects_mixed_widths(train_many):
 
 def roundtrip_cases():
     ds = unequal_datasets()[1]
-    yield "forest", train_random_forest(ds, seed=2, n_trees=9, max_depth=5)
-    yield "gbt", train_gbt(ds, seed=2, n_rounds=12)
-    yield "gbt0", train_gbt(ds, seed=2, n_rounds=0)
+    yield "forest", train_random_forest([ds], [2], n_trees=9, max_depth=5)[0]
+    yield "gbt", train_gbt([ds], [2], n_rounds=12)[0]
+    yield "gbt0", train_gbt([ds], [2], n_rounds=0)[0]
 
 
 @pytest.mark.parametrize("name", ["forest", "gbt", "gbt0"])
@@ -303,15 +304,15 @@ def test_tree_models_survive_json_roundtrip(name):
 def test_gbt_many_rejects_single_class_and_seed_mismatch():
     good, bad = unequal_datasets()[0], Dataset(np.zeros((3, 2)), np.ones(3, dtype=int), ("a", "b", "c"))
     with pytest.raises(ValidationError, match="both classes"):
-        train_gbt_many([good, bad], [0, 0])
+        train_gbt([good, bad], [0, 0])
     with pytest.raises(ValidationError, match="seeds"):
-        train_gbt_many([good], [0, 1])
+        train_gbt([good], [0, 1])
 
 
 def test_all_constant_features_grow_single_leaves():
     ds = Dataset(np.ones((6, 2)), np.array([0, 1, 0, 1, 1, 1]), tuple("abcdef"))
-    forest = train_random_forest(ds, seed=0, n_trees=3, max_depth=3)
+    forest = train_random_forest([ds], [0], n_trees=3, max_depth=3)[0]
     assert all("leaf" in doc for doc in model_to_json(forest)["trees"])
-    gbt = train_gbt(ds, seed=0, n_rounds=2)
+    gbt = train_gbt([ds], [0], n_rounds=2)[0]
     assert all("leaf" in doc for doc in model_to_json(gbt)["trees"])
     assert np.array_equal(gbt.predict(np.zeros((2, 2))), [1, 1])
