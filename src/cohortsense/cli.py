@@ -111,16 +111,19 @@ def _cmd_report(args) -> int:
     path = Path(args.out_dir) / f"report_week_{args.week}.csv"
     if not path.exists():
         raise ValidationError(f"no report for week {args.week} in {args.out_dir}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    print(f"week {args.week}")
-    for row in rows:
-        scope = row["scope"] if not row["cohort"] else f"{row['scope']}:{row['cohort']}"
-        print(
-            f"  {scope:<20}{row['kind']:<14} acc={float(row['accuracy']):.3f} "
-            f"prec={float(row['precision']):.3f} rec={float(row['recall']):.3f} "
-            f"f1={float(row['f1']):.3f}"
-        )
+    lines = [f"week {args.week}"]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                scope = row["scope"] if not row["cohort"] else f"{row['scope']}:{row['cohort']}"
+                lines.append(
+                    f"  {scope:<20}{row['kind']:<14} acc={float(row['accuracy']):.3f} "
+                    f"prec={float(row['precision']):.3f} rec={float(row['recall']):.3f} "
+                    f"f1={float(row['f1']):.3f}"
+                )
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise ValidationError(f"malformed report file {path}: {type(exc).__name__}: {exc}") from exc
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -13,10 +13,12 @@ from .core import EngineConfig, LearnerConfig, ValidationError
 from .learners import (
     Dataset,
     Metrics,
+    NeighborTables,
     compute_metrics,
     kfold_cv,
     model_from_json,
     model_to_json,
+    needs_smote,
     smote,
     train_gbt,
     train_linear_svm,
@@ -101,11 +103,8 @@ def _train(
     return trainer(datasets, seeds, **_options(kind, lc, init))
 
 
-def _balanced(dataset: Dataset, config: EngineConfig, seed: int) -> Dataset:
-    zeros, ones = dataset.class_counts()
-    if zeros != ones and min(zeros, ones) >= 2:
-        return smote(dataset, config.smote_neighbors, seed)
-    return dataset
+def _balanced(dataset: Dataset, tables: NeighborTables, seed: int) -> Dataset:
+    return smote(dataset, tables.table(), seed) if needs_smote(dataset) else dataset
 
 
 def _fit_set(
@@ -118,15 +117,17 @@ def _fit_set(
     """Train all four kinds with k-fold validation scores.
 
     SMOTE is applied inside training folds during validation and to the
-    full data for the deployed fit; each kind trains its folds and its
-    deployed model in one batched call, or its deployed model alone when
-    a class has too few rows for two folds. Linear kinds warm-start from
-    the previous week's parameters.
+    full data for the deployed fit; all of these read their neighbour
+    tables from the set's one ``NeighborTables``. Each kind trains its
+    folds and its deployed model in one batched call, or its deployed
+    model alone when a class has too few rows for two folds. Linear kinds
+    warm-start from the previous week's parameters.
     """
     events: list[str] = []
     zeros, ones = dataset.class_counts()
     k = min(config.cv_folds, zeros, ones)
     lc = config.learners
+    tables = NeighborTables(dataset, config.smote_neighbors, k)
 
     models: dict[ModelKind, object] = {}
     scores: dict[ModelKind, float] = {}
@@ -135,7 +136,7 @@ def _fit_set(
         init = None
         if previous is not None and kind in (ModelKind.LOGREG, ModelKind.LINEAR_SVM):
             init = previous.models.get(kind)
-        balanced = _balanced(dataset, config, derive_seed(kind_seed, "smote"))
+        balanced = _balanced(dataset, tables, derive_seed(kind_seed, "smote"))
         train_fn = functools.partial(_train, kind, lc=lc, init=init)
         if k >= 2:
             metrics, models[kind] = kfold_cv(
@@ -143,7 +144,7 @@ def _fit_set(
                 k,
                 train_fn,
                 derive_seed(kind_seed, "cv"),
-                smote_neighbors=config.smote_neighbors,
+                tables,
                 deployed=(balanced, kind_seed),
             )
             scores[kind] = metrics.f1

@@ -9,7 +9,7 @@ from .linear import (
     train_linear_svm,
     train_logreg,
 )
-from .sampling import smote
+from .sampling import NeighborTables, needs_smote, smote
 from .trees import ForestModel, GBTModel, train_gbt, train_random_forest
 from .validation import Metrics, compute_metrics, kfold_cv, stratified_folds
 
@@ -17,6 +17,7 @@ __all__ = [
     "Dataset",
     "ModelKind",
     "Metrics",
+    "NeighborTables",
     "LogRegModel",
     "LinearSVMModel",
     "ForestModel",
@@ -28,6 +29,7 @@ __all__ = [
     "logreg_gradient",
     "model_from_json",
     "model_to_json",
+    "needs_smote",
     "smote",
     "train_logreg",
     "train_linear_svm",

@@ -9,6 +9,7 @@ from .base import Dataset
 
 
 BLOCK_ROWS = 256  # rows of the distance matrix held at once
+NO_ROWS = np.empty(0, dtype=int)
 
 
 def _minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
@@ -37,11 +38,70 @@ def _minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
     return order
 
 
-def smote(dataset: Dataset, k_neighbors: int, seed: int) -> Dataset:
+def needs_smote(dataset: Dataset) -> bool:
+    """Whether SMOTE rebalances ``dataset``: its classes differ in size and
+    the smaller one holds at least the two rows a segment needs."""
+    zeros, ones = dataset.class_counts()
+    return zeros != ones and min(zeros, ones) >= 2
+
+
+class NeighborTables:
+    """SMOTE's neighbour tables for one dataset and for each of its
+    ``folds``-fold CV training sets, from one distance pass per class.
+
+    A class's wide table, built on first use, lists each of its rows'
+    ``min(k + t, n - 1)`` nearest rows of the class, in canonical order,
+    where ``t = ceil(n / folds)`` is the most rows of the class that a
+    stratified test fold holds. Holding out a test fold removes at most
+    ``t`` entries from any row, so the first ``k`` survivors are the
+    training set's own ``k`` nearest neighbours, ties broken by index as
+    ``_minority_neighbors`` breaks them, since the training rows keep
+    their relative canonical order.
+    """
+
+    def __init__(self, dataset: Dataset, k_neighbors: int, folds: int) -> None:
+        self.dataset = dataset
+        self.k_neighbors = k_neighbors
+        self.folds = folds
+        self._order = dataset.canonical_order()
+        self._wide: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _class_table(self, label: int) -> tuple[np.ndarray, np.ndarray]:
+        """The class's rows in canonical order and their wide table."""
+        if label not in self._wide:
+            rows = self._order[self.dataset.labels[self._order] == label]
+            n = len(rows)
+            width = min(self.k_neighbors + -(-n // self.folds), n - 1)
+            self._wide[label] = rows, _minority_neighbors(self.dataset.vectors[rows], width)
+        return self._wide[label]
+
+    def table(self, held_out: np.ndarray = NO_ROWS) -> np.ndarray:
+        """The neighbour table ``smote`` reads for the dataset without the
+        rows ``held_out``: its minority rows' nearest minority rows, both
+        numbered in that set's canonical minority order."""
+        kept = np.ones(len(self.dataset), dtype=bool)
+        kept[held_out] = False
+        ones = int(self.dataset.labels[kept].sum())
+        label = 1 if ones < kept.sum() - ones else 0
+        rows, wide = self._class_table(label)
+        keep = kept[rows]
+        k = min(self.k_neighbors, int(keep.sum()) - 1)
+        cand = wide[keep]
+        alive = keep[cand]
+        rank = np.cumsum(alive, axis=1)
+        if (rank[:, -1] < k).any():
+            raise AssertionError("a held-out set removed more neighbours than the table spares")
+        renumber = np.cumsum(keep) - 1
+        return renumber[cand[alive & (rank <= k)]].reshape(-1, k)
+
+
+def smote(dataset: Dataset, neighbors: np.ndarray, seed: int) -> Dataset:
     """Add interpolated minority samples until class counts are equal.
 
     Each synthetic row is x + u * (x_nn - x) for a minority row x, one of
-    its k nearest minority neighbors x_nn, and u uniform in [0, 1).
+    its nearest minority neighbors x_nn, and u uniform in [0, 1).
+    ``neighbors`` holds each minority row's k nearest minority rows, both
+    numbered in canonical minority order (``NeighborTables.table``).
     Original rows are returned unchanged (order preserved), synthetics
     appended. Deterministic for a fixed seed regardless of row order.
     """
@@ -58,10 +118,12 @@ def smote(dataset: Dataset, k_neighbors: int, seed: int) -> Dataset:
         raise ValidationError(
             f"SMOTE needs at least 2 minority samples, found {n_min}"
         )
-    k = min(k_neighbors, n_min - 1)
-
+    if neighbors.ndim != 2 or neighbors.shape[0] != n_min or neighbors.shape[1] < 1:
+        raise ValidationError(
+            f"neighbour table of shape {neighbors.shape} does not fit {n_min} minority rows"
+        )
+    k = neighbors.shape[1]
     points = dataset.vectors[minority_rows]
-    neighbors = _minority_neighbors(points, k)
 
     # the neighbour pick and u alternate in one stream, one pair per row
     rng = np.random.default_rng(seed)

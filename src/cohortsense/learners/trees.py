@@ -99,7 +99,8 @@ class NodeTable:
         n = X.shape[0]
         idx = np.broadcast_to(self.roots, (n, self.roots.size)).copy()
         rows = np.arange(n)[:, None]
-        for _ in range(64):  # depth is bounded far below this
+        # tables are acyclic, so no walk is longer than the node count
+        for _ in range(self.left.size):
             internal = self.left[idx] >= 0
             if not internal.any():
                 break

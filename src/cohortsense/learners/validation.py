@@ -9,7 +9,7 @@ import numpy as np
 
 from ..core import ValidationError
 from .base import Dataset, derive_seed
-from .sampling import smote
+from .sampling import NeighborTables, needs_smote, smote
 
 
 @dataclass(frozen=True)
@@ -123,18 +123,20 @@ def kfold_cv(
     k: int,
     train_fn: Callable[[list[Dataset], list[int]], list],
     seed: int,
-    smote_neighbors: int,
+    tables: NeighborTables,
     deployed: tuple[Dataset, int],
 ):
     """Stratified k-fold CV; returns (metrics pooled over all test
     predictions, deployed model).
 
-    SMOTE rebalances each training fold (never the test fold). Every
-    fold's training set is built first, and ``train_fn`` fits them all,
-    then the ``deployed`` (dataset, seed) pair, in one call that returns
-    one model per (dataset, seed) pair, so a learner may train them
-    together.
+    SMOTE rebalances each training fold (never the test fold), reading
+    the fold's neighbour table from ``dataset``'s ``tables``. Every fold's
+    training set is built first, and ``train_fn`` fits them all, then the
+    ``deployed`` (dataset, seed) pair, in one call that returns one model
+    per (dataset, seed) pair, so a learner may train them together.
     """
+    if tables.dataset is not dataset or tables.folds != k:
+        raise ValidationError("neighbour tables were built for another dataset or fold count")
     folds = [(j, f) for j, f in enumerate(stratified_folds(dataset, k, seed)) if len(f)]
     n = len(dataset)
     train_sets: list[Dataset] = []
@@ -142,9 +144,8 @@ def kfold_cv(
         train_mask = np.ones(n, dtype=bool)
         train_mask[test_idx] = False
         train_ds = dataset.subset(np.nonzero(train_mask)[0])
-        zeros, ones = train_ds.class_counts()
-        if zeros != ones and min(zeros, ones) >= 2:
-            train_ds = smote(train_ds, smote_neighbors, derive_seed(seed, "smote", j))
+        if needs_smote(train_ds):
+            train_ds = smote(train_ds, tables.table(test_idx), derive_seed(seed, "smote", j))
         train_sets.append(train_ds)
     seeds = [derive_seed(seed, "fold", j) for j, _ in folds]
     models = train_fn(train_sets + [deployed[0]], seeds + [deployed[1]])

@@ -185,6 +185,34 @@ def test_report_missing_week_exits_one(tmp_path):
     assert main(["report", "--out-dir", str(tmp_path), "--week", "4"]) == 1
 
 
+REPORT_HEADER = "scope,cohort,kind,accuracy,precision,recall,f1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(
+            REPORT_HEADER + "generic,,logreg,0.9,0.8,high,0.7\n",
+            "ValueError",
+            id="non_numeric_metric",
+        ),
+        pytest.param(
+            "scope,kind,accuracy,precision,recall,f1\ngeneric,logreg,0.9,0.8,0.7,0.7\n",
+            "KeyError: 'cohort'",
+            id="missing_column",
+        ),
+    ],
+)
+def test_report_malformed_file_exits_one(tmp_path, capsys, text, message):
+    path = tmp_path / "report_week_2.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["report", "--out-dir", str(tmp_path), "--week", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed report file {path}")
+    assert message in captured.err
+
+
 NESTED = "[" * 200_000
 
 

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cohortsense.core import ValidationError
 from cohortsense.learners import (
     Dataset,
+    NeighborTables,
     compute_metrics,
     kfold_cv,
     logreg_gradient,
@@ -27,6 +29,17 @@ def make_dataset(vectors, labels, pids=None):
     if pids is None:
         pids = tuple(f"p{i:03d}" for i in range(len(labels)))
     return Dataset(vectors=vectors, labels=labels, participant_ids=tuple(pids))
+
+
+def oracle_table(dataset, k):
+    """SMOTE's neighbour table for ``dataset`` with at most ``k`` columns,
+    from ``_minority_neighbors`` on its canonical minority rows."""
+    from cohortsense.learners.sampling import _minority_neighbors
+
+    zeros, ones = dataset.class_counts()
+    order = dataset.canonical_order()
+    minority = order[dataset.labels[order] == int(ones < zeros)]
+    return _minority_neighbors(dataset.vectors[minority], min(k, len(minority) - 1))
 
 
 def separable_fixture(n_per_class=10, gap=4.0, seed=3):
@@ -105,14 +118,15 @@ def test_metrics_random_oracle():
 
 def test_smote_balanced_input_unchanged():
     ds = separable_fixture()
-    out = smote(ds, 5, seed=0)
+    out = smote(ds, oracle_table(ds, 5), seed=0)
     assert out is ds
 
 
 def test_smote_two_point_minority_interpolates_segment():
     vectors = [[0.0, 0.0], [1.0, 1.0], [5.0, 5.0], [6.0, 5.0], [5.5, 6.0], [6.5, 6.5]]
     labels = [1, 1, 0, 0, 0, 0]
-    out = smote(make_dataset(vectors, labels), k_neighbors=5, seed=7)
+    ds = make_dataset(vectors, labels)
+    out = smote(ds, oracle_table(ds, 5), seed=7)
     assert out.class_counts() == (4, 4)
     synth = out.vectors[6:]
     for row in synth:
@@ -125,7 +139,8 @@ def test_smote_count_arithmetic():
     rng = np.random.default_rng(5)
     vectors = rng.normal(size=(120, 3))
     labels = np.array([1] * 30 + [0] * 90)
-    out = smote(make_dataset(vectors, labels), 5, seed=1)
+    ds = make_dataset(vectors, labels)
+    out = smote(ds, oracle_table(ds, 5), seed=1)
     assert out.class_counts() == (90, 90)
     # originals unchanged, order preserved
     assert np.array_equal(out.vectors[:120], vectors)
@@ -142,6 +157,74 @@ def test_smote_count_arithmetic():
         nn = neighbors[src][rng.integers(0, 5)]
         u = rng.random()
         assert np.array_equal(row, points[src] + u * (points[nn] - points[src]))
+
+
+@st.composite
+def table_cases(draw):
+    """(dataset, smote neighbours, folds): d = 1-3, a third of the inputs
+    rounded to 0.1 so that distances tie, either minority label or none,
+    folds as ``_fit_set`` picks them."""
+    sizes = [draw(st.integers(2, 30)), draw(st.integers(2, 30))]
+    if draw(st.integers(0, 3)) == 0:
+        sizes[1] = sizes[0]
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.normal(size=(sum(sizes), d))
+    if draw(st.integers(0, 2)) == 0:
+        vectors = np.round(vectors, 1)
+    labels = np.repeat([0, 1], sizes)
+    pids = [f"r{i:02d}" for i in rng.permutation(sum(sizes))]
+    folds = min(draw(st.integers(2, 10)), *sizes)
+    return make_dataset(vectors, labels, pids), draw(st.integers(1, 10)), folds
+
+
+def table_case(n0, n1, k_neighbors, folds, seed=0):
+    rng = np.random.default_rng(seed)
+    vectors = np.round(rng.normal(size=(n0 + n1, 2)), 1)
+    return make_dataset(vectors, np.repeat([0, 1], [n0, n1])), k_neighbors, folds
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_cases())
+@example(table_case(9, 2, 5, 2))  # n_min = 2, minority label 1
+@example(table_case(2, 7, 1, 2))  # n_min = 2, minority label 0
+@example(table_case(6, 6, 10, 6))  # balanced, k + t >= n_min - 1
+@example(table_case(30, 12, 10, 10))  # k + t >= n_min - 1 in every fold
+def test_narrowed_tables_equal_the_training_minority_table(case):
+    ds, k, folds = case
+    tables = NeighborTables(ds, k, folds)
+    for seed in range(3):
+        for test_idx in [np.empty(0, dtype=int)] + stratified_folds(ds, folds, seed):
+            train = ds.subset(np.setdiff1d(np.arange(len(ds)), test_idx))
+            if min(train.class_counts()) < 2:
+                continue
+            assert np.array_equal(tables.table(test_idx), oracle_table(train, k))
+
+
+def test_a_table_held_out_beyond_its_spare_width_is_refused():
+    # width k + ceil(10 / 10) = 3: row 0 loses all of 1, 2 and 3
+    ds = make_dataset(np.arange(30.0)[:, None], [1] * 10 + [0] * 20)
+    with pytest.raises(AssertionError, match="more neighbours than the table spares"):
+        NeighborTables(ds, 2, 10).table(np.array([1, 2, 3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 39), st.integers(2, 39), st.integers(2, 10), st.integers(0, 2**32 - 1))
+def test_a_test_fold_holds_at_most_its_share_of_the_minority(n0, n1, folds, seed):
+    """The spare width of ``NeighborTables`` rests on this: for unequal
+    classes, a stratified test fold holds at most ceil(n_min / folds)
+    minority rows, and no training fold has more minority rows than
+    majority rows."""
+    if n0 == n1:
+        n1 += 1
+    folds = min(folds, n0, n1)
+    minority = int(n1 < n0)
+    n_min = min(n0, n1)
+    ds = make_dataset(np.zeros((n0 + n1, 1)), np.repeat([0, 1], [n0, n1]))
+    for test_idx in stratified_folds(ds, folds, seed):
+        held = np.bincount(ds.labels[test_idx], minlength=2)
+        assert held[minority] <= -(-n_min // folds)
+        assert n_min - held[minority] <= max(n0, n1) - held[1 - minority]
 
 
 def argsort_neighbors(points, k, block_rows):
@@ -189,7 +272,8 @@ def test_canonical_order_sorts_row_ids_and_rejects_repeats():
         labels = (rng.random(n) < 0.25).astype(int)
         labels[:2] = 1
         pids = [f"P{i:03d}_w{int(rng.integers(1, 11)):02d}" for i in rng.permutation(n)]
-        ds = smote(make_dataset(rng.normal(size=(n, 2)), labels, pids), 5, seed=trial)
+        ds = make_dataset(rng.normal(size=(n, 2)), labels, pids)
+        ds = smote(ds, oracle_table(ds, 5), seed=trial)
         ds = ds.subset(rng.permutation(len(ds)))  # originals and synthetics interleaved
         assert np.array_equal(ds.canonical_order(), key_order(ds))
     twice = make_dataset(np.zeros((3, 2)), [0, 1, 1], ("b", "a", "b"))
@@ -200,7 +284,14 @@ def test_canonical_order_sorts_row_ids_and_rejects_repeats():
 def test_smote_minority_too_small():
     ds = make_dataset([[0.0], [1.0], [2.0]], [1, 0, 0])
     with pytest.raises(ValidationError):
-        smote(ds, 5, seed=0)
+        smote(ds, np.zeros((1, 1), dtype=int), seed=0)
+
+
+def test_smote_rejects_a_table_of_another_shape():
+    ds = make_dataset([[0.0], [1.0], [2.0], [3.0], [4.0]], [1, 1, 0, 0, 0])
+    for table in (np.zeros((3, 1), dtype=int), np.zeros((2, 0), dtype=int)):
+        with pytest.raises(ValidationError, match="does not fit 2 minority rows"):
+            smote(ds, table, seed=0)
 
 
 def test_smote_deterministic_and_order_independent():
@@ -208,9 +299,10 @@ def test_smote_deterministic_and_order_independent():
     vectors = rng.normal(size=(40, 4))
     labels = np.array([1] * 12 + [0] * 28)
     ds = make_dataset(vectors, labels)
-    out1 = smote(ds, 5, seed=3)
+    out1 = smote(ds, oracle_table(ds, 5), seed=3)
     perm = rng.permutation(40)
-    out2 = smote(ds.subset(perm), 5, seed=3)
+    shuffled = ds.subset(perm)
+    out2 = smote(shuffled, oracle_table(shuffled, 5), seed=3)
     # synthetic tails must coincide as sets of rows
     tail1 = sorted(map(tuple, np.round(out1.vectors[40:], 12)))
     tail2 = sorted(map(tuple, np.round(out2.vectors[40:], 12)))
@@ -225,7 +317,8 @@ def test_smote_convex_hull_property():
         d = int(rng.integers(1, 6))
         vectors = np.vstack([rng.normal(size=(n_min, d)), rng.normal(size=(n_maj, d))])
         labels = np.array([1] * n_min + [0] * n_maj)
-        out = smote(make_dataset(vectors, labels), 5, seed=trial)
+        ds = make_dataset(vectors, labels)
+        out = smote(ds, oracle_table(ds, 5), seed=trial)
         minority = vectors[:n_min]
         lo, hi = minority.min(axis=0), minority.max(axis=0)
         synth = out.vectors[n_min + n_maj :]
@@ -454,7 +547,8 @@ def test_kfold_constant_classifier_metrics():
     def train_fn(datasets, seeds):
         return [_ConstantOne() for _ in datasets]
 
-    metrics, deployed = kfold_cv(ds, 4, train_fn, seed=0, smote_neighbors=5, deployed=(ds, 0))
+    tables = NeighborTables(ds, 5, 4)
+    metrics, deployed = kfold_cv(ds, 4, train_fn, seed=0, tables=tables, deployed=(ds, 0))
     assert isinstance(deployed, _ConstantOne)
     assert metrics.accuracy == pytest.approx(0.5)
     assert metrics.recall == pytest.approx(1.0)

@@ -21,6 +21,7 @@ from scipy.stats import binom, chisquare
 from cohortsense.core import ValidationError
 from cohortsense.learners import (
     Dataset,
+    NeighborTables,
     kfold_cv,
     model_from_json,
     model_to_json,
@@ -139,9 +140,8 @@ def test_kfold_cv_with_smote_digest(name, kind):
         return models
 
     dataset = DATASETS[name]()
-    metrics, deployed = kfold_cv(
-        dataset, 5, train_fn, seed=13, smote_neighbors=5, deployed=(dataset, 17)
-    )
+    tables = NeighborTables(dataset, 5, 5)
+    metrics, deployed = kfold_cv(dataset, 5, train_fn, seed=13, tables=tables, deployed=(dataset, 17))
     assert deployed is fitted[-1]
     # the pins were recorded before CV trained a deployed model too
     doc = {"metrics": metrics.as_row(), "models": [model_to_json(m) for m in fitted[:-1]]}
@@ -299,6 +299,16 @@ def test_tree_models_survive_json_roundtrip(name):
     assert np.array_equal(back.predict(X), model.predict(X))
     if name != "forest":
         assert np.array_equal(back.decision_scores(X), model.decision_scores(X))
+
+
+def test_a_tree_deeper_than_64_splits_walks_to_its_leaves():
+    # split i sends x <= i to a leaf 0.0 and the rest on down the chain
+    tree = {"leaf": 1.0}
+    for i in reversed(range(100)):
+        tree = {"feature": 0, "threshold": float(i), "left": {"leaf": 0.0}, "right": tree}
+    nodes = trees.NodeTable.from_json([tree])
+    X = np.array([[1000.0], [99.5], [98.5], [70.0], [-1.0]])
+    assert nodes.leaves(X)[:, 0].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
 
 
 def test_gbt_many_rejects_single_class_and_seed_mismatch():
