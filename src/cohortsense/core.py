@@ -210,8 +210,6 @@ def _check_fields(config) -> None:
 class LearnerConfig:
     """Hyperparameters for the four classifier kinds (invented defaults)."""
 
-    logreg_iterations: int = _within(500, "[1, inf)")
-    logreg_step: float = _within(0.1, "(0, inf)")
     logreg_l2: float = _within(1e-3, "[0, inf)")
     svm_epochs: int = _within(500, "[1, inf)")
     svm_l2: float = _within(1e-3, "(0, inf)")

@@ -70,14 +70,9 @@ class EvalRow:
 
 
 def _options(kind: ModelKind, lc: LearnerConfig, init: object | None) -> dict:
-    """Keyword arguments of ``kind``'s trainers; ``init`` warm-starts the linear kinds."""
+    """Keyword arguments of ``kind``'s trainers; ``init`` warm-starts the linear SVM."""
     if kind is ModelKind.LOGREG:
-        return {
-            "iterations": lc.logreg_iterations,
-            "step": lc.logreg_step,
-            "l2": lc.logreg_l2,
-            "init": init,
-        }
+        return {"l2": lc.logreg_l2}
     if kind is ModelKind.LINEAR_SVM:
         return {"epochs": lc.svm_epochs, "l2": lc.svm_l2, "init": init}
     if kind is ModelKind.RANDOM_FOREST:
@@ -120,8 +115,8 @@ def _fit_set(
     full data for the deployed fit; all of these read their neighbour
     tables from the set's one ``NeighborTables``. Each kind trains its
     folds and its deployed model in one batched call, or its deployed
-    model alone when a class has too few rows for two folds. Linear kinds
-    warm-start from the previous week's parameters.
+    model alone when a class has too few rows for two folds. The linear
+    SVM warm-starts from the previous week's parameters.
     """
     events: list[str] = []
     zeros, ones = dataset.class_counts()
@@ -133,9 +128,7 @@ def _fit_set(
     scores: dict[ModelKind, float] = {}
     for kind in KIND_ORDER:
         kind_seed = derive_seed(config.rng_seed, "train", scope, kind.value, seed)
-        init = None
-        if previous is not None and kind in (ModelKind.LOGREG, ModelKind.LINEAR_SVM):
-            init = previous.models.get(kind)
+        init = None if previous is None else previous.models.get(kind)
         balanced = _balanced(dataset, tables, derive_seed(kind_seed, "smote"))
         train_fn = functools.partial(_train, kind, lc=lc, init=init)
         if k >= 2:

@@ -42,7 +42,6 @@ FAST_CONFIG = {
     "cv_folds": 3,
     "rng_seed": 9,
     "learners": {
-        "logreg_iterations": 60,
         "svm_epochs": 60,
         "forest_trees": 8,
         "forest_depth": 4,
@@ -257,6 +256,20 @@ def test_replay_out_of_range_config_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "holdout_fraction" in err
+
+
+@pytest.mark.parametrize("knob", ["logreg_iterations", "logreg_step"])
+def test_replay_config_naming_a_logreg_descent_knob_exits_one(tmp_path, capsys, knob):
+    # logistic regression trains by Newton's method: the knobs are unknown keys
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"learners": {knob: 60}}), encoding="utf-8")
+    code = main(
+        ["replay", "--config", str(config_path), "--data-dir", str(tmp_path),
+         "--out-dir", str(tmp_path / "out")]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: unknown learner config keys: {knob}")
 
 
 @pytest.mark.parametrize("flag", ["--config", "--resume"])

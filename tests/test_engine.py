@@ -35,7 +35,6 @@ FAST_CONFIG = EngineConfig(
     cv_folds=3,
     rng_seed=5,
     learners=LearnerConfig(
-        logreg_iterations=80,
         svm_epochs=80,
         forest_trees=10,
         forest_depth=4,
@@ -210,6 +209,29 @@ def test_checkpoint_resume_byte_identical_reports(tmp_path, mini_batches):
     assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     clusters = f"clusters_week_{mini_batches[2].week}.csv"
     assert (out_a / clusters).read_bytes() == (out_b / clusters).read_bytes()
+
+
+def test_checkpoint_with_logreg_descent_knobs_loads_and_resumes(tmp_path, mini_batches):
+    # an older writer stored logreg_iterations and logreg_step, which
+    # Newton's method does not read: they are dropped on load
+    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
+    path = tmp_path / "state.csk"
+    save(state, path)
+    doc = json.loads(gzip.open(path, "rb").read())
+    doc["config"]["learners"].update(logreg_iterations=80, logreg_step=0.1)
+    older = tmp_path / "older.csk"
+    with gzip.GzipFile(older, "wb", mtime=0) as fh:
+        fh.write(json.dumps(doc).encode("utf-8"))
+    loaded = load(older)
+    assert loaded.config == FAST_CONFIG
+    again = tmp_path / "again.csk"
+    save(loaded, again)
+    assert gzip.open(again, "rb").read() == gzip.open(path, "rb").read()
+    week2 = []
+    for start in (state, loaded):
+        save(step(start, mini_batches[1])[0], tmp_path / "week2.csk")
+        week2.append(gzip.open(tmp_path / "week2.csk", "rb").read())
+    assert week2[0] == week2[1]
 
 
 def test_checkpoint_version_gate(tmp_path, mini_batches):

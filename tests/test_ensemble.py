@@ -19,7 +19,6 @@ from cohortsense.learners import Dataset, compute_metrics
 from cohortsense.learners.base import KIND_ORDER, ModelKind
 
 FAST = LearnerConfig(
-    logreg_iterations=120,
     svm_epochs=120,
     forest_trees=12,
     forest_depth=4,

@@ -1,5 +1,7 @@
 """Tests for the from-scratch learners, SMOTE, CV, and metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -364,35 +366,84 @@ def test_logreg_gradient_matches_finite_differences():
         assert abs(grad_b - num_b) / max(abs(num_b), abs(grad_b), 1e-8) < 1e-4
 
 
-def test_logreg_trainer_steps_along_the_oracle_gradient():
-    # the trainer computes its gradient inline; from zero, its first
-    # iteration takes -step * logreg_gradient when that lowers the loss
+def test_logreg_trainer_reaches_a_stationary_point():
+    # the trainer computes its gradient inline; the oracle's gradient at
+    # the returned model vanishes, on separable problems too
     rng = np.random.default_rng(23)
-    moved = 0
-    for _ in range(50):
-        n, d = int(rng.integers(4, 40)), int(rng.integers(1, 6))
-        X = rng.normal(size=(n, d)) * rng.uniform(0.5, 5.0)
-        y = rng.permutation(np.arange(n) % 2)
-        step, l2 = float(10 ** rng.uniform(-1, 1.5)), float(rng.choice([0.0, 1e-3, 0.1]))
-        model = train_logreg([make_dataset(X, y)], [0], iterations=1, step=step, l2=l2)[0]
-        grad_w, grad_b = logreg_gradient(np.zeros(d), 0.0, X, y.astype(float), l2)
-        w, b = -step * grad_w, -step * grad_b
-        if logreg_loss(w, b, X, y, l2) <= logreg_loss(np.zeros(d), 0.0, X, y, l2):
-            moved += 1
-            assert np.array_equal(model.weights, w) and model.bias == b
-        else:
-            assert not model.weights.any() and model.bias == 0.0
-    assert 0 < moved < 50  # both branches ran
+    for t in range(120):
+        n, d = int(rng.integers(4, 200)), int(rng.integers(1, 6))
+        X = rng.normal(size=(n, d)) * rng.uniform(0.2, 5.0, size=d)
+        direction = rng.normal(size=d)
+        X[:2] = -direction, direction
+        separable = t % 3 == 0
+        noise = 0.0 if separable else rng.normal(0.0, 1.0, n)
+        y = (X @ direction + noise > 0).astype(int)
+        y[:2] = (0, 1)
+        l2 = float(rng.choice([1e-4, 1e-3, 1e-2, 0.1]))
+        model = train_logreg([make_dataset(X, y)], [0], l2=l2)[0]
+        grad_w, grad_b = logreg_gradient(model.weights, model.bias, X, y.astype(float), l2)
+        assert np.sqrt(grad_w @ grad_w + grad_b**2) <= 1e-8
 
 
 def test_logreg_loss_nonincreasing():
     ds = separable_fixture(seed=8)
     X, y = ds.vectors, ds.labels.astype(float)
-    model = train_logreg([ds], [0], iterations=50)[0]
+    model = train_logreg([ds], [0])[0]
     # final loss must not exceed the zero-init loss
     assert logreg_loss(model.weights, model.bias, X, y, 1e-3) <= logreg_loss(
         np.zeros(ds.dim), 0.0, X, y, 1e-3
     )
+
+
+@pytest.mark.parametrize("columns", ["plain", "constant", "duplicated"])
+def test_logreg_without_l2_on_separable_data_stays_finite(columns):
+    # with l2 = 0 the optimum lies at infinity and the Hessian vanishes
+    # (or is singular, for a constant or a repeated column); the narrow
+    # margin drives scores past +-709, where exp overflows
+    X = np.random.default_rng(0).normal(size=(60, 2))
+    labels = (X[:, 0] > 0).astype(int)
+    extra = {"plain": [], "constant": [np.full(60, 3.0)], "duplicated": [X[:, 0]]}
+    vectors = np.column_stack([X, *extra[columns]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_logreg([make_dataset(vectors, labels)], [0], l2=0.0)[0]
+    assert np.isfinite(model.weights).all() and np.isfinite(model.bias)
+    assert np.abs(model.decision_scores(vectors)).max() > 709
+    assert np.array_equal(model.predict(vectors), labels)
+
+
+@pytest.mark.parametrize("columns", ["constant", "duplicated"])
+def test_logreg_without_l2_on_collinear_columns_reaches_the_optimum(columns):
+    # overlapping classes: the loss has a minimum, on a line of optima
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(80, 2))
+    y = (X[:, 0] + rng.normal(0.0, 1.0, 80) > 0).astype(int)
+    extra = np.full(80, 3.0) if columns == "constant" else X[:, 1]
+    vectors = np.column_stack([X, extra])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_logreg([make_dataset(vectors, y)], [0], l2=0.0)[0]
+    grad_w, grad_b = logreg_gradient(model.weights, model.bias, vectors, y.astype(float), 0.0)
+    assert np.isfinite(model.weights).all()
+    assert np.sqrt(grad_w @ grad_w + grad_b**2) <= 1e-8
+
+
+def test_logreg_dataset_freezes_on_its_own_steps(monkeypatch):
+    # a dataset that converges in few steps, trained beside one that needs
+    # many more, equals itself trained alone: each freezes on its own step
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(60, 2))
+    quick = make_dataset(X, (X[:, 0] + rng.normal(0.0, 1.0, 60) > 0).astype(int))
+    slow = separable_fixture(n_per_class=40, seed=2)
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(len(a)) or solve(a, b))
+    [alone] = train_logreg([quick], [0], l2=1e-4)
+    quick_steps = len(solves)
+    [slow_alone] = train_logreg([slow], [0], l2=1e-4)
+    assert len(solves) - quick_steps >= quick_steps + 5
+    together = train_logreg([quick, slow], [0, 1], l2=1e-4)
+    assert [model_to_json(m) for m in together] == [model_to_json(m) for m in (alone, slow_alone)]
 
 
 def test_logreg_single_class_error():
