@@ -211,7 +211,6 @@ class LearnerConfig:
     """Hyperparameters for the four classifier kinds (invented defaults)."""
 
     logreg_l2: float = _within(1e-3, "[0, inf)")
-    svm_epochs: int = _within(500, "[1, inf)")
     svm_l2: float = _within(1e-3, "(0, inf)")
     forest_trees: int = _within(100, "[1, inf)")
     forest_depth: int = _within(8, "[1, inf)")

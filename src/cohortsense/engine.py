@@ -320,12 +320,11 @@ def _state_from_json(doc: dict) -> EngineState:
     # at week 1, is the behaviour a resume can reproduce
     if config_doc.pop("refit_every_n_weeks", 0) != 0:
         raise ValidationError("refit_every_n_weeks must be 0: the pipeline is fitted once")
-    # an older writer stored logistic regression's descent knobs, which
+    # an older writer stored the linear learners' descent knobs, which
     # Newton's method does not read
     if isinstance(learners := config_doc.get("learners"), dict):
-        config_doc["learners"] = {
-            k: v for k, v in learners.items() if k not in ("logreg_iterations", "logreg_step")
-        }
+        retired = ("logreg_iterations", "logreg_step", "svm_epochs")
+        config_doc["learners"] = {k: v for k, v in learners.items() if k not in retired}
     config = _config_from_mapping(config_doc)
     registry = ClusterRegistry.from_json(doc["registry"])
     for key in ("eps", "density_fraction", "min_pts_floor"):

@@ -69,12 +69,12 @@ class EvalRow:
     metrics: Metrics
 
 
-def _options(kind: ModelKind, lc: LearnerConfig, init: object | None) -> dict:
-    """Keyword arguments of ``kind``'s trainers; ``init`` warm-starts the linear SVM."""
+def _options(kind: ModelKind, lc: LearnerConfig) -> dict:
+    """Keyword arguments of ``kind``'s trainer."""
     if kind is ModelKind.LOGREG:
         return {"l2": lc.logreg_l2}
     if kind is ModelKind.LINEAR_SVM:
-        return {"epochs": lc.svm_epochs, "l2": lc.svm_l2, "init": init}
+        return {"l2": lc.svm_l2}
     if kind is ModelKind.RANDOM_FOREST:
         return {"n_trees": lc.forest_trees, "max_depth": lc.forest_depth}
     return {
@@ -84,9 +84,7 @@ def _options(kind: ModelKind, lc: LearnerConfig, init: object | None) -> dict:
     }
 
 
-def _train(
-    kind: ModelKind, datasets: list[Dataset], seeds: list[int], lc: LearnerConfig, init=None
-) -> list:
+def _train(kind: ModelKind, datasets: list[Dataset], seeds: list[int], lc: LearnerConfig) -> list:
     """One model per (dataset, seed), all trained in one call."""
     # looked up per call, so that a wrapper patched over a trainer is used
     trainer = {
@@ -95,7 +93,7 @@ def _train(
         ModelKind.RANDOM_FOREST: train_random_forest,
         ModelKind.GBT: train_gbt,
     }[kind]
-    return trainer(datasets, seeds, **_options(kind, lc, init))
+    return trainer(datasets, seeds, **_options(kind, lc))
 
 
 def _balanced(dataset: Dataset, tables: NeighborTables, seed: int) -> Dataset:
@@ -107,7 +105,6 @@ def _fit_set(
     dataset: Dataset,
     config: EngineConfig,
     seed: int,
-    previous: ModelSet | None,
 ) -> tuple[ModelSet, list[str]]:
     """Train all four kinds with k-fold validation scores.
 
@@ -115,8 +112,9 @@ def _fit_set(
     full data for the deployed fit; all of these read their neighbour
     tables from the set's one ``NeighborTables``. Each kind trains its
     folds and its deployed model in one batched call, or its deployed
-    model alone when a class has too few rows for two folds. The linear
-    SVM warm-starts from the previous week's parameters.
+    model alone when a class has too few rows for two folds. No kind is
+    warm-started: the linear kinds reach their unique optimum, so a set
+    does not depend on the previous week's.
     """
     events: list[str] = []
     zeros, ones = dataset.class_counts()
@@ -128,9 +126,8 @@ def _fit_set(
     scores: dict[ModelKind, float] = {}
     for kind in KIND_ORDER:
         kind_seed = derive_seed(config.rng_seed, "train", scope, kind.value, seed)
-        init = None if previous is None else previous.models.get(kind)
         balanced = _balanced(dataset, tables, derive_seed(kind_seed, "smote"))
-        train_fn = functools.partial(_train, kind, lc=lc, init=init)
+        train_fn = functools.partial(_train, kind, lc=lc)
         if k >= 2:
             metrics, models[kind] = kfold_cv(
                 dataset,
@@ -175,7 +172,7 @@ def refresh_generic(
         )
         log.warning(message)
         return pool, [message]
-    model_set, events = _fit_set(GENERIC_SCOPE, rows, config, seed, previous=pool.generic)
+    model_set, events = _fit_set(GENERIC_SCOPE, rows, config, seed)
     return ModelPool(generic=model_set, specialized=dict(pool.specialized)), events
 
 
@@ -213,13 +210,7 @@ def refresh_specialized(
                 f"min_class_count {config.min_class_count}; no specialized set"
             )
             continue
-        model_set, fit_events = _fit_set(
-            label,
-            cohort_rows,
-            config,
-            derive_seed(seed, label),
-            previous=specialized.get(label),
-        )
+        model_set, fit_events = _fit_set(label, cohort_rows, config, derive_seed(seed, label))
         specialized[label] = model_set
         events.extend(fit_events)
     return ModelPool(generic=pool.generic, specialized=specialized), events
@@ -321,7 +312,7 @@ def _set_from_json(doc: dict) -> ModelSet:
     input_dim = int(doc["input_dim"])
     models = {ModelKind(k): model_from_json(m) for k, m in doc["models"].items()}
     for model in models.values():
-        model.check_input_dim(input_dim)
+        model.check(input_dim)
     return ModelSet(
         models=models,
         validation_f1={ModelKind(k): float(v) for k, v in doc["validation_f1"].items()},

@@ -110,9 +110,10 @@ class NodeTable:
             idx = np.where(internal, nxt, idx)
         return self.value[idx]
 
-    def check_input_dim(self, input_dim: int) -> None:
+    def check(self, input_dim: int) -> None:
         """Raise ValidationError unless every split reads a feature of an
-        ``input_dim``-wide vector at a finite threshold."""
+        ``input_dim``-wide vector at a finite threshold and every leaf value
+        is finite."""
         split = self.left >= 0
         bad = split & ((self.feature < 0) | (self.feature >= input_dim))
         if bad.any():
@@ -122,6 +123,8 @@ class NodeTable:
             )
         if not np.isfinite(self.threshold[split]).all():
             raise ValidationError("tree split threshold is not finite")
+        if not np.isfinite(self.value[~split]).all():
+            raise ValidationError("tree leaf value is not finite")
 
     def to_json(self) -> list[dict]:
         feature, threshold, left, right, value = (
@@ -421,8 +424,8 @@ class ForestModel:
         # majority of tree votes; exact tie predicts lonely (1)
         return (2.0 * votes >= self.nodes.roots.size).astype(int)
 
-    def check_input_dim(self, input_dim: int) -> None:
-        self.nodes.check_input_dim(input_dim)
+    def check(self, input_dim: int) -> None:
+        self.nodes.check(input_dim)
 
     def to_json(self) -> dict:
         return {"trees": self.nodes.to_json()}
@@ -513,8 +516,10 @@ class GBTModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (1.0 / (1.0 + np.exp(-self.decision_scores(X))) >= 0.5).astype(int)
 
-    def check_input_dim(self, input_dim: int) -> None:
-        self.nodes.check_input_dim(input_dim)
+    def check(self, input_dim: int) -> None:
+        if not np.isfinite([self.init_score, self.learning_rate]).all():
+            raise ValidationError("GBT init_score or learning_rate is not finite")
+        self.nodes.check(input_dim)
 
     def to_json(self) -> dict:
         return {

@@ -282,7 +282,7 @@ def test_criterion_8_checkpoint_determinism(tmp_path):
         lonely_count=25,
         weekly_group_membership={w: dict(groups) for w in range(1, 11)},
     )
-    learners = LearnerConfig(svm_epochs=80, forest_trees=10, forest_depth=4, gbt_rounds=10)
+    learners = LearnerConfig(forest_trees=10, forest_depth=4, gbt_rounds=10)
     for seed in (1, 2, 3):
         batches = generate_cohort(plan, profiles, seed=seed)
         config = EngineConfig(cv_folds=3, rng_seed=seed, learners=learners)

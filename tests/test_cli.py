@@ -41,12 +41,7 @@ def write_tiny_plan(path: Path, weeks=3) -> None:
 FAST_CONFIG = {
     "cv_folds": 3,
     "rng_seed": 9,
-    "learners": {
-        "svm_epochs": 60,
-        "forest_trees": 8,
-        "forest_depth": 4,
-        "gbt_rounds": 8,
-    },
+    "learners": {"forest_trees": 8, "forest_depth": 4, "gbt_rounds": 8},
 }
 
 
@@ -258,9 +253,9 @@ def test_replay_out_of_range_config_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "holdout_fraction" in err
 
 
-@pytest.mark.parametrize("knob", ["logreg_iterations", "logreg_step"])
+@pytest.mark.parametrize("knob", ["logreg_iterations", "logreg_step", "svm_epochs"])
 def test_replay_config_naming_a_logreg_descent_knob_exits_one(tmp_path, capsys, knob):
-    # logistic regression trains by Newton's method: the knobs are unknown keys
+    # both linear kinds train by Newton's method: the descent knobs are unknown keys
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"learners": {knob: 60}}), encoding="utf-8")
     code = main(
@@ -361,6 +356,33 @@ def test_replay_resume_checkpoint_with_out_of_range_split_exits_one(tmp_path, ca
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "feature 99" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "report_week_2.csv").exists()
+
+
+def test_replay_resume_checkpoint_with_a_nan_svm_bias_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    plan_path = tmp_path / "plan.json"
+    config_path = tmp_path / "config.json"
+    write_tiny_plan(plan_path, weeks=2)
+    config_path.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
+    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+    ckpt = tmp_path / "ckpt.csk"
+    (data / "week_2.csv").rename(tmp_path / "week_2.csv")
+    main(["replay", "--config", str(config_path), "--data-dir", str(data),
+          "--out-dir", str(tmp_path / "out"), "--checkpoint", str(ckpt)])
+    (tmp_path / "week_2.csv").rename(data / "week_2.csv")
+    doc = json.loads(gzip.open(ckpt, "rb").read())
+    doc["pool"]["generic"]["models"]["linear_svm"]["bias"] = float("nan")
+    with gzip.GzipFile(ckpt, "wb", mtime=0) as fh:
+        fh.write(json.dumps(doc).encode("utf-8"))
+    capsys.readouterr()
+    code = main(
+        ["replay", "--config", str(config_path), "--data-dir", str(data),
+         "--out-dir", str(tmp_path / "out"), "--resume", str(ckpt)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "not finite" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "report_week_2.csv").exists()
 
 

@@ -106,7 +106,7 @@ def test_config_validation():
         (LearnerConfig, {"forest_trees": 0}),
         (LearnerConfig, {"svm_l2": 0.0}),
         (LearnerConfig, {"gbt_learning_rate": "fast"}),
-        (LearnerConfig, {"svm_epochs": False}),
+        (LearnerConfig, {"gbt_rounds": False}),
     ],
 )
 def test_config_rejects_out_of_range_values_and_wrong_types(make, kwargs):

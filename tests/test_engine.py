@@ -34,12 +34,7 @@ from columns import batch_of
 FAST_CONFIG = EngineConfig(
     cv_folds=3,
     rng_seed=5,
-    learners=LearnerConfig(
-        svm_epochs=80,
-        forest_trees=10,
-        forest_depth=4,
-        gbt_rounds=10,
-    ),
+    learners=LearnerConfig(forest_trees=10, forest_depth=4, gbt_rounds=10),
 )
 
 
@@ -212,13 +207,13 @@ def test_checkpoint_resume_byte_identical_reports(tmp_path, mini_batches):
 
 
 def test_checkpoint_with_logreg_descent_knobs_loads_and_resumes(tmp_path, mini_batches):
-    # an older writer stored logreg_iterations and logreg_step, which
-    # Newton's method does not read: they are dropped on load
+    # an older writer stored logreg_iterations, logreg_step and svm_epochs,
+    # which Newton's method does not read: they are dropped on load
     state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
     path = tmp_path / "state.csk"
     save(state, path)
     doc = json.loads(gzip.open(path, "rb").read())
-    doc["config"]["learners"].update(logreg_iterations=80, logreg_step=0.1)
+    doc["config"]["learners"].update(logreg_iterations=80, logreg_step=0.1, svm_epochs=80)
     older = tmp_path / "older.csk"
     with gzip.GzipFile(older, "wb", mtime=0) as fh:
         fh.write(json.dumps(doc).encode("utf-8"))
@@ -282,6 +277,18 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
     def pool_with_f1(value):
         return dict(good["pool"], generic=dict(generic, validation_f1=value))
 
+    def pool_with_model(kind, **fields):
+        models = dict(generic["models"], **{kind: dict(generic["models"][kind], **fields)})
+        return dict(good["pool"], generic=dict(generic, models=models))
+
+    nan, inf = float("nan"), float("inf")
+    logreg_weights = generic["models"]["logreg"]["weights"]
+    forest_trees = json.loads(json.dumps(generic["models"]["random_forest"]["trees"]))
+    node = forest_trees[0]
+    while "leaf" not in node:
+        node = node["left"]
+    node["leaf"] = nan
+
     broken = [
         ("scores", dict(good["scores"], **{pid: 41})),
         ("scores", dict(good["scores"], **{pid: 9})),
@@ -304,6 +311,12 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
         ("pool", pool_with_f1({k: v for k, v in f1.items() if k != "gbt"})),
         ("pool", pool_with_f1(dict(f1, gbt="nan"))),
         ("pool", pool_with_f1(dict(f1, gbt=1.5))),
+        # model parameters: finite
+        ("pool", pool_with_model("linear_svm", bias=nan)),
+        ("pool", pool_with_model("logreg", weights=[inf] + logreg_weights[1:])),
+        ("pool", pool_with_model("gbt", init_score=nan)),
+        ("pool", pool_with_model("gbt", learning_rate=inf)),
+        ("pool", pool_with_model("random_forest", trees=forest_trees)),
         # the hold-out: a list of scored participant ids
         ("holdout", good["holdout"][0]),
         ("holdout", good["holdout"] + ["ZZZ"]),

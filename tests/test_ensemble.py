@@ -18,12 +18,7 @@ from cohortsense.ensemble import (
 from cohortsense.learners import Dataset, compute_metrics
 from cohortsense.learners.base import KIND_ORDER, ModelKind
 
-FAST = LearnerConfig(
-    svm_epochs=120,
-    forest_trees=12,
-    forest_depth=4,
-    gbt_rounds=15,
-)
+FAST = LearnerConfig(forest_trees=12, forest_depth=4, gbt_rounds=15)
 
 
 def config(**kwargs):

@@ -366,9 +366,23 @@ def test_logreg_gradient_matches_finite_differences():
         assert abs(grad_b - num_b) / max(abs(num_b), abs(grad_b), 1e-8) < 1e-4
 
 
-def test_logreg_trainer_reaches_a_stationary_point():
-    # the trainer computes its gradient inline; the oracle's gradient at
-    # the returned model vanishes, on separable problems too
+TRAINERS = {"logreg": train_logreg, "linear_svm": train_linear_svm}
+
+
+def objective_gradient(kind, model, X, y, l2) -> np.ndarray:
+    """The gradient in (weights, bias) of ``kind``'s training objective:
+    logreg's from the oracle, and the SVM's mean squared hinge plus
+    (l2/2)|(w, b)|^2, its bias regularized, computed here."""
+    if kind == "logreg":
+        return np.append(*logreg_gradient(model.weights, model.bias, X, y.astype(float), l2))
+    t = 2.0 * y - 1.0
+    pull = -2.0 * t * np.maximum(1.0 - t * model.decision_scores(X), 0.0) / len(y)
+    return np.append(X.T @ pull + l2 * model.weights, pull.sum() + l2 * model.bias)
+
+
+def assert_reaches_stationary_points(kind):
+    # the trainer computes its gradient inline; the gradient of its
+    # objective at the returned model vanishes, on separable problems too
     rng = np.random.default_rng(23)
     for t in range(120):
         n, d = int(rng.integers(4, 200)), int(rng.integers(1, 6))
@@ -380,9 +394,17 @@ def test_logreg_trainer_reaches_a_stationary_point():
         y = (X @ direction + noise > 0).astype(int)
         y[:2] = (0, 1)
         l2 = float(rng.choice([1e-4, 1e-3, 1e-2, 0.1]))
-        model = train_logreg([make_dataset(X, y)], [0], l2=l2)[0]
-        grad_w, grad_b = logreg_gradient(model.weights, model.bias, X, y.astype(float), l2)
-        assert np.sqrt(grad_w @ grad_w + grad_b**2) <= 1e-8
+        model = TRAINERS[kind]([make_dataset(X, y)], [0], l2=l2)[0]
+        grad = objective_gradient(kind, model, X, y, l2)
+        assert np.sqrt(grad @ grad) <= 1e-8
+
+
+def test_logreg_trainer_reaches_a_stationary_point():
+    assert_reaches_stationary_points("logreg")
+
+
+def test_svm_trainer_reaches_a_stationary_point():
+    assert_reaches_stationary_points("linear_svm")
 
 
 def test_logreg_loss_nonincreasing():
@@ -395,26 +417,40 @@ def test_logreg_loss_nonincreasing():
     )
 
 
-@pytest.mark.parametrize("columns", ["plain", "constant", "duplicated"])
-def test_logreg_without_l2_on_separable_data_stays_finite(columns):
-    # with l2 = 0 the optimum lies at infinity and the Hessian vanishes
-    # (or is singular, for a constant or a repeated column); the narrow
-    # margin drives scores past +-709, where exp overflows
+# the least penalty each kind takes: logreg's may be zero, the SVM's not
+NO_L2 = {"logreg": 0.0, "linear_svm": 1e-8}
+
+
+def fit_separable_without_l2(kind, columns):
+    # with no penalty logreg's optimum lies at infinity and its Hessian
+    # vanishes (or is singular, for a constant or a repeated column); the
+    # narrow margin drives its scores past +-709, where exp overflows
     X = np.random.default_rng(0).normal(size=(60, 2))
     labels = (X[:, 0] > 0).astype(int)
     extra = {"plain": [], "constant": [np.full(60, 3.0)], "duplicated": [X[:, 0]]}
     vectors = np.column_stack([X, *extra[columns]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model = train_logreg([make_dataset(vectors, labels)], [0], l2=0.0)[0]
+        model = TRAINERS[kind]([make_dataset(vectors, labels)], [0], l2=NO_L2[kind])[0]
     assert np.isfinite(model.weights).all() and np.isfinite(model.bias)
-    assert np.abs(model.decision_scores(vectors)).max() > 709
     assert np.array_equal(model.predict(vectors), labels)
+    return model, vectors
 
 
-@pytest.mark.parametrize("columns", ["constant", "duplicated"])
-def test_logreg_without_l2_on_collinear_columns_reaches_the_optimum(columns):
+@pytest.mark.parametrize("columns", ["plain", "constant", "duplicated"])
+def test_logreg_without_l2_on_separable_data_stays_finite(columns):
+    model, vectors = fit_separable_without_l2("logreg", columns)
+    assert np.abs(model.decision_scores(vectors)).max() > 709
+
+
+@pytest.mark.parametrize("columns", ["plain", "constant", "duplicated"])
+def test_svm_with_least_l2_on_separable_data_stays_finite(columns):
+    fit_separable_without_l2("linear_svm", columns)
+
+
+def assert_reaches_the_optimum_on_collinear_columns(kind, columns):
     # overlapping classes: the loss has a minimum, on a line of optima
+    # when there is no penalty
     rng = np.random.default_rng(11)
     X = rng.normal(size=(80, 2))
     y = (X[:, 0] + rng.normal(0.0, 1.0, 80) > 0).astype(int)
@@ -422,15 +458,26 @@ def test_logreg_without_l2_on_collinear_columns_reaches_the_optimum(columns):
     vectors = np.column_stack([X, extra])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model = train_logreg([make_dataset(vectors, y)], [0], l2=0.0)[0]
-    grad_w, grad_b = logreg_gradient(model.weights, model.bias, vectors, y.astype(float), 0.0)
+        model = TRAINERS[kind]([make_dataset(vectors, y)], [0], l2=NO_L2[kind])[0]
+    grad = objective_gradient(kind, model, vectors, y, NO_L2[kind])
     assert np.isfinite(model.weights).all()
-    assert np.sqrt(grad_w @ grad_w + grad_b**2) <= 1e-8
+    assert np.sqrt(grad @ grad) <= 1e-8
 
 
-def test_logreg_dataset_freezes_on_its_own_steps(monkeypatch):
+@pytest.mark.parametrize("columns", ["constant", "duplicated"])
+def test_logreg_without_l2_on_collinear_columns_reaches_the_optimum(columns):
+    assert_reaches_the_optimum_on_collinear_columns("logreg", columns)
+
+
+@pytest.mark.parametrize("columns", ["constant", "duplicated"])
+def test_svm_with_least_l2_on_collinear_columns_reaches_the_optimum(columns):
+    assert_reaches_the_optimum_on_collinear_columns("linear_svm", columns)
+
+
+def assert_freezes_on_its_own_steps(kind, monkeypatch):
     # a dataset that converges in few steps, trained beside one that needs
     # many more, equals itself trained alone: each freezes on its own step
+    train = TRAINERS[kind]
     rng = np.random.default_rng(1)
     X = rng.normal(size=(60, 2))
     quick = make_dataset(X, (X[:, 0] + rng.normal(0.0, 1.0, 60) > 0).astype(int))
@@ -438,12 +485,20 @@ def test_logreg_dataset_freezes_on_its_own_steps(monkeypatch):
     solves = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(len(a)) or solve(a, b))
-    [alone] = train_logreg([quick], [0], l2=1e-4)
+    [alone] = train([quick], [0], l2=1e-4)
     quick_steps = len(solves)
-    [slow_alone] = train_logreg([slow], [0], l2=1e-4)
+    [slow_alone] = train([slow], [0], l2=1e-4)
     assert len(solves) - quick_steps >= quick_steps + 5
-    together = train_logreg([quick, slow], [0, 1], l2=1e-4)
+    together = train([quick, slow], [0, 1], l2=1e-4)
     assert [model_to_json(m) for m in together] == [model_to_json(m) for m in (alone, slow_alone)]
+
+
+def test_logreg_dataset_freezes_on_its_own_steps(monkeypatch):
+    assert_freezes_on_its_own_steps("logreg", monkeypatch)
+
+
+def test_svm_dataset_freezes_on_its_own_steps(monkeypatch):
+    assert_freezes_on_its_own_steps("linear_svm", monkeypatch)
 
 
 def test_logreg_single_class_error():

@@ -3,7 +3,9 @@
 The digests below were recorded with the one-dataset-at-a-time trainers
 that the lockstep loops replaced: any change to the last bit of a weight,
 a bias or a validation F1 changes them. The logreg and model-set digests
-were recorded again when damped Newton replaced logreg's gradient descent.
+were recorded again when damped Newton replaced logreg's gradient descent,
+and the SVM and model-set digests when the SVM moved to the same solver
+on the squared hinge.
 """
 
 import hashlib
@@ -19,14 +21,12 @@ from cohortsense.learners import Dataset, linear, model_to_json
 DIGESTS = {
     "logreg/d2/cold": "5dd6981a535110adf8cfbbf848f824427cf409c42e243cc6681003938ea1789c",
     "logreg/d3/cold": "1e81302efb446ef5ad5d82252862d3c324995332b67086a646d1d803164fa56a",
-    "linear_svm/d2/cold": "35384f82beff8afbdf2525ec07c2b9c60f43d4fa1018ed7e8d280cb0d3016559",
-    "linear_svm/d2/warm": "810557b403cdbd47105b0432fbe1815ffe3b448ca5fed72e935e27f1dbe3249e",
-    "linear_svm/d3/cold": "33560ec68420b48477996025e6449dd5d599e60dbddf6abc773e025a4ac31aec",
-    "linear_svm/d3/warm": "713cb0b2b71db1c2228e10d1dc3532122e0f65e9ee72c5bca9e82075174a0274",
+    "linear_svm/d2/cold": "5dd65ccd8c35378022bb382d7a2724becefe254948adf9481b81b2ad4fc122ef",
+    "linear_svm/d3/cold": "d630aa16bd7d5c912b90446041401cba52d67c7f918cd8c48fe3051ed496133f",
     "logreg/d2/long": "299fcd2c53ecb4915fd263c508fb0135e09098f9eb2e349aa0ce5429b9674e15",
-    "fit_set/cv": "6b9d90fe3fa236e0c5012a3a95f5023274d2153c3014b0861a534110eb4c2fa8",
-    "fit_set/no_cv": "4494d7dcdbdc3cca1095355f4a357068e974dd99f647a2d00cabc9810eeb7b26",
-    "refresh_generic/no_cv": "9a2d52088dcb364a5b066e75144ae87d65b35635aa3a09f8fab440c0b130e4bf",
+    "fit_set/cv": "84c644015ef3cd12226885d7d6b53e5f5a98fc15703087331bacc30ac54b2b71",
+    "fit_set/no_cv": "af5fdedb34bf3905850d1fb9af6f2eaacf1c153b5870180eaf60046d7607fd02",
+    "refresh_generic/no_cv": "01507b06296497f8d6d83c3e05cf7edbb90e9976b6a9c621e9c94565e2707515",
 }
 
 KINDS = ["logreg", "linear_svm"]
@@ -47,17 +47,12 @@ def linear_dataset(n: int, d: int, seed: int) -> Dataset:
     return Dataset(vectors, labels, tuple(f"r{seed}_{i:04d}" for i in range(n)))
 
 
-def warm_start(warm: bool, d: int) -> dict:
-    """The trainer keywords of a warm or a cold start (the SVM's only)."""
-    return {"init": linear.LinearSVMModel(np.linspace(-0.5, 0.7, d), 0.25)} if warm else {}
+def train_one(kind: str, dataset: Dataset, seed: int):
+    return getattr(linear, f"train_{kind}")([dataset], [seed])[0]
 
 
-def train_one(kind: str, dataset: Dataset, seed: int, **options):
-    return getattr(linear, f"train_{kind}")([dataset], [seed], **options)[0]
-
-
-def one_dataset_doc(kind: str, d: int, warm: bool) -> dict:
-    return model_to_json(train_one(kind, linear_dataset(130, d, seed=d), 7, **warm_start(warm, d)))
+def one_dataset_doc(kind: str, d: int) -> dict:
+    return model_to_json(train_one(kind, linear_dataset(130, d, seed=d), 7))
 
 
 def labeled_rows(n: int, ones: int, seed: int) -> Dataset:
@@ -75,29 +70,23 @@ FIT_CONFIG = EngineConfig(learners=LearnerConfig(forest_trees=12, gbt_rounds=15)
 
 def fit_set_doc(case: str) -> dict:
     if case == "no_cv":  # one row of class 1: k = 1, so no folds
-        model_set, events = _fit_set("G9", labeled_rows(40, 1, 3), FIT_CONFIG, 5, None)
+        model_set, events = _fit_set("G9", labeled_rows(40, 1, 3), FIT_CONFIG, 5)
         return {"sets": [_set_to_json(model_set)], "events": events}
-    # 10 folds; the second fit warm-starts its SVM from the first
-    first, events = _fit_set("generic", labeled_rows(90, 14, 4), FIT_CONFIG, 5, None)
-    second, more = _fit_set("generic", labeled_rows(120, 25, 6), FIT_CONFIG, 6, first)
+    # 10 folds
+    first, events = _fit_set("generic", labeled_rows(90, 14, 4), FIT_CONFIG, 5)
+    second, more = _fit_set("generic", labeled_rows(120, 25, 6), FIT_CONFIG, 6)
     return {"sets": [_set_to_json(first), _set_to_json(second)], "events": events + more}
 
 
 def cases(args) -> list:
-    """(kind, arg, warm) for each kind and arg; logreg starts cold only, as
-    its optimum is unique."""
-    return [
-        pytest.param(kind, arg, warm, id=f"{kind}-{arg}-{'warm' if warm else 'cold'}")
-        for kind in KINDS
-        for arg in args
-        for warm in ([False, True] if kind == "linear_svm" else [False])
-    ]
+    """(kind, arg) for each kind and arg; the ids end in "cold", as every
+    fit starts from zero."""
+    return [pytest.param(kind, arg, id=f"{kind}-{arg}-cold") for kind in KINDS for arg in args]
 
 
-@pytest.mark.parametrize(("kind", "d", "warm"), cases([2, 3]))
-def test_one_dataset_digest(kind, d, warm):
-    doc = one_dataset_doc(kind, d, warm)
-    assert digest(doc) == DIGESTS[f"{kind}/d{d}/{'warm' if warm else 'cold'}"]
+@pytest.mark.parametrize(("kind", "d"), cases([2, 3]))
+def test_one_dataset_digest(kind, d):
+    assert digest(one_dataset_doc(kind, d)) == DIGESTS[f"{kind}/d{d}/cold"]
 
 
 def long_logreg_doc() -> dict:
@@ -127,26 +116,35 @@ def test_refresh_generic_without_cv_digest():
     assert digest(_set_to_json(pool.generic)) == DIGESTS["refresh_generic/no_cv"]
 
 
-@pytest.mark.parametrize(("kind", "count", "warm"), cases([1, 3, 11]))
-def test_many_equals_one_at_a_time(kind, count, warm):
+@pytest.mark.parametrize(("kind", "count"), cases([1, 3, 11]))
+def test_many_equals_one_at_a_time(kind, count):
     # unequal lengths, so that every dataset but the longest is padded
     datasets = [linear_dataset(23 + 37 * ((5 * i) % 11), 3, seed=40 + i) for i in range(count)]
     seeds = list(range(count))
-    options = warm_start(warm, 3)
-    many = getattr(linear, f"train_{kind}")(datasets, seeds, **options)
-    single = [train_one(kind, ds, s, **options) for ds, s in zip(datasets, seeds)]
+    many = getattr(linear, f"train_{kind}")(datasets, seeds)
+    single = [train_one(kind, ds, s) for ds, s in zip(datasets, seeds)]
     assert [model_to_json(m) for m in many] == [model_to_json(m) for m in single]
 
 
-def test_logreg_many_with_repeated_lengths_equals_one_at_a_time():
+def many_and_single_with_repeated_lengths(train) -> tuple[list, list]:
     # as CV hands it over: SMOTE'd folds of two lengths in no order, and a
     # longer deployed set; the equal-length folds are summed together
     lengths = [141, 143, 143, 141, 141, 143, 141, 143, 143, 141, 310]
     datasets = [linear_dataset(n, 3, seed=60 + i) for i, n in enumerate(lengths)]
     seeds = list(range(len(lengths)))
-    many = linear.train_logreg(datasets, seeds)
-    single = [linear.train_logreg([ds], [s])[0] for ds, s in zip(datasets, seeds)]
-    assert [model_to_json(m) for m in many] == [model_to_json(m) for m in single]
+    many = train(datasets, seeds)
+    single = [train([ds], [s])[0] for ds, s in zip(datasets, seeds)]
+    return [model_to_json(m) for m in many], [model_to_json(m) for m in single]
+
+
+def test_logreg_many_with_repeated_lengths_equals_one_at_a_time():
+    many, single = many_and_single_with_repeated_lengths(linear.train_logreg)
+    assert many == single
+
+
+def test_svm_many_with_repeated_lengths_equals_one_at_a_time():
+    many, single = many_and_single_with_repeated_lengths(linear.train_linear_svm)
+    assert many == single
 
 
 @pytest.mark.parametrize("kind", KINDS)

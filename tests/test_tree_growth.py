@@ -10,7 +10,8 @@ place of one numpy generator per tree. The sampler tests check those
 hashes' statistics: bootstrap counts against the multinomial, uniform
 feature draws, and distinct tree keys and bootstraps. The logreg CV
 digests were recorded when damped Newton replaced logreg's gradient
-descent.
+descent, and the SVM CV digests when the SVM moved to the same solver on
+the squared hinge.
 """
 
 import hashlib
@@ -84,13 +85,13 @@ DIGESTS = {
     "tied/forest": "3fa8371c79e5138975f1e5df805394c4c17bc867ecbd1bc380fa68382f173ffb",
     "tied/gbt": "089a9f0c0114211a6898e1d2232644ecdd6f6f4af578e99673527387f6cf39d5",
     "tied/cv/logreg": "cf15c23e3090d7e722475db10b9c4706f685c92bd964fd4209be35dbcb161a22",
-    "tied/cv/linear_svm": "a1643e81896e0a74e969e3b118c97cbb9d7aae9e5f0efb29e69aa466f5b72d43",
+    "tied/cv/linear_svm": "89896447a80ea492db78ddeedd56d832254995025b00d0edafd0061a37ac292b",
     "tied/cv/random_forest": "462bb1f7a9a15092882978043f7a19dd7fa2fed3674ede5ec63d7c8140f0787e",
     "tied/cv/gbt": "620deb7651f93302b30e86cd2630db02c8f6d942d472df3efa13463b6942b45d",
     "spread/forest": "3fb05ec8b89e278e83d75900007fad728089b3d0dbad13fa739a4b91c4e4877f",
     "spread/gbt": "1449b8fd8652db4cc5ff08fce065867e026a0c927400887560af3bf091e9ff80",
     "spread/cv/logreg": "5d96ed1db38700b8b73c65888309df4524631b7471cccb8b7ddcae455a4c1ebc",
-    "spread/cv/linear_svm": "4097dcdf09b4c9cc3ba2b443956886940aa570be826125ecaac85dc62f3c2ed3",
+    "spread/cv/linear_svm": "1cbfe722c41a6565a5f707d86006fcf0743723354810446ddd7e5366dbaa6602",
     "spread/cv/random_forest": "fc8f4bc40a4743d6d1f063dbd4306cc227123ab0ed7f6d5b04e922a304461488",
     "spread/cv/gbt": "f96750976dc218eda2d77f20fc469c7f50fe18619db3f6beca8b000ae92c4dfd",
     # two and four drawn features per node
