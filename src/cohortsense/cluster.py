@@ -353,6 +353,8 @@ class ClusterRegistry:
                 raise ValidationError("registry ids not unique or not one per vector")
             if reg._vectors.ndim != 2:
                 raise ValidationError("registry vectors are not a matrix")
+            if not np.isfinite(reg._vectors).all():
+                raise ValidationError("registry vectors are not finite")
         reg._prev_memberships = {
             label: frozenset(m) for label, m in doc["prev_memberships"].items()
         }

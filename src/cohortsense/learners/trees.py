@@ -5,17 +5,20 @@ as if each were trained alone. Both learners share one level-wise grower
 that grows many trees at once: the trees of every forest of a
 ``train_random_forest`` call (the folds of one CV and the deployed fit),
 or the next boosting round of every dataset of a ``train_gbt`` call, in
-lockstep. A one-dataset fit is a call with a one-element list. Each tree's
-root carries its own binned rows, thresholds and target; each level's
-histograms for every frontier node of every root come from one pair of
-``bincount`` calls, and each tree is the one a one-root call grows. A
-forest tree grows on the distinct rows of its bootstrap, each weighted
-by its draw count, and a node bins only the features it drew; the last
-level bins one feature, since leaves read node totals only. Every
+lockstep. A one-dataset fit is a call with a one-element list. The grower
+reads a row's bin indices and label only, so each call groups its rows by
+(dataset, bin vector, label) once, and trees grow on groups weighted by
+row counts: a forest tree on the groups its bootstrap drew, each weighted
+by its draws, and a boosting round on every group, with one score and
+residual per group. Each tree's root carries its own groups, thresholds
+and target; each level's histograms for every frontier node of every
+root come from one pair of ``bincount`` calls, and each tree is the one
+a one-root call grows. A forest node bins only the features it drew; the
+last level bins one feature, since leaves read node totals only. Every
 forest draw, bootstrap row or feature rank, is a hash of (tree key,
-purpose, counter), so no tree needs a generator of its own. A pass
-holds at most ``PASS_ROWS`` training rows (bootstrap draws, for a
-forest), which bounds its memory. A model keeps all its trees in one
+purpose, counter), so no tree needs a generator of its own. A pass sees
+at most ``PASS_ROWS`` rows (bootstrap draws for a forest, groups for
+GBT), which bounds its memory. A model keeps all its trees in one
 stacked ``NodeTable``, gathered from the grower's raw node tables by one
 stable sort per trainer call. Split candidates are the midpoints between
 distinct sorted feature values, capped at 32 quantile bins per feature
@@ -33,7 +36,7 @@ from ..core import ValidationError
 from .base import Dataset, ModelKind, check_batch, require_both_classes
 
 MAX_BINS = 32
-PASS_ROWS = 20_000  # training rows, summed over roots, grown in one pass
+PASS_ROWS = 20_000  # bootstrap draws or groups, summed over roots, grown in one pass
 
 # SplitMix64's increment and finalizer multipliers (Steele, Lea & Flood 2014)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -267,6 +270,27 @@ def _passes(sizes: list[int]) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
+def _group(binned: np.ndarray, y: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, ...]:
+    """Group the rows of datasets laid out one after another (``sizes[i]``
+    rows each) by (dataset, bin vector, label). Returns each row's group,
+    each group's first row and row count, and each dataset's group count.
+
+    Groups run dataset by dataset, each dataset's in (bin vector, label)
+    order, so they depend neither on row order nor on the other datasets.
+    One ``lexsort`` serves every width, where a packed key would overflow.
+    """
+    keys = np.column_stack([np.repeat(np.arange(len(sizes)), sizes), binned, y.astype(np.int64)])
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    count = np.diff(np.append(starts, len(order)))
+    return group, order[starts], count, np.bincount(ranked[new, 0], minlength=len(sizes))
+
+
 def _grow(
     binned: np.ndarray,
     root_rows: list[int],
@@ -282,21 +306,26 @@ def _grow(
 ) -> tuple[tuple, np.ndarray]:
     """Grow one tree per root, level by level, all roots at once.
 
-    Rows are laid out root after root (``root_rows`` of them each), each
-    row counting ``weight`` times, and ``edge_values``/``edge_ok`` hold
-    each root's thresholds as built by ``_edge_table``. At each level, one
-    weighted ``bincount`` builds the count histograms and one the target-sum
-    histograms of every frontier node of every root, over the node's
-    candidate features only: every feature, or with ``keys`` (one per
-    root) the ``features_per_split`` that ``_drawn_features`` draws for
-    each node below ``max_depth``. A node's draw reads its position among
-    its root's frontier nodes, which lie root after root, so it does not
-    depend on the other roots of the pass. The leaf level
-    reads node totals only, so it bins feature 0 alone. A bin's rows are
-    added in ascending row order, as a one-root call adds them, and weights
-    and 0/1 targets keep forest sums integral, so every sum, split and leaf
-    is bit-identical to it. Split ties resolve to the lowest feature index,
-    then lowest threshold (padding bins score -inf).
+    Rows (groups, to the trainers) are laid out root after root
+    (``root_rows`` of them each), each row counting ``weight`` times, and
+    ``edge_values``/``edge_ok`` hold each root's thresholds as built by
+    ``_edge_table``. At each level, one weighted ``bincount`` builds the
+    count histograms and one the target-sum histograms of every frontier
+    node of every root, over the node's candidate features only: every
+    feature, or with ``keys`` (one per root) the ``features_per_split``
+    that ``_drawn_features`` draws for each node below ``max_depth``. A
+    node's draw reads its position among its root's frontier nodes, which
+    lie root after root, so it does not depend on the other roots of the
+    pass. The leaf level reads node totals only, so it bins feature 0
+    alone. A bin's rows are added in ascending row order, as a one-root
+    call adds them, so every sum, split and leaf is bit-identical to it.
+    Split ties resolve to the lowest feature index, then lowest threshold
+    (padding bins score -inf).
+
+    State is kept for the frontier only: its node ids are contiguous, so a
+    row's node is its place ``loc`` in the frontier, and the children of
+    the level's split number ``rank`` take places ``2 * rank`` and
+    ``2 * rank + 1`` of the next. Node columns are joined once at the end.
 
     Returns the raw node table, each node tagged with its root's entry of
     ``tree_ids``, in the layout ``_collect`` takes, plus the trees' outputs
@@ -309,23 +338,15 @@ def _grow(
     weighted = weight * target
     offset = binned + np.arange(d) * B  # feature f's bins follow those of lower features
 
-    node_root = np.arange(n_roots)
-    feature = np.full(n_roots, -1, dtype=np.int64)
-    threshold = np.zeros(n_roots)
-    left = np.full(n_roots, -1, dtype=np.int64)
-    right = np.full(n_roots, -1, dtype=np.int64)
-    value = np.zeros(n_roots)
-
-    row_node = np.repeat(np.arange(n_roots), root_rows)
     rows = np.arange(n)  # the rows of frontier nodes, ascending
-    frontier = np.arange(n_roots)
+    loc = np.repeat(np.arange(n_roots), root_rows)  # each row's place in the frontier
+    owner = np.arange(n_roots)  # each frontier node's root
+    out = np.empty(n)  # each row's value at its deepest node so far
+    levels = []  # (root, feature, threshold, left, right, value) of each level's nodes
+    first = 0  # the id of the frontier's first node
 
     for depth in range(max_depth + 1):
-        m = frontier.size
-        lookup = np.full(feature.size, -1, dtype=np.int64)
-        lookup[frontier] = np.arange(m)
-        loc = lookup[row_node[rows]]
-        owner = node_root[frontier]
+        m = owner.size
 
         # each node's candidate features, ascending
         if depth == max_depth:
@@ -354,9 +375,13 @@ def _grow(
 
         # Leaf outputs for every frontier node (kept unless the node splits).
         if classification:
-            value[frontier] = (2.0 * node_w >= node_n).astype(float)
+            value = (2.0 * node_w >= node_n).astype(float)
         else:
-            value[frontier] = node_w / np.maximum(node_n, 1.0)
+            value = node_w / np.maximum(node_n, 1.0)
+        out[rows] = value[loc]
+        feature, left, right = (np.full(m, -1, dtype=np.int64) for _ in range(3))
+        threshold = np.zeros(m)
+        levels.append((owner, feature, threshold, left, right, value))
 
         if depth == max_depth:
             break
@@ -379,38 +404,25 @@ def _grow(
         best = flat_score[np.arange(m), flat_best]
         do_split = np.isfinite(best) & (best > parent + 1e-12)
 
-        split_local = np.nonzero(do_split)[0]
-        if split_local.size == 0:
+        split = np.nonzero(do_split)[0]
+        if split.size == 0:
             break
-        split_nodes = frontier[split_local]
-        f_best = feats[split_local, flat_best[split_local] // (B - 1)]
-        b_best = flat_best[split_local] % (B - 1)
+        b_best = np.zeros(m, dtype=np.int64)
+        b_best[split] = flat_best[split] % (B - 1)
+        feature[split] = feats[split, flat_best[split] // (B - 1)]
+        threshold[split] = edge_values[owner[split], feature[split], b_best[split]]
+        first += m
+        left[split] = first + 2 * np.arange(split.size)
+        right[split] = left[split] + 1
 
-        n_split = split_local.size
-        child_base = feature.size
-        node_root = np.concatenate([node_root, np.repeat(owner[split_local], 2)])
-        feature = np.concatenate([feature, np.full(2 * n_split, -1, dtype=np.int64)])
-        threshold = np.concatenate([threshold, np.zeros(2 * n_split)])
-        left = np.concatenate([left, np.full(2 * n_split, -1, dtype=np.int64)])
-        right = np.concatenate([right, np.full(2 * n_split, -1, dtype=np.int64)])
-        value = np.concatenate([value, np.zeros(2 * n_split)])
+        keep = do_split[loc]
+        rows, loc = rows[keep], loc[keep]
+        go_right = binned[rows, feature[loc]] > b_best[loc]
+        loc = 2 * (np.cumsum(do_split) - 1)[loc] + go_right
+        owner = np.repeat(owner[split], 2)
 
-        feature[split_nodes] = f_best
-        threshold[split_nodes] = edge_values[owner[split_local], f_best, b_best]
-        left[split_nodes] = child_base + 2 * np.arange(n_split)
-        right[split_nodes] = child_base + 2 * np.arange(n_split) + 1
-
-        split_bin = np.zeros(feature.size, dtype=np.int64)
-        split_bin[split_nodes] = b_best
-
-        rows = rows[do_split[loc]]
-        parents = row_node[rows]
-        go_left = binned[rows, feature[parents]] <= split_bin[parents]
-        row_node[rows] = np.where(go_left, left[parents], right[parents])
-
-        frontier = child_base + np.arange(2 * n_split, dtype=np.int64)
-
-    return (tree_ids[node_root], feature, threshold, left, right, value), value[row_node]
+    root, *columns = (np.concatenate(c) for c in zip(*levels))
+    return (tree_ids[root], *columns), out
 
 
 @dataclass(frozen=True)
@@ -444,10 +456,12 @@ def train_random_forest(
     Rows are canonicalized before any seeded draw, so a forest is
     independent of input row order. Single-class data is allowed and
     yields a constant predictor. The trees of every dataset are laid out
-    dataset after dataset and grown PASS_ROWS rows at a time, so a pass
-    may hold trees of several datasets; each root reads its own dataset's
-    thresholds, and forest i equals the forest of ``datasets[i]`` trained
-    alone.
+    dataset after dataset and grown PASS_ROWS bootstrap draws at a time,
+    so a pass may hold trees of several datasets; each root reads its own
+    dataset's thresholds, and forest i equals the forest of
+    ``datasets[i]`` trained alone. Counts and 0/1 label sums are exact in
+    any order, so growing on groups gives the trees that growing on the
+    distinct drawn rows gave.
     """
     check_batch(datasets, seeds, "random forest")
     if any(len(ds) == 0 for ds in datasets):
@@ -461,11 +475,13 @@ def train_random_forest(
     starts = np.cumsum([0] + sizes[:-1])
 
     # candidate thresholds come from each dataset's full training data; each
-    # bootstrap then selects rows of its dataset's pre-binned matrix
+    # bootstrap then draws rows of its dataset and counts them per group
     edges, binned = zip(*(_bin_columns(ds.vectors.astype(float)) for ds in canon))
     edge_values, edge_ok = _edge_table(list(edges))
     binned = np.concatenate(binned)
     y = np.concatenate([ds.labels.astype(float) for ds in canon])
+    group, first, _, n_groups = _group(binned, y, sizes)
+    group_start = np.cumsum(n_groups) - n_groups
 
     # tree t of dataset i is root i * n_trees + t
     owner = np.repeat(np.arange(len(canon)), n_trees)
@@ -473,24 +489,21 @@ def train_random_forest(
     root_rows = [sizes[i] for i in owner.tolist()]
     parts = []
     for run in _passes(root_rows):
-        sizes_run = root_rows[run]
-        slot_start = np.cumsum([0] + sizes_run[:-1])  # each tree's first slot
-        draws = _bootstrap(keys[run], sizes_run)
-        counts = np.bincount(draws + np.repeat(slot_start, sizes_run), minlength=len(draws))
-        # each tree keeps its distinct rows, ascending, weighted by their counts
+        sizes_run, roots = root_rows[run], owner[run]
+        # each tree's groups take consecutive slots: its slot s is group s + shift
+        slots_per_tree = n_groups[roots]
+        shift = group_start[roots] - (np.cumsum(slots_per_tree) - slots_per_tree)
+        drawn_by = np.repeat(np.arange(len(sizes_run)), sizes_run)
+        draws = _bootstrap(keys[run], sizes_run) + starts[roots][drawn_by]
+        counts = np.bincount(group[draws] - shift[drawn_by], minlength=slots_per_tree.sum())
+        # each tree keeps the groups it drew, ascending, weighted by their draws
         slots = np.nonzero(counts)[0]
-        tree = np.repeat(np.arange(len(sizes_run)), sizes_run)[slots]
-        rows = slots + (starts[owner[run]] - slot_start)[tree]
+        tree = np.repeat(np.arange(len(sizes_run)), slots_per_tree)[slots]
+        rows = first[slots + shift[tree]]
         part, _ = _grow(
-            binned[rows],
-            np.bincount(tree, minlength=len(sizes_run)).tolist(),
-            edge_values[owner[run]],
-            edge_ok[owner[run]],
-            y[rows],
-            counts[slots].astype(float),
-            np.arange(len(owner))[run],
-            max_depth=max_depth,
-            classification=True,
+            binned[rows], np.bincount(tree, minlength=len(sizes_run)).tolist(),
+            edge_values[roots], edge_ok[roots], y[rows], counts[slots].astype(float),
+            np.arange(len(owner))[run], max_depth, classification=True,
             keys=keys[run] if features_per_split < d else None,
             features_per_split=features_per_split,
         )
@@ -551,56 +564,42 @@ def train_gbt(
     residual y - sigmoid(score) and adds it with a fixed learning rate.
     The initial score is the log-odds of the training base rate. Training
     is deterministic; the seeds are part of the shared trainer signature.
-    Each round grows the next tree of every dataset in one grower call
-    (datasets are taken PASS_ROWS rows at a time), and model i equals the
-    model of ``datasets[i]`` trained alone.
+    A round reads each (bin vector, label) group once, with one score and
+    residual and its row count as weight, so a model does not depend on
+    row order. Each round grows the next tree of every dataset in one
+    grower call (datasets are taken PASS_ROWS groups at a time), and model
+    i equals the model of ``datasets[i]`` trained alone.
     """
     check_batch(datasets, seeds, "gradient boosting")
     for dataset in datasets:
         require_both_classes(dataset, "gradient boosting")
-    init_scores: list[float] = []
-    parts: list[tuple] = []
-    for run in _passes([len(ds) for ds in datasets]):
-        scores, grown = _boost(datasets[run], run.start, n_rounds, max_depth, learning_rate)
-        init_scores.extend(scores)
-        parts.extend(grown)
+    if not datasets:
+        return []
+    labels = [ds.labels.astype(float) for ds in datasets]
+    init_scores = np.array([np.log(y.mean() / (1.0 - y.mean())) for y in labels])
+
+    edges, binned = zip(*(_bin_columns(ds.vectors.astype(float)) for ds in datasets))
+    edge_values, edge_ok = _edge_table(list(edges))
+    binned, y = np.concatenate(binned), np.concatenate(labels)
+    _, first, count, n_groups = _group(binned, y, [len(y) for y in labels])
+    binned, y, count = binned[first], y[first], count.astype(float)
+    ends = np.cumsum(n_groups)  # each dataset's groups end here
+
+    parts = []
+    for run in _passes(n_groups.tolist()):
+        groups = slice(ends[run.start] - n_groups[run.start], ends[run.stop - 1])
+        root_rows = n_groups[run].tolist()
+        scores = np.repeat(init_scores[run], root_rows)
+        first_ids = np.arange(len(datasets))[run] * n_rounds
+        for k in range(n_rounds):
+            resid = y[groups] - 1.0 / (1.0 + np.exp(-scores))
+            part, train_out = _grow(
+                binned[groups], root_rows, edge_values[run], edge_ok[run], resid,
+                count[groups], first_ids + k, max_depth, classification=False,
+            )
+            parts.append(part)
+            scores = scores + learning_rate * train_out
     return [
-        GBTModel(init_score=init_score, learning_rate=learning_rate, nodes=nodes)
+        GBTModel(init_score=float(init_score), learning_rate=learning_rate, nodes=nodes)
         for init_score, nodes in zip(init_scores, _collect(parts, len(datasets), n_rounds))
     ]
-
-
-def _boost(
-    datasets: list[Dataset], first: int, n_rounds: int, max_depth: int, learning_rate: float
-) -> tuple[list[float], list[tuple]]:
-    """One pass of ``train_gbt``: each round grows one tree per dataset.
-
-    Dataset r of the pass is dataset ``first + r`` of the call, and its
-    tree of round k gets tree id ``(first + r) * n_rounds + k``. Returns
-    the initial scores and the raw node tables.
-    """
-    canon = [ds.canonicalized() for ds in datasets]
-    labels = [ds.labels.astype(float) for ds in canon]
-    init_scores = []
-    for y in labels:
-        base = y.mean()
-        init_scores.append(float(np.log(base / (1.0 - base))))
-    root_rows = [len(y) for y in labels]
-
-    edges, binned = zip(*(_bin_columns(ds.vectors.astype(float)) for ds in canon))
-    edge_values, edge_ok = _edge_table(list(edges))
-    binned = np.concatenate(binned)
-    y = np.concatenate(labels)
-    scores = np.repeat(init_scores, root_rows)
-    first_ids = (first + np.arange(len(canon))) * n_rounds
-    ones = np.ones(len(y))
-    parts = []
-    for k in range(n_rounds):
-        resid = y - 1.0 / (1.0 + np.exp(-scores))
-        part, train_out = _grow(
-            binned, root_rows, edge_values, edge_ok, resid, ones, first_ids + k, max_depth,
-            classification=False,
-        )
-        parts.append(part)
-        scores = scores + learning_rate * train_out
-    return init_scores, parts

@@ -306,19 +306,19 @@ def pipeline_from_json(doc: dict) -> FittedPipeline:
     version = doc.get("schema_version")
     if version != PIPELINE_SCHEMA_VERSION:
         raise ValidationError(f"unsupported pipeline schema version: {version!r}")
+    keys = ("scaler_min", "scaler_max", "pca_mean", "pca_components", "pca_explained_variance_ratio")
+    arrays = {key: np.array(doc[key], dtype=float) for key in keys}
+    for key, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise ValidationError(f"pipeline {key} are not finite")
     return FittedPipeline(
         continuous_features=tuple(doc["continuous_features"]),
         categorical_features=tuple(doc["categorical_features"]),
         vocabularies={k: tuple(v) for k, v in doc["vocabularies"].items()},
-        scaler=FittedScaler(
-            feature_min=np.array(doc["scaler_min"], dtype=float),
-            feature_max=np.array(doc["scaler_max"], dtype=float),
-        ),
+        scaler=FittedScaler(feature_min=arrays["scaler_min"], feature_max=arrays["scaler_max"]),
         projector=FittedProjector(
-            mean=np.array(doc["pca_mean"], dtype=float),
-            components=np.array(doc["pca_components"], dtype=float),
-            explained_variance_ratio=np.array(
-                doc["pca_explained_variance_ratio"], dtype=float
-            ),
+            mean=arrays["pca_mean"],
+            components=arrays["pca_components"],
+            explained_variance_ratio=arrays["pca_explained_variance_ratio"],
         ),
     )

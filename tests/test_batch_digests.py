@@ -4,9 +4,13 @@ The digests below were recorded with the per-record pipeline that the
 columnar `WeeklyBatch` replaced, where every row was an object holding a
 dict of floats and a dict of tokens. Any change to a fence, a median, a
 mode, a one-hot block, the order of a segment-mean sum, a generator draw
-or a written cell changes them.
+or a written cell changes them. The replay digests pin a whole 2-week
+`replay` through `main`: every output file, and the checkpoint without
+its GBT models, both recorded before GBT moved to (binned row, label)
+groups, which changed those models' last bits and nothing else.
 """
 
+import gzip
 import hashlib
 import json
 
@@ -93,6 +97,9 @@ DIGESTS = {
     "synth/plan.json": "790343b9cb1847d10df69074fd7e7b617381b0fde30ff9c917fbbc913088a6ea",
     "synth/week_1.csv": "6e9da5c02f0263365b73e8f16607a1c5c7645db1b8d5a2767b49d999ab48a56a",
     "synth/week_2.csv": "f0b751ea47faad129dc498571cec5e203b81a674f08a17f472c31bf2ba4a916a",
+    # every output file, then the checkpoint JSON with its GBT models removed
+    "replay/files": "ab7366fe526db8c7a25cf4a35246a345881cf8f7c5542193e2fa6b187f6a628d",
+    "replay/checkpoint_without_gbt": "15f92e33e703d7a25a03aeba6752841d75e69f4e5b4f16ff3bc1e5dfb8cca5b6",
 }
 
 
@@ -108,7 +115,8 @@ def test_pipeline_and_vectors_match_the_per_record_path(name, make):
     assert sha(weeks) == DIGESTS[f"{name}/vectors"]
 
 
-def test_synth_writes_the_per_record_files(tmp_path):
+def write_synth(tmp_path):
+    """Synthesize the 36-participant, 2-week plan into ``tmp_path/synth``."""
     members = {
         "G1": [f"P{i:03d}" for i in range(1, 13)],
         "G2": [f"P{i:03d}" for i in range(13, 25)],
@@ -123,7 +131,31 @@ def test_synth_writes_the_per_record_files(tmp_path):
     out = tmp_path / "synth"
     plan = str(tmp_path / "plan.json")
     assert main(["synth", "--seed", "42", "--out-dir", str(out), "--plan", plan]) == 0
+    return out
+
+
+def test_synth_writes_the_per_record_files(tmp_path):
+    out = write_synth(tmp_path)
     written = {
         f"synth/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
     }
     assert written == {k: v for k, v in DIGESTS.items() if k.startswith("synth/")}
+
+
+def test_replay_writes_the_pinned_files(tmp_path):
+    data = write_synth(tmp_path)
+    config = {"cv_folds": 3, "learners": {"forest_trees": 10, "gbt_rounds": 10}}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    out, checkpoint = tmp_path / "out", tmp_path / "state.json.gz"
+    argv = ["replay", "--config", str(tmp_path / "config.json"), "--data-dir", str(data),
+            "--out-dir", str(out), "--checkpoint", str(checkpoint)]
+    assert main(argv) == 0
+    files = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        files.update(f"{path.name}\n".encode() + path.read_bytes())
+    state = json.loads(gzip.decompress(checkpoint.read_bytes()))
+    pool = state["pool"]
+    for model_set in [pool["generic"], *pool["specialized"].values()]:
+        del model_set["models"]["gbt"]
+    assert files.hexdigest() == DIGESTS["replay/files"]
+    assert sha(state) == DIGESTS["replay/checkpoint_without_gbt"]

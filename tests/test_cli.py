@@ -331,7 +331,10 @@ def test_replay_resume_malformed_checkpoint_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_replay_resume_checkpoint_with_out_of_range_split_exits_one(tmp_path, capsys):
+def resume_edited_checkpoint(tmp_path, capsys, edit) -> tuple[int, str]:
+    """Replay week 1 of a 2-week cohort with a checkpoint, apply ``edit`` to
+    the checkpoint's JSON, resume week 2 from it and return the exit code
+    and stderr; no week-2 report may be written."""
     data = tmp_path / "data"
     plan_path = tmp_path / "plan.json"
     config_path = tmp_path / "config.json"
@@ -344,8 +347,7 @@ def test_replay_resume_checkpoint_with_out_of_range_split_exits_one(tmp_path, ca
           "--out-dir", str(tmp_path / "out"), "--checkpoint", str(ckpt)])
     (tmp_path / "week_2.csv").rename(data / "week_2.csv")
     doc = json.loads(gzip.open(ckpt, "rb").read())
-    trees = doc["pool"]["generic"]["models"]["random_forest"]["trees"]
-    next(t for t in trees if "feature" in t)["feature"] = 99
+    edit(doc)
     with gzip.GzipFile(ckpt, "wb", mtime=0) as fh:
         fh.write(json.dumps(doc).encode("utf-8"))
     capsys.readouterr()
@@ -353,64 +355,60 @@ def test_replay_resume_checkpoint_with_out_of_range_split_exits_one(tmp_path, ca
         ["replay", "--config", str(config_path), "--data-dir", str(data),
          "--out-dir", str(tmp_path / "out"), "--resume", str(ckpt)]
     )
-    err = capsys.readouterr().err
+    assert not (tmp_path / "out" / "report_week_2.csv").exists()
+    return code, capsys.readouterr().err
+
+
+def test_replay_resume_checkpoint_with_out_of_range_split_exits_one(tmp_path, capsys):
+    def edit(doc):
+        trees = doc["pool"]["generic"]["models"]["random_forest"]["trees"]
+        next(t for t in trees if "feature" in t)["feature"] = 99
+
+    code, err = resume_edited_checkpoint(tmp_path, capsys, edit)
     assert code == 1
     assert err.startswith("error:") and "feature 99" in err and "Traceback" not in err
-    assert not (tmp_path / "out" / "report_week_2.csv").exists()
 
 
 def test_replay_resume_checkpoint_with_a_nan_svm_bias_exits_one(tmp_path, capsys):
-    data = tmp_path / "data"
-    plan_path = tmp_path / "plan.json"
-    config_path = tmp_path / "config.json"
-    write_tiny_plan(plan_path, weeks=2)
-    config_path.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
-    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
-    ckpt = tmp_path / "ckpt.csk"
-    (data / "week_2.csv").rename(tmp_path / "week_2.csv")
-    main(["replay", "--config", str(config_path), "--data-dir", str(data),
-          "--out-dir", str(tmp_path / "out"), "--checkpoint", str(ckpt)])
-    (tmp_path / "week_2.csv").rename(data / "week_2.csv")
-    doc = json.loads(gzip.open(ckpt, "rb").read())
-    doc["pool"]["generic"]["models"]["linear_svm"]["bias"] = float("nan")
-    with gzip.GzipFile(ckpt, "wb", mtime=0) as fh:
-        fh.write(json.dumps(doc).encode("utf-8"))
-    capsys.readouterr()
-    code = main(
-        ["replay", "--config", str(config_path), "--data-dir", str(data),
-         "--out-dir", str(tmp_path / "out"), "--resume", str(ckpt)]
-    )
-    err = capsys.readouterr().err
+    def edit(doc):
+        doc["pool"]["generic"]["models"]["linear_svm"]["bias"] = float("nan")
+
+    code, err = resume_edited_checkpoint(tmp_path, capsys, edit)
     assert code == 1
     assert err.startswith("error:") and "not finite" in err and "Traceback" not in err
-    assert not (tmp_path / "out" / "report_week_2.csv").exists()
 
 
 def test_replay_resume_checkpoint_naming_an_unknown_point_exits_one(tmp_path, capsys):
-    data = tmp_path / "data"
-    plan_path = tmp_path / "plan.json"
-    config_path = tmp_path / "config.json"
-    write_tiny_plan(plan_path, weeks=2)
-    config_path.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
-    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
-    ckpt = tmp_path / "ckpt.csk"
-    (data / "week_2.csv").rename(tmp_path / "week_2.csv")
-    main(["replay", "--config", str(config_path), "--data-dir", str(data),
-          "--out-dir", str(tmp_path / "out"), "--checkpoint", str(ckpt)])
-    (tmp_path / "week_2.csv").rename(data / "week_2.csv")
-    doc = json.loads(gzip.open(ckpt, "rb").read())
-    doc["registry"]["prev_memberships"] = {"G1": ["ZZZ|w01"]}
-    with gzip.GzipFile(ckpt, "wb", mtime=0) as fh:
-        fh.write(json.dumps(doc).encode("utf-8"))
-    capsys.readouterr()
-    code = main(
-        ["replay", "--config", str(config_path), "--data-dir", str(data),
-         "--out-dir", str(tmp_path / "out"), "--resume", str(ckpt)]
-    )
-    err = capsys.readouterr().err
+    def edit(doc):
+        doc["registry"]["prev_memberships"] = {"G1": ["ZZZ|w01"]}
+
+    code, err = resume_edited_checkpoint(tmp_path, capsys, edit)
     assert code == 1
     assert err.startswith("error:") and "outside the registry" in err and "Traceback" not in err
-    assert not (tmp_path / "out" / "report_week_2.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "part, key, value",
+    [
+        ("pipeline", "pca_components", float("nan")),
+        ("pipeline", "scaler_min", float("-inf")),
+        ("registry", "vectors", float("nan")),
+    ],
+)
+def test_replay_resume_checkpoint_with_non_finite_vectors_exits_one(
+    tmp_path, capsys, part, key, value
+):
+    # unchecked, these reach the week's snapshot and fail inside cKDTree
+    def edit(doc):
+        values = doc[part][key]
+        if isinstance(values[0], list):
+            values = values[0]
+        values[0] = value
+
+    code, err = resume_edited_checkpoint(tmp_path, capsys, edit)
+    assert code == 1
+    assert err.startswith("error:") and f"{key} are not finite" in err
+    assert "Traceback" not in err
 
 
 def test_replay_resume_with_a_changed_score_exits_one(tmp_path, capsys):

@@ -4,8 +4,9 @@ The digests below were recorded with the one-dataset-at-a-time trainers
 that the lockstep loops replaced: any change to the last bit of a weight,
 a bias or a validation F1 changes them. The logreg and model-set digests
 were recorded again when damped Newton replaced logreg's gradient descent,
-and the SVM and model-set digests when the SVM moved to the same solver
-on the squared hinge.
+the SVM and model-set digests when the SVM moved to the same solver on
+the squared hinge, and the CV model-set digest when GBT moved to (binned
+row, label) groups.
 """
 
 import hashlib
@@ -24,7 +25,7 @@ DIGESTS = {
     "linear_svm/d2/cold": "5dd65ccd8c35378022bb382d7a2724becefe254948adf9481b81b2ad4fc122ef",
     "linear_svm/d3/cold": "d630aa16bd7d5c912b90446041401cba52d67c7f918cd8c48fe3051ed496133f",
     "logreg/d2/long": "299fcd2c53ecb4915fd263c508fb0135e09098f9eb2e349aa0ce5429b9674e15",
-    "fit_set/cv": "84c644015ef3cd12226885d7d6b53e5f5a98fc15703087331bacc30ac54b2b71",
+    "fit_set/cv": "a347cb2d8d36571ae6b182c40a6f348f1f619ebf40fe223f1bab7fc817531ae1",
     "fit_set/no_cv": "af5fdedb34bf3905850d1fb9af6f2eaacf1c153b5870180eaf60046d7607fd02",
     "refresh_generic/no_cv": "01507b06296497f8d6d83c3e05cf7edbb90e9976b6a9c621e9c94565e2707515",
 }

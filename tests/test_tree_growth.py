@@ -1,12 +1,12 @@
 """The tree learners grow many trees per pass yet give the same models.
 
-The GBT digests below were recorded with the one-tree-at-a-time grower
-that the multi-root grower replaced: any change to a split, a leaf value
-or a threshold changes them. They drop the per-round training losses
-that models no longer store. The forest digests, including those of
-eight and sixteen features, whose nodes draw two and four of them, were
-recorded when forest draws became counter hashes keyed by the tree, in
-place of one numpy generator per tree. The sampler tests check those
+The GBT digests below were recorded when boosting moved to (binned row,
+label) groups, whose residual sums c*r round differently from c added
+residuals: any change to a split, a leaf value or a threshold changes
+them. The forest digests, including those of eight and sixteen
+features, whose nodes draw two and four of them, were recorded when
+forest draws became counter hashes keyed by the tree, in place of one
+numpy generator per tree. The sampler tests check those
 hashes' statistics: bootstrap counts against the multinomial, uniform
 feature draws, and distinct tree keys and bootstraps. The logreg CV
 digests were recorded when damped Newton replaced logreg's gradient
@@ -83,22 +83,26 @@ def wide_dataset(name: str, d: int) -> Dataset:
 
 DIGESTS = {
     "tied/forest": "3fa8371c79e5138975f1e5df805394c4c17bc867ecbd1bc380fa68382f173ffb",
-    "tied/gbt": "089a9f0c0114211a6898e1d2232644ecdd6f6f4af578e99673527387f6cf39d5",
+    "tied/gbt": "7950ee6ee13b063c83b73f53160bf525ed234da2b6363252dcd39d3d07e86d69",
     "tied/cv/logreg": "cf15c23e3090d7e722475db10b9c4706f685c92bd964fd4209be35dbcb161a22",
     "tied/cv/linear_svm": "89896447a80ea492db78ddeedd56d832254995025b00d0edafd0061a37ac292b",
     "tied/cv/random_forest": "462bb1f7a9a15092882978043f7a19dd7fa2fed3674ede5ec63d7c8140f0787e",
-    "tied/cv/gbt": "620deb7651f93302b30e86cd2630db02c8f6d942d472df3efa13463b6942b45d",
+    "tied/cv/gbt": "9e800908f1fa56ee1a8e8634140d7f7f0fbef27cf7716fe18b86495e97d4970a",
     "spread/forest": "3fb05ec8b89e278e83d75900007fad728089b3d0dbad13fa739a4b91c4e4877f",
-    "spread/gbt": "1449b8fd8652db4cc5ff08fce065867e026a0c927400887560af3bf091e9ff80",
+    "spread/gbt": "b965c58b0540b40cb8cd289fc2a76088844f86624d405b467476967a674da1af",
     "spread/cv/logreg": "5d96ed1db38700b8b73c65888309df4524631b7471cccb8b7ddcae455a4c1ebc",
     "spread/cv/linear_svm": "1cbfe722c41a6565a5f707d86006fcf0743723354810446ddd7e5366dbaa6602",
     "spread/cv/random_forest": "fc8f4bc40a4743d6d1f063dbd4306cc227123ab0ed7f6d5b04e922a304461488",
-    "spread/cv/gbt": "f96750976dc218eda2d77f20fc469c7f50fe18619db3f6beca8b000ae92c4dfd",
+    "spread/cv/gbt": "ea5d76425277ea7a069ce9956509423d64a555fa6ef451657e54fc1d5b77a808",
     # two and four drawn features per node
     "tied8/forest": "15233502a0b12e1a5c82c922c472164da0011f02f76f9784d83cb9fc884eb8c7",
     "tied16/forest": "2b2742cb7e35de2be7fcabf358fafab99de19afecb6a8f2689a06d4c93bb3129",
     "spread8/forest": "d4c0ce0821e43678498551512df88c9c0b3ef0a6ceace7aa70471c953c57cddc",
     "spread16/forest": "1bce83a63b230480a23b6f25ca990bd8f15aa796bb6919a275c1d084ac14b52b",
+    "tied8/gbt": "20ac07aa5a2a3b980186b8305ce22c10fe13ad7cd8c327d978ec5cda8d9a203a",
+    "tied16/gbt": "37fa34b414cbee19fbdc6a5d775f6d157486917baf9ef94dbf4c22f5d62ca078",
+    "spread8/gbt": "c5e29f67e2750be29dc188712cfe59b9266e25c84d89ee994b0e2d6898a3211d",
+    "spread16/gbt": "c17429e32d25f2d806bbbb2514c5c237b0a207965d57d80dc30ea84b482033fd",
 }
 
 TRAINERS = {
@@ -130,6 +134,46 @@ def test_forest_digest_with_several_drawn_features(name, d):
 def test_gbt_digest(name):
     model = train_gbt([DATASETS[name]()], [11], n_rounds=100)[0]
     assert digest(model_to_json(model)) == DIGESTS[f"{name}/gbt"]
+
+
+@pytest.mark.parametrize("d", [8, 16])
+@pytest.mark.parametrize("name", DATASETS)
+def test_gbt_digest_with_several_features(name, d):
+    model = train_gbt([wide_dataset(name, d)], [11], n_rounds=100)[0]
+    assert digest(model_to_json(model)) == DIGESTS[f"{name}{d}/gbt"]
+
+
+def test_groups_hold_equal_bins_and_labels_at_sixteen_features():
+    # 33 bins per feature: a key packing 16 bins and a label would need 33**16 * 2 > 2**63
+    rng = np.random.default_rng(16)
+    pool = rng.integers(0, 33, size=(40, 16))
+    binned = np.vstack([pool[rng.integers(0, 40, size=300)], rng.integers(0, 33, size=(60, 16))])
+    binned[::7, :] = 32  # the widest key of all
+    y = rng.integers(0, 2, size=len(binned)).astype(float)
+    sizes = [100, 1, 259]
+    group, first, count, per_dataset = trees._group(binned, y, sizes)
+    dataset = np.repeat(np.arange(3), sizes)
+    assert (binned[first[group]] == binned).all() and (y[first[group]] == y).all()
+    assert (dataset[first[group]] == dataset).all()
+    keys = np.column_stack([dataset[first], binned[first], y[first]])
+    assert np.unique(keys, axis=0).shape[0] == first.size < len(binned)
+    assert count.tolist() == np.bincount(group).tolist()
+    assert per_dataset.tolist() == np.bincount(dataset[first], minlength=3).tolist()
+    assert (np.diff(dataset[first]) >= 0).all()  # groups run dataset by dataset
+
+
+def test_gbt_of_doubled_rows_equals_the_original():
+    # <= 32 values per feature, so the copies move no edge; every grouped
+    # count and residual sum doubles exactly
+    ds = tied_dataset()
+    order = np.random.default_rng(3).permutation(2 * len(ds))
+    doubled = Dataset(
+        np.vstack([ds.vectors, ds.vectors])[order],
+        np.concatenate([ds.labels, ds.labels])[order],
+        tuple(np.array(ds.participant_ids + tuple(f"{p}b" for p in ds.participant_ids))[order]),
+    )
+    models = train_gbt([ds, doubled], [11, 11], n_rounds=50)
+    assert model_to_json(models[0]) == model_to_json(models[1])
 
 
 @pytest.mark.parametrize("kind", ["logreg", "linear_svm", "random_forest", "gbt"])
