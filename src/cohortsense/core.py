@@ -272,7 +272,7 @@ def load_config(path: str | Path) -> EngineConfig:
     """Load an EngineConfig from a UTF-8 JSON file; unknown keys are rejected."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)

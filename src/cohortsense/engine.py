@@ -295,7 +295,7 @@ def load(path: str | Path) -> EngineState:
         with gzip.open(path, "rb") as fh:
             payload = fh.read()
         doc = json.loads(payload.decode("utf-8"))
-    except (OSError, EOFError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, EOFError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_SCHEMA_VERSION:

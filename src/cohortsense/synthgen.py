@@ -15,6 +15,7 @@ distinct groups keep full-scale separation.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -411,24 +412,34 @@ def _participant_traits(
     plan: CohortPlan,
     profiles: list[GroupProfile],
     seed: int,
-) -> dict[str, dict[str, float]]:
+) -> dict[str, np.ndarray]:
+    """Each participant's trait offsets, in FEATURES order."""
     final_week = max(plan.weeks())
-    traits: dict[str, dict[str, float]] = {}
+    traits: dict[str, np.ndarray] = {}
     for group, members in plan.weekly_group_membership[final_week].items():
         prof = _profile_for(profiles, group, final_week)
         for pid in sorted(members):
             rng = _sub_rng(seed, "traits", pid)
-            traits[pid] = {
-                f: float(rng.normal(0.0, prof.feature_spreads[f])) for f in FEATURES
-            }
+            traits[pid] = np.array([rng.normal(0.0, prof.feature_spreads[f]) for f in FEATURES])
     return traits
 
 
-def _lonely_displacement(profile: GroupProfile) -> dict[str, float]:
+def _segment_levels(profile: GroupProfile) -> np.ndarray:
+    """A profile's (segment, feature) means: each feature's mean times its
+    segment weight, in SEGMENT_ORDER and FEATURES order."""
+    return np.array(
+        [
+            [profile.feature_means[f] * profile.segment_weights[f][s] for f in FEATURES]
+            for s in range(len(SEGMENT_ORDER))
+        ]
+    )
+
+
+def _lonely_displacement(profile: GroupProfile) -> np.ndarray:
     direction = profile.lonely_direction
     if direction is None:
         direction = _LONELY_DIRECTION.get(profile.group_id, {})
-    return {f: LONELY_SHIFT * d for f, d in direction.items()}
+    return np.array([LONELY_SHIFT * direction.get(f, 0.0) for f in FEATURES])
 
 
 # a participant-week's 28 rows are drawn day by day in SEGMENT_ORDER and
@@ -438,38 +449,15 @@ _WEEK_ROWS = (np.arange(7)[:, None] * len(SEGMENT_ORDER) + _SEGMENT_NAME_ORDER).
 _COLUMN_OF_FEATURE = np.argsort(FEATURES, kind="stable")  # FEATURES order -> sorted
 
 
-def _sample_participant_week(
-    profile: GroupProfile,
-    offsets: dict[str, float],
-    rng: np.random.Generator,
-    displacement: dict[str, float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """One participant-week's 28 rows, day by day in segment-name order:
-    the float matrix (features sorted, NaN where missing) and a mask of the
-    rows whose categorical token is missing. Missing cells and x10 outlier
-    rows are drawn per row."""
-    base = np.array(
-        [
-            [
-                profile.feature_means[f] * profile.segment_weights[f][s]
-                + displacement.get(f, 0.0)
-                + offsets[f]
-                for f in FEATURES
-            ]
-            for s in range(len(SEGMENT_ORDER))
-        ]
-    )
-    k = len(FEATURES)
-    draws = [
-        (rng.normal(0.0, DAY_NOISE, size=k), rng.random(), rng.random(k), rng.random())
-        for _ in range(len(_WEEK_ROWS))
-    ]
-    noise, outlier, missing, token_missing = (np.array(d) for d in zip(*draws))
-    values = np.maximum(0.0, np.tile(base, (7, 1)) + noise)
-    values[outlier < OUTLIER_RECORD_RATE] *= OUTLIER_FACTOR
-    values[missing < MISSING_CELL_RATE] = np.nan
-    token_missing = token_missing < MISSING_CELL_RATE
-    return values[_WEEK_ROWS][:, _COLUMN_OF_FEATURE], token_missing[_WEEK_ROWS]
+def _draw_week_rows(rng: np.random.Generator, noise: np.ndarray, uniforms: np.ndarray) -> None:
+    """Fill one participant-week's (28, k) standard normals and (28, k + 2)
+    uniforms (outlier, k cells, token) row by row: each row's k normals,
+    then its k + 2 uniforms in one call. PCG64 makes one double per 64-bit
+    word, in order, so one ``random(k + 2)`` equals ``random()``,
+    ``random(k)`` and ``random()`` drawn one after another."""
+    for row in range(len(noise)):
+        rng.standard_normal(out=noise[row])
+        rng.random(out=uniforms[row])
 
 
 def generate_cohort(
@@ -477,7 +465,10 @@ def generate_cohort(
 ) -> list[WeeklyBatch]:
     """Emit one WeeklyBatch per planned week; bit-identical per seed.
 
-    Rows run by participant, day and segment name.
+    Rows run by participant, day and segment name. Each participant-week
+    draws its own rows (``_draw_week_rows``); the rows of a week then turn
+    into values together: noise, x10 outlier rows, missing cells and
+    missing tokens.
     """
     for week in plan.weeks():
         for group in plan.weekly_group_membership[week]:
@@ -487,34 +478,46 @@ def generate_cohort(
     traits = _participant_traits(plan, profiles, seed)
 
     batches = []
+    k, rows = len(FEATURES), len(_WEEK_ROWS)
     for week in plan.weeks():
         groups = plan.weekly_group_membership[week]
         group_of = {pid: group for group, members in groups.items() for pid in members}
         pids = sorted(group_of)
-        blocks, tokens = [], []
-        for pid in pids:
-            profile = _profile_for(profiles, group_of[pid], week)
-            values, token_missing = _sample_participant_week(
-                profile,
-                traits[pid],
-                _sub_rng(seed, "records", week, pid),
-                _lonely_displacement(profile) if scores[pid] > SCORE_THRESHOLD else {},
-            )
-            token = profile.social_token
-            if token is None:
-                token = GROUP_TOKENS.get(profile.group_id, profile.group_id)
-            blocks.append(values)
-            tokens.extend(None if gap else token for gap in token_missing.tolist())
+        profile_of = {group: _profile_for(profiles, group, week) for group in groups}
+        levels = {group: _segment_levels(p) for group, p in profile_of.items()}
+        shifts = {group: _lonely_displacement(p) for group, p in profile_of.items()}
+        base = np.empty((len(pids), len(SEGMENT_ORDER), k))
+        noise = np.empty((len(pids), rows, k))
+        uniforms = np.empty((len(pids), rows, k + 2))
+        for i, pid in enumerate(pids):
+            group = group_of[pid]
+            shift = shifts[group] if scores[pid] > SCORE_THRESHOLD else 0.0
+            base[i] = levels[group] + shift + traits[pid]
+            _draw_week_rows(_sub_rng(seed, "records", week, pid), noise[i], uniforms[i])
+        noise = noise.reshape(len(pids), 7, len(SEGMENT_ORDER), k)
+        values = np.maximum(0.0, base[:, None] + DAY_NOISE * noise).reshape(-1, k)
+        uniforms = uniforms.reshape(-1, k + 2)
+        values[uniforms[:, 0] < OUTLIER_RECORD_RATE] *= OUTLIER_FACTOR
+        values[uniforms[:, 1:-1] < MISSING_CELL_RATE] = np.nan
+        token_of = {
+            group: GROUP_TOKENS.get(group, group) if p.social_token is None else p.social_token
+            for group, p in profile_of.items()
+        }
+        tokens = np.where(
+            uniforms[:, -1] < MISSING_CELL_RATE,
+            None,
+            np.repeat(np.array([token_of[group_of[pid]] for pid in pids], dtype=object), rows),
+        )
+        order = (np.arange(len(pids))[:, None] * rows + _WEEK_ROWS).ravel()
         days = [(STUDY_START + timedelta(days=(week - 1) * 7 + d)).isoformat() for d in range(7)]
-        values = np.concatenate(blocks) if blocks else np.empty((0, len(FEATURES)))
         batches.append(
             WeeklyBatch.from_columns(
                 week=week,
-                participant_ids=np.repeat(pids, len(_WEEK_ROWS)),
+                participant_ids=np.repeat(pids, rows),
                 days=np.tile(np.repeat(days, len(SEGMENT_ORDER)), len(pids)),
                 segments=np.tile(_WEEK_ROWS % len(SEGMENT_ORDER), len(pids)),
-                continuous=dict(zip(sorted(FEATURES), values.T)),
-                categorical={CATEGORICAL_FEATURE: tokens},
+                continuous=dict(zip(sorted(FEATURES), values[order][:, _COLUMN_OF_FEATURE].T)),
+                categorical={CATEGORICAL_FEATURE: tokens[order].tolist()},
                 labels={pid: scores[pid] for pid in pids},
             )
         )
@@ -528,6 +531,52 @@ _CSV_COLUMNS = ("participant_id", "week", "day", "segment") + tuple(sorted(FEATU
 )
 
 
+_BLOCK_ROWS = 4096  # rows of a week file formatted and written per call
+
+
+def _csv_cells(values) -> list[str]:
+    """Each value as ``csv.writer`` writes it among other cells of a row,
+    quoted only if it must be."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    cells = []
+    for value in values:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow((value, ""))
+        cells.append(buffer.getvalue()[: -len(",\r\n")])
+    return cells
+
+
+def _write_week(path: Path, batch: WeeklyBatch) -> None:
+    """A week file as ``csv.writer`` writes it row by row, with ``repr`` of
+    each value, formatted in blocks of rows one column at a time: a block of
+    a feature column is one ``str`` of its list (the same shortest
+    round-trip text, NaN written blank); the other cells are looked up in
+    tables of each column's distinct values, each quoted once."""
+    days, day_codes = np.unique(batch.days, return_inverse=True)
+    leads = [f"{p},{batch.week}" for p in _csv_cells(batch.participant_ids)]
+    whens = [f"{d},{seg.value}" for d in _csv_cells(days.tolist()) for seg in SEGMENT_ORDER]
+    tokens = _csv_cells(batch.tokens[0]) + [""]  # code -1 (missing) reads the blank
+    leads, whens, tokens = (np.array(table, dtype=object) for table in (leads, whens, tokens))
+    when_codes = day_codes * len(SEGMENT_ORDER) + batch.segments
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(_csv_cells(_CSV_COLUMNS)) + "\r\n")
+        for start in range(0, len(batch.records), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            features = [
+                str(column.tolist())[1:-1].replace("nan", "").split(", ")
+                for column in batch.records[rows].T
+            ]
+            lines = zip(
+                leads[batch.participants[rows]].tolist(),
+                whens[when_codes[rows]].tolist(),
+                *features,
+                tokens[batch.categories[rows, 0]].tolist(),
+            )
+            fh.write("\r\n".join(map(",".join, lines)) + "\r\n")
+
+
 def write_cohort(out_dir: str | Path, batches: list[WeeklyBatch], plan: CohortPlan) -> None:
     """Write week_<n>.csv files, labels.csv, and plan.json."""
     out = Path(out_dir)
@@ -538,27 +587,11 @@ def write_cohort(out_dir: str | Path, batches: list[WeeklyBatch], plan: CohortPl
         if features != _CSV_COLUMNS[4:]:
             raise ValidationError(f"week {batch.week}: features {features} differ from the file's")
         all_labels.update(batch.labels)
-        table = batch.tokens[0] + ("",)  # code -1 (missing) reads the blank
-        with open(out / f"week_{batch.week}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_COLUMNS)
-            for pid, day, segment, values, code in zip(
-                [batch.participant_ids[i] for i in batch.participants.tolist()],
-                batch.days.tolist(),
-                batch.segments.tolist(),
-                batch.records.tolist(),
-                batch.categories[:, 0].tolist(),
-            ):
-                writer.writerow(
-                    [pid, batch.week, day, SEGMENT_ORDER[segment].value]
-                    + ["" if v != v else repr(v) for v in values]
-                    + [table[code]]
-                )
+        _write_week(out / f"week_{batch.week}.csv", batch)
     with open(out / "labels.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["participant_id", "score"])
-        for pid in sorted(all_labels):
-            writer.writerow([pid, all_labels[pid]])
+        writer.writerows(sorted(all_labels.items()))
     plan_doc = {
         "total_participants": plan.total_participants,
         "lonely_count": plan.lonely_count,
@@ -574,11 +607,11 @@ def write_cohort(out_dir: str | Path, batches: list[WeeklyBatch], plan: CohortPl
 
 def load_plan(path: str | Path) -> CohortPlan:
     """Load a CohortPlan from a UTF-8 JSON file; a file that cannot be read
-    or a plan that is not valid JSON or lacks a field raises
-    ValidationError naming the file."""
+    or is not UTF-8, or a plan that is not valid JSON or lacks a field,
+    raises ValidationError naming the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read plan file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -594,19 +627,38 @@ def load_plan(path: str | Path) -> CohortPlan:
         raise ValidationError(f"malformed plan file {path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _not_utf8(path: Path) -> ValidationError:
+    """The error for a file that is not UTF-8 text, naming the line of its
+    first bad byte. A text reader's decode error counts bytes from the
+    start of its chunk, so the whole file is decoded again here."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ValidationError(f"{path}, line {line}: not UTF-8 text: {exc}")
+    return ValidationError(f"{path}: not UTF-8 text")
+
+
 def _read_csv(path: Path, columns: tuple[str, ...], convert):
     """``convert(*cells)`` of a CSV file's data rows, given one tuple of cells
-    per name in ``columns``. A missing column raises ValidationError naming
-    the file; when ``convert`` rejects the file, it is applied again row by
-    row, so that the error names the first rejected line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise ValidationError(f"{path}, line 1: missing columns {', '.join(missing)}")
-        at = [header.index(c) for c in columns]
-        rows = [row for row in reader if row]
+    per name in ``columns``. A file that is not UTF-8, a cell over the csv
+    module's field limit or a missing column raises ValidationError naming
+    the file and the line; when ``convert`` rejects the file, it is applied
+    again row by row, so that the error names the first rejected line."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ValidationError(f"{path}, line 1: missing columns {', '.join(missing)}")
+            at = [header.index(c) for c in columns]
+            rows = [row for row in reader if row]
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
+    except csv.Error as exc:
+        raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
     if min(map(len, rows), default=len(header)) >= len(header):
         cells = list(zip(*rows)) or [()] * len(header)
         try:

@@ -102,6 +102,23 @@ DIGESTS = {
     "replay/checkpoint_without_gbt": "15f92e33e703d7a25a03aeba6752841d75e69f4e5b4f16ff3bc1e5dfb8cca5b6",
 }
 
+# every file of the default `synth --seed 42` (205 participants, 10 weeks),
+# recorded with the row-by-row `csv.writer` and four generator calls per row
+DEFAULT_SYNTH = {
+    "labels.csv": "c50a38e7066d924dbe4c510c8113e1933843797aa7cb76f5a100cca9a4a95588",
+    "plan.json": "bdf62f4735187f18b2622a76b287193665aba6ae839717c30cd1a48161e2b4d7",
+    "week_1.csv": "38a4389896d8a6db2155c223c0466472755c935ac204cfd8019224356c32a8c9",
+    "week_2.csv": "b949461fbaf35b044aa84a16481f401f29642a6e4dca81f36d46d0890068f7a5",
+    "week_3.csv": "722da799fd18c3993093e92c7cf50d406f68246aaf2605c4f37e0159c7d4185f",
+    "week_4.csv": "c7feb5d3ccab67dfcb2c49456d3d7dd05b989668775d46034ea05adb1d7fa1d1",
+    "week_5.csv": "80fbf09d12031a8c48bd1aaae499ff909ca7173c080c9d99d6a593c2f314b566",
+    "week_6.csv": "0d9a223eb9d10a65ef8ada1f505ebdddc79c52c4b1b93645df1cf68b75eb7360",
+    "week_7.csv": "5e425c10437e86df88deaf2e4e642ae290e5c8f7a6cc8830f4646b71090a4902",
+    "week_8.csv": "7586e24e2b550b8757225b63a5cc9a3be752108ea37f8aa3535100b1837b3003",
+    "week_9.csv": "0f884c519ce038522d260c81358c2c2aa6e4ec94e3515e9476e8b948b18e91b7",
+    "week_10.csv": "eaf21ba26a8544e81469863b8fa3e062e52c2a0459e2bd39b1820f74f0f2c983",
+}
+
 
 @pytest.mark.parametrize("name, make", [("hand", hand_batches), ("mini", mini_batches)])
 def test_pipeline_and_vectors_match_the_per_record_path(name, make):
@@ -140,6 +157,14 @@ def test_synth_writes_the_per_record_files(tmp_path):
         f"synth/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
     }
     assert written == {k: v for k, v in DIGESTS.items() if k.startswith("synth/")}
+
+
+def test_synth_writes_the_pinned_default_cohort(tmp_path):
+    # reaches G4's variable-spread profiles and weeks 5-10, which the
+    # 36-participant plan above does not
+    assert main(["synth", "--seed", "42", "--out-dir", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == DEFAULT_SYNTH
 
 
 def test_replay_writes_the_pinned_files(tmp_path):

@@ -288,6 +288,31 @@ def test_replay_nested_json_exits_one(tmp_path, capsys, flag):
     assert err.startswith("error:") and str(path) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["config", "plan", "checkpoint"])
+def test_a_file_that_is_not_utf8_exits_one(tmp_path, capsys, kind):
+    data, path = tmp_path / "data", tmp_path / kind
+    text = b'{"cv_folds": 3\xff}'
+    if kind == "checkpoint":
+        write_tiny_plan(tmp_path / "plan.json", weeks=1)
+        main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(tmp_path / "plan.json")])
+        with gzip.GzipFile(path, "wb", mtime=0) as fh:
+            fh.write(text)
+    else:
+        path.write_bytes(text)
+    argv = {
+        "config": ["replay", "--config", str(path), "--data-dir", str(data)],
+        "plan": ["synth", "--plan", str(path)],
+        "checkpoint": ["replay", "--resume", str(path), "--data-dir", str(data)],
+    }[kind]
+    capsys.readouterr()
+    code = main(argv + ["--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot read {kind}") and str(path) in err and "0xff" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_replay_resume_with_a_different_config_exits_one(tmp_path, capsys):
     data = tmp_path / "data"
     plan_path = tmp_path / "plan.json"
@@ -472,6 +497,12 @@ def _drop_column(path: Path, column: str) -> None:
     _edit_csv(path, edit)
 
 
+def _prefix_line(path: Path, line: int, data: bytes) -> None:
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = data + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
 MALFORMED_DATA = {
     "non_numeric_feature": (
         lambda d: _set_cell(d / "week_1.csv", FEATURE, "abc"),
@@ -517,6 +548,18 @@ MALFORMED_DATA = {
         lambda d: (d / "week_x.csv").write_bytes((d / "week_1.csv").read_bytes()),
         "week_x.csv",
     ),
+    "non_utf8_week_file": (
+        lambda d: _prefix_line(d / "week_1.csv", 3, b"\xff"),
+        "week_1.csv, line 3: not UTF-8 text",
+    ),
+    "non_utf8_labels": (
+        lambda d: _prefix_line(d / "labels.csv", 2, b"\xff"),
+        "labels.csv, line 2: not UTF-8 text",
+    ),
+    "cell_over_the_field_limit": (
+        lambda d: _set_cell(d / "week_1.csv", "social_context", "x" * 200_000),
+        "week_1.csv, line 2: field larger than field limit",
+    ),
     "duplicate_week_file": (
         lambda d: (d / "week_01.csv").write_bytes((d / "week_1.csv").read_bytes()),
         f"{Path('data', 'week_01.csv')} and ",
@@ -536,7 +579,7 @@ def test_replay_malformed_data_file_exits_one(tmp_path, capsys, case):
     code = main(["replay", "--data-dir", str(data), "--out-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error:") and where in err
+    assert err.startswith("error:") and where in err and "Traceback" not in err
     if case == "duplicate_week_file":
         assert str(Path("data", "week_1.csv")) in err
     assert not (tmp_path / "out").exists()

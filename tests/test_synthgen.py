@@ -1,13 +1,17 @@
 """Tests for the synthetic cohort generator and its file formats."""
 
 import csv
+import io
+import math
 
 import numpy as np
 import pytest
 
+from cohortsense import synthgen
 from cohortsense.core import ConfigError, ValidationError
 from cohortsense.synthgen import (
     BASE_SPREAD,
+    CATEGORICAL_FEATURE,
     FEATURES,
     CohortPlan,
     build_default_plan,
@@ -159,6 +163,19 @@ def test_planted_separation_three_sigma(profiles):
         assert wide >= 4, f"week {week}: only {wide} separated features"
 
 
+@pytest.mark.parametrize("k", [1, len(FEATURES)])
+def test_one_uniform_call_draws_what_three_calls_drew(k):
+    # the generator draws a row's outlier, cell and token uniforms with one
+    # random(k + 2) call where it made random(), random(k) and random()
+    joint, apart = (np.random.Generator(np.random.PCG64(2019)) for _ in range(2))
+    out = np.empty(k + 2)
+    for _ in range(3):
+        joint.standard_normal(k)
+        apart.standard_normal(k)
+        joint.random(out=out)
+        assert out.tolist() == [apart.random(), *apart.random(k).tolist(), apart.random()]
+
+
 def test_generate_errors_without_profile_coverage(profiles):
     plan = CohortPlan(
         total_participants=1,
@@ -198,6 +215,37 @@ def test_write_and_load_round_trip(tmp_path, batches, plan):
     plan_back = load_plan(tmp_path / "plan.json")
     assert plan_back.weekly_group_membership == plan.weekly_group_membership
     assert plan_back.lonely_count == plan.lonely_count
+
+
+def test_write_matches_csv_writer_on_edge_cells(tmp_path, plan, monkeypatch):
+    # blocks of 4 rows, so that 10 rows end in a short block
+    monkeypatch.setattr(synthgen, "_BLOCK_ROWS", 4)
+    names = sorted(FEATURES)
+    edge = [math.nan, -0.0, 1e-05, 1e16, 5e-324, 0.1, 123456789.125]
+    ids = ['p,"1', "P002", " P003"]
+    tokens = ["a,b", None, 'say "hi"', "plain", "line\nbreak"]
+    rows = []
+    for i in range(10):
+        values = {f: edge[(i + j) % len(edge)] for j, f in enumerate(names[:-1])}
+        values[names[-1]] = None  # one all-missing feature column
+        day = f"2019-04-0{1 + i % 3}"
+        segment = ("night", "morning", "afternoon", "evening")[i % 4]
+        rows.append((ids[i % 3], day, segment, values, {CATEGORICAL_FEATURE: tokens[i % 5]}))
+    batch = batch_of(rows)
+    write_cohort(tmp_path, [batch], plan)
+
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["participant_id", "week", "day", "segment", *names, CATEGORICAL_FEATURE])
+    for pid, day, segment, values, token in rows:
+        cells = ["" if values[f] is None or values[f] != values[f] else repr(values[f]) for f in names]
+        writer.writerow([pid, 1, day, segment, *cells, token[CATEGORICAL_FEATURE] or ""])
+    assert (tmp_path / "week_1.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
+    back = load_batches(tmp_path)[0]
+    assert back == batch
+    assert back.participant_ids == tuple(sorted(ids)) and set(back.tokens[0]) == set(tokens) - {None}
+    assert np.array_equal(np.signbit(back.records), np.signbit(batch.records))
 
 
 def test_write_rejects_a_batch_with_other_features(tmp_path, plan):
