@@ -121,8 +121,9 @@ class WeeklyBatch:
     def __post_init__(self) -> None:
         if self.week < 1:
             raise ValidationError(f"week {self.week} below 1")
+        known = set(self.participant_ids)
         for pid in self.labels:
-            if pid not in self.participant_ids:
+            if pid not in known:
                 raise ValidationError(
                     f"labeled participant {pid} has no records in week {self.week}"
                 )

@@ -108,47 +108,41 @@ def _fit_set(
 ) -> tuple[ModelSet, list[str]]:
     """Train all four kinds with k-fold validation scores.
 
-    SMOTE is applied inside training folds during validation and to the
-    full data for the deployed fit; all of these read their neighbour
-    tables from the set's one ``NeighborTables``. Each kind trains its
-    folds and its deployed model in one batched call, or its deployed
-    model alone when a class has too few rows for two folds. No kind is
+    One ``kfold_cv`` call draws the set's one stratified split, SMOTEs each
+    training fold once and scores every kind on those folds; each kind
+    trains its folds and its deployed model in one batched call. The
+    deployed fit of each kind reads the full data, SMOTE-balanced with the
+    kind's own seed. All SMOTE calls read their neighbour tables from the
+    set's one ``NeighborTables``. When a class has too few rows for two
+    folds, each kind trains its deployed model alone. No kind is
     warm-started: the linear kinds reach their unique optimum, so a set
     does not depend on the previous week's.
     """
     events: list[str] = []
     zeros, ones = dataset.class_counts()
     k = min(config.cv_folds, zeros, ones)
-    lc = config.learners
     tables = NeighborTables(dataset, config.smote_neighbors, k)
-
-    models: dict[ModelKind, object] = {}
-    scores: dict[ModelKind, float] = {}
-    for kind in KIND_ORDER:
-        kind_seed = derive_seed(config.rng_seed, "train", scope, kind.value, seed)
-        balanced = _balanced(dataset, tables, derive_seed(kind_seed, "smote"))
-        train_fn = functools.partial(_train, kind, lc=lc)
-        if k >= 2:
-            metrics, models[kind] = kfold_cv(
-                dataset,
-                k,
-                train_fn,
-                derive_seed(kind_seed, "cv"),
-                tables,
-                deployed=(balanced, kind_seed),
-            )
-            scores[kind] = metrics.f1
-        else:
-            # too few rows in one class for any fold split: score the
-            # deployed model on its own training data and say so
-            [models[kind]] = train_fn([balanced], [kind_seed])
+    train_fns = [functools.partial(_train, kind, lc=config.learners) for kind in KIND_ORDER]
+    kind_seeds = [
+        derive_seed(config.rng_seed, "train", scope, kind.value, seed) for kind in KIND_ORDER
+    ]
+    deployed = [(_balanced(dataset, tables, derive_seed(s, "smote")), s) for s in kind_seeds]
+    if k >= 2:
+        split_seed = derive_seed(derive_seed(config.rng_seed, "train", scope, seed), "cv")
+        fitted = kfold_cv(dataset, k, train_fns, split_seed, tables, deployed)
+    else:
+        # too few rows in one class for any fold split: score each
+        # deployed model on its own training data and say so
+        fitted = []
+        for kind, train_fn, (balanced, kind_seed) in zip(KIND_ORDER, train_fns, deployed):
+            [model] = train_fn([balanced], [kind_seed])
             events.append(
                 f"{scope}: class counts {zeros}/{ones} too small for CV; "
                 f"validation_f1 for {kind.value} uses training predictions"
             )
-            scores[kind] = compute_metrics(
-                models[kind].predict(dataset.vectors), dataset.labels
-            ).f1
+            fitted.append((compute_metrics(model.predict(dataset.vectors), dataset.labels), model))
+    models = {kind: model for kind, (_, model) in zip(KIND_ORDER, fitted)}
+    scores = {kind: metrics.f1 for kind, (metrics, _) in zip(KIND_ORDER, fitted)}
     return ModelSet(models=models, validation_f1=scores, input_dim=dataset.dim), events
 
 

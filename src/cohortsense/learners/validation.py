@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,16 +24,7 @@ class Metrics:
     tn: int
 
     def as_row(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-        }
+        return asdict(self)
 
 
 def compute_metrics(predictions, labels) -> Metrics:
@@ -68,16 +59,7 @@ def compute_metrics(predictions, labels) -> Metrics:
     else:
         recall = tp / (tp + fn)
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    return Metrics(
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        tn=tn,
-    )
+    return Metrics(accuracy, precision, recall, f1, tp, fp, fn, tn)
 
 
 def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
@@ -121,42 +103,46 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
 def kfold_cv(
     dataset: Dataset,
     k: int,
-    train_fn: Callable[[list[Dataset], list[int]], list],
+    train_fns: list[Callable[[list[Dataset], list[int]], list]],
     seed: int,
     tables: NeighborTables,
-    deployed: tuple[Dataset, int],
-):
-    """Stratified k-fold CV; returns (metrics pooled over all test
-    predictions, deployed model).
+    deployed: list[tuple[Dataset, int]],
+) -> list[tuple[Metrics, object]]:
+    """Stratified k-fold CV of several learners on one split; returns, per
+    learner, (metrics pooled over all test predictions, deployed model).
 
-    SMOTE rebalances each training fold (never the test fold), reading
-    the fold's neighbour table from ``dataset``'s ``tables``. Every fold's
-    training set is built first, and ``train_fn`` fits them all, then the
-    ``deployed`` (dataset, seed) pair, in one call that returns one model
-    per (dataset, seed) pair, so a learner may train them together.
+    One split is drawn from ``seed``, and SMOTE rebalances each training
+    fold once (never the test fold), reading the fold's neighbour table
+    from ``dataset``'s ``tables``. Every learner is scored on the same
+    folds. ``train_fns[i]`` fits all the fold training sets, then the
+    ``deployed[i]`` (dataset, seed) pair, in one call that returns one
+    model per (dataset, seed) pair, so a learner may train them together.
     """
     if tables.dataset is not dataset or tables.folds != k:
         raise ValidationError("neighbour tables were built for another dataset or fold count")
     folds = [(j, f) for j, f in enumerate(stratified_folds(dataset, k, seed)) if len(f)]
     n = len(dataset)
+    tested = np.zeros(n, dtype=bool)
     train_sets: list[Dataset] = []
     for j, test_idx in folds:
+        tested[test_idx] = True
         train_mask = np.ones(n, dtype=bool)
         train_mask[test_idx] = False
         train_ds = dataset.subset(np.nonzero(train_mask)[0])
         if needs_smote(train_ds):
             train_ds = smote(train_ds, tables.table(test_idx), derive_seed(seed, "smote", j))
         train_sets.append(train_ds)
-    seeds = [derive_seed(seed, "fold", j) for j, _ in folds]
-    models = train_fn(train_sets + [deployed[0]], seeds + [deployed[1]])
-    if len(models) != len(train_sets) + 1:
-        raise AssertionError("train_fn must return one model per dataset")
-
-    all_preds = np.empty(n, dtype=int)
-    tested = np.zeros(n, dtype=bool)
-    for (_, test_idx), model in zip(folds, models):
-        all_preds[test_idx] = model.predict(dataset.vectors[test_idx])
-        tested[test_idx] = True
     if not tested.all():
         raise AssertionError("every row must appear in exactly one test fold")
-    return compute_metrics(all_preds, dataset.labels), models[-1]
+    seeds = [derive_seed(seed, "fold", j) for j, _ in folds]
+
+    results = []
+    for train_fn, (deployed_set, deployed_seed) in zip(train_fns, deployed, strict=True):
+        models = train_fn(train_sets + [deployed_set], seeds + [deployed_seed])
+        if len(models) != len(train_sets) + 1:
+            raise AssertionError("train_fn must return one model per dataset")
+        all_preds = np.empty(n, dtype=int)
+        for (_, test_idx), model in zip(folds, models):
+            all_preds[test_idx] = model.predict(dataset.vectors[test_idx])
+        results.append((compute_metrics(all_preds, dataset.labels), models[-1]))
+    return results

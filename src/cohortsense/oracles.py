@@ -6,12 +6,13 @@ the same checks on different random draws.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 
 import numpy as np
 
 from .cluster import ClusterRegistry, batch_dbscan
-from .learners.linear import logreg_gradient, logreg_loss
+from .learners import linear
 
 
 def dbscan_trials(seed: int) -> Iterator[tuple[int, int, ClusterRegistry, tuple]]:
@@ -38,25 +39,42 @@ def dbscan_trials(seed: int) -> Iterator[tuple[int, int, ClusterRegistry, tuple]
             yield trial, perm, registry, oracle
 
 
+def _rel_error(analytic, numeric) -> float:
+    """Largest |analytic - numeric| over the larger of the two (or 1e-8)."""
+    a, b = np.asarray(analytic), np.asarray(numeric)
+    return float((np.abs(a - b) / np.maximum(np.maximum(abs(a), abs(b)), 1e-8)).max(initial=0.0))
+
+
 def gradient_max_rel_error(seed: int) -> float:
-    """Worst relative error of the analytic logistic-loss gradient against
-    central differences, over 20 random problems."""
+    """Worst relative error against central differences, over 20 random
+    problems, of the logistic-loss gradient and of the per-row derivatives
+    the Newton solver runs on: the cross-entropy's first and second, and
+    the squared hinge's first, away from its kink."""
     rng = np.random.default_rng(seed)
     h = 1e-5
-    worst = 0.0
+    h2 = 1e-3  # for the second difference, whose rounding grows as 1/h^2
+    errors = []
     for _ in range(20):
         n, d = int(rng.integers(5, 40)), int(rng.integers(1, 8))
         X = rng.normal(size=(n, d))
         y = rng.integers(0, 2, n).astype(float)
-        w = rng.normal(size=d)
-        b = float(rng.normal())
-        grad_w, grad_b = logreg_gradient(w, b, X, y, 1e-3)
-        for j in range(d):
-            wp, wm = w.copy(), w.copy()
-            wp[j] += h
-            wm[j] -= h
-            num = (logreg_loss(wp, b, X, y, 1e-3) - logreg_loss(wm, b, X, y, 1e-3)) / (2 * h)
-            worst = max(worst, abs(grad_w[j] - num) / max(abs(num), abs(grad_w[j]), 1e-8))
-        num_b = (logreg_loss(w, b + h, X, y, 1e-3) - logreg_loss(w, b - h, X, y, 1e-3)) / (2 * h)
-        worst = max(worst, abs(grad_b - num_b) / max(abs(num_b), abs(grad_b), 1e-8))
-    return worst
+        theta = rng.normal(size=d + 1)  # (weights, bias)
+
+        def objective(t):
+            return linear.logreg_loss(t[:-1], t[-1], X, y, 1e-3)
+
+        grad = np.append(*linear.logreg_gradient(theta[:-1], theta[-1], X, y, 1e-3))
+        num = [(objective(theta + e) - objective(theta - e)) / (2 * h) for e in h * np.eye(d + 1)]
+        errors.append(_rel_error(grad, num))
+
+        # per-row scores in [-6, 6], where the second difference resolves p(1 - p)
+        s = rng.uniform(-6.0, 6.0, n)
+        ce = functools.partial(linear._logistic_loss, y=y)
+        hinge = functools.partial(linear._squared_hinge_loss, y=y)
+        first, second = linear._logistic_derivatives(s, y)
+        errors.append(_rel_error(first, (ce(s + h) - ce(s - h)) / (2 * h)))
+        errors.append(_rel_error(second, (ce(s + h2) - 2 * ce(s) + ce(s - h2)) / h2**2))
+        smooth = np.abs(1.0 - (2.0 * y - 1.0) * s) > 1e-3
+        first = linear._squared_hinge_derivatives(s, y)[0][smooth]
+        errors.append(_rel_error(first, ((hinge(s + h) - hinge(s - h)) / (2 * h))[smooth]))
+    return max(errors)

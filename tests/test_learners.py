@@ -654,7 +654,7 @@ def test_kfold_constant_classifier_metrics():
         return [_ConstantOne() for _ in datasets]
 
     tables = NeighborTables(ds, 5, 4)
-    metrics, deployed = kfold_cv(ds, 4, train_fn, seed=0, tables=tables, deployed=(ds, 0))
+    [(metrics, deployed)] = kfold_cv(ds, 4, [train_fn], seed=0, tables=tables, deployed=[(ds, 0)])
     assert isinstance(deployed, _ConstantOne)
     assert metrics.accuracy == pytest.approx(0.5)
     assert metrics.recall == pytest.approx(1.0)

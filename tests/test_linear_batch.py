@@ -6,7 +6,9 @@ a bias or a validation F1 changes them. The logreg and model-set digests
 were recorded again when damped Newton replaced logreg's gradient descent,
 the SVM and model-set digests when the SVM moved to the same solver on
 the squared hinge, and the CV model-set digest when GBT moved to (binned
-row, label) groups.
+row, label) groups and again when the four kinds came to share one CV
+split per set. The models-only digest of that set, recorded before the
+shared split, shows that its deployed models did not move.
 """
 
 import hashlib
@@ -15,9 +17,11 @@ import json
 import numpy as np
 import pytest
 
+from cohortsense import ensemble
 from cohortsense.core import EngineConfig, LearnerConfig, ValidationError
 from cohortsense.ensemble import ModelPool, _fit_set, _set_to_json, refresh_generic
-from cohortsense.learners import Dataset, linear, model_to_json
+from cohortsense.learners import Dataset, NeighborTables, linear, model_to_json, smote, validation
+from cohortsense.learners.base import KIND_ORDER, derive_seed
 
 DIGESTS = {
     "logreg/d2/cold": "5dd6981a535110adf8cfbbf848f824427cf409c42e243cc6681003938ea1789c",
@@ -25,7 +29,8 @@ DIGESTS = {
     "linear_svm/d2/cold": "5dd65ccd8c35378022bb382d7a2724becefe254948adf9481b81b2ad4fc122ef",
     "linear_svm/d3/cold": "d630aa16bd7d5c912b90446041401cba52d67c7f918cd8c48fe3051ed496133f",
     "logreg/d2/long": "299fcd2c53ecb4915fd263c508fb0135e09098f9eb2e349aa0ce5429b9674e15",
-    "fit_set/cv": "a347cb2d8d36571ae6b182c40a6f348f1f619ebf40fe223f1bab7fc817531ae1",
+    "fit_set/cv": "aaf2dfcb4919929d59a668b221f1e7c75378123e9a42fc2dab04a94883993941",
+    "fit_set/cv/models": "0f74a48a00b7c61bd037f1b728dc1e532008d5e01a045c280bbe788b6b656b21",
     "fit_set/no_cv": "af5fdedb34bf3905850d1fb9af6f2eaacf1c153b5870180eaf60046d7607fd02",
     "refresh_generic/no_cv": "01507b06296497f8d6d83c3e05cf7edbb90e9976b6a9c621e9c94565e2707515",
 }
@@ -103,6 +108,56 @@ def test_long_logreg_digest():
 @pytest.mark.parametrize("case", ["cv", "no_cv"])
 def test_fit_set_digest(case):
     assert digest(fit_set_doc(case)) == DIGESTS[f"fit_set/{case}"]
+
+
+def test_fit_set_models_digest():
+    # the deployed models alone, without the validation F1s that score them
+    doc = fit_set_doc("cv")
+    for model_set in doc["sets"]:
+        del model_set["validation_f1"]
+    assert digest(doc) == DIGESTS["fit_set/cv/models"]
+
+
+def test_fit_set_kinds_share_one_split(monkeypatch):
+    received = {}  # kind -> (dataset, its vectors and labels when received) per call
+    for kind in KIND_ORDER:
+        name = f"train_{kind.value}"
+
+        def record(datasets, seeds, _kind=kind, _train=getattr(ensemble, name), **options):
+            received[_kind] = [(ds, ds.vectors.copy(), ds.labels.copy()) for ds in datasets]
+            return _train(datasets, seeds, **options)
+
+        monkeypatch.setattr(ensemble, name, record)
+    smote_calls = []
+    for module in (ensemble, validation):
+
+        def count(*args, _smote=module.smote):
+            smote_calls.append(args)
+            return _smote(*args)
+
+        monkeypatch.setattr(module, "smote", count)
+
+    # 14 of 90 rows in class 1: 10 folds, each training fold needs SMOTE
+    dataset = labeled_rows(90, 14, 4)
+    _fit_set("generic", dataset, FIT_CONFIG, 5)
+    k = FIT_CONFIG.cv_folds
+    assert len(smote_calls) == k + 4  # was 4 * (k + 1), each kind SMOTEing its own folds
+    folds = received[KIND_ORDER[0]][:-1]
+    assert len(folds) == k
+    table = NeighborTables(dataset, FIT_CONFIG.smote_neighbors, k).table()
+    for kind in KIND_ORDER:
+        *kind_folds, (deployed, vectors, labels) = received[kind]
+        for (ds, ds_vectors, ds_labels), (_, fold_vectors, fold_labels) in zip(kind_folds, folds):
+            assert np.array_equal(ds_vectors, fold_vectors)
+            assert np.array_equal(ds_labels, fold_labels)
+            # and no trainer changed them in place
+            assert np.array_equal(ds.vectors, fold_vectors)
+            assert np.array_equal(ds.labels, fold_labels)
+        # the deployed set is SMOTE-balanced with the kind's own seed
+        kind_seed = derive_seed(FIT_CONFIG.rng_seed, "train", "generic", kind.value, 5)
+        own = smote(dataset, table, derive_seed(kind_seed, "smote"))
+        assert np.array_equal(vectors, own.vectors) and np.array_equal(labels, own.labels)
+        assert deployed.participant_ids == own.participant_ids
 
 
 def test_refresh_generic_without_cv_digest():

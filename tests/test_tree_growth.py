@@ -188,7 +188,9 @@ def test_kfold_cv_with_smote_digest(name, kind):
 
     dataset = DATASETS[name]()
     tables = NeighborTables(dataset, 5, 5)
-    metrics, deployed = kfold_cv(dataset, 5, train_fn, seed=13, tables=tables, deployed=(dataset, 17))
+    [(metrics, deployed)] = kfold_cv(
+        dataset, 5, [train_fn], seed=13, tables=tables, deployed=[(dataset, 17)]
+    )
     assert deployed is fitted[-1]
     # the pins were recorded before CV trained a deployed model too
     doc = {"metrics": metrics.as_row(), "models": [model_to_json(m) for m in fitted[:-1]]}
