@@ -13,7 +13,6 @@ from .core import EngineConfig, LearnerConfig, ValidationError
 from .learners import (
     Dataset,
     Metrics,
-    NeighborTables,
     compute_metrics,
     kfold_cv,
     model_from_json,
@@ -96,8 +95,8 @@ def _train(kind: ModelKind, datasets: list[Dataset], seeds: list[int], lc: Learn
     return trainer(datasets, seeds, **_options(kind, lc))
 
 
-def _balanced(dataset: Dataset, tables: NeighborTables, seed: int) -> Dataset:
-    return smote(dataset, tables.table(), seed) if needs_smote(dataset) else dataset
+def _balanced(dataset: Dataset, k_neighbors: int, seed: int) -> Dataset:
+    return smote(dataset, k_neighbors, seed) if needs_smote(dataset) else dataset
 
 
 def _fit_set(
@@ -112,24 +111,26 @@ def _fit_set(
     training fold once and scores every kind on those folds; each kind
     trains its folds and its deployed model in one batched call. The
     deployed fit of each kind reads the full data, SMOTE-balanced with the
-    kind's own seed. All SMOTE calls read their neighbour tables from the
-    set's one ``NeighborTables``. When a class has too few rows for two
-    folds, each kind trains its deployed model alone. No kind is
+    kind's own seed. Every SMOTE call finds its own neighbours among the
+    rows it balances. When a class has too few rows for two folds, each
+    kind trains its deployed model alone. No kind is
     warm-started: the linear kinds reach their unique optimum, so a set
     does not depend on the previous week's.
     """
     events: list[str] = []
     zeros, ones = dataset.class_counts()
     k = min(config.cv_folds, zeros, ones)
-    tables = NeighborTables(dataset, config.smote_neighbors, k)
     train_fns = [functools.partial(_train, kind, lc=config.learners) for kind in KIND_ORDER]
     kind_seeds = [
         derive_seed(config.rng_seed, "train", scope, kind.value, seed) for kind in KIND_ORDER
     ]
-    deployed = [(_balanced(dataset, tables, derive_seed(s, "smote")), s) for s in kind_seeds]
+    deployed = [
+        (_balanced(dataset, config.smote_neighbors, derive_seed(s, "smote")), s)
+        for s in kind_seeds
+    ]
     if k >= 2:
         split_seed = derive_seed(derive_seed(config.rng_seed, "train", scope, seed), "cv")
-        fitted = kfold_cv(dataset, k, train_fns, split_seed, tables, deployed)
+        fitted = kfold_cv(dataset, k, train_fns, split_seed, config.smote_neighbors, deployed)
     else:
         # too few rows in one class for any fold split: score each
         # deployed model on its own training data and say so

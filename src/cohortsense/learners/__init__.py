@@ -9,7 +9,7 @@ from .linear import (
     train_linear_svm,
     train_logreg,
 )
-from .sampling import NeighborTables, needs_smote, smote
+from .sampling import needs_smote, smote
 from .trees import ForestModel, GBTModel, train_gbt, train_random_forest
 from .validation import Metrics, compute_metrics, kfold_cv, stratified_folds
 
@@ -17,7 +17,6 @@ __all__ = [
     "Dataset",
     "ModelKind",
     "Metrics",
-    "NeighborTables",
     "LogRegModel",
     "LinearSVMModel",
     "ForestModel",

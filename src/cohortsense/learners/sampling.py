@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ..core import ValidationError
 from .base import Dataset
 
 
-BLOCK_ROWS = 256  # rows of the distance matrix held at once
-NO_ROWS = np.empty(0, dtype=int)
+BLOCK_ROWS = 256  # rows whose neighbours are searched at once
 
 
 def _minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
-    """Indices of each minority point's k nearest minority neighbors.
+    """Indices of each minority point's k nearest minority neighbors, by
+    brute force: the test oracle of ``_tree_neighbors``.
 
     Euclidean distance; distance ties broken by lower index so results are
     stable under any input permutation of equal points. Distances are
@@ -38,6 +41,36 @@ def _minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
     return order
 
 
+def _tree_neighbors(points: np.ndarray, k: int) -> np.ndarray:
+    """``_minority_neighbors(points, k)``, bit for bit, from a k-d tree
+    (Friedman, Bentley & Finkel, ACM TOMS 1977) in place of n x n distances.
+
+    The tree gives each row its (k+1)-th nearest distance, the row itself
+    counted; every row within that distance times (1 + 1e-9) is a
+    candidate, so the tree's rounding drops no true neighbour. Candidates
+    are ranked by the oracle's own distance and then by index, the row
+    itself left out. BLOCK_ROWS rows are searched at a time, so memory is
+    O(BLOCK_ROWS * n) even when every row is a duplicate.
+    """
+    n = points.shape[0]
+    tree = cKDTree(points)
+    radius = tree.query(points, k + 1)[0][:, -1] * (1 + 1e-9)
+    order = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, BLOCK_ROWS):
+        rows = np.arange(start, min(start + BLOCK_ROWS, n))
+        found = tree.query_ball_point(points[rows], radius[rows])
+        sizes = [len(f) for f in found]
+        cand_rows = np.repeat(rows, sizes)
+        cand_cols = np.fromiter(itertools.chain.from_iterable(found), np.int64, sum(sizes))
+        other = cand_rows != cand_cols
+        cand_rows, cand_cols = cand_rows[other], cand_cols[other]
+        dist = np.sqrt(((points[cand_rows] - points[cand_cols]) ** 2).sum(axis=1))
+        ranked = cand_cols[np.lexsort((cand_cols, dist, cand_rows))]
+        first = np.searchsorted(cand_rows, rows)
+        order[rows] = ranked[first[:, None] + np.arange(k)]
+    return order
+
+
 def needs_smote(dataset: Dataset) -> bool:
     """Whether SMOTE rebalances ``dataset``: its classes differ in size and
     the smaller one holds at least the two rows a segment needs."""
@@ -45,66 +78,18 @@ def needs_smote(dataset: Dataset) -> bool:
     return zeros != ones and min(zeros, ones) >= 2
 
 
-class NeighborTables:
-    """SMOTE's neighbour tables for one dataset and for each of its
-    ``folds``-fold CV training sets, from one distance pass per class.
-
-    A class's wide table, built on first use, lists each of its rows'
-    ``min(k + t, n - 1)`` nearest rows of the class, in canonical order,
-    where ``t = ceil(n / folds)`` is the most rows of the class that a
-    stratified test fold holds. Holding out a test fold removes at most
-    ``t`` entries from any row, so the first ``k`` survivors are the
-    training set's own ``k`` nearest neighbours, ties broken by index as
-    ``_minority_neighbors`` breaks them, since the training rows keep
-    their relative canonical order.
-    """
-
-    def __init__(self, dataset: Dataset, k_neighbors: int, folds: int) -> None:
-        self.dataset = dataset
-        self.k_neighbors = k_neighbors
-        self.folds = folds
-        self._order = dataset.canonical_order()
-        self._wide: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _class_table(self, label: int) -> tuple[np.ndarray, np.ndarray]:
-        """The class's rows in canonical order and their wide table."""
-        if label not in self._wide:
-            rows = self._order[self.dataset.labels[self._order] == label]
-            n = len(rows)
-            width = min(self.k_neighbors + -(-n // self.folds), n - 1)
-            self._wide[label] = rows, _minority_neighbors(self.dataset.vectors[rows], width)
-        return self._wide[label]
-
-    def table(self, held_out: np.ndarray = NO_ROWS) -> np.ndarray:
-        """The neighbour table ``smote`` reads for the dataset without the
-        rows ``held_out``: its minority rows' nearest minority rows, both
-        numbered in that set's canonical minority order."""
-        kept = np.ones(len(self.dataset), dtype=bool)
-        kept[held_out] = False
-        ones = int(self.dataset.labels[kept].sum())
-        label = 1 if ones < kept.sum() - ones else 0
-        rows, wide = self._class_table(label)
-        keep = kept[rows]
-        k = min(self.k_neighbors, int(keep.sum()) - 1)
-        cand = wide[keep]
-        alive = keep[cand]
-        rank = np.cumsum(alive, axis=1)
-        if (rank[:, -1] < k).any():
-            raise AssertionError("a held-out set removed more neighbours than the table spares")
-        renumber = np.cumsum(keep) - 1
-        return renumber[cand[alive & (rank <= k)]].reshape(-1, k)
-
-
-def smote(dataset: Dataset, neighbors: np.ndarray, seed: int) -> Dataset:
+def smote(dataset: Dataset, k_neighbors: int, seed: int) -> Dataset:
     """Add interpolated minority samples until class counts are equal.
 
     Each synthetic row is x + u * (x_nn - x) for a minority row x, one of
-    its nearest minority neighbors x_nn, and u uniform in [0, 1).
-    ``neighbors`` holds each minority row's k nearest minority rows, both
-    numbered in canonical minority order (``NeighborTables.table``).
-    Original rows are returned unchanged (order preserved), synthetics
-    appended. Deterministic for a fixed seed regardless of row order.
+    its ``min(k_neighbors, n_min - 1)`` nearest minority rows x_nn (by
+    distance, then canonical order; ``_tree_neighbors``), and u uniform in
+    [0, 1). Original rows are returned unchanged (order preserved),
+    synthetics appended. Deterministic for a fixed seed regardless of row
+    order.
     """
+    if k_neighbors < 1:
+        raise ValidationError(f"SMOTE needs k_neighbors >= 1, got {k_neighbors}")
     zeros, ones = dataset.class_counts()
     if zeros == ones:
         return dataset
@@ -118,12 +103,9 @@ def smote(dataset: Dataset, neighbors: np.ndarray, seed: int) -> Dataset:
         raise ValidationError(
             f"SMOTE needs at least 2 minority samples, found {n_min}"
         )
-    if neighbors.ndim != 2 or neighbors.shape[0] != n_min or neighbors.shape[1] < 1:
-        raise ValidationError(
-            f"neighbour table of shape {neighbors.shape} does not fit {n_min} minority rows"
-        )
-    k = neighbors.shape[1]
+    k = min(k_neighbors, n_min - 1)
     points = dataset.vectors[minority_rows]
+    neighbors = _tree_neighbors(points, k)
 
     # the neighbour pick and u alternate in one stream, one pair per row
     rng = np.random.default_rng(seed)

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..core import ValidationError
 from .base import Dataset, derive_seed
-from .sampling import NeighborTables, needs_smote, smote
+from .sampling import needs_smote, smote
 
 
 @dataclass(frozen=True)
@@ -105,21 +105,19 @@ def kfold_cv(
     k: int,
     train_fns: list[Callable[[list[Dataset], list[int]], list]],
     seed: int,
-    tables: NeighborTables,
+    k_neighbors: int,
     deployed: list[tuple[Dataset, int]],
 ) -> list[tuple[Metrics, object]]:
     """Stratified k-fold CV of several learners on one split; returns, per
     learner, (metrics pooled over all test predictions, deployed model).
 
-    One split is drawn from ``seed``, and SMOTE rebalances each training
-    fold once (never the test fold), reading the fold's neighbour table
-    from ``dataset``'s ``tables``. Every learner is scored on the same
-    folds. ``train_fns[i]`` fits all the fold training sets, then the
-    ``deployed[i]`` (dataset, seed) pair, in one call that returns one
-    model per (dataset, seed) pair, so a learner may train them together.
+    One split is drawn from ``seed``, and SMOTE with ``k_neighbors``
+    rebalances each training fold once (never the test fold). Every
+    learner is scored on the same folds. ``train_fns[i]`` fits all the
+    fold training sets, then the ``deployed[i]`` (dataset, seed) pair, in
+    one call that returns one model per (dataset, seed) pair, so a learner
+    may train them together.
     """
-    if tables.dataset is not dataset or tables.folds != k:
-        raise ValidationError("neighbour tables were built for another dataset or fold count")
     folds = [(j, f) for j, f in enumerate(stratified_folds(dataset, k, seed)) if len(f)]
     n = len(dataset)
     tested = np.zeros(n, dtype=bool)
@@ -130,7 +128,7 @@ def kfold_cv(
         train_mask[test_idx] = False
         train_ds = dataset.subset(np.nonzero(train_mask)[0])
         if needs_smote(train_ds):
-            train_ds = smote(train_ds, tables.table(test_idx), derive_seed(seed, "smote", j))
+            train_ds = smote(train_ds, k_neighbors, derive_seed(seed, "smote", j))
         train_sets.append(train_ds)
     if not tested.all():
         raise AssertionError("every row must appear in exactly one test fold")

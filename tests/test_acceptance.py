@@ -20,7 +20,6 @@ from cohortsense.engine import load, new_state, run_replay, save, step
 from cohortsense.ensemble import ModelPool, ModelSet, vote
 from cohortsense.learners import (
     Dataset,
-    NeighborTables,
     compute_metrics,
     smote,
     stratified_folds,
@@ -181,7 +180,7 @@ def test_criterion_4_smote_geometry_and_balance():
         )
         labels = np.array([1] * n_min + [0] * n_maj)
         ds = Dataset(vectors, labels, tuple(f"p{i:03d}" for i in range(len(labels))))
-        out = smote(ds, NeighborTables(ds, 5, 10).table(), seed=trial)
+        out = smote(ds, 5, seed=trial)
         zeros, ones = out.class_counts()
         assert zeros == ones
 

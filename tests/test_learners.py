@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from cohortsense.core import ValidationError
 from cohortsense.learners import (
     Dataset,
-    NeighborTables,
     compute_metrics,
     kfold_cv,
     logreg_gradient,
@@ -33,15 +32,14 @@ def make_dataset(vectors, labels, pids=None):
     return Dataset(vectors=vectors, labels=labels, participant_ids=tuple(pids))
 
 
-def oracle_table(dataset, k):
-    """SMOTE's neighbour table for ``dataset`` with at most ``k`` columns,
-    from ``_minority_neighbors`` on its canonical minority rows."""
-    from cohortsense.learners.sampling import _minority_neighbors
-
+def minority_table(dataset, k, search):
+    """SMOTE's neighbour table for ``dataset`` with at most ``k`` columns:
+    ``search`` on its canonical minority rows, as ``smote`` runs
+    ``_tree_neighbors``."""
     zeros, ones = dataset.class_counts()
     order = dataset.canonical_order()
     minority = order[dataset.labels[order] == int(ones < zeros)]
-    return _minority_neighbors(dataset.vectors[minority], min(k, len(minority) - 1))
+    return search(dataset.vectors[minority], min(k, len(minority) - 1))
 
 
 def separable_fixture(n_per_class=10, gap=4.0, seed=3):
@@ -120,7 +118,7 @@ def test_metrics_random_oracle():
 
 def test_smote_balanced_input_unchanged():
     ds = separable_fixture()
-    out = smote(ds, oracle_table(ds, 5), seed=0)
+    out = smote(ds, 5, seed=0)
     assert out is ds
 
 
@@ -128,7 +126,7 @@ def test_smote_two_point_minority_interpolates_segment():
     vectors = [[0.0, 0.0], [1.0, 1.0], [5.0, 5.0], [6.0, 5.0], [5.5, 6.0], [6.5, 6.5]]
     labels = [1, 1, 0, 0, 0, 0]
     ds = make_dataset(vectors, labels)
-    out = smote(ds, oracle_table(ds, 5), seed=7)
+    out = smote(ds, 5, seed=7)
     assert out.class_counts() == (4, 4)
     synth = out.vectors[6:]
     for row in synth:
@@ -142,7 +140,7 @@ def test_smote_count_arithmetic():
     vectors = rng.normal(size=(120, 3))
     labels = np.array([1] * 30 + [0] * 90)
     ds = make_dataset(vectors, labels)
-    out = smote(ds, oracle_table(ds, 5), seed=1)
+    out = smote(ds, 5, seed=1)
     assert out.class_counts() == (90, 90)
     # originals unchanged, order preserved
     assert np.array_equal(out.vectors[:120], vectors)
@@ -190,33 +188,29 @@ def table_case(n0, n1, k_neighbors, folds, seed=0):
 @given(table_cases())
 @example(table_case(9, 2, 5, 2))  # n_min = 2, minority label 1
 @example(table_case(2, 7, 1, 2))  # n_min = 2, minority label 0
-@example(table_case(6, 6, 10, 6))  # balanced, k + t >= n_min - 1
-@example(table_case(30, 12, 10, 10))  # k + t >= n_min - 1 in every fold
+@example(table_case(6, 6, 10, 6))  # balanced, k >= n_min - 1
+@example(table_case(30, 12, 10, 10))  # k >= n_min - 1 in every fold
 def test_narrowed_tables_equal_the_training_minority_table(case):
+    """For the full set and every fold's training set, the table ``smote``
+    builds equals the brute-force oracle's, ties broken by index."""
+    from cohortsense.learners.sampling import _minority_neighbors, _tree_neighbors
+
     ds, k, folds = case
-    tables = NeighborTables(ds, k, folds)
     for seed in range(3):
         for test_idx in [np.empty(0, dtype=int)] + stratified_folds(ds, folds, seed):
             train = ds.subset(np.setdiff1d(np.arange(len(ds)), test_idx))
             if min(train.class_counts()) < 2:
                 continue
-            assert np.array_equal(tables.table(test_idx), oracle_table(train, k))
-
-
-def test_a_table_held_out_beyond_its_spare_width_is_refused():
-    # width k + ceil(10 / 10) = 3: row 0 loses all of 1, 2 and 3
-    ds = make_dataset(np.arange(30.0)[:, None], [1] * 10 + [0] * 20)
-    with pytest.raises(AssertionError, match="more neighbours than the table spares"):
-        NeighborTables(ds, 2, 10).table(np.array([1, 2, 3]))
+            built = minority_table(train, k, _tree_neighbors)
+            assert np.array_equal(built, minority_table(train, k, _minority_neighbors))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 39), st.integers(2, 39), st.integers(2, 10), st.integers(0, 2**32 - 1))
 def test_a_test_fold_holds_at_most_its_share_of_the_minority(n0, n1, folds, seed):
-    """The spare width of ``NeighborTables`` rests on this: for unequal
-    classes, a stratified test fold holds at most ceil(n_min / folds)
-    minority rows, and no training fold has more minority rows than
-    majority rows."""
+    """For unequal classes, a stratified test fold holds at most
+    ceil(n_min / folds) minority rows, and no training fold has more
+    minority rows than majority rows."""
     if n0 == n1:
         n1 += 1
     folds = min(folds, n0, n1)
@@ -245,17 +239,43 @@ def argsort_neighbors(points, k, block_rows):
 
 @pytest.mark.parametrize("block_rows", [1, 7, 256])
 def test_minority_neighbors_blocked_equals_dense(monkeypatch, block_rows):
+    """The brute oracle and the k-d search, each at every block size, give
+    the argsort reference on lattice points, duplicates and all."""
     from cohortsense.learners import sampling
 
     monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
     rng = np.random.default_rng(block_rows)
+    inputs = [np.full((9, 2), 0.5)]  # every row a duplicate of every other
     for n, dim in [(2, 1), (23, 2), (60, 3)]:
         # a coarse lattice, so that duplicates and distance ties are common
         points = rng.integers(0, 4, size=(n, dim)).astype(float)
         points[n // 2] = points[0]
+        inputs.append(points)
+    for points in inputs:
+        n = len(points)
         for k in range(1, n):
             expected = argsort_neighbors(points, k, block_rows)
-            assert np.array_equal(sampling._minority_neighbors(points, k), expected), (n, k)
+            for search in (sampling._minority_neighbors, sampling._tree_neighbors):
+                assert np.array_equal(search(points, k), expected), (search.__name__, n, k)
+
+
+def test_a_table_of_identical_rows_needs_no_quadratic_memory():
+    """3,000 identical rows are each other's neighbours at distance 0; the
+    search holds BLOCK_ROWS rows of candidates at a time, not all n x n."""
+    import tracemalloc
+
+    from cohortsense.learners.sampling import _tree_neighbors
+
+    points = np.zeros((3000, 2))
+    tracemalloc.start()
+    try:
+        table = _tree_neighbors(points, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # ties go to the lower index: rows 0-5 less the row itself, first five
+    assert np.array_equal(table, [[j for j in range(6) if j != i][:5] for i in range(3000)])
+    assert peak < 150e6, peak
 
 
 def key_order(dataset):
@@ -275,7 +295,7 @@ def test_canonical_order_sorts_row_ids_and_rejects_repeats():
         labels[:2] = 1
         pids = [f"P{i:03d}_w{int(rng.integers(1, 11)):02d}" for i in rng.permutation(n)]
         ds = make_dataset(rng.normal(size=(n, 2)), labels, pids)
-        ds = smote(ds, oracle_table(ds, 5), seed=trial)
+        ds = smote(ds, 5, seed=trial)
         ds = ds.subset(rng.permutation(len(ds)))  # originals and synthetics interleaved
         assert np.array_equal(ds.canonical_order(), key_order(ds))
     twice = make_dataset(np.zeros((3, 2)), [0, 1, 1], ("b", "a", "b"))
@@ -286,14 +306,16 @@ def test_canonical_order_sorts_row_ids_and_rejects_repeats():
 def test_smote_minority_too_small():
     ds = make_dataset([[0.0], [1.0], [2.0]], [1, 0, 0])
     with pytest.raises(ValidationError):
-        smote(ds, np.zeros((1, 1), dtype=int), seed=0)
+        smote(ds, 5, seed=0)
 
 
 def test_smote_rejects_a_table_of_another_shape():
+    """A table needs at least one neighbour column: k_neighbors < 1 is an
+    input error, not a failure inside the search."""
     ds = make_dataset([[0.0], [1.0], [2.0], [3.0], [4.0]], [1, 1, 0, 0, 0])
-    for table in (np.zeros((3, 1), dtype=int), np.zeros((2, 0), dtype=int)):
-        with pytest.raises(ValidationError, match="does not fit 2 minority rows"):
-            smote(ds, table, seed=0)
+    for k in (0, -1):
+        with pytest.raises(ValidationError, match="k_neighbors >= 1"):
+            smote(ds, k, seed=0)
 
 
 def test_smote_deterministic_and_order_independent():
@@ -301,10 +323,10 @@ def test_smote_deterministic_and_order_independent():
     vectors = rng.normal(size=(40, 4))
     labels = np.array([1] * 12 + [0] * 28)
     ds = make_dataset(vectors, labels)
-    out1 = smote(ds, oracle_table(ds, 5), seed=3)
+    out1 = smote(ds, 5, seed=3)
     perm = rng.permutation(40)
     shuffled = ds.subset(perm)
-    out2 = smote(shuffled, oracle_table(shuffled, 5), seed=3)
+    out2 = smote(shuffled, 5, seed=3)
     # synthetic tails must coincide as sets of rows
     tail1 = sorted(map(tuple, np.round(out1.vectors[40:], 12)))
     tail2 = sorted(map(tuple, np.round(out2.vectors[40:], 12)))
@@ -320,7 +342,7 @@ def test_smote_convex_hull_property():
         vectors = np.vstack([rng.normal(size=(n_min, d)), rng.normal(size=(n_maj, d))])
         labels = np.array([1] * n_min + [0] * n_maj)
         ds = make_dataset(vectors, labels)
-        out = smote(ds, oracle_table(ds, 5), seed=trial)
+        out = smote(ds, 5, seed=trial)
         minority = vectors[:n_min]
         lo, hi = minority.min(axis=0), minority.max(axis=0)
         synth = out.vectors[n_min + n_maj :]
@@ -653,8 +675,7 @@ def test_kfold_constant_classifier_metrics():
     def train_fn(datasets, seeds):
         return [_ConstantOne() for _ in datasets]
 
-    tables = NeighborTables(ds, 5, 4)
-    [(metrics, deployed)] = kfold_cv(ds, 4, [train_fn], seed=0, tables=tables, deployed=[(ds, 0)])
+    [(metrics, deployed)] = kfold_cv(ds, 4, [train_fn], seed=0, k_neighbors=5, deployed=[(ds, 0)])
     assert isinstance(deployed, _ConstantOne)
     assert metrics.accuracy == pytest.approx(0.5)
     assert metrics.recall == pytest.approx(1.0)

@@ -20,7 +20,7 @@ import pytest
 from cohortsense import ensemble
 from cohortsense.core import EngineConfig, LearnerConfig, ValidationError
 from cohortsense.ensemble import ModelPool, _fit_set, _set_to_json, refresh_generic
-from cohortsense.learners import Dataset, NeighborTables, linear, model_to_json, smote, validation
+from cohortsense.learners import Dataset, linear, model_to_json, smote, validation
 from cohortsense.learners.base import KIND_ORDER, derive_seed
 
 DIGESTS = {
@@ -144,7 +144,6 @@ def test_fit_set_kinds_share_one_split(monkeypatch):
     assert len(smote_calls) == k + 4  # was 4 * (k + 1), each kind SMOTEing its own folds
     folds = received[KIND_ORDER[0]][:-1]
     assert len(folds) == k
-    table = NeighborTables(dataset, FIT_CONFIG.smote_neighbors, k).table()
     for kind in KIND_ORDER:
         *kind_folds, (deployed, vectors, labels) = received[kind]
         for (ds, ds_vectors, ds_labels), (_, fold_vectors, fold_labels) in zip(kind_folds, folds):
@@ -155,7 +154,7 @@ def test_fit_set_kinds_share_one_split(monkeypatch):
             assert np.array_equal(ds.labels, fold_labels)
         # the deployed set is SMOTE-balanced with the kind's own seed
         kind_seed = derive_seed(FIT_CONFIG.rng_seed, "train", "generic", kind.value, 5)
-        own = smote(dataset, table, derive_seed(kind_seed, "smote"))
+        own = smote(dataset, FIT_CONFIG.smote_neighbors, derive_seed(kind_seed, "smote"))
         assert np.array_equal(vectors, own.vectors) and np.array_equal(labels, own.labels)
         assert deployed.participant_ids == own.participant_ids
 

@@ -24,7 +24,6 @@ from scipy.stats import binom, chisquare
 from cohortsense.core import ValidationError
 from cohortsense.learners import (
     Dataset,
-    NeighborTables,
     kfold_cv,
     model_from_json,
     model_to_json,
@@ -187,9 +186,8 @@ def test_kfold_cv_with_smote_digest(name, kind):
         return models
 
     dataset = DATASETS[name]()
-    tables = NeighborTables(dataset, 5, 5)
     [(metrics, deployed)] = kfold_cv(
-        dataset, 5, [train_fn], seed=13, tables=tables, deployed=[(dataset, 17)]
+        dataset, 5, [train_fn], seed=13, k_neighbors=5, deployed=[(dataset, 17)]
     )
     assert deployed is fitted[-1]
     # the pins were recorded before CV trained a deployed model too
