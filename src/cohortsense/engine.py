@@ -372,11 +372,13 @@ def run_replay(
     """Fold `step` over consecutive weekly batches, writing reports as files.
 
     Accepts either a fresh config or a loaded state (resume). Batches must
-    cover consecutive weeks continuing from the state's current week. On a
-    resume, `runlog.jsonl` and `summary.csv` keep the lines an earlier run
-    wrote for the weeks already done, and the charts are drawn from every
-    week's summary rows, so the files match those of an uninterrupted
-    replay; a fresh replay starts them anew.
+    cover consecutive weeks continuing from the state's current week. Each
+    week's files are written, and its lines appended to `runlog.jsonl` and
+    `summary.csv`, as the week completes, before its checkpoint is saved.
+    A fresh replay starts both logs anew; a resume keeps their lines of the
+    weeks already done, so that resuming an interrupted run into its own
+    directory gives the files of an uninterrupted replay. The `plot`
+    charts are drawn at the end, from every week's summary rows.
     """
     if isinstance(config_or_state, EngineState):
         state = config_or_state
@@ -395,10 +397,9 @@ def run_replay(
         expected += 1
 
     out = Path(out_dir) if out_dir is not None else None
-    start_week = state.current_week
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        reporting.start_run_log(out, keep_through=start_week)
+        reporting.start_run_log(out, keep_through=state.current_week)
 
     reports: list[WeeklyReport] = []
     for batch in batches:
@@ -409,10 +410,9 @@ def run_replay(
             reporting.write_clusters(out, report)
             reporting.write_votes(out, report)
             reporting.append_run_log(out, report)
+            reporting.write_summary(out, report)
         if checkpoint_path is not None:
             save(state, checkpoint_path)
-    if out is not None and reports:
-        reporting.write_summary(out, reports, keep_through=start_week)
-        if plot:
-            reporting.write_metric_charts(out)
+    if out is not None and plot and reports:
+        reporting.write_metric_charts(out)
     return reports, state

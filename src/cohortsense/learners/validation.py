@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,9 +22,6 @@ class Metrics:
     fp: int
     fn: int
     tn: int
-
-    def as_row(self) -> dict:
-        return asdict(self)
 
 
 def compute_metrics(predictions, labels) -> Metrics:

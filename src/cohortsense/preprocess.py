@@ -181,11 +181,6 @@ class FittedPipeline:
     scaler: FittedScaler
     projector: FittedProjector
 
-    def block_width(self) -> int:
-        return len(self.continuous_features) + sum(
-            len(v) for v in self.vocabularies.values()
-        )
-
 
 def _segment_mean_matrix(
     batch: WeeklyBatch,
@@ -217,21 +212,20 @@ def _segment_mean_matrix(
     participant, segment = batch.participants[rows][order], batch.segments[rows][order]
 
     present, member = np.unique(participant, return_inverse=True)
-    width, nseg = full.shape[1], len(SEGMENT_ORDER)
-    matrix = np.zeros((len(present), nseg, width))
-    filled = np.zeros((len(present), nseg), dtype=bool)
-    group = participant * nseg + segment
-    bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(group)]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        i, s = member[start], segment[start]
-        matrix[i, s] = full[start:stop].sum(axis=0) / (stop - start)
-        filled[i, s] = True
-    first = np.searchsorted(participant, present)
-    last = np.searchsorted(participant, present, side="right")
-    for i, s in zip(*np.nonzero(~filled)):
-        matrix[i, s] = full[first[i] : last[i]].sum(axis=0) / (last[i] - first[i])
+    n, width, nseg = len(present), full.shape[1], len(SEGMENT_ORDER)
+    column, cell = np.arange(width), member * nseg + segment
+
+    def binned_sums(keys: np.ndarray, bins: int) -> np.ndarray:
+        # bincount adds each bin's rows in row order, as a slice's sum over axis 0 does
+        flat = (keys[:, None] * width + column).ravel()
+        return np.bincount(flat, weights=full.ravel(), minlength=bins * width)
+
+    sums = binned_sums(cell, n * nseg).reshape(n, nseg, width)
+    counts = np.bincount(cell, minlength=n * nseg).reshape(n, nseg, 1)
+    overall = binned_sums(member, n).reshape(n, 1, width) / np.bincount(member).reshape(n, 1, 1)
+    matrix = np.where(counts > 0, sums / np.maximum(counts, 1), overall)
     pids = [batch.participant_ids[c] for c in present.tolist()]
-    return pids, matrix.reshape(len(present), nseg * width)
+    return pids, matrix.reshape(n, nseg * width)
 
 
 def _clean(batch: WeeklyBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,96 +16,68 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .engine import WeeklyReport
 
-REPORT_COLUMNS = (
-    "scope",
-    "cohort",
-    "kind",
-    "accuracy",
-    "precision",
-    "recall",
-    "f1",
-    "tp",
-    "fp",
-    "fn",
-    "tn",
-)
+METRICS = ("accuracy", "precision", "recall", "f1")
+REPORT_COLUMNS = ("scope", "cohort", "kind", *METRICS, "tp", "fp", "fn", "tn")
+SUMMARY_COLUMNS = ("week", "scope", "cohort", "kind", *METRICS)
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_weekly_report(out_dir: str | Path, report: "WeeklyReport") -> Path:
-    path = Path(out_dir) / f"report_week_{report.week}.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for row in report.eval_rows:
-            m = row.metrics
-            writer.writerow(
-                [
-                    row.scope,
-                    row.cohort,
-                    row.kind,
-                    _fmt(m.accuracy),
-                    _fmt(m.precision),
-                    _fmt(m.recall),
-                    _fmt(m.f1),
-                    m.tp,
-                    m.fp,
-                    m.fn,
-                    m.tn,
-                ]
-            )
+def _write_rows(path: Path, rows: list, mode: str = "w") -> Path:
+    with open(path, mode, newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
     return path
+
+
+def write_weekly_report(out_dir: str | Path, report: "WeeklyReport") -> Path:
+    rows = [REPORT_COLUMNS]
+    for row in report.eval_rows:
+        m = row.metrics
+        scores = [_fmt(getattr(m, name)) for name in METRICS]
+        rows.append([row.scope, row.cohort, row.kind, *scores, m.tp, m.fp, m.fn, m.tn])
+    return _write_rows(Path(out_dir) / f"report_week_{report.week}.csv", rows)
 
 
 def write_clusters(out_dir: str | Path, report: "WeeklyReport") -> Path:
-    path = Path(out_dir) / f"clusters_week_{report.week}.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point_id", "cohort_label"])
-        for point_id in sorted(report.assignments):
-            label = report.assignments[point_id]
-            writer.writerow([point_id, label if label is not None else "noise"])
-    return path
+    rows = [["point_id", "cohort_label"]]
+    for point_id in sorted(report.assignments):
+        label = report.assignments[point_id]
+        rows.append([point_id, label if label is not None else "noise"])
+    return _write_rows(Path(out_dir) / f"clusters_week_{report.week}.csv", rows)
 
 
 def write_votes(out_dir: str | Path, report: "WeeklyReport") -> Path:
-    path = Path(out_dir) / f"votes_week_{report.week}.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["participant_id", "prediction", "rule_used", "n_voters"])
-        for pid in sorted(report.votes):
-            outcome = report.votes[pid]
-            writer.writerow(
-                [pid, outcome.prediction, outcome.rule_used, len(outcome.tally)]
-            )
-    return path
+    rows = [["participant_id", "prediction", "rule_used", "n_voters"]]
+    for pid in sorted(report.votes):
+        outcome = report.votes[pid]
+        rows.append([pid, outcome.prediction, outcome.rule_used, len(outcome.tally)])
+    return _write_rows(Path(out_dir) / f"votes_week_{report.week}.csv", rows)
 
 
-def _lines_through(path: Path, keep_through: int, week_pattern: str) -> list[str]:
-    """Lines of an existing file whose week, matched by `week_pattern`'s
-    group, is at most keep_through; none when keep_through is 0."""
-    if keep_through <= 0 or not path.exists():
-        return []
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = fh.read().splitlines(keepends=True)
-    return [
-        line
-        for line in lines
-        if (m := re.search(week_pattern, line)) and int(m.group(1)) <= keep_through
-    ]
+def start_run_log(out_dir: str | Path, keep_through: int = 0) -> None:
+    """Start the logs that grow by one block of lines per week.
 
-
-def start_run_log(out_dir: str | Path, keep_through: int = 0) -> Path:
-    """Start `runlog.jsonl`: empty for a fresh replay; on a resume, the
-    existing lines of weeks up to keep_through."""
-    path = Path(out_dir) / "runlog.jsonl"
-    kept = _lines_through(path, keep_through, r'"week": (\d+)\}$')
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(kept)
-    return path
+    A fresh replay gets an empty `runlog.jsonl` and a `summary.csv` that
+    holds only its header. On a resume, each keeps the lines of weeks up
+    to keep_through from the existing file, if any.
+    """
+    logs = (
+        ("runlog.jsonl", "", r'"week": (\d+)\}$'),
+        ("summary.csv", ",".join(SUMMARY_COLUMNS) + "\r\n", r"^(\d+),"),
+    )
+    for name, header, week_pattern in logs:
+        path = Path(out_dir) / name
+        lines = []
+        if keep_through > 0 and path.exists():
+            with open(path, newline="", encoding="utf-8") as fh:
+                lines = fh.read().splitlines(keepends=True)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(header)
+            for line in lines:
+                if (m := re.search(week_pattern, line)) and int(m.group(1)) <= keep_through:
+                    fh.write(line)
 
 
 def append_run_log(out_dir: str | Path, report: "WeeklyReport") -> Path:
@@ -117,68 +89,23 @@ def append_run_log(out_dir: str | Path, report: "WeeklyReport") -> Path:
     return path
 
 
-def summary_rows(reports: list["WeeklyReport"]) -> list[dict]:
-    """Per week: generic kinds, mean specialized F1 per kind, and voting."""
-
-    def row(week: int, scope: str, kind: str, group: list) -> dict:
-        means = {
-            name: sum(getattr(m, name) for m in group) / len(group)
-            for name in ("accuracy", "precision", "recall", "f1")
-        }
-        return {"week": week, "scope": scope, "cohort": "", "kind": kind, **means}
-
-    rows: list[dict] = []
-    for report in reports:
-        by_kind: dict[str, list] = {}
-        for er in report.eval_rows:
-            if er.scope == "specialized":
-                by_kind.setdefault(er.kind, []).append(er.metrics)
-        rows.extend(
-            row(report.week, "generic", er.kind, [er.metrics])
-            for er in report.eval_rows
-            if er.scope == "generic"
-        )
-        rows.extend(
-            row(report.week, "specialized_mean", kind, by_kind[kind]) for kind in sorted(by_kind)
-        )
-        rows.extend(
-            row(report.week, "voting", er.kind, [er.metrics])
-            for er in report.eval_rows
-            if er.scope == "voting"
-        )
-    return rows
-
-
-def write_summary(
-    out_dir: str | Path, reports: list["WeeklyReport"], keep_through: int = 0
-) -> Path:
-    """Write `summary.csv` for `reports`.
-
-    With keep_through > 0 (a resumed replay), the rows of weeks up to
-    keep_through are first copied verbatim from the existing file, if any.
-    """
-    path = Path(out_dir) / "summary.csv"
-    kept = _lines_through(path, keep_through, r"^(\d+),")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["week", "scope", "cohort", "kind", "accuracy", "precision", "recall", "f1"]
-        )
-        fh.writelines(kept)
-        for row in summary_rows(reports):
-            writer.writerow(
-                [
-                    row["week"],
-                    row["scope"],
-                    row["cohort"],
-                    row["kind"],
-                    _fmt(row["accuracy"]),
-                    _fmt(row["precision"]),
-                    _fmt(row["recall"]),
-                    _fmt(row["f1"]),
-                ]
-            )
-    return path
+def write_summary(out_dir: str | Path, report: "WeeklyReport") -> Path:
+    """Append the week's rows to `summary.csv`: the generic kinds, the mean
+    specialized metrics per kind, and voting."""
+    by_kind: dict[str, list] = {}
+    for er in report.eval_rows:
+        if er.scope == "specialized":
+            by_kind.setdefault(er.kind, []).append(er.metrics)
+    groups = [
+        *((er.scope, er.kind, [er.metrics]) for er in report.eval_rows if er.scope == "generic"),
+        *(("specialized_mean", kind, by_kind[kind]) for kind in sorted(by_kind)),
+        *((er.scope, er.kind, [er.metrics]) for er in report.eval_rows if er.scope == "voting"),
+    ]
+    rows = []
+    for scope, kind, group in groups:
+        means = [sum(getattr(m, name) for m in group) / len(group) for name in METRICS]
+        rows.append([report.week, scope, "", kind, *map(_fmt, means)])
+    return _write_rows(Path(out_dir) / "summary.csv", rows, mode="a")
 
 
 def svg_line_chart(
@@ -245,7 +172,7 @@ def write_metric_charts(out_dir: str | Path) -> list[Path]:
     with open(Path(out_dir) / "summary.csv", newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.DictReader(fh) if r["scope"] in ("generic", "voting")]
     out = []
-    for metric in ("accuracy", "precision", "recall", "f1"):
+    for metric in METRICS:
         series: dict[str, list[tuple[int, float]]] = {}
         for row in rows:
             name = "voting" if row["scope"] == "voting" else f"generic_{row['kind']}"

@@ -5,11 +5,13 @@ columnar `WeeklyBatch` replaced, where every row was an object holding a
 dict of floats and a dict of tokens. Any change to a fence, a median, a
 mode, a one-hot block, the order of a segment-mean sum, a generator draw
 or a written cell changes them. The replay digests pin a whole 2-week
-`replay` through `main`: every output file, and the checkpoint without
-its GBT models, both recorded before GBT moved to (binned row, label)
-groups, which changed those models' last bits and nothing else. The
-checkpoint digest was recorded again when the four kinds came to share
-one CV split per set, which changed the validation F1s and nothing else.
+`replay --plot` through `main`: every output file but the charts, and
+the checkpoint without its GBT models, both recorded before GBT moved to
+(binned row, label) groups, which changed those models' last bits and
+nothing else. The checkpoint digest was recorded again when the four
+kinds came to share one CV split per set, which changed the validation
+F1s and nothing else. The four charts have their own digest, recorded
+before `summary.csv` came to be appended week by week.
 """
 
 import gzip
@@ -102,6 +104,8 @@ DIGESTS = {
     # every output file, then the checkpoint JSON with its GBT models removed
     "replay/files": "ab7366fe526db8c7a25cf4a35246a345881cf8f7c5542193e2fa6b187f6a628d",
     "replay/checkpoint_without_gbt": "864afdd79d4a5493c5c077f28016a22c6ece1067c8009ceb6f4bf65376e78124",
+    # the four `--plot` charts of the same replay
+    "replay/charts": "9f38c82c7f1c4e9cc43ce60a6d637b9be25290b77cfa31692f4e55accfdcdabd",
 }
 
 # every file of the default `synth --seed 42` (205 participants, 10 weeks),
@@ -175,14 +179,16 @@ def test_replay_writes_the_pinned_files(tmp_path):
     (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
     out, checkpoint = tmp_path / "out", tmp_path / "state.json.gz"
     argv = ["replay", "--config", str(tmp_path / "config.json"), "--data-dir", str(data),
-            "--out-dir", str(out), "--checkpoint", str(checkpoint)]
+            "--out-dir", str(out), "--checkpoint", str(checkpoint), "--plot"]
     assert main(argv) == 0
-    files = hashlib.sha256()
+    files, charts = hashlib.sha256(), hashlib.sha256()
     for path in sorted(out.iterdir()):
-        files.update(f"{path.name}\n".encode() + path.read_bytes())
+        pin = charts if path.name.startswith("chart_") else files
+        pin.update(f"{path.name}\n".encode() + path.read_bytes())
     state = json.loads(gzip.decompress(checkpoint.read_bytes()))
     pool = state["pool"]
     for model_set in [pool["generic"], *pool["specialized"].values()]:
         del model_set["models"]["gbt"]
     assert files.hexdigest() == DIGESTS["replay/files"]
+    assert charts.hexdigest() == DIGESTS["replay/charts"]
     assert sha(state) == DIGESTS["replay/checkpoint_without_gbt"]

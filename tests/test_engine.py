@@ -8,6 +8,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -557,11 +558,12 @@ def test_resumed_replay_same_files_as_straight(tmp_path, profiles):
 
 
 def test_fresh_replay_ignores_old_summary(tmp_path, mini_batches):
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / "summary.csv").write_text("week,scope\r\n1,stale\r\n", encoding="utf-8")
-    run_replay(FAST_CONFIG, mini_batches[:1], out_dir=out)
-    assert "stale" not in (out / "summary.csv").read_text(encoding="utf-8")
+    for weeks in (1, 0):
+        out = tmp_path / f"out_{weeks}"
+        out.mkdir()
+        (out / "summary.csv").write_text("week,scope\r\n1,stale\r\n", encoding="utf-8")
+        run_replay(FAST_CONFIG, mini_batches[:weeks], out_dir=out)
+        assert "stale" not in (out / "summary.csv").read_text(encoding="utf-8")
 
 
 def test_run_log_restarts_on_a_fresh_replay_and_keeps_done_weeks_on_resume(tmp_path, profiles):
@@ -650,20 +652,47 @@ def four_week_run(profiles, tmp_path_factory):
     return batches, root
 
 
-@settings(max_examples=6, deadline=None)
-@given(boundary=st.integers(1, 3), longer_run_in_dir=st.booleans())
+class Interrupted(Exception):
+    pass
+
+
+def _step_until(boundary: int):
+    """`step` that stops the replay at week boundary + 1, after the files
+    and checkpoint of week boundary are written."""
+
+    def stepped(state, batch):
+        if batch.week > boundary:
+            raise Interrupted
+        return step(state, batch)
+
+    return stepped
+
+
+@settings(max_examples=9, deadline=None)
+@given(
+    boundary=st.integers(1, 3),
+    first_run=st.sampled_from(["completed", "longer", "interrupted"]),
+)
 def test_resume_from_every_week_boundary_gives_the_straight_files(
-    four_week_run, boundary, longer_run_in_dir
+    four_week_run, boundary, first_run
 ):
     batches, root = four_week_run
     straight = root / "straight"
+    checkpoint = root / f"week_{boundary}.csk"
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        if longer_run_in_dir:
+        if first_run == "longer":
             shutil.copytree(straight, out)
+        elif first_run == "interrupted":
+            # a 4-week run stopped in week boundary + 1, resumed from its own checkpoint
+            checkpoint = Path(tmp) / "interrupted.csk"
+            with mock.patch.object(engine, "step", _step_until(boundary)):
+                with pytest.raises(Interrupted):
+                    run_replay(FAST_CONFIG, batches, out_dir=out, checkpoint_path=checkpoint,
+                               plot=True)
         else:
             run_replay(FAST_CONFIG, batches[:boundary], out_dir=out, plot=True)
-        run_replay(load(root / f"week_{boundary}.csk"), batches[boundary:], out_dir=out, plot=True)
+        run_replay(load(checkpoint), batches[boundary:], out_dir=out, plot=True)
         names = sorted(p.name for p in straight.iterdir())
         assert names == sorted(p.name for p in out.iterdir())
         for name in names:

@@ -326,7 +326,7 @@ def test_vectorize_identical_records_equals_single_profile_projection():
     assert pids == ["p0", "p1", "p2"]
 
     # p0's vector equals the projection of its constant segment profile
-    width = pipeline.block_width()
+    width = len(pipeline.continuous_features) + sum(map(len, pipeline.vocabularies.values()))
     raw = np.tile([0.2, 0.9], 4)
     assert width * 4 == len(raw)
     scaled = scaler_apply(pipeline.scaler, raw[None, :])

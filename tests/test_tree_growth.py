@@ -14,6 +14,7 @@ descent, and the SVM CV digests when the SVM moved to the same solver on
 the squared hinge.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -191,7 +192,7 @@ def test_kfold_cv_with_smote_digest(name, kind):
     )
     assert deployed is fitted[-1]
     # the pins were recorded before CV trained a deployed model too
-    doc = {"metrics": metrics.as_row(), "models": [model_to_json(m) for m in fitted[:-1]]}
+    doc = {"metrics": dataclasses.asdict(metrics), "models": [model_to_json(m) for m in fitted[:-1]]}
     assert digest(doc) == DIGESTS[f"{name}/cv/{kind}"]
 
 
