@@ -16,14 +16,17 @@ root come from one pair of ``bincount`` calls, and each tree is the one
 a one-root call grows. A forest node bins only the features it drew; the
 last level bins one feature, since leaves read node totals only. Every
 forest draw, bootstrap row or feature rank, is a hash of (tree key,
-purpose, counter), so no tree needs a generator of its own. A pass sees
-at most ``PASS_ROWS`` rows (bootstrap draws for a forest, groups for
-GBT), which bounds its memory. A model keeps all its trees in one
-stacked ``NodeTable``, gathered from the grower's raw node tables by one
-stable sort per trainer call. Split candidates are the midpoints between
-distinct sorted feature values, capped at 32 quantile bins per feature
-for large cardinalities; search is exact over those candidates (Gini
-for classification, squared error for regression).
+purpose, counter), so no tree needs a generator of its own; the hash of
+a prefix that many draws share is folded once. ``PASS_ROWS`` bounds
+memory twice over: a forest draws its bootstraps in chunks of at most
+that many draws, and a grower pass holds at most that many rows, the
+(tree, group) slots the draws hit for a forest, groups for GBT. A tree
+with more rows than that gets a pass of its own. A model keeps all its
+trees in one stacked ``NodeTable``, gathered from the grower's raw node
+tables by one stable sort per trainer call. Split candidates are the
+midpoints between distinct sorted feature values, capped at 32 quantile
+bins per feature for large cardinalities; search is exact over those
+candidates (Gini for classification, squared error for regression).
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from ..core import ValidationError
 from .base import Dataset, ModelKind, check_batch, require_both_classes
 
 MAX_BINS = 32
-PASS_ROWS = 20_000  # bootstrap draws or groups, summed over roots, grown in one pass
+# bootstrap draws per forest chunk; (tree, group) slots or GBT groups,
+# summed over roots, per grower pass
+PASS_ROWS = 20_000
 
 # SplitMix64's increment and finalizer multipliers (Steele, Lea & Flood 2014)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -44,17 +49,24 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
+def _fold(h: np.ndarray, w) -> np.ndarray:
+    """One step of SplitMix64's finalizer: the word ``w``, an int or an
+    integer array, folded into the hashes ``h``. It is a bijection of
+    ``w``, so words that differ never collide."""
+    z = h ^ (np.asarray(w, dtype=np.uint64) + _GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * _MIX_1
+    z = (z ^ (z >> np.uint64(27))) * _MIX_2
+    return z ^ (z >> np.uint64(31))
+
+
 def _hash(*words) -> np.ndarray:
-    """SplitMix64's finalizer folded over ``words``, ints or integer arrays
-    that broadcast together. One must be an array: uint64 scalar products
-    warn on the wraparound the hash relies on. Each step is a bijection of
-    its word, so words that differ only in the last one never collide."""
+    """``_fold`` over ``words``, ints or integer arrays that broadcast
+    together, from zero. One must be an array: uint64 scalar products warn
+    on the wraparound the hash relies on. A hash of a prefix of the words
+    can be folded on, so a prefix shared by many hashes is folded once."""
     h = np.zeros(np.broadcast_shapes(*(np.shape(w) for w in words)), dtype=np.uint64)
     for w in words:
-        z = h ^ (np.asarray(w, dtype=np.uint64) + _GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * _MIX_1
-        z = (z ^ (z >> np.uint64(27))) * _MIX_2
-        h = z ^ (z >> np.uint64(31))
+        h = _fold(h, w)
     return h
 
 
@@ -65,20 +77,23 @@ def _tree_keys(seed: int, n_trees: int) -> np.ndarray:
 
 def _bootstrap(keys: np.ndarray, sizes: list[int]) -> np.ndarray:
     """Tree after tree, the ``sizes[t]`` bootstrap draws of tree ``keys[t]``
-    from ``range(sizes[t])``: draw j scales the hash's high 32 bits."""
+    from ``range(sizes[t])``: draw j scales the high 32 bits of the hash
+    of (key, 0, j)."""
     n = np.repeat(np.asarray(sizes, dtype=np.uint64), sizes)
     j = np.arange(n.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    high = _hash(np.repeat(keys, sizes), 0, j) >> np.uint64(32)
+    high = _fold(np.repeat(_hash(keys, 0), sizes), j) >> np.uint64(32)
     return ((high * n) >> np.uint64(32)).astype(np.int64)
 
 
 def _drawn_features(
-    keys: np.ndarray, depth: int, place: np.ndarray, d: int, k: int
+    keys: np.ndarray, owner: np.ndarray, depth: int, place: np.ndarray, d: int, k: int
 ) -> np.ndarray:
-    """The ``k`` of ``d`` features, ascending, drawn by the node at
-    ``place`` among the depth-``depth`` nodes of tree ``keys[i]``: the
-    ``k`` lowest hashes of (key, depth + 1, place, feature)."""
-    ranks = _hash(keys[:, None], depth + 1, place[:, None], np.arange(d))
+    """The ``k`` of ``d`` features, ascending, drawn by each node: node i
+    is the one at ``place[i]`` among the depth-``depth`` nodes of tree
+    ``keys[owner[i]]``, and draws the ``k`` lowest hashes of (key,
+    depth + 1, place, feature)."""
+    prefix = _hash(keys, depth + 1)[owner]
+    ranks = _fold(_fold(prefix, place)[:, None], np.arange(d))
     return np.sort(np.argsort(ranks, axis=1, kind="stable")[:, :k], axis=1)
 
 
@@ -291,6 +306,7 @@ def _group(binned: np.ndarray, y: np.ndarray, sizes: list[int]) -> tuple[np.ndar
     return group, order[starts], count, np.bincount(ranked[new, 0], minlength=len(sizes))
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # empty bins score 0/0, set to -inf below
 def _grow(
     binned: np.ndarray,
     root_rows: list[int],
@@ -348,26 +364,27 @@ def _grow(
     for depth in range(max_depth + 1):
         m = owner.size
 
-        # each node's candidate features, ascending
-        if depth == max_depth:
-            feats = np.zeros((m, 1), dtype=np.int64)
-        elif keys is None:
-            feats = np.arange(d)[None, :].repeat(m, axis=0)
+        # each row's histogram bin for each candidate feature of its node
+        if depth == max_depth:  # leaves read node totals only: feature 0's bins
+            k = 1
+            flat = loc * B + binned[rows, 0]
+            w_cnt, w_sum = weight[rows], weighted[rows]
         else:
-            per_root = np.bincount(owner, minlength=n_roots)
-            place = np.arange(m) - (np.cumsum(per_root) - per_root)[owner]
-            feats = _drawn_features(keys[owner], depth, place, d, features_per_split)
-        k = feats.shape[1]
-
-        if k == d:  # every feature, in order
-            flat = (loc * (d * B))[:, None] + offset[rows]
-        else:
-            flat = ((loc * k)[:, None] + np.arange(k)) * B + binned[rows[:, None], feats[loc]]
-        flat = flat.ravel()
+            if keys is None:  # every feature, in order
+                k = d
+                flat = (loc * (d * B))[:, None] + offset[rows]
+            else:
+                k = features_per_split
+                per_root = np.bincount(owner, minlength=n_roots)
+                place = np.arange(m) - (np.cumsum(per_root) - per_root)[owner]
+                feats = _drawn_features(keys, owner, depth, place, d, k)
+                flat = ((loc * k)[:, None] + np.arange(k)) * B
+                flat += binned[rows[:, None], feats[loc]]
+            flat = flat.ravel()
+            w_cnt, w_sum = np.repeat(weight[rows], k), np.repeat(weighted[rows], k)
         size = m * k * B
-        cnt = np.bincount(flat, weights=np.repeat(weight[rows], k), minlength=size)
-        wgt = np.bincount(flat, weights=np.repeat(weighted[rows], k), minlength=size)
-
+        cnt = np.bincount(flat, weights=w_cnt, minlength=size)
+        wgt = np.bincount(flat, weights=w_sum, minlength=size)
         cum_n = np.cumsum(cnt.reshape(m, k, B), axis=2)
         cum_w = np.cumsum(wgt.reshape(m, k, B), axis=2)
         node_n = cum_n[:, 0, -1]
@@ -379,7 +396,7 @@ def _grow(
         else:
             value = node_w / np.maximum(node_n, 1.0)
         out[rows] = value[loc]
-        feature, left, right = (np.full(m, -1, dtype=np.int64) for _ in range(3))
+        feature, left, right = np.full((3, m), -1, dtype=np.int64)
         threshold = np.zeros(m)
         levels.append((owner, feature, threshold, left, right, value))
 
@@ -390,14 +407,14 @@ def _grow(
         wL = cum_w[:, :, :-1]
         nR = node_n[:, None, None] - nL
         wR = node_w[:, None, None] - wL
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if classification:
-                score = (wL**2 + (nL - wL) ** 2) / nL + (wR**2 + (nR - wR) ** 2) / nR
-                parent = (node_w**2 + (node_n - node_w) ** 2) / node_n
-            else:
-                score = wL**2 / nL + wR**2 / nR
-                parent = node_w**2 / node_n
-        score[(nL == 0) | (nR == 0) | ~edge_ok[owner[:, None], feats]] = -np.inf
+        if classification:
+            score = (wL**2 + (nL - wL) ** 2) / nL + (wR**2 + (nR - wR) ** 2) / nR
+            parent = (node_w**2 + (node_n - node_w) ** 2) / node_n
+        else:
+            score = wL**2 / nL + wR**2 / nR
+            parent = node_w**2 / node_n
+        ok = edge_ok[owner] if keys is None else edge_ok[owner[:, None], feats]
+        score[(nL == 0) | (nR == 0) | ~ok] = -np.inf
 
         flat_score = score.reshape(m, -1)
         flat_best = flat_score.argmax(axis=1)
@@ -409,7 +426,8 @@ def _grow(
             break
         b_best = np.zeros(m, dtype=np.int64)
         b_best[split] = flat_best[split] % (B - 1)
-        feature[split] = feats[split, flat_best[split] // (B - 1)]
+        column = flat_best[split] // (B - 1)
+        feature[split] = column if keys is None else feats[split, column]
         threshold[split] = edge_values[owner[split], feature[split], b_best[split]]
         first += m
         left[split] = first + 2 * np.arange(split.size)
@@ -456,12 +474,13 @@ def train_random_forest(
     Rows are canonicalized before any seeded draw, so a forest is
     independent of input row order. Single-class data is allowed and
     yields a constant predictor. The trees of every dataset are laid out
-    dataset after dataset and grown PASS_ROWS bootstrap draws at a time,
-    so a pass may hold trees of several datasets; each root reads its own
-    dataset's thresholds, and forest i equals the forest of
-    ``datasets[i]`` trained alone. Counts and 0/1 label sums are exact in
-    any order, so growing on groups gives the trees that growing on the
-    distinct drawn rows gave.
+    dataset after dataset. Their bootstraps are drawn PASS_ROWS draws at
+    a time, and the trees are grown PASS_ROWS (tree, group) slots at a
+    time, so a pass may hold trees of several chunks and datasets; each
+    root reads its own dataset's thresholds, and forest i equals the
+    forest of ``datasets[i]`` trained alone. Counts and 0/1 label sums
+    are exact in any order, so growing on groups gives the trees that
+    growing on the distinct drawn rows gave.
     """
     check_batch(datasets, seeds, "random forest")
     if any(len(ds) == 0 for ds in datasets):
@@ -487,8 +506,9 @@ def train_random_forest(
     owner = np.repeat(np.arange(len(canon)), n_trees)
     keys = np.concatenate([_tree_keys(seed, n_trees) for seed in seeds])
     root_rows = [sizes[i] for i in owner.tolist()]
-    parts = []
-    for run in _passes(root_rows):
+    parts, held = [], []  # held: (root, first row, draws) of each slot drawn, not yet grown
+    chunks = _passes(root_rows)
+    for c, run in enumerate(chunks):
         sizes_run, roots = root_rows[run], owner[run]
         # each tree's groups take consecutive slots: its slot s is group s + shift
         slots_per_tree = n_groups[roots]
@@ -499,15 +519,27 @@ def train_random_forest(
         # each tree keeps the groups it drew, ascending, weighted by their draws
         slots = np.nonzero(counts)[0]
         tree = np.repeat(np.arange(len(sizes_run)), slots_per_tree)[slots]
-        rows = first[slots + shift[tree]]
-        part, _ = _grow(
-            binned[rows], np.bincount(tree, minlength=len(sizes_run)).tolist(),
-            edge_values[roots], edge_ok[roots], y[rows], counts[slots].astype(float),
-            np.arange(len(owner))[run], max_depth, classification=True,
-            keys=keys[run] if features_per_split < d else None,
-            features_per_split=features_per_split,
-        )
-        parts.append(part)
+        held.append((run.start + tree, first[slots + shift[tree]], counts[slots]))
+        root, rows, weight = (np.concatenate(col) for col in zip(*held))
+        # every tree draws a row, so the held trees are roots root[0] onward
+        per_root = np.bincount(root - root[0])
+        ends = np.cumsum(per_root)
+        passes = _passes(per_root.tolist())
+        if c + 1 < len(chunks):  # the last pass may still take trees of the next chunk
+            passes, rest = passes[:-1], passes[-1]
+            a = ends[rest.start] - per_root[rest.start]
+            held = [(root[a:], rows[a:], weight[a:])]
+        for p in passes:
+            a, b = ends[p.start] - per_root[p.start], ends[p.stop - 1]
+            grown = slice(root[0] + p.start, root[0] + p.stop)
+            part, _ = _grow(
+                binned[rows[a:b]], per_root[p].tolist(), edge_values[owner[grown]],
+                edge_ok[owner[grown]], y[rows[a:b]], weight[a:b].astype(float),
+                np.arange(len(owner))[grown], max_depth, classification=True,
+                keys=keys[grown] if features_per_split < d else None,
+                features_per_split=features_per_split,
+            )
+            parts.append(part)
     return [ForestModel(nodes) for nodes in _collect(parts, len(canon), n_trees)]
 
 

@@ -17,6 +17,7 @@ the squared hinge.
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,13 +300,53 @@ def test_bootstrap_counts_fit_the_multinomial():
 
 def test_each_feature_is_drawn_equally_often():
     d, k, n_trees, nodes = 16, 4, 50, 64
-    keys = np.repeat(trees._tree_keys(7, n_trees), nodes)
+    keys, owner = trees._tree_keys(7, n_trees), np.repeat(np.arange(n_trees), nodes)
     place = np.tile(np.arange(nodes), n_trees)
     drawn = np.concatenate(
-        [trees._drawn_features(keys, depth, place, d, k) for depth in range(3)]
+        [trees._drawn_features(keys, owner, depth, place, d, k) for depth in range(3)]
     )
     assert (np.diff(drawn, axis=1) > 0).all()  # k distinct features, ascending
     assert chisquare(np.bincount(drawn.ravel(), minlength=d)).pvalue > 1e-3
+
+
+def test_folded_prefixes_give_the_word_by_word_hashes():
+    rng = np.random.default_rng(24)
+    keys = rng.integers(0, 2**64, size=50, dtype=np.uint64, endpoint=False) | np.uint64(1 << 63)
+    sizes = rng.integers(1, 400, size=keys.size).tolist()
+    j = np.concatenate([np.arange(size) for size in sizes])
+    n = np.repeat(np.asarray(sizes, dtype=np.uint64), sizes)
+    high = trees._hash(np.repeat(keys, sizes), 0, j) >> np.uint64(32)
+    expected = ((high * n) >> np.uint64(32)).astype(np.int64)
+    assert np.array_equal(trees._bootstrap(keys, sizes), expected)
+    d = 16
+    for depth in range(9):
+        owner = rng.integers(0, keys.size, size=300)
+        place = rng.integers(0, 2**8, size=300, endpoint=True)
+        ranks = trees._hash(keys[owner][:, None], depth + 1, place[:, None], np.arange(d))
+        for k in (1, 4, d):  # k = d compares the whole order of the hashes
+            expected = np.sort(np.argsort(ranks, axis=1, kind="stable")[:, :k], axis=1)
+            drawn = trees._drawn_features(keys, owner, depth, place, d, k)
+            assert np.array_equal(drawn, expected)
+
+
+def test_a_forest_call_draws_its_bootstraps_in_bounded_memory():
+    # 600,000 draws, 30 times PASS_ROWS. Passes that ended after PASS_ROWS
+    # draws peaked at 12.8 MB here, and all draws of the call at once take
+    # 49 MB.
+    rng = np.random.default_rng(30)
+    datasets = []
+    for i in range(3):
+        X = rng.normal(size=(2000, 4))
+        y = (X[:, 0] + rng.normal(0, 1, 2000) > 0).astype(int)
+        datasets.append(Dataset(X, y, tuple(f"p{i}_{j}" for j in range(2000))))
+    assert 3 * 2000 * 100 >= 30 * trees.PASS_ROWS
+    tracemalloc.start()
+    try:
+        train_random_forest(datasets, [1, 2, 3], n_trees=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
 
 
 def test_tree_streams_do_not_repeat():
