@@ -21,12 +21,15 @@ a prefix that many draws share is folded once. ``PASS_ROWS`` bounds
 memory twice over: a forest draws its bootstraps in chunks of at most
 that many draws, and a grower pass holds at most that many rows, the
 (tree, group) slots the draws hit for a forest, groups for GBT. A tree
-with more rows than that gets a pass of its own. A model keeps all its
-trees in one stacked ``NodeTable``, gathered from the grower's raw node
-tables by one stable sort per trainer call. Split candidates are the
-midpoints between distinct sorted feature values, capped at 32 quantile
-bins per feature for large cardinalities; search is exact over those
-candidates (Gini for classification, squared error for regression).
+with more rows than that gets a pass of its own. Before its node
+tables are gathered, a pass turns every split whose two children are
+leaves of one value into a leaf, until none is left; no prediction of
+either kind changes. A model keeps all its trees in one stacked
+``NodeTable``, gathered from the grower's raw node tables by one stable
+sort per trainer call. Split candidates are the midpoints between
+distinct sorted feature values, capped at 32 quantile bins per feature
+for large cardinalities; search is exact over those candidates (Gini
+for classification, squared error for regression).
 """
 
 from __future__ import annotations
@@ -306,6 +309,42 @@ def _group(binned: np.ndarray, y: np.ndarray, sizes: list[int]) -> tuple[np.ndar
     return group, order[starts], count, np.bincount(ranked[new, 0], minlength=len(sizes))
 
 
+def _collapse(columns: tuple, n_roots: int) -> tuple:
+    """Drop every split that changes no prediction from the joined node
+    columns ``(root, feature, threshold, left, right, value)`` of a
+    ``_grow`` call with ``n_roots`` roots.
+
+    A split whose two children are leaves of one value becomes a leaf of
+    that value, and its children go; this repeats until no such split is
+    left, so a subtree whose leaves all hold one value becomes one leaf.
+    Every row reaches a leaf of the value it reached before, so every
+    prediction, and every sum of them, is the same bit for bit. This is
+    the zero-cost case of CART's cost-complexity pruning (Breiman et al.
+    1984). Child ids are renumbered over the nodes that are kept.
+    """
+    root, feature, threshold, left, right, value = columns
+    # the nodes after the roots are sibling pairs: pair p holds the children
+    # of the p-th split by id, its left child first
+    first, second = slice(n_roots, None, 2), slice(n_roots + 1, None, 2)
+    if not (value[first] == value[second]).any():  # as in GBT passes, as a rule
+        return columns
+    parent = np.flatnonzero(left >= 0)
+    while True:
+        same = (value[first] == value[second]) & (left[first] < 0) & (left[second] < 0)
+        same &= left[parent] >= 0
+        if not same.any():
+            break
+        node = parent[same]
+        feature[node] = left[node] = right[node] = -1
+        threshold[node] = 0.0
+        value[node] = value[first][same]
+    kept = np.ones(left.size, dtype=bool)
+    kept[first] = kept[second] = left[parent] >= 0
+    new_id = np.cumsum(kept) - 1  # each kept node's id among the kept
+    left, right = (np.where(c >= 0, new_id[c], -1) for c in (left, right))
+    return tuple(c[kept] for c in (root, feature, threshold, left, right, value))
+
+
 @np.errstate(divide="ignore", invalid="ignore")  # empty bins score 0/0, set to -inf below
 def _grow(
     binned: np.ndarray,
@@ -341,7 +380,8 @@ def _grow(
     State is kept for the frontier only: its node ids are contiguous, so a
     row's node is its place ``loc`` in the frontier, and the children of
     the level's split number ``rank`` take places ``2 * rank`` and
-    ``2 * rank + 1`` of the next. Node columns are joined once at the end.
+    ``2 * rank + 1`` of the next. Node columns are joined once at the
+    end, and ``_collapse`` drops the splits that change no prediction.
 
     Returns the raw node table, each node tagged with its root's entry of
     ``tree_ids``, in the layout ``_collect`` takes, plus the trees' outputs
@@ -439,7 +479,7 @@ def _grow(
         loc = 2 * (np.cumsum(do_split) - 1)[loc] + go_right
         owner = np.repeat(owner[split], 2)
 
-    root, *columns = (np.concatenate(c) for c in zip(*levels))
+    root, *columns = _collapse(tuple(np.concatenate(c) for c in zip(*levels)), n_roots)
     return (tree_ids[root], *columns), out
 
 

@@ -10,7 +10,9 @@ the checkpoint without its GBT models, both recorded before GBT moved to
 (binned row, label) groups, which changed those models' last bits and
 nothing else. The checkpoint digest was recorded again when the four
 kinds came to share one CV split per set, which changed the validation
-F1s and nothing else. The four charts have their own digest, recorded
+F1s and nothing else, and again when the grower came to drop every
+forest split whose two children are leaves of one value, which changed
+the forests' trees and nothing else. The four charts have their own digest, recorded
 before `summary.csv` came to be appended week by week.
 """
 
@@ -103,7 +105,7 @@ DIGESTS = {
     "synth/week_2.csv": "f0b751ea47faad129dc498571cec5e203b81a674f08a17f472c31bf2ba4a916a",
     # every output file, then the checkpoint JSON with its GBT models removed
     "replay/files": "ab7366fe526db8c7a25cf4a35246a345881cf8f7c5542193e2fa6b187f6a628d",
-    "replay/checkpoint_without_gbt": "864afdd79d4a5493c5c077f28016a22c6ece1067c8009ceb6f4bf65376e78124",
+    "replay/checkpoint_without_gbt": "a43e37f10d81abbc36d9b1126e60ee24a6c0ce5a7377b66786a475cf00f031d7",
     # the four `--plot` charts of the same replay
     "replay/charts": "9f38c82c7f1c4e9cc43ce60a6d637b9be25290b77cfa31692f4e55accfdcdabd",
 }

@@ -8,7 +8,10 @@ the SVM and model-set digests when the SVM moved to the same solver on
 the squared hinge, and the CV model-set digest when GBT moved to (binned
 row, label) groups and again when the four kinds came to share one CV
 split per set. The models-only digest of that set, recorded before the
-shared split, shows that its deployed models did not move.
+shared split, shows that its deployed models did not move. Both were
+recorded again when the grower came to drop every forest split whose two
+children are leaves of one value; with the forests' trees removed, they
+hash as before.
 """
 
 import hashlib
@@ -29,8 +32,8 @@ DIGESTS = {
     "linear_svm/d2/cold": "5dd65ccd8c35378022bb382d7a2724becefe254948adf9481b81b2ad4fc122ef",
     "linear_svm/d3/cold": "d630aa16bd7d5c912b90446041401cba52d67c7f918cd8c48fe3051ed496133f",
     "logreg/d2/long": "299fcd2c53ecb4915fd263c508fb0135e09098f9eb2e349aa0ce5429b9674e15",
-    "fit_set/cv": "aaf2dfcb4919929d59a668b221f1e7c75378123e9a42fc2dab04a94883993941",
-    "fit_set/cv/models": "0f74a48a00b7c61bd037f1b728dc1e532008d5e01a045c280bbe788b6b656b21",
+    "fit_set/cv": "4f62d118f88e761eef01ac35a50c82f59730ba61c0b0ebb12f610cfb8b892e5d",
+    "fit_set/cv/models": "4e869b7ecc883c83b8ed6e89cce82a272ca7a89f84bbe777ae0ff49744c6a4a7",
     "fit_set/no_cv": "af5fdedb34bf3905850d1fb9af6f2eaacf1c153b5870180eaf60046d7607fd02",
     "refresh_generic/no_cv": "01507b06296497f8d6d83c3e05cf7edbb90e9976b6a9c621e9c94565e2707515",
 }

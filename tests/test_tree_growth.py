@@ -6,7 +6,10 @@ residuals: any change to a split, a leaf value or a threshold changes
 them. The forest digests, including those of eight and sixteen
 features, whose nodes draw two and four of them, were recorded when
 forest draws became counter hashes keyed by the tree, in place of one
-numpy generator per tree. The sampler tests check those
+numpy generator per tree, and again, with the forest CV digests, when
+the grower came to drop every split whose two children are leaves of one
+value; with their trees removed, those documents hash as before. The
+sampler tests check those
 hashes' statistics: bootstrap counts against the multinomial, uniform
 feature draws, and distinct tree keys and bootstraps. The logreg CV
 digests were recorded when damped Newton replaced logreg's gradient
@@ -35,6 +38,7 @@ from cohortsense.learners import (
     train_random_forest,
 )
 from cohortsense.learners import trees
+from cohortsense.learners.base import MODEL_SCHEMA_VERSION
 
 
 def tied_dataset():
@@ -83,23 +87,23 @@ def wide_dataset(name: str, d: int) -> Dataset:
 
 
 DIGESTS = {
-    "tied/forest": "3fa8371c79e5138975f1e5df805394c4c17bc867ecbd1bc380fa68382f173ffb",
+    "tied/forest": "4968e76584b20c30f78e727e1c0ae7400b828ac6a0df0606cd4f5400e89faee6",
     "tied/gbt": "7950ee6ee13b063c83b73f53160bf525ed234da2b6363252dcd39d3d07e86d69",
     "tied/cv/logreg": "cf15c23e3090d7e722475db10b9c4706f685c92bd964fd4209be35dbcb161a22",
     "tied/cv/linear_svm": "89896447a80ea492db78ddeedd56d832254995025b00d0edafd0061a37ac292b",
-    "tied/cv/random_forest": "462bb1f7a9a15092882978043f7a19dd7fa2fed3674ede5ec63d7c8140f0787e",
+    "tied/cv/random_forest": "2d0e47288a16c8994d404524a5f7f5641477d7ccf7ce189ba9a620527ac867ad",
     "tied/cv/gbt": "9e800908f1fa56ee1a8e8634140d7f7f0fbef27cf7716fe18b86495e97d4970a",
-    "spread/forest": "3fb05ec8b89e278e83d75900007fad728089b3d0dbad13fa739a4b91c4e4877f",
+    "spread/forest": "a2975392de3486721490d3475c007a3034e5b7a86762726e9e170a3797398887",
     "spread/gbt": "b965c58b0540b40cb8cd289fc2a76088844f86624d405b467476967a674da1af",
     "spread/cv/logreg": "5d96ed1db38700b8b73c65888309df4524631b7471cccb8b7ddcae455a4c1ebc",
     "spread/cv/linear_svm": "1cbfe722c41a6565a5f707d86006fcf0743723354810446ddd7e5366dbaa6602",
-    "spread/cv/random_forest": "fc8f4bc40a4743d6d1f063dbd4306cc227123ab0ed7f6d5b04e922a304461488",
+    "spread/cv/random_forest": "a39657fd7050490bafcb21765eea836ab251e8948d9ebced309d70d464a319c8",
     "spread/cv/gbt": "ea5d76425277ea7a069ce9956509423d64a555fa6ef451657e54fc1d5b77a808",
     # two and four drawn features per node
-    "tied8/forest": "15233502a0b12e1a5c82c922c472164da0011f02f76f9784d83cb9fc884eb8c7",
-    "tied16/forest": "2b2742cb7e35de2be7fcabf358fafab99de19afecb6a8f2689a06d4c93bb3129",
-    "spread8/forest": "d4c0ce0821e43678498551512df88c9c0b3ef0a6ceace7aa70471c953c57cddc",
-    "spread16/forest": "1bce83a63b230480a23b6f25ca990bd8f15aa796bb6919a275c1d084ac14b52b",
+    "tied8/forest": "87c19f61c750829402a64da926c615a557834bdfdf0d6a3b6b47d646497079d7",
+    "tied16/forest": "b1c6b5e4403f3715f83aea646c34d946fc341667b0a723bbc888b6004d594abd",
+    "spread8/forest": "0f06f565b200329214bdc5092ff95817f6f9e417d799291cd47be08ff551557d",
+    "spread16/forest": "34b29143a1f907109d16d2c86a8fc3e9e823fbedcd80442993371d49616e23b9",
     "tied8/gbt": "20ac07aa5a2a3b980186b8305ce22c10fe13ad7cd8c327d978ec5cda8d9a203a",
     "tied16/gbt": "37fa34b414cbee19fbdc6a5d775f6d157486917baf9ef94dbf4c22f5d62ca078",
     "spread8/gbt": "c5e29f67e2750be29dc188712cfe59b9266e25c84d89ee994b0e2d6898a3211d",
@@ -355,6 +359,72 @@ def test_tree_streams_do_not_repeat():
     assert np.unique(keys).size == keys.size == 10_000
     draws = trees._bootstrap(keys[:200], [50] * 200).reshape(200, 50)
     assert np.unique(draws, axis=0).shape[0] == 200
+
+
+def tied_grids():
+    """``unequal_datasets()`` and two integer grids: many splits of their
+    trees end in two leaves of one value."""
+    rng = np.random.default_rng(14)
+    out = unequal_datasets()
+    for n, levels in [(120, 3), (400, 6)]:
+        vectors = rng.integers(0, levels, size=(n, 2)).astype(float)
+        labels = (vectors.sum(axis=1) + rng.normal(0, 1.5, n) > levels - 1).astype(int)
+        labels[:2] = (0, 1)
+        out.append(Dataset(vectors, labels, tuple(f"g{n}_{i:03d}" for i in range(n))))
+    return out
+
+
+def equal_leaf_splits(nodes: trees.NodeTable) -> int:
+    """The splits of ``nodes`` whose two children are leaves of one value."""
+    split = np.flatnonzero(nodes.left >= 0)
+    left, right = nodes.left[split], nodes.right[split]
+    leaves = (nodes.left[left] < 0) & (nodes.left[right] < 0)
+    return int((leaves & (nodes.value[left] == nodes.value[right])).sum())
+
+
+@pytest.mark.parametrize("max_depth", [2, 8])
+@pytest.mark.parametrize("kind", ["forest", "gbt"])
+def test_dropping_splits_of_equal_leaves_keeps_every_prediction(monkeypatch, kind, max_depth):
+    datasets = tied_grids()
+    seeds = list(range(len(datasets)))
+    train, size = {
+        "forest": (train_random_forest, {"n_trees": 30}),
+        "gbt": (train_gbt, {"n_rounds": 20}),
+    }[kind]
+    collapsed = train(datasets, seeds, max_depth=max_depth, **size)
+    with monkeypatch.context() as patch:
+        patch.setattr(trees, "_collapse", lambda columns, n_roots: columns)
+        full = train(datasets, seeds, max_depth=max_depth, **size)
+    grid = np.stack(np.meshgrid(*[np.arange(-4.0, 12.5, 0.125)] * 2), axis=-1).reshape(-1, 2)
+    for a, b in zip(collapsed, full):
+        assert np.array_equal(a.nodes.leaves(grid), b.nodes.leaves(grid))
+        assert np.array_equal(a.predict(grid), b.predict(grid))
+        assert equal_leaf_splits(a.nodes) == 0
+    if kind == "forest":
+        assert sum(m.nodes.left.size for m in collapsed) < sum(m.nodes.left.size for m in full)
+        assert sum(equal_leaf_splits(m.nodes) for m in full) > 0
+
+
+def test_a_saved_split_of_equal_leaves_loads_and_predicts_as_before():
+    # a forest saved before the grower dropped such splits
+    old = {
+        "feature": 0,
+        "threshold": 0.5,
+        "left": {"feature": 1, "threshold": 2.0, "left": {"leaf": 1.0}, "right": {"leaf": 1.0}},
+        "right": {"leaf": 0.0},
+    }
+    new = {"feature": 0, "threshold": 0.5, "left": {"leaf": 1.0}, "right": {"leaf": 0.0}}
+    stump = {"feature": 1, "threshold": 1.0, "left": {"leaf": 0.0}, "right": {"leaf": 1.0}}
+    docs = [{"kind": "random_forest", "schema_version": MODEL_SCHEMA_VERSION, "trees": [t, stump]}
+            for t in (old, new)]
+    saved, collapsed = (model_from_json(json.loads(json.dumps(doc))) for doc in docs)
+    assert saved.nodes.left.size == collapsed.nodes.left.size + 2
+    assert equal_leaf_splits(saved.nodes) == 1
+    assert model_to_json(saved)["trees"] == [old, stump]
+    grid = np.stack(np.meshgrid(np.arange(-1.0, 2.0, 0.25), np.arange(0.0, 3.5, 0.25)), axis=-1)
+    grid = grid.reshape(-1, 2)
+    assert np.array_equal(saved.nodes.leaves(grid), collapsed.nodes.leaves(grid))
+    assert np.array_equal(saved.predict(grid), collapsed.predict(grid))
 
 
 @pytest.mark.parametrize(
