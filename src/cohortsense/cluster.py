@@ -25,6 +25,8 @@ from scipy.spatial import cKDTree
 
 from .core import ValidationError
 
+PAIR_BUDGET = 2**14  # candidate pairs one block of `ClusterRegistry.partition` holds
+
 
 def _min_pts_for(n: int, density_fraction: float, floor: int) -> int:
     # the epsilon guards float artifacts like 0.1 * 210 -> 21.000000000000004
@@ -173,8 +175,8 @@ class ClusterRegistry:
     def __init__(
         self, eps: float, density_fraction: float = 0.1, min_pts_floor: int = 5
     ) -> None:
-        if eps <= 0:
-            raise ValidationError(f"eps must be positive, got {eps}")
+        if not 0 < eps < math.inf:
+            raise ValidationError(f"eps must be positive and finite, got {eps}")
         if not 0 < density_fraction < 1:
             raise ValidationError(
                 f"density_fraction must lie in (0, 1), got {density_fraction}"
@@ -247,10 +249,14 @@ class ClusterRegistry:
     def partition(self) -> tuple[dict[str, frozenset[str]], frozenset[str]]:
         """Current clusters (canonical id -> members) and noise ids.
 
-        Equal to `batch_dbscan` on the current points and min_pts. The k-d
-        tree query runs at a slightly widened radius and each pair is then
-        kept by the oracle's own squared-distance rule, so pairs exactly
-        eps apart are decided as the oracle decides them.
+        Equal to `batch_dbscan` on the current points and min_pts, in memory
+        linear in the point count. k-d tree queries at eps shrunk and widened
+        by 1e-9 keep what is surely in and drop what is surely out, and only
+        the thin shell between them is decided by the oracle's own
+        squared-distance rule, so points exactly eps apart are decided as
+        the oracle decides them. Rows are then queried against the cores in
+        blocks of at most PAIR_BUDGET candidate pairs: core pairs join
+        components, and a border takes its smallest-index core neighbor.
         """
         n = len(self._ids)
         if n == 0:
@@ -260,28 +266,43 @@ class ClusterRegistry:
         # its smallest-id core point
         names = sorted(self._ids)
         X = self._vectors[[self._index[pid] for pid in names]]
-        pairs = cKDTree(X).query_pairs(self.eps * (1 + 1e-9), output_type="ndarray")
-        i, j = pairs[:, 0], pairs[:, 1]
-        keep = ((X[i] - X[j]) ** 2).sum(axis=1) <= self.eps * self.eps
-        i, j = i[keep], j[keep]
-        counts = np.bincount(np.concatenate([i, j]), minlength=n) + 1
+        eps2, inner, outer = self.eps * self.eps, self.eps * (1 - 1e-9), self.eps * (1 + 1e-9)
+        tree = cKDTree(X)
+        counts = tree.query_ball_point(X, inner, return_length=True)
+        bound = tree.query_ball_point(X, outer, return_length=True)
+        for r in np.flatnonzero(counts != bound):  # a neighbor lies in the shell
+            counts[r] = np.count_nonzero(((X - X[r]) ** 2).sum(axis=1) <= eps2)
         core = counts >= self.min_pts
+        cores = np.flatnonzero(core)
+        core_tree = cKDTree(X[cores])
 
-        both = core[i] & core[j]
-        graph = sparse.coo_matrix(
-            (np.ones(int(both.sum()), dtype=np.int8), (i[both], j[both])), shape=(n, n)
-        )
-        _, comp = connected_components(graph, directed=False)
-        head = np.full(n, n, dtype=np.int64)  # smallest core index per component
-        np.minimum.at(head, comp[core], np.nonzero(core)[0])
-
-        owner = np.full(n, n, dtype=np.int64)
-        for a, b in ((i, j), (j, i)):
-            mask = ~core[a] & core[b]
-            np.minimum.at(owner, a[mask], b[mask])
-        key = np.where(core, head[comp], -1)
+        # label: a core's component so far; owner: a border's smallest core neighbor
+        label, owner = np.arange(n), np.full(n, n)
+        ends, start = np.cumsum(bound), 0
+        while start < n:
+            stop = int(np.searchsorted(ends, ends[start] - bound[start] + PAIR_BUDGET, "right"))
+            stop = max(stop, start + 1)
+            block = cKDTree(X[start:stop])
+            near = block.sparse_distance_matrix(core_tree, outer, output_type="ndarray")
+            a, b, ok = near["i"] + start, cores[near["j"]], near["v"] <= inner
+            shell = np.flatnonzero(~ok)
+            ok[shell] = ((X[a[shell]] - X[b[shell]]) ** 2).sum(axis=1) <= eps2
+            a, b = a[ok], b[ok]
+            c = core[a]
+            np.minimum.at(owner, a[~c], b[~c])
+            u, v = label[a[c]], label[b[c]]
+            cross = u != v
+            if cross.any():  # join components; after the first joins few blocks do
+                graph = sparse.coo_matrix((cross[cross], (u[cross], v[cross])), shape=(n, n))
+                label = connected_components(graph, directed=False)[1][label]
+            start = stop
+        label = label[cores]
+        head = np.full(n, n)  # smallest core index per component
+        np.minimum.at(head, label, cores)
+        key = np.full(n, -1)
+        key[cores] = head[label]
         border = ~core & (owner < n)
-        key[border] = head[comp[owner[border]]]
+        key[border] = key[owner[border]]
 
         clusters: dict[str, set[str]] = {}
         noise: set[str] = set()

@@ -262,17 +262,17 @@ def _bin_columns(X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     return edges_list, binned
 
 
-def _edge_table(edges: list[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+def _edge_table(edges: list[list[np.ndarray]]) -> np.ndarray:
     """Candidate thresholds of every root as one (roots, d, width) array,
-    padded to the widest root, plus the mask of real candidates.
+    padded to the widest root.
 
-    The width is at least 1, so a root whose features are all constant
-    still has a (never valid) candidate and grows a single leaf.
+    A row's bin is at most its feature's candidate count, so every padding
+    candidate leaves its right side empty and never splits. The width is
+    at least 1, so a root whose features are all constant still has a
+    (never valid) candidate and grows a single leaf.
     """
     width = max([1] + [len(e) for per_root in edges for e in per_root])
-    values = np.array([[np.pad(e, (0, width - len(e))) for e in per_root] for per_root in edges])
-    counts = np.array([[len(e) for e in per_root] for per_root in edges])
-    return values, np.arange(width) < counts[:, :, None]
+    return np.array([[np.pad(e, (0, width - len(e))) for e in per_root] for per_root in edges])
 
 
 def _passes(sizes: list[int]) -> list[slice]:
@@ -350,7 +350,6 @@ def _grow(
     binned: np.ndarray,
     root_rows: list[int],
     edge_values: np.ndarray,
-    edge_ok: np.ndarray,
     target: np.ndarray,
     weight: np.ndarray,
     tree_ids: np.ndarray,
@@ -363,7 +362,7 @@ def _grow(
 
     Rows (groups, to the trainers) are laid out root after root
     (``root_rows`` of them each), each row counting ``weight`` times, and
-    ``edge_values``/``edge_ok`` hold each root's thresholds as built by
+    ``edge_values`` holds each root's thresholds as built by
     ``_edge_table``. At each level, one weighted ``bincount`` builds the
     count histograms and one the target-sum histograms of every frontier
     node of every root, over the node's candidate features only: every
@@ -453,8 +452,7 @@ def _grow(
         else:
             score = wL**2 / nL + wR**2 / nR
             parent = node_w**2 / node_n
-        ok = edge_ok[owner] if keys is None else edge_ok[owner[:, None], feats]
-        score[(nL == 0) | (nR == 0) | ~ok] = -np.inf
+        score[(nL == 0) | (nR == 0)] = -np.inf
 
         flat_score = score.reshape(m, -1)
         flat_best = flat_score.argmax(axis=1)
@@ -536,7 +534,7 @@ def train_random_forest(
     # candidate thresholds come from each dataset's full training data; each
     # bootstrap then draws rows of its dataset and counts them per group
     edges, binned = zip(*(_bin_columns(ds.vectors.astype(float)) for ds in canon))
-    edge_values, edge_ok = _edge_table(list(edges))
+    edge_values = _edge_table(list(edges))
     binned = np.concatenate(binned)
     y = np.concatenate([ds.labels.astype(float) for ds in canon])
     group, first, _, n_groups = _group(binned, y, sizes)
@@ -574,7 +572,7 @@ def train_random_forest(
             grown = slice(root[0] + p.start, root[0] + p.stop)
             part, _ = _grow(
                 binned[rows[a:b]], per_root[p].tolist(), edge_values[owner[grown]],
-                edge_ok[owner[grown]], y[rows[a:b]], weight[a:b].astype(float),
+                y[rows[a:b]], weight[a:b].astype(float),
                 np.arange(len(owner))[grown], max_depth, classification=True,
                 keys=keys[grown] if features_per_split < d else None,
                 features_per_split=features_per_split,
@@ -651,7 +649,7 @@ def train_gbt(
     init_scores = np.array([np.log(y.mean() / (1.0 - y.mean())) for y in labels])
 
     edges, binned = zip(*(_bin_columns(ds.vectors.astype(float)) for ds in datasets))
-    edge_values, edge_ok = _edge_table(list(edges))
+    edge_values = _edge_table(list(edges))
     binned, y = np.concatenate(binned), np.concatenate(labels)
     _, first, count, n_groups = _group(binned, y, [len(y) for y in labels])
     binned, y, count = binned[first], y[first], count.astype(float)
@@ -666,7 +664,7 @@ def train_gbt(
         for k in range(n_rounds):
             resid = y[groups] - 1.0 / (1.0 + np.exp(-scores))
             part, train_out = _grow(
-                binned[groups], root_rows, edge_values[run], edge_ok[run], resid,
+                binned[groups], root_rows, edge_values[run], resid,
                 count[groups], first_ids + k, max_depth, classification=False,
             )
             parts.append(part)

@@ -1,11 +1,14 @@
 """Tests for batch DBSCAN, the incremental registry, and identity tracking."""
 
+import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohortsense import cluster
 from cohortsense.cluster import (
     ClusterRegistry,
     batch_dbscan,
@@ -192,6 +195,17 @@ def test_duplicate_and_dimension_errors():
         reg.insert("p1", [1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+def test_eps_must_be_positive_and_finite(eps):
+    # a NaN eps compares false with every distance, so each point would
+    # come out as a cluster or noise of its own
+    with pytest.raises(ValidationError):
+        ClusterRegistry(eps, 0.1, 1)
+    doc = ClusterRegistry(0.5).to_json()
+    with pytest.raises(ValidationError):
+        ClusterRegistry.from_json({**doc, "eps": eps})
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_registry_equals_batch_oracle_any_order(seed):
     pts = clustered_data(seed, n=120, dim=int(2 + seed % 3))
@@ -250,6 +264,40 @@ def test_registry_partition_equals_batch_dbscan(case):
     for pid, vector in stream:
         reg.insert(pid, vector)
     assert reg.partition() == batch_dbscan(dict(stream), eps, reg.min_pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(registry_cases(), st.sampled_from([1, 2, 7]))
+def test_partition_in_small_blocks_equals_batch_dbscan(case, budget):
+    """Blocks of one row or a few pairs, pairs exactly eps apart and stacked
+    duplicates: the shell rule, the exact counts and joins of components
+    found in different blocks all run."""
+    eps, floor, fraction, stream = case
+    reg = ClusterRegistry(eps=eps, density_fraction=fraction, min_pts_floor=floor)
+    for pid, vector in stream:
+        reg.insert(pid, vector)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cluster, "PAIR_BUDGET", budget)
+        assert reg.partition() == batch_dbscan(dict(stream), eps, reg.min_pts)
+
+
+def test_partition_runs_in_bounded_memory():
+    # three dense blobs, 5,000 points: every point is core. Listing the
+    # 3.3 M pairs within eps at once peaked at 158 MB under tracemalloc;
+    # blocks of PAIR_BUDGET candidate pairs peak at 1.5 MB
+    rng = np.random.default_rng(5)
+    centers = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+    reg = ClusterRegistry(eps=0.5, density_fraction=0.1, min_pts_floor=5)
+    for i, x in enumerate(centers[np.arange(5000) % 3] + rng.normal(0, 0.2, (5000, 2))):
+        reg.insert(f"p{i:04d}", x)
+    tracemalloc.start()
+    try:
+        clusters, noise = reg.partition()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(clusters) == 3 and not noise
+    assert peak < 16 * 2**20
 
 
 def test_min_pts_growth_formula():
