@@ -41,23 +41,25 @@ def _minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
     return order
 
 
-def _tree_neighbors(points: np.ndarray, k: int) -> np.ndarray:
-    """``_minority_neighbors(points, k)``, bit for bit, from a k-d tree
+def _tree_neighbors(points: np.ndarray, k: int, m: int | None = None) -> np.ndarray:
+    """``_minority_neighbors(points, k)[:m]``, bit for bit, from a k-d tree
     (Friedman, Bentley & Finkel, ACM TOMS 1977) in place of n x n distances.
 
-    The tree gives each row its (k+1)-th nearest distance, the row itself
-    counted; every row within that distance times (1 + 1e-9) is a
-    candidate, so the tree's rounding drops no true neighbour. Candidates
-    are ranked by the oracle's own distance and then by index, the row
-    itself left out. BLOCK_ROWS rows are searched at a time, so memory is
-    O(BLOCK_ROWS * n) even when every row is a duplicate.
+    The tree holds every row, but only the first ``m`` rows (all by
+    default) are searched. The tree gives each searched row its (k+1)-th
+    nearest distance, the row itself counted; every row within that
+    distance times (1 + 1e-9) is a candidate, so the tree's rounding drops
+    no true neighbour. Candidates are ranked by the oracle's own distance
+    and then by index, the row itself left out. BLOCK_ROWS rows are
+    searched at a time, so memory is O(BLOCK_ROWS * n) even when every row
+    is a duplicate.
     """
-    n = points.shape[0]
+    m = points.shape[0] if m is None else m
     tree = cKDTree(points)
-    radius = tree.query(points, k + 1)[0][:, -1] * (1 + 1e-9)
-    order = np.empty((n, k), dtype=np.int64)
-    for start in range(0, n, BLOCK_ROWS):
-        rows = np.arange(start, min(start + BLOCK_ROWS, n))
+    radius = tree.query(points[:m], k + 1)[0][:, -1] * (1 + 1e-9)
+    order = np.empty((m, k), dtype=np.int64)
+    for start in range(0, m, BLOCK_ROWS):
+        rows = np.arange(start, min(start + BLOCK_ROWS, m))
         found = tree.query_ball_point(points[rows], radius[rows])
         sizes = [len(f) for f in found]
         cand_rows = np.repeat(rows, sizes)
@@ -105,7 +107,8 @@ def smote(dataset: Dataset, k_neighbors: int, seed: int) -> Dataset:
         )
     k = min(k_neighbors, n_min - 1)
     points = dataset.vectors[minority_rows]
-    neighbors = _tree_neighbors(points, k)
+    # only the first min(n_needed, n_min) rows are ever a segment's start
+    neighbors = _tree_neighbors(points, k, min(n_needed, n_min))
 
     # the neighbour pick and u alternate in one stream, one pair per row
     rng = np.random.default_rng(seed)

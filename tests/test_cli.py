@@ -10,6 +10,8 @@ import pytest
 from cohortsense.cli import main
 from cohortsense.synthgen import FEATURES, CohortPlan
 
+from gzipped import write_gzip
+
 
 def tiny_plan(weeks=3, per_group=12):
     pids = [f"P{i:03d}" for i in range(1, 3 * per_group + 1)]
@@ -277,8 +279,7 @@ def test_replay_nested_json_exits_one(tmp_path, capsys, flag):
     if flag == "--config":
         path.write_text(NESTED, encoding="utf-8")
     else:
-        with gzip.GzipFile(path, "wb", mtime=0) as fh:
-            fh.write(NESTED.encode("utf-8"))
+        write_gzip(path, NESTED)
     capsys.readouterr()
     code = main(
         ["replay", flag, str(path), "--data-dir", str(data), "--out-dir", str(tmp_path / "out")]
@@ -295,8 +296,7 @@ def test_a_file_that_is_not_utf8_exits_one(tmp_path, capsys, kind):
     if kind == "checkpoint":
         write_tiny_plan(tmp_path / "plan.json", weeks=1)
         main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(tmp_path / "plan.json")])
-        with gzip.GzipFile(path, "wb", mtime=0) as fh:
-            fh.write(text)
+        write_gzip(path, text)
     else:
         path.write_bytes(text)
     argv = {
@@ -344,8 +344,7 @@ def test_replay_resume_malformed_checkpoint_exits_one(tmp_path, capsys):
     write_tiny_plan(plan_path, weeks=1)
     main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
     ckpt = tmp_path / "bad.csk"
-    with gzip.GzipFile(ckpt, "wb", mtime=0) as fh:
-        fh.write(json.dumps({"schema_version": 1}).encode("utf-8"))
+    write_gzip(ckpt, {"schema_version": 1})
     capsys.readouterr()
     code = main(
         ["replay", "--data-dir", str(data), "--out-dir", str(tmp_path / "out"),
@@ -354,6 +353,35 @@ def test_replay_resume_malformed_checkpoint_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_replay_checkpoint_into_a_missing_directory_exits_one_before_week_one(
+    tmp_path, capsys
+):
+    data = tmp_path / "data"
+    plan_path = tmp_path / "plan.json"
+    write_tiny_plan(plan_path, weeks=1)
+    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+    out = tmp_path / "out"
+    out.mkdir()
+    ckpt = tmp_path / "no" / "such" / "ckpt.csk"
+    capsys.readouterr()
+    code = main(
+        ["replay", "--data-dir", str(data), "--out-dir", str(out),
+         "--checkpoint", str(ckpt)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write checkpoint {ckpt}") and "Traceback" not in err
+    assert list(out.iterdir()) == []
+    assert not ckpt.parent.exists()
+    # the output directory, made by the replay itself, may hold the checkpoint
+    fresh = tmp_path / "fresh"
+    code = main(
+        ["replay", "--data-dir", str(data), "--out-dir", str(fresh),
+         "--checkpoint", str(fresh / "ckpt.csk")]
+    )
+    assert code == 0 and (fresh / "ckpt.csk").is_file()
 
 
 def resume_edited_checkpoint(tmp_path, capsys, edit) -> tuple[int, str]:
@@ -373,8 +401,7 @@ def resume_edited_checkpoint(tmp_path, capsys, edit) -> tuple[int, str]:
     (tmp_path / "week_2.csv").rename(data / "week_2.csv")
     doc = json.loads(gzip.open(ckpt, "rb").read())
     edit(doc)
-    with gzip.GzipFile(ckpt, "wb", mtime=0) as fh:
-        fh.write(json.dumps(doc).encode("utf-8"))
+    write_gzip(ckpt, doc)
     capsys.readouterr()
     code = main(
         ["replay", "--config", str(config_path), "--data-dir", str(data),

@@ -4,6 +4,7 @@ import dataclasses
 import gzip
 import json
 import random
+import re
 import shutil
 import sys
 import tempfile
@@ -31,6 +32,7 @@ from cohortsense.synthgen import (
 )
 
 from columns import batch_of
+from gzipped import write_gzip
 
 FAST_CONFIG = EngineConfig(
     cv_folds=3,
@@ -216,8 +218,7 @@ def test_checkpoint_with_logreg_descent_knobs_loads_and_resumes(tmp_path, mini_b
     doc = json.loads(gzip.open(path, "rb").read())
     doc["config"]["learners"].update(logreg_iterations=80, logreg_step=0.1, svm_epochs=80)
     older = tmp_path / "older.csk"
-    with gzip.GzipFile(older, "wb", mtime=0) as fh:
-        fh.write(json.dumps(doc).encode("utf-8"))
+    write_gzip(older, doc)
     loaded = load(older)
     assert loaded.config == FAST_CONFIG
     again = tmp_path / "again.csk"
@@ -237,8 +238,7 @@ def test_checkpoint_version_gate(tmp_path, mini_batches):
     save(state, path)
     doc = json.loads(gzip.open(path, "rb").read())
     doc["schema_version"] = 99
-    with gzip.GzipFile(path, "wb", mtime=0) as fh:
-        fh.write(json.dumps(doc).encode("utf-8"))
+    write_gzip(path, doc)
     with pytest.raises(CheckpointError, match="schema version"):
         load(path)
 
@@ -256,8 +256,7 @@ def test_checkpoint_truncated_file(tmp_path, mini_batches):
 
 def test_checkpoint_missing_fields_is_checkpoint_error(tmp_path):
     path = tmp_path / "state.csk"
-    with gzip.GzipFile(path, "wb", mtime=0) as fh:
-        fh.write(json.dumps({"schema_version": 1}).encode("utf-8"))
+    write_gzip(path, {"schema_version": 1})
     with pytest.raises(CheckpointError, match="config"):
         load(path)
 
@@ -336,8 +335,7 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
     ]
     for field, value in broken:
         doc = dict(good, **{field: value})
-        with gzip.GzipFile(path, "wb", mtime=0) as fh:
-            fh.write(json.dumps(doc).encode("utf-8"))
+        write_gzip(path, doc)
         with pytest.raises(CheckpointError):
             load(path)
 
@@ -354,8 +352,7 @@ def test_checkpoint_tree_too_deep_to_read_is_checkpoint_error(
     doc["pool"]["generic"]["models"]["gbt"]["trees"] = ["DEEP"]
     split = '{"feature": 0, "threshold": 0.0, "right": {"leaf": 1.0}, "left": '
     tree = split * 300 + '{"leaf": 0.0}' + "}" * 300
-    with gzip.GzipFile(path, "wb", mtime=0) as fh:
-        fh.write(json.dumps(doc).replace('"DEEP"', tree).encode("utf-8"))
+    write_gzip(path, json.dumps(doc).replace('"DEEP"', tree))
     read_pool = engine.pool_from_json
 
     def with_little_stack(pool_doc):
@@ -388,8 +385,7 @@ def test_checkpoint_config_is_read_as_a_config_file_is(tmp_path, mini_batches, c
     save(state, path)
     doc = json.loads(gzip.open(path, "rb").read())
     doc["config"].update(change)
-    with gzip.GzipFile(path, "wb", mtime=0) as fh:
-        fh.write(json.dumps(doc).encode("utf-8"))
+    write_gzip(path, doc)
     with pytest.raises(CheckpointError, match=message):
         load(path)
 
@@ -433,13 +429,11 @@ def test_checkpoint_model_misfitting_input_dim_is_checkpoint_error(tmp_path, min
     good = json.loads(gzip.open(path, "rb").read())
     dim = good["pool"]["generic"]["input_dim"]
     for name, doc in misfit_models(good, dim):
-        with gzip.GzipFile(path, "wb", mtime=0) as fh:
-            fh.write(json.dumps(doc).encode("utf-8"))
+        write_gzip(path, doc)
         with pytest.raises(CheckpointError):
             load(path)
             pytest.fail(f"{name} loaded")
-    with gzip.GzipFile(path, "wb", mtime=0) as fh:
-        fh.write(json.dumps(good).encode("utf-8"))
+    write_gzip(path, good)
     assert load(path).pool.generic.input_dim == dim
 
 
@@ -451,13 +445,11 @@ def test_checkpoint_failed_write_keeps_previous(tmp_path, mini_batches, monkeypa
     before = path.read_bytes()
     state, _ = step(state, mini_batches[1])
 
-    real_write = gzip.GzipFile.write
-
-    def write_half_then_fail(self, data):
-        real_write(self, bytes(data)[: len(data) // 2])
+    def fail_to_sync(fd):
         raise OSError("disk full")
 
-    monkeypatch.setattr(gzip.GzipFile, "write", write_half_then_fail)
+    # the temporary file is written; the disk reports the failure on sync
+    monkeypatch.setattr(engine.os, "fsync", fail_to_sync)
     with pytest.raises(OSError, match="disk full"):
         save(state, path)
     monkeypatch.undo()
@@ -466,16 +458,53 @@ def test_checkpoint_failed_write_keeps_previous(tmp_path, mini_batches, monkeypa
     assert [p.name for p in tmp_path.iterdir()] == ["state.csk"]
 
 
-def test_checkpoint_bytes_name_the_final_file(tmp_path, mini_batches):
+def test_checkpoint_bytes_do_not_depend_on_the_path(tmp_path, mini_batches):
+    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
+    path = tmp_path / "a.csk"
+    other = tmp_path / "sub" / "other.csk"
+    other.parent.mkdir()
+    save(state, path)
+    save(state, other)
+    assert path.read_bytes() == other.read_bytes()
+
+
+def test_checkpoint_decompresses_to_the_sorted_json_document(tmp_path, mini_batches):
     state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
     path = tmp_path / "state.csk"
     save(state, path)
-    payload = gzip.open(path, "rb").read()
-    reference = tmp_path / "ref" / "state.csk"
-    reference.parent.mkdir()
-    with gzip.GzipFile(reference, "wb", mtime=0) as fh:
-        fh.write(payload)
-    assert path.read_bytes() == reference.read_bytes()
+    payload = gzip.decompress(path.read_bytes())
+    doc = json.loads(payload)
+    assert payload == json.dumps(doc, sort_keys=True).encode()
+    assert doc["current_week"] == 1 and sorted(doc["scores"]) == sorted(state.scores)
+
+
+def test_save_into_a_missing_directory_names_the_checkpoint(tmp_path, mini_batches):
+    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
+    path = tmp_path / "missing" / "state.csk"
+    with pytest.raises(OSError, match=re.escape(f"cannot write checkpoint {path}")):
+        save(state, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_checkpoint_written_the_earlier_way_resumes_to_the_same_files(
+    tmp_path, mini_batches
+):
+    # the earlier writer: gzip level 9, the file's name in the header
+    ckpt = tmp_path / "mid.csk"
+    run_replay(FAST_CONFIG, mini_batches[:2], checkpoint_path=ckpt)
+    older = tmp_path / "older.csk"
+    write_gzip(older, gzip.decompress(ckpt.read_bytes()))
+    assert older.read_bytes() != ckpt.read_bytes()
+    outs = []
+    for name, source in [("new", ckpt), ("older", older)]:
+        out = tmp_path / name
+        end = tmp_path / f"{name}.end.csk"
+        run_replay(load(source), mini_batches[2:], out_dir=out, checkpoint_path=end)
+        outs.append(out)
+    assert sorted(p.name for p in outs[0].iterdir()) == sorted(p.name for p in outs[1].iterdir())
+    for path in outs[0].iterdir():
+        assert path.read_bytes() == (outs[1] / path.name).read_bytes(), path.name
+    assert (tmp_path / "new.end.csk").read_bytes() == (tmp_path / "older.end.csk").read_bytes()
 
 
 # ---------------------------------------------------------------- replay
@@ -622,8 +651,7 @@ def test_checkpoint_in_the_older_layout_loads_and_resumes(tmp_path, profiles):
         model_set["models"]["random_forest"].update(seed=1, n_trees=10, max_depth=4)
         model_set["models"]["gbt"].update(seed=1, train_log_loss=[0.5] * 10)
     older = tmp_path / "older.csk"
-    with gzip.GzipFile(older, "wb", mtime=0) as fh:
-        fh.write(json.dumps(doc, sort_keys=True).encode("utf-8"))
+    write_gzip(older, json.dumps(doc, sort_keys=True))
 
     state = load(older)
     again = tmp_path / "again.csk"

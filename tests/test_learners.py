@@ -259,6 +259,36 @@ def test_minority_neighbors_blocked_equals_dense(monkeypatch, block_rows):
                 assert np.array_equal(search(points, k), expected), (search.__name__, n, k)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 40),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_searching_the_first_rows_gives_the_oracle_table_s_first_rows(n, d, seed, data):
+    """``_tree_neighbors(points, k, m)`` is the oracle's table cut to its
+    first m rows, the tree still holding every row; some inputs repeat
+    rows, others lie on a coarse lattice, so distances tie."""
+    from cohortsense.learners.sampling import _minority_neighbors, _tree_neighbors
+
+    rng = np.random.default_rng(seed)
+    kind = data.draw(st.sampled_from(["normal", "lattice", "repeats"]))
+    if kind == "normal":
+        points = rng.normal(size=(n, d))
+    elif kind == "lattice":
+        points = rng.integers(0, 3, size=(n, d)).astype(float)
+    else:
+        # each row a copy of one of a few distinct rows
+        distinct = rng.normal(size=(data.draw(st.integers(1, n)), d))
+        points = distinct[rng.integers(0, len(distinct), size=n)]
+    k = data.draw(st.integers(1, n - 1))
+    m = data.draw(st.integers(1, n))
+    table = _tree_neighbors(points, k, m)
+    assert table.shape == (m, k)
+    assert np.array_equal(table, _minority_neighbors(points, k)[:m])
+
+
 def test_a_table_of_identical_rows_needs_no_quadratic_memory():
     """3,000 identical rows are each other's neighbours at distance 0; the
     search holds BLOCK_ROWS rows of candidates at a time, not all n x n."""
