@@ -347,16 +347,19 @@ class ClusterRegistry:
     # ------------------------------------------------------------ persistence
 
     def to_json(self) -> dict:
+        """The registry as JSON. The last snapshot's cohorts are written once
+        per point: ``prev_memberships`` holds, for each row of ``ids``, its
+        cohort label or null. Vanished cohorts keep their id lists, since
+        their points may sit in a live cohort too."""
         n = len(self._ids)
+        label_of = {pt: label for label, m in self._prev_memberships.items() for pt in m}
         return {
             "eps": self.eps,
             "density_fraction": self.density_fraction,
             "min_pts_floor": self.min_pts_floor,
             "ids": list(self._ids),
             "vectors": self._vectors[:n].tolist(),
-            "prev_memberships": {
-                label: sorted(m) for label, m in self._prev_memberships.items()
-            },
+            "prev_memberships": [label_of.get(pid) for pid in self._ids],
             "vanished": {label: sorted(m) for label, m in self._vanished.items()},
             "next_label_index": self._next_label_index,
         }
@@ -376,9 +379,17 @@ class ClusterRegistry:
                 raise ValidationError("registry vectors are not a matrix")
             if not np.isfinite(reg._vectors).all():
                 raise ValidationError("registry vectors are not finite")
-        reg._prev_memberships = {
-            label: frozenset(m) for label, m in doc["prev_memberships"].items()
-        }
+        prev = doc["prev_memberships"]
+        if isinstance(prev, list):  # a cohort label or null per row of ids
+            if len(prev) != len(ids) or not all(x is None or type(x) is str for x in prev):
+                raise ValidationError("cohort memberships are not one label or null per point")
+            cohorts: dict[str, list[str]] = {}
+            for pid, label in zip(ids, prev):
+                if label is not None:
+                    cohorts.setdefault(label, []).append(pid)
+            reg._prev_memberships = {label: frozenset(m) for label, m in cohorts.items()}
+        else:  # an older writer's id list per cohort
+            reg._prev_memberships = {label: frozenset(m) for label, m in prev.items()}
         reg._vanished = {label: frozenset(m) for label, m in doc["vanished"].items()}
         reg._next_label_index = int(doc["next_label_index"])
         tracked = [*reg._prev_memberships.items(), *reg._vanished.items()]

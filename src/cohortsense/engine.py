@@ -12,6 +12,7 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import re
 import zlib
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -67,6 +68,11 @@ class EngineState:
     pool: ModelPool = field(default_factory=ModelPool)
     holdout: frozenset[str] = frozenset()
     scores: dict[str, int] = field(default_factory=dict)
+    # each log's `reporting.chain_digests` through current_week; None when
+    # resumed from a checkpoint that stored none
+    log_digests: dict[str, str] | None = field(
+        default_factory=lambda: dict.fromkeys(reporting.LOGS, reporting.START_DIGEST)
+    )
 
     @property
     def rows(self) -> list[str]:
@@ -84,6 +90,7 @@ class EngineState:
             ),
             holdout=self.holdout,
             scores=dict(self.scores),
+            log_digests=self.log_digests,
         )
 
 
@@ -244,13 +251,16 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
         )
 
     st.current_week = week
-    return st, WeeklyReport(
+    report = WeeklyReport(
         week=week,
         assignments=assignments,
         eval_rows=eval_rows,
         votes=votes,
         events=tuple(events),
     )
+    if st.log_digests is not None:
+        st.log_digests = reporting.chain_digests(st.log_digests, report)
+    return st, report
 
 
 # ---------------------------------------------------------------- checkpoints
@@ -260,7 +270,12 @@ def save(state: EngineState, path: str | Path) -> Path:
     """Write the full engine state as a gzip-compressed JSON checkpoint.
 
     Each point's vector is stored once, in the registry, under its point id;
-    its label is derived from its participant's score. The payload is
+    its label is derived from its participant's score, and its cohort in
+    the last snapshot is one entry of the registry's ``prev_memberships``,
+    a label or null per registry row (`ClusterRegistry.from_json` also
+    reads the older id list per cohort). ``log_digests`` holds each run
+    log's hash chain through the current week, which a resume checks the
+    logs it keeps against (`reporting.start_run_log`). The payload is
     deflated at level 7 with zlib's filtered strategy, which prefers
     Huffman-coded literals to short matches: on a payload that is mostly
     decimal digits it saves about 7-9% of level 9's default-strategy bytes
@@ -277,6 +292,7 @@ def save(state: EngineState, path: str | Path) -> Path:
         "pool": pool_to_json(state.pool),
         "holdout": sorted(state.holdout),
         "scores": dict(sorted(state.scores.items())),
+        "log_digests": state.log_digests,
     }
     out = Path(path)
     payload = json.dumps(doc, sort_keys=True).encode("utf-8")
@@ -359,6 +375,13 @@ def _state_from_json(doc: dict) -> EngineState:
     last = max(map(_week_of, registry.point_ids), default=0)
     if type(week) is not int or not last <= week <= MAX_WEEK:
         raise ValidationError(f"current week {week!r} is not an int in [{last}, {MAX_WEEK}]")
+    digests = doc.get("log_digests")  # an older writer stored none
+    if digests is not None and not (
+        isinstance(digests, dict)
+        and digests.keys() == reporting.LOGS.keys()
+        and all(isinstance(d, str) and re.fullmatch("[0-9a-f]{64}", d) for d in digests.values())
+    ):
+        raise ValidationError("log digests are not one sha256 hex digest per log")
     return EngineState(
         config=config,
         current_week=week,
@@ -367,6 +390,7 @@ def _state_from_json(doc: dict) -> EngineState:
         pool=pool,
         holdout=frozenset(holdout),
         scores=scores,
+        log_digests=digests,
     )
 
 
@@ -388,7 +412,9 @@ def run_replay(
     `summary.csv`, as the week completes, before its checkpoint is saved.
     A fresh replay starts both logs anew; a resume keeps their lines of the
     weeks already done, so that resuming an interrupted run into its own
-    directory gives the files of an uninterrupted replay. The `plot`
+    directory gives the files of an uninterrupted replay; kept lines that do
+    not chain to the state's `log_digests` are rejected before any file is
+    written. The `plot`
     charts are drawn at the end, from every week's summary rows. A
     checkpoint whose directory does not exist, and is not the output
     directory, is rejected before any file is written.
@@ -419,7 +445,7 @@ def run_replay(
             )
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        reporting.start_run_log(out, keep_through=state.current_week)
+        reporting.start_run_log(out, state.current_week, state.log_digests)
 
     reports: list[WeeklyReport] = []
     for batch in batches:

@@ -41,21 +41,35 @@ def _minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
     return order
 
 
+def _first_copies(points: np.ndarray, keep: int) -> np.ndarray:
+    """Indices, ascending, of the rows that are among the first ``keep``
+    rows equal to their vector."""
+    n = len(points)
+    order = np.lexsort(points.T[::-1])  # equal rows together, by index
+    ranked = points[order]
+    new = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    rank = np.arange(n) - np.maximum.accumulate(np.where(new, np.arange(n), 0))
+    return np.sort(order[rank < keep])
+
+
 def _tree_neighbors(points: np.ndarray, k: int, m: int | None = None) -> np.ndarray:
     """``_minority_neighbors(points, k)[:m]``, bit for bit, from a k-d tree
     (Friedman, Bentley & Finkel, ACM TOMS 1977) in place of n x n distances.
 
-    The tree holds every row, but only the first ``m`` rows (all by
+    Copies of one vector tie at distance 0 and rank by index, so beyond the
+    k + 1 lowest-indexed copies of a vector none can be anyone's neighbour:
+    the tree holds only those copies, and only the first ``m`` rows (all by
     default) are searched. The tree gives each searched row its (k+1)-th
-    nearest distance, the row itself counted; every row within that
-    distance times (1 + 1e-9) is a candidate, so the tree's rounding drops
-    no true neighbour. Candidates are ranked by the oracle's own distance
-    and then by index, the row itself left out. BLOCK_ROWS rows are
-    searched at a time, so memory is O(BLOCK_ROWS * n) even when every row
-    is a duplicate.
+    nearest distance, the row itself counted if held; every held row within
+    that distance times (1 + 1e-9) is a candidate, so the tree's rounding
+    drops no true neighbour. Candidates are ranked by the oracle's own
+    distance and then by index, the row itself left out. BLOCK_ROWS rows
+    are searched at a time, so memory is O(BLOCK_ROWS * n), and a row has at
+    most k + 1 candidates per distinct vector in reach.
     """
     m = points.shape[0] if m is None else m
-    tree = cKDTree(points)
+    held = _first_copies(points, k + 1)
+    tree = cKDTree(points[held])
     radius = tree.query(points[:m], k + 1)[0][:, -1] * (1 + 1e-9)
     order = np.empty((m, k), dtype=np.int64)
     for start in range(0, m, BLOCK_ROWS):
@@ -63,7 +77,7 @@ def _tree_neighbors(points: np.ndarray, k: int, m: int | None = None) -> np.ndar
         found = tree.query_ball_point(points[rows], radius[rows])
         sizes = [len(f) for f in found]
         cand_rows = np.repeat(rows, sizes)
-        cand_cols = np.fromiter(itertools.chain.from_iterable(found), np.int64, sum(sizes))
+        cand_cols = held[np.fromiter(itertools.chain.from_iterable(found), np.int64, sum(sizes))]
         other = cand_rows != cand_cols
         cand_rows, cand_cols = cand_rows[other], cand_cols[other]
         dist = np.sqrt(((points[cand_rows] - points[cand_cols]) ** 2).sum(axis=1))

@@ -8,10 +8,14 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import re
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+from .core import ValidationError
 
 if TYPE_CHECKING:
     from .engine import WeeklyReport
@@ -25,8 +29,8 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_rows(path: Path, rows: list, mode: str = "w") -> Path:
-    with open(path, mode, newline="", encoding="utf-8") as fh:
+def _write_rows(path: Path, rows: list) -> Path:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     return path
 
@@ -56,41 +60,16 @@ def write_votes(out_dir: str | Path, report: "WeeklyReport") -> Path:
     return _write_rows(Path(out_dir) / f"votes_week_{report.week}.csv", rows)
 
 
-def start_run_log(out_dir: str | Path, keep_through: int = 0) -> None:
-    """Start the logs that grow by one block of lines per week.
-
-    A fresh replay gets an empty `runlog.jsonl` and a `summary.csv` that
-    holds only its header. On a resume, each keeps the lines of weeks up
-    to keep_through from the existing file, if any.
-    """
-    logs = (
-        ("runlog.jsonl", "", r'"week": (\d+)\}$'),
-        ("summary.csv", ",".join(SUMMARY_COLUMNS) + "\r\n", r"^(\d+),"),
+def run_log_lines(report: "WeeklyReport") -> str:
+    """The week's `runlog.jsonl` lines: one JSON object per event."""
+    return "".join(
+        json.dumps({"week": report.week, "event": event}, sort_keys=True) + "\n"
+        for event in report.events
     )
-    for name, header, week_pattern in logs:
-        path = Path(out_dir) / name
-        lines = []
-        if keep_through > 0 and path.exists():
-            with open(path, newline="", encoding="utf-8") as fh:
-                lines = fh.read().splitlines(keepends=True)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(header)
-            for line in lines:
-                if (m := re.search(week_pattern, line)) and int(m.group(1)) <= keep_through:
-                    fh.write(line)
 
 
-def append_run_log(out_dir: str | Path, report: "WeeklyReport") -> Path:
-    path = Path(out_dir) / "runlog.jsonl"
-    with open(path, "a", encoding="utf-8") as fh:
-        for event in report.events:
-            fh.write(json.dumps({"week": report.week, "event": event}, sort_keys=True))
-            fh.write("\n")
-    return path
-
-
-def write_summary(out_dir: str | Path, report: "WeeklyReport") -> Path:
-    """Append the week's rows to `summary.csv`: the generic kinds, the mean
+def summary_lines(report: "WeeklyReport") -> str:
+    """The week's `summary.csv` rows: the generic kinds, the mean
     specialized metrics per kind, and voting."""
     by_kind: dict[str, list] = {}
     for er in report.eval_rows:
@@ -101,11 +80,85 @@ def write_summary(out_dir: str | Path, report: "WeeklyReport") -> Path:
         *(("specialized_mean", kind, by_kind[kind]) for kind in sorted(by_kind)),
         *((er.scope, er.kind, [er.metrics]) for er in report.eval_rows if er.scope == "voting"),
     ]
-    rows = []
+    text = io.StringIO()
+    writer = csv.writer(text)
     for scope, kind, group in groups:
         means = [sum(getattr(m, name) for m in group) / len(group) for name in METRICS]
-        rows.append([report.week, scope, "", kind, *map(_fmt, means)])
-    return _write_rows(Path(out_dir) / "summary.csv", rows, mode="a")
+        writer.writerow([report.week, scope, "", kind, *map(_fmt, means)])
+    return text.getvalue()
+
+
+# each log: its header, the pattern of a line's week, and its week's lines
+LOGS = {
+    "runlog.jsonl": ("", r'"week": (\d+)\}$', run_log_lines),
+    "summary.csv": (",".join(SUMMARY_COLUMNS) + "\r\n", r"^(\d+),", summary_lines),
+}
+# a log's digest before its first week; each week's lines then chain onto it
+START_DIGEST = hashlib.sha256().hexdigest()
+
+
+def chain_digests(digests: dict[str, str], report: "WeeklyReport") -> dict[str, str]:
+    """Each log's digest after the week of ``report``: sha256 of the hex
+    digest before it followed by the week's lines."""
+    return {
+        name: _chain(digests[name], lines(report)) for name, (_, _, lines) in LOGS.items()
+    }
+
+
+def _chain(digest: str, lines: str) -> str:
+    return hashlib.sha256((digest + lines).encode("utf-8")).hexdigest()
+
+
+def start_run_log(
+    out_dir: str | Path, keep_through: int = 0, digests: dict[str, str] | None = None
+) -> None:
+    """Start the logs that grow by one block of lines per week.
+
+    A fresh replay gets an empty `runlog.jsonl` and a `summary.csv` that
+    holds only its header. On a resume, each keeps the lines of weeks 1 to
+    keep_through from the existing file, if any. When ``digests`` (the
+    resumed state's `chain_digests`) is given, the lines kept must chain
+    to them, week by week; otherwise ValidationError is raised before
+    either file is written.
+    """
+    kept = {}
+    for name, (header, week_pattern, _) in LOGS.items():
+        path = Path(out_dir) / name
+        weeks = [""] * keep_through  # each week's lines
+        if keep_through > 0 and path.exists():
+            with open(path, newline="", encoding="utf-8") as fh:
+                for line in fh.read().splitlines(keepends=True):
+                    m = re.search(week_pattern, line)
+                    if m and 1 <= (week := int(m.group(1))) <= keep_through:
+                        weeks[week - 1] += line
+            if digests is not None:
+                digest = START_DIGEST
+                for lines in weeks:
+                    digest = _chain(digest, lines)
+                if digest != digests[name]:
+                    raise ValidationError(
+                        f"{path} does not hold the lines of weeks 1-{keep_through} "
+                        "that the resumed run logged"
+                    )
+        kept[path] = header + "".join(weeks)
+    for path, text in kept.items():
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _append(out_dir: str | Path, name: str, report: "WeeklyReport") -> Path:
+    path = Path(out_dir) / name
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        fh.write(LOGS[name][2](report))
+    return path
+
+
+def append_run_log(out_dir: str | Path, report: "WeeklyReport") -> Path:
+    return _append(out_dir, "runlog.jsonl", report)
+
+
+def write_summary(out_dir: str | Path, report: "WeeklyReport") -> Path:
+    return _append(out_dir, "summary.csv", report)
 
 
 def svg_line_chart(

@@ -10,7 +10,7 @@ import pytest
 from cohortsense.cli import main
 from cohortsense.synthgen import FEATURES, CohortPlan
 
-from gzipped import write_gzip
+from gzipped import older_layout, write_gzip
 
 
 def tiny_plan(weeks=3, per_group=12):
@@ -432,11 +432,70 @@ def test_replay_resume_checkpoint_with_a_nan_svm_bias_exits_one(tmp_path, capsys
 
 def test_replay_resume_checkpoint_naming_an_unknown_point_exits_one(tmp_path, capsys):
     def edit(doc):
+        # cohort memberships as id lists, the earlier writer's layout
+        older = older_layout(doc)
+        doc.clear()
+        doc.update(older)
         doc["registry"]["prev_memberships"] = {"G1": ["ZZZ|w01"]}
 
     code, err = resume_edited_checkpoint(tmp_path, capsys, edit)
     assert code == 1
     assert err.startswith("error:") and "outside the registry" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda labels: labels[:-1], "not one label or null per point"),
+        (lambda labels: [1 if x == "G1" else x for x in labels], "not one label or null per point"),
+        (lambda labels: ["G9" if x == "G1" else x for x in labels], "not above cohort G9"),
+    ],
+    ids=["short", "not a string", "label in use"],
+)
+def test_replay_resume_checkpoint_with_bad_cohort_labels_exits_one(
+    tmp_path, capsys, change, message
+):
+    def edit(doc):
+        labels = doc["registry"]["prev_memberships"]
+        assert "G1" in labels and len(labels) == len(doc["registry"]["ids"])
+        doc["registry"]["prev_memberships"] = change(labels)
+
+    code, err = resume_edited_checkpoint(tmp_path, capsys, edit)
+    assert code == 1
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+def test_replay_resume_of_another_run_into_a_used_directory_exits_one(tmp_path, capsys):
+    # a 4-week run with rng_seed 5, then a run with rng_seed 6 checkpointed
+    # after week 2 and resumed into the first run's directory
+    data = tmp_path / "data"
+    plan_path = tmp_path / "plan.json"
+    write_tiny_plan(plan_path, weeks=4)
+    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+    configs = {}
+    for seed in (5, 6):
+        configs[seed] = tmp_path / f"config_{seed}.json"
+        configs[seed].write_text(json.dumps(dict(FAST_CONFIG, rng_seed=seed)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["replay", "--config", str(configs[5]), "--data-dir", str(data),
+                 "--out-dir", str(out), "--plot"]) == 0
+    partial = tmp_path / "partial"
+    partial.mkdir()
+    for name in ("week_1.csv", "week_2.csv", "labels.csv", "plan.json"):
+        (partial / name).write_bytes((data / name).read_bytes())
+    ckpt = tmp_path / "seed_6.csk"
+    assert main(["replay", "--config", str(configs[6]), "--data-dir", str(partial),
+                 "--out-dir", str(tmp_path / "seed_6"), "--checkpoint", str(ckpt)]) == 0
+    before = {p.name: p.read_bytes() for p in [*out.iterdir(), ckpt]}
+    capsys.readouterr()
+    code = main(["replay", "--config", str(configs[6]), "--data-dir", str(data),
+                 "--out-dir", str(out), "--resume", str(ckpt), "--checkpoint", str(ckpt),
+                 "--plot"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "does not hold the lines of weeks 1-2" in err
+    assert "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in [*out.iterdir(), ckpt]} == before
 
 
 @pytest.mark.parametrize(

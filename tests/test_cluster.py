@@ -437,3 +437,23 @@ def test_registry_json_round_trip():
     assert restored.partition() == reg.partition()
     assert restored.snapshot() == reg.snapshot()
     assert restored.to_json() == reg.to_json()
+
+
+def test_registry_json_writes_each_point_s_cohort_once_and_reads_id_lists():
+    pts = clustered_data(13, n=70, dim=3)
+    reg = ClusterRegistry(eps=0.9, density_fraction=0.1, min_pts_floor=5)
+    for pid in pts:
+        reg.insert(pid, pts[pid])
+    snap = reg.snapshot()
+    doc = reg.to_json()
+    label_of = {pt: label for label, members in snap.cohorts.items() for pt in members}
+    assert doc["prev_memberships"] == [label_of.get(pid) for pid in doc["ids"]]
+    assert snap.noise and None in doc["prev_memberships"]
+    # the earlier layout: a sorted id list per cohort label
+    older = dict(doc, prev_memberships={k: sorted(m) for k, m in snap.cohorts.items()})
+    reg.insert("zz_new", np.zeros(3))
+    expected = reg.snapshot()
+    for restored in (ClusterRegistry.from_json(doc), ClusterRegistry.from_json(older)):
+        assert restored.to_json() == doc
+        restored.insert("zz_new", np.zeros(3))
+        assert restored.snapshot() == expected

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gzip
+import hashlib
 import json
 import random
 import re
@@ -32,7 +33,7 @@ from cohortsense.synthgen import (
 )
 
 from columns import batch_of
-from gzipped import write_gzip
+from gzipped import older_layout, write_gzip
 
 FAST_CONFIG = EngineConfig(
     cv_folds=3,
@@ -265,7 +266,8 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
     state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
     path = tmp_path / "state.csk"
     save(state, path)
-    good = json.loads(gzip.open(path, "rb").read())
+    # cohort memberships as id lists: the earlier writer's layout, which still loads
+    good = older_layout(json.loads(gzip.open(path, "rb").read()))
     pid = next(iter(good["scores"]))
     reg, pipeline = good["registry"], good["pipeline"]
     generic = good["pool"]["generic"]
@@ -338,6 +340,109 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
         write_gzip(path, doc)
         with pytest.raises(CheckpointError):
             load(path)
+
+
+def test_checkpoint_bad_cohort_labels_or_log_digests_is_checkpoint_error(tmp_path, mini_batches):
+    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
+    path = tmp_path / "state.csk"
+    save(state, path)
+    good = json.loads(gzip.open(path, "rb").read())
+    reg, digests = good["registry"], good["log_digests"]
+    labels = reg["prev_memberships"]
+    assert len(labels) == len(reg["ids"]) and reg["next_label_index"] == 4
+    assert set(labels) - {None} == {"G1", "G2", "G3"}
+
+    def relabel(old, new):
+        return dict(reg, prev_memberships=[new if x == old else x for x in labels])
+
+    broken = [
+        # one cohort label or null per row of ids
+        ("registry", dict(reg, prev_memberships=labels[:-1])),
+        ("registry", dict(reg, prev_memberships=labels + [None])),
+        ("registry", relabel("G1", 1)),
+        ("registry", relabel("G1", ["G1"])),
+        # a fresh label is one not yet in use
+        ("registry", relabel("G3", "G4")),
+        # one sha256 hex digest per log
+        ("log_digests", {"runlog.jsonl": digests["runlog.jsonl"]}),
+        ("log_digests", dict(digests, other=digests["summary.csv"])),
+        ("log_digests", dict(digests, **{"summary.csv": "Z" * 64})),
+        ("log_digests", dict(digests, **{"summary.csv": digests["summary.csv"][:-1]})),
+        ("log_digests", dict(digests, **{"summary.csv": 7})),
+        ("log_digests", list(digests.values())),
+    ]
+    for field, value in broken:
+        write_gzip(path, dict(good, **{field: value}))
+        with pytest.raises(CheckpointError):
+            load(path)
+            pytest.fail(f"{field} {value!r} loaded")
+    write_gzip(path, good)
+    assert load(path).registry.to_json() == state.registry.to_json()
+
+
+def test_a_checkpoint_in_the_earlier_membership_layout_loads_and_resumes(tmp_path, profiles):
+    batches = generate_cohort(mini_plan(weeks=4), profiles, seed=3)
+    straight = tmp_path / "straight"
+    run_replay(FAST_CONFIG, batches, out_dir=straight)
+    resumed, ckpt = tmp_path / "resumed", tmp_path / "mid.csk"
+    run_replay(FAST_CONFIG, batches[:2], out_dir=resumed, checkpoint_path=ckpt)
+
+    doc = json.loads(gzip.open(ckpt, "rb").read())
+    older = tmp_path / "older.csk"
+    write_gzip(older, older_layout(doc))
+    assert older_layout(doc)["registry"]["prev_memberships"]
+    state = load(older)
+    assert state.registry.to_json() == load(ckpt).registry.to_json()
+    # with no log digests, the kept log lines are not checked
+    assert state.log_digests is None
+    run_replay(state, batches[2:], out_dir=resumed)
+    for name in sorted(p.name for p in straight.iterdir()):
+        assert (straight / name).read_bytes() == (resumed / name).read_bytes(), name
+
+
+def test_log_digests_chain_each_week_s_lines_with_or_without_an_output_directory(
+    tmp_path, mini_batches
+):
+    out = tmp_path / "out"
+    _, logged = run_replay(FAST_CONFIG, mini_batches, out_dir=out)
+    _, unlogged = run_replay(FAST_CONFIG, mini_batches)
+    assert logged.log_digests == unlogged.log_digests
+    for name, (header, week_pattern, _) in engine.reporting.LOGS.items():
+        text = (out / name).read_bytes().decode()
+        digest = engine.reporting.START_DIGEST
+        for batch in mini_batches:
+            week = "".join(
+                line for line in text[len(header):].splitlines(keepends=True)
+                if int(re.search(week_pattern, line).group(1)) == batch.week
+            )
+            digest = hashlib.sha256((digest + week).encode()).hexdigest()
+        assert digest == logged.log_digests[name]
+
+
+@pytest.mark.parametrize("log", ["runlog.jsonl", "summary.csv"])
+@pytest.mark.parametrize("change", ["edited", "missing a week", "a line twice"])
+def test_a_resume_into_logs_that_are_not_the_checkpoint_s_writes_nothing(
+    tmp_path, mini_batches, log, change
+):
+    out, ckpt = tmp_path / "out", tmp_path / "mid.csk"
+    run_replay(FAST_CONFIG, mini_batches[:2], out_dir=out, checkpoint_path=ckpt)
+    path = out / log
+    lines = path.read_bytes().decode().splitlines(keepends=True)
+    week_pattern = engine.reporting.LOGS[log][1]
+    week_1 = [i for i, line in enumerate(lines) if re.search(week_pattern, line)
+              and re.search(week_pattern, line).group(1) == "1"]
+    assert week_1
+    if change == "edited":
+        lines[week_1[0]] = lines[week_1[0]][:2] + "x" + lines[week_1[0]][2:]
+    elif change == "missing a week":
+        del lines[week_1[0] : week_1[-1] + 1]
+    else:
+        lines.insert(week_1[0], lines[week_1[0]])
+    path.write_bytes("".join(lines).encode())
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with pytest.raises(ValidationError, match=f"{log} does not hold the lines of weeks 1-2"):
+        run_replay(load(ckpt), mini_batches[2:], out_dir=out, checkpoint_path=ckpt)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_checkpoint_tree_too_deep_to_read_is_checkpoint_error(
