@@ -387,10 +387,10 @@ def test_a_checkpoint_in_the_earlier_membership_layout_loads_and_resumes(tmp_pat
     resumed, ckpt = tmp_path / "resumed", tmp_path / "mid.csk"
     run_replay(FAST_CONFIG, batches[:2], out_dir=resumed, checkpoint_path=ckpt)
 
-    doc = json.loads(gzip.open(ckpt, "rb").read())
+    doc = older_layout(json.loads(gzip.open(ckpt, "rb").read()))
+    assert doc["registry"]["prev_memberships"]
     older = tmp_path / "older.csk"
-    write_gzip(older, older_layout(doc))
-    assert older_layout(doc)["registry"]["prev_memberships"]
+    write_gzip(older, doc)
     state = load(older)
     assert state.registry.to_json() == load(ckpt).registry.to_json()
     # with no log digests, the kept log lines are not checked
@@ -428,9 +428,8 @@ def test_a_resume_into_logs_that_are_not_the_checkpoint_s_writes_nothing(
     run_replay(FAST_CONFIG, mini_batches[:2], out_dir=out, checkpoint_path=ckpt)
     path = out / log
     lines = path.read_bytes().decode().splitlines(keepends=True)
-    week_pattern = engine.reporting.LOGS[log][1]
-    week_1 = [i for i, line in enumerate(lines) if re.search(week_pattern, line)
-              and re.search(week_pattern, line).group(1) == "1"]
+    week_of = re.compile(engine.reporting.LOGS[log][1])
+    week_1 = [i for i, line in enumerate(lines) if (m := week_of.search(line)) and m[1] == "1"]
     assert week_1
     if change == "edited":
         lines[week_1[0]] = lines[week_1[0]][:2] + "x" + lines[week_1[0]][2:]
