@@ -81,17 +81,19 @@ def apportion(amount: int, weights: dict, capacity: dict) -> dict:
     return counts
 
 
-def seed_entropy(seed: int, *parts: object) -> list[int]:
+def seed_entropy(seed: int, *parts: object) -> np.ndarray:
     """SeedSequence entropy words for a root seed and context labels: the
     seed's two 32-bit halves, then an int part's low 32 bits or the UTF-8
-    bytes of any other part's ``str``."""
+    bytes of any other part's ``str``. They come as a uint32 array, which
+    SeedSequence takes as it is; a list of the same words gives the same
+    state, but is converted one int at a time."""
     words = [seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF]
     for part in parts:
         if isinstance(part, int):
             words.append(part & 0xFFFFFFFF)
         else:
             words.extend(str(part).encode("utf-8"))
-    return words
+    return np.array(words, dtype=np.uint32)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,7 @@ import io
 import json
 from dataclasses import dataclass
 from datetime import date, timedelta
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -640,12 +641,57 @@ def _not_utf8(path: Path) -> ValidationError:
     return ValidationError(f"{path}: not UTF-8 text")
 
 
+_BLOCK_CHARS = 1 << 18  # characters of a file read and split per block
+
+
+def _plain_columns(fh, width: int) -> list[list[str]] | None:
+    """The cells of the rest of an open file as one list per column, if the
+    file is plain: it has no ``"``, NUL or lone ``\\r``, no line longer than
+    the csv module's field limit, and every nonblank line holds ``width - 1``
+    commas. ``csv.reader`` would then split each line at its commas and skip
+    the blank ones, which is done here a block of lines at a time, with no
+    list per row; the text and lines of a block go before the next is read.
+    Any other file gives None, as does a block whose lines do not all end
+    in ``\\n`` or all in ``\\r\\n``."""
+    limit = csv.field_size_limit()
+    columns: list[list[str]] = [[] for _ in range(width)]
+    rest = ""
+    while True:
+        chunk = fh.read(_BLOCK_CHARS)
+        text = rest + chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        text, rest = text[:cut], text[cut:]
+        if len(rest) > limit or '"' in text or "\0" in text:
+            return None
+        if "\r" in text:
+            lines = text.split("\r\n")
+            if not text.count("\r") == text.count("\n") == len(lines) - 1:
+                return None
+        else:
+            lines = text.split("\n")
+        del text
+        if "" in lines:
+            lines = list(filter(None, lines))
+        if lines:
+            if max(map(len, lines)) > limit or set(map(str.count, lines, repeat(","))) != {width - 1}:
+                return None
+            cells = ",".join(lines).split(",")
+            del lines
+            for i, column in enumerate(columns):
+                column.extend(cells[i::width])
+        if not chunk:
+            return columns
+
+
 def _read_csv(path: Path, columns: tuple[str, ...], convert):
-    """``convert(*cells)`` of a CSV file's data rows, given one tuple of cells
-    per name in ``columns``. A file that is not UTF-8, a cell over the csv
-    module's field limit or a missing column raises ValidationError naming
-    the file and the line; when ``convert`` rejects the file, it is applied
-    again row by row, so that the error names the first rejected line."""
+    """``convert(*cells)`` of a CSV file's data rows, given one sequence of
+    cells per name in ``columns``. The header is read by ``csv.reader``; the
+    rest of a plain file (see ``_plain_columns``) is split into columns
+    directly, and any other file is read by ``csv.reader`` row by row, with
+    the same result. A file that is not UTF-8, a cell over the csv module's
+    field limit or a missing column raises ValidationError naming the file
+    and the line; when ``convert`` rejects the file, it is applied again row
+    by row, so that the error names the first rejected line."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -654,13 +700,22 @@ def _read_csv(path: Path, columns: tuple[str, ...], convert):
             if missing:
                 raise ValidationError(f"{path}, line 1: missing columns {', '.join(missing)}")
             at = [header.index(c) for c in columns]
-            rows = [row for row in reader if row]
+            try:
+                cells = _plain_columns(fh, len(header))
+            except UnicodeDecodeError:
+                cells = None  # csv.reader below names the first fault
+        if cells is None:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                next(reader)
+                rows = [row for row in reader if row]
+            if min(map(len, rows), default=len(header)) >= len(header):
+                cells = list(zip(*rows)) or [()] * len(header)
     except UnicodeDecodeError as exc:
         raise _not_utf8(path) from exc
     except csv.Error as exc:
         raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
-    if min(map(len, rows), default=len(header)) >= len(header):
-        cells = list(zip(*rows)) or [()] * len(header)
+    if cells is not None:
         try:
             return convert(*[cells[i] for i in at])
         except (ValueError, KeyError, TypeError):
@@ -683,7 +738,7 @@ def _read_csv(path: Path, columns: tuple[str, ...], convert):
 _SEGMENT_CODE = {seg.value: code for code, seg in enumerate(SEGMENT_ORDER)}
 
 
-def _feature_column(cells: tuple[str, ...]) -> np.ndarray:
+def _feature_column(cells) -> np.ndarray:
     """A feature column: blank cells are missing (NaN), any other cell must
     be a finite number. One conversion of the whole column, with ``float``'s
     own parsing and errors."""
@@ -745,6 +800,7 @@ def load_batches(data_dir: str | Path) -> list[WeeklyBatch]:
     batches = []
     for week, path in sorted(week_files.items()):
         pids, days, segments, features, tokens = _read_csv(path, _CSV_COLUMNS, _week_columns(week))
+        present = set(pids)  # keys from labels.csv keep no week row's cells alive
         batches.append(
             WeeklyBatch.from_columns(
                 week=week,
@@ -753,7 +809,7 @@ def load_batches(data_dir: str | Path) -> list[WeeklyBatch]:
                 segments=segments,
                 continuous=dict(zip(sorted(FEATURES), features)),
                 categorical={CATEGORICAL_FEATURE: tokens},
-                labels={pid: labels[pid] for pid in set(pids) if pid in labels},
+                labels={pid: score for pid, score in labels.items() if pid in present},
             )
         )
     return batches

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +16,7 @@ from cohortsense.core import (
     apportion,
     label_from_score,
     load_config,
+    seed_entropy,
 )
 from cohortsense.synthgen import _CSV_COLUMNS, load_batches
 
@@ -199,3 +201,25 @@ def test_apportion_keeps_within_capacity_and_hands_out_the_amount(groups, amount
     counts = apportion(amount, weights, capacity)
     assert sum(counts.values()) == amount
     assert all(0 <= counts[g] <= capacity[g] for g in counts)
+
+
+def test_seed_entropy_words():
+    # the seed's two halves, an int part's low 32 bits, a str part's UTF-8 bytes
+    words = seed_entropy(2**32 + 5, 2**32 + 7, "é")
+    assert words.dtype == np.uint32
+    assert words.tolist() == [5, 1, 7, 0xC3, 0xA9]
+
+
+@pytest.mark.parametrize(
+    "seed, parts",
+    [
+        (0, ()),
+        (42, ("records", 3, "P001")),
+        (2**32, (2**32, 2**32 - 1, 2**40 + 7, "génération")),
+        (2**64 - 1, (-1, True, "人")),
+    ],
+)
+def test_seed_entropy_array_gives_the_state_of_its_word_list(seed, parts):
+    words = seed_entropy(seed, *parts)
+    state = np.random.SeedSequence(words).generate_state(4)
+    assert np.array_equal(state, np.random.SeedSequence(words.tolist()).generate_state(4))

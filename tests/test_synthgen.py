@@ -3,9 +3,11 @@
 import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohortsense import synthgen
 from cohortsense.core import ConfigError, ValidationError
@@ -311,3 +313,139 @@ def test_load_reads_blank_cells_as_missing_and_numbers_as_float_does(tmp_path, b
     unedited = np.ones(len(column), dtype=bool)
     unedited[28:31] = False
     assert np.array_equal(column[unedited], batches[0].records[unedited, 0], equal_nan=True)
+
+
+def _csv_only_read(path, columns, convert):
+    """What ``synthgen._read_csv`` returns for a file, read with
+    ``csv.reader`` alone: ``convert`` of all rows' cells, or on a bad row
+    the ValidationError naming its line."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ValidationError(f"{path}, line 1: missing columns {', '.join(missing)}")
+            at = [header.index(c) for c in columns]
+            rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
+    if min(map(len, rows), default=len(header)) >= len(header):
+        cells = list(zip(*rows)) or [()] * len(header)
+        try:
+            return convert(*[cells[i] for i in at])
+        except ValueError:
+            pass
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if row:
+                try:
+                    if len(row) < len(header):
+                        raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+                    convert(*[(row[i],) for i in at])
+                except ValueError as exc:
+                    raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
+    raise AssertionError("rejected as a whole, yet every row passes")
+
+
+def _convert(names, scores):
+    bad = [s for s in scores if "b" in s]
+    if bad:
+        raise ValueError(f"score {bad[0]!r}")
+    return [list(names), list(scores)]
+
+
+def _outcome(read, path):
+    try:
+        return read(path, ("name", "score"), _convert)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _assert_read_as_csv_reader_reads(path, text, field_limit=None):
+    path.write_bytes(text.encode("utf-8"))
+    old_limit = csv.field_size_limit(field_limit) if field_limit else None
+    try:
+        outcome = _outcome(synthgen._read_csv, path)
+        assert outcome == _outcome(_csv_only_read, path)
+    finally:
+        if old_limit:
+            csv.field_size_limit(old_limit)
+    return outcome
+
+
+def _mostly(common, rare, one_in):
+    return st.integers(1, one_in).flatmap(lambda i: rare if i == one_in else common)
+
+
+_TEXT = 'ab19 ,"\r\n\0'
+# cells of letters, digits and spaces; one in eight holds any of _TEXT
+_CELL = _mostly(st.text("a19 ", max_size=7), st.text(_TEXT, min_size=1, max_size=3), 8)
+_LINE = _mostly(st.lists(_CELL, min_size=1, max_size=4).map(",".join), st.text(_TEXT, max_size=8), 4)
+_ENDING = _mostly(st.sampled_from(["\n", "\r\n"]), st.sampled_from(["\r", ""]), 6)
+
+
+@st.composite
+def _csv_texts(draw):
+    """A header, mostly with the read columns, then lines that mostly hold
+    one cell per header cell, and up to two stray characters among them."""
+    header = draw(_mostly(st.sampled_from(["name,score", "score,x,name", '"name",score']), _LINE, 8))
+    width = header.count(",") + 1
+    line = _mostly(st.lists(_CELL, min_size=width, max_size=width).map(",".join), _LINE, 6)
+    body = "".join(draw(line) + draw(_ENDING) for _ in range(draw(st.integers(0, 8))))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + draw(st.sampled_from(_TEXT)) + body[at:]
+    return header + "\r\n" + body
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    text=_csv_texts(),
+    block_chars=st.sampled_from([1, 2, 5, 64]),
+    field_limit=st.sampled_from([None, 5]),
+)
+def test_read_csv_reads_as_csv_reader_does(tmp_path_factory, text, block_chars, field_limit):
+    path = tmp_path_factory.getbasetemp() / "read_csv_case.csv"
+    with mock.patch.object(synthgen, "_BLOCK_CHARS", block_chars):
+        _assert_read_as_csv_reader_reads(path, text, field_limit)
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ("", "line 1: missing columns name, score"),
+        ("\r\nname,score\r\nx,1\r\n", "line 1: missing columns name, score"),
+        ("name,score\r\n", [[], []]),
+        ("name,score", [[], []]),
+        ("name,score\n\r\nx,1\n\ny,2", [["x", "y"], ["1", "2"]]),
+        ("name,score\r\nx\ry,1\r\n", "line 2: 1 fields, the header has 2"),
+        ("name,score\r\nx,1\r\ny,b\r\n", "line 3: score 'b'"),
+        # a line over the field limit (131,072) whose cells are within it
+        ("score,name\r\n" + "9" * 70_000 + "," + "x" * 70_000 + "\r\n2,y\r\n",
+         [["x" * 70_000, "y"], ["9" * 70_000, "2"]]),
+        ("name,score\r\nx,1\r\n" + "x" * 200_000 + ",2\r\n", "line 3: field larger than field limit"),
+    ],
+    ids=["empty", "blank_first_line", "header_only", "header_only_unended", "blank_lines",
+         "lone_carriage_return", "rejected_cell", "line_over_the_field_limit",
+         "cell_over_the_field_limit"],
+)
+def test_read_csv_edge_files(tmp_path, text, outcome):
+    read = _assert_read_as_csv_reader_reads(tmp_path / "edge.csv", text)
+    if isinstance(outcome, str):
+        assert read.startswith(f"{tmp_path / 'edge.csv'}, {outcome}")
+    else:
+        assert read == outcome
+
+
+def test_written_week_files_are_split_without_csv_reader(tmp_path, batches, plan):
+    write_cohort(tmp_path, batches[:1], plan)
+    with open(tmp_path / "week_1.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(tmp_path / "week_1.csv", newline="", encoding="utf-8") as fh:
+        next(fh)
+        with mock.patch.object(synthgen, "_BLOCK_CHARS", 1000):
+            columns = synthgen._plain_columns(fh, len(rows[0]))
+    assert columns == [list(column) for column in zip(*rows[1:])]
