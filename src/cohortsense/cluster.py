@@ -379,17 +379,18 @@ class ClusterRegistry:
                 raise ValidationError("registry vectors are not a matrix")
             if not np.isfinite(reg._vectors).all():
                 raise ValidationError("registry vectors are not finite")
-        prev = doc["prev_memberships"]
-        if isinstance(prev, list):  # a cohort label or null per row of ids
-            if len(prev) != len(ids) or not all(x is None or type(x) is str for x in prev):
-                raise ValidationError("cohort memberships are not one label or null per point")
-            cohorts: dict[str, list[str]] = {}
-            for pid, label in zip(ids, prev):
-                if label is not None:
-                    cohorts.setdefault(label, []).append(pid)
-            reg._prev_memberships = {label: frozenset(m) for label, m in cohorts.items()}
-        else:  # an older writer's id list per cohort
-            reg._prev_memberships = {label: frozenset(m) for label, m in prev.items()}
+        prev = doc["prev_memberships"]  # a cohort label or null per row of ids
+        if (
+            type(prev) is not list
+            or len(prev) != len(ids)
+            or not all(x is None or type(x) is str for x in prev)
+        ):
+            raise ValidationError("cohort memberships are not one label or null per point")
+        cohorts: dict[str, list[str]] = {}
+        for pid, label in zip(ids, prev):
+            if label is not None:
+                cohorts.setdefault(label, []).append(pid)
+        reg._prev_memberships = {label: frozenset(m) for label, m in cohorts.items()}
         reg._vanished = {label: frozenset(m) for label, m in doc["vanished"].items()}
         reg._next_label_index = int(doc["next_label_index"])
         tracked = [*reg._prev_memberships.items(), *reg._vanished.items()]

@@ -68,9 +68,8 @@ class EngineState:
     pool: ModelPool = field(default_factory=ModelPool)
     holdout: frozenset[str] = frozenset()
     scores: dict[str, int] = field(default_factory=dict)
-    # each log's `reporting.chain_digests` through current_week; None when
-    # resumed from a checkpoint that stored none
-    log_digests: dict[str, str] | None = field(
+    # each log's `reporting.chain_digests` through current_week
+    log_digests: dict[str, str] = field(
         default_factory=lambda: dict.fromkeys(reporting.LOGS, reporting.START_DIGEST)
     )
 
@@ -258,8 +257,7 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
         votes=votes,
         events=tuple(events),
     )
-    if st.log_digests is not None:
-        st.log_digests = reporting.chain_digests(st.log_digests, report)
+    st.log_digests = reporting.chain_digests(st.log_digests, report)
     return st, report
 
 
@@ -272,8 +270,7 @@ def save(state: EngineState, path: str | Path) -> Path:
     Each point's vector is stored once, in the registry, under its point id;
     its label is derived from its participant's score, and its cohort in
     the last snapshot is one entry of the registry's ``prev_memberships``,
-    a label or null per registry row (`ClusterRegistry.from_json` also
-    reads the older id list per cohort). ``log_digests`` holds each run
+    a label or null per registry row. ``log_digests`` holds each run
     log's hash chain through the current week, which a resume checks the
     logs it keeps against (`reporting.start_run_log`). The payload is
     deflated at level 7 with zlib's filtered strategy, which prefers
@@ -339,20 +336,7 @@ def load(path: str | Path) -> EngineState:
 
 
 def _state_from_json(doc: dict) -> EngineState:
-    # keys are picked one by one, so the keys an older writer added (labeled
-    # rows, row vectors, the run log, copies of config values, each model
-    # set's scope and week, GBT training losses) are ignored
-    config_doc = dict(doc["config"])
-    # an older writer stored the pipeline refit cadence; only 0, fit once
-    # at week 1, is the behaviour a resume can reproduce
-    if config_doc.pop("refit_every_n_weeks", 0) != 0:
-        raise ValidationError("refit_every_n_weeks must be 0: the pipeline is fitted once")
-    # an older writer stored the linear learners' descent knobs, which
-    # Newton's method does not read
-    if isinstance(learners := config_doc.get("learners"), dict):
-        retired = ("logreg_iterations", "logreg_step", "svm_epochs")
-        config_doc["learners"] = {k: v for k, v in learners.items() if k not in retired}
-    config = _config_from_mapping(config_doc)
+    config = _config_from_mapping(doc["config"])
     registry = ClusterRegistry.from_json(doc["registry"])
     for key in ("eps", "density_fraction", "min_pts_floor"):
         if getattr(registry, key) != getattr(config, key):
@@ -375,8 +359,8 @@ def _state_from_json(doc: dict) -> EngineState:
     last = max(map(_week_of, registry.point_ids), default=0)
     if type(week) is not int or not last <= week <= MAX_WEEK:
         raise ValidationError(f"current week {week!r} is not an int in [{last}, {MAX_WEEK}]")
-    digests = doc.get("log_digests")  # an older writer stored none
-    if digests is not None and not (
+    digests = doc["log_digests"]
+    if not (
         isinstance(digests, dict)
         and digests.keys() == reporting.LOGS.keys()
         and all(isinstance(d, str) and re.fullmatch("[0-9a-f]{64}", d) for d in digests.values())

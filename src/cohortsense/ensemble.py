@@ -306,7 +306,9 @@ def _set_to_json(model_set: ModelSet) -> dict:
 def _set_from_json(doc: dict) -> ModelSet:
     input_dim = int(doc["input_dim"])
     models = {ModelKind(k): model_from_json(m) for k, m in doc["models"].items()}
-    for model in models.values():
+    for kind, model in models.items():
+        if model.kind != kind:
+            raise ValidationError(f"a {model.kind.value} model is stored as {kind.value}")
         model.check(input_dim)
     return ModelSet(
         models=models,

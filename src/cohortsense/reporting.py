@@ -109,17 +109,14 @@ def _chain(digest: str, lines: str) -> str:
     return hashlib.sha256((digest + lines).encode("utf-8")).hexdigest()
 
 
-def start_run_log(
-    out_dir: str | Path, keep_through: int = 0, digests: dict[str, str] | None = None
-) -> None:
+def start_run_log(out_dir: str | Path, keep_through: int, digests: dict[str, str]) -> None:
     """Start the logs that grow by one block of lines per week.
 
     A fresh replay gets an empty `runlog.jsonl` and a `summary.csv` that
     holds only its header. On a resume, each keeps the lines of weeks 1 to
-    keep_through from the existing file, if any. When ``digests`` (the
-    resumed state's `chain_digests`) is given, the lines kept must chain
-    to them, week by week; otherwise ValidationError is raised before
-    either file is written.
+    keep_through from the existing file, if any. The lines kept must chain
+    to ``digests`` (the resumed state's `chain_digests`), week by week;
+    otherwise ValidationError is raised before either file is written.
     """
     kept = {}
     for name, (header, week_pattern, _) in LOGS.items():
@@ -131,15 +128,14 @@ def start_run_log(
                     m = re.search(week_pattern, line)
                     if m and 1 <= (week := int(m.group(1))) <= keep_through:
                         weeks[week - 1] += line
-            if digests is not None:
-                digest = START_DIGEST
-                for lines in weeks:
-                    digest = _chain(digest, lines)
-                if digest != digests[name]:
-                    raise ValidationError(
-                        f"{path} does not hold the lines of weeks 1-{keep_through} "
-                        "that the resumed run logged"
-                    )
+            digest = START_DIGEST
+            for lines in weeks:
+                digest = _chain(digest, lines)
+            if digest != digests[name]:
+                raise ValidationError(
+                    f"{path} does not hold the lines of weeks 1-{keep_through} "
+                    "that the resumed run logged"
+                )
         kept[path] = header + "".join(weeks)
     for path, text in kept.items():
         with open(path, "w", newline="", encoding="utf-8") as fh:

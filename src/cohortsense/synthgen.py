@@ -215,11 +215,10 @@ class GroupProfile:
     feature_spreads: dict[str, float]
     score_range: tuple[int, int]
     segment_weights: dict[str, tuple[float, float, float, float]]
-    # feature-space displacement direction of lonely members; None falls
-    # back to the built-in per-group map
-    lonely_direction: dict[str, float] | None = None
-    # categorical context token; None falls back to the built-in map
-    social_token: str | None = None
+    # feature-space displacement direction of lonely members
+    lonely_direction: dict[str, float]
+    # categorical context token
+    social_token: str
 
     def __post_init__(self) -> None:
         lo, hi = self.score_range
@@ -308,6 +307,8 @@ def build_default_profiles() -> list[GroupProfile]:
                     segment_weights={
                         f: _RHYTHMS[_GROUP_RHYTHM[group][f]] for f in FEATURES
                     },
+                    lonely_direction=_LONELY_DIRECTION[group],
+                    social_token=GROUP_TOKENS[group],
                 )
             )
     return profiles
@@ -437,10 +438,7 @@ def _segment_levels(profile: GroupProfile) -> np.ndarray:
 
 
 def _lonely_displacement(profile: GroupProfile) -> np.ndarray:
-    direction = profile.lonely_direction
-    if direction is None:
-        direction = _LONELY_DIRECTION.get(profile.group_id, {})
-    return np.array([LONELY_SHIFT * direction.get(f, 0.0) for f in FEATURES])
+    return np.array([LONELY_SHIFT * profile.lonely_direction.get(f, 0.0) for f in FEATURES])
 
 
 # a participant-week's 28 rows are drawn day by day in SEGMENT_ORDER and
@@ -500,10 +498,7 @@ def generate_cohort(
         uniforms = uniforms.reshape(-1, k + 2)
         values[uniforms[:, 0] < OUTLIER_RECORD_RATE] *= OUTLIER_FACTOR
         values[uniforms[:, 1:-1] < MISSING_CELL_RATE] = np.nan
-        token_of = {
-            group: GROUP_TOKENS.get(group, group) if p.social_token is None else p.social_token
-            for group, p in profile_of.items()
-        }
+        token_of = {group: p.social_token for group, p in profile_of.items()}
         tokens = np.where(
             uniforms[:, -1] < MISSING_CELL_RATE,
             None,

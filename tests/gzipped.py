@@ -1,4 +1,4 @@
-"""Checkpoint files written the way the earlier checkpoint writer wrote them."""
+"""Gzip files written the way `engine.save` once wrote its checkpoints."""
 
 import gzip
 import json
@@ -15,17 +15,3 @@ def write_gzip(path, content) -> None:
     with gzip.GzipFile(path, "wb", mtime=0) as fh:
         fh.write(content)
 
-
-def older_layout(doc: dict) -> dict:
-    """A copy of checkpoint ``doc`` as the earlier writer laid it out: the
-    registry's ``prev_memberships`` as a sorted id list per cohort label,
-    not a label or null per row of ``ids``, and no ``log_digests``."""
-    doc = {key: value for key, value in doc.items() if key != "log_digests"}
-    registry = dict(doc["registry"])
-    cohorts: dict[str, list[str]] = {}
-    for pid, label in zip(registry["ids"], registry["prev_memberships"]):
-        if label is not None:
-            cohorts.setdefault(label, []).append(pid)
-    registry["prev_memberships"] = {label: sorted(ids) for label, ids in cohorts.items()}
-    doc["registry"] = registry
-    return doc

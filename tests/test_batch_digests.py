@@ -32,7 +32,6 @@ from cohortsense.preprocess import fit_pipeline, pipeline_to_json, vectorize_wee
 from cohortsense.synthgen import CohortPlan, build_default_profiles, generate_cohort
 
 from columns import batch_of
-from gzipped import older_layout
 
 SEGMENTS = ("night", "morning", "afternoon", "evening")
 
@@ -111,8 +110,6 @@ DIGESTS = {
     # every output file, then the checkpoint JSON with its GBT models removed
     "replay/files": "ab7366fe526db8c7a25cf4a35246a345881cf8f7c5542193e2fa6b187f6a628d",
     "replay/checkpoint_without_gbt": "27ec0d58c19fb9448f900a0377843e06257c4fdb78d7112687f26f9ecd919943",
-    # the same checkpoint in the earlier writer's layout (`gzipped.older_layout`)
-    "replay/checkpoint_without_gbt/older_layout": "a43e37f10d81abbc36d9b1126e60ee24a6c0ce5a7377b66786a475cf00f031d7",
     # the four `--plot` charts of the same replay
     "replay/charts": "9f38c82c7f1c4e9cc43ce60a6d637b9be25290b77cfa31692f4e55accfdcdabd",
 }
@@ -201,4 +198,3 @@ def test_replay_writes_the_pinned_files(tmp_path):
     assert files.hexdigest() == DIGESTS["replay/files"]
     assert charts.hexdigest() == DIGESTS["replay/charts"]
     assert sha(state) == DIGESTS["replay/checkpoint_without_gbt"]
-    assert sha(older_layout(state)) == DIGESTS["replay/checkpoint_without_gbt/older_layout"]

@@ -10,7 +10,7 @@ import pytest
 from cohortsense.cli import main
 from cohortsense.synthgen import FEATURES, CohortPlan
 
-from gzipped import older_layout, write_gzip
+from gzipped import write_gzip
 
 
 def tiny_plan(weeks=3, per_group=12):
@@ -384,10 +384,11 @@ def test_replay_checkpoint_into_a_missing_directory_exits_one_before_week_one(
     assert code == 0 and (fresh / "ckpt.csk").is_file()
 
 
-def resume_edited_checkpoint(tmp_path, capsys, edit) -> tuple[int, str]:
-    """Replay week 1 of a 2-week cohort with a checkpoint, apply ``edit`` to
-    the checkpoint's JSON, resume week 2 from it and return the exit code
-    and stderr; no week-2 report may be written."""
+def resume_edited_checkpoint(tmp_path, capsys, edit, out="out") -> tuple[int, str]:
+    """Replay week 1 of a 2-week cohort into ``tmp_path / "out"`` with a
+    checkpoint, apply ``edit`` to the checkpoint's JSON, resume week 2 from
+    it into ``tmp_path / out`` and return the exit code and stderr; a failed
+    resume may write no week-2 report."""
     data = tmp_path / "data"
     plan_path = tmp_path / "plan.json"
     config_path = tmp_path / "config.json"
@@ -405,9 +406,9 @@ def resume_edited_checkpoint(tmp_path, capsys, edit) -> tuple[int, str]:
     capsys.readouterr()
     code = main(
         ["replay", "--config", str(config_path), "--data-dir", str(data),
-         "--out-dir", str(tmp_path / "out"), "--resume", str(ckpt)]
+         "--out-dir", str(tmp_path / out), "--resume", str(ckpt)]
     )
-    assert not (tmp_path / "out" / "report_week_2.csv").exists()
+    assert code == 0 or not (tmp_path / out / "report_week_2.csv").exists()
     return code, capsys.readouterr().err
 
 
@@ -432,15 +433,45 @@ def test_replay_resume_checkpoint_with_a_nan_svm_bias_exits_one(tmp_path, capsys
 
 def test_replay_resume_checkpoint_naming_an_unknown_point_exits_one(tmp_path, capsys):
     def edit(doc):
-        # cohort memberships as id lists, the earlier writer's layout
-        older = older_layout(doc)
-        doc.clear()
-        doc.update(older)
-        doc["registry"]["prev_memberships"] = {"G1": ["ZZZ|w01"]}
+        doc["registry"]["vanished"] = {"G1": ["ZZZ|w01"]}
 
     code, err = resume_edited_checkpoint(tmp_path, capsys, edit)
     assert code == 1
     assert err.startswith("error:") and "outside the registry" in err and "Traceback" not in err
+
+
+def id_lists(doc):
+    """Lay out ``doc``'s cohort memberships as an id list per cohort label,
+    as checkpoints did before the per-row labels."""
+    registry = doc["registry"]
+    cohorts = {}
+    for pid, label in zip(registry["ids"], registry["prev_memberships"]):
+        if label is not None:
+            cohorts.setdefault(label, []).append(pid)
+    registry["prev_memberships"] = cohorts
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda doc: None, None),
+        (lambda doc: doc.pop("log_digests"), "log_digests"),
+        (id_lists, "cohort memberships"),
+        (lambda doc: doc["config"].update(refit_every_n_weeks=0), "refit_every_n_weeks"),
+        (lambda doc: doc["config"]["learners"].update(logreg_iterations=80), "logreg_iterations"),
+    ],
+    ids=["unedited", "no log digests", "id-list memberships", "refit cadence", "descent knob"],
+)
+def test_replay_resume_refuses_each_retired_checkpoint_layout(
+    tmp_path, capsys, edit, field
+):
+    code, err = resume_edited_checkpoint(tmp_path, capsys, edit, out="resumed")
+    if field is None:
+        assert code == 0 and (tmp_path / "resumed" / "report_week_2.csv").exists()
+        return
+    assert code == 1
+    assert err.startswith("error:") and field in err and "Traceback" not in err
+    assert not (tmp_path / "resumed").exists()
 
 
 @pytest.mark.parametrize(

@@ -439,7 +439,7 @@ def test_registry_json_round_trip():
     assert restored.to_json() == reg.to_json()
 
 
-def test_registry_json_writes_each_point_s_cohort_once_and_reads_id_lists():
+def test_registry_json_writes_each_point_s_cohort_once_and_refuses_id_lists():
     pts = clustered_data(13, n=70, dim=3)
     reg = ClusterRegistry(eps=0.9, density_fraction=0.1, min_pts_floor=5)
     for pid in pts:
@@ -449,11 +449,17 @@ def test_registry_json_writes_each_point_s_cohort_once_and_reads_id_lists():
     label_of = {pt: label for label, members in snap.cohorts.items() for pt in members}
     assert doc["prev_memberships"] == [label_of.get(pid) for pid in doc["ids"]]
     assert snap.noise and None in doc["prev_memberships"]
-    # the earlier layout: a sorted id list per cohort label
-    older = dict(doc, prev_memberships={k: sorted(m) for k, m in snap.cohorts.items()})
     reg.insert("zz_new", np.zeros(3))
     expected = reg.snapshot()
-    for restored in (ClusterRegistry.from_json(doc), ClusterRegistry.from_json(older)):
-        assert restored.to_json() == doc
-        restored.insert("zz_new", np.zeros(3))
-        assert restored.snapshot() == expected
+    restored = ClusterRegistry.from_json(doc)
+    assert restored.to_json() == doc
+    restored.insert("zz_new", np.zeros(3))
+    assert restored.snapshot() == expected
+    # a sorted id list per cohort label, as earlier checkpoints held
+    # them, is refused, also when it holds one label per point
+    id_lists = {k: sorted(m) for k, m in snap.cohorts.items()}
+    padded = {**id_lists, **{f"pad{k}": [] for k in range(len(doc["ids"]) - len(id_lists))}}
+    assert len(padded) == len(doc["ids"])
+    for prev in (id_lists, padded):
+        with pytest.raises(ValidationError, match="not one label or null per point"):
+            ClusterRegistry.from_json(dict(doc, prev_memberships=prev))

@@ -33,7 +33,7 @@ from cohortsense.synthgen import (
 )
 
 from columns import batch_of
-from gzipped import older_layout, write_gzip
+from gzipped import write_gzip
 
 FAST_CONFIG = EngineConfig(
     cv_folds=3,
@@ -210,28 +210,6 @@ def test_checkpoint_resume_byte_identical_reports(tmp_path, mini_batches):
     assert (out_a / clusters).read_bytes() == (out_b / clusters).read_bytes()
 
 
-def test_checkpoint_with_logreg_descent_knobs_loads_and_resumes(tmp_path, mini_batches):
-    # an older writer stored logreg_iterations, logreg_step and svm_epochs,
-    # which Newton's method does not read: they are dropped on load
-    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
-    path = tmp_path / "state.csk"
-    save(state, path)
-    doc = json.loads(gzip.open(path, "rb").read())
-    doc["config"]["learners"].update(logreg_iterations=80, logreg_step=0.1, svm_epochs=80)
-    older = tmp_path / "older.csk"
-    write_gzip(older, doc)
-    loaded = load(older)
-    assert loaded.config == FAST_CONFIG
-    again = tmp_path / "again.csk"
-    save(loaded, again)
-    assert gzip.open(again, "rb").read() == gzip.open(path, "rb").read()
-    week2 = []
-    for start in (state, loaded):
-        save(step(start, mini_batches[1])[0], tmp_path / "week2.csk")
-        week2.append(gzip.open(tmp_path / "week2.csk", "rb").read())
-    assert week2[0] == week2[1]
-
-
 def test_checkpoint_version_gate(tmp_path, mini_batches):
     state = new_state(FAST_CONFIG)
     state, _ = step(state, mini_batches[0])
@@ -266,15 +244,17 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
     state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
     path = tmp_path / "state.csk"
     save(state, path)
-    # cohort memberships as id lists: the earlier writer's layout, which still loads
-    good = older_layout(json.loads(gzip.open(path, "rb").read()))
+    good = json.loads(gzip.open(path, "rb").read())
     pid = next(iter(good["scores"]))
     reg, pipeline = good["registry"], good["pipeline"]
     generic = good["pool"]["generic"]
     f1 = generic["validation_f1"]
-    prev = reg["prev_memberships"]
-    assert sorted(prev) == ["G1", "G2", "G3"] and reg["next_label_index"] == 4
-    kept = {label: prev[label] for label in ("G1", "G2")}
+    labels = reg["prev_memberships"]
+    assert set(labels) - {None} == {"G1", "G2", "G3"} and reg["next_label_index"] == 4
+    assert reg["vanished"] == {}
+    # G3 dropped: its points' labels null, its members kept as vanished
+    kept = [None if x == "G3" else x for x in labels]
+    g3 = sorted(pt for pt, x in zip(reg["ids"], labels) if x == "G3")
 
     def pool_with_f1(value):
         return dict(good["pool"], generic=dict(generic, validation_f1=value))
@@ -319,6 +299,12 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
         ("pool", pool_with_model("gbt", init_score=nan)),
         ("pool", pool_with_model("gbt", learning_rate=inf)),
         ("pool", pool_with_model("random_forest", trees=forest_trees)),
+        # each model stored under its own kind
+        ("pool", dict(good["pool"], generic=dict(generic, models=dict(
+            generic["models"],
+            logreg=generic["models"]["linear_svm"],
+            linear_svm=generic["models"]["logreg"],
+        )))),
         # the hold-out: a list of scored participant ids
         ("holdout", good["holdout"][0]),
         ("holdout", good["holdout"] + ["ZZZ"]),
@@ -328,18 +314,21 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
         ("current_week", 1.5),
         ("current_week", True),
         # cohort memberships name registry points, and fresh labels are unused
-        ("registry", dict(reg, prev_memberships=dict(prev, G1=["ZZZ|w01"]))),
+        ("registry", dict(reg, prev_memberships=kept, vanished={"G3": g3 + ["ZZZ|w01"]})),
         ("registry", dict(reg, prev_memberships=kept, vanished={"G3": ["ZZZ|w01"]})),
         ("registry", dict(reg, next_label_index=3)),
-        ("registry", dict(
-            reg, prev_memberships=kept, vanished={"G3": prev["G3"]}, next_label_index=3
-        )),
+        ("registry", dict(reg, prev_memberships=kept, vanished={"G3": g3}, next_label_index=3)),
     ]
-    for field, value in broken:
-        doc = dict(good, **{field: value})
-        write_gzip(path, doc)
+    for case, (field, value) in enumerate(broken):
+        write_gzip(path, dict(good, **{field: value}))
         with pytest.raises(CheckpointError):
             load(path)
+            pytest.fail(f"broken case {case} ({field}) loaded")
+    dropped = dict(reg, prev_memberships=kept, vanished={"G3": g3})
+    write_gzip(path, dict(good, registry=dropped))
+    assert load(path).registry.to_json() == dropped
+    write_gzip(path, good)
+    assert load(path).registry.to_json() == state.registry.to_json()
 
 
 def test_checkpoint_bad_cohort_labels_or_log_digests_is_checkpoint_error(tmp_path, mini_batches):
@@ -378,26 +367,6 @@ def test_checkpoint_bad_cohort_labels_or_log_digests_is_checkpoint_error(tmp_pat
             pytest.fail(f"{field} {value!r} loaded")
     write_gzip(path, good)
     assert load(path).registry.to_json() == state.registry.to_json()
-
-
-def test_a_checkpoint_in_the_earlier_membership_layout_loads_and_resumes(tmp_path, profiles):
-    batches = generate_cohort(mini_plan(weeks=4), profiles, seed=3)
-    straight = tmp_path / "straight"
-    run_replay(FAST_CONFIG, batches, out_dir=straight)
-    resumed, ckpt = tmp_path / "resumed", tmp_path / "mid.csk"
-    run_replay(FAST_CONFIG, batches[:2], out_dir=resumed, checkpoint_path=ckpt)
-
-    doc = older_layout(json.loads(gzip.open(ckpt, "rb").read()))
-    assert doc["registry"]["prev_memberships"]
-    older = tmp_path / "older.csk"
-    write_gzip(older, doc)
-    state = load(older)
-    assert state.registry.to_json() == load(ckpt).registry.to_json()
-    # with no log digests, the kept log lines are not checked
-    assert state.log_digests is None
-    run_replay(state, batches[2:], out_dir=resumed)
-    for name in sorted(p.name for p in straight.iterdir()):
-        assert (straight / name).read_bytes() == (resumed / name).read_bytes(), name
 
 
 def test_log_digests_chain_each_week_s_lines_with_or_without_an_output_directory(
@@ -477,8 +446,8 @@ def test_checkpoint_tree_too_deep_to_read_is_checkpoint_error(
 @pytest.mark.parametrize(
     "change, message",
     [
-        # an older writer's refit cadence, other than fit once at week 1
-        ({"refit_every_n_weeks": 2}, "refit_every_n_weeks must be 0"),
+        # the pipeline refit cadence that earlier checkpoints stored
+        ({"refit_every_n_weeks": 0}, "unknown config keys: refit_every_n_weeks"),
         ({"surplus": 1}, "unknown config keys: surplus"),
         ({"learners": {"forest_trees": 10, "surplus": 1}}, "unknown learner config keys: surplus"),
     ],
@@ -714,58 +683,6 @@ def test_run_log_restarts_on_a_fresh_replay_and_keeps_done_weeks_on_resume(tmp_p
     run_replay(FAST_CONFIG, batches[:2], checkpoint_path=ckpt)
     run_replay(load(ckpt), batches[2:], out_dir=out)
     assert (out / "runlog.jsonl").read_bytes() == log
-
-
-def test_checkpoint_in_the_older_layout_loads_and_resumes(tmp_path, profiles):
-    batches = generate_cohort(mini_plan(weeks=4), profiles, seed=3)
-    straight = tmp_path / "straight"
-    run_replay(FAST_CONFIG, batches, out_dir=straight)
-    resumed = tmp_path / "resumed"
-    ckpt = tmp_path / "mid.csk"
-    run_replay(FAST_CONFIG, batches[:2], out_dir=resumed, checkpoint_path=ckpt)
-
-    # the older layout also held labeled rows, each with its vector,
-    # participant id and week, the run log, the pipeline refit cadence of
-    # 0 (fit once, at week 1), the pool's copies of two config
-    # values, each set's scope, week and training point ids, the models'
-    # seeds and sizes, and each GBT model's per-round training losses
-    doc = json.loads(gzip.open(ckpt, "rb").read())
-    reg = doc["registry"]
-    vector_of = dict(zip(reg["ids"], reg["vectors"]))
-    doc["rows"] = []
-    for point_id in reg["ids"]:
-        participant, _, week = point_id.rpartition("|w")
-        doc["rows"].append({
-            "point_id": point_id,
-            "label": int(doc["scores"][participant] > doc["config"]["score_threshold"]),
-            "vector": vector_of[point_id],
-            "participant_id": participant,
-            "week": int(week),
-        })
-    doc["run_log"] = [{"event": "week 1: preprocessing pipeline fitted", "week": 1}]
-    doc["config"]["refit_every_n_weeks"] = 0
-    reg["cohort_ids"] = {"p0": "G1"}
-    doc["pool"].update(min_cohort_size=15, min_class_count=5)
-    scopes = {"generic": doc["pool"]["generic"], **doc["pool"]["specialized"]}
-    for scope, model_set in scopes.items():
-        model_set.update(scope=scope, trained_through_week=2)
-        model_set["trained_on"] = sorted(row["point_id"] for row in doc["rows"])
-        model_set["models"]["logreg"].update(seed=1, iterations=80)
-        model_set["models"]["linear_svm"].update(seed=1, epochs=80)
-        model_set["models"]["random_forest"].update(seed=1, n_trees=10, max_depth=4)
-        model_set["models"]["gbt"].update(seed=1, train_log_loss=[0.5] * 10)
-    older = tmp_path / "older.csk"
-    write_gzip(older, json.dumps(doc, sort_keys=True))
-
-    state = load(older)
-    again = tmp_path / "again.csk"
-    save(state, again)
-    assert gzip.open(again, "rb").read() == gzip.open(ckpt, "rb").read()
-    assert np.array_equal(state.registry.vectors(state.rows), [vector_of[pt] for pt in state.rows])
-
-    run_replay(state, batches[2:], out_dir=resumed)
-    for name in sorted(p.name for p in straight.iterdir()):
-        assert (straight / name).read_bytes() == (resumed / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------- properties
