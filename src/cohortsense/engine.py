@@ -52,7 +52,7 @@ from .preprocess import (
 )
 from . import reporting
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -280,19 +280,8 @@ def save(state: EngineState, path: str | Path) -> Path:
     a checkpoint's bytes do not depend on its path; they do depend on the
     linked zlib's deflate, as they did at level 9.
     """
-    doc = {
-        "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "config": asdict(state.config),
-        "current_week": state.current_week,
-        "pipeline": None if state.pipeline is None else pipeline_to_json(state.pipeline),
-        "registry": state.registry.to_json(),
-        "pool": pool_to_json(state.pool),
-        "holdout": sorted(state.holdout),
-        "scores": dict(sorted(state.scores.items())),
-        "log_digests": state.log_digests,
-    }
     out = Path(path)
-    payload = json.dumps(doc, sort_keys=True).encode("utf-8")
+    payload = json.dumps(_state_to_json(state), sort_keys=True).encode("utf-8")
     # wbits 31: a gzip member, whose header zlib writes with no name, mtime 0
     deflate = zlib.compressobj(7, zlib.DEFLATED, 31, 8, zlib.Z_FILTERED)
     data = deflate.compress(payload) + deflate.flush()
@@ -314,7 +303,25 @@ def save(state: EngineState, path: str | Path) -> Path:
     return out
 
 
+def _state_to_json(state: EngineState) -> dict:
+    """The checkpoint document: the one layout `save` writes and `load` reads."""
+    return {
+        "schema_version": CHECKPOINT_SCHEMA_VERSION,
+        "config": asdict(state.config),
+        "current_week": state.current_week,
+        "pipeline": None if state.pipeline is None else pipeline_to_json(state.pipeline),
+        "registry": state.registry.to_json(),
+        "pool": pool_to_json(state.pool),
+        "holdout": sorted(state.holdout),
+        "scores": dict(sorted(state.scores.items())),
+        "log_digests": state.log_digests,
+    }
+
+
 def load(path: str | Path) -> EngineState:
+    """Read a checkpoint that `save` wrote. A document that is not the one
+    `save` would write for the state it gives, down to its last key and
+    value, is refused with `CheckpointError`."""
     try:
         with gzip.open(path, "rb") as fh:
             payload = fh.read()
@@ -328,11 +335,19 @@ def load(path: str | Path) -> EngineState:
             f"expected {CHECKPOINT_SCHEMA_VERSION}"
         )
     try:
-        return _state_from_json(doc)
+        state = _state_from_json(doc)
+        written = _state_to_json(state)
     except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise CheckpointError(
             f"malformed checkpoint {path}: {type(exc).__name__}: {exc}"
         ) from exc
+    shared = doc.keys() & written.keys()
+    differ = sorted((doc.keys() ^ written.keys()) | {k for k in shared if doc[k] != written[k]})
+    if differ:
+        raise CheckpointError(
+            f"checkpoint {path} is not laid out as save writes it: {', '.join(differ)} differ"
+        )
+    return state
 
 
 def _state_from_json(doc: dict) -> EngineState:

@@ -11,12 +11,11 @@ import numpy as np
 from .cluster import ClusterSnapshot
 from .core import EngineConfig, LearnerConfig, ValidationError
 from .learners import (
+    MODEL_TYPES,
     Dataset,
     Metrics,
     compute_metrics,
     kfold_cv,
-    model_from_json,
-    model_to_json,
     needs_smote,
     smote,
     train_gbt,
@@ -299,17 +298,17 @@ def _set_to_json(model_set: ModelSet) -> dict:
     return {
         "input_dim": model_set.input_dim,
         "validation_f1": {k.value: v for k, v in model_set.validation_f1.items()},
-        "models": {k.value: model_to_json(m) for k, m in model_set.models.items()},
+        "models": {k.value: m.to_json() for k, m in model_set.models.items()},
     }
 
 
 def _set_from_json(doc: dict) -> ModelSet:
     input_dim = int(doc["input_dim"])
-    models = {ModelKind(k): model_from_json(m) for k, m in doc["models"].items()}
-    for kind, model in models.items():
-        if model.kind != kind:
-            raise ValidationError(f"a {model.kind.value} model is stored as {kind.value}")
-        model.check(input_dim)
+    models = {}
+    for key, model_doc in doc["models"].items():
+        kind = ModelKind(key)
+        models[kind] = MODEL_TYPES[kind].from_json(model_doc)
+        models[kind].check(input_dim)
     return ModelSet(
         models=models,
         validation_f1={ModelKind(k): float(v) for k, v in doc["validation_f1"].items()},

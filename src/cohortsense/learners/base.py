@@ -1,4 +1,4 @@
-"""Dataset container and the model kind registry shared by all learners."""
+"""Dataset container and the model kinds shared by all learners."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ from enum import Enum
 import numpy as np
 
 from ..core import ValidationError, seed_entropy
-
-MODEL_SCHEMA_VERSION = 1
 
 
 class ModelKind(Enum):
@@ -105,28 +103,3 @@ def require_both_classes(dataset: Dataset, kind: str) -> None:
         raise ValidationError(
             f"{kind} training requires both classes, got {zeros} zeros / {ones} ones"
         )
-
-
-def model_to_json(model) -> dict:
-    """Serialize any trained model to a JSON-ready dict with a schema tag."""
-    doc = model.to_json()
-    doc["schema_version"] = MODEL_SCHEMA_VERSION
-    doc["kind"] = model.kind.value
-    return doc
-
-
-def model_from_json(doc: dict):
-    from .linear import LinearSVMModel, LogRegModel
-    from .trees import ForestModel, GBTModel
-
-    version = doc.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
-        raise ValidationError(f"unsupported model schema version: {version!r}")
-    kind = ModelKind(doc["kind"])
-    loaders = {
-        ModelKind.LOGREG: LogRegModel.from_json,
-        ModelKind.LINEAR_SVM: LinearSVMModel.from_json,
-        ModelKind.RANDOM_FOREST: ForestModel.from_json,
-        ModelKind.GBT: GBTModel.from_json,
-    }
-    return loaders[kind](doc)

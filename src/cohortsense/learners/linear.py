@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import ValidationError
-from .base import Dataset, ModelKind, check_batch, require_both_classes
+from .base import Dataset, check_batch, require_both_classes
 
 
 def logreg_loss(
@@ -33,8 +33,9 @@ def logreg_gradient(
 
 
 @dataclass(frozen=True)
-class _LinearModel:
-    """A linear score ``X @ weights + bias``; a row is positive where it is >= 0."""
+class LinearModel:
+    """A linear score ``X @ weights + bias``; a row is positive where it is
+    >= 0. Both linear kinds train this model."""
 
     weights: np.ndarray
     bias: float
@@ -59,16 +60,8 @@ class _LinearModel:
         return {"weights": self.weights.tolist(), "bias": self.bias}
 
     @classmethod
-    def from_json(cls, doc: dict):
+    def from_json(cls, doc: dict) -> "LinearModel":
         return cls(weights=np.array(doc["weights"], dtype=float), bias=float(doc["bias"]))
-
-
-class LogRegModel(_LinearModel):
-    kind = ModelKind.LOGREG
-
-
-class LinearSVMModel(_LinearModel):
-    kind = ModelKind.LINEAR_SVM
 
 
 def _stacked(datasets: list[Dataset], seeds: list[int], kind: str):
@@ -191,7 +184,7 @@ def _newton(
 
 def train_logreg(
     datasets: list[Dataset], seeds: list[int], l2: float = 1e-3
-) -> list[LogRegModel]:
+) -> list[LinearModel]:
     """Mean cross-entropy plus (l2/2)*|w|^2, bias unregularized, minimized
     by ``_newton``: one model per (dataset, seed); the seeds are unused."""
     if not datasets:
@@ -201,12 +194,12 @@ def train_logreg(
     theta = _newton(
         datasets, seeds, "logistic regression", _logistic_loss, _logistic_derivatives, penalty
     )
-    return [LogRegModel(weights=t[:-1], bias=float(t[-1])) for t in theta]
+    return [LinearModel(weights=t[:-1], bias=float(t[-1])) for t in theta]
 
 
 def train_linear_svm(
     datasets: list[Dataset], seeds: list[int], l2: float = 1e-3
-) -> list[LinearSVMModel]:
+) -> list[LinearModel]:
     """Mean squared hinge plus (l2/2)*|(w, b)|^2, the bias a regularized
     coordinate, minimized by ``_newton`` (a primal Newton method: Chapelle,
     Neural Computation 2007): one model per (dataset, seed); the seeds are
@@ -217,4 +210,4 @@ def train_linear_svm(
     theta = _newton(
         datasets, seeds, "linear SVM", _squared_hinge_loss, _squared_hinge_derivatives, penalty
     )
-    return [LinearSVMModel(weights=t[:-1], bias=float(t[-1])) for t in theta]
+    return [LinearModel(weights=t[:-1], bias=float(t[-1])) for t in theta]

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import ValidationError
-from .base import Dataset, ModelKind, check_batch, require_both_classes
+from .base import Dataset, check_batch, require_both_classes
 
 MAX_BINS = 32
 # bootstrap draws per forest chunk; (tree, group) slots or GBT groups,
@@ -485,8 +485,6 @@ def _grow(
 class ForestModel:
     nodes: NodeTable
 
-    kind = ModelKind.RANDOM_FOREST
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         votes = self.nodes.leaves(np.asarray(X, dtype=float)).sum(axis=1)
         # majority of tree votes; exact tie predicts lonely (1)
@@ -586,8 +584,6 @@ class GBTModel:
     init_score: float
     learning_rate: float
     nodes: NodeTable
-
-    kind = ModelKind.GBT
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
         scores = np.full(X.shape[0], self.init_score)

@@ -17,8 +17,6 @@ from .core import SEGMENT_ORDER, ValidationError, WeeklyBatch
 
 log = logging.getLogger(__name__)
 
-PIPELINE_SCHEMA_VERSION = 1
-
 IQR_FACTOR = 1.5
 
 
@@ -167,10 +165,6 @@ def pca_project_matrix(projector: FittedProjector, matrix: np.ndarray) -> np.nda
     return (np.asarray(matrix, dtype=float) - projector.mean) @ projector.components.T
 
 
-def pca_reconstruct(projector: FittedProjector, coords: np.ndarray) -> np.ndarray:
-    return projector.mean + projector.components.T @ np.asarray(coords, dtype=float)
-
-
 @dataclass(frozen=True)
 class FittedPipeline:
     """Frozen preprocessing state: feature order, vocabularies, scaler, PCA."""
@@ -284,7 +278,6 @@ def vectorize_week(
 
 def pipeline_to_json(pipeline: FittedPipeline) -> dict:
     return {
-        "schema_version": PIPELINE_SCHEMA_VERSION,
         "continuous_features": list(pipeline.continuous_features),
         "categorical_features": list(pipeline.categorical_features),
         "vocabularies": {k: list(v) for k, v in pipeline.vocabularies.items()},
@@ -297,9 +290,6 @@ def pipeline_to_json(pipeline: FittedPipeline) -> dict:
 
 
 def pipeline_from_json(doc: dict) -> FittedPipeline:
-    version = doc.get("schema_version")
-    if version != PIPELINE_SCHEMA_VERSION:
-        raise ValidationError(f"unsupported pipeline schema version: {version!r}")
     keys = ("scaler_min", "scaler_max", "pca_mean", "pca_components", "pca_explained_variance_ratio")
     arrays = {key: np.array(doc[key], dtype=float) for key in keys}
     for key, values in arrays.items():

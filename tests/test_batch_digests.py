@@ -15,7 +15,12 @@ forest split whose two children are leaves of one value, which changed
 the forests' trees and nothing else, and again when the checkpoint came
 to write each point's cohort once, as a label per registry row, and each
 run log's hash chain; laid out as the earlier writer laid it out, it
-still hashes to the digest recorded before that change. The four charts
+still hashes to the digest recorded before that change. The checkpoint
+digest and the two pipeline digests were recorded again when the
+checkpoint's version became its only one (2): the pipeline and every
+model lost their own `schema_version`, and every model its `kind`; with
+those keys deleted and the version set to 2, the earlier documents hash
+to the new digests. The four charts
 have their own digest, recorded before `summary.csv` came to be appended
 week by week.
 """
@@ -99,9 +104,9 @@ def sha(doc) -> str:
 
 
 DIGESTS = {
-    "hand/pipeline": "297a4b5c9c2fd257e798c6de9367e43bc9202788962b46c9fefae991883ae4e6",
+    "hand/pipeline": "90fc35af9a00f7199839d499ba292174e258826d224fcffeaca60522b0e38df7",
     "hand/vectors": "81f7329c68b82414e0de0220ba37a365c668f6f8ba6c74950f809fc14c0b8921",
-    "mini/pipeline": "33a9ad425e3887b56618a58673522876cdc45c4f59ae50fa4fd4d89e6de52982",
+    "mini/pipeline": "4a6b83faf638c7b4b22b0361405b5224b85c4a98589fd095b11745098524a409",
     "mini/vectors": "578aefdfe756b23e8c373fa8b90bd4cd89963c9ece504b829d1fa63cee0d29f4",
     "synth/labels.csv": "58dc574e5ab95e74340aab4208ea1b4f207348e4647425c2debb8a1b724beaa1",
     "synth/plan.json": "790343b9cb1847d10df69074fd7e7b617381b0fde30ff9c917fbbc913088a6ea",
@@ -109,7 +114,7 @@ DIGESTS = {
     "synth/week_2.csv": "f0b751ea47faad129dc498571cec5e203b81a674f08a17f472c31bf2ba4a916a",
     # every output file, then the checkpoint JSON with its GBT models removed
     "replay/files": "ab7366fe526db8c7a25cf4a35246a345881cf8f7c5542193e2fa6b187f6a628d",
-    "replay/checkpoint_without_gbt": "27ec0d58c19fb9448f900a0377843e06257c4fdb78d7112687f26f9ecd919943",
+    "replay/checkpoint_without_gbt": "3f1ce1f94873d53f36e7214dae0c367cb7f915c091bdb5765b08f599f9778cb0",
     # the four `--plot` charts of the same replay
     "replay/charts": "9f38c82c7f1c4e9cc43ce60a6d637b9be25290b77cfa31692f4e55accfdcdabd",
 }

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from cohortsense.cli import main
+from cohortsense.engine import CHECKPOINT_SCHEMA_VERSION
 from cohortsense.synthgen import FEATURES, CohortPlan
 
 from gzipped import write_gzip
@@ -344,7 +345,7 @@ def test_replay_resume_malformed_checkpoint_exits_one(tmp_path, capsys):
     write_tiny_plan(plan_path, weeks=1)
     main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
     ckpt = tmp_path / "bad.csk"
-    write_gzip(ckpt, {"schema_version": 1})
+    write_gzip(ckpt, {"schema_version": CHECKPOINT_SCHEMA_VERSION})
     capsys.readouterr()
     code = main(
         ["replay", "--data-dir", str(data), "--out-dir", str(tmp_path / "out"),
@@ -451,6 +452,17 @@ def id_lists(doc):
     registry["prev_memberships"] = cohorts
 
 
+def nested_tags(doc):
+    """Lay out ``doc`` as version 1 did: the pipeline and every model tagged
+    with a schema version of its own, and every model with its kind."""
+    doc["schema_version"] = 1
+    doc["pipeline"]["schema_version"] = 1
+    pool = doc["pool"]
+    for model_set in [pool["generic"], *pool["specialized"].values()]:
+        for kind, model in model_set["models"].items():
+            model.update(schema_version=1, kind=kind)
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -459,8 +471,13 @@ def id_lists(doc):
         (id_lists, "cohort memberships"),
         (lambda doc: doc["config"].update(refit_every_n_weeks=0), "refit_every_n_weeks"),
         (lambda doc: doc["config"]["learners"].update(logreg_iterations=80), "logreg_iterations"),
+        (nested_tags, "schema version 1"),
+        (lambda doc: doc["registry"].update(cohort_ids=["G1"]), "registry differ"),
     ],
-    ids=["unedited", "no log digests", "id-list memberships", "refit cadence", "descent knob"],
+    ids=[
+        "unedited", "no log digests", "id-list memberships", "refit cadence", "descent knob",
+        "version 1 with the nested tags", "unknown registry key",
+    ],
 )
 def test_replay_resume_refuses_each_retired_checkpoint_layout(
     tmp_path, capsys, edit, field

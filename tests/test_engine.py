@@ -235,7 +235,7 @@ def test_checkpoint_truncated_file(tmp_path, mini_batches):
 
 def test_checkpoint_missing_fields_is_checkpoint_error(tmp_path):
     path = tmp_path / "state.csk"
-    write_gzip(path, {"schema_version": 1})
+    write_gzip(path, {"schema_version": engine.CHECKPOINT_SCHEMA_VERSION})
     with pytest.raises(CheckpointError, match="config"):
         load(path)
 
@@ -299,12 +299,6 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
         ("pool", pool_with_model("gbt", init_score=nan)),
         ("pool", pool_with_model("gbt", learning_rate=inf)),
         ("pool", pool_with_model("random_forest", trees=forest_trees)),
-        # each model stored under its own kind
-        ("pool", dict(good["pool"], generic=dict(generic, models=dict(
-            generic["models"],
-            logreg=generic["models"]["linear_svm"],
-            linear_svm=generic["models"]["logreg"],
-        )))),
         # the hold-out: a list of scored participant ids
         ("holdout", good["holdout"][0]),
         ("holdout", good["holdout"] + ["ZZZ"]),
@@ -508,6 +502,55 @@ def test_checkpoint_model_misfitting_input_dim_is_checkpoint_error(tmp_path, min
             pytest.fail(f"{name} loaded")
     write_gzip(path, good)
     assert load(path).pool.generic.input_dim == dim
+
+
+@pytest.fixture(scope="module")
+def week_one_doc(tmp_path_factory, mini_batches):
+    """The JSON document of the checkpoint saved after week 1."""
+    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
+    path = save(state, tmp_path_factory.mktemp("week_one") / "state.csk")
+    return json.loads(gzip.decompress(path.read_bytes()))
+
+
+def generic_models(doc: dict) -> dict:
+    return doc["pool"]["generic"]["models"]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda doc: doc.update(rows=doc["registry"]["ids"]), "rows differ"),
+        (lambda doc: doc.update(run_log=[]), "run_log differ"),
+        (lambda doc: doc["registry"].update(cohort_ids=["G1", "G2", "G3"]), "registry differ"),
+        (lambda doc: doc["pool"].update(min_cohort_size=15), "pool differ"),
+        (lambda doc: generic_models(doc)["gbt"].update(train_log_loss=0.5), "pool differ"),
+        (
+            lambda doc: first_split(generic_models(doc)["random_forest"]["trees"]).update(gain=1),
+            "pool differ",
+        ),
+        (
+            lambda doc: generic_models(doc).update(random_forest=generic_models(doc)["gbt"]),
+            "pool differ",
+        ),
+        (
+            lambda doc: generic_models(doc).update(gbt=generic_models(doc)["random_forest"]),
+            "malformed checkpoint .*init_score",
+        ),
+    ],
+    ids=[
+        "top-level rows", "top-level run_log", "registry cohort_ids", "pool min_cohort_size",
+        "gbt train_log_loss", "tree node key", "gbt under random_forest", "forest under gbt",
+    ],
+)
+def test_checkpoint_save_would_not_write_is_checkpoint_error(
+    tmp_path, week_one_doc, change, message
+):
+    doc = json.loads(json.dumps(week_one_doc))
+    change(doc)
+    path = tmp_path / "state.csk"
+    write_gzip(path, doc)
+    with pytest.raises(CheckpointError, match=message):
+        load(path)
 
 
 def test_checkpoint_failed_write_keeps_previous(tmp_path, mini_batches, monkeypatch):

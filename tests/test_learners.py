@@ -8,13 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from cohortsense.core import ValidationError
 from cohortsense.learners import (
+    MODEL_TYPES,
     Dataset,
+    ModelKind,
     compute_metrics,
     kfold_cv,
     logreg_gradient,
     logreg_loss,
-    model_from_json,
-    model_to_json,
     smote,
     stratified_folds,
     train_gbt,
@@ -542,7 +542,7 @@ def assert_freezes_on_its_own_steps(kind, monkeypatch):
     [slow_alone] = train([slow], [0], l2=1e-4)
     assert len(solves) - quick_steps >= quick_steps + 5
     together = train([quick, slow], [0, 1], l2=1e-4)
-    assert [model_to_json(m) for m in together] == [model_to_json(m) for m in (alone, slow_alone)]
+    assert [m.to_json() for m in together] == [m.to_json() for m in (alone, slow_alone)]
 
 
 def test_logreg_dataset_freezes_on_its_own_steps(monkeypatch):
@@ -620,7 +620,7 @@ def test_forest_same_seed_identical():
     ds = separable_fixture(n_per_class=15, seed=12)
     m1 = train_random_forest([ds], [4], n_trees=10, max_depth=4)[0]
     m2 = train_random_forest([ds], [4], n_trees=10, max_depth=4)[0]
-    assert model_to_json(m1) == model_to_json(m2)
+    assert m1.to_json() == m2.to_json()
 
 
 def test_forest_row_order_invariance():
@@ -628,7 +628,7 @@ def test_forest_row_order_invariance():
     perm = np.random.default_rng(0).permutation(len(ds))
     m1 = train_random_forest([ds], [4], n_trees=10, max_depth=4)[0]
     m2 = train_random_forest([ds.subset(perm)], [4], n_trees=10, max_depth=4)[0]
-    assert model_to_json(m1) == model_to_json(m2)
+    assert m1.to_json() == m2.to_json()
 
 
 def test_forest_empty_dataset_error():
@@ -754,7 +754,8 @@ def test_kfold_stratification_balance():
 def test_model_json_round_trip(trainer, kwargs):
     ds = separable_fixture(seed=30)
     model = trainer([ds], [1], **kwargs)[0]
-    doc = model_to_json(model)
-    restored = model_from_json(doc)
+    doc = model.to_json()
+    kind = ModelKind(trainer.__name__.removeprefix("train_"))
+    restored = MODEL_TYPES[kind].from_json(doc)
     probe = np.random.default_rng(2).normal(size=(20, 2))
     assert np.array_equal(model.predict(probe), restored.predict(probe))

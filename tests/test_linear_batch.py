@@ -11,7 +11,9 @@ split per set. The models-only digest of that set, recorded before the
 shared split, shows that its deployed models did not move. Both were
 recorded again when the grower came to drop every forest split whose two
 children are leaves of one value; with the forests' trees removed, they
-hash as before.
+hash as before. Every digest here was recorded again when models stopped
+carrying a schema version and a kind of their own: each is the hash of
+the earlier document with those two keys deleted from every model.
 """
 
 import hashlib
@@ -23,19 +25,19 @@ import pytest
 from cohortsense import ensemble
 from cohortsense.core import EngineConfig, LearnerConfig, ValidationError
 from cohortsense.ensemble import ModelPool, _fit_set, _set_to_json, refresh_generic
-from cohortsense.learners import Dataset, linear, model_to_json, smote, validation
+from cohortsense.learners import Dataset, linear, smote, validation
 from cohortsense.learners.base import KIND_ORDER, derive_seed
 
 DIGESTS = {
-    "logreg/d2/cold": "5dd6981a535110adf8cfbbf848f824427cf409c42e243cc6681003938ea1789c",
-    "logreg/d3/cold": "1e81302efb446ef5ad5d82252862d3c324995332b67086a646d1d803164fa56a",
-    "linear_svm/d2/cold": "5dd65ccd8c35378022bb382d7a2724becefe254948adf9481b81b2ad4fc122ef",
-    "linear_svm/d3/cold": "d630aa16bd7d5c912b90446041401cba52d67c7f918cd8c48fe3051ed496133f",
-    "logreg/d2/long": "299fcd2c53ecb4915fd263c508fb0135e09098f9eb2e349aa0ce5429b9674e15",
-    "fit_set/cv": "4f62d118f88e761eef01ac35a50c82f59730ba61c0b0ebb12f610cfb8b892e5d",
-    "fit_set/cv/models": "4e869b7ecc883c83b8ed6e89cce82a272ca7a89f84bbe777ae0ff49744c6a4a7",
-    "fit_set/no_cv": "af5fdedb34bf3905850d1fb9af6f2eaacf1c153b5870180eaf60046d7607fd02",
-    "refresh_generic/no_cv": "01507b06296497f8d6d83c3e05cf7edbb90e9976b6a9c621e9c94565e2707515",
+    "logreg/d2/cold": "7e1342930f516fa3cbd1a1bf6381b7b9b57507a6e2ac2541f8d305f67f2e93d3",
+    "logreg/d3/cold": "e55488258850f4945220b5e03ef7d4db85923abdd733f0a1cc26bd5056759765",
+    "linear_svm/d2/cold": "f80b1b91fd7e7ac8b96e75ac88a5d7e5a14f874e29344b503ded60d921cf1e96",
+    "linear_svm/d3/cold": "25b9fbb32f4c9c75930c647abde2b0771e8c3159a554466114db94f6af03f790",
+    "logreg/d2/long": "5e6e1f8d658b101b6461c6b6683bd86d185e584c385db56e6fe33f9505759915",
+    "fit_set/cv": "b200d57cf369e6a0e30203de3983f98afc5b7fea9876a96eb59724196c9371c7",
+    "fit_set/cv/models": "38236aa06a331554b8d4c7fa40a74ff2e9e1a46b3eea22f145416b8286d7b942",
+    "fit_set/no_cv": "055afdb65ac631b46c99a13f9d9184b391ea16bb32d373f4f09e25de20129dbc",
+    "refresh_generic/no_cv": "149ac43791abc53ce932b4461aa847760ab57adbd711e404593fad289704f7ff",
 }
 
 KINDS = ["logreg", "linear_svm"]
@@ -61,7 +63,7 @@ def train_one(kind: str, dataset: Dataset, seed: int):
 
 
 def one_dataset_doc(kind: str, d: int) -> dict:
-    return model_to_json(train_one(kind, linear_dataset(130, d, seed=d), 7))
+    return train_one(kind, linear_dataset(130, d, seed=d), 7).to_json()
 
 
 def labeled_rows(n: int, ones: int, seed: int) -> Dataset:
@@ -100,7 +102,7 @@ def test_one_dataset_digest(kind, d):
 
 def long_logreg_doc() -> dict:
     [model] = linear.train_logreg([linear_dataset(130, 2, seed=3)], [7])
-    return model_to_json(model)
+    return model.to_json()
 
 
 def test_long_logreg_digest():
@@ -181,7 +183,7 @@ def test_many_equals_one_at_a_time(kind, count):
     seeds = list(range(count))
     many = getattr(linear, f"train_{kind}")(datasets, seeds)
     single = [train_one(kind, ds, s) for ds, s in zip(datasets, seeds)]
-    assert [model_to_json(m) for m in many] == [model_to_json(m) for m in single]
+    assert [m.to_json() for m in many] == [m.to_json() for m in single]
 
 
 def many_and_single_with_repeated_lengths(train) -> tuple[list, list]:
@@ -192,7 +194,7 @@ def many_and_single_with_repeated_lengths(train) -> tuple[list, list]:
     seeds = list(range(len(lengths)))
     many = train(datasets, seeds)
     single = [train([ds], [s])[0] for ds, s in zip(datasets, seeds)]
-    return [model_to_json(m) for m in many], [model_to_json(m) for m in single]
+    return [m.to_json() for m in many], [m.to_json() for m in single]
 
 
 def test_logreg_many_with_repeated_lengths_equals_one_at_a_time():

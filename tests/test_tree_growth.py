@@ -14,7 +14,10 @@ hashes' statistics: bootstrap counts against the multinomial, uniform
 feature draws, and distinct tree keys and bootstraps. The logreg CV
 digests were recorded when damped Newton replaced logreg's gradient
 descent, and the SVM CV digests when the SVM moved to the same solver on
-the squared hinge.
+the squared hinge. Every digest here was recorded again when models
+stopped carrying a schema version and a kind of their own (a saved
+model's kind is its key in its set): each is the hash of the earlier
+document with those two keys deleted.
 """
 
 import dataclasses
@@ -28,17 +31,16 @@ from scipy.stats import binom, chisquare
 
 from cohortsense.core import ValidationError
 from cohortsense.learners import (
+    MODEL_TYPES,
     Dataset,
+    ModelKind,
     kfold_cv,
-    model_from_json,
-    model_to_json,
     train_gbt,
     train_linear_svm,
     train_logreg,
     train_random_forest,
 )
 from cohortsense.learners import trees
-from cohortsense.learners.base import MODEL_SCHEMA_VERSION
 
 
 def tied_dataset():
@@ -87,27 +89,27 @@ def wide_dataset(name: str, d: int) -> Dataset:
 
 
 DIGESTS = {
-    "tied/forest": "4968e76584b20c30f78e727e1c0ae7400b828ac6a0df0606cd4f5400e89faee6",
-    "tied/gbt": "7950ee6ee13b063c83b73f53160bf525ed234da2b6363252dcd39d3d07e86d69",
-    "tied/cv/logreg": "cf15c23e3090d7e722475db10b9c4706f685c92bd964fd4209be35dbcb161a22",
-    "tied/cv/linear_svm": "89896447a80ea492db78ddeedd56d832254995025b00d0edafd0061a37ac292b",
-    "tied/cv/random_forest": "2d0e47288a16c8994d404524a5f7f5641477d7ccf7ce189ba9a620527ac867ad",
-    "tied/cv/gbt": "9e800908f1fa56ee1a8e8634140d7f7f0fbef27cf7716fe18b86495e97d4970a",
-    "spread/forest": "a2975392de3486721490d3475c007a3034e5b7a86762726e9e170a3797398887",
-    "spread/gbt": "b965c58b0540b40cb8cd289fc2a76088844f86624d405b467476967a674da1af",
-    "spread/cv/logreg": "5d96ed1db38700b8b73c65888309df4524631b7471cccb8b7ddcae455a4c1ebc",
-    "spread/cv/linear_svm": "1cbfe722c41a6565a5f707d86006fcf0743723354810446ddd7e5366dbaa6602",
-    "spread/cv/random_forest": "a39657fd7050490bafcb21765eea836ab251e8948d9ebced309d70d464a319c8",
-    "spread/cv/gbt": "ea5d76425277ea7a069ce9956509423d64a555fa6ef451657e54fc1d5b77a808",
+    "tied/forest": "738c47ce265cb795259f36732306f11ba7b8c3c1596ce30e6cf63181c865f3ae",
+    "tied/gbt": "15442e62b3f306e68499203bb344beff412b5706f2ecd92e687a22cc1f6c261b",
+    "tied/cv/logreg": "649efb0022b553f045417a8b2b7f2c96b7620f6ace08b63ab2ed24bd1ef99a67",
+    "tied/cv/linear_svm": "8dc1f57ac51d3aa6d08489248413adeedc7616420db2f528e054029b19ffbe8b",
+    "tied/cv/random_forest": "23f8d383866e71abdcc07ef12c482f0502a51ef39e05a59ae9370010488b9ff3",
+    "tied/cv/gbt": "292a35ce256d735f768a6202aef1df01483b0a7692dbec3a30cc47be563eb929",
+    "spread/forest": "682ec6e669405502f424f007898d8ccd53df8207abad3eabffcfef36a698a9a6",
+    "spread/gbt": "d6f3354ae6b1c02fd1a4fdbb69f706e157b7d4107def2aca0acdba551a9027c6",
+    "spread/cv/logreg": "a16994e0e41fe886d89b1366b5fd02e5c96b7b077f2438daa87e035a923c921b",
+    "spread/cv/linear_svm": "563c1e46e51df3f4c66fd0c3720cec1ccc3a13eea2542900a2d1107dd64b2bf3",
+    "spread/cv/random_forest": "c5c93be705a670451823b74c87dc4c865e9a738032304bf625a37359089cbcd3",
+    "spread/cv/gbt": "e5d65366177666f9dfd78245262b255abdb61c8dbe23f4b1d7c93c2df12c48ef",
     # two and four drawn features per node
-    "tied8/forest": "87c19f61c750829402a64da926c615a557834bdfdf0d6a3b6b47d646497079d7",
-    "tied16/forest": "b1c6b5e4403f3715f83aea646c34d946fc341667b0a723bbc888b6004d594abd",
-    "spread8/forest": "0f06f565b200329214bdc5092ff95817f6f9e417d799291cd47be08ff551557d",
-    "spread16/forest": "34b29143a1f907109d16d2c86a8fc3e9e823fbedcd80442993371d49616e23b9",
-    "tied8/gbt": "20ac07aa5a2a3b980186b8305ce22c10fe13ad7cd8c327d978ec5cda8d9a203a",
-    "tied16/gbt": "37fa34b414cbee19fbdc6a5d775f6d157486917baf9ef94dbf4c22f5d62ca078",
-    "spread8/gbt": "c5e29f67e2750be29dc188712cfe59b9266e25c84d89ee994b0e2d6898a3211d",
-    "spread16/gbt": "c17429e32d25f2d806bbbb2514c5c237b0a207965d57d80dc30ea84b482033fd",
+    "tied8/forest": "bafb2edd66b4acd80cac7551f3731b1ac6e61321a6d7d87eecadf23b0f28b194",
+    "tied16/forest": "cb296f3a0231745d3c57118b6895f20711c074b1b9decbd15da90aad63ae38ba",
+    "spread8/forest": "4aa4852d10f8b6cce865ee6b59320937807b30a71f76733c5a5b2e23de81981c",
+    "spread16/forest": "877f4f58a5f4c11eca38c641d9559659a1e16062325bc0fbf6a846e5b7959628",
+    "tied8/gbt": "0f63962d3bd1ba4a3118f68ae3ec8170dc4454b2b5175c5edb729d1527ca2832",
+    "tied16/gbt": "61b35b1d19ca71afe6b0cc7e06732356e546dedb044c05fe477073926377cd76",
+    "spread8/gbt": "50e9186551f73d6de22fcfdc98b706a71f9cdca8252942994b00f9f5ece43f6a",
+    "spread16/gbt": "912d55c2248b56774f82ad6d074dc2db914c7dd9ee1d245745ffe9401d6436fe",
 }
 
 TRAINERS = {
@@ -125,27 +127,27 @@ def digest(doc) -> str:
 @pytest.mark.parametrize("name", DATASETS)
 def test_forest_digest(name):
     model = train_random_forest([DATASETS[name]()], [11], n_trees=100, max_depth=8)[0]
-    assert digest(model_to_json(model)) == DIGESTS[f"{name}/forest"]
+    assert digest(model.to_json()) == DIGESTS[f"{name}/forest"]
 
 
 @pytest.mark.parametrize("d", [8, 16])
 @pytest.mark.parametrize("name", DATASETS)
 def test_forest_digest_with_several_drawn_features(name, d):
     model = train_random_forest([wide_dataset(name, d)], [11], n_trees=100, max_depth=8)[0]
-    assert digest(model_to_json(model)) == DIGESTS[f"{name}{d}/forest"]
+    assert digest(model.to_json()) == DIGESTS[f"{name}{d}/forest"]
 
 
 @pytest.mark.parametrize("name", DATASETS)
 def test_gbt_digest(name):
     model = train_gbt([DATASETS[name]()], [11], n_rounds=100)[0]
-    assert digest(model_to_json(model)) == DIGESTS[f"{name}/gbt"]
+    assert digest(model.to_json()) == DIGESTS[f"{name}/gbt"]
 
 
 @pytest.mark.parametrize("d", [8, 16])
 @pytest.mark.parametrize("name", DATASETS)
 def test_gbt_digest_with_several_features(name, d):
     model = train_gbt([wide_dataset(name, d)], [11], n_rounds=100)[0]
-    assert digest(model_to_json(model)) == DIGESTS[f"{name}{d}/gbt"]
+    assert digest(model.to_json()) == DIGESTS[f"{name}{d}/gbt"]
 
 
 def test_groups_hold_equal_bins_and_labels_at_sixteen_features():
@@ -178,7 +180,7 @@ def test_gbt_of_doubled_rows_equals_the_original():
         tuple(np.array(ds.participant_ids + tuple(f"{p}b" for p in ds.participant_ids))[order]),
     )
     models = train_gbt([ds, doubled], [11, 11], n_rounds=50)
-    assert model_to_json(models[0]) == model_to_json(models[1])
+    assert models[0].to_json() == models[1].to_json()
 
 
 @pytest.mark.parametrize("kind", ["logreg", "linear_svm", "random_forest", "gbt"])
@@ -197,7 +199,7 @@ def test_kfold_cv_with_smote_digest(name, kind):
     )
     assert deployed is fitted[-1]
     # the pins were recorded before CV trained a deployed model too
-    doc = {"metrics": dataclasses.asdict(metrics), "models": [model_to_json(m) for m in fitted[:-1]]}
+    doc = {"metrics": dataclasses.asdict(metrics), "models": [m.to_json() for m in fitted[:-1]]}
     assert digest(doc) == DIGESTS[f"{name}/cv/{kind}"]
 
 
@@ -209,7 +211,7 @@ def test_forest_independent_of_trees_per_pass(monkeypatch, name):
     for trees_per_pass in (1, 7, n_trees):
         monkeypatch.setattr(trees, "PASS_ROWS", trees_per_pass * n)
         model = train_random_forest([ds], [11], n_trees=n_trees, max_depth=6)[0]
-        docs.append(model_to_json(model))
+        docs.append(model.to_json())
     assert docs[0] == docs[1] == docs[2]
 
 
@@ -258,13 +260,13 @@ def test_gbt_many_equals_one_at_a_time(monkeypatch, pass_rows, n_rounds):
     seeds = [3, 1, 4, 1, 5, 9]
     for max_depth in (1, 2, 3, 4):  # shallow trees reach the leaf level early
         single = [
-            model_to_json(train_gbt([ds], [s], n_rounds=n_rounds, max_depth=max_depth)[0])
+            train_gbt([ds], [s], n_rounds=n_rounds, max_depth=max_depth)[0].to_json()
             for ds, s in zip(datasets, seeds)
         ]
         with monkeypatch.context() as patch:
             patch.setattr(trees, "PASS_ROWS", pass_rows)
             many = train_gbt(datasets, seeds, n_rounds=n_rounds, max_depth=max_depth)
-        assert [model_to_json(m) for m in many] == single
+        assert [m.to_json() for m in many] == single
 
 
 @pytest.mark.parametrize("pass_rows", [1, 150, trees.PASS_ROWS])
@@ -275,7 +277,7 @@ def test_forest_many_equals_one_at_a_time(monkeypatch, pass_rows, n_trees):
     seeds = [3, 1, 4, 1, 5, 9]
     for max_depth in (1, 2, 3, 4, 5):
         single = [
-            model_to_json(train_random_forest([ds], [s], n_trees=n_trees, max_depth=max_depth)[0])
+            train_random_forest([ds], [s], n_trees=n_trees, max_depth=max_depth)[0].to_json()
             for ds, s in zip(datasets, seeds)
         ]
         with monkeypatch.context() as patch:
@@ -283,7 +285,7 @@ def test_forest_many_equals_one_at_a_time(monkeypatch, pass_rows, n_trees):
             many = train_random_forest(
                 datasets, seeds, n_trees=n_trees, max_depth=max_depth
             )
-        assert [model_to_json(m) for m in many] == single
+        assert [m.to_json() for m in many] == single
 
 
 def test_bootstrap_counts_fit_the_multinomial():
@@ -415,12 +417,11 @@ def test_a_saved_split_of_equal_leaves_loads_and_predicts_as_before():
     }
     new = {"feature": 0, "threshold": 0.5, "left": {"leaf": 1.0}, "right": {"leaf": 0.0}}
     stump = {"feature": 1, "threshold": 1.0, "left": {"leaf": 0.0}, "right": {"leaf": 1.0}}
-    docs = [{"kind": "random_forest", "schema_version": MODEL_SCHEMA_VERSION, "trees": [t, stump]}
-            for t in (old, new)]
-    saved, collapsed = (model_from_json(json.loads(json.dumps(doc))) for doc in docs)
+    forest = MODEL_TYPES[ModelKind.RANDOM_FOREST]
+    saved, collapsed = (forest.from_json({"trees": [t, stump]}) for t in (old, new))
     assert saved.nodes.left.size == collapsed.nodes.left.size + 2
     assert equal_leaf_splits(saved.nodes) == 1
-    assert model_to_json(saved)["trees"] == [old, stump]
+    assert saved.to_json()["trees"] == [old, stump]
     grid = np.stack(np.meshgrid(np.arange(-1.0, 2.0, 0.25), np.arange(0.0, 3.5, 0.25)), axis=-1)
     grid = grid.reshape(-1, 2)
     assert np.array_equal(saved.nodes.leaves(grid), collapsed.nodes.leaves(grid))
@@ -450,9 +451,10 @@ def roundtrip_cases():
 @pytest.mark.parametrize("name", ["forest", "gbt", "gbt0"])
 def test_tree_models_survive_json_roundtrip(name):
     model = dict(roundtrip_cases())[name]
-    doc = model_to_json(model)
-    back = model_from_json(json.loads(json.dumps(doc)))
-    assert model_to_json(back) == doc
+    kind = ModelKind.RANDOM_FOREST if name == "forest" else ModelKind.GBT
+    doc = model.to_json()
+    back = MODEL_TYPES[kind].from_json(json.loads(json.dumps(doc)))
+    assert back.to_json() == doc
     X = np.random.default_rng(8).normal(size=(64, 2)) * 3.0
     X = np.vstack([X, unequal_datasets()[1].vectors])
     assert np.array_equal(back.predict(X), model.predict(X))
@@ -481,7 +483,7 @@ def test_gbt_many_rejects_single_class_and_seed_mismatch():
 def test_all_constant_features_grow_single_leaves():
     ds = Dataset(np.ones((6, 2)), np.array([0, 1, 0, 1, 1, 1]), tuple("abcdef"))
     forest = train_random_forest([ds], [0], n_trees=3, max_depth=3)[0]
-    assert all("leaf" in doc for doc in model_to_json(forest)["trees"])
+    assert all("leaf" in doc for doc in forest.to_json()["trees"])
     gbt = train_gbt([ds], [0], n_rounds=2)[0]
-    assert all("leaf" in doc for doc in model_to_json(gbt)["trees"])
+    assert all("leaf" in doc for doc in gbt.to_json()["trees"])
     assert np.array_equal(gbt.predict(np.zeros((2, 2))), [1, 1])
