@@ -12,7 +12,10 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import pickle
 import re
+import signal
+import traceback
 import zlib
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import ClusterRegistry
+from .cluster import ClusterRegistry, ClusterSnapshot
 from .core import (
     EngineConfig,
     ValidationError,
@@ -173,8 +176,92 @@ def _pick_holdout(scores: dict[str, int], config: EngineConfig) -> frozenset[str
     return frozenset(chosen)
 
 
+def _refresh_side_by_side(
+    pool: ModelPool,
+    snapshot: ClusterSnapshot,
+    train: Dataset,
+    config: EngineConfig,
+    week: int,
+) -> tuple[ModelPool, list[str]]:
+    """Refit the generic set in this process while one forked helper refits
+    the specialized sets; the events come generic first, then specialized.
+
+    The two refreshes share no state and draw every seed from `derive_seed`,
+    so side by side they give the bytes they give in turn. The helper sends
+    back its sets and events, or the exception it raised, pickled through a
+    pipe, and ends with `os._exit`. This process always reaps it, and kills
+    it first when its own refresh fails or is interrupted. A helper that
+    ends without a result raises `ChildProcessError` naming its exit status.
+    """
+    generic_seed = derive_seed(config.rng_seed, "generic", week)
+    specialized_seed = derive_seed(config.rng_seed, "specialized", week)
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            data = _helper_result(pool, snapshot, train, config, specialized_seed, week)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            pool, events = refresh_generic(pool, train, config, generic_seed, week)
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise ChildProcessError(
+            f"week {week}: the specialized refresh helper ended without a result ({ended})"
+        )
+    error, trace, specialized, helper_events = pickle.loads(data)
+    if error is not None:
+        raise error from RuntimeError(f"raised in the specialized refresh helper:\n{trace}")
+    return ModelPool(generic=pool.generic, specialized=specialized), events + helper_events
+
+
+def _helper_result(
+    pool: ModelPool,
+    snapshot: ClusterSnapshot,
+    train: Dataset,
+    config: EngineConfig,
+    seed: int,
+    week: int,
+) -> bytes:
+    """The pickled (error, its traceback, specialized sets, events) of the
+    specialized refresh. An error that does not survive pickling is sent as
+    a `RuntimeError` that names its type and message."""
+    try:
+        pool, events = refresh_specialized(pool, snapshot, train, config, seed, week)
+        return pickle.dumps((None, None, pool.specialized, events))
+    except Exception as exc:
+        trace = traceback.format_exc()
+        try:
+            data = pickle.dumps((exc, trace, None, None))
+            pickle.loads(data)
+        except Exception:
+            data = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), trace, None, None))
+        return data
+
+
 def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyReport]:
-    """Run one week: preprocess, cluster, refresh models, vote, evaluate."""
+    """Run one week: preprocess, cluster, refresh models (the generic and
+    specialized sets side by side, see `_refresh_side_by_side`), vote,
+    evaluate."""
     _check_batch(batch, state.scores)
     if batch.week != state.current_week + 1:
         raise ValidationError(
@@ -219,19 +306,8 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
         labels=np.array([label[_participant(pt)] for pt in train_ids], dtype=int),
         participant_ids=tuple(train_ids),
     )
-    st.pool, gen_events = refresh_generic(
-        st.pool, train, st.config, derive_seed(st.config.rng_seed, "generic", week), week
-    )
-    events.extend(gen_events)
-    st.pool, spec_events = refresh_specialized(
-        st.pool,
-        snapshot,
-        train,
-        st.config,
-        derive_seed(st.config.rng_seed, "specialized", week),
-        week,
-    )
-    events.extend(spec_events)
+    st.pool, refresh_events = _refresh_side_by_side(st.pool, snapshot, train, st.config, week)
+    events.extend(refresh_events)
 
     label_of = {pt: label for label, members in snapshot.cohorts.items() for pt in members}
     assignments = {pt: label_of.get(pt) for pt in week_points.values()}
@@ -281,7 +357,7 @@ def save(state: EngineState, path: str | Path) -> Path:
     linked zlib's deflate, as they did at level 9.
     """
     out = Path(path)
-    payload = json.dumps(_state_to_json(state), sort_keys=True).encode("utf-8")
+    payload = _payload(_state_to_json(state))
     # wbits 31: a gzip member, whose header zlib writes with no name, mtime 0
     deflate = zlib.compressobj(7, zlib.DEFLATED, 31, 8, zlib.Z_FILTERED)
     data = deflate.compress(payload) + deflate.flush()
@@ -318,10 +394,15 @@ def _state_to_json(state: EngineState) -> dict:
     }
 
 
+def _payload(doc: dict) -> bytes:
+    """The checkpoint text before deflation: the document's sorted-key JSON."""
+    return json.dumps(doc, sort_keys=True).encode("utf-8")
+
+
 def load(path: str | Path) -> EngineState:
-    """Read a checkpoint that `save` wrote. A document that is not the one
-    `save` would write for the state it gives, down to its last key and
-    value, is refused with `CheckpointError`."""
+    """Read a checkpoint that `save` wrote. A payload that is not the text
+    `save` would write for the state it gives, byte for byte, is refused
+    with `CheckpointError`: so is an int stored as an equal float."""
     try:
         with gzip.open(path, "rb") as fh:
             payload = fh.read()
@@ -341,11 +422,18 @@ def load(path: str | Path) -> EngineState:
         raise CheckpointError(
             f"malformed checkpoint {path}: {type(exc).__name__}: {exc}"
         ) from exc
-    shared = doc.keys() & written.keys()
-    differ = sorted((doc.keys() ^ written.keys()) | {k for k in shared if doc[k] != written[k]})
-    if differ:
+    if _payload(written) != payload:
+        # name the parts whose own text differs
+        differ = [
+            k
+            for k in sorted(doc.keys() | written.keys())
+            if k not in doc
+            or k not in written
+            or json.dumps(doc[k], sort_keys=True) != json.dumps(written[k], sort_keys=True)
+        ]
         raise CheckpointError(
-            f"checkpoint {path} is not laid out as save writes it: {', '.join(differ)} differ"
+            f"checkpoint {path} is not laid out as save writes it: "
+            f"{', '.join(differ) or 'its key order or spacing'} differ"
         )
     return state
 

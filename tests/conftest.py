@@ -1,0 +1,18 @@
+"""Checks that hold for every test."""
+
+import os
+
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped: the
+    engine's weekly step forks a helper and must always reap it."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    state = "still running" if pid == 0 else f"{pid} unreaped"
+    pytest.fail(f"the test left a child process {state}")

@@ -3,15 +3,20 @@
 import csv
 import gzip
 import json
+import os
+import signal
 from pathlib import Path
 
 import pytest
 
+from cohortsense import engine
 from cohortsense.cli import main
+from cohortsense.core import ValidationError
 from cohortsense.engine import CHECKPOINT_SCHEMA_VERSION
 from cohortsense.synthgen import FEATURES, CohortPlan
 
 from gzipped import write_gzip
+from test_engine import as_float, first_split, generic_models, leaf_as_int
 
 
 def tiny_plan(weeks=3, per_group=12):
@@ -339,6 +344,38 @@ def test_replay_resume_with_a_different_config_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out" / "report_week_2.csv").exists()
 
 
+def refuse_cohort(*args):
+    raise ValidationError("cohort G2 refused")
+
+
+def kill_helper(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "refresh, code, message",
+    [
+        (refuse_cohort, 1, "cohort G2 refused"),
+        (kill_helper, 2, "week 1: the specialized refresh helper ended without a result "
+                         "(killed by signal 9)"),
+    ],
+    ids=["validation error", "helper killed"],
+)
+def test_replay_failure_in_the_specialized_refresh_exits_with_an_error_line(
+    tmp_path, capsys, monkeypatch, refresh, code, message
+):
+    # the forked helper runs the patched refresh
+    monkeypatch.setattr(engine, "refresh_specialized", refresh)
+    data = tmp_path / "data"
+    plan_path = tmp_path / "plan.json"
+    write_tiny_plan(plan_path, weeks=1)
+    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+    capsys.readouterr()
+    assert main(["replay", "--data-dir", str(data), "--out-dir", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "report_week_1.csv").exists()
+
+
 def test_replay_resume_malformed_checkpoint_exits_one(tmp_path, capsys):
     data = tmp_path / "data"
     plan_path = tmp_path / "plan.json"
@@ -473,10 +510,17 @@ def nested_tags(doc):
         (lambda doc: doc["config"]["learners"].update(logreg_iterations=80), "logreg_iterations"),
         (nested_tags, "schema version 1"),
         (lambda doc: doc["registry"].update(cohort_ids=["G1"]), "registry differ"),
+        (lambda doc: as_float(doc["pool"]["generic"], "input_dim"), "pool differ"),
+        (lambda doc: as_float(doc["registry"], "next_label_index"), "registry differ"),
+        (lambda doc: as_float(doc["registry"], "min_pts_floor"), "registry differ"),
+        (lambda doc: as_float(first_split(generic_models(doc)["gbt"]["trees"]), "feature"), "pool differ"),
+        (lambda doc: leaf_as_int(generic_models(doc)["random_forest"]["trees"]), "pool differ"),
     ],
     ids=[
         "unedited", "no log digests", "id-list memberships", "refit cadence", "descent knob",
-        "version 1 with the nested tags", "unknown registry key",
+        "version 1 with the nested tags", "unknown registry key", "input_dim as float",
+        "next_label_index as float", "min_pts_floor as float", "gbt split feature as float",
+        "forest leaf 0.0 as int",
     ],
 )
 def test_replay_resume_refuses_each_retired_checkpoint_layout(

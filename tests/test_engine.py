@@ -4,11 +4,14 @@ import dataclasses
 import gzip
 import hashlib
 import json
+import os
 import random
 import re
 import shutil
+import signal
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -26,6 +29,7 @@ from cohortsense.engine import (
     save,
     step,
 )
+from cohortsense.learners.base import derive_seed
 from cohortsense.synthgen import (
     CohortPlan,
     build_default_profiles,
@@ -171,6 +175,120 @@ def test_holdout_fixed_and_stratified(mini_batches):
     total_lonely = sum(1 for s in state.scores.values() if s > 20)
     expected = round(0.2 * total_lonely)
     assert abs(lonely - expected) <= 1
+
+
+# ---------------------------------------------------------------- side-by-side refresh
+
+
+def refresh_in_turn(pool, snapshot, train, config, week):
+    """The two refreshes run one after the other in this process."""
+    pool, events = engine.refresh_generic(
+        pool, train, config, derive_seed(config.rng_seed, "generic", week), week
+    )
+    pool, more = engine.refresh_specialized(
+        pool, snapshot, train, config, derive_seed(config.rng_seed, "specialized", week), week
+    )
+    return pool, events + more
+
+
+def test_side_by_side_refresh_gives_the_states_and_reports_of_the_refreshes_in_turn(
+    tmp_path, mini_batches, monkeypatch
+):
+    runs = []
+    for name in ("side_by_side", "in_turn"):
+        if name == "in_turn":
+            monkeypatch.setattr(engine, "_refresh_side_by_side", refresh_in_turn)
+        state, reports, checkpoints = new_state(FAST_CONFIG), [], []
+        for batch in mini_batches:
+            state, report = step(state, batch)
+            reports.append(report)
+            checkpoints.append(save(state, tmp_path / f"{name}.csk").read_bytes())
+        runs.append((reports, checkpoints))
+        assert state.pool.specialized  # so that the helper had sets to send
+    assert runs[0] == runs[1]
+
+
+def test_an_error_in_the_specialized_refresh_reaches_the_caller(mini_batches, monkeypatch):
+    def refuse(*args):
+        raise ValidationError("cohort G2 refused")
+
+    monkeypatch.setattr(engine, "refresh_specialized", refuse)
+    with pytest.raises(ValidationError) as info:
+        step(new_state(FAST_CONFIG), mini_batches[0])
+    assert type(info.value) is ValidationError and str(info.value) == "cohort G2 refused"
+    # the helper's traceback rides along as the cause
+    assert "in refuse" in str(info.value.__cause__)
+
+
+class NeedsTwoArguments(Exception):
+    """Pickles, but does not unpickle: pickle calls the class with ``args``."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def test_an_error_that_does_not_survive_pickling_is_a_runtime_error_naming_it(
+    mini_batches, monkeypatch
+):
+    class LocalError(Exception):
+        """Cannot be pickled: pickle finds a class by its module and name."""
+
+    for error in (LocalError("stays in the helper"), NeedsTwoArguments("cohort G2", "refused")):
+
+        def fail(*args, error=error):
+            raise error
+
+        monkeypatch.setattr(engine, "refresh_specialized", fail)
+        with pytest.raises(RuntimeError) as info:
+            step(new_state(FAST_CONFIG), mini_batches[0])
+        assert type(info.value) is RuntimeError
+        assert str(info.value) == f"{type(error).__name__}: {error}"
+
+
+@pytest.mark.parametrize(
+    "end, message",
+    [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "(killed by signal 9)"),
+        (lambda: os._exit(3), "(exit status 3)"),
+    ],
+    ids=["killed", "exited"],
+)
+def test_a_helper_that_ends_without_a_result_is_an_error(mini_batches, monkeypatch, end, message):
+    monkeypatch.setattr(engine, "refresh_specialized", lambda *args: end())
+    state = new_state(FAST_CONFIG)
+    with pytest.raises(ChildProcessError, match=re.escape(message)):
+        step(state, mini_batches[0])
+    assert state.current_week == 0 and state.pool.generic is None
+
+
+@pytest.mark.parametrize(
+    "error", [ValidationError("generic refit refused"), KeyboardInterrupt()], ids=repr
+)
+def test_a_failed_generic_refresh_kills_and_reaps_the_helper(
+    tmp_path, mini_batches, monkeypatch, error
+):
+    pid_file = tmp_path / "helper.pid"
+
+    def hang(*args):
+        (tmp_path / "pid.tmp").write_text(str(os.getpid()))
+        (tmp_path / "pid.tmp").rename(pid_file)
+        time.sleep(60)
+
+    def fail_once_the_helper_runs(*args):
+        deadline = time.monotonic() + 30
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise error
+
+    monkeypatch.setattr(engine, "refresh_specialized", hang)
+    monkeypatch.setattr(engine, "refresh_generic", fail_once_the_helper_runs)
+    start = time.monotonic()
+    with pytest.raises(type(error)):
+        step(new_state(FAST_CONFIG), mini_batches[0])
+    assert time.monotonic() - start < 30
+    # reaped: a zombie would still take the signal
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 # ---------------------------------------------------------------- checkpoints
@@ -457,14 +575,35 @@ def test_checkpoint_config_is_read_as_a_config_file_is(tmp_path, mini_batches, c
         load(path)
 
 
-def first_split(trees: list[dict]) -> dict:
-    """The first internal node of a model's serialized trees."""
+def tree_nodes(trees: list[dict]):
+    """Every node of a model's serialized trees, each tree's root first."""
     stack = list(reversed(trees))
     while stack:
         node = stack.pop()
-        if "feature" in node:
-            return node
-    raise AssertionError("no tree splits")
+        yield node
+        stack.extend(node[side] for side in ("right", "left") if side in node)
+
+
+def first_split(trees: list[dict]) -> dict:
+    """The first internal node of a model's serialized trees."""
+    return next(node for node in tree_nodes(trees) if "feature" in node)
+
+
+def as_float(mapping: dict, key: str) -> None:
+    """Store the whole number ``mapping[key]`` as the equal float."""
+    mapping[key] = float(mapping[key])
+
+
+def reverse_keys(doc: dict) -> None:
+    """Lay out ``doc``'s top-level keys in reverse order."""
+    items = sorted(doc.items(), reverse=True)
+    doc.clear()
+    doc.update(items)
+
+
+def leaf_as_int(trees: list[dict]) -> None:
+    """Store the first leaf of 0.0 in ``trees`` as the int 0."""
+    next(node for node in tree_nodes(trees) if node.get("leaf") == 0.0)["leaf"] = 0
 
 
 def misfit_models(good: dict, dim: int):
@@ -536,10 +675,19 @@ def generic_models(doc: dict) -> dict:
             lambda doc: generic_models(doc).update(gbt=generic_models(doc)["random_forest"]),
             "malformed checkpoint .*init_score",
         ),
+        # equal numbers of another type: save writes each of these as the other
+        (lambda doc: as_float(doc["pool"]["generic"], "input_dim"), "pool differ"),
+        (lambda doc: as_float(doc["registry"], "next_label_index"), "registry differ"),
+        (lambda doc: as_float(doc["registry"], "min_pts_floor"), "registry differ"),
+        (lambda doc: as_float(first_split(generic_models(doc)["gbt"]["trees"]), "feature"), "pool differ"),
+        (lambda doc: leaf_as_int(generic_models(doc)["random_forest"]["trees"]), "pool differ"),
+        (reverse_keys, "key order or spacing differ"),
     ],
     ids=[
         "top-level rows", "top-level run_log", "registry cohort_ids", "pool min_cohort_size",
         "gbt train_log_loss", "tree node key", "gbt under random_forest", "forest under gbt",
+        "input_dim as float", "next_label_index as float", "min_pts_floor as float",
+        "gbt split feature as float", "forest leaf 0.0 as int", "keys out of order",
     ],
 )
 def test_checkpoint_save_would_not_write_is_checkpoint_error(
