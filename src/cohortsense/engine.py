@@ -12,10 +12,7 @@ from __future__ import annotations
 import gzip
 import json
 import os
-import pickle
 import re
-import signal
-import traceback
 import zlib
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -44,6 +41,7 @@ from .ensemble import (
     refresh_specialized,
     vote,
 )
+from .forking import side_by_side
 from .learners import Dataset
 from .learners.base import derive_seed
 from .preprocess import (
@@ -184,78 +182,25 @@ def _refresh_side_by_side(
     week: int,
 ) -> tuple[ModelPool, list[str]]:
     """Refit the generic set in this process while one forked helper refits
-    the specialized sets; the events come generic first, then specialized.
+    the specialized sets (`forking.side_by_side`); the events come generic
+    first, then specialized.
 
     The two refreshes share no state and draw every seed from `derive_seed`,
-    so side by side they give the bytes they give in turn. The helper sends
-    back its sets and events, or the exception it raised, pickled through a
-    pipe, and ends with `os._exit`. This process always reaps it, and kills
-    it first when its own refresh fails or is interrupted. A helper that
-    ends without a result raises `ChildProcessError` naming its exit status.
+    so side by side they give the bytes they give in turn.
     """
     generic_seed = derive_seed(config.rng_seed, "generic", week)
     specialized_seed = derive_seed(config.rng_seed, "specialized", week)
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            data = _helper_result(pool, snapshot, train, config, specialized_seed, week)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(data)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            pool, events = refresh_generic(pool, train, config, generic_seed, week)
-            data = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    code = os.waitstatus_to_exitcode(status)
-    if code:
-        ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise ChildProcessError(
-            f"week {week}: the specialized refresh helper ended without a result ({ended})"
-        )
-    error, trace, specialized, helper_events = pickle.loads(data)
-    if error is not None:
-        raise error from RuntimeError(f"raised in the specialized refresh helper:\n{trace}")
-    return ModelPool(generic=pool.generic, specialized=specialized), events + helper_events
 
+    def specialized() -> tuple[dict, list[str]]:
+        new, events = refresh_specialized(pool, snapshot, train, config, specialized_seed, week)
+        return new.specialized, events
 
-def _helper_result(
-    pool: ModelPool,
-    snapshot: ClusterSnapshot,
-    train: Dataset,
-    config: EngineConfig,
-    seed: int,
-    week: int,
-) -> bytes:
-    """The pickled (error, its traceback, specialized sets, events) of the
-    specialized refresh. An error that does not survive pickling is sent as
-    a `RuntimeError` that names its type and message."""
-    try:
-        pool, events = refresh_specialized(pool, snapshot, train, config, seed, week)
-        return pickle.dumps((None, None, pool.specialized, events))
-    except Exception as exc:
-        trace = traceback.format_exc()
-        try:
-            data = pickle.dumps((exc, trace, None, None))
-            pickle.loads(data)
-        except Exception:
-            data = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), trace, None, None))
-        return data
+    (generic, events), (sets, helper_events) = side_by_side(
+        lambda: refresh_generic(pool, train, config, generic_seed, week),
+        specialized,
+        f"week {week}: the specialized refresh helper",
+    )
+    return ModelPool(generic=generic.generic, specialized=sets), events + helper_events
 
 
 def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyReport]:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from itertools import repeat
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .core import (
     seed_entropy,
     validate_score,
 )
+from .forking import side_by_side
 
 FEATURES = (
     "physical_activity",
@@ -467,7 +469,9 @@ def generate_cohort(
     Rows run by participant, day and segment name. Each participant-week
     draws its own rows (``_draw_week_rows``); the rows of a week then turn
     into values together: noise, x10 outlier rows, missing cells and
-    missing tokens.
+    missing tokens. Each week draws from its own generators, so the two
+    halves of the weeks, generated side by side (`_in_halves`), give the
+    bytes of the weeks generated in turn.
     """
     for week in plan.weeks():
         for group in plan.weekly_group_membership[week]:
@@ -476,9 +480,9 @@ def generate_cohort(
     scores = _assign_scores(plan, profiles, seed)
     traits = _participant_traits(plan, profiles, seed)
 
-    batches = []
     k, rows = len(FEATURES), len(_WEEK_ROWS)
-    for week in plan.weeks():
+
+    def generate_week(week: int) -> WeeklyBatch:
         groups = plan.weekly_group_membership[week]
         group_of = {pid: group for group, members in groups.items() for pid in members}
         pids = sorted(group_of)
@@ -506,18 +510,30 @@ def generate_cohort(
         )
         order = (np.arange(len(pids))[:, None] * rows + _WEEK_ROWS).ravel()
         days = [(STUDY_START + timedelta(days=(week - 1) * 7 + d)).isoformat() for d in range(7)]
-        batches.append(
-            WeeklyBatch.from_columns(
-                week=week,
-                participant_ids=np.repeat(pids, rows),
-                days=np.tile(np.repeat(days, len(SEGMENT_ORDER)), len(pids)),
-                segments=np.tile(_WEEK_ROWS % len(SEGMENT_ORDER), len(pids)),
-                continuous=dict(zip(sorted(FEATURES), values[order][:, _COLUMN_OF_FEATURE].T)),
-                categorical={CATEGORICAL_FEATURE: tokens[order].tolist()},
-                labels={pid: scores[pid] for pid in pids},
-            )
+        return WeeklyBatch.from_columns(
+            week=week,
+            participant_ids=np.repeat(pids, rows),
+            days=np.tile(np.repeat(days, len(SEGMENT_ORDER)), len(pids)),
+            segments=np.tile(_WEEK_ROWS % len(SEGMENT_ORDER), len(pids)),
+            continuous=dict(zip(sorted(FEATURES), values[order][:, _COLUMN_OF_FEATURE].T)),
+            categorical={CATEGORICAL_FEATURE: tokens[order].tolist()},
+            labels={pid: scores[pid] for pid in pids},
         )
-    return batches
+
+    return _in_halves(generate_week, plan.weeks(), "generating")
+
+
+def _in_halves(each: Callable, items: list, doing: str) -> list:
+    """``[each(item) for item in items]``, the earlier half in this process
+    and the later in one forked helper (`forking.side_by_side`): of two bad
+    weeks, the earlier is named."""
+    half = (len(items) + 1) // 2
+    early, late = side_by_side(
+        lambda: [each(item) for item in items[:half]],
+        lambda: [each(item) for item in items[half:]],
+        f"the helper {doing} the later weeks",
+    )
+    return early + late
 
 
 # ---------------------------------------------------------------- file I/O
@@ -574,16 +590,17 @@ def _write_week(path: Path, batch: WeeklyBatch) -> None:
 
 
 def write_cohort(out_dir: str | Path, batches: list[WeeklyBatch], plan: CohortPlan) -> None:
-    """Write week_<n>.csv files, labels.csv, and plan.json."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write week_<n>.csv files (see `_in_halves`), labels.csv, and plan.json,
+    once every batch's features are checked."""
     all_labels: dict[str, int] = {}
     for batch in batches:
         features = batch.continuous_features + batch.categorical_features
         if features != _CSV_COLUMNS[4:]:
             raise ValidationError(f"week {batch.week}: features {features} differ from the file's")
         all_labels.update(batch.labels)
-        _write_week(out / f"week_{batch.week}.csv", batch)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _in_halves(lambda batch: _write_week(out / f"week_{batch.week}.csv", batch), batches, "writing")
     with open(out / "labels.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["participant_id", "score"])
@@ -766,9 +783,10 @@ def _week_columns(week: int):
 
 
 def load_batches(data_dir: str | Path) -> list[WeeklyBatch]:
-    """Read week_<n>.csv files plus labels.csv back into WeeklyBatch values;
-    a malformed file raises ValidationError naming it and, for a bad row,
-    its line."""
+    """Read week_<n>.csv files plus labels.csv back into WeeklyBatch values,
+    the week files in two halves side by side (`_in_halves`); a malformed
+    file raises ValidationError naming it and, for a bad row, its line, and
+    of two bad week files the earlier is named."""
     data = Path(data_dir)
     labels_path = data / "labels.csv"
     if not labels_path.exists():
@@ -792,19 +810,19 @@ def load_batches(data_dir: str | Path) -> list[WeeklyBatch]:
         week_files[week] = path
     if not week_files:
         raise ValidationError(f"no week_<n>.csv files found in {data}")
-    batches = []
-    for week, path in sorted(week_files.items()):
-        pids, days, segments, features, tokens = _read_csv(path, _CSV_COLUMNS, _week_columns(week))
+
+    def read_week(week: int) -> WeeklyBatch:
+        columns = _read_csv(week_files[week], _CSV_COLUMNS, _week_columns(week))
+        pids, days, segments, features, tokens = columns
         present = set(pids)  # keys from labels.csv keep no week row's cells alive
-        batches.append(
-            WeeklyBatch.from_columns(
-                week=week,
-                participant_ids=pids,
-                days=days,
-                segments=segments,
-                continuous=dict(zip(sorted(FEATURES), features)),
-                categorical={CATEGORICAL_FEATURE: tokens},
-                labels={pid: score for pid, score in labels.items() if pid in present},
-            )
+        return WeeklyBatch.from_columns(
+            week=week,
+            participant_ids=pids,
+            days=days,
+            segments=segments,
+            continuous=dict(zip(sorted(FEATURES), features)),
+            categorical={CATEGORICAL_FEATURE: tokens},
+            labels={pid: score for pid, score in labels.items() if pid in present},
         )
-    return batches
+
+    return _in_halves(read_week, sorted(week_files), "reading")

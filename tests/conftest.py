@@ -8,7 +8,8 @@ import pytest
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process running or unreaped: the
-    engine's weekly step forks a helper and must always reap it."""
+    weekly step, `synth` and loading the week files each fork a helper
+    (`forking.side_by_side`), which must always be reaped."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

@@ -761,3 +761,18 @@ def test_replay_malformed_data_file_exits_one(tmp_path, capsys, case):
     if case == "duplicate_week_file":
         assert str(Path("data", "week_1.csv")) in err
     assert not (tmp_path / "out").exists()
+
+
+def test_replay_bad_line_in_the_helpers_half_of_the_week_files_exits_one(tmp_path, capsys):
+    # of 4 week files, the forked helper reads weeks 3 and 4
+    data = tmp_path / "data"
+    plan_path = tmp_path / "plan.json"
+    write_tiny_plan(plan_path, weeks=4)
+    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+    _set_cell(data / "week_4.csv", FEATURE, "abc")
+    capsys.readouterr()
+    code = main(["replay", "--data-dir", str(data), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "week_4.csv, line 2:" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

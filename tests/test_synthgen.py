@@ -256,6 +256,13 @@ def test_write_rejects_a_batch_with_other_features(tmp_path, plan):
         write_cohort(tmp_path, [batch], plan)
 
 
+def test_write_checks_every_batch_before_writing_any_file(tmp_path, batches, plan):
+    other = batch_of([("P001", "2019-04-08", "night", {"x": 1.0}, {})], week=2)
+    with pytest.raises(ValidationError, match="week 2: features"):
+        write_cohort(tmp_path, [batches[0], other], plan)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_rejects_two_files_for_one_week(tmp_path, batches, plan):
     write_cohort(tmp_path, batches[:3], plan)
     (tmp_path / "week_02.csv").write_bytes((tmp_path / "week_2.csv").read_bytes())
@@ -263,9 +270,9 @@ def test_load_rejects_two_files_for_one_week(tmp_path, batches, plan):
         load_batches(tmp_path)
 
 
-def _edit_week_1(path, edits):
-    """Apply {(line, column): text} to week_1.csv; a column of None cuts the row short."""
-    with open(path / "week_1.csv", newline="", encoding="utf-8") as fh:
+def _edit_week(path, edits, week=1):
+    """Apply {(line, column): text} to week_<week>.csv; a column of None cuts the row short."""
+    with open(path / f"week_{week}.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     for (line, column), text in edits.items():
         row = rows[line - 1]
@@ -273,7 +280,7 @@ def _edit_week_1(path, edits):
             del row[3:]
         else:
             row[rows[0].index(column)] = text
-    with open(path / "week_1.csv", "w", newline="", encoding="utf-8") as fh:
+    with open(path / f"week_{week}.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
 
 
@@ -297,15 +304,54 @@ def test_load_names_the_first_bad_line(tmp_path, batches, plan, bad, message):
     write_cohort(tmp_path, batches[:1], plan)
     # a later bad row, and blank or padded cells that are accepted
     later = {(55, "segment"): "dusk", (30, FEATURE): "", (31, FEATURE): " 2.5"}
-    _edit_week_1(tmp_path, later | bad)
+    _edit_week(tmp_path, later | bad)
     with pytest.raises(ValidationError, match=r"week_1\.csv, " + message.replace("(", r"\(")):
         load_batches(tmp_path)
+
+
+def test_a_bad_line_in_the_helpers_half_is_named(tmp_path, batches, plan):
+    # of 4 weeks, the forked helper reads weeks 3 and 4
+    write_cohort(tmp_path, batches[:4], plan)
+    _edit_week(tmp_path, {(55, "segment"): "dusk", (40, "segment"): "noon"}, week=4)
+    with pytest.raises(ValidationError, match=r"week_4\.csv, line 40: unknown segment 'noon'"):
+        load_batches(tmp_path)
+
+
+def test_of_bad_files_in_both_halves_the_earlier_week_is_named(tmp_path, batches, plan):
+    write_cohort(tmp_path, batches[:4], plan)
+    for week in (4, 2, 3):
+        _edit_week(tmp_path, {(40, "segment"): "noon"}, week=week)
+    with pytest.raises(ValidationError, match=r"week_2\.csv, line 40"):
+        load_batches(tmp_path)
+
+
+def test_a_one_week_data_dir_loads(tmp_path, batches, plan):
+    write_cohort(tmp_path, batches[:1], plan)
+    assert load_batches(tmp_path) == batches[:1]
+
+
+def in_turn(here, there, what):
+    return here(), there()
+
+
+def test_the_halves_side_by_side_give_what_the_weeks_give_in_turn(
+    tmp_path, plan, profiles, batches, monkeypatch
+):
+    write_cohort(tmp_path / "side_by_side", batches, plan)
+    loaded = load_batches(tmp_path / "side_by_side")
+    monkeypatch.setattr(synthgen, "side_by_side", in_turn)
+    assert generate_cohort(plan, profiles, seed=42) == batches
+    write_cohort(tmp_path / "in_turn", batches, plan)
+    for path in (tmp_path / "in_turn").iterdir():
+        assert path.read_bytes() == (tmp_path / "side_by_side" / path.name).read_bytes(), path.name
+    assert len(list((tmp_path / "side_by_side").iterdir())) == 12
+    assert load_batches(tmp_path / "in_turn") == loaded == batches
 
 
 def test_load_reads_blank_cells_as_missing_and_numbers_as_float_does(tmp_path, batches, plan):
     write_cohort(tmp_path, batches[:1], plan)
     cells = {30: "", 31: " 2.5", 32: "1_0"}
-    _edit_week_1(tmp_path, {(line, FEATURE): text for line, text in cells.items()})
+    _edit_week(tmp_path, {(line, FEATURE): text for line, text in cells.items()})
     back = load_batches(tmp_path)[0]
     column = back.records[:, back.continuous_features.index(FEATURE)]
     # rows keep their file order; line 2 is row 0
