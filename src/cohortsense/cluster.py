@@ -97,8 +97,7 @@ def track_identity(
     prev: dict[str, frozenset[str]],
     current: dict[str, frozenset[str]],
     vanished: dict[str, frozenset[str]] | None = None,
-    next_index: int = 1,
-) -> tuple[dict[str, str], dict[str, frozenset[str]], int]:
+) -> tuple[dict[str, str], dict[str, frozenset[str]]]:
     """Carry stable cohort labels from one weekly partition to the next.
 
     Each current cluster takes the previous cohort label with maximal
@@ -108,10 +107,14 @@ def track_identity(
     did not exist last time must not dilute its identity). A cluster
     matching nothing live is checked against vanished cohorts' last
     memberships (re-emergence) before receiving a fresh label. Fresh labels
-    are handed out in decreasing size order. Returns (mapping internal
-    id -> label, updated vanished memberships, updated next label index).
+    are handed out in decreasing size order, numbered on from the highest
+    ``G<n>`` in ``prev`` or ``vanished``: every label handed out stays in
+    one of the two. Returns (mapping internal id -> label, updated vanished
+    memberships).
     """
     vanished = dict(vanished or {})
+    used = [label[1:] for label in [*prev, *vanished] if label[:1] == "G"]
+    last_fresh = max((int(n) for n in used if n.isdecimal()), default=0)
     universe: frozenset[str] = frozenset().union(*prev.values()) if prev else frozenset()
 
     def jaccard(a: frozenset, b: frozenset) -> float:
@@ -120,7 +123,7 @@ def track_identity(
         return len(a & b) / len(a | b)
 
     def label_rank(label: str) -> int:
-        return int(label[1:]) if label[1:].isdigit() else 10**9
+        return int(label[1:]) if label[1:].isdecimal() else 10**9
 
     mapping: dict[str, str] = {}
     taken: set[str] = set()
@@ -159,14 +162,13 @@ def track_identity(
     fresh = sorted(
         set(current) - set(mapping), key=lambda k: (-len(current[k]), k)
     )
-    for key in fresh:
-        mapping[key] = f"G{next_index}"
-        next_index += 1
+    for index, key in enumerate(fresh, start=last_fresh + 1):
+        mapping[key] = f"G{index}"
 
     for label, prev_members in prev.items():
         if label not in taken:
             vanished[label] = prev_members
-    return mapping, vanished, next_index
+    return mapping, vanished
 
 
 class ClusterRegistry:
@@ -192,7 +194,6 @@ class ClusterRegistry:
         # cohort identity tracking across snapshots
         self._prev_memberships: dict[str, frozenset[str]] = {}
         self._vanished: dict[str, frozenset[str]] = {}
-        self._next_label_index = 1
 
     # ------------------------------------------------------------ properties
 
@@ -321,14 +322,7 @@ class ClusterRegistry:
         on re-emergence), and new clusters receive fresh labels.
         """
         partition, noise = self.partition()
-        mapping, vanished, next_index = track_identity(
-            self._prev_memberships,
-            partition,
-            self._vanished,
-            self._next_label_index,
-        )
-        self._vanished = vanished
-        self._next_label_index = next_index
+        mapping, self._vanished = track_identity(self._prev_memberships, partition, self._vanished)
         cohorts = {mapping[key]: members for key, members in partition.items()}
         self._prev_memberships = dict(cohorts)
         return ClusterSnapshot(cohorts=cohorts, noise=noise)
@@ -341,7 +335,6 @@ class ClusterRegistry:
         new._vectors = self._vectors.copy()
         new._prev_memberships = dict(self._prev_memberships)
         new._vanished = dict(self._vanished)
-        new._next_label_index = self._next_label_index
         return new
 
     # ------------------------------------------------------------ persistence
@@ -361,7 +354,6 @@ class ClusterRegistry:
             "vectors": self._vectors[:n].tolist(),
             "prev_memberships": [label_of.get(pid) for pid in self._ids],
             "vanished": {label: sorted(m) for label, m in self._vanished.items()},
-            "next_label_index": self._next_label_index,
         }
 
     @classmethod
@@ -392,14 +384,7 @@ class ClusterRegistry:
                 cohorts.setdefault(label, []).append(pid)
         reg._prev_memberships = {label: frozenset(m) for label, m in cohorts.items()}
         reg._vanished = {label: frozenset(m) for label, m in doc["vanished"].items()}
-        reg._next_label_index = int(doc["next_label_index"])
-        tracked = [*reg._prev_memberships.items(), *reg._vanished.items()]
-        if not all(members.issubset(reg._index) for _, members in tracked):
+        tracked = [*reg._prev_memberships.values(), *reg._vanished.values()]
+        if not all(members.issubset(reg._index) for members in tracked):
             raise ValidationError("cohort memberships name points outside the registry")
-        # track_identity hands out G<next_label_index> to the next new cohort
-        used = [int(label[1:]) for label, _ in tracked if label[:1] == "G" and label[1:].isdigit()]
-        if used and max(used) >= reg._next_label_index:
-            raise ValidationError(
-                f"next label index {reg._next_label_index} is not above cohort G{max(used)}"
-            )
         return reg

@@ -1,8 +1,8 @@
 """Weekly replay orchestration: ingest, cluster, refresh, vote, report.
 
 One `step` per week, strictly in order. The step never mutates its input
-state: all work happens on a copy, so any mid-step failure leaves the
-caller holding the untouched pre-step state. All randomness derives from
+state: it works on copies of the parts it changes in place, so any
+mid-step failure leaves the caller holding the untouched pre-step state. All randomness derives from
 (config.rng_seed, week, purpose), which makes checkpoint resume
 byte-identical to an uninterrupted run.
 """
@@ -15,7 +15,7 @@ import os
 import re
 import zlib
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,20 +78,6 @@ class EngineState:
     def rows(self) -> list[str]:
         """The labeled point ids in arrival order: those whose participant has a score."""
         return [pt for pt in self.registry.point_ids if _participant(pt) in self.scores]
-
-    def copy(self) -> "EngineState":
-        return EngineState(
-            config=self.config,
-            current_week=self.current_week,
-            pipeline=self.pipeline,
-            registry=self.registry.copy(),
-            pool=ModelPool(
-                generic=self.pool.generic, specialized=dict(self.pool.specialized)
-            ),
-            holdout=self.holdout,
-            scores=dict(self.scores),
-            log_digests=self.log_digests,
-        )
 
 
 @dataclass(frozen=True)
@@ -216,7 +202,8 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
     if not len(batch.records):
         raise ValidationError(f"week {batch.week}: empty batch")
 
-    st = state.copy()
+    # the registry and the scores change in place; every other part is replaced
+    st = replace(state, registry=state.registry.copy(), scores=dict(state.scores))
     week = batch.week
     events: list[str] = []
 

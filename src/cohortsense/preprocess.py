@@ -116,7 +116,6 @@ def scaler_apply(scaler: FittedScaler, matrix: np.ndarray) -> np.ndarray:
 class FittedProjector:
     mean: np.ndarray
     components: np.ndarray  # (k, d), orthonormal rows
-    explained_variance_ratio: np.ndarray  # (k,), descending
 
 
 def pca_fit(matrix: np.ndarray, variance_target: float) -> FittedProjector:
@@ -145,8 +144,7 @@ def pca_fit(matrix: np.ndarray, variance_target: float) -> FittedProjector:
         raise ValidationError("PCA input has zero variance (all rows equal)")
     rank = int((eigvals > eigvals[0] * 1e-12).sum())
 
-    ratios = eigvals / total
-    cumulative = np.cumsum(ratios)
+    cumulative = np.cumsum(eigvals / total)
     k = int(np.searchsorted(cumulative, variance_target - 1e-12) + 1)
     k = min(max(k, 2), rank)
 
@@ -154,11 +152,7 @@ def pca_fit(matrix: np.ndarray, variance_target: float) -> FittedProjector:
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
-    return FittedProjector(
-        mean=mean,
-        components=components,
-        explained_variance_ratio=ratios[:k],
-    )
+    return FittedProjector(mean=mean, components=components)
 
 
 def pca_project_matrix(projector: FittedProjector, matrix: np.ndarray) -> np.ndarray:
@@ -167,13 +161,17 @@ def pca_project_matrix(projector: FittedProjector, matrix: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class FittedPipeline:
-    """Frozen preprocessing state: feature order, vocabularies, scaler, PCA."""
+    """Frozen preprocessing state: feature order, vocabularies, scaler, PCA.
+    The vocabularies are keyed by the categorical features, in order."""
 
     continuous_features: tuple[str, ...]
-    categorical_features: tuple[str, ...]
     vocabularies: dict[str, tuple[str, ...]]
     scaler: FittedScaler
     projector: FittedProjector
+
+    @property
+    def categorical_features(self) -> tuple[str, ...]:
+        return tuple(self.vocabularies)
 
 
 def _segment_mean_matrix(
@@ -182,23 +180,22 @@ def _segment_mean_matrix(
     values: np.ndarray,
     codes: np.ndarray,
     continuous_features: tuple[str, ...],
-    categorical_features: tuple[str, ...],
     vocabularies: dict[str, tuple[str, ...]],
 ) -> tuple[list[str], np.ndarray]:
     """Per participant: per-segment feature means, segment blocks concatenated.
 
     ``values`` and ``codes`` are the imputed rows of ``batch`` that ``keep``
-    selects. A token outside its vocabulary encodes all-zeros. A participant
-    missing every row of one segment falls back to their own all-segment
-    mean for that block. Rows are summed in day order (segment order, then
+    selects. Each vocabulary's feature gives one-hot columns, in the
+    vocabularies' order; a token outside its vocabulary encodes all-zeros.
+    A participant missing every row of one segment falls back to their own
+    all-segment mean for that block. Rows are summed in day order (segment order, then
     day order, for that mean), so the means do not depend on the order of
     the rows in the batch.
     """
     rows = np.flatnonzero(keep)
     parts = [values[:, [batch.continuous_features.index(n) for n in continuous_features]]]
-    for name in categorical_features:
+    for name, vocab in vocabularies.items():
         j = batch.categorical_features.index(name)
-        vocab = vocabularies[name]
         index = np.array([vocab.index(t) if t in vocab else -1 for t in batch.tokens[j]], dtype=int)
         parts.append((index[codes[:, j]][:, None] == np.arange(len(vocab))).astype(float))
     order = np.lexsort((batch.days[rows], batch.segments[rows], batch.participants[rows]))
@@ -238,15 +235,13 @@ def fit_pipeline(batch: WeeklyBatch, variance_target: float) -> FittedPipeline:
         for j, name in enumerate(batch.categorical_features)
     }
     _, matrix = _segment_mean_matrix(
-        batch, keep, values, codes,
-        batch.continuous_features, batch.categorical_features, vocabularies,
+        batch, keep, values, codes, batch.continuous_features, vocabularies
     )
     scaler = scaler_fit(matrix)
     scaled = scaler_apply(scaler, matrix)
     projector = pca_fit(scaled, variance_target)
     return FittedPipeline(
         continuous_features=batch.continuous_features,
-        categorical_features=batch.categorical_features,
         vocabularies=vocabularies,
         scaler=scaler,
         projector=projector,
@@ -260,14 +255,18 @@ def vectorize_week(
 
     Returns the participant ids in sorted order, their vectors as the rows
     of one matrix, and the ids of participants omitted because no row of
-    theirs survived cleaning (callers log these).
+    theirs survived cleaning (callers log these). A batch that lacks a
+    feature the pipeline reads is an error.
     """
+    missing = [n for n in pipeline.continuous_features if n not in batch.continuous_features]
+    missing += [n for n in pipeline.categorical_features if n not in batch.categorical_features]
+    if missing:
+        raise ValidationError(f"week {batch.week}: batch lacks the pipeline's features {missing}")
     keep, values, codes = _clean(batch)
     pids, projected = [], np.empty((0, len(pipeline.projector.components)))
     if keep.any():
         pids, matrix = _segment_mean_matrix(
-            batch, keep, values, codes,
-            pipeline.continuous_features, pipeline.categorical_features, pipeline.vocabularies,
+            batch, keep, values, codes, pipeline.continuous_features, pipeline.vocabularies
         )
         projected = pca_project_matrix(pipeline.projector, scaler_apply(pipeline.scaler, matrix))
     omitted = sorted(set(batch.participant_ids) - set(pids))
@@ -279,30 +278,33 @@ def vectorize_week(
 def pipeline_to_json(pipeline: FittedPipeline) -> dict:
     return {
         "continuous_features": list(pipeline.continuous_features),
-        "categorical_features": list(pipeline.categorical_features),
         "vocabularies": {k: list(v) for k, v in pipeline.vocabularies.items()},
         "scaler_min": pipeline.scaler.feature_min.tolist(),
         "scaler_max": pipeline.scaler.feature_max.tolist(),
         "pca_mean": pipeline.projector.mean.tolist(),
         "pca_components": pipeline.projector.components.tolist(),
-        "pca_explained_variance_ratio": pipeline.projector.explained_variance_ratio.tolist(),
     }
 
 
 def pipeline_from_json(doc: dict) -> FittedPipeline:
-    keys = ("scaler_min", "scaler_max", "pca_mean", "pca_components", "pca_explained_variance_ratio")
+    """The pipeline `pipeline_to_json` wrote. Its arrays must be finite and,
+    a component row each, as wide as the segment-mean vectors: a block per
+    segment of the continuous features and the vocabularies' tokens."""
+    continuous = tuple(doc["continuous_features"])
+    vocabularies = {k: tuple(v) for k, v in doc["vocabularies"].items()}
+    width = len(SEGMENT_ORDER) * (len(continuous) + sum(map(len, vocabularies.values())))
+    keys = ("scaler_min", "scaler_max", "pca_mean", "pca_components")
     arrays = {key: np.array(doc[key], dtype=float) for key in keys}
     for key, values in arrays.items():
         if not np.isfinite(values).all():
             raise ValidationError(f"pipeline {key} are not finite")
+        if values.ndim != 1 + (key == "pca_components") or values.shape[-1] != width:
+            raise ValidationError(
+                f"pipeline {key} is not {width} wide, as its features and vocabularies give"
+            )
     return FittedPipeline(
-        continuous_features=tuple(doc["continuous_features"]),
-        categorical_features=tuple(doc["categorical_features"]),
-        vocabularies={k: tuple(v) for k, v in doc["vocabularies"].items()},
+        continuous_features=continuous,
+        vocabularies=vocabularies,
         scaler=FittedScaler(feature_min=arrays["scaler_min"], feature_max=arrays["scaler_max"]),
-        projector=FittedProjector(
-            mean=arrays["pca_mean"],
-            components=arrays["pca_components"],
-            explained_variance_ratio=arrays["pca_explained_variance_ratio"],
-        ),
+        projector=FittedProjector(mean=arrays["pca_mean"], components=arrays["pca_components"]),
     )

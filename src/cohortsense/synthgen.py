@@ -620,22 +620,35 @@ def write_cohort(out_dir: str | Path, batches: list[WeeklyBatch], plan: CohortPl
 
 def load_plan(path: str | Path) -> CohortPlan:
     """Load a CohortPlan from a UTF-8 JSON file; a file that cannot be read
-    or is not UTF-8, or a plan that is not valid JSON or lacks a field,
-    raises ValidationError naming the file."""
+    or is not UTF-8, or a plan that is not valid JSON, lacks a field or
+    holds a value of the wrong kind, raises ValidationError naming the file.
+    Both counts are JSON ints, ``lonely_count`` at least 0; the weeks are
+    decimal numbers from 1, at least one of them; each group is a list of
+    participant ids."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read plan file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-        return CohortPlan(
-            total_participants=int(doc["total_participants"]),
-            lonely_count=int(doc["lonely_count"]),
-            weekly_group_membership={
-                int(week): {g: frozenset(m) for g, m in groups.items()}
-                for week, groups in doc["weekly_group_membership"].items()
-            },
-        )
+        total, lonely = doc["total_participants"], doc["lonely_count"]
+        if type(total) is not int or type(lonely) is not int or lonely < 0:
+            raise ValueError(
+                f"total_participants {total!r} and lonely_count {lonely!r} must be ints, "
+                "lonely_count at least 0"
+            )
+        membership: dict[int, dict[str, frozenset[str]]] = {}
+        for week, groups in doc["weekly_group_membership"].items():
+            number = int(week) if week.isascii() and week.isdecimal() else 0
+            if number < 1 or number in membership:
+                raise ValueError(f"week {week!r} is not a week number from 1, given once")
+            for group, members in groups.items():
+                if type(members) is not list or not all(type(m) is str for m in members):
+                    raise ValueError(f"week {week}: group {group} is not a list of participant ids")
+            membership[number] = {g: frozenset(m) for g, m in groups.items()}
+        if not membership:
+            raise ValueError("the plan has no weeks")
+        return CohortPlan(total, lonely, membership)
     except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise ValidationError(f"malformed plan file {path}: {type(exc).__name__}: {exc}") from exc
 
@@ -750,6 +763,22 @@ def _read_csv(path: Path, columns: tuple[str, ...], convert):
 _SEGMENT_CODE = {seg.value: code for code, seg in enumerate(SEGMENT_ORDER)}
 
 
+def _repeated_participant(path: Path) -> ValidationError:
+    """The error for a labels file that gives a participant a second row,
+    naming that row's line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        at = next(reader).index("participant_id")
+        seen: set[str] = set()
+        for row in filter(None, reader):
+            if row[at] in seen:
+                return ValidationError(
+                    f"{path}, line {reader.line_num}: participant {row[at]} has a second row"
+                )
+            seen.add(row[at])
+    raise AssertionError(f"{path}: no participant has a second row")
+
+
 def _feature_column(cells) -> np.ndarray:
     """A feature column: blank cells are missing (NaN), any other cell must
     be a finite number. One conversion of the whole column, with ``float``'s
@@ -791,13 +820,14 @@ def load_batches(data_dir: str | Path) -> list[WeeklyBatch]:
     labels_path = data / "labels.csv"
     if not labels_path.exists():
         raise ValidationError(f"missing labels.csv in {data}")
-    labels = dict(
-        _read_csv(
-            labels_path,
-            ("participant_id", "score"),
-            lambda pids, scores: list(zip(pids, [validate_score(int(s)) for s in scores])),
-        )
+    rows = _read_csv(
+        labels_path,
+        ("participant_id", "score"),
+        lambda pids, scores: list(zip(pids, [validate_score(int(s)) for s in scores])),
     )
+    labels = dict(rows)
+    if len(labels) < len(rows):
+        raise _repeated_participant(labels_path)
 
     week_files: dict[int, Path] = {}
     for path in sorted(data.glob("week_*.csv")):

@@ -237,6 +237,51 @@ def test_synth_malformed_plan_exits_one(tmp_path, capsys, text, message):
     assert err.startswith("error:") and str(plan_path) in err and message in err
 
 
+def tiny_plan_doc(**fields) -> dict:
+    members = {"G1": ["P001", "P002"], "G2": ["P003", "P004"]}
+    doc = {"total_participants": 4, "lonely_count": 1, "weekly_group_membership": {"1": members}}
+    return dict(doc, **fields)
+
+
+def one_week(groups: dict) -> dict:
+    return {"weekly_group_membership": {"1": groups}}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (tiny_plan_doc(lonely_count=10.7), "must be ints"),
+        (tiny_plan_doc(lonely_count="1"), "must be ints"),
+        (tiny_plan_doc(lonely_count=True), "must be ints"),
+        (tiny_plan_doc(lonely_count=-3), "lonely_count at least 0"),
+        (tiny_plan_doc(total_participants=4.0), "must be ints"),
+        (tiny_plan_doc(weekly_group_membership={"0": {"G1": ["P001"]}}), "week '0'"),
+        (tiny_plan_doc(weekly_group_membership={"w1": {"G1": ["P001"]}}), "week 'w1'"),
+        (tiny_plan_doc(weekly_group_membership={"-1": {"G1": ["P001"]}}), "week '-1'"),
+        (tiny_plan_doc(weekly_group_membership={"1": {}, "01": {}}), "week '01'"),
+        (tiny_plan_doc(weekly_group_membership={}), "no weeks"),
+        (tiny_plan_doc(**one_week({"G1": "P001P002"})), "group G1 is not a list"),
+        (tiny_plan_doc(**one_week({"G1": ["P001", 2]})), "group G1 is not a list"),
+        (tiny_plan_doc(**one_week({"G1": {"P001": 1}})), "group G1 is not a list"),
+    ],
+    ids=[
+        "lonely_count float", "lonely_count string", "lonely_count bool", "lonely_count negative",
+        "total_participants float", "week 0", "week not decimal", "week negative",
+        "week given twice", "no weeks", "members as a string", "member not a string",
+        "members as an object",
+    ],
+)
+def test_synth_plan_with_a_value_of_the_wrong_kind_exits_one(tmp_path, capsys, doc, message):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["synth", "--out-dir", str(out), "--plan", str(plan_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and str(plan_path) in err and message in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_replay_bad_config_exits_one(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"bogus_key": 1}), encoding="utf-8")
@@ -511,16 +556,19 @@ def nested_tags(doc):
         (nested_tags, "schema version 1"),
         (lambda doc: doc["registry"].update(cohort_ids=["G1"]), "registry differ"),
         (lambda doc: as_float(doc["pool"]["generic"], "input_dim"), "pool differ"),
-        (lambda doc: as_float(doc["registry"], "next_label_index"), "registry differ"),
         (lambda doc: as_float(doc["registry"], "min_pts_floor"), "registry differ"),
         (lambda doc: as_float(first_split(generic_models(doc)["gbt"]["trees"]), "feature"), "pool differ"),
         (lambda doc: leaf_as_int(generic_models(doc)["random_forest"]["trees"]), "pool differ"),
+        # keys that checkpoints held before the program came to work them out
+        (lambda doc: doc["registry"].update(next_label_index=4), "registry differ"),
+        (lambda doc: doc["pipeline"].update(categorical_features=["social_context"]), "pipeline differ"),
+        (lambda doc: doc["pipeline"].update(pca_explained_variance_ratio=[0.5, 0.2]), "pipeline differ"),
     ],
     ids=[
         "unedited", "no log digests", "id-list memberships", "refit cadence", "descent knob",
         "version 1 with the nested tags", "unknown registry key", "input_dim as float",
-        "next_label_index as float", "min_pts_floor as float", "gbt split feature as float",
-        "forest leaf 0.0 as int",
+        "min_pts_floor as float", "gbt split feature as float", "forest leaf 0.0 as int",
+        "stored next label index", "stored categorical features", "stored pca variance ratios",
     ],
 )
 def test_replay_resume_refuses_each_retired_checkpoint_layout(
@@ -540,9 +588,8 @@ def test_replay_resume_refuses_each_retired_checkpoint_layout(
     [
         (lambda labels: labels[:-1], "not one label or null per point"),
         (lambda labels: [1 if x == "G1" else x for x in labels], "not one label or null per point"),
-        (lambda labels: ["G9" if x == "G1" else x for x in labels], "not above cohort G9"),
     ],
-    ids=["short", "not a string", "label in use"],
+    ids=["short", "not a string"],
 )
 def test_replay_resume_checkpoint_with_bad_cohort_labels_exits_one(
     tmp_path, capsys, change, message
@@ -737,6 +784,10 @@ MALFORMED_DATA = {
     "cell_over_the_field_limit": (
         lambda d: _set_cell(d / "week_1.csv", "social_context", "x" * 200_000),
         "week_1.csv, line 2: field larger than field limit",
+    ),
+    "repeated_participant_in_labels": (
+        lambda d: _edit_csv(d / "labels.csv", lambda rows: rows.insert(3, [rows[1][0], "39"])),
+        "labels.csv, line 4: participant P001 has a second row",
     ),
     "duplicate_week_file": (
         lambda d: (d / "week_01.csv").write_bytes((d / "week_1.csv").read_bytes()),

@@ -1,5 +1,6 @@
 """Tests for batch DBSCAN, the incremental registry, and identity tracking."""
 
+import json
 import math
 import tracemalloc
 from collections import deque
@@ -367,16 +368,15 @@ def test_snapshot_membership_partitions_points():
 def test_track_identity_identical_partition():
     prev = {"G1": frozenset({"a", "b", "c"}), "G2": frozenset({"d", "e"})}
     current = {"k1": frozenset({"a", "b", "c"}), "k2": frozenset({"d", "e"})}
-    mapping, vanished, nxt = track_identity(prev, current, {}, next_index=3)
+    mapping, vanished = track_identity(prev, current, {})
     assert mapping == {"k1": "G1", "k2": "G2"}
     assert vanished == {}
-    assert nxt == 3
 
 
 def test_track_identity_growth_keeps_label():
     prev = {"G1": frozenset({"a", "b"})}
     current = {"k": frozenset({"a", "b", "c", "d"})}  # jaccard exactly 0.5
-    mapping, _, _ = track_identity(prev, current, {}, next_index=2)
+    mapping, _ = track_identity(prev, current, {})
     assert mapping == {"k": "G1"}
 
 
@@ -387,10 +387,9 @@ def test_track_identity_split_large_keeps_small_fresh():
         "big": frozenset(members[:90]),
         "small": frozenset(members[90:]),
     }
-    mapping, _, nxt = track_identity(prev, current, {}, next_index=2)
+    mapping, _ = track_identity(prev, current, {})
     assert mapping["big"] == "G1"
     assert mapping["small"] == "G2"
-    assert nxt == 3
 
 
 def test_track_identity_reemergence_restores_label():
@@ -398,7 +397,7 @@ def test_track_identity_reemergence_restores_label():
     vanished = {"G4": old}
     # re-forms with 80% of its old members
     current = {"k": frozenset(list(old)[:8] + ["new1", "new2"])}
-    mapping, vanished_out, _ = track_identity({}, current, vanished, next_index=5)
+    mapping, vanished_out = track_identity({}, current, vanished)
     assert mapping == {"k": "G4"}
     assert "G4" not in vanished_out
 
@@ -406,7 +405,7 @@ def test_track_identity_reemergence_restores_label():
 def test_track_identity_vanish_records_membership():
     prev = {"G1": frozenset({"a", "b"}), "G2": frozenset({"c", "d"})}
     current = {"k": frozenset({"a", "b"})}
-    mapping, vanished, _ = track_identity(prev, current, {}, next_index=3)
+    mapping, vanished = track_identity(prev, current, {})
     assert mapping == {"k": "G1"}
     assert vanished == {"G2": frozenset({"c", "d"})}
 
@@ -414,9 +413,43 @@ def test_track_identity_vanish_records_membership():
 def test_track_identity_merge_takes_larger_constituent():
     prev = {"G1": frozenset(f"a{i}" for i in range(30)), "G2": frozenset({"b0", "b1"})}
     current = {"k": frozenset([f"a{i}" for i in range(30)] + ["b0", "b1"])}
-    mapping, vanished, _ = track_identity(prev, current, {}, next_index=3)
+    mapping, vanished = track_identity(prev, current, {})
     assert mapping == {"k": "G1"}
     assert vanished == {"G2": frozenset({"b0", "b1"})}
+
+
+def test_fresh_labels_number_on_across_saves_while_a_cohort_vanishes_and_returns():
+    # min_pts grows with the stream: b's 8 points stop being a cohort at
+    # 88 points, and come back as G2 once b has 18 of 128
+    rng = np.random.default_rng(41)
+
+    def blob(name, center, start, stop):
+        return {f"{name}{i:02d}": center + rng.normal(0, 0.03, 2) for i in range(start, stop)}
+
+    waves = [
+        blob("a", (0, 0), 0, 20),
+        blob("b", (5, 5), 0, 8),
+        blob("a", (0, 0), 20, 80),
+        {**blob("b", (5, 5), 8, 18), **blob("c", (10, 0), 0, 30)},
+        blob("d", (-10, 0), 0, 20),
+    ]
+    straight = ClusterRegistry(eps=0.5, density_fraction=0.1, min_pts_floor=3)
+    doc = straight.to_json()
+    labels = []
+    for wave in waves:
+        resumed = ClusterRegistry.from_json(doc)
+        for pid, x in wave.items():
+            straight.insert(pid, x)
+            resumed.insert(pid, x)
+        snap = straight.snapshot()
+        assert resumed.snapshot() == snap
+        doc = json.loads(json.dumps(resumed.to_json()))
+        labels.append(sorted(snap.cohorts))
+    # c's fresh G3 numbers on from G2, vanished until the same snapshot
+    assert labels == [["G1"], ["G1", "G2"], ["G1"], ["G1", "G2", "G3"], ["G1", "G2", "G3", "G4"]]
+    assert snap.cohorts["G2"] == frozenset(f"b{i:02d}" for i in range(18))
+    assert snap.cohorts["G3"] == frozenset(waves[3]) - snap.cohorts["G2"]
+    assert snap.cohorts["G4"] == frozenset(waves[4])
 
 
 # ---------------------------------------------------------------- persistence

@@ -89,6 +89,26 @@ def test_step_rejects_a_changed_score_and_keeps_the_state(mini_batches):
     assert after.current_week == 2 and report == straight
 
 
+def test_step_rejects_a_batch_lacking_a_pipeline_feature_and_keeps_the_state(mini_batches):
+    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
+    before = engine._payload(engine._state_to_json(state))
+    batch = mini_batches[1]
+    j = batch.continuous_features.index("sms_count")
+    lacking = dataclasses.replace(
+        batch,
+        continuous_features=batch.continuous_features[:j] + batch.continuous_features[j + 1 :],
+        records=np.delete(batch.records, j, axis=1),
+    )
+    message = r"week 2: batch lacks the pipeline's features \['sms_count'\]"
+    with pytest.raises(ValidationError, match=message):
+        step(state, lacking)
+    assert engine._payload(engine._state_to_json(state)) == before
+    after, report = step(state, batch)
+    _, straight = step(step(new_state(FAST_CONFIG), mini_batches[0])[0], batch)
+    assert after.current_week == 2 and report == straight
+    assert engine._payload(engine._state_to_json(state)) == before
+
+
 def test_a_score_labels_every_point_of_its_participant(mini_batches):
     first, second = mini_batches[:2]
     pid = max(first.labels)
@@ -368,7 +388,7 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
     generic = good["pool"]["generic"]
     f1 = generic["validation_f1"]
     labels = reg["prev_memberships"]
-    assert set(labels) - {None} == {"G1", "G2", "G3"} and reg["next_label_index"] == 4
+    assert set(labels) - {None} == {"G1", "G2", "G3"}
     assert reg["vanished"] == {}
     # G3 dropped: its points' labels null, its members kept as vanished
     kept = [None if x == "G3" else x for x in labels]
@@ -402,11 +422,17 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
         ("registry", dict(reg, density_fraction=0.2)),
         ("registry", dict(reg, min_pts_floor=6)),
         ("registry", dict(reg, vectors=[v + [0.0] for v in reg["vectors"]])),
+        ("pipeline", dict(pipeline, pca_components=pipeline["pca_components"][:-1])),
+        # the pipeline's arrays: 4 segments x (features + vocabulary tokens) wide
         ("pipeline", dict(
-            pipeline,
-            pca_components=pipeline["pca_components"][:-1],
-            pca_explained_variance_ratio=pipeline["pca_explained_variance_ratio"][:-1],
+            pipeline, scaler_min=pipeline["scaler_min"][:-1], scaler_max=pipeline["scaler_max"][:-1]
         )),
+        ("pipeline", dict(pipeline, pca_mean=pipeline["pca_mean"][:-1])),
+        ("pipeline", dict(pipeline, pca_components=[row[:-1] for row in pipeline["pca_components"]])),
+        ("pipeline", dict(pipeline, pca_components=pipeline["pca_components"][0])),
+        ("pipeline", dict(pipeline, vocabularies={
+            name: tokens + ["zz"] for name, tokens in pipeline["vocabularies"].items()
+        })),
         # validation F1: one finite value in [0, 1] per kind
         ("pool", pool_with_f1({k: v for k, v in f1.items() if k != "gbt"})),
         ("pool", pool_with_f1(dict(f1, gbt="nan"))),
@@ -425,11 +451,9 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
         ("current_week", 100),
         ("current_week", 1.5),
         ("current_week", True),
-        # cohort memberships name registry points, and fresh labels are unused
+        # cohort memberships name registry points
         ("registry", dict(reg, prev_memberships=kept, vanished={"G3": g3 + ["ZZZ|w01"]})),
         ("registry", dict(reg, prev_memberships=kept, vanished={"G3": ["ZZZ|w01"]})),
-        ("registry", dict(reg, next_label_index=3)),
-        ("registry", dict(reg, prev_memberships=kept, vanished={"G3": g3}, next_label_index=3)),
     ]
     for case, (field, value) in enumerate(broken):
         write_gzip(path, dict(good, **{field: value}))
@@ -450,7 +474,7 @@ def test_checkpoint_bad_cohort_labels_or_log_digests_is_checkpoint_error(tmp_pat
     good = json.loads(gzip.open(path, "rb").read())
     reg, digests = good["registry"], good["log_digests"]
     labels = reg["prev_memberships"]
-    assert len(labels) == len(reg["ids"]) and reg["next_label_index"] == 4
+    assert len(labels) == len(reg["ids"])
     assert set(labels) - {None} == {"G1", "G2", "G3"}
 
     def relabel(old, new):
@@ -462,8 +486,6 @@ def test_checkpoint_bad_cohort_labels_or_log_digests_is_checkpoint_error(tmp_pat
         ("registry", dict(reg, prev_memberships=labels + [None])),
         ("registry", relabel("G1", 1)),
         ("registry", relabel("G1", ["G1"])),
-        # a fresh label is one not yet in use
-        ("registry", relabel("G3", "G4")),
         # one sha256 hex digest per log
         ("log_digests", {"runlog.jsonl": digests["runlog.jsonl"]}),
         ("log_digests", dict(digests, other=digests["summary.csv"])),
@@ -677,17 +699,21 @@ def generic_models(doc: dict) -> dict:
         ),
         # equal numbers of another type: save writes each of these as the other
         (lambda doc: as_float(doc["pool"]["generic"], "input_dim"), "pool differ"),
-        (lambda doc: as_float(doc["registry"], "next_label_index"), "registry differ"),
         (lambda doc: as_float(doc["registry"], "min_pts_floor"), "registry differ"),
         (lambda doc: as_float(first_split(generic_models(doc)["gbt"]["trees"]), "feature"), "pool differ"),
         (lambda doc: leaf_as_int(generic_models(doc)["random_forest"]["trees"]), "pool differ"),
+        # keys the program works out: fresh labels number on from those in use,
+        # and the categorical features are the vocabularies' keys
+        (lambda doc: doc["registry"].update(next_label_index=4), "registry differ"),
+        (lambda doc: doc["pipeline"].update(categorical_features=["social_context"]), "pipeline differ"),
         (reverse_keys, "key order or spacing differ"),
     ],
     ids=[
         "top-level rows", "top-level run_log", "registry cohort_ids", "pool min_cohort_size",
         "gbt train_log_loss", "tree node key", "gbt under random_forest", "forest under gbt",
-        "input_dim as float", "next_label_index as float", "min_pts_floor as float",
-        "gbt split feature as float", "forest leaf 0.0 as int", "keys out of order",
+        "input_dim as float", "min_pts_floor as float", "gbt split feature as float",
+        "forest leaf 0.0 as int", "stored next label index", "stored categorical features",
+        "keys out of order",
     ],
 )
 def test_checkpoint_save_would_not_write_is_checkpoint_error(

@@ -185,7 +185,7 @@ def onehot_block(token, vocabulary):
     batch = batch_of([rec("p0", {}, cat={"c": token})])
     keep = np.ones(1, dtype=bool)
     _, matrix = _segment_mean_matrix(
-        batch, keep, batch.records, batch.categories, (), ("c",), {"c": vocabulary}
+        batch, keep, batch.records, batch.categories, (), {"c": vocabulary}
     )
     return matrix[0, : len(vocabulary)]
 
@@ -228,25 +228,32 @@ def test_scaler_output_always_in_unit_interval():
 # ---------------------------------------------------------------- PCA
 
 
+def variance_ratios(proj, matrix):
+    """The share of the matrix's variance along each of proj's components."""
+    coords = pca_project_matrix(proj, matrix)
+    return coords.var(axis=0, ddof=1) / matrix.var(axis=0, ddof=1).sum()
+
+
 def test_pca_collinear_points_single_component():
     t = np.linspace(0, 1, 30)
     matrix = np.column_stack([t, t])
     proj = pca_fit(matrix, variance_target=0.9)
     assert proj.components.shape[0] == 1
-    assert proj.explained_variance_ratio[0] >= 0.999
+    assert variance_ratios(proj, matrix)[0] >= 0.999
 
 
 def test_pca_isotropic_ratios_match_eigen_oracle():
     rng = np.random.default_rng(33)
     matrix = rng.normal(size=(4000, 2))
     proj = pca_fit(matrix, variance_target=1.0)
-    assert proj.explained_variance_ratio[0] == pytest.approx(0.5, abs=0.1)
-    assert proj.explained_variance_ratio[1] == pytest.approx(0.5, abs=0.1)
+    ratios = variance_ratios(proj, matrix)
+    assert ratios[0] == pytest.approx(0.5, abs=0.1)
+    assert ratios[1] == pytest.approx(0.5, abs=0.1)
     # independent oracle: singular values of the centered data matrix
     centered = matrix - matrix.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
     oracle = svals**2 / (svals**2).sum()
-    assert np.allclose(np.sort(proj.explained_variance_ratio), np.sort(oracle), atol=1e-9)
+    assert np.allclose(np.sort(ratios), np.sort(oracle), atol=1e-9)
 
 
 def test_pca_projecting_mean_gives_zero():
@@ -280,7 +287,7 @@ def test_pca_component_rows_orthonormal():
     proj = pca_fit(matrix, variance_target=1.0)
     gram = proj.components @ proj.components.T
     assert np.allclose(gram, np.eye(len(gram)), atol=1e-8)
-    assert proj.explained_variance_ratio.sum() <= 1.0 + 1e-8
+    assert variance_ratios(proj, matrix).sum() <= 1.0 + 1e-8
 
 
 def test_pca_rank_zero_errors():

@@ -53,3 +53,36 @@ def test_traced_replay_reports_each_kind_under_cv():
         assert metrics[f"learners.{kind}.cv_s"] > 0, kind
     assert metrics["learners.cv_fits"] > 0
     assert metrics["learners.smote_calls"] > 0
+
+
+class NamingTracer(Tracer):
+    """A tracer that also keeps every span name it wraps."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.names: set[str] = set()
+
+    def wrap(self, owner, attr, name, count=None) -> None:
+        self.names.add(name)
+        super().wrap(owner, attr, name, count)
+
+
+def test_a_traced_synth_load_replay_and_resume_record_every_wrapped_name(tmp_path):
+    # a name that no call reaches reads 0 in its per-layer metric, so a
+    # refactor that routes around one must fail here
+    plan = tiny_plan(weeks=3)
+    learners = LearnerConfig(**FAST_CONFIG["learners"])
+    config = EngineConfig(**dict(FAST_CONFIG, learners=learners))
+    data, out, checkpoint = tmp_path / "data", tmp_path / "out", tmp_path / "state.csk"
+    tracer = NamingTracer().install()
+    try:
+        batches = synthgen.generate_cohort(plan, synthgen.build_default_profiles(), seed=3)
+        synthgen.write_cohort(data, batches, plan)
+        batches = synthgen.load_batches(data)
+        engine.run_replay(config, batches[:2], out_dir=out, checkpoint_path=checkpoint)
+        resumed = engine.load(checkpoint)
+        engine.run_replay(resumed, batches[2:], out_dir=out, checkpoint_path=checkpoint)
+    finally:
+        tracer.close()
+    recorded = {span[0] for span in tracer.spans}
+    assert tracer.names and not tracer.names - recorded, sorted(tracer.names - recorded)
