@@ -189,7 +189,7 @@ class ClusterRegistry:
 
         self._ids: list[str] = []
         self._index: dict[str, int] = {}
-        self._vectors = np.empty((0, 0))  # rows beyond point_count are spare capacity
+        self._vectors = np.empty((0, 0))  # one row per id
 
         # cohort identity tracking across snapshots
         self._prev_memberships: dict[str, frozenset[str]] = {}
@@ -208,7 +208,7 @@ class ClusterRegistry:
 
     @property
     def dim(self) -> int:
-        """Width of the stored vectors; 0 before the first point."""
+        """Width of the stored vectors; 0 before the first insert."""
         return self._vectors.shape[1]
 
     @property
@@ -219,23 +219,27 @@ class ClusterRegistry:
 
     # ------------------------------------------------------------ mutation
 
-    def insert(self, point_id: str, vector) -> None:
-        if point_id in self._index:
-            raise ValidationError(f"duplicate point id {point_id!r}")
-        x = np.asarray(vector, dtype=float).ravel()
-        n = len(self._ids)
-        if n and x.shape[0] != self._vectors.shape[1]:
+    def insert(self, point_ids, vectors) -> None:
+        """Append a batch of points: ids new and distinct, and one finite
+        row per id, as wide as the stored rows."""
+        ids = list(point_ids)
+        X = np.array(vectors, dtype=float)
+        index: dict[str, int] = {}
+        for k, pid in enumerate(ids, start=len(self._ids)):
+            if pid in index or pid in self._index:
+                raise ValidationError(f"duplicate point id {pid!r}")
+            index[pid] = k
+        if X.ndim != 2 or len(X) != len(ids):
+            raise ValidationError(f"registry vectors are not one row per id, got shape {X.shape}")
+        if self._ids and X.shape[1] != self.dim:
             raise ValidationError(
-                f"vector dimension {x.shape[0]} does not match registry "
-                f"dimension {self._vectors.shape[1]}"
+                f"vector dimension {X.shape[1]} does not match registry dimension {self.dim}"
             )
-        if self._vectors.shape[1] != x.shape[0]:
-            self._vectors = np.empty((16, x.shape[0]))
-        elif n == self._vectors.shape[0]:
-            self._vectors = np.vstack([self._vectors, np.empty_like(self._vectors)])
-        self._vectors[n] = x
-        self._ids.append(point_id)
-        self._index[point_id] = n
+        if not np.isfinite(X).all():
+            raise ValidationError("registry vectors are not finite")
+        self._vectors = np.concatenate([self._vectors, X]) if self._ids else X
+        self._ids.extend(ids)
+        self._index.update(index)
 
     # ------------------------------------------------------------ observation
 
@@ -344,14 +348,13 @@ class ClusterRegistry:
         per point: ``prev_memberships`` holds, for each row of ``ids``, its
         cohort label or null. Vanished cohorts keep their id lists, since
         their points may sit in a live cohort too."""
-        n = len(self._ids)
         label_of = {pt: label for label, m in self._prev_memberships.items() for pt in m}
         return {
             "eps": self.eps,
             "density_fraction": self.density_fraction,
             "min_pts_floor": self.min_pts_floor,
             "ids": list(self._ids),
-            "vectors": self._vectors[:n].tolist(),
+            "vectors": self._vectors.tolist(),
             "prev_memberships": [label_of.get(pid) for pid in self._ids],
             "vanished": {label: sorted(m) for label, m in self._vanished.items()},
         }
@@ -362,15 +365,8 @@ class ClusterRegistry:
             float(doc["eps"]), float(doc["density_fraction"]), int(doc["min_pts_floor"])
         )
         ids = list(doc["ids"])
-        if ids:  # fill the store directly: a load is not a stream of inserts
-            reg._ids, reg._index = ids, {pid: k for k, pid in enumerate(ids)}
-            reg._vectors = np.array(doc["vectors"], dtype=float)
-            if len(reg._index) != len(ids) or reg._vectors.shape[:1] != (len(ids),):
-                raise ValidationError("registry ids not unique or not one per vector")
-            if reg._vectors.ndim != 2:
-                raise ValidationError("registry vectors are not a matrix")
-            if not np.isfinite(reg._vectors).all():
-                raise ValidationError("registry vectors are not finite")
+        if ids:
+            reg.insert(ids, doc["vectors"])
         prev = doc["prev_memberships"]  # a cohort label or null per row of ids
         if (
             type(prev) is not list

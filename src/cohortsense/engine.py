@@ -14,7 +14,6 @@ import json
 import os
 import re
 import zlib
-from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -87,19 +86,6 @@ class WeeklyReport:
     eval_rows: list[EvalRow]
     votes: dict[str, VoteOutcome]  # participant id -> outcome
     events: tuple[str, ...]
-
-    # the week's counts, all derived from the assignments
-    @property
-    def cohort_sizes(self) -> dict[str, int]:
-        return dict(Counter(sorted(a for a in self.assignments.values() if a is not None)))
-
-    @property
-    def noise_count(self) -> int:
-        return sum(a is None for a in self.assignments.values())
-
-    @property
-    def participants_seen(self) -> int:
-        return len(self.assignments)
 
 
 def new_state(config: EngineConfig) -> EngineState:
@@ -217,8 +203,7 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
     for pid in omitted:
         events.append(f"week {week}: participant {pid} omitted, no surviving records")
     week_points = {pid: _point_id(pid, week) for pid in pids}
-    for pid, x in zip(pids, X):
-        st.registry.insert(week_points[pid], x)
+    st.registry.insert(week_points.values(), X)
     snapshot = st.registry.snapshot()
 
     st.scores.update(batch.labels)
@@ -435,8 +420,9 @@ def run_replay(
     not chain to the state's `log_digests` are rejected before any file is
     written. The `plot`
     charts are drawn at the end, from every week's summary rows. A
-    checkpoint whose directory does not exist, and is not the output
-    directory, is rejected before any file is written.
+    checkpoint path that is a directory or the output directory is rejected
+    before any file is written, as is one whose directory does not exist
+    and is not the output directory.
     """
     if isinstance(config_or_state, EngineState):
         state = config_or_state
@@ -456,11 +442,13 @@ def run_replay(
 
     out = Path(out_dir) if out_dir is not None else None
     if checkpoint_path is not None:
-        folder = Path(checkpoint_path).parent
+        ckpt = Path(checkpoint_path)
         # the output directory is made below, so the checkpoint may go in it
-        if not folder.is_dir() and (out is None or folder.resolve() != out.resolve()):
+        if ckpt.is_dir() or (out is not None and ckpt.resolve() == out.resolve()):
+            raise ValidationError(f"cannot write checkpoint {checkpoint_path}: it is a directory")
+        if not ckpt.parent.is_dir() and (out is None or ckpt.parent.resolve() != out.resolve()):
             raise ValidationError(
-                f"cannot write checkpoint {checkpoint_path}: no directory {folder}"
+                f"cannot write checkpoint {checkpoint_path}: no directory {ckpt.parent}"
             )
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)

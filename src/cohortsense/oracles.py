@@ -34,8 +34,7 @@ def dbscan_trials(seed: int) -> Iterator[tuple[int, int, ClusterRegistry, tuple]
             ids = list(points)
             rng.shuffle(ids)
             registry = ClusterRegistry(eps=0.9, density_fraction=0.1, min_pts_floor=5)
-            for pid in ids:
-                registry.insert(pid, points[pid])
+            registry.insert(ids, [points[pid] for pid in ids])
             yield trial, perm, registry, oracle
 
 

@@ -240,6 +240,10 @@ class CohortPlan:
     weekly_group_membership: dict[int, dict[str, frozenset[str]]]
 
     def __post_init__(self) -> None:
+        """Each week's groups are disjoint; every participant is in the final
+        week, whose groups draw the scores and traits; and the final week's
+        participants number ``total_participants``."""
+        rosters: dict[int, set[str]] = {}
         for week, groups in self.weekly_group_membership.items():
             seen: set[str] = set()
             for group, members in groups.items():
@@ -250,6 +254,20 @@ class CohortPlan:
                         f"multiple groups"
                     )
                 seen |= set(members)
+            rosters[week] = seen
+        final = max(rosters, default=0)
+        everyone = rosters.get(final, set())
+        for week in sorted(rosters):
+            if rosters[week] - everyone:
+                raise ValidationError(
+                    f"week {week}: participant {min(rosters[week] - everyone)} is in no "
+                    f"group of the final week {final}"
+                )
+        if self.total_participants != len(everyone):
+            raise ValidationError(
+                f"total_participants is {self.total_participants}, "
+                f"but the plan has {len(everyone)} participants"
+            )
 
     def weeks(self) -> list[int]:
         return sorted(self.weekly_group_membership)
@@ -653,19 +671,6 @@ def load_plan(path: str | Path) -> CohortPlan:
         raise ValidationError(f"malformed plan file {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _not_utf8(path: Path) -> ValidationError:
-    """The error for a file that is not UTF-8 text, naming the line of its
-    first bad byte. A text reader's decode error counts bytes from the
-    start of its chunk, so the whole file is decoded again here."""
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        return ValidationError(f"{path}, line {line}: not UTF-8 text: {exc}")
-    return ValidationError(f"{path}: not UTF-8 text")
-
-
 _BLOCK_CHARS = 1 << 18  # characters of a file read and split per block
 
 
@@ -708,55 +713,63 @@ def _plain_columns(fh, width: int) -> list[list[str]] | None:
             return columns
 
 
-def _read_csv(path: Path, columns: tuple[str, ...], convert):
-    """``convert(*cells)`` of a CSV file's data rows, given one sequence of
-    cells per name in ``columns``. The header is read by ``csv.reader``; the
-    rest of a plain file (see ``_plain_columns``) is split into columns
-    directly, and any other file is read by ``csv.reader`` row by row, with
-    the same result. A file that is not UTF-8, a cell over the csv module's
+def _csv_rows(path: Path, columns: tuple[str, ...]) -> tuple[list[str], list[tuple[int, list]]]:
+    """The reference read of a CSV file: its header, holding every name in
+    ``columns``, and its nonblank rows, each with its line, by ``csv.reader``
+    over the file's text, decoded at once. A file that is not UTF-8 (named
+    first, at the line of its first bad byte), a cell over the csv module's
     field limit or a missing column raises ValidationError naming the file
-    and the line; when ``convert`` rejects the file, it is applied again row
-    by row, so that the error names the first rejected line."""
+    and the line."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise ValidationError(f"{path}, line 1: missing columns {', '.join(missing)}")
-            at = [header.index(c) for c in columns]
-            try:
-                cells = _plain_columns(fh, len(header))
-            except UnicodeDecodeError:
-                cells = None  # csv.reader below names the first fault
-        if cells is None:
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                next(reader)
-                rows = [row for row in reader if row]
-            if min(map(len, rows), default=len(header)) >= len(header):
-                cells = list(zip(*rows)) or [()] * len(header)
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path) from exc
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}, line {line}: not UTF-8 text: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValidationError(f"{path}, line 1: missing columns {', '.join(missing)}")
+        return header, [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:
         raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
-    if cells is not None:
+
+
+def _read_csv(path: Path, columns: tuple[str, ...], convert):
+    """``convert(*cells)`` of a CSV file's data rows, given one sequence of
+    cells per name in ``columns``. A plain file (see ``_plain_columns``)
+    whose header, read by ``csv.reader``, holds the columns is split into
+    columns directly. Any other file, or one that ``convert`` rejects, is
+    read by ``_csv_rows``, which names the first fault of its text; then a
+    row with fewer cells than the header, or the first row ``convert``
+    rejects, raises ValidationError naming its line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = next(csv.reader(fh), [])
+            plain = _plain_columns(fh, len(header)) if set(columns) <= set(header) else None
+        except (UnicodeDecodeError, csv.Error):
+            plain = None  # _csv_rows names the first fault
+    if plain is not None:
+        try:
+            return convert(*[plain[header.index(c)] for c in columns])
+        except (ValueError, KeyError, TypeError):
+            pass
+    header, rows = _csv_rows(path, columns)
+    at = [header.index(c) for c in columns]
+    if plain is None and all(len(row) >= len(header) for _, row in rows):
+        cells = list(zip(*(row for _, row in rows))) or [()] * len(header)
         try:
             return convert(*[cells[i] for i in at])
         except (ValueError, KeyError, TypeError):
             pass
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) < len(header):
-                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
-                convert(*[(row[i],) for i in at])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
+    for line, row in rows:
+        try:
+            if len(row) < len(header):
+                raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+            convert(*[(row[i],) for i in at])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValidationError(f"{path}, line {line}: {exc}") from exc
     raise AssertionError(f"{path}: rejected as a whole, yet every row passes")
 
 
@@ -766,16 +779,13 @@ _SEGMENT_CODE = {seg.value: code for code, seg in enumerate(SEGMENT_ORDER)}
 def _repeated_participant(path: Path) -> ValidationError:
     """The error for a labels file that gives a participant a second row,
     naming that row's line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        at = next(reader).index("participant_id")
-        seen: set[str] = set()
-        for row in filter(None, reader):
-            if row[at] in seen:
-                return ValidationError(
-                    f"{path}, line {reader.line_num}: participant {row[at]} has a second row"
-                )
-            seen.add(row[at])
+    header, rows = _csv_rows(path, ("participant_id",))
+    at = header.index("participant_id")
+    seen: set[str] = set()
+    for line, row in rows:
+        if row[at] in seen:
+            return ValidationError(f"{path}, line {line}: participant {row[at]} has a second row")
+        seen.add(row[at])
     raise AssertionError(f"{path}: no participant has a second row")
 
 

@@ -108,14 +108,11 @@ def test_criterion_2_cohort_trajectory(default_replay):
     plan, batches, reports, state, elapsed = default_replay
     assert elapsed < 300.0, f"replay took {elapsed:.1f}s, budget is 300s"
 
-    sequence = [len(r.cohort_sizes) for r in reports]
+    cohorts = [{a for a in r.assignments.values() if a is not None} for r in reports]
+    sequence = [len(c) for c in cohorts]
     assert sequence == EXPECTED_SEQUENCE
 
-    week4 = set(reports[3].cohort_sizes)
-    week5 = set(reports[4].cohort_sizes)
-    week7 = set(reports[6].cohort_sizes)
-    week8 = set(reports[7].cohort_sizes)
-    week9 = set(reports[8].cohort_sizes)
+    week4, week5, week7, week8, week9 = (cohorts[w - 1] for w in (4, 5, 7, 8, 9))
     assert week5 - week4 == {"G4"}  # a fourth cohort emerges in week five
     emergent_w7 = week7 - {"G1", "G2", "G3"}
     assert emergent_w7 == {"G4"}

@@ -263,12 +263,21 @@ def one_week(groups: dict) -> dict:
         (tiny_plan_doc(**one_week({"G1": "P001P002"})), "group G1 is not a list"),
         (tiny_plan_doc(**one_week({"G1": ["P001", 2]})), "group G1 is not a list"),
         (tiny_plan_doc(**one_week({"G1": {"P001": 1}})), "group G1 is not a list"),
+        (
+            tiny_plan_doc(weekly_group_membership={
+                "1": {"G1": ["P001", "P002"], "G2": ["P003", "P004"]},
+                "2": {"G1": ["P001", "P002", "P004"]},
+            }),
+            "week 1: participant P003 is in no group of the final week 2",
+        ),
+        (tiny_plan_doc(total_participants=999), "total_participants is 999, but the plan has 4"),
     ],
     ids=[
         "lonely_count float", "lonely_count string", "lonely_count bool", "lonely_count negative",
         "total_participants float", "week 0", "week not decimal", "week negative",
         "week given twice", "no weeks", "members as a string", "member not a string",
-        "members as an object",
+        "members as an object", "participant not in the final week",
+        "total_participants not the member count",
     ],
 )
 def test_synth_plan_with_a_value_of_the_wrong_kind_exits_one(tmp_path, capsys, doc, message):
@@ -465,6 +474,30 @@ def test_replay_checkpoint_into_a_missing_directory_exits_one_before_week_one(
          "--checkpoint", str(fresh / "ckpt.csk")]
     )
     assert code == 0 and (fresh / "ckpt.csk").is_file()
+
+
+@pytest.mark.parametrize("where", ["an existing directory", "the output directory"])
+def test_replay_checkpoint_that_is_a_directory_exits_one_before_week_one(
+    tmp_path, capsys, where
+):
+    data = tmp_path / "data"
+    plan_path = tmp_path / "plan.json"
+    write_tiny_plan(plan_path, weeks=2)
+    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+    out = tmp_path / "out"
+    ckpt = out if where == "the output directory" else tmp_path / "ckpt"
+    if ckpt != out:
+        ckpt.mkdir()
+    capsys.readouterr()
+    code = main(
+        ["replay", "--data-dir", str(data), "--out-dir", str(out), "--checkpoint", str(ckpt)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: cannot write checkpoint {ckpt}: it is a directory")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not out.exists()
+    assert ckpt == out or list(ckpt.iterdir()) == []
 
 
 def resume_edited_checkpoint(tmp_path, capsys, edit, out="out") -> tuple[int, str]:

@@ -127,7 +127,7 @@ def test_batch_matches_the_textbook_search_on_cores_and_noise():
 
 def test_first_point_is_noise():
     reg = ClusterRegistry(eps=0.5)
-    assert reg.insert("p0", [0.0, 0.0]) is None
+    assert reg.insert(["p0"], [[0.0, 0.0]]) is None
     assert reg.partition() == ({}, frozenset({"p0"}))
 
 
@@ -136,9 +136,9 @@ def test_min_pts_th_point_seeds_cluster():
     rng = np.random.default_rng(0)
     points = {f"p{i}": rng.normal(0, 0.05, 2) for i in range(5)}
     for i in range(4):
-        reg.insert(f"p{i}", points[f"p{i}"])
+        reg.insert([f"p{i}"], [points[f"p{i}"]])
         assert reg.partition() == ({}, frozenset(f"p{k}" for k in range(i + 1)))
-    reg.insert("p4", points["p4"])
+    reg.insert(["p4"], [points["p4"]])
     clusters, noise = reg.partition()
     assert clusters == {"p0": frozenset(points)} and noise == frozenset()
     oracle, oracle_noise = batch_dbscan(points, 0.5, 5)
@@ -147,11 +147,9 @@ def test_min_pts_th_point_seeds_cluster():
 
 def test_joining_existing_cluster():
     reg = ClusterRegistry(eps=0.6, density_fraction=0.01, min_pts_floor=3)
-    reg.insert("p0", [0.0, 0.0])
-    reg.insert("p1", [0.1, 0.0])
-    reg.insert("p2", [0.0, 0.1])
+    reg.insert(["p0", "p1", "p2"], [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
     assert reg.partition() == ({"p0": frozenset({"p0", "p1", "p2"})}, frozenset())
-    reg.insert("p3", [0.1, 0.1])
+    reg.insert(["p3"], [[0.1, 0.1]])
     assert reg.partition() == (
         {"p0": frozenset({"p0", "p1", "p2", "p3"})},
         frozenset(),
@@ -166,19 +164,17 @@ def test_dumbbell_merge():
         points[f"l{i}"] = np.array(xy)
     for i, xy in enumerate([(2.0, 0.0), (2.5, 0.4), (2.5, -0.4)]):
         points[f"r{i}"] = np.array(xy)
-    for pid, xy in points.items():
-        reg.insert(pid, xy)
+    reg.insert(points, list(points.values()))
     clusters, _ = reg.partition()
     assert set(clusters) == {"l0", "r0"}
     # 2 neighbors < min_pts 3 and no core in reach
     points["bridge"] = np.array((0.0, 0.0))
-    reg.insert("bridge", points["bridge"])
+    reg.insert(["bridge"], [points["bridge"]])
     clusters, noise = reg.partition()
     assert set(clusters) == {"l0", "r0"} and noise == frozenset({"bridge"})
     points["bridge2"] = np.array((-1.0, 0.0))
     points["bridge3"] = np.array((1.0, 0.0))
-    reg.insert("bridge2", points["bridge2"])
-    reg.insert("bridge3", points["bridge3"])
+    reg.insert(["bridge2", "bridge3"], [points["bridge2"], points["bridge3"]])
     clusters, noise = reg.partition()
     # the bridge points become cores and chain both triangles into one
     # cluster, keyed by its smallest core id
@@ -189,11 +185,21 @@ def test_dumbbell_merge():
 
 def test_duplicate_and_dimension_errors():
     reg = ClusterRegistry(eps=0.5)
-    reg.insert("p0", [0.0, 0.0])
-    with pytest.raises(ValidationError):
-        reg.insert("p0", [1.0, 1.0])
-    with pytest.raises(ValidationError):
-        reg.insert("p1", [1.0, 1.0, 1.0])
+    reg.insert(["p0"], [[0.0, 0.0]])
+    with pytest.raises(ValidationError, match="duplicate point id 'p0'"):
+        reg.insert(["p1", "p0"], [[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValidationError, match="duplicate point id 'p2'"):
+        reg.insert(["p2", "p3", "p2", "p3"], np.ones((4, 2)))
+    with pytest.raises(ValidationError, match="dimension 3 does not match"):
+        reg.insert(["p1"], [[1.0, 1.0, 1.0]])
+    with pytest.raises(ValidationError, match="not one row per id"):
+        reg.insert(["p1", "p2"], [1.0, 1.0])
+    with pytest.raises(ValidationError, match="not one row per id"):
+        reg.insert(["p1", "p2"], [[1.0, 1.0]])
+    with pytest.raises(ValidationError, match="not finite"):
+        reg.insert(["p1", "p2"], [[1.0, 1.0], [math.nan, 0.0]])
+    # a refused batch stores none of its points
+    assert reg.point_ids == ("p0",) and reg.vectors(["p0"]).tolist() == [[0.0, 0.0]]
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
@@ -216,8 +222,7 @@ def test_registry_equals_batch_oracle_any_order(seed):
         ids = list(pts)
         rng.shuffle(ids)
         reg = ClusterRegistry(eps=0.9, density_fraction=0.1, min_pts_floor=5)
-        for pid in ids:
-            reg.insert(pid, pts[pid])
+        reg.insert(ids, [pts[pid] for pid in ids])
         partitions.append(reg.partition())
     final_min_pts = max(5, int(np.ceil(0.1 * len(pts))))
     oracle = batch_dbscan(pts, 0.9, final_min_pts)
@@ -263,7 +268,7 @@ def test_registry_partition_equals_batch_dbscan(case):
     eps, floor, fraction, stream = case
     reg = ClusterRegistry(eps=eps, density_fraction=fraction, min_pts_floor=floor)
     for pid, vector in stream:
-        reg.insert(pid, vector)
+        reg.insert([pid], [vector])
     assert reg.partition() == batch_dbscan(dict(stream), eps, reg.min_pts)
 
 
@@ -276,7 +281,7 @@ def test_partition_in_small_blocks_equals_batch_dbscan(case, budget):
     eps, floor, fraction, stream = case
     reg = ClusterRegistry(eps=eps, density_fraction=fraction, min_pts_floor=floor)
     for pid, vector in stream:
-        reg.insert(pid, vector)
+        reg.insert([pid], [vector])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cluster, "PAIR_BUDGET", budget)
         assert reg.partition() == batch_dbscan(dict(stream), eps, reg.min_pts)
@@ -289,8 +294,8 @@ def test_partition_runs_in_bounded_memory():
     rng = np.random.default_rng(5)
     centers = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
     reg = ClusterRegistry(eps=0.5, density_fraction=0.1, min_pts_floor=5)
-    for i, x in enumerate(centers[np.arange(5000) % 3] + rng.normal(0, 0.2, (5000, 2))):
-        reg.insert(f"p{i:04d}", x)
+    X = centers[np.arange(5000) % 3] + rng.normal(0, 0.2, (5000, 2))
+    reg.insert([f"p{i:04d}" for i in range(5000)], X)
     tracemalloc.start()
     try:
         clusters, noise = reg.partition()
@@ -301,11 +306,41 @@ def test_partition_runs_in_bounded_memory():
     assert peak < 16 * 2**20
 
 
+def test_weekly_batches_shuffled_points_and_a_load_fill_the_same_registry():
+    weeks = [clustered_data(seed, n=60, dim=2) for seed in range(3)]
+    points = {f"{pid}|w{w}": x for w, week in enumerate(weeks, 1) for pid, x in week.items()}
+    weekly = ClusterRegistry(eps=0.9, density_fraction=0.1, min_pts_floor=5)
+    for w, week in enumerate(weeks, 1):
+        weekly.insert([f"{pid}|w{w}" for pid in week], list(week.values()))
+    ids = list(points)
+    np.random.default_rng(3).shuffle(ids)
+    shuffled = ClusterRegistry(eps=0.9, density_fraction=0.1, min_pts_floor=5)
+    shuffled.insert(ids, [points[pid] for pid in ids])
+    loaded = ClusterRegistry.from_json(json.loads(json.dumps(weekly.to_json())))
+
+    def by_id(doc):
+        order = sorted(range(len(doc["ids"])), key=doc["ids"].__getitem__)
+        rows = {key: [doc[key][k] for k in order] for key in ("ids", "vectors", "prev_memberships")}
+        return {**doc, **rows}
+
+    clusters, noise = weekly.partition()
+    assert len(clusters) > 1 and noise
+    assert (clusters, noise) == shuffled.partition() == loaded.partition()
+    assert (clusters, noise) == batch_dbscan(points, 0.9, weekly.min_pts)
+    assert loaded.to_json() == weekly.to_json()
+    assert by_id(shuffled.to_json()) == by_id(weekly.to_json())
+    assert shuffled.point_ids == tuple(ids) and loaded.point_ids == weekly.point_ids
+    for reg in (weekly, shuffled, loaded):
+        reg.snapshot()
+    assert loaded.to_json() == weekly.to_json()
+    assert by_id(shuffled.to_json()) == by_id(weekly.to_json())
+
+
 def test_min_pts_growth_formula():
     reg = ClusterRegistry(eps=0.5, density_fraction=0.1, min_pts_floor=5)
     rng = np.random.default_rng(7)
     for i in range(130):
-        reg.insert(f"p{i:03d}", rng.uniform(-10, 10, 2))
+        reg.insert([f"p{i:03d}"], [rng.uniform(-10, 10, 2)])
         expected = max(5, int(np.ceil(0.1 * (i + 1) - 1e-9)))
         assert reg.min_pts == expected
 
@@ -317,7 +352,7 @@ def test_noise_promotion_monotone_under_fixed_min_pts():
     pts = clustered_data(9, n=80, dim=2)
     clustered_so_far: set[str] = set()
     for pid in pts:
-        reg.insert(pid, pts[pid])
+        reg.insert([pid], [pts[pid]])
         clusters, noise = reg.partition()
         in_cluster = set().union(*clusters.values()) if clusters else set()
         assert clustered_so_far <= in_cluster
@@ -337,9 +372,9 @@ def test_snapshot_labels_by_size_order():
     reg = ClusterRegistry(eps=0.6, density_fraction=0.01, min_pts_floor=3)
     rng = np.random.default_rng(10)
     for i in range(8):
-        reg.insert(f"a{i}", (0.0, 0.0) + rng.normal(0, 0.05, 2))
+        reg.insert([f"a{i}"], [(0.0, 0.0) + rng.normal(0, 0.05, 2)])
     for i in range(4):
-        reg.insert(f"b{i}", (5.0, 5.0) + rng.normal(0, 0.05, 2))
+        reg.insert([f"b{i}"], [(5.0, 5.0) + rng.normal(0, 0.05, 2)])
     snap = reg.snapshot()
     assert set(snap.cohorts) == {"G1", "G2"}
     assert len(snap.cohorts["G1"]) == 8
@@ -350,8 +385,7 @@ def test_snapshot_membership_partitions_points():
     reg = ClusterRegistry(eps=0.6, density_fraction=0.01, min_pts_floor=3)
     rng = np.random.default_rng(11)
     pts = clustered_data(12, n=60, dim=2)
-    for pid in pts:
-        reg.insert(pid, pts[pid])
+    reg.insert(pts, list(pts.values()))
     snap = reg.snapshot()
     union = set(snap.noise)
     total = 0
@@ -438,9 +472,8 @@ def test_fresh_labels_number_on_across_saves_while_a_cohort_vanishes_and_returns
     labels = []
     for wave in waves:
         resumed = ClusterRegistry.from_json(doc)
-        for pid, x in wave.items():
-            straight.insert(pid, x)
-            resumed.insert(pid, x)
+        straight.insert(wave, list(wave.values()))
+        resumed.insert(wave, list(wave.values()))
         snap = straight.snapshot()
         assert resumed.snapshot() == snap
         doc = json.loads(json.dumps(resumed.to_json()))
@@ -458,15 +491,14 @@ def test_fresh_labels_number_on_across_saves_while_a_cohort_vanishes_and_returns
 def test_registry_json_round_trip():
     pts = clustered_data(13, n=70, dim=3)
     reg = ClusterRegistry(eps=0.9, density_fraction=0.1, min_pts_floor=5)
-    for pid in pts:
-        reg.insert(pid, pts[pid])
+    reg.insert(pts, list(pts.values()))
     reg.snapshot()
     restored = ClusterRegistry.from_json(reg.to_json())
     assert restored.partition() == reg.partition()
     assert restored.min_pts == reg.min_pts
     # both must continue identically, cohort labels included
-    reg.insert("zz_new", np.zeros(3))
-    restored.insert("zz_new", np.zeros(3))
+    reg.insert(["zz_new"], np.zeros((1, 3)))
+    restored.insert(["zz_new"], np.zeros((1, 3)))
     assert restored.partition() == reg.partition()
     assert restored.snapshot() == reg.snapshot()
     assert restored.to_json() == reg.to_json()
@@ -475,18 +507,17 @@ def test_registry_json_round_trip():
 def test_registry_json_writes_each_point_s_cohort_once_and_refuses_id_lists():
     pts = clustered_data(13, n=70, dim=3)
     reg = ClusterRegistry(eps=0.9, density_fraction=0.1, min_pts_floor=5)
-    for pid in pts:
-        reg.insert(pid, pts[pid])
+    reg.insert(pts, list(pts.values()))
     snap = reg.snapshot()
     doc = reg.to_json()
     label_of = {pt: label for label, members in snap.cohorts.items() for pt in members}
     assert doc["prev_memberships"] == [label_of.get(pid) for pid in doc["ids"]]
     assert snap.noise and None in doc["prev_memberships"]
-    reg.insert("zz_new", np.zeros(3))
+    reg.insert(["zz_new"], np.zeros((1, 3)))
     expected = reg.snapshot()
     restored = ClusterRegistry.from_json(doc)
     assert restored.to_json() == doc
-    restored.insert("zz_new", np.zeros(3))
+    restored.insert(["zz_new"], np.zeros((1, 3)))
     assert restored.snapshot() == expected
     # a sorted id list per cohort label, as earlier checkpoints held
     # them, is refused, also when it holds one label per point

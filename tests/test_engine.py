@@ -134,10 +134,9 @@ def test_step_week_one_fits_pipeline_and_reports(mini_batches):
     assert state.pipeline is not None
     assert state.pool.generic is not None
     assert report.week == 1
-    assert report.participants_seen > 0
-    # conservation: every vectorized participant lands in a cohort or noise
-    assert sum(report.cohort_sizes.values()) + report.noise_count == report.participants_seen
-    assert len(report.votes) == report.participants_seen
+    assert report.assignments
+    # every vectorized participant has one point, in a cohort or noise, and a vote
+    assert sorted(report.votes) == sorted(pt.split("|")[0] for pt in report.assignments)
     assert any(er.scope == "voting" for er in report.eval_rows)
 
 
@@ -179,7 +178,7 @@ def test_step_deterministic(mini_batches):
             reports.append(report)
         runs.append(reports)
     for a, b in zip(*runs):
-        assert a.cohort_sizes == b.cohort_sizes
+        assert a.assignments == b.assignments
         assert a.votes == b.votes
         assert [r.metrics for r in a.eval_rows] == [r.metrics for r in b.eval_rows]
 

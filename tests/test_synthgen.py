@@ -486,6 +486,17 @@ def test_read_csv_edge_files(tmp_path, text, outcome):
         assert read == outcome
 
 
+@pytest.mark.parametrize("rows", [3, 3000])
+def test_read_csv_names_a_bad_byte_before_a_missing_column(tmp_path, rows):
+    # 3 rows fit in the text reader's first decoded chunk, 3,000 do not
+    path = tmp_path / "bad.csv"
+    lines = [b"name,x"] + [b"p%04d,1" % i for i in range(rows)]
+    lines[-1] = b"\xff" + lines[-1]
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    with pytest.raises(ValidationError, match=f"line {rows + 1}: not UTF-8 text"):
+        synthgen._read_csv(path, ("name", "score"), _convert)
+
+
 def test_written_week_files_are_split_without_csv_reader(tmp_path, batches, plan):
     write_cohort(tmp_path, batches[:1], plan)
     with open(tmp_path / "week_1.csv", newline="", encoding="utf-8") as fh:
