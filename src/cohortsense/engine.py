@@ -48,6 +48,7 @@ from .preprocess import (
     fit_pipeline,
     pipeline_from_json,
     pipeline_to_json,
+    remove_outliers,
     vectorize_week,
 )
 from . import reporting
@@ -115,18 +116,34 @@ def _week_of(point_id: str) -> int:
 
 
 def _check_batch(batch: WeeklyBatch, scores: dict[str, int]) -> None:
-    """Reject a week past ``MAX_WEEK``, and a score that differs from the
-    known one: a participant's one score labels all of their points."""
+    """Reject a week past ``MAX_WEEK``, a score out of range or differing
+    from the known one (a participant's one score labels all of their
+    points), and a feature that cleaning would find with no observed value:
+    a continuous one anywhere, or a categorical one in a row that survives
+    outlier removal."""
     if batch.week > MAX_WEEK:
         raise ValidationError(
             f"batch week {batch.week} above the last replayable week {MAX_WEEK}"
         )
     for pid, score in sorted(batch.labels.items()):
+        try:
+            validate_score(score)
+        except ValidationError as exc:
+            raise ValidationError(f"week {batch.week}: participant {pid}: {exc}") from None
         if scores.get(pid, score) != score:
             raise ValidationError(
                 f"week {batch.week}: participant {pid} has score {score}, "
                 f"but an earlier week gave {scores[pid]}"
             )
+    if not len(batch.records):
+        return  # `step` names an empty batch
+    blank = [n for n, b in zip(batch.continuous_features, np.isnan(batch.records).all(0)) if b]
+    tokenless = [n for n, b in zip(batch.categorical_features, (batch.categories < 0).all(0)) if b]
+    # categorical gaps are filled only when some row survives outlier removal
+    if not blank and tokenless and remove_outliers(batch).any():
+        blank = tokenless
+    if blank:
+        raise ValidationError(f"week {batch.week}: feature {blank[0]!r} has no observed values")
 
 
 def _pick_holdout(scores: dict[str, int], config: EngineConfig) -> frozenset[str]:

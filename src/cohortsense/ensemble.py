@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import ClusterSnapshot
-from .core import EngineConfig, LearnerConfig, ValidationError
+from .core import EngineConfig, ValidationError
 from .learners import (
     MODEL_TYPES,
     Dataset,
@@ -67,33 +67,6 @@ class EvalRow:
     metrics: Metrics
 
 
-def _options(kind: ModelKind, lc: LearnerConfig) -> dict:
-    """Keyword arguments of ``kind``'s trainer."""
-    if kind is ModelKind.LOGREG:
-        return {"l2": lc.logreg_l2}
-    if kind is ModelKind.LINEAR_SVM:
-        return {"l2": lc.svm_l2}
-    if kind is ModelKind.RANDOM_FOREST:
-        return {"n_trees": lc.forest_trees, "max_depth": lc.forest_depth}
-    return {
-        "n_rounds": lc.gbt_rounds,
-        "max_depth": lc.gbt_depth,
-        "learning_rate": lc.gbt_learning_rate,
-    }
-
-
-def _train(kind: ModelKind, datasets: list[Dataset], seeds: list[int], lc: LearnerConfig) -> list:
-    """One model per (dataset, seed), all trained in one call."""
-    # looked up per call, so that a wrapper patched over a trainer is used
-    trainer = {
-        ModelKind.LOGREG: train_logreg,
-        ModelKind.LINEAR_SVM: train_linear_svm,
-        ModelKind.RANDOM_FOREST: train_random_forest,
-        ModelKind.GBT: train_gbt,
-    }[kind]
-    return trainer(datasets, seeds, **_options(kind, lc))
-
-
 def _balanced(dataset: Dataset, k_neighbors: int, seed: int) -> Dataset:
     return smote(dataset, k_neighbors, seed) if needs_smote(dataset) else dataset
 
@@ -111,15 +84,32 @@ def _fit_set(
     trains its folds and its deployed model in one batched call. The
     deployed fit of each kind reads the full data, SMOTE-balanced with the
     kind's own seed. Every SMOTE call finds its own neighbours among the
-    rows it balances. When a class has too few rows for two folds, each
-    kind trains its deployed model alone. No kind is
-    warm-started: the linear kinds reach their unique optimum, so a set
-    does not depend on the previous week's.
+    rows it balances. When a class has too few rows for two folds, there
+    are no folds, and each deployed model is scored on its own training
+    rows. No kind is warm-started: the linear kinds reach their unique
+    optimum, so a set does not depend on the previous week's.
     """
-    events: list[str] = []
     zeros, ones = dataset.class_counts()
     k = min(config.cv_folds, zeros, ones)
-    train_fns = [functools.partial(_train, kind, lc=config.learners) for kind in KIND_ORDER]
+    # with k < 2 there are no folds, so validation F1 is a training score: say so
+    events = [
+        f"{scope}: class counts {zeros}/{ones} too small for CV; "
+        f"validation_f1 for {kind.value} uses training predictions"
+        for kind in KIND_ORDER
+    ] if k < 2 else []
+    lc = config.learners
+    # built per call, in KIND_ORDER, so that a wrapper patched over a trainer is used
+    train_fns = [
+        functools.partial(train_logreg, l2=lc.logreg_l2),
+        functools.partial(train_linear_svm, l2=lc.svm_l2),
+        functools.partial(train_random_forest, n_trees=lc.forest_trees, max_depth=lc.forest_depth),
+        functools.partial(
+            train_gbt,
+            n_rounds=lc.gbt_rounds,
+            max_depth=lc.gbt_depth,
+            learning_rate=lc.gbt_learning_rate,
+        ),
+    ]
     kind_seeds = [
         derive_seed(config.rng_seed, "train", scope, kind.value, seed) for kind in KIND_ORDER
     ]
@@ -127,20 +117,8 @@ def _fit_set(
         (_balanced(dataset, config.smote_neighbors, derive_seed(s, "smote")), s)
         for s in kind_seeds
     ]
-    if k >= 2:
-        split_seed = derive_seed(derive_seed(config.rng_seed, "train", scope, seed), "cv")
-        fitted = kfold_cv(dataset, k, train_fns, split_seed, config.smote_neighbors, deployed)
-    else:
-        # too few rows in one class for any fold split: score each
-        # deployed model on its own training data and say so
-        fitted = []
-        for kind, train_fn, (balanced, kind_seed) in zip(KIND_ORDER, train_fns, deployed):
-            [model] = train_fn([balanced], [kind_seed])
-            events.append(
-                f"{scope}: class counts {zeros}/{ones} too small for CV; "
-                f"validation_f1 for {kind.value} uses training predictions"
-            )
-            fitted.append((compute_metrics(model.predict(dataset.vectors), dataset.labels), model))
+    split_seed = derive_seed(derive_seed(config.rng_seed, "train", scope, seed), "cv")
+    fitted = kfold_cv(dataset, k, train_fns, split_seed, config.smote_neighbors, deployed)
     models = {kind: model for kind, (_, model) in zip(KIND_ORDER, fitted)}
     scores = {kind: metrics.f1 for kind, (metrics, _) in zip(KIND_ORDER, fitted)}
     return ModelSet(models=models, validation_f1=scores, input_dim=dataset.dim), events

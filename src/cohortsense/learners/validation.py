@@ -113,9 +113,11 @@ def kfold_cv(
     learner is scored on the same folds. ``train_fns[i]`` fits all the
     fold training sets, then the ``deployed[i]`` (dataset, seed) pair, in
     one call that returns one model per (dataset, seed) pair, so a learner
-    may train them together.
+    may train them together. With ``k < 2`` no split is drawn: each call
+    fits the deployed pair alone, and that model is scored on every row.
     """
-    folds = [(j, f) for j, f in enumerate(stratified_folds(dataset, k, seed)) if len(f)]
+    split = stratified_folds(dataset, k, seed) if k >= 2 else []
+    folds = [(j, f) for j, f in enumerate(split) if len(f)]
     n = len(dataset)
     tested = np.zeros(n, dtype=bool)
     train_sets: list[Dataset] = []
@@ -127,9 +129,11 @@ def kfold_cv(
         if needs_smote(train_ds):
             train_ds = smote(train_ds, k_neighbors, derive_seed(seed, "smote", j))
         train_sets.append(train_ds)
-    if not tested.all():
+    if folds and not tested.all():
         raise AssertionError("every row must appear in exactly one test fold")
     seeds = [derive_seed(seed, "fold", j) for j, _ in folds]
+    # with no folds, the deployed model predicts every row (a slice: the dataset's own array)
+    tests = [test_idx for _, test_idx in folds] or [slice(None)]
 
     results = []
     for train_fn, (deployed_set, deployed_seed) in zip(train_fns, deployed, strict=True):
@@ -137,7 +141,7 @@ def kfold_cv(
         if len(models) != len(train_sets) + 1:
             raise AssertionError("train_fn must return one model per dataset")
         all_preds = np.empty(n, dtype=int)
-        for (_, test_idx), model in zip(folds, models):
+        for test_idx, model in zip(tests, models):
             all_preds[test_idx] = model.predict(dataset.vectors[test_idx])
         results.append((compute_metrics(all_preds, dataset.labels), models[-1]))
     return results

@@ -847,6 +847,33 @@ def test_replay_malformed_data_file_exits_one(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("column", ["sleep_duration", "social_context"])
+def test_replay_week_with_a_blank_feature_column_exits_one_before_week_one(
+    tmp_path, capsys, column
+):
+    data = tmp_path / "data"
+    plan_path = tmp_path / "plan.json"
+    write_tiny_plan(plan_path, weeks=3)
+    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+
+    def blank(rows):
+        at = rows[0].index(column)
+        for row in rows[1:]:
+            row[at] = ""
+
+    _edit_csv(data / "week_3.csv", blank)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(
+        ["replay", "--data-dir", str(data), "--out-dir", str(out),
+         "--checkpoint", str(out / "ckpt.csk")]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [f"error: week 3: feature {column!r} has no observed values"]
+    assert not out.exists()
+
+
 def test_replay_bad_line_in_the_helpers_half_of_the_week_files_exits_one(tmp_path, capsys):
     # of 4 week files, the forked helper reads weeks 3 and 4
     data = tmp_path / "data"

@@ -858,6 +858,50 @@ def test_week_above_99_is_rejected_before_any_file_is_written(tmp_path, mini_bat
         step(state, batches[1])
 
 
+def test_an_out_of_range_score_in_a_later_week_is_rejected_before_any_file_is_written(
+    tmp_path, mini_batches
+):
+    pid = min(mini_batches[0].labels)
+    batches = [
+        dataclasses.replace(b, labels={p: s for p, s in b.labels.items() if p != pid})
+        for b in mini_batches[:2]
+    ]
+    batches.append(dataclasses.replace(mini_batches[2], labels={pid: 50}))
+    out, ckpt = tmp_path / "out", tmp_path / "ckpt.csk"
+    message = f"week 3: participant {pid}: questionnaire score 50 outside valid range"
+    with pytest.raises(ValidationError, match=message):
+        run_replay(FAST_CONFIG, batches, out_dir=out, checkpoint_path=ckpt)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_feature_with_no_observed_value_is_refused_only_where_cleaning_refuses_it():
+    # a categorical feature no row has a token of is refused only if some row
+    # survives outlier removal: otherwise cleaning fills no gap of it
+    features = ("a", "b", "c", "d")
+    week_one = [
+        (f"P{p}", f"2024-01-0{d}", "night", {f: p + d * j for j, f in enumerate(features)},
+         {"ctx": "home"})
+        for p in range(1, 4)
+        for d in range(1, 5)
+    ]
+    state, _ = step(new_state(FAST_CONFIG), batch_of(week_one))
+    outliers = [
+        ("P1", f"2024-01-0{i + 1}", "night", {f: 100.0 * (i == j) for j, f in enumerate(features)},
+         {"ctx": None})
+        for i in range(4)
+    ]
+    # row i holds the one outlier of feature i, so no row survives
+    after, report = step(state, batch_of(outliers, week=2))
+    assert after.current_week == 2
+    assert "week 2: participant P1 omitted, no surviving records" in report.events
+    kept = outliers + [("P1", "2024-01-05", "night", dict.fromkeys(features, 0.0), {"ctx": None})]
+    with pytest.raises(ValidationError, match="week 2: feature 'ctx' has no observed values"):
+        step(state, batch_of(kept, week=2))
+    blank = [(*row[:3], dict(row[3], b=None), row[4]) for row in kept]
+    with pytest.raises(ValidationError, match="week 2: feature 'b' has no observed values"):
+        step(state, batch_of(blank, week=2))
+
+
 def test_resumed_replay_same_files_as_straight(tmp_path, profiles):
     batches = generate_cohort(mini_plan(weeks=4), profiles, seed=3)
     straight = tmp_path / "straight"

@@ -712,6 +712,34 @@ def test_kfold_constant_classifier_metrics():
     assert metrics.precision == pytest.approx(0.5)
 
 
+def test_kfold_with_k_below_two_fits_each_deployed_set_alone():
+    # one row of class 1: no split, so each learner fits its deployed set
+    # in one call and is scored by that model on the dataset's own rows
+    rng = np.random.default_rng(25)
+    ds = make_dataset(rng.normal(size=(30, 2)), [1] + [0] * 29)
+    other = separable_fixture(seed=26)
+    calls = []
+
+    def recording(train, **options):
+        def train_fn(datasets, seeds):
+            calls.append((train, list(datasets), list(seeds)))
+            return train(datasets, seeds, **options)
+
+        return train_fn
+
+    train_fns = [recording(train_logreg), recording(train_random_forest, n_trees=5)]
+    deployed = [(ds, 3), (other, 4)]
+    results = kfold_cv(ds, 1, train_fns, seed=0, k_neighbors=5, deployed=deployed)
+    assert [(train, seeds) for train, _, seeds in calls] == [
+        (train_logreg, [3]),
+        (train_random_forest, [4]),
+    ]
+    assert [datasets for _, datasets, _ in calls] == [[ds], [other]]
+    for (metrics, model), (train, _, _) in zip(results, calls):
+        assert isinstance(model, MODEL_TYPES[ModelKind(train.__name__.removeprefix("train_"))])
+        assert metrics == compute_metrics(model.predict(ds.vectors), ds.labels)
+
+
 def test_kfold_same_seed_same_folds():
     rng = np.random.default_rng(23)
     vectors = rng.normal(size=(50, 2))

@@ -164,6 +164,37 @@ def test_fit_set_kinds_share_one_split(monkeypatch):
         assert deployed.participant_ids == own.participant_ids
 
 
+@pytest.mark.parametrize(
+    ("n", "ones", "seed", "folds"), [(40, 1, 3, 0), (90, 14, 4, 10)], ids=["no_cv", "cv"]
+)
+def test_fit_set_fits_every_model_inside_one_kfold_cv_call(monkeypatch, n, ones, seed, folds):
+    calls = []  # "kfold_cv", then (kind, open kfold_cv calls, datasets) per trainer call
+    depth = [0]
+
+    def in_cv(*args, _cv=ensemble.kfold_cv, **kwargs):
+        calls.append("kfold_cv")
+        depth[0] += 1
+        try:
+            return _cv(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ensemble, "kfold_cv", in_cv)
+    for kind in KIND_ORDER:
+        name = f"train_{kind.value}"
+
+        def record(datasets, seeds, _kind=kind, _train=getattr(ensemble, name), **options):
+            calls.append((_kind, depth[0], len(datasets)))
+            return _train(datasets, seeds, **options)
+
+        monkeypatch.setattr(ensemble, name, record)
+
+    _, events = _fit_set("generic", labeled_rows(n, ones, seed), FIT_CONFIG, 5)
+    # each kind trains its folds and its deployed set in one call, inside kfold_cv
+    assert calls == ["kfold_cv"] + [(kind, 1, folds + 1) for kind in KIND_ORDER]
+    assert len(events) == (4 if folds == 0 else 0)
+
+
 def test_refresh_generic_without_cv_digest():
     # 29 rows of class 0 and one of class 1: k = 1, so each kind trains
     # once, on rows too few to SMOTE, and is scored on its training data
