@@ -115,35 +115,45 @@ def _week_of(point_id: str) -> int:
     return int(point_id.rpartition("|w")[2])
 
 
-def _check_batch(batch: WeeklyBatch, scores: dict[str, int]) -> None:
-    """Reject a week past ``MAX_WEEK``, a score out of range or differing
-    from the known one (a participant's one score labels all of their
-    points), and a feature that cleaning would find with no observed value:
-    a continuous one anywhere, or a categorical one in a row that survives
-    outlier removal."""
-    if batch.week > MAX_WEEK:
-        raise ValidationError(
-            f"batch week {batch.week} above the last replayable week {MAX_WEEK}"
-        )
-    for pid, score in sorted(batch.labels.items()):
-        try:
-            validate_score(score)
-        except ValidationError as exc:
-            raise ValidationError(f"week {batch.week}: participant {pid}: {exc}") from None
-        if scores.get(pid, score) != score:
-            raise ValidationError(
-                f"week {batch.week}: participant {pid} has score {score}, "
-                f"but an earlier week gave {scores[pid]}"
-            )
-    if not len(batch.records):
-        return  # `step` names an empty batch
-    blank = [n for n, b in zip(batch.continuous_features, np.isnan(batch.records).all(0)) if b]
-    tokenless = [n for n, b in zip(batch.categorical_features, (batch.categories < 0).all(0)) if b]
-    # categorical gaps are filled only when some row survives outlier removal
-    if not blank and tokenless and remove_outliers(batch).any():
-        blank = tokenless
-    if blank:
-        raise ValidationError(f"week {batch.week}: feature {blank[0]!r} has no observed values")
+def _check_batches(state: EngineState, batches: list[WeeklyBatch]) -> None:
+    """Refuse the first batch that `step` would refuse, each after the ones
+    before it from ``state``: a week out of order or past ``MAX_WEEK``, an
+    empty batch, a score out of range or unlike the known one (one score
+    labels all of a participant's points), a batch lacking a feature of the
+    pipeline (which a fresh state fits on its first batch), and a feature
+    that cleaning would find unobserved: a continuous one anywhere, or a
+    categorical one in a row that survives outlier removal."""
+    week, scores, pipeline = state.current_week, dict(state.scores), state.pipeline
+    for batch in batches:
+        week += 1
+        if batch.week != week:
+            raise ValidationError(f"batch week {batch.week} out of order: missing week {week}")
+        if week > MAX_WEEK:
+            raise ValidationError(f"batch week {week} above the last replayable week {MAX_WEEK}")
+        if not len(batch.records):
+            raise ValidationError(f"week {week}: empty batch")
+        for pid, score in sorted(batch.labels.items()):
+            try:
+                validate_score(score)
+            except ValidationError as exc:
+                raise ValidationError(f"week {week}: participant {pid}: {exc}") from None
+            if scores.setdefault(pid, score) != score:
+                raise ValidationError(
+                    f"week {week}: participant {pid} has score {score}, "
+                    f"but an earlier week gave {scores[pid]}"
+                )
+        pipeline = pipeline or batch  # a fresh state fits its pipeline on this batch
+        missing = [n for n in pipeline.continuous_features if n not in batch.continuous_features]
+        missing += [n for n in pipeline.categorical_features if n not in batch.categorical_features]
+        if missing:
+            raise ValidationError(f"week {week}: batch lacks the pipeline's features {missing}")
+        blank = [n for n, b in zip(batch.continuous_features, np.isnan(batch.records).all(0)) if b]
+        tokenless = (batch.categories < 0).all(0)
+        # categorical gaps are filled only when some row survives outlier removal
+        if not blank and tokenless.any() and remove_outliers(batch).any():
+            blank = [n for n, b in zip(batch.categorical_features, tokenless) if b]
+        if blank:
+            raise ValidationError(f"week {week}: feature {blank[0]!r} has no observed values")
 
 
 def _pick_holdout(scores: dict[str, int], config: EngineConfig) -> frozenset[str]:
@@ -196,14 +206,7 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
     """Run one week: preprocess, cluster, refresh models (the generic and
     specialized sets side by side, see `_refresh_side_by_side`), vote,
     evaluate."""
-    _check_batch(batch, state.scores)
-    if batch.week != state.current_week + 1:
-        raise ValidationError(
-            f"batch week {batch.week} out of order; expected week "
-            f"{state.current_week + 1}"
-        )
-    if not len(batch.records):
-        raise ValidationError(f"week {batch.week}: empty batch")
+    _check_batches(state, [batch])
 
     # the registry and the scores change in place; every other part is replaced
     st = replace(state, registry=state.registry.copy(), scores=dict(state.scores))
@@ -428,35 +431,26 @@ def run_replay(
     """Fold `step` over consecutive weekly batches, writing reports as files.
 
     Accepts either a fresh config or a loaded state (resume). Batches must
-    cover consecutive weeks continuing from the state's current week. Each
+    cover consecutive weeks continuing from the state's current week, and
+    each is checked as `step` checks it before any path is touched. Each
     week's files are written, and its lines appended to `runlog.jsonl` and
     `summary.csv`, as the week completes, before its checkpoint is saved.
     A fresh replay starts both logs anew; a resume keeps their lines of the
     weeks already done, so that resuming an interrupted run into its own
     directory gives the files of an uninterrupted replay; kept lines that do
     not chain to the state's `log_digests` are rejected before any file is
-    written. The `plot`
-    charts are drawn at the end, from every week's summary rows. A
-    checkpoint path that is a directory or the output directory is rejected
-    before any file is written, as is one whose directory does not exist
-    and is not the output directory.
+    written. The `plot` charts are drawn at the end, from every week's
+    summary rows. A checkpoint path that is a directory or the output
+    directory is rejected before any file is written, as is one whose
+    directory does not exist and is not the output directory, and an
+    output directory that is a file.
     """
     if isinstance(config_or_state, EngineState):
         state = config_or_state
     else:
         state = new_state(config_or_state)
 
-    expected = state.current_week + 1
-    scores = dict(state.scores)
-    for batch in batches:
-        _check_batch(batch, scores)
-        scores.update(batch.labels)
-        if batch.week != expected:
-            raise ValidationError(
-                f"missing week {expected}: next batch is week {batch.week}"
-            )
-        expected += 1
-
+    _check_batches(state, batches)
     out = Path(out_dir) if out_dir is not None else None
     if checkpoint_path is not None:
         ckpt = Path(checkpoint_path)
@@ -468,6 +462,8 @@ def run_replay(
                 f"cannot write checkpoint {checkpoint_path}: no directory {ckpt.parent}"
             )
     if out is not None:
+        if out.exists() and not out.is_dir():
+            raise ValidationError(f"cannot make output directory {out_dir}: it is a file")
         out.mkdir(parents=True, exist_ok=True)
         reporting.start_run_log(out, state.current_week, state.log_digests)
 

@@ -61,7 +61,9 @@ def impute(batch: WeeklyBatch, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for j, column in enumerate([*values.T, *codes.T]):
         missing = np.isnan(column) if j < ncont else column < 0
         if missing.all():
-            raise ValidationError(f"feature {names[j]!r} has no observed values to impute from")
+            raise ValidationError(
+                f"week {batch.week}: feature {names[j]!r} has no observed values to impute from"
+            )
         if not missing.any():
             continue
         observed = np.bincount(member[~missing], minlength=len(keys))
@@ -229,7 +231,9 @@ def fit_pipeline(batch: WeeklyBatch, variance_target: float) -> FittedPipeline:
     """Clean one batch, then freeze vocabulary, scaler, and projection."""
     keep, values, codes = _clean(batch)
     if not keep.any():
-        raise ValidationError("cannot fit the preprocessing pipeline on an empty batch")
+        raise ValidationError(
+            f"week {batch.week}: cannot fit the preprocessing pipeline on an empty batch"
+        )
     vocabularies = {
         name: tuple(batch.tokens[j][c] for c in np.unique(codes[:, j]).tolist())
         for j, name in enumerate(batch.categorical_features)
@@ -239,7 +243,10 @@ def fit_pipeline(batch: WeeklyBatch, variance_target: float) -> FittedPipeline:
     )
     scaler = scaler_fit(matrix)
     scaled = scaler_apply(scaler, matrix)
-    projector = pca_fit(scaled, variance_target)
+    try:
+        projector = pca_fit(scaled, variance_target)
+    except ValidationError as exc:
+        raise ValidationError(f"week {batch.week}: {exc}") from None
     return FittedPipeline(
         continuous_features=batch.continuous_features,
         vocabularies=vocabularies,
@@ -255,13 +262,10 @@ def vectorize_week(
 
     Returns the participant ids in sorted order, their vectors as the rows
     of one matrix, and the ids of participants omitted because no row of
-    theirs survived cleaning (callers log these). A batch that lacks a
-    feature the pipeline reads is an error.
+    theirs survived cleaning (callers log these). The batch must hold every
+    feature the pipeline reads: the engine's batch check refuses one that
+    lacks any.
     """
-    missing = [n for n in pipeline.continuous_features if n not in batch.continuous_features]
-    missing += [n for n in pipeline.categorical_features if n not in batch.categorical_features]
-    if missing:
-        raise ValidationError(f"week {batch.week}: batch lacks the pipeline's features {missing}")
     keep, values, codes = _clean(batch)
     pids, projected = [], np.empty((0, len(pipeline.projector.components)))
     if keep.any():

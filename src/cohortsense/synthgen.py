@@ -617,6 +617,8 @@ def write_cohort(out_dir: str | Path, batches: list[WeeklyBatch], plan: CohortPl
             raise ValidationError(f"week {batch.week}: features {features} differ from the file's")
         all_labels.update(batch.labels)
     out = Path(out_dir)
+    if out.exists() and not out.is_dir():
+        raise ValidationError(f"cannot make output directory {out_dir}: it is a file")
     out.mkdir(parents=True, exist_ok=True)
     _in_halves(lambda batch: _write_week(out / f"week_{batch.week}.csv", batch), batches, "writing")
     with open(out / "labels.csv", "w", newline="", encoding="utf-8") as fh:

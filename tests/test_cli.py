@@ -500,6 +500,25 @@ def test_replay_checkpoint_that_is_a_directory_exits_one_before_week_one(
     assert ckpt == out or list(ckpt.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["synth", "replay"])
+def test_an_out_dir_that_is_a_file_exits_one(tmp_path, capsys, command):
+    plan_path = tmp_path / "plan.json"
+    write_tiny_plan(plan_path, weeks=2)
+    data, taken = tmp_path / "data", tmp_path / "taken"
+    taken.write_bytes(b"a file\n")
+    if command == "synth":
+        args = ["synth", "--seed", "3", "--out-dir", str(taken), "--plan", str(plan_path)]
+    else:
+        main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+        args = ["replay", "--data-dir", str(data), "--out-dir", str(taken)]
+    capsys.readouterr()
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: cannot make output directory {taken}: it is a file\n"
+    assert taken.read_bytes() == b"a file\n"
+
+
 def resume_edited_checkpoint(tmp_path, capsys, edit, out="out") -> tuple[int, str]:
     """Replay week 1 of a 2-week cohort into ``tmp_path / "out"`` with a
     checkpoint, apply ``edit`` to the checkpoint's JSON, resume week 2 from

@@ -874,6 +874,110 @@ def test_an_out_of_range_score_in_a_later_week_is_rejected_before_any_file_is_wr
     assert list(tmp_path.iterdir()) == []
 
 
+def _without(batch, name):
+    """``batch`` without its continuous feature ``name``."""
+    j = batch.continuous_features.index(name)
+    return dataclasses.replace(
+        batch,
+        continuous_features=batch.continuous_features[:j] + batch.continuous_features[j + 1 :],
+        records=np.delete(batch.records, j, axis=1),
+    )
+
+
+def _blanked(batch, kind, j):
+    """``batch`` with column ``j`` of its ``records`` or ``categories`` all missing."""
+    column = getattr(batch, kind).copy()
+    column[:, j] = np.nan if kind == "records" else -1
+    return dataclasses.replace(batch, **{kind: column})
+
+
+def _changed_score(b):
+    pid = min(b[1].labels)
+    score = b[1].labels[pid]
+    changed = 40 if score < 40 else 10
+    message = f"week 2: participant {pid} has score {changed}, but an earlier week gave {score}"
+    return [b[0], dataclasses.replace(b[1], labels={pid: changed})], message
+
+
+# each case gives a run of weeks whose last batch breaks one rule of the batch
+# check, and the start of the message that refuses it
+RULE_BREAKING = {
+    "a week gap": lambda b: ([b[0], b[2]], "batch week 3 out of order: missing week 2"),
+    "week 100": lambda b: (
+        [dataclasses.replace(b[0], week=99), dataclasses.replace(b[1], week=100)],
+        "batch week 100 above the last replayable week 99",
+    ),
+    "an empty week 2": lambda b: ([b[0], batch_of([], week=2)], "week 2: empty batch"),
+    "a score of 50": lambda b: (
+        [b[0], dataclasses.replace(b[1], labels={min(b[1].labels): 50})],
+        f"week 2: participant {min(b[1].labels)}: questionnaire score 50 outside valid range",
+    ),
+    "a changed score": _changed_score,
+    "a week 3 lacking sms_count": lambda b: (
+        [b[0], b[1], _without(b[2], "sms_count")],
+        "week 3: batch lacks the pipeline's features ['sms_count']",
+    ),
+    "a blank continuous column": lambda b: (
+        [b[0], _blanked(b[1], "records", 0)],
+        f"week 2: feature {b[1].continuous_features[0]!r} has no observed values",
+    ),
+    "a tokenless categorical column": lambda b: (
+        [b[0], _blanked(b[1], "categories", 0)],
+        f"week 2: feature {b[1].categorical_features[0]!r} has no observed values",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RULE_BREAKING)
+def test_step_and_run_replay_refuse_a_rule_breaking_batch_alike(tmp_path, mini_batches, case):
+    batches, message = RULE_BREAKING[case](mini_batches)
+    start = dataclasses.replace(new_state(FAST_CONFIG), current_week=batches[0].week - 1)
+    state = start
+    for batch in batches[:-1]:
+        state, _ = step(state, batch)
+    with pytest.raises(ValidationError) as by_step:
+        step(state, batches[-1])
+    out, ckpt = tmp_path / "out", tmp_path / "ckpt.csk"
+    with pytest.raises(ValidationError) as by_replay:
+        run_replay(start, batches, out_dir=out, checkpoint_path=ckpt)
+    assert str(by_step.value) == str(by_replay.value)
+    assert str(by_step.value).startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cleaning_errors_that_step_reaches_name_the_week():
+    features = ("a", "b", "c", "d")
+    week_one = [
+        (f"P{p}", f"2024-01-0{d}", "night", {f: p + d * j for j, f in enumerate(features)},
+         {"ctx": "home"})
+        for p in range(1, 4)
+        for d in range(1, 5)
+    ]
+    state = new_state(FAST_CONFIG)
+    # P1's rows alone give the projection one row to fit on
+    with pytest.raises(ValidationError, match=r"^week 1: PCA needs a matrix with >= 2 rows"):
+        step(state, batch_of(week_one[:4]))
+    # row i holds the one outlier of feature i, so no row survives
+    outliers = [
+        ("P1", f"2024-01-0{i + 1}", "night", {f: 100.0 * (i == j) for j, f in enumerate(features)},
+         {"ctx": "home"})
+        for i in range(4)
+    ]
+    with pytest.raises(
+        ValidationError, match="^week 1: cannot fit the preprocessing pipeline on an empty batch$"
+    ):
+        step(state, batch_of(outliers))
+    for week in (1, 2):
+        state, _ = step(state, batch_of(week_one, week=week))
+    # b's one observed value is in the row that is the one outlier of a
+    lone = [(*row[:3], dict(row[3], a=1.0, b=None), row[4]) for row in week_one]
+    lone[0] = (*lone[0][:3], dict(lone[0][3], a=100.0, b=5.0), lone[0][4])
+    with pytest.raises(
+        ValidationError, match="^week 3: feature 'b' has no observed values to impute from$"
+    ):
+        step(state, batch_of(lone, week=3))
+
+
 def test_a_feature_with_no_observed_value_is_refused_only_where_cleaning_refuses_it():
     # a categorical feature no row has a token of is refused only if some row
     # survives outlier removal: otherwise cleaning fills no gap of it
