@@ -284,3 +284,16 @@ def load_config(path: str | Path) -> EngineConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
     return _config_from_mapping(data)
+
+
+def make_out_dir(out_dir: str | Path) -> Path:
+    """Make an output directory and its missing parents. The nearest path
+    that exists, the directory itself or one of its parents, must be a
+    directory; otherwise ValidationError, before anything is made."""
+    out = Path(out_dir)
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        what = "it" if nearest == out else nearest
+        raise ValidationError(f"cannot make output directory {out_dir}: {what} is a file")
+    out.mkdir(parents=True, exist_ok=True)
+    return out

@@ -27,6 +27,7 @@ from .core import (
     _config_from_mapping,
     apportion,
     label_from_score,
+    make_out_dir,
     validate_score,
 )
 from .ensemble import (
@@ -443,7 +444,7 @@ def run_replay(
     summary rows. A checkpoint path that is a directory or the output
     directory is rejected before any file is written, as is one whose
     directory does not exist and is not the output directory, and an
-    output directory that is a file.
+    output directory that is a file or lies below one.
     """
     if isinstance(config_or_state, EngineState):
         state = config_or_state
@@ -462,9 +463,7 @@ def run_replay(
                 f"cannot write checkpoint {checkpoint_path}: no directory {ckpt.parent}"
             )
     if out is not None:
-        if out.exists() and not out.is_dir():
-            raise ValidationError(f"cannot make output directory {out_dir}: it is a file")
-        out.mkdir(parents=True, exist_ok=True)
+        make_out_dir(out_dir)
         reporting.start_run_log(out, state.current_week, state.log_digests)
 
     reports: list[WeeklyReport] = []

@@ -31,6 +31,7 @@ from .core import (
     ValidationError,
     WeeklyBatch,
     apportion,
+    make_out_dir,
     seed_entropy,
     validate_score,
 )
@@ -616,10 +617,7 @@ def write_cohort(out_dir: str | Path, batches: list[WeeklyBatch], plan: CohortPl
         if features != _CSV_COLUMNS[4:]:
             raise ValidationError(f"week {batch.week}: features {features} differ from the file's")
         all_labels.update(batch.labels)
-    out = Path(out_dir)
-    if out.exists() and not out.is_dir():
-        raise ValidationError(f"cannot make output directory {out_dir}: it is a file")
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_dir)
     _in_halves(lambda batch: _write_week(out / f"week_{batch.week}.csv", batch), batches, "writing")
     with open(out / "labels.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -673,122 +671,89 @@ def load_plan(path: str | Path) -> CohortPlan:
         raise ValidationError(f"malformed plan file {path}: {type(exc).__name__}: {exc}") from exc
 
 
-_BLOCK_CHARS = 1 << 18  # characters of a file read and split per block
-
-
-def _plain_columns(fh, width: int) -> list[list[str]] | None:
-    """The cells of the rest of an open file as one list per column, if the
-    file is plain: it has no ``"``, NUL or lone ``\\r``, no line longer than
-    the csv module's field limit, and every nonblank line holds ``width - 1``
-    commas. ``csv.reader`` would then split each line at its commas and skip
-    the blank ones, which is done here a block of lines at a time, with no
-    list per row; the text and lines of a block go before the next is read.
-    Any other file gives None, as does a block whose lines do not all end
-    in ``\\n`` or all in ``\\r\\n``."""
-    limit = csv.field_size_limit()
-    columns: list[list[str]] = [[] for _ in range(width)]
-    rest = ""
-    while True:
-        chunk = fh.read(_BLOCK_CHARS)
-        text = rest + chunk
-        cut = text.rfind("\n") + 1 if chunk else len(text)
-        text, rest = text[:cut], text[cut:]
-        if len(rest) > limit or '"' in text or "\0" in text:
+def _plain_columns(text: str) -> tuple[list[str], list[list[str]]] | None:
+    """The header and one list of cells per column of a plain CSV text: one
+    with no ``"`` or NUL, whose lines all end in ``\\n`` or all in
+    ``\\r\\n``, none longer than the csv module's field limit, and whose
+    nonblank row lines each hold as many commas as its header line.
+    ``csv.reader`` would split each line at its commas and skip the blank
+    ones, which is done here for the whole text at once, with no list per
+    row. Any other text gives None."""
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        lines = text.split("\r\n")
+        if not text.count("\r") == text.count("\n") == len(lines) - 1:
             return None
-        if "\r" in text:
-            lines = text.split("\r\n")
-            if not text.count("\r") == text.count("\n") == len(lines) - 1:
-                return None
-        else:
-            lines = text.split("\n")
-        del text
-        if "" in lines:
-            lines = list(filter(None, lines))
-        if lines:
-            if max(map(len, lines)) > limit or set(map(str.count, lines, repeat(","))) != {width - 1}:
-                return None
-            cells = ",".join(lines).split(",")
-            del lines
-            for i, column in enumerate(columns):
-                column.extend(cells[i::width])
-        if not chunk:
-            return columns
+    else:
+        lines = text.split("\n")
+    header = lines[0].split(",")
+    commas = set(map(str.count, filter(None, lines[1:]), repeat(",")))
+    if max(map(len, lines)) > csv.field_size_limit() or commas - {len(header) - 1}:
+        return None
+    body = ",".join(filter(None, lines[1:]))
+    del lines  # before the cells are made
+    cells = body.split(",") if body else []
+    return header, [cells[i :: len(header)] for i in range(len(header))]
 
 
-def _csv_rows(path: Path, columns: tuple[str, ...]) -> tuple[list[str], list[tuple[int, list]]]:
-    """The reference read of a CSV file: its header, holding every name in
-    ``columns``, and its nonblank rows, each with its line, by ``csv.reader``
-    over the file's text, decoded at once. A file that is not UTF-8 (named
-    first, at the line of its first bad byte), a cell over the csv module's
-    field limit or a missing column raises ValidationError naming the file
-    and the line."""
+def _read_csv(path: Path, columns: tuple[str, ...], convert):
+    """``convert(*cells)`` of a CSV file's data rows, given one sequence of
+    cells per name in ``columns``. The file's bytes are read and decoded
+    once; a byte that is not UTF-8 is named first, at its line. A plain
+    text (see ``_plain_columns``) whose header holds the columns is split
+    into columns directly. Any other text, or one that ``convert`` rejects,
+    is read by ``csv.reader``, which names the first fault of the text or a
+    missing column; then the first row at which the rows so far are
+    rejected, by having fewer cells than the header or by ``convert``,
+    raises ValidationError naming its line. That row is found by bisecting
+    over prefixes of the rows."""
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ValidationError(f"{path}, line {line}: not UTF-8 text: {exc}") from exc
+    plain = _plain_columns(text)
+    if plain is not None and set(columns) <= set(plain[0]):
+        header, cells = plain
+        try:
+            return convert(*[cells[header.index(c)] for c in columns])
+        except (ValueError, KeyError, TypeError):
+            pass
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, [])
         missing = [c for c in columns if c not in header]
         if missing:
             raise ValidationError(f"{path}, line 1: missing columns {', '.join(missing)}")
-        return header, [(reader.line_num, row) for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:
         raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
-
-
-def _read_csv(path: Path, columns: tuple[str, ...], convert):
-    """``convert(*cells)`` of a CSV file's data rows, given one sequence of
-    cells per name in ``columns``. A plain file (see ``_plain_columns``)
-    whose header, read by ``csv.reader``, holds the columns is split into
-    columns directly. Any other file, or one that ``convert`` rejects, is
-    read by ``_csv_rows``, which names the first fault of its text; then a
-    row with fewer cells than the header, or the first row ``convert``
-    rejects, raises ValidationError naming its line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh), [])
-            plain = _plain_columns(fh, len(header)) if set(columns) <= set(header) else None
-        except (UnicodeDecodeError, csv.Error):
-            plain = None  # _csv_rows names the first fault
-    if plain is not None:
-        try:
-            return convert(*[plain[header.index(c)] for c in columns])
-        except (ValueError, KeyError, TypeError):
-            pass
-    header, rows = _csv_rows(path, columns)
     at = [header.index(c) for c in columns]
-    if plain is None and all(len(row) >= len(header) for _, row in rows):
-        cells = list(zip(*(row for _, row in rows))) or [()] * len(header)
-        try:
-            return convert(*[cells[i] for i in at])
-        except (ValueError, KeyError, TypeError):
-            pass
-    for line, row in rows:
-        try:
+
+    def convert_first(n: int):
+        for _, row in rows[:n]:
             if len(row) < len(header):
                 raise ValueError(f"{len(row)} fields, the header has {len(header)}")
-            convert(*[(row[i],) for i in at])
+        cells = list(zip(*(row for _, row in rows[:n]))) or [()] * len(header)
+        return convert(*[cells[i] for i in at])
+
+    try:
+        return convert_first(len(rows))
+    except (ValueError, KeyError, TypeError) as exc:
+        fault = exc
+    accepted, rejected = 0, len(rows)  # the first ``accepted`` rows pass
+    while rejected - accepted > 1:
+        middle = (accepted + rejected) // 2
+        try:
+            convert_first(middle)
+            accepted = middle
         except (ValueError, KeyError, TypeError) as exc:
-            raise ValidationError(f"{path}, line {line}: {exc}") from exc
-    raise AssertionError(f"{path}: rejected as a whole, yet every row passes")
+            rejected, fault = middle, exc
+    raise ValidationError(f"{path}, line {rows[rejected - 1][0]}: {fault}") from fault
 
 
 _SEGMENT_CODE = {seg.value: code for code, seg in enumerate(SEGMENT_ORDER)}
-
-
-def _repeated_participant(path: Path) -> ValidationError:
-    """The error for a labels file that gives a participant a second row,
-    naming that row's line."""
-    header, rows = _csv_rows(path, ("participant_id",))
-    at = header.index("participant_id")
-    seen: set[str] = set()
-    for line, row in rows:
-        if row[at] in seen:
-            return ValidationError(f"{path}, line {line}: participant {row[at]} has a second row")
-        seen.add(row[at])
-    raise AssertionError(f"{path}: no participant has a second row")
 
 
 def _feature_column(cells) -> np.ndarray:
@@ -823,6 +788,17 @@ def _week_columns(week: int):
     return convert
 
 
+def _labels(pids, scores) -> dict[str, int]:
+    """labels.csv's checked scores by participant, who has one row."""
+    labels: dict[str, int] = {}
+    for pid, score in zip(pids, scores):
+        score = validate_score(int(score))
+        if pid in labels:
+            raise ValueError(f"participant {pid} has a second row")
+        labels[pid] = score
+    return labels
+
+
 def load_batches(data_dir: str | Path) -> list[WeeklyBatch]:
     """Read week_<n>.csv files plus labels.csv back into WeeklyBatch values,
     the week files in two halves side by side (`_in_halves`); a malformed
@@ -832,19 +808,12 @@ def load_batches(data_dir: str | Path) -> list[WeeklyBatch]:
     labels_path = data / "labels.csv"
     if not labels_path.exists():
         raise ValidationError(f"missing labels.csv in {data}")
-    rows = _read_csv(
-        labels_path,
-        ("participant_id", "score"),
-        lambda pids, scores: list(zip(pids, [validate_score(int(s)) for s in scores])),
-    )
-    labels = dict(rows)
-    if len(labels) < len(rows):
-        raise _repeated_participant(labels_path)
+    labels = _read_csv(labels_path, ("participant_id", "score"), _labels)
 
     week_files: dict[int, Path] = {}
     for path in sorted(data.glob("week_*.csv")):
         number = path.stem.removeprefix("week_")
-        if not number.isdecimal():
+        if not (number.isascii() and number.isdecimal()):
             raise ValidationError(f"{path}: a week file must be named week_<n>.csv")
         week = int(number)
         if week in week_files:

@@ -506,17 +506,20 @@ def test_an_out_dir_that_is_a_file_exits_one(tmp_path, capsys, command):
     write_tiny_plan(plan_path, weeks=2)
     data, taken = tmp_path / "data", tmp_path / "taken"
     taken.write_bytes(b"a file\n")
-    if command == "synth":
-        args = ["synth", "--seed", "3", "--out-dir", str(taken), "--plan", str(plan_path)]
-    else:
+    if command == "replay":
         main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
-        args = ["replay", "--data-dir", str(data), "--out-dir", str(taken)]
-    capsys.readouterr()
-    code = main(args)
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err == f"error: cannot make output directory {taken}: it is a file\n"
-    assert taken.read_bytes() == b"a file\n"
+    # the out dir itself, then one below the file
+    for out, what in [(taken, "it"), (taken / "sub", taken)]:
+        if command == "synth":
+            args = ["synth", "--seed", "3", "--out-dir", str(out), "--plan", str(plan_path)]
+        else:
+            args = ["replay", "--data-dir", str(data), "--out-dir", str(out)]
+        capsys.readouterr()
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: cannot make output directory {out}: {what} is a file\n"
+        assert taken.read_bytes() == b"a file\n"
 
 
 def resume_edited_checkpoint(tmp_path, capsys, edit, out="out") -> tuple[int, str]:
@@ -750,12 +753,12 @@ def test_eval_oracle_gradients(capsys):
 FEATURE = sorted(FEATURES)[0]
 
 
-def _edit_csv(path: Path, edit) -> None:
+def _edit_csv(path: Path, edit, quoting=csv.QUOTE_MINIMAL) -> None:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     edit(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+        csv.writer(fh, quoting=quoting).writerows(rows)
 
 
 def _set_cell(path: Path, column: str, value: str) -> None:
@@ -778,6 +781,16 @@ def _prefix_line(path: Path, line: int, data: bytes) -> None:
     lines = path.read_bytes().split(b"\n")
     lines[line - 1] = data + lines[line - 1]
     path.write_bytes(b"\n".join(lines))
+
+
+def _repeat_on_line_4_bad_score_on_line_6(rows):
+    rows.insert(3, [rows[1][0], "39"])
+    rows[5][rows[0].index("score")] = "2x"
+
+
+def _blank_line_2_bad_cell_on_line_3(rows):
+    rows[1][rows[0].index(FEATURE)] = "abc"
+    rows.insert(1, [])
 
 
 MALFORMED_DATA = {
@@ -844,6 +857,26 @@ MALFORMED_DATA = {
     "duplicate_week_file": (
         lambda d: (d / "week_01.csv").write_bytes((d / "week_1.csv").read_bytes()),
         f"{Path('data', 'week_01.csv')} and ",
+    ),
+    "week_file_name_with_a_non_ascii_digit": (
+        lambda d: (d / "week_1.csv").rename(d / "week_\u0661.csv"),
+        "a week file must be named week_<n>.csv",
+    ),
+    # a quoted file is read by csv.reader, not split at its commas
+    "repeated_participant_in_quoted_labels": (
+        lambda d: _edit_csv(
+            d / "labels.csv", lambda rows: rows.insert(3, [rows[1][0], "39"]), csv.QUOTE_ALL
+        ),
+        "labels.csv, line 4: participant P001 has a second row",
+    ),
+    # the first fault in file order is named
+    "repeated_participant_before_a_bad_score": (
+        lambda d: _edit_csv(d / "labels.csv", _repeat_on_line_4_bad_score_on_line_6),
+        "labels.csv, line 4: participant P001 has a second row",
+    ),
+    "blank_line_before_a_bad_cell": (
+        lambda d: _edit_csv(d / "week_1.csv", _blank_line_2_bad_cell_on_line_3),
+        "week_1.csv, line 3: could not convert",
     ),
 }
 

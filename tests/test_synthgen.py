@@ -1,9 +1,10 @@
 """Tests for the synthetic cohort generator and its file formats."""
 
+import builtins
 import csv
 import io
 import math
-from unittest import mock
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -448,15 +449,10 @@ def _csv_texts(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(
-    text=_csv_texts(),
-    block_chars=st.sampled_from([1, 2, 5, 64]),
-    field_limit=st.sampled_from([None, 5]),
-)
-def test_read_csv_reads_as_csv_reader_does(tmp_path_factory, text, block_chars, field_limit):
+@given(text=_csv_texts(), field_limit=st.sampled_from([None, 5]))
+def test_read_csv_reads_as_csv_reader_does(tmp_path_factory, text, field_limit):
     path = tmp_path_factory.getbasetemp() / "read_csv_case.csv"
-    with mock.patch.object(synthgen, "_BLOCK_CHARS", block_chars):
-        _assert_read_as_csv_reader_reads(path, text, field_limit)
+    _assert_read_as_csv_reader_reads(path, text, field_limit)
 
 
 @pytest.mark.parametrize(
@@ -501,8 +497,51 @@ def test_written_week_files_are_split_without_csv_reader(tmp_path, batches, plan
     write_cohort(tmp_path, batches[:1], plan)
     with open(tmp_path / "week_1.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    with open(tmp_path / "week_1.csv", newline="", encoding="utf-8") as fh:
-        next(fh)
-        with mock.patch.object(synthgen, "_BLOCK_CHARS", 1000):
-            columns = synthgen._plain_columns(fh, len(rows[0]))
+    text = (tmp_path / "week_1.csv").read_bytes().decode("utf-8")
+    header, columns = synthgen._plain_columns(text)
+    assert header == rows[0]
     assert columns == [list(column) for column in zip(*rows[1:])]
+
+
+def test_a_cohort_file_is_read_from_disk_once(tmp_path, batches, plan, monkeypatch):
+    write_cohort(tmp_path, batches[:1], plan)
+    with open(tmp_path / "week_1.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(tmp_path / "week_1.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)  # quoted: not plain
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if not isinstance(file, int):  # the fork helper's pipe ends
+            opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert load_batches(tmp_path) == batches[:1]
+    assert sorted(opened) == ["labels.csv", "week_1.csv"]
+
+    labels = (tmp_path / "labels.csv").read_bytes()
+    (tmp_path / "labels.csv").write_bytes(labels + labels.splitlines(keepends=True)[1])
+    opened.clear()
+    with pytest.raises(ValidationError, match="has a second row"):
+        load_batches(tmp_path)
+    assert opened == ["labels.csv"]
+
+
+def test_read_csv_bisects_to_the_first_rejected_row(tmp_path):
+    path = tmp_path / "long.csv"
+    scores = ["1"] * 1000
+    scores[700] = scores[900] = "b"
+    path.write_text("name,score\n" + "".join(f"p{i},{s}\n" for i, s in enumerate(scores)), "utf-8")
+    calls = []
+
+    def convert(names, scores):
+        calls.append(len(names))
+        return _convert(names, scores)
+
+    with pytest.raises(ValidationError, match=r"line 702: score 'b'"):
+        synthgen._read_csv(path, ("name", "score"), convert)
+    # the plain split, the whole reference rows, then one per halving
+    assert len(calls) <= 2 + math.ceil(math.log2(1000))
