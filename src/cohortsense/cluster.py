@@ -33,6 +33,42 @@ def _min_pts_for(n: int, density_fraction: float, floor: int) -> int:
     return max(floor, math.ceil(density_fraction * n - 1e-9))
 
 
+def _join_cells(P: np.ndarray, side: float, eps: float) -> np.ndarray:
+    """A component id per point of ``P``, points within eps joined, by grid
+    cells of side eps(1 - 1e-9)/sqrt(d) (Gan & Tao, SIGMOD 2015): a cell is
+    one component, and two cells in reach join when a nearest-neighbor query
+    of one's points against the other's tree finds a pair within eps (the
+    oracle's rule decides the shell). Near pairs go first; a union-find
+    skips pairs it holds."""
+    inner, outer = eps * (1 - 1e-9), eps * (1 + 1e-9)
+    keys, member = np.unique(np.floor(P / side), axis=0, return_inverse=True)
+    member = member.reshape(-1)
+    points = np.split(P[np.argsort(member, kind="stable")], np.cumsum(np.bincount(member))[:-1])
+    pairs = cKDTree(keys).query_pairs(1 + outer / side, p=np.inf, output_type="ndarray")
+    gap = (np.maximum(np.abs(keys[pairs[:, 0]] - keys[pairs[:, 1]]) - 1, 0) ** 2).sum(axis=1)
+    near = gap <= (outer / side) ** 2  # cells in reach
+    parent = list(range(len(keys)))  # a union-find of cells, each linked to a lower one
+
+    def root(c: int) -> int:
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for a, b in pairs[near][np.argsort(gap[near], kind="stable")].tolist():
+        if root(a) == root(b):
+            continue
+        a, b = sorted((a, b), key=lambda c: len(points[c]))
+        tree = cKDTree(points[b])
+        dist = tree.query(points[a], distance_upper_bound=outer)[0]
+        shell = points[a][dist <= outer]  # all in the shell unless some pair is surely in
+        if dist.min() <= inner or any(
+            (((points[b][f] - x) ** 2).sum(axis=1) <= eps * eps).any()
+            for x, f in zip(shell, tree.query_ball_point(shell, outer))
+        ):
+            parent[max(root(a), root(b))] = min(root(a), root(b))
+    return np.array([root(c) for c in range(len(keys))])[member]
+
+
 def batch_dbscan(
     points: dict[str, np.ndarray], eps: float, min_pts: int
 ) -> tuple[dict[str, frozenset[str]], frozenset[str]]:
@@ -259,9 +295,11 @@ class ClusterRegistry:
         by 1e-9 keep what is surely in and drop what is surely out, and only
         the thin shell between them is decided by the oracle's own
         squared-distance rule, so points exactly eps apart are decided as
-        the oracle decides them. Rows are then queried against the cores in
-        blocks of at most PAIR_BUDGET candidate pairs: core pairs join
-        components, and a border takes its smallest-index core neighbor.
+        the oracle decides them; with no pair in the shell one count per
+        point is exact. Cores join by grid cell (`_join_cells`). The other
+        rows (all rows past 2**20 cells from the origin, where cells are not
+        exact) then query the cores in blocks of at most PAIR_BUDGET pairs:
+        core pairs join components, a border takes its smallest core neighbor.
         """
         n = len(self._ids)
         if n == 0:
@@ -273,8 +311,9 @@ class ClusterRegistry:
         X = self._vectors[[self._index[pid] for pid in names]]
         eps2, inner, outer = self.eps * self.eps, self.eps * (1 - 1e-9), self.eps * (1 + 1e-9)
         tree = cKDTree(X)
-        counts = tree.query_ball_point(X, inner, return_length=True)
-        bound = tree.query_ball_point(X, outer, return_length=True)
+        shell = np.subtract(*tree.count_neighbors(tree, [outer, inner]))  # pairs in the shell
+        counts = tree.query_ball_point(X, inner if shell else self.eps, return_length=True)
+        bound = tree.query_ball_point(X, outer, return_length=True) if shell else counts
         for r in np.flatnonzero(counts != bound):  # a neighbor lies in the shell
             counts[r] = np.count_nonzero(((X - X[r]) ** 2).sum(axis=1) <= eps2)
         core = counts >= self.min_pts
@@ -283,13 +322,18 @@ class ClusterRegistry:
 
         # label: a core's component so far; owner: a border's smallest core neighbor
         label, owner = np.arange(n), np.full(n, n)
-        ends, start = np.cumsum(bound), 0
-        while start < n:
-            stop = int(np.searchsorted(ends, ends[start] - bound[start] + PAIR_BUDGET, "right"))
-            stop = max(stop, start + 1)
-            block = cKDTree(X[start:stop])
-            near = block.sparse_distance_matrix(core_tree, outer, output_type="ndarray")
-            a, b, ok = near["i"] + start, cores[near["j"]], near["v"] <= inner
+        side = inner / math.sqrt(max(self.dim, 1))
+        scan = np.arange(n)
+        if cores.size and np.abs(X).max() < side * 2**20:
+            label[cores] = _join_cells(X[cores], side, self.eps)
+            scan = np.flatnonzero(~core)
+        ends, start = np.cumsum(bound[scan]), 0
+        while start < scan.size:
+            first = ends[start] - bound[scan[start]]
+            stop = max(int(np.searchsorted(ends, first + PAIR_BUDGET, "right")), start + 1)
+            rows = scan[start:stop]
+            near = cKDTree(X[rows]).sparse_distance_matrix(core_tree, outer, output_type="ndarray")
+            a, b, ok = rows[near["i"]], cores[near["j"]], near["v"] <= inner
             shell = np.flatnonzero(~ok)
             ok[shell] = ((X[a[shell]] - X[b[shell]]) ** 2).sum(axis=1) <= eps2
             a, b = a[ok], b[ok]

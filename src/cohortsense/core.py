@@ -288,12 +288,12 @@ def load_config(path: str | Path) -> EngineConfig:
 
 def make_out_dir(out_dir: str | Path) -> Path:
     """Make an output directory and its missing parents. The nearest path
-    that exists, the directory itself or one of its parents, must be a
-    directory; otherwise ValidationError, before anything is made."""
+    that exists (a symbolic link to nothing counts), the directory itself or
+    one of its parents, must be a directory; else ValidationError, first."""
     out = Path(out_dir)
-    nearest = next(path for path in (out, *out.parents) if path.exists())
+    nearest = next(path for path in (out, *out.parents) if path.is_symlink() or path.exists())
     if not nearest.is_dir():
         what = "it" if nearest == out else nearest
-        raise ValidationError(f"cannot make output directory {out_dir}: {what} is a file")
+        raise ValidationError(f"cannot make output directory {out_dir}: {what} is not a directory")
     out.mkdir(parents=True, exist_ok=True)
     return out

@@ -46,6 +46,7 @@ from .learners import Dataset
 from .learners.base import derive_seed
 from .preprocess import (
     FittedPipeline,
+    clean,
     fit_pipeline,
     pipeline_from_json,
     pipeline_to_json,
@@ -214,13 +215,14 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
     week = batch.week
     events: list[str] = []
 
-    # fitted once, at week 1, so that every point shares one projection
+    # one cleaning per batch; one pipeline, fitted at week 1, so that every point shares it
+    cleaned = clean(batch)
     if st.pipeline is None:
-        st.pipeline = fit_pipeline(batch, st.config.pca_variance_target)
+        st.pipeline = fit_pipeline(batch, st.config.pca_variance_target, cleaned)
         events.append(f"week {week}: preprocessing pipeline fitted")
 
     # this week's participants in id order, with their vectors and points
-    pids, X, omitted = vectorize_week(batch, st.pipeline)
+    pids, X, omitted = vectorize_week(batch, st.pipeline, cleaned)
     for pid in omitted:
         events.append(f"week {week}: participant {pid} omitted, no surviving records")
     week_points = {pid: _point_id(pid, week) for pid in pids}

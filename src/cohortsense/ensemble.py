@@ -24,6 +24,7 @@ from .learners import (
     train_random_forest,
 )
 from .learners.base import KIND_ORDER, ModelKind, derive_seed
+from .learners.sampling import minority_search
 
 log = logging.getLogger(__name__)
 
@@ -67,10 +68,6 @@ class EvalRow:
     metrics: Metrics
 
 
-def _balanced(dataset: Dataset, k_neighbors: int, seed: int) -> Dataset:
-    return smote(dataset, k_neighbors, seed) if needs_smote(dataset) else dataset
-
-
 def _fit_set(
     scope: str,
     dataset: Dataset,
@@ -81,13 +78,13 @@ def _fit_set(
 
     One ``kfold_cv`` call draws the set's one stratified split, SMOTEs each
     training fold once and scores every kind on those folds; each kind
-    trains its folds and its deployed model in one batched call. The
-    deployed fit of each kind reads the full data, SMOTE-balanced with the
-    kind's own seed. Every SMOTE call finds its own neighbours among the
-    rows it balances. When a class has too few rows for two folds, there
-    are no folds, and each deployed model is scored on its own training
-    rows. No kind is warm-started: the linear kinds reach their unique
-    optimum, so a set does not depend on the previous week's.
+    trains its folds and its deployed model in one batched call; the tree
+    kinds bin each fold set once. Each kind's deployed fit reads the full
+    data, SMOTE-balanced with its own seed from one shared neighbour search
+    (each fold's SMOTE has its own). When a class has too few rows for two
+    folds, there are no folds, and each deployed model is scored on its own
+    training rows. No kind is warm-started: the linear kinds reach their
+    unique optimum, so a set does not depend on the previous week's.
     """
     zeros, ones = dataset.class_counts()
     k = min(config.cv_folds, zeros, ones)
@@ -98,27 +95,33 @@ def _fit_set(
         for kind in KIND_ORDER
     ] if k < 2 else []
     lc = config.learners
+    bins: dict = {}  # the tree kinds' binned datasets, for this set's fits only
     # built per call, in KIND_ORDER, so that a wrapper patched over a trainer is used
     train_fns = [
         functools.partial(train_logreg, l2=lc.logreg_l2),
         functools.partial(train_linear_svm, l2=lc.svm_l2),
-        functools.partial(train_random_forest, n_trees=lc.forest_trees, max_depth=lc.forest_depth),
+        functools.partial(
+            train_random_forest, n_trees=lc.forest_trees, max_depth=lc.forest_depth, bins=bins
+        ),
         functools.partial(
             train_gbt,
             n_rounds=lc.gbt_rounds,
             max_depth=lc.gbt_depth,
             learning_rate=lc.gbt_learning_rate,
+            bins=bins,
         ),
     ]
     kind_seeds = [
         derive_seed(config.rng_seed, "train", scope, kind.value, seed) for kind in KIND_ORDER
     ]
+    k_nn = config.smote_neighbors
+    search = minority_search(dataset, k_nn) if needs_smote(dataset) else None
     deployed = [
-        (_balanced(dataset, config.smote_neighbors, derive_seed(s, "smote")), s)
+        (smote(dataset, k_nn, derive_seed(s, "smote"), search) if search else dataset, s)
         for s in kind_seeds
     ]
     split_seed = derive_seed(derive_seed(config.rng_seed, "train", scope, seed), "cv")
-    fitted = kfold_cv(dataset, k, train_fns, split_seed, config.smote_neighbors, deployed)
+    fitted = kfold_cv(dataset, k, train_fns, split_seed, k_nn, deployed)
     models = {kind: model for kind, (_, model) in zip(KIND_ORDER, fitted)}
     scores = {kind: metrics.f1 for kind, (metrics, _) in zip(KIND_ORDER, fitted)}
     return ModelSet(models=models, validation_f1=scores, input_dim=dataset.dim), events

@@ -77,9 +77,6 @@ class Dataset:
             raise ValidationError(f"row id {str(ranked[repeats[0]])!r} is not unique")
         return order
 
-    def canonicalized(self) -> "Dataset":
-        return self.subset(self.canonical_order())
-
 
 def derive_seed(seed: int, *parts: object) -> int:
     """Deterministically mix a root seed with context labels."""

@@ -262,6 +262,17 @@ def _bin_columns(X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     return edges_list, binned
 
 
+def _binned(datasets: list[Dataset], bins: dict | None) -> list[tuple]:
+    """`_bin_columns` of each dataset's rows, in their order, kept in the
+    caller's ``bins`` for its other trainer calls, under the dataset's
+    ``id`` and with the dataset, so that no other can take that id."""
+    bins = {} if bins is None else bins
+    for ds in datasets:
+        if id(ds) not in bins:
+            bins[id(ds)] = (ds, *_bin_columns(ds.vectors.astype(float)))
+    return [bins[id(ds)][1:] for ds in datasets]
+
+
 def _edge_table(edges: list[list[np.ndarray]]) -> np.ndarray:
     """Candidate thresholds of every root as one (roots, d, width) array,
     padded to the widest root.
@@ -502,7 +513,8 @@ class ForestModel:
 
 
 def train_random_forest(
-    datasets: list[Dataset], seeds: list[int], n_trees: int = 100, max_depth: int = 8
+    datasets: list[Dataset], seeds: list[int], n_trees: int = 100, max_depth: int = 8,
+    bins: dict | None = None,
 ) -> list[ForestModel]:
     """Bagged CART trees: Gini splits, sqrt(d) features per split, one
     forest per (dataset, seed), all trees grown together.
@@ -516,30 +528,34 @@ def train_random_forest(
     root reads its own dataset's thresholds, and forest i equals the
     forest of ``datasets[i]`` trained alone. Counts and 0/1 label sums
     are exact in any order, so growing on groups gives the trees that
-    growing on the distinct drawn rows gave.
+    growing on the distinct drawn rows gave. ``bins``: see `_binned`.
     """
     check_batch(datasets, seeds, "random forest")
     if any(len(ds) == 0 for ds in datasets):
         raise ValidationError("random forest requires a nonempty dataset")
     if not datasets:
         return []
-    canon = [ds.canonicalized() for ds in datasets]
-    d = canon[0].dim
+    d = datasets[0].dim
     features_per_split = max(1, int(np.sqrt(d)))
-    sizes = [len(ds) for ds in canon]
+    sizes = [len(ds) for ds in datasets]
     starts = np.cumsum([0] + sizes[:-1])
 
-    # candidate thresholds come from each dataset's full training data; each
-    # bootstrap then draws rows of its dataset and counts them per group
-    edges, binned = zip(*(_bin_columns(ds.vectors.astype(float)) for ds in canon))
+    # thresholds from each dataset's full data, bins put in canonical order (only
+    # a zero quantile's sign depends on row order: a set holding -0.0 bins its
+    # canonical rows); each bootstrap draws rows of its dataset, counted per group
+    orders = [ds.canonical_order() for ds in datasets]
+    edges, binned = zip(*(
+        _bin_columns(ds.vectors[o]) if np.signbit(ds.vectors[ds.vectors == 0]).any() else (e, b[o])
+        for ds, o, (e, b) in zip(datasets, orders, _binned(datasets, bins))
+    ))
     edge_values = _edge_table(list(edges))
     binned = np.concatenate(binned)
-    y = np.concatenate([ds.labels.astype(float) for ds in canon])
+    y = np.concatenate([ds.labels[o].astype(float) for ds, o in zip(datasets, orders)])
     group, first, _, n_groups = _group(binned, y, sizes)
     group_start = np.cumsum(n_groups) - n_groups
 
     # tree t of dataset i is root i * n_trees + t
-    owner = np.repeat(np.arange(len(canon)), n_trees)
+    owner = np.repeat(np.arange(len(datasets)), n_trees)
     keys = np.concatenate([_tree_keys(seed, n_trees) for seed in seeds])
     root_rows = [sizes[i] for i in owner.tolist()]
     parts, held = [], []  # held: (root, first row, draws) of each slot drawn, not yet grown
@@ -576,7 +592,7 @@ def train_random_forest(
                 features_per_split=features_per_split,
             )
             parts.append(part)
-    return [ForestModel(nodes) for nodes in _collect(parts, len(canon), n_trees)]
+    return [ForestModel(nodes) for nodes in _collect(parts, len(datasets), n_trees)]
 
 
 @dataclass(frozen=True)
@@ -622,6 +638,7 @@ def train_gbt(
     n_rounds: int = 100,
     max_depth: int = 3,
     learning_rate: float = 0.1,
+    bins: dict | None = None,
 ) -> list[GBTModel]:
     """Additive regression trees fit to logistic-loss gradients, one model
     per (dataset, seed), boosted in lockstep.
@@ -634,7 +651,7 @@ def train_gbt(
     residual and its row count as weight, so a model does not depend on
     row order. Each round grows the next tree of every dataset in one
     grower call (datasets are taken PASS_ROWS groups at a time), and model
-    i equals the model of ``datasets[i]`` trained alone.
+    i equals the model of ``datasets[i]`` trained alone. ``bins``: see `_binned`.
     """
     check_batch(datasets, seeds, "gradient boosting")
     for dataset in datasets:
@@ -644,7 +661,7 @@ def train_gbt(
     labels = [ds.labels.astype(float) for ds in datasets]
     init_scores = np.array([np.log(y.mean() / (1.0 - y.mean())) for y in labels])
 
-    edges, binned = zip(*(_bin_columns(ds.vectors.astype(float)) for ds in datasets))
+    edges, binned = zip(*_binned(datasets, bins))
     edge_values = _edge_table(list(edges))
     binned, y = np.concatenate(binned), np.concatenate(labels)
     _, first, count, n_groups = _group(binned, y, [len(y) for y in labels])

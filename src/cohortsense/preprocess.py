@@ -8,14 +8,11 @@ across weeks.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SEGMENT_ORDER, ValidationError, WeeklyBatch
-
-log = logging.getLogger(__name__)
 
 IQR_FACTOR = 1.5
 
@@ -47,7 +44,9 @@ def impute(batch: WeeklyBatch, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     Observed values are never altered. A mode tie goes to the lowest code,
     which is the smallest token. A feature with no observed value among the
-    kept rows is an error.
+    kept rows is an error. A median is read at a group's observed count
+    from one stable sort along the group axis, gaps last, of the (groups,
+    size, gappy columns) block of each group size: memory linear in rows.
     """
     rows = np.flatnonzero(keep)
     values, codes = batch.records[rows], batch.categories[rows]
@@ -55,34 +54,36 @@ def impute(batch: WeeklyBatch, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return values, codes
     group = batch.participants[rows] * len(SEGMENT_ORDER) + batch.segments[rows]
     keys, member, sizes = np.unique(group, return_inverse=True, return_counts=True)
-    starts = np.cumsum(sizes) - sizes
     names = batch.continuous_features + batch.categorical_features
-    ncont = len(batch.continuous_features)
-    for j, column in enumerate([*values.T, *codes.T]):
-        missing = np.isnan(column) if j < ncont else column < 0
-        if missing.all():
-            raise ValidationError(
-                f"week {batch.week}: feature {names[j]!r} has no observed values to impute from"
-            )
-        if not missing.any():
-            continue
-        observed = np.bincount(member[~missing], minlength=len(keys))
-        if j < ncont:
-            # rows by group, then by value with the gaps last: a group's
-            # observed values start its slice, in order
-            ranked = column[np.lexsort((column, group))]
-            low = ranked[starts + (observed - 1) // 2]
-            high = ranked[starts + observed // 2]
-            fill = np.where(observed % 2 == 1, low, (low + high) / 2)
-            fallback = float(np.median(column[~missing]))
-        else:
-            width = len(batch.tokens[j - ncont])
-            counts = np.bincount(
-                member[~missing] * width + column[~missing], minlength=len(keys) * width
-            ).reshape(len(keys), width)
-            fill = counts.argmax(axis=1)
-            fallback = counts.sum(axis=0).argmax()
-        column[missing] = np.where(observed > 0, fill, fallback)[member[missing]]
+    missing = np.concatenate([np.isnan(values), codes < 0], axis=1)
+    blank = np.flatnonzero(missing.all(axis=0))
+    if blank.size:
+        raise ValidationError(
+            f"week {batch.week}: feature {names[blank[0]]!r} has no observed values to impute from"
+        )
+    ncont = values.shape[1]
+    gappy = np.flatnonzero(missing[:, :ncont].any(axis=0))
+    x, holes = values[:, gappy], missing[:, gappy]
+    fill = np.tile([np.median(c[~h]) for c, h in zip(x.T, holes.T)], (len(keys), 1))
+    by_group, starts = np.argsort(member, kind="stable"), np.cumsum(sizes) - sizes
+    for size in np.unique(sizes).tolist() if gappy.size else []:
+        groups = np.flatnonzero(sizes == size)
+        block = np.sort(x[by_group[starts[groups, None] + np.arange(size)]], axis=1, kind="stable")
+        seen = size - np.isnan(block).sum(axis=1)  # observed counts
+        at = (np.maximum(seen - 1, 0) // 2, seen // 2)
+        low, high = (np.take_along_axis(block, i[:, None], axis=1)[:, 0] for i in at)
+        median = np.where(seen % 2 == 1, low, (low + high) / 2)
+        fill[groups] = np.where(seen > 0, median, fill[groups])
+    x[holes] = fill[member][holes]
+    values[:, gappy] = x
+    for j in np.flatnonzero(missing[:, ncont:].any(axis=0)).tolist():
+        column, hole = codes[:, j], missing[:, ncont + j]
+        width = len(batch.tokens[j])
+        counts = np.bincount(
+            member[~hole] * width + column[~hole], minlength=len(keys) * width
+        ).reshape(len(keys), width)
+        fill = np.where(counts.sum(axis=1) > 0, counts.argmax(axis=1), counts.sum(axis=0).argmax())
+        column[hole] = fill[member[hole]]
     return values, codes
 
 
@@ -221,15 +222,16 @@ def _segment_mean_matrix(
     return pids, matrix.reshape(n, nseg * width)
 
 
-def _clean(batch: WeeklyBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The outlier mask and the surviving rows' imputed values and codes."""
+def clean(batch: WeeklyBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The outlier mask and the surviving rows' imputed values and codes:
+    what `fit_pipeline` and `vectorize_week` read of a batch."""
     keep = remove_outliers(batch)
     return (keep, *impute(batch, keep))
 
 
-def fit_pipeline(batch: WeeklyBatch, variance_target: float) -> FittedPipeline:
-    """Clean one batch, then freeze vocabulary, scaler, and projection."""
-    keep, values, codes = _clean(batch)
+def fit_pipeline(batch: WeeklyBatch, variance_target: float, cleaned: tuple) -> FittedPipeline:
+    """Freeze vocabulary, scaler, and projection on a batch, given its `clean` result."""
+    keep, values, codes = cleaned
     if not keep.any():
         raise ValidationError(
             f"week {batch.week}: cannot fit the preprocessing pipeline on an empty batch"
@@ -256,9 +258,10 @@ def fit_pipeline(batch: WeeklyBatch, variance_target: float) -> FittedPipeline:
 
 
 def vectorize_week(
-    batch: WeeklyBatch, pipeline: FittedPipeline
+    batch: WeeklyBatch, pipeline: FittedPipeline, cleaned: tuple
 ) -> tuple[list[str], np.ndarray, list[str]]:
-    """Project one vector per participant for the batch's week.
+    """Project one vector per participant for the batch's week, given the
+    batch's `clean` result.
 
     Returns the participant ids in sorted order, their vectors as the rows
     of one matrix, and the ids of participants omitted because no row of
@@ -266,17 +269,14 @@ def vectorize_week(
     feature the pipeline reads: the engine's batch check refuses one that
     lacks any.
     """
-    keep, values, codes = _clean(batch)
+    keep, values, codes = cleaned
     pids, projected = [], np.empty((0, len(pipeline.projector.components)))
     if keep.any():
         pids, matrix = _segment_mean_matrix(
             batch, keep, values, codes, pipeline.continuous_features, pipeline.vocabularies
         )
         projected = pca_project_matrix(pipeline.projector, scaler_apply(pipeline.scaler, matrix))
-    omitted = sorted(set(batch.participant_ids) - set(pids))
-    for pid in omitted:
-        log.warning("participant %s omitted in week %d: no surviving records", pid, batch.week)
-    return pids, projected, omitted
+    return pids, projected, sorted(set(batch.participant_ids) - set(pids))
 
 
 def pipeline_to_json(pipeline: FittedPipeline) -> dict:

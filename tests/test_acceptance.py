@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The two replay-backed
 criteria share session fixtures; the full suite takes several minutes.
 """
 
+import hashlib
 import sys
 import time
 from collections import Counter
@@ -15,6 +16,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from planted import FIXTURE_SEED, build_planted_fixture
 
+from cohortsense import engine, reporting
 from cohortsense.core import EngineConfig, LearnerConfig
 from cohortsense.engine import load, new_state, run_replay, save, step
 from cohortsense.ensemble import ModelPool, ModelSet, vote
@@ -138,6 +140,52 @@ def test_criterion_2_cohort_trajectory(default_replay):
     ari = adjusted_rand_index(truth, pred)
     assert ari >= 0.8, f"adjusted Rand index {ari:.3f} below 0.8"
     announce(2, f"cohort trajectory {sequence}, ARI {ari:.3f}, {elapsed:.0f}s")
+
+
+# Each week's lines of every file `reporting` writes, then the final
+# checkpoint payload before deflation (so that the pin does not depend on
+# the linked zlib), of the `default_replay` fixture's ten weeks. Recorded at
+# 7364706; they equal the files and the checkpoint of a CLI `synth --seed
+# 42` plus `replay --checkpoint` of the same weeks. Weeks 5-10 hold G4's
+# arrival (week 5), exit (week 8) and return (week 9), which perfbench's
+# four weeks never reach. A change that alters an output on purpose (a new
+# run-log record, one deployed SMOTE per set) records them again and says
+# why.
+TEN_WEEKS = {
+    1: "5b23ac3729a0b825e3ce4248d49090f6ed9237b9223e6acfdac51f76b7f2fd3b",
+    2: "c62f8a8616db2961101a78887c4291b5088bfd1eff3e1d9bf31278a90cd61589",
+    3: "3f7eb1e3fc1b106241b53c57fcdda0c0c18bd167cec580b13dd9f8593b999fd4",
+    4: "1fd75638d42afab0a80e333238bd787ff49c2c71390714e226dc47e428f5c85d",
+    5: "1b273fd8cdcb8caea632dfc55b544ef63910d8efdac54e926de47c3377926c43",
+    6: "9ec59421cf00caebcd6608f872cf2dd308f6fdadb8bbe4454c93e953a176b9d1",
+    7: "077ea05464110f6d58b6c843abfbb7ba606c97328d57c973ccea3ee0f4aef2e7",
+    8: "f926b79c084e6080556df7b89df37c677252441fbaae6332fbf45dba192a85f1",
+    9: "2be5990e1152c483a42283bf09248b02b902a2ce189b0d5fce698838ecf0c71e",
+    10: "6a4583219fd2830d8207f3063d034474484204c535ffbc92225768f221488732",
+}
+TEN_WEEK_CHECKPOINT = "0315270bf4f90975dcc086fd24e6e546adc219c17eede88d59b6777c1f1a0eb9"
+
+
+def test_the_ten_weeks_write_the_pinned_files_and_checkpoint(default_replay, tmp_path):
+    _, _, reports, state, _ = default_replay
+    digests = {}
+    for report in reports:
+        week = report.week
+        parts = []
+        for write in (
+            reporting.write_weekly_report, reporting.write_clusters, reporting.write_votes
+        ):
+            path = write(tmp_path, report)
+            parts.append((path.name, path.read_bytes()))
+        parts.append(("runlog.jsonl", reporting.run_log_lines(report).encode()))
+        parts.append(("summary.csv", reporting.summary_lines(report).encode()))
+        h = hashlib.sha256()
+        for name, data in parts:
+            h.update(name.encode() + b"\0" + data + b"\0")
+        digests[week] = h.hexdigest()
+    assert digests == TEN_WEEKS
+    payload = engine._payload(engine._state_to_json(state))
+    assert hashlib.sha256(payload).hexdigest() == TEN_WEEK_CHECKPOINT
 
 
 def test_criterion_3_group_based_beats_generic(planted_replay):

@@ -38,7 +38,7 @@ import numpy as np
 import pytest
 
 from cohortsense.cli import main
-from cohortsense.preprocess import fit_pipeline, pipeline_to_json, vectorize_week
+from cohortsense.preprocess import clean, fit_pipeline, pipeline_to_json, vectorize_week
 from cohortsense.synthgen import CohortPlan, build_default_profiles, generate_cohort
 
 from columns import batch_of
@@ -145,10 +145,10 @@ DEFAULT_SYNTH = {
 @pytest.mark.parametrize("name, make", [("hand", hand_batches), ("mini", mini_batches)])
 def test_pipeline_and_vectors_match_the_per_record_path(name, make):
     batches = make()
-    pipeline = fit_pipeline(batches[0], 0.9)
+    pipeline = fit_pipeline(batches[0], 0.9, clean(batches[0]))
     weeks = []
     for batch in batches:
-        pids, X, omitted = vectorize_week(batch, pipeline)
+        pids, X, omitted = vectorize_week(batch, pipeline, clean(batch))
         weeks.append({"pids": pids, "X": X.tolist(), "omitted": omitted})
     assert sha(pipeline_to_json(pipeline)) == DIGESTS[f"{name}/pipeline"]
     assert sha(weeks) == DIGESTS[f"{name}/vectors"]

@@ -518,8 +518,32 @@ def test_an_out_dir_that_is_a_file_exits_one(tmp_path, capsys, command):
         code = main(args)
         err = capsys.readouterr().err
         assert code == 1
-        assert err == f"error: cannot make output directory {out}: {what} is a file\n"
+        assert err == f"error: cannot make output directory {out}: {what} is not a directory\n"
         assert taken.read_bytes() == b"a file\n"
+
+
+@pytest.mark.parametrize("command", ["synth", "replay"])
+def test_an_out_dir_that_is_a_dangling_link_exits_one(tmp_path, capsys, command):
+    plan_path = tmp_path / "plan.json"
+    write_tiny_plan(plan_path, weeks=2)
+    data, link = tmp_path / "data", tmp_path / "link"
+    if command == "replay":
+        main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+    link.symlink_to(tmp_path / "nowhere")
+    before = sorted(tmp_path.rglob("*"))
+    # the out dir itself, then one below the link
+    for out, what in [(link, "it"), (link / "sub", link)]:
+        if command == "synth":
+            args = ["synth", "--seed", "3", "--out-dir", str(out), "--plan", str(plan_path)]
+        else:
+            args = ["replay", "--data-dir", str(data), "--out-dir", str(out)]
+        capsys.readouterr()
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: cannot make output directory {out}: {what} is not a directory\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert link.is_symlink() and not (tmp_path / "nowhere").exists()
 
 
 def resume_edited_checkpoint(tmp_path, capsys, edit, out="out") -> tuple[int, str]:

@@ -287,6 +287,52 @@ def test_partition_in_small_blocks_equals_batch_dbscan(case, budget):
         assert reg.partition() == batch_dbscan(dict(stream), eps, reg.min_pts)
 
 
+@st.composite
+def crowded_cells(draw):
+    """(eps, floor, fraction, stream, shell): lattice points dense enough
+    that each grid cell of side eps(1 - 1e-9)/sqrt(d) holds several cores.
+    A spacing of eps/4 puts most pairs exactly eps apart in different cells;
+    one of 0.3 eps puts no pair in the shell around eps, unless a forced
+    pair lies exactly eps apart. ``shell`` says whether a pair must lie in
+    the shell (True), must not (False), or may (None). An offset of 1e6
+    puts the points past 2**20 cells from the origin, where the grid is
+    skipped."""
+    eps = draw(st.sampled_from([0.5, 1.0]))
+    dim = draw(st.integers(1, 3))
+    spacing = draw(st.sampled_from([0.25, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(10, 120))
+    # a few dense patches and some scattered points, on the lattice
+    centers = rng.integers(0, 12, size=(draw(st.integers(1, 4)), dim))
+    steps = centers[rng.integers(0, len(centers), size=n)] + rng.integers(-2, 3, size=(n, dim))
+    steps[: n // 6] = rng.integers(-10, 25, size=(n // 6, dim))
+    offset = 1e6 if draw(st.integers(0, 4)) == 0 else 0.0
+    X = steps * (spacing * eps) + offset
+    forced = draw(st.booleans())
+    if forced:
+        X = np.vstack([X, X[0] + eps * np.eye(dim)[0]])
+    shell = True if forced else (False if spacing == 0.3 else None)
+    ids = [f"p{i:03d}" for i in rng.permutation(len(X))]
+    floor = draw(st.integers(2, 12))
+    fraction = draw(st.sampled_from([0.01, 0.05]))
+    return eps, floor, fraction, list(zip(ids, X)), shell
+
+
+@settings(max_examples=300, deadline=None)
+@given(crowded_cells())
+def test_partition_of_crowded_cells_equals_batch_dbscan(case):
+    eps, floor, fraction, stream, shell = case
+    reg = ClusterRegistry(eps=eps, density_fraction=fraction, min_pts_floor=floor)
+    reg.insert([pid for pid, _ in stream], [v for _, v in stream])
+    ids, X = [pid for pid, _ in stream], np.array([v for _, v in stream])
+    distances = np.sqrt(((X[:, None] - X[None]) ** 2).sum(axis=2))
+    # a pair in the shell makes the partition count twice, and a forced one
+    # lies in it; the coarser lattice puts none there
+    if shell is not None:
+        assert (np.abs(distances - eps) <= 1e-9 * eps).any() == shell
+    assert reg.partition() == batch_dbscan(dict(zip(ids, X)), eps, reg.min_pts)
+
+
 def test_partition_runs_in_bounded_memory():
     # three dense blobs, 5,000 points: every point is core. Listing the
     # 3.3 M pairs within eps at once peaked at 158 MB under tracemalloc;

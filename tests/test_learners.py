@@ -1,5 +1,6 @@
 """Tests for the from-scratch learners, SMOTE, CV, and metrics."""
 
+import json
 import warnings
 
 import numpy as np
@@ -22,6 +23,8 @@ from cohortsense.learners import (
     train_logreg,
     train_random_forest,
 )
+
+from smote_oracles import loop_draws, loop_smote, minority_neighbors
 
 
 def make_dataset(vectors, labels, pids=None):
@@ -147,10 +150,8 @@ def test_smote_count_arithmetic():
     assert np.array_equal(out.labels[:120], labels)
     # each synthetic row is the per-row formula x + u * (x_nn - x), with the
     # neighbour pick and u drawn alternately from one stream
-    from cohortsense.learners.sampling import _minority_neighbors
-
     points = vectors[:30]  # the minority rows, already in canonical order
-    neighbors = _minority_neighbors(points, 5)
+    neighbors = minority_neighbors(points, 5)
     rng = np.random.default_rng(1)
     for i, row in enumerate(out.vectors[120:]):
         src = i % 30
@@ -193,7 +194,7 @@ def table_case(n0, n1, k_neighbors, folds, seed=0):
 def test_narrowed_tables_equal_the_training_minority_table(case):
     """For the full set and every fold's training set, the table ``smote``
     builds equals the brute-force oracle's, ties broken by index."""
-    from cohortsense.learners.sampling import _minority_neighbors, _tree_neighbors
+    from cohortsense.learners.sampling import _tree_neighbors
 
     ds, k, folds = case
     for seed in range(3):
@@ -202,7 +203,7 @@ def test_narrowed_tables_equal_the_training_minority_table(case):
             if min(train.class_counts()) < 2:
                 continue
             built = minority_table(train, k, _tree_neighbors)
-            assert np.array_equal(built, minority_table(train, k, _minority_neighbors))
+            assert np.array_equal(built, minority_table(train, k, minority_neighbors))
 
 
 @settings(max_examples=300, deadline=None)
@@ -255,7 +256,7 @@ def test_minority_neighbors_blocked_equals_dense(monkeypatch, block_rows):
         n = len(points)
         for k in range(1, n):
             expected = argsort_neighbors(points, k, block_rows)
-            for search in (sampling._minority_neighbors, sampling._tree_neighbors):
+            for search in (minority_neighbors, sampling._tree_neighbors):
                 assert np.array_equal(search(points, k), expected), (search.__name__, n, k)
 
 
@@ -270,7 +271,7 @@ def test_searching_the_first_rows_gives_the_oracle_table_s_first_rows(n, d, seed
     """``_tree_neighbors(points, k, m)`` is the oracle's table cut to its
     first m rows, the tree still holding every row; some inputs repeat
     rows, others lie on a coarse lattice, so distances tie."""
-    from cohortsense.learners.sampling import _minority_neighbors, _tree_neighbors
+    from cohortsense.learners.sampling import _tree_neighbors
 
     rng = np.random.default_rng(seed)
     kind = data.draw(st.sampled_from(["normal", "lattice", "repeats"]))
@@ -286,7 +287,7 @@ def test_searching_the_first_rows_gives_the_oracle_table_s_first_rows(n, d, seed
     m = data.draw(st.integers(1, n))
     table = _tree_neighbors(points, k, m)
     assert table.shape == (m, k)
-    assert np.array_equal(table, _minority_neighbors(points, k)[:m])
+    assert np.array_equal(table, minority_neighbors(points, k)[:m])
 
 
 def test_a_table_of_identical_rows_needs_no_quadratic_memory():
@@ -377,6 +378,68 @@ def test_smote_convex_hull_property():
         lo, hi = minority.min(axis=0), minority.max(axis=0)
         synth = out.vectors[n_min + n_maj :]
         assert np.all(synth >= lo - 1e-9) and np.all(synth <= hi + 1e-9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 401), st.integers(1, 200))
+@example(0, 1, 1)  # one row, k = 1: no pick is drawn
+@example(7, 2, 5)
+@example(7, 3, 2)
+def test_raw_stream_draws_equal_the_draw_loop(seed, n, k):
+    from cohortsense.learners.sampling import _draws
+
+    pick, u = _draws(seed, n, k)
+    expected_pick, expected_u = loop_draws(seed, n, k)
+    assert np.array_equal(pick, expected_pick)
+    assert u.tobytes() == expected_u.tobytes()
+
+
+@pytest.mark.parametrize("k", [2**31 + 1, 2**32 - 1, 2**33])
+def test_draws_that_the_bounded_method_rejects_fall_back_to_the_loop(k):
+    # at k = 2**31 + 1 about half of all 32-bit draws are rejected; a k past
+    # 32 bits takes numpy's 64-bit path, which the words do not follow
+    from cohortsense.learners.sampling import _draws
+
+    seed, n = 11, 6
+    if k < 2**32:
+        words = np.random.default_rng(seed).bit_generator.random_raw(9)[::3]
+        halves = np.column_stack([words & 0xFFFFFFFF, words >> 32]).ravel()
+        assert ((halves * np.uint64(k)) & 0xFFFFFFFF < (2**32 - k) % k).any() == (k == 2**31 + 1)
+    pick, u = _draws(seed, n, k)
+    expected_pick, expected_u = loop_draws(seed, n, k)
+    assert np.array_equal(pick, expected_pick)
+    assert u.tobytes() == expected_u.tobytes()
+
+
+@st.composite
+def smote_cases(draw):
+    """(dataset, k_neighbors, seed): one or both minority sizes small, k
+    from 1 up to past n_min - 1, so that n_needed is 1, odd or even."""
+    n_min = draw(st.integers(2, 25))
+    n_maj = n_min + draw(st.integers(1, 40))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.normal(size=(n_min + n_maj, d))
+    if draw(st.booleans()):
+        vectors = np.round(vectors, 1)  # distances tie
+    minority = draw(st.integers(0, 1))
+    labels = np.r_[np.full(n_min, minority), np.full(n_maj, 1 - minority)]
+    pids = [f"r{i:03d}" for i in rng.permutation(n_min + n_maj)]
+    k = draw(st.integers(1, n_min + 1))
+    return make_dataset(vectors, labels, pids), k, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(smote_cases())
+def test_smote_equals_the_loop_smote_with_and_without_a_shared_search(case):
+    from cohortsense.learners.sampling import minority_search
+
+    ds, k, seed = case
+    expected = loop_smote(ds, k, seed)
+    for out in (smote(ds, k, seed), smote(ds, k, seed, minority_search(ds, k))):
+        assert out.vectors.tobytes() == expected.vectors.tobytes()
+        assert np.array_equal(out.labels, expected.labels)
+        assert out.participant_ids == expected.participant_ids
 
 
 # ---------------------------------------------------------------- logistic regression
@@ -600,6 +663,67 @@ def test_svm_single_class_error():
 
 
 # ---------------------------------------------------------------- random forest
+
+
+def signed_json(model) -> str:
+    """A model's JSON text, where 0.0 and -0.0 differ as in a checkpoint."""
+    return json.dumps(model.to_json())
+
+
+def test_a_zero_quantile_edge_takes_its_sign_from_the_row_order():
+    """The hazard that sharing bins across row orders must avoid:
+    ``np.quantile`` partitions, so when a column holds both 0.0 and -0.0
+    a zero edge can take either sign, depending on the order of the rows."""
+    from cohortsense.learners.trees import _bin_columns
+
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        n = int(rng.integers(34, 60))
+        v = np.round(rng.normal(size=n), 1)
+        zero = rng.random(n) < 0.3
+        v[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+        perm = rng.permutation(n)
+        edges = [json.dumps(_bin_columns(c[:, None])[0][0].tolist()) for c in (v, v[perm])]
+        if edges[0] != edges[1]:
+            break
+    else:
+        pytest.fail("no row order flipped the sign of a zero edge")
+    labels = (v > 0.2).astype(int)
+    ds = make_dataset(v[:, None], labels, [f"r{i:02d}" for i in perm.argsort()])
+    bins = {}
+    train_gbt([ds], [1], n_rounds=2, bins=bins)
+    shared = train_random_forest([ds], [5], n_trees=8, max_depth=4, bins=bins)[0]
+    canonical = ds.subset(ds.canonical_order())
+    alone = train_random_forest([canonical], [5], n_trees=8, max_depth=4)[0]
+    assert signed_json(shared) == signed_json(alone)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 80), st.integers(1, 3), st.booleans())
+def test_a_forest_on_bins_shared_with_gbt_equals_the_forest_of_its_canonical_rows(
+    seed, n, d, zeros
+):
+    """GBT bins each dataset in the order given; the forest takes those
+    bins and puts them in canonical order. Its trees, thresholds' signs
+    included, equal those of the forest of the dataset's rows in canonical
+    order, which bins them itself: with ties, constant columns, more than
+    MAX_BINS distinct values and, in some sets, 0.0 and -0.0 both."""
+    rng = np.random.default_rng(seed)
+    vectors = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 3)))
+    vectors[:, int(rng.integers(0, d))] *= rng.random() < 0.2  # sometimes a constant column
+    if zeros:
+        vectors[rng.random((n, d)) < 0.3] = 0.0
+        vectors[rng.random((n, d)) < 0.15] = -0.0
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = [0, 1]
+    pids = [f"r{i:02d}" for i in rng.permutation(n)]
+    datasets = [make_dataset(vectors, labels, pids), make_dataset(vectors[::-1], labels[::-1])]
+    bins = {}
+    train_gbt(datasets, [1, 2], n_rounds=2, bins=bins)
+    shared = train_random_forest(datasets, [5, 6], n_trees=6, max_depth=4, bins=bins)
+    canonical = [ds.subset(ds.canonical_order()) for ds in datasets]
+    alone = train_random_forest(canonical, [5, 6], n_trees=6, max_depth=4)
+    assert [signed_json(m) for m in shared] == [signed_json(m) for m in alone]
 
 
 def test_forest_single_class_constant_prediction():

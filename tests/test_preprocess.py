@@ -1,14 +1,17 @@
 """Tests for outlier removal, imputation, encoding, scaling, PCA, vectorize."""
 
+import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cohortsense.core import DaySegment, ValidationError
+from cohortsense.core import DaySegment, ValidationError, WeeklyBatch
 from cohortsense.preprocess import (
     _segment_mean_matrix,
+    clean,
     fit_pipeline,
     impute,
     pca_fit,
@@ -177,6 +180,122 @@ def test_impute_equals_the_loop_reference(cells):
     assert got == impute_by_loop(rows)
 
 
+def impute_by_lexsort(batch, keep):
+    """`impute` as it was before one sort per group size: one lexsort of
+    the kept rows by (group, value) per continuous column with gaps."""
+    rows = np.flatnonzero(keep)
+    values, codes = batch.records[rows], batch.categories[rows]
+    if not rows.size:
+        return values, codes
+    group = batch.participants[rows] * 4 + batch.segments[rows]
+    keys, member, sizes = np.unique(group, return_inverse=True, return_counts=True)
+    starts = np.cumsum(sizes) - sizes
+    names = batch.continuous_features + batch.categorical_features
+    ncont = len(batch.continuous_features)
+    for j, column in enumerate([*values.T, *codes.T]):
+        missing = np.isnan(column) if j < ncont else column < 0
+        if missing.all():
+            raise ValidationError(
+                f"week {batch.week}: feature {names[j]!r} has no observed values to impute from"
+            )
+        if not missing.any():
+            continue
+        observed = np.bincount(member[~missing], minlength=len(keys))
+        if j < ncont:
+            ranked = column[np.lexsort((column, group))]
+            low = ranked[starts + (observed - 1) // 2]
+            high = ranked[starts + observed // 2]
+            fill = np.where(observed % 2 == 1, low, (low + high) / 2)
+            fallback = float(np.median(column[~missing]))
+        else:
+            width = len(batch.tokens[j - ncont])
+            counts = np.bincount(
+                member[~missing] * width + column[~missing], minlength=len(keys) * width
+            ).reshape(len(keys), width)
+            fill = counts.argmax(axis=1)
+            fallback = counts.sum(axis=0).argmax()
+        column[missing] = np.where(observed > 0, fill, fallback)[member[missing]]
+    return values, codes
+
+
+@st.composite
+def gappy_batches(draw):
+    """A batch and a keep mask: 1-12 participants, so that many groups hold
+    one row; values from a few repeated ones, ±0.0 among them; per column a
+    gap rate from none to all, so that some groups observe nothing and
+    some columns have no gap."""
+    n = draw(st.integers(1, 60))
+    n_cont, n_cat = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pids = [f"p{k}" for k in rng.integers(0, draw(st.integers(1, 12)), size=n)]
+    values = np.array([-0.0, 0.0, 1.0, 2.5, -3.0, 0.1, 7.0])
+    continuous = {}
+    for j in range(n_cont):
+        column = values[rng.integers(0, len(values), size=n)]
+        if draw(st.booleans()):
+            column = np.round(rng.normal(size=n), draw(st.integers(0, 3)))
+        column[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.6, 0.95]))] = np.nan
+        continuous[f"x{j}"] = column
+    categorical = {
+        f"c{j}": [
+            None if rng.random() < 0.4 else "abc"[t] for t in rng.integers(0, 3, size=n)
+        ]
+        for j in range(n_cat)
+    }
+    batch = WeeklyBatch.from_columns(
+        week=1,
+        participant_ids=pids,
+        days=["2019-04-01"] * n,
+        segments=rng.integers(0, 4, size=n),
+        continuous=continuous,
+        categorical=categorical,
+        labels={},
+    )
+    return batch, rng.random(n) < draw(st.sampled_from([1.0, 0.7]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(gappy_batches())
+def test_impute_equals_the_lexsort_impute(case):
+    batch, keep = case
+    try:
+        expected = impute_by_lexsort(batch, keep)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+            impute(batch, keep)
+        return
+    values, codes = impute(batch, keep)
+    # bit for bit: the sign of a zero median shows in the bytes
+    assert values.tobytes() == expected[0].tobytes()
+    assert np.array_equal(codes, expected[1])
+
+
+def test_impute_of_one_large_group_runs_in_linear_memory():
+    # one participant-segment holds 40,000 of the 42,000 rows, the others
+    # one or two rows each: blocks padded to the largest group would hold
+    # 1,000 x 40,000 x 2 values (640 MB); one block per group size holds
+    # each row once
+    rng = np.random.default_rng(9)
+    n = 42_000
+    pids = ["big"] * 40_000 + [f"p{k}" for k in rng.integers(0, 500, size=2_000)]
+    segments = np.r_[np.zeros(40_000, dtype=int), rng.integers(0, 4, size=2_000)]
+    continuous = {name: rng.normal(size=n) for name in ("x", "y")}
+    for column in continuous.values():
+        column[rng.random(n) < 0.3] = np.nan
+    batch = WeeklyBatch.from_columns(
+        week=1, participant_ids=pids, days=["2019-04-01"] * n, segments=segments,
+        continuous=continuous, categorical={}, labels={},
+    )
+    keep = np.ones(n, dtype=bool)
+    tracemalloc.start()
+    try:
+        impute(batch, keep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * batch.records.nbytes, f"peak {peak / 1e6:.1f} MB"
+
+
 # ---------------------------------------------------------------- one-hot
 
 
@@ -326,8 +445,8 @@ def test_vectorize_identical_records_equals_single_profile_projection():
     }
     records = [r for pid, prof in profiles.items() for r in week_records(pid, prof)]
     batch = batch_of(records)
-    pipeline = fit_pipeline(batch, variance_target=0.95)
-    pids, vectors, omitted = vectorize_week(batch, pipeline)
+    pipeline = fit_pipeline(batch, 0.95, clean(batch))
+    pids, vectors, omitted = vectorize_week(batch, pipeline, clean(batch))
     assert omitted == []
     assert pids == ["p0", "p1", "p2"]
 
@@ -346,8 +465,8 @@ def test_vectorize_identical_participants_identical_vectors():
         "p2", constant_profile(0.9, 0.1)
     )
     batch = batch_of(records)
-    pipeline = fit_pipeline(batch, variance_target=0.95)
-    _, vectors, _ = vectorize_week(batch, pipeline)
+    pipeline = fit_pipeline(batch, 0.95, clean(batch))
+    _, vectors, _ = vectorize_week(batch, pipeline, clean(batch))
     assert np.allclose(vectors[0], vectors[1])
 
 
@@ -362,8 +481,11 @@ def test_vectorize_affine_feature_rescale_absorbed():
 
     batch_a = batch_for(1.0, 0.0)
     batch_b = batch_for(2.0, 3.0)
-    _, vec_a, _ = vectorize_week(batch_a, fit_pipeline(batch_a, 0.95))
-    _, vec_b, _ = vectorize_week(batch_b, fit_pipeline(batch_b, 0.95))
+    vectors = []
+    for batch in (batch_a, batch_b):
+        cleaned = clean(batch)
+        vectors.append(vectorize_week(batch, fit_pipeline(batch, 0.95, cleaned), cleaned)[1])
+    vec_a, vec_b = vectors
     for a, b in zip(vec_a, vec_b):
         assert np.allclose(a, b, atol=1e-10)
 
@@ -373,11 +495,12 @@ def test_vectorize_unseen_category_encodes_zeros():
         week_records("p0", constant_profile(0.1, 0.2), cat_token="alpha")
         + week_records("p1", constant_profile(0.9, 0.8), cat_token="beta")
     )
-    pipeline = fit_pipeline(batch_of(records), variance_target=0.95)
+    first = batch_of(records)
+    pipeline = fit_pipeline(first, 0.95, clean(first))
     assert pipeline.vocabularies["ctx"] == ("alpha", "beta")
     later = week_records("p9", constant_profile(0.5, 0.5), cat_token="gamma", week=2)
     batch = batch_of(later, week=2)
-    _, vectors, omitted = vectorize_week(batch, pipeline)
+    _, vectors, omitted = vectorize_week(batch, pipeline, clean(batch))
     assert omitted == [] and len(vectors) == 1
 
 
@@ -388,9 +511,9 @@ def test_pipeline_json_round_trip():
         + week_records("p2", constant_profile(0.4, 0.3), cat_token="alpha")
     )
     batch = batch_of(records)
-    pipeline = fit_pipeline(batch, variance_target=0.9)
+    pipeline = fit_pipeline(batch, 0.9, clean(batch))
     restored = pipeline_from_json(pipeline_to_json(pipeline))
-    _, v1, _ = vectorize_week(batch, pipeline)
-    _, v2, _ = vectorize_week(batch, restored)
+    _, v1, _ = vectorize_week(batch, pipeline, clean(batch))
+    _, v2, _ = vectorize_week(batch, restored, clean(batch))
     for a, b in zip(v1, v2):
         assert np.array_equal(a, b)
