@@ -219,7 +219,7 @@ class LearnerConfig:
     forest_depth: int = _within(8, "[1, inf)")
     gbt_rounds: int = _within(100, "[1, inf)")
     gbt_depth: int = _within(3, "[1, inf)")
-    gbt_learning_rate: float = _within(0.1, "(0, inf)")
+    gbt_learning_rate: float = _within(0.1, "(0, 1]")  # shrinkage
 
     def __post_init__(self) -> None:
         _check_fields(self)

@@ -50,7 +50,6 @@ from .preprocess import (
     fit_pipeline,
     pipeline_from_json,
     pipeline_to_json,
-    remove_outliers,
     vectorize_week,
 )
 from . import reporting
@@ -117,15 +116,21 @@ def _week_of(point_id: str) -> int:
     return int(point_id.rpartition("|w")[2])
 
 
-def _check_batches(state: EngineState, batches: list[WeeklyBatch]) -> None:
+def _check_batches(state: EngineState, batches: list[WeeklyBatch]) -> list[tuple]:
     """Refuse the first batch that `step` would refuse, each after the ones
-    before it from ``state``: a week out of order or past ``MAX_WEEK``, an
-    empty batch, a score out of range or unlike the known one (one score
+    before it from ``state``; give each batch's pipeline and `clean` result,
+    which `step` uses. Refused are a week out of order or past ``MAX_WEEK``,
+    an empty batch, a score out of range or unlike the known one (one score
     labels all of a participant's points), a batch lacking a feature of the
-    pipeline (which a fresh state fits on its first batch), and a feature
-    that cleaning would find unobserved: a continuous one anywhere, or a
-    categorical one in a row that survives outlier removal."""
+    pipeline, a batch that cleaning refuses or, on a fresh state, whose
+    pipeline fit fails, and, once the generic set exists, a batch in which
+    no hold-out participant has a row that survives cleaning."""
     week, scores, pipeline = state.current_week, dict(state.scores), state.pipeline
+    holdout, generic = state.holdout, state.pool.generic is not None
+    threshold = state.config.score_threshold
+    # participants with points: the generic set's rows, read until it exists
+    with_points = set() if generic else set(map(_participant, state.registry.point_ids))
+    prepared = []
     for batch in batches:
         week += 1
         if batch.week != week:
@@ -144,18 +149,28 @@ def _check_batches(state: EngineState, batches: list[WeeklyBatch]) -> None:
                     f"week {week}: participant {pid} has score {score}, "
                     f"but an earlier week gave {scores[pid]}"
                 )
-        pipeline = pipeline or batch  # a fresh state fits its pipeline on this batch
-        missing = [n for n in pipeline.continuous_features if n not in batch.continuous_features]
-        missing += [n for n in pipeline.categorical_features if n not in batch.categorical_features]
+        wanted = pipeline or batch  # a fresh state fits its pipeline on this batch
+        missing = [n for n in wanted.continuous_features if n not in batch.continuous_features]
+        missing += [n for n in wanted.categorical_features if n not in batch.categorical_features]
         if missing:
             raise ValidationError(f"week {week}: batch lacks the pipeline's features {missing}")
-        blank = [n for n, b in zip(batch.continuous_features, np.isnan(batch.records).all(0)) if b]
-        tokenless = (batch.categories < 0).all(0)
-        # categorical gaps are filled only when some row survives outlier removal
-        if not blank and tokenless.any() and remove_outliers(batch).any():
-            blank = [n for n, b in zip(batch.categorical_features, tokenless) if b]
-        if blank:
-            raise ValidationError(f"week {week}: feature {blank[0]!r} has no observed values")
+        try:
+            cleaned = clean(batch)
+            pipeline = pipeline or fit_pipeline(batch, state.config.pca_variance_target, cleaned)
+        except ValidationError as exc:
+            raise ValidationError(f"week {week}: {exc}") from None
+        prepared.append((pipeline, cleaned))
+        codes = np.unique(batch.participants[cleaned[0]]).tolist()
+        kept = {batch.participant_ids[c] for c in codes}  # the participants `step` vectorizes
+        if not holdout and scores:
+            holdout = _pick_holdout(scores, state.config)
+        if not generic:  # `refresh_generic` fits once the training rows hold both labels
+            with_points |= kept
+            train = (with_points & scores.keys()) - holdout
+            generic = len({label_from_score(scores[p], threshold) for p in train}) == 2
+        if generic and kept.isdisjoint(holdout):
+            raise ValidationError(f"week {week}: empty hold-out: no hold-out row survives cleaning")
+    return prepared
 
 
 def _pick_holdout(scores: dict[str, int], config: EngineConfig) -> frozenset[str]:
@@ -204,21 +219,21 @@ def _refresh_side_by_side(
     return ModelPool(generic=generic.generic, specialized=sets), events + helper_events
 
 
-def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyReport]:
+def step(state: EngineState, batch: WeeklyBatch, checked=None) -> tuple[EngineState, WeeklyReport]:
     """Run one week: preprocess, cluster, refresh models (the generic and
     specialized sets side by side, see `_refresh_side_by_side`), vote,
-    evaluate."""
-    _check_batches(state, [batch])
+    evaluate. ``checked`` is the batch's `_check_batches` entry, when the
+    caller has checked it already."""
+    pipeline, cleaned = checked or _check_batches(state, [batch])[0]
 
     # the registry and the scores change in place; every other part is replaced
     st = replace(state, registry=state.registry.copy(), scores=dict(state.scores))
     week = batch.week
     events: list[str] = []
 
-    # one cleaning per batch; one pipeline, fitted at week 1, so that every point shares it
-    cleaned = clean(batch)
+    # one pipeline, fitted on week 1 by the check, so that every point shares it
     if st.pipeline is None:
-        st.pipeline = fit_pipeline(batch, st.config.pca_variance_target, cleaned)
+        st.pipeline = pipeline
         events.append(f"week {week}: preprocessing pipeline fitted")
 
     # this week's participants in id order, with their vectors and points
@@ -256,8 +271,6 @@ def step(state: EngineState, batch: WeeklyBatch) -> tuple[EngineState, WeeklyRep
     eval_rows: list[EvalRow] = []
     if st.pool.generic is not None:
         held = [pt for pt in week_points.values() if _participant(pt) in st.holdout]
-        if not held:
-            raise ValidationError(f"week {week}: empty hold-out, cannot evaluate")
         votes = dict(zip(week_points, vote(st.pool, X, list(assignments.values()))))
         eval_rows = evaluate_week(
             [label[_participant(pt)] for pt in held],
@@ -453,7 +466,7 @@ def run_replay(
     else:
         state = new_state(config_or_state)
 
-    _check_batches(state, batches)
+    checked = _check_batches(state, batches)
     out = Path(out_dir) if out_dir is not None else None
     if checkpoint_path is not None:
         ckpt = Path(checkpoint_path)
@@ -469,8 +482,8 @@ def run_replay(
         reporting.start_run_log(out, state.current_week, state.log_digests)
 
     reports: list[WeeklyReport] = []
-    for batch in batches:
-        state, report = step(state, batch)
+    for batch, prepared in zip(batches, checked):
+        state, report = step(state, batch, prepared)
         reports.append(report)
         if out is not None:
             reporting.write_weekly_report(out, report)

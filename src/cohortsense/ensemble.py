@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +24,6 @@ from .learners import (
 )
 from .learners.base import KIND_ORDER, ModelKind, derive_seed
 from .learners.sampling import minority_search
-
-log = logging.getLogger(__name__)
 
 GENERIC_SCOPE = "generic"
 
@@ -136,17 +133,15 @@ def refresh_generic(
 ) -> tuple[ModelPool, list[str]]:
     """Retrain the generic set on the cumulative labeled rows.
 
-    Single-class data leaves the pool untouched (warning logged): there is
-    nothing a binary classifier can learn from it yet.
+    Single-class data leaves the pool untouched, with a run-log event: there
+    is nothing a binary classifier can learn from it yet.
     """
     labels = set(rows.labels.tolist())
     if labels != {0, 1}:
-        message = (
+        return pool, [
             f"week {week}: generic refresh skipped, cumulative data is "
             f"single-class ({sorted(labels)})"
-        )
-        log.warning(message)
-        return pool, [message]
+        ]
     model_set, events = _fit_set(GENERIC_SCOPE, rows, config, seed)
     return ModelPool(generic=model_set, specialized=dict(pool.specialized)), events
 

@@ -58,9 +58,7 @@ def impute(batch: WeeklyBatch, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray
     missing = np.concatenate([np.isnan(values), codes < 0], axis=1)
     blank = np.flatnonzero(missing.all(axis=0))
     if blank.size:
-        raise ValidationError(
-            f"week {batch.week}: feature {names[blank[0]]!r} has no observed values to impute from"
-        )
+        raise ValidationError(f"feature {names[blank[0]]!r} has no observed values")
     ncont = values.shape[1]
     gappy = np.flatnonzero(missing[:, :ncont].any(axis=0))
     x, holes = values[:, gappy], missing[:, gappy]
@@ -233,9 +231,7 @@ def fit_pipeline(batch: WeeklyBatch, variance_target: float, cleaned: tuple) -> 
     """Freeze vocabulary, scaler, and projection on a batch, given its `clean` result."""
     keep, values, codes = cleaned
     if not keep.any():
-        raise ValidationError(
-            f"week {batch.week}: cannot fit the preprocessing pipeline on an empty batch"
-        )
+        raise ValidationError("cannot fit the preprocessing pipeline on an empty batch")
     vocabularies = {
         name: tuple(batch.tokens[j][c] for c in np.unique(codes[:, j]).tolist())
         for j, name in enumerate(batch.categorical_features)
@@ -245,15 +241,11 @@ def fit_pipeline(batch: WeeklyBatch, variance_target: float, cleaned: tuple) -> 
     )
     scaler = scaler_fit(matrix)
     scaled = scaler_apply(scaler, matrix)
-    try:
-        projector = pca_fit(scaled, variance_target)
-    except ValidationError as exc:
-        raise ValidationError(f"week {batch.week}: {exc}") from None
     return FittedPipeline(
         continuous_features=batch.continuous_features,
         vocabularies=vocabularies,
         scaler=scaler,
-        projector=projector,
+        projector=pca_fit(scaled, variance_target),
     )
 
 

@@ -315,6 +315,46 @@ def test_replay_out_of_range_config_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "holdout_fraction" in err
 
 
+def test_replay_gbt_learning_rate_above_one_exits_one(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "out"
+    plan_path, config_path = tmp_path / "plan.json", tmp_path / "config.json"
+    write_tiny_plan(plan_path, weeks=1)
+    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+    config = {"learners": {"gbt_learning_rate": 1e300}}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    code = main(
+        ["replay", "--config", str(config_path), "--data-dir", str(data), "--out-dir", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: gbt_learning_rate must lie in (0, 1], got 1e+300\n"
+    assert not out.exists()
+
+
+def test_replay_of_single_class_weeks_writes_one_line_to_stderr(tmp_path, capsys):
+    # every participant below the threshold: each week skips the generic refresh
+    data, out = tmp_path / "data", tmp_path / "out"
+    plan_path, config_path = tmp_path / "plan.json", tmp_path / "config.json"
+    write_tiny_plan(plan_path, weeks=2)
+    config_path.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
+    main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
+
+    def low_scores(rows):
+        for row in rows[1:]:
+            row[rows[0].index("score")] = "12"
+
+    _edit_csv(data / "labels.csv", low_scores)
+    capsys.readouterr()
+    code = main(
+        ["replay", "--config", str(config_path), "--data-dir", str(data), "--out-dir", str(out)]
+    )
+    assert code == 0
+    assert capsys.readouterr().err == f"replayed 2 weeks into {out}\n"
+    log = (out / "runlog.jsonl").read_text(encoding="utf-8")
+    assert log.count("generic refresh skipped") == 2
+
+
 @pytest.mark.parametrize("knob", ["logreg_iterations", "logreg_step", "svm_epochs"])
 def test_replay_config_naming_a_logreg_descent_knob_exits_one(tmp_path, capsys, knob):
     # both linear kinds train by Newton's method: the descent knobs are unknown keys

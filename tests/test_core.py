@@ -109,6 +109,8 @@ def test_config_validation():
         (LearnerConfig, {"svm_l2": 0.0}),
         (LearnerConfig, {"gbt_learning_rate": "fast"}),
         (LearnerConfig, {"gbt_rounds": False}),
+        (LearnerConfig, {"gbt_learning_rate": 1e300}),
+        (LearnerConfig, {"gbt_learning_rate": 1.5}),
     ],
 )
 def test_config_rejects_out_of_range_values_and_wrong_types(make, kwargs):

@@ -30,6 +30,7 @@ from cohortsense.engine import (
     step,
 )
 from cohortsense.learners.base import derive_seed
+from cohortsense.preprocess import remove_outliers
 from cohortsense.synthgen import (
     CohortPlan,
     build_default_profiles,
@@ -899,6 +900,55 @@ def _changed_score(b):
     return [b[0], dataclasses.replace(b[1], labels={pid: changed})], message
 
 
+def _rows(batch, keep):
+    """``batch`` with the rows that the mask ``keep`` selects, and their participants."""
+    table, participants = np.unique(batch.participants[keep], return_inverse=True)
+    ids = tuple(batch.participant_ids[c] for c in table.tolist())
+    return dataclasses.replace(
+        batch,
+        participant_ids=ids,
+        participants=participants,
+        days=batch.days[keep],
+        segments=batch.segments[keep],
+        records=batch.records[keep],
+        categories=batch.categories[keep],
+        labels={pid: s for pid, s in batch.labels.items() if pid in ids},
+    )
+
+
+def _observed_in_an_outlier_only(b):
+    """Weeks 1-3, week 3's second continuous feature observed only in the
+    row that is the one outlier of its first."""
+    records = b[2].records.copy()
+    records[:, 1] = np.nan
+    records[0, :2] = 1e9, 5.0
+    week_3 = dataclasses.replace(b[2], records=records)
+    assert not remove_outliers(week_3)[0]
+    name = b[2].continuous_features[1]
+    return [b[0], b[1], week_3], f"week 3: feature {name!r} has no observed values"
+
+
+def _without_the_holdout(b):
+    """Weeks 1-3, week 3 without the rows of the hold-out that week 1's scores fix."""
+    held = engine._pick_holdout(b[0].labels, FAST_CONFIG)
+    codes = [c for c, pid in enumerate(b[2].participant_ids) if pid in held]
+    assert codes
+    week_3 = _rows(b[2], ~np.isin(b[2].participants, codes))
+    return [b[0], b[1], week_3], EMPTY_HOLDOUT
+
+
+def _all_outliers(b):
+    """Weeks 1-3, week 3's row i an outlier of continuous feature i mod d."""
+    records = b[2].records.copy()
+    rows = np.arange(len(records))
+    records[rows, rows % records.shape[1]] = 1e9
+    week_3 = dataclasses.replace(b[2], records=records)
+    assert not remove_outliers(week_3).any()
+    return [b[0], b[1], week_3], EMPTY_HOLDOUT
+
+
+EMPTY_HOLDOUT = "week 3: empty hold-out: no hold-out row survives cleaning"
+
 # each case gives a run of weeks whose last batch breaks one rule of the batch
 # check, and the start of the message that refuses it
 RULE_BREAKING = {
@@ -924,6 +974,13 @@ RULE_BREAKING = {
     "a tokenless categorical column": lambda b: (
         [b[0], _blanked(b[1], "categories", 0)],
         f"week 2: feature {b[1].categorical_features[0]!r} has no observed values",
+    ),
+    "a week-3 feature observed in an outlier row only": _observed_in_an_outlier_only,
+    "a week 3 without hold-out rows": _without_the_holdout,
+    "a week 3 of outliers only": _all_outliers,
+    "a week 1 of one participant": lambda b: (
+        [_rows(b[0], b[0].participants == 0)],
+        "week 1: PCA needs a matrix with >= 2 rows",
     ),
 }
 
@@ -973,7 +1030,7 @@ def test_cleaning_errors_that_step_reaches_name_the_week():
     lone = [(*row[:3], dict(row[3], a=1.0, b=None), row[4]) for row in week_one]
     lone[0] = (*lone[0][:3], dict(lone[0][3], a=100.0, b=5.0), lone[0][4])
     with pytest.raises(
-        ValidationError, match="^week 3: feature 'b' has no observed values to impute from$"
+        ValidationError, match="^week 3: feature 'b' has no observed values$"
     ):
         step(state, batch_of(lone, week=3))
 
@@ -1004,6 +1061,51 @@ def test_a_feature_with_no_observed_value_is_refused_only_where_cleaning_refuses
     blank = [(*row[:3], dict(row[3], b=None), row[4]) for row in kept]
     with pytest.raises(ValidationError, match="week 2: feature 'b' has no observed values"):
         step(state, batch_of(blank, week=2))
+
+
+def test_a_replay_cleans_each_batch_once_and_fits_the_pipeline_once(tmp_path, mini_batches):
+    calls = {"clean": 0, "fit_pipeline": 0}
+
+    def counted(name):
+        real = getattr(engine, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    ckpt = tmp_path / "week_1.csk"
+    with mock.patch.object(engine, "clean", counted("clean")), mock.patch.object(
+        engine, "fit_pipeline", counted("fit_pipeline")
+    ):
+        _, state = run_replay(FAST_CONFIG, mini_batches[:1], checkpoint_path=ckpt)
+        assert calls == {"clean": 1, "fit_pipeline": 1}
+        calls.update(clean=0, fit_pipeline=0)
+        run_replay(FAST_CONFIG, mini_batches)
+        assert calls == {"clean": len(mini_batches), "fit_pipeline": 1}
+        calls.update(clean=0, fit_pipeline=0)
+        run_replay(load(ckpt), mini_batches[1:])
+        assert calls == {"clean": len(mini_batches) - 1, "fit_pipeline": 0}
+        calls.update(clean=0, fit_pipeline=0)
+        step(state, mini_batches[1])
+        assert calls == {"clean": 1, "fit_pipeline": 0}
+
+
+def test_a_skipped_generic_refresh_is_one_run_log_event_and_no_log_record(
+    mini_batches, caplog
+):
+    # week 1 scores only the participants below the threshold, so its
+    # training rows hold one class
+    week_1 = mini_batches[0]
+    low = {pid: s for pid, s in week_1.labels.items() if s < FAST_CONFIG.score_threshold}
+    batches = [dataclasses.replace(week_1, labels=low), mini_batches[1]]
+    reports, state = run_replay(FAST_CONFIG, batches)
+    skipped = [e for e in reports[0].events if "generic refresh skipped" in e]
+    assert skipped == ["week 1: generic refresh skipped, cumulative data is single-class ([0])"]
+    assert not any("generic refresh skipped" in e for e in reports[1].events)
+    assert state.pool.generic is not None
+    assert [r for r in caplog.records if r.name.startswith("cohortsense")] == []
 
 
 def test_resumed_replay_same_files_as_straight(tmp_path, profiles):
@@ -1073,10 +1175,10 @@ def _step_until(boundary: int):
     """`step` that stops the replay at week boundary + 1, after the files
     and checkpoint of week boundary are written."""
 
-    def stepped(state, batch):
+    def stepped(state, batch, checked=None):
         if batch.week > boundary:
             raise Interrupted
-        return step(state, batch)
+        return step(state, batch, checked)
 
     return stepped
 

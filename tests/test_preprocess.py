@@ -195,9 +195,7 @@ def impute_by_lexsort(batch, keep):
     for j, column in enumerate([*values.T, *codes.T]):
         missing = np.isnan(column) if j < ncont else column < 0
         if missing.all():
-            raise ValidationError(
-                f"week {batch.week}: feature {names[j]!r} has no observed values to impute from"
-            )
+            raise ValidationError(f"feature {names[j]!r} has no observed values")
         if not missing.any():
             continue
         observed = np.bincount(member[~missing], minlength=len(keys))
