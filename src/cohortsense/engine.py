@@ -54,7 +54,7 @@ from .preprocess import (
 )
 from . import reporting
 
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -299,7 +299,9 @@ def save(state: EngineState, path: str | Path) -> Path:
     Each point's vector is stored once, in the registry, under its point id;
     its label is derived from its participant's score, and its cohort in
     the last snapshot is one entry of the registry's ``prev_memberships``,
-    a label or null per registry row. ``log_digests`` holds each run
+    a label or null per registry row. Each tree of a forest or GBT model
+    is one list of its nodes in pre-order (`trees.NodeTable`), about half
+    the text of one JSON object per node. ``log_digests`` holds each run
     log's hash chain through the current week, which a resume checks the
     logs it keeps against (`reporting.start_run_log`). The payload is
     deflated at level 7 with zlib's filtered strategy, which prefers
@@ -371,7 +373,9 @@ def load(path: str | Path) -> EngineState:
     try:
         state = _state_from_json(doc)
         written = _state_to_json(state)
-    except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
+    except (
+        KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError
+    ) as exc:
         raise CheckpointError(
             f"malformed checkpoint {path}: {type(exc).__name__}: {exc}"
         ) from exc

@@ -106,6 +106,12 @@ class NodeTable:
 
     ``roots`` holds the index of each tree's root; child ids index the
     table itself, so prediction walks every tree at once.
+
+    Saved, each tree is one list of its nodes in pre-order, each node
+    followed by its left subtree and then its right subtree: a split is
+    the list ``[feature, threshold]`` and a leaf is its value, so a stump
+    is ``[[0, 0.35], 1.0, 0.0]`` and a single leaf ``[1.0]``. A loaded
+    table numbers its nodes in that order, tree after tree.
     """
 
     roots: np.ndarray  # (n_trees,) int
@@ -147,48 +153,63 @@ class NodeTable:
         if not np.isfinite(self.value[~split]).all():
             raise ValidationError("tree leaf value is not finite")
 
-    def to_json(self) -> list[dict]:
+    def to_json(self) -> list[list]:
         feature, threshold, left, right, value = (
             a.tolist() for a in (self.feature, self.threshold, self.left, self.right, self.value)
         )
-
-        def node(i: int) -> dict:
-            if left[i] < 0:
-                return {"leaf": value[i]}
-            return {
-                "feature": feature[i],
-                "threshold": threshold[i],
-                "left": node(left[i]),
-                "right": node(right[i]),
-            }
-
-        return [node(r) for r in self.roots.tolist()]
+        trees = []
+        for root in self.roots.tolist():
+            tree, stack = [], [root]
+            while stack:
+                i = stack.pop()
+                if left[i] < 0:
+                    tree.append(value[i])
+                else:
+                    tree.append([feature[i], threshold[i]])
+                    stack += (right[i], left[i])
+            trees.append(tree)
+        return trees
 
     @classmethod
-    def from_json(cls, docs: list[dict]) -> "NodeTable":
+    def from_json(cls, trees: list[list]) -> "NodeTable":
+        if not isinstance(trees, list):
+            raise ValueError("trees are not a list")
+        roots: list[int] = []
         feature: list[int] = []
         threshold: list[float] = []
         left: list[int] = []
         right: list[int] = []
         value: list[float] = []
-
-        def build(node: dict) -> int:
-            i = len(feature)
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(0.0)
-            if "leaf" in node:
-                value[i] = float(node["leaf"])
+        for tree in trees:
+            if not isinstance(tree, list) or not tree:
+                raise ValueError("a tree is not a nonempty list of nodes")
+            roots.append(len(feature))
+            open_splits = []  # splits whose left subtree is not yet complete
+            for n, entry in enumerate(tree, start=1):
+                i = len(feature)
+                if isinstance(entry, list):
+                    if len(entry) != 2:
+                        raise ValueError(f"tree split {entry!r} is not [feature, threshold]")
+                    feature.append(int(entry[0]))
+                    threshold.append(float(entry[1]))
+                    left.append(i + 1)
+                    right.append(-1)
+                    value.append(0.0)
+                    open_splits.append(i)
+                    continue
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+                value.append(float(entry))
+                if open_splits:  # the next node starts that split's right subtree
+                    right[open_splits.pop()] = i + 1
+                elif n < len(tree):
+                    raise ValueError("tree has nodes after its last leaf")
+                else:
+                    break
             else:
-                feature[i] = int(node["feature"])
-                threshold[i] = float(node["threshold"])
-                left[i] = build(node["left"])
-                right[i] = build(node["right"])
-            return i
-
-        roots = [build(doc) for doc in docs]
+                raise ValueError("tree ends before its last leaf")
         return cls(
             roots=np.array(roots, dtype=np.int64),
             feature=np.array(feature, dtype=np.int64),

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+from nested_trees import nested_doc
 from planted import FIXTURE_SEED, build_planted_fixture
 
 from cohortsense import engine, reporting
@@ -164,6 +165,10 @@ TEN_WEEKS = {
     10: "6a4583219fd2830d8207f3063d034474484204c535ffbc92225768f221488732",
 }
 TEN_WEEK_CHECKPOINT = "0315270bf4f90975dcc086fd24e6e546adc219c17eede88d59b6777c1f1a0eb9"
+# The checkpoint pin above hashes the payload of schema version 2, whose
+# trees were nested dicts: the test lays the payload out so. This one, of
+# version 3, hashes it as `save` writes it, each tree one pre-order list.
+TEN_WEEK_CHECKPOINT_PREORDER = "e70b66c2946b464a8be4ebf280f869deb7c590f3d4280145399fdfbb635569b6"
 
 
 def test_the_ten_weeks_write_the_pinned_files_and_checkpoint(default_replay, tmp_path):
@@ -184,8 +189,11 @@ def test_the_ten_weeks_write_the_pinned_files_and_checkpoint(default_replay, tmp
             h.update(name.encode() + b"\0" + data + b"\0")
         digests[week] = h.hexdigest()
     assert digests == TEN_WEEKS
-    payload = engine._payload(engine._state_to_json(state))
-    assert hashlib.sha256(payload).hexdigest() == TEN_WEEK_CHECKPOINT
+    doc = engine._state_to_json(state)
+    version_2 = engine._payload(nested_doc(dict(doc, schema_version=2)))
+    assert hashlib.sha256(version_2).hexdigest() == TEN_WEEK_CHECKPOINT
+    payload = engine._payload(doc)
+    assert hashlib.sha256(payload).hexdigest() == TEN_WEEK_CHECKPOINT_PREORDER
 
 
 def test_criterion_3_group_based_beats_generic(planted_replay):

@@ -25,7 +25,10 @@ values the program can work out or never reads went: the pipeline's
 `categorical_features` (its vocabularies' keys) and
 `pca_explained_variance_ratio`, and the registry's `next_label_index`
 (fresh labels number on from those in use); with those keys deleted, the
-earlier documents hash to the new digests. The four charts
+earlier documents hash to the new digests. When each tree came to be
+one pre-order list (version 3), the checkpoint digest was kept: the test
+lays the trees out as nested dicts again and sets the version to 2, and
+the version-3 document's own digest is pinned beside it. The four charts
 have their own digest, recorded before `summary.csv` came to be appended
 week by week.
 """
@@ -42,6 +45,7 @@ from cohortsense.preprocess import clean, fit_pipeline, pipeline_to_json, vector
 from cohortsense.synthgen import CohortPlan, build_default_profiles, generate_cohort
 
 from columns import batch_of
+from nested_trees import nested_doc
 
 SEGMENTS = ("night", "morning", "afternoon", "evening")
 
@@ -120,6 +124,7 @@ DIGESTS = {
     # every output file, then the checkpoint JSON with its GBT models removed
     "replay/files": "ab7366fe526db8c7a25cf4a35246a345881cf8f7c5542193e2fa6b187f6a628d",
     "replay/checkpoint_without_gbt": "750737123f3d4af1729ce2b0717280b3256d560e97b52a0098d55250f54698e4",
+    "replay/checkpoint_without_gbt/preorder": "7490463fdab79f4e39fa98f0fadce0f661f8bc89cd6ce24a5212d2275036aeac",
     # the four `--plot` charts of the same replay
     "replay/charts": "9f38c82c7f1c4e9cc43ce60a6d637b9be25290b77cfa31692f4e55accfdcdabd",
 }
@@ -207,4 +212,6 @@ def test_replay_writes_the_pinned_files(tmp_path):
         del model_set["models"]["gbt"]
     assert files.hexdigest() == DIGESTS["replay/files"]
     assert charts.hexdigest() == DIGESTS["replay/charts"]
-    assert sha(state) == DIGESTS["replay/checkpoint_without_gbt"]
+    version_2 = nested_doc(dict(state, schema_version=2))
+    assert sha(version_2) == DIGESTS["replay/checkpoint_without_gbt"]
+    assert sha(state) == DIGESTS["replay/checkpoint_without_gbt/preorder"]

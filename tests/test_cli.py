@@ -16,7 +16,8 @@ from cohortsense.engine import CHECKPOINT_SCHEMA_VERSION
 from cohortsense.synthgen import FEATURES, CohortPlan
 
 from gzipped import write_gzip
-from test_engine import as_float, first_split, generic_models, leaf_as_int
+from nested_trees import nested_doc
+from test_engine import SPLIT_FEATURE, as_float, first_split, generic_models, leaf_as_int
 
 
 def tiny_plan(weeks=3, per_group=12):
@@ -616,12 +617,23 @@ def resume_edited_checkpoint(tmp_path, capsys, edit, out="out") -> tuple[int, st
 
 def test_replay_resume_checkpoint_with_out_of_range_split_exits_one(tmp_path, capsys):
     def edit(doc):
-        trees = doc["pool"]["generic"]["models"]["random_forest"]["trees"]
-        next(t for t in trees if "feature" in t)["feature"] = 99
+        first_split(generic_models(doc)["random_forest"]["trees"])[SPLIT_FEATURE] = 99
 
     code, err = resume_edited_checkpoint(tmp_path, capsys, edit)
     assert code == 1
     assert err.startswith("error:") and "feature 99" in err and "Traceback" not in err
+
+
+def test_replay_resume_checkpoint_with_a_truncated_tree_exits_one(tmp_path, capsys):
+    def edit(doc):
+        trees = generic_models(doc)["gbt"]["trees"]
+        next(tree for tree in trees if len(tree) > 1).pop()
+
+    code, err = resume_edited_checkpoint(tmp_path, capsys, edit, out="resumed")
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: malformed checkpoint")
+    assert "tree ends before its last leaf" in err
+    assert not (tmp_path / "resumed").exists()
 
 
 def test_replay_resume_checkpoint_with_a_nan_svm_bias_exits_one(tmp_path, capsys):
@@ -653,6 +665,11 @@ def id_lists(doc):
     registry["prev_memberships"] = cohorts
 
 
+def version_2_trees(doc):
+    """Lay out ``doc`` as version 2 did: each tree nested dicts, one per node."""
+    doc.update(nested_doc(doc), schema_version=2)
+
+
 def nested_tags(doc):
     """Lay out ``doc`` as version 1 did: the pipeline and every model tagged
     with a schema version of its own, and every model with its kind."""
@@ -673,10 +690,11 @@ def nested_tags(doc):
         (lambda doc: doc["config"].update(refit_every_n_weeks=0), "refit_every_n_weeks"),
         (lambda doc: doc["config"]["learners"].update(logreg_iterations=80), "logreg_iterations"),
         (nested_tags, "schema version 1"),
+        (version_2_trees, "schema version 2"),
         (lambda doc: doc["registry"].update(cohort_ids=["G1"]), "registry differ"),
         (lambda doc: as_float(doc["pool"]["generic"], "input_dim"), "pool differ"),
         (lambda doc: as_float(doc["registry"], "min_pts_floor"), "registry differ"),
-        (lambda doc: as_float(first_split(generic_models(doc)["gbt"]["trees"]), "feature"), "pool differ"),
+        (lambda doc: as_float(first_split(generic_models(doc)["gbt"]["trees"]), SPLIT_FEATURE), "pool differ"),
         (lambda doc: leaf_as_int(generic_models(doc)["random_forest"]["trees"]), "pool differ"),
         # keys that checkpoints held before the program came to work them out
         (lambda doc: doc["registry"].update(next_label_index=4), "registry differ"),
@@ -685,8 +703,8 @@ def nested_tags(doc):
     ],
     ids=[
         "unedited", "no log digests", "id-list memberships", "refit cadence", "descent knob",
-        "version 1 with the nested tags", "unknown registry key", "input_dim as float",
-        "min_pts_floor as float", "gbt split feature as float", "forest leaf 0.0 as int",
+        "version 1 with the nested tags", "version 2 with nested trees", "unknown registry key",
+        "input_dim as float", "min_pts_floor as float", "gbt split feature as float", "forest leaf 0.0 as int",
         "stored next label index", "stored categorical features", "stored pca variance ratios",
     ],
 )

@@ -29,7 +29,9 @@ from cohortsense.engine import (
     save,
     step,
 )
+from cohortsense.learners import ModelKind
 from cohortsense.learners.base import derive_seed
+from cohortsense.learners.trees import GBTModel, NodeTable
 from cohortsense.preprocess import remove_outliers
 from cohortsense.synthgen import (
     CohortPlan,
@@ -404,10 +406,8 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
     nan, inf = float("nan"), float("inf")
     logreg_weights = generic["models"]["logreg"]["weights"]
     forest_trees = json.loads(json.dumps(generic["models"]["random_forest"]["trees"]))
-    node = forest_trees[0]
-    while "leaf" not in node:
-        node = node["left"]
-    node["leaf"] = nan
+    tree, leaf = next((t, i) for t, i in tree_nodes(forest_trees) if not is_split(t[i]))
+    tree[leaf] = nan
 
     broken = [
         ("scores", dict(good["scores"], **{pid: 41})),
@@ -547,34 +547,76 @@ def test_a_resume_into_logs_that_are_not_the_checkpoint_s_writes_nothing(
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_checkpoint_tree_too_deep_to_read_is_checkpoint_error(
-    tmp_path, mini_batches, monkeypatch
-):
-    # a GBT tree 300 splits deep, which the JSON parser reads, while the
-    # recursive tree reader has 100 frames to spare
+def test_a_checkpoint_tree_5000_splits_deep_saves_and_loads(tmp_path, mini_batches):
+    # split i sends x <= i to a leaf 0.0 and the rest on down the chain;
+    # neither the tree writer nor its reader recurses
+    chain = [entry for i in range(5000) for entry in ([0, float(i)], 0.0)] + [1.0]
+    deep = GBTModel(init_score=-0.5, learning_rate=0.1, nodes=NodeTable.from_json([chain]))
     state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
+    state.pool.generic.models[ModelKind.GBT] = deep
     path = tmp_path / "state.csk"
-    save(state, path)
-    doc = json.loads(gzip.open(path, "rb").read())
-    doc["pool"]["generic"]["models"]["gbt"]["trees"] = ["DEEP"]
-    split = '{"feature": 0, "threshold": 0.0, "right": {"leaf": 1.0}, "left": '
-    tree = split * 300 + '{"leaf": 0.0}' + "}" * 300
-    write_gzip(path, json.dumps(doc).replace('"DEEP"', tree))
-    read_pool = engine.pool_from_json
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        save(state, path)
+        loaded = load(path).pool.generic.models[ModelKind.GBT]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert loaded.to_json() == deep.to_json()
+    X = np.array([[6000.0, 0.0], [4999.5, 0.0], [4998.5, 0.0], [70.0, 0.0], [-1.0, 0.0]])
+    assert loaded.nodes.leaves(X)[:, 0].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
+    assert np.array_equal(loaded.decision_scores(X), deep.decision_scores(X))
 
-    def with_little_stack(pool_doc):
-        limit, depth, frame = sys.getrecursionlimit(), 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
-        sys.setrecursionlimit(depth + 100)
-        try:
-            return read_pool(pool_doc)
-        finally:
-            sys.setrecursionlimit(limit)
 
-    monkeypatch.setattr(engine, "pool_from_json", with_little_stack)
-    with pytest.raises(CheckpointError, match="malformed checkpoint .*RecursionError"):
+def test_checkpoint_nested_too_deep_to_read_is_checkpoint_error(tmp_path, week_one_doc):
+    # lists nested past the JSON parser's recursion limit, outside any tree
+    doc = dict(week_one_doc, registry=dict(week_one_doc["registry"], vectors="DEEP"))
+    path = tmp_path / "state.csk"
+    write_gzip(path, json.dumps(doc).replace('"DEEP"', "[" * 100_000 + "]" * 100_000))
+    with pytest.raises(CheckpointError, match="cannot read checkpoint .*recursion"):
         load(path)
+
+
+def malformed_trees(trees: list[list]):
+    """(name, trees) for each fault the tree reader refuses; ``trees`` is
+    left as it is."""
+    i = next(i for i, tree in enumerate(trees) if len(tree) > 1)
+    tree = trees[i]
+    (feature, threshold), leaf = tree[0], next(j for j, e in enumerate(tree) if not is_split(e))
+
+    def with_tree(new) -> list:
+        return [*trees[:i], new, *trees[i + 1 :]]
+
+    def with_node(j: int, entry) -> list:
+        return with_tree([*tree[:j], entry, *tree[j + 1 :]])
+
+    yield "trees not a list", {"0": tree}
+    yield "a tree not a list", with_tree(1.0)
+    yield "empty tree", with_tree([])
+    yield "split of one entry", with_node(0, [feature])
+    yield "split as an object", with_node(0, {"feature": feature, "threshold": threshold})
+    yield "tree ends before its last leaf", with_tree(tree[:-1])
+    yield "nodes after the last leaf", with_tree([*tree, 0.0])
+    yield "string leaf", with_node(leaf, "x")
+    yield "null leaf", with_node(leaf, None)
+    yield "infinite feature", with_node(0, [float("inf"), threshold])
+    yield "feature past int64", with_node(0, [2**64, threshold])
+
+
+@pytest.mark.parametrize("kind", ["random_forest", "gbt"])
+def test_checkpoint_malformed_tree_is_checkpoint_error(tmp_path, week_one_doc, kind):
+    path = tmp_path / "state.csk"
+    for name, trees in malformed_trees(generic_models(week_one_doc)[kind]["trees"]):
+        doc = json.loads(json.dumps(week_one_doc))
+        generic_models(doc)[kind]["trees"] = trees
+        write_gzip(path, doc)
+        with pytest.raises(CheckpointError, match="malformed checkpoint"):
+            load(path)
+            pytest.fail(f"{name} loaded")
+    write_gzip(path, week_one_doc)
+    assert load(path).pool.generic.models[ModelKind(kind)].to_json() == generic_models(
+        week_one_doc
+    )[kind]
 
 
 @pytest.mark.parametrize(
@@ -597,23 +639,30 @@ def test_checkpoint_config_is_read_as_a_config_file_is(tmp_path, mini_batches, c
         load(path)
 
 
-def tree_nodes(trees: list[dict]):
-    """Every node of a model's serialized trees, each tree's root first."""
-    stack = list(reversed(trees))
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node[side] for side in ("right", "left") if side in node)
+# a saved split is the list [feature, threshold]
+SPLIT_FEATURE, SPLIT_THRESHOLD = 0, 1
 
 
-def first_split(trees: list[dict]) -> dict:
-    """The first internal node of a model's serialized trees."""
-    return next(node for node in tree_nodes(trees) if "feature" in node)
+def tree_nodes(trees: list[list]):
+    """(tree, index) of every node of a model's serialized trees, each
+    tree's nodes in pre-order, its root first."""
+    for tree in trees:
+        for i in range(len(tree)):
+            yield tree, i
 
 
-def as_float(mapping: dict, key: str) -> None:
-    """Store the whole number ``mapping[key]`` as the equal float."""
-    mapping[key] = float(mapping[key])
+def is_split(entry) -> bool:
+    return isinstance(entry, list)
+
+
+def first_split(trees: list[list]) -> list:
+    """The first split, ``[feature, threshold]``, of a model's serialized trees."""
+    return next(tree[i] for tree, i in tree_nodes(trees) if is_split(tree[i]))
+
+
+def as_float(doc, key) -> None:
+    """Store the whole number ``doc[key]`` as the equal float."""
+    doc[key] = float(doc[key])
 
 
 def reverse_keys(doc: dict) -> None:
@@ -623,17 +672,18 @@ def reverse_keys(doc: dict) -> None:
     doc.update(items)
 
 
-def leaf_as_int(trees: list[dict]) -> None:
+def leaf_as_int(trees: list[list]) -> None:
     """Store the first leaf of 0.0 in ``trees`` as the int 0."""
-    next(node for node in tree_nodes(trees) if node.get("leaf") == 0.0)["leaf"] = 0
+    tree, leaf = next((t, i) for t, i in tree_nodes(trees) if not is_split(t[i]) and t[i] == 0.0)
+    tree[leaf] = 0
 
 
 def misfit_models(good: dict, dim: int):
     """Checkpoints whose generic set holds a model that cannot read its vectors."""
 
-    def tree_split(kind, **change):
+    def tree_split(kind, index, value):
         doc = json.loads(json.dumps(good))
-        first_split(doc["pool"]["generic"]["models"][kind]["trees"]).update(change)
+        first_split(doc["pool"]["generic"]["models"][kind]["trees"])[index] = value
         return doc
 
     def weights(kind, values):
@@ -641,11 +691,11 @@ def misfit_models(good: dict, dim: int):
         doc["pool"]["generic"]["models"][kind]["weights"] = values
         return doc
 
-    yield "forest feature", tree_split("random_forest", feature=99)
-    yield "forest feature at input_dim", tree_split("random_forest", feature=dim)
-    yield "negative feature", tree_split("gbt", feature=-1)
-    yield "NaN threshold", tree_split("random_forest", threshold=float("nan"))
-    yield "infinite threshold", tree_split("gbt", threshold=float("inf"))
+    yield "forest feature", tree_split("random_forest", SPLIT_FEATURE, 99)
+    yield "forest feature at input_dim", tree_split("random_forest", SPLIT_FEATURE, dim)
+    yield "negative feature", tree_split("gbt", SPLIT_FEATURE, -1)
+    yield "NaN threshold", tree_split("random_forest", SPLIT_THRESHOLD, float("nan"))
+    yield "infinite threshold", tree_split("gbt", SPLIT_THRESHOLD, float("inf"))
     yield "long weights", weights("logreg", [0.5] * (dim + 1))
     yield "short weights", weights("linear_svm", [0.5] * (dim - 1))
 
@@ -685,9 +735,10 @@ def generic_models(doc: dict) -> dict:
         (lambda doc: doc["registry"].update(cohort_ids=["G1", "G2", "G3"]), "registry differ"),
         (lambda doc: doc["pool"].update(min_cohort_size=15), "pool differ"),
         (lambda doc: generic_models(doc)["gbt"].update(train_log_loss=0.5), "pool differ"),
+        # a split holds its feature and threshold only
         (
-            lambda doc: first_split(generic_models(doc)["random_forest"]["trees"]).update(gain=1),
-            "pool differ",
+            lambda doc: first_split(generic_models(doc)["random_forest"]["trees"]).append(1),
+            r"malformed checkpoint .*is not \[feature, threshold\]",
         ),
         (
             lambda doc: generic_models(doc).update(random_forest=generic_models(doc)["gbt"]),
@@ -700,7 +751,7 @@ def generic_models(doc: dict) -> dict:
         # equal numbers of another type: save writes each of these as the other
         (lambda doc: as_float(doc["pool"]["generic"], "input_dim"), "pool differ"),
         (lambda doc: as_float(doc["registry"], "min_pts_floor"), "registry differ"),
-        (lambda doc: as_float(first_split(generic_models(doc)["gbt"]["trees"]), "feature"), "pool differ"),
+        (lambda doc: as_float(first_split(generic_models(doc)["gbt"]["trees"]), SPLIT_FEATURE), "pool differ"),
         (lambda doc: leaf_as_int(generic_models(doc)["random_forest"]["trees"]), "pool differ"),
         # keys the program works out: fresh labels number on from those in use,
         # and the categorical features are the vocabularies' keys

@@ -13,7 +13,12 @@ recorded again when the grower came to drop every forest split whose two
 children are leaves of one value; with the forests' trees removed, they
 hash as before. Every digest here was recorded again when models stopped
 carrying a schema version and a kind of their own: each is the hash of
-the earlier document with those two keys deleted from every model.
+the earlier document with those two keys deleted from every model. The
+set digests hash the trees as checkpoints of version 2 laid them out,
+one nested dict per node: when each tree became one pre-order list, the
+tests came to pass their documents through `nested_trees.nested_doc` to
+check them, and the pre-order documents' own digests were pinned beside
+them.
 """
 
 import hashlib
@@ -28,6 +33,8 @@ from cohortsense.ensemble import ModelPool, _fit_set, _set_to_json, refresh_gene
 from cohortsense.learners import Dataset, linear, smote, validation
 from cohortsense.learners.base import KIND_ORDER, derive_seed
 
+from nested_trees import nested_doc
+
 DIGESTS = {
     "logreg/d2/cold": "7e1342930f516fa3cbd1a1bf6381b7b9b57507a6e2ac2541f8d305f67f2e93d3",
     "logreg/d3/cold": "e55488258850f4945220b5e03ef7d4db85923abdd733f0a1cc26bd5056759765",
@@ -40,11 +47,26 @@ DIGESTS = {
     "refresh_generic/no_cv": "149ac43791abc53ce932b4461aa847760ab57adbd711e404593fad289704f7ff",
 }
 
+# the set documents with each tree one pre-order list
+PREORDER_DIGESTS = {
+    "fit_set/cv": "8a15bf69fff5a26e9c131c962e66def154eb3d27bee981ff3e1a1c8eff1a1f31",
+    "fit_set/cv/models": "2ea7db5a19298a032b8d22705a391716af20f9b7d99461865a48e71da927655b",
+    "fit_set/no_cv": "9aff55ba63ba223964257e4851c488cb1f4400567b4a4990281617d5e45e2206",
+    "refresh_generic/no_cv": "5f7fb4b9b05183fa2ea7442f2e77bb072fd04154b201ad771c7dbd42b363f0d0",
+}
+
 KINDS = ["logreg", "linear_svm"]
 
 
 def digest(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def check_pins(doc, key: str) -> None:
+    """``doc`` hashes to its pin laid out as version 2 laid it out, and to
+    its pre-order pin as it is."""
+    assert digest(nested_doc(doc)) == DIGESTS[key]
+    assert digest(doc) == PREORDER_DIGESTS[key]
 
 
 def linear_dataset(n: int, d: int, seed: int) -> Dataset:
@@ -112,7 +134,7 @@ def test_long_logreg_digest():
 
 @pytest.mark.parametrize("case", ["cv", "no_cv"])
 def test_fit_set_digest(case):
-    assert digest(fit_set_doc(case)) == DIGESTS[f"fit_set/{case}"]
+    check_pins(fit_set_doc(case), f"fit_set/{case}")
 
 
 def test_fit_set_models_digest():
@@ -120,7 +142,7 @@ def test_fit_set_models_digest():
     doc = fit_set_doc("cv")
     for model_set in doc["sets"]:
         del model_set["validation_f1"]
-    assert digest(doc) == DIGESTS["fit_set/cv/models"]
+    check_pins(doc, "fit_set/cv/models")
 
 
 def test_fit_set_kinds_share_one_split(monkeypatch):
@@ -204,7 +226,7 @@ def test_refresh_generic_without_cv_digest():
         f"validation_f1 for {kind} uses training predictions"
         for kind in ("logreg", "linear_svm", "random_forest", "gbt")
     ]
-    assert digest(_set_to_json(pool.generic)) == DIGESTS["refresh_generic/no_cv"]
+    check_pins(_set_to_json(pool.generic), "refresh_generic/no_cv")
 
 
 @pytest.mark.parametrize(("kind", "count"), cases([1, 3, 11]))

@@ -17,7 +17,11 @@ descent, and the SVM CV digests when the SVM moved to the same solver on
 the squared hinge. Every digest here was recorded again when models
 stopped carrying a schema version and a kind of their own (a saved
 model's kind is its key in its set): each is the hash of the earlier
-document with those two keys deleted.
+document with those two keys deleted. Those pins hash the trees as
+checkpoints of version 2 laid them out, one nested dict per node: when
+each tree became one pre-order list, the tests came to pass their
+documents through `nested_trees.nested_doc` to check the pins, and the
+pre-order documents' own digests were pinned beside them.
 """
 
 import dataclasses
@@ -27,6 +31,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import binom, chisquare
 
 from cohortsense.core import ValidationError
@@ -41,6 +46,8 @@ from cohortsense.learners import (
     train_random_forest,
 )
 from cohortsense.learners import trees
+
+from nested_trees import nested_doc, nested_render, preorder
 
 
 def tied_dataset():
@@ -112,6 +119,27 @@ DIGESTS = {
     "spread16/gbt": "912d55c2248b56774f82ad6d074dc2db914c7dd9ee1d245745ffe9401d6436fe",
 }
 
+# the same documents with each tree one pre-order list; the linear CV
+# documents hold no trees and keep their digests
+PREORDER_DIGESTS = {
+    "tied/forest": "15be77b0b1d95a7aaadb47efceda9bc7f08badf745021269d951fe9e98662e2a",
+    "tied/gbt": "ca5f89988951310627fea3d14e9ba95db9ea3b6bb891f5c8b06427d3f56ada86",
+    "tied/cv/random_forest": "c8ebb629b8d62102442bf82c0c4eca3065521676f120ff996c05c66cfe8ca972",
+    "tied/cv/gbt": "36aaeca035567d5fdd51484a196ce292bbff10e8b48450d9e6861d9cfbddb2d2",
+    "spread/forest": "764aaf6f1245556aa532b6ba69cab6e2f4512f7a9974308a11842ce21be58087",
+    "spread/gbt": "b77744d46cbfc967e4b148a465c246882a4f8ecef897864d515d73258c36139f",
+    "spread/cv/random_forest": "c08141f28103a7df4652a4a5d8dc60d5ea57ea721e121fc2934a5df4ec5d0bd7",
+    "spread/cv/gbt": "35d4fe5ec1a054f166817816f21c07ab3e52a1f182f0b04deab936dfa239213f",
+    "tied8/forest": "e502082f0b92df138fcbef70f1bff89d05f3063940cb12f116a33a6f3939f0f4",
+    "tied16/forest": "8b194d44c54f3fd4cf742de7d75cf246f13edd174382e42411b5aa07a27b0c10",
+    "spread8/forest": "322fe26a4e59a4ae8a40c3cd8b2aee6e3879ad0a8c74108155f8cf182098cf79",
+    "spread16/forest": "a341c440c6c332ebabcb711a13862d2aea6702156465639268aa18eecb62c61f",
+    "tied8/gbt": "cdb9015d706e18dd875e0f04c4d04c9d4918ee92fcefa607b3c86cc8cf63bd4c",
+    "tied16/gbt": "c994cb4d52e89cea427ddbf430e9e5a3051f40671ee70095550fa98689aaaeb0",
+    "spread8/gbt": "7cc26a86c387a8d3697de6e569f42d39012c067b1a9dec4103d3ca74bb2af7ea",
+    "spread16/gbt": "b95973309435bf76e85a1342d7ad3123ae54fae26386ec3dceccd1472a5a1732",
+}
+
 TRAINERS = {
     "logreg": train_logreg,
     "linear_svm": train_linear_svm,
@@ -124,30 +152,37 @@ def digest(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def check_pins(doc, key: str) -> None:
+    """``doc`` hashes to its pin laid out as version 2 laid it out, and to
+    its pre-order pin as it is."""
+    assert digest(nested_doc(doc)) == DIGESTS[key]
+    assert digest(doc) == PREORDER_DIGESTS.get(key, DIGESTS[key])
+
+
 @pytest.mark.parametrize("name", DATASETS)
 def test_forest_digest(name):
     model = train_random_forest([DATASETS[name]()], [11], n_trees=100, max_depth=8)[0]
-    assert digest(model.to_json()) == DIGESTS[f"{name}/forest"]
+    check_pins(model.to_json(), f"{name}/forest")
 
 
 @pytest.mark.parametrize("d", [8, 16])
 @pytest.mark.parametrize("name", DATASETS)
 def test_forest_digest_with_several_drawn_features(name, d):
     model = train_random_forest([wide_dataset(name, d)], [11], n_trees=100, max_depth=8)[0]
-    assert digest(model.to_json()) == DIGESTS[f"{name}{d}/forest"]
+    check_pins(model.to_json(), f"{name}{d}/forest")
 
 
 @pytest.mark.parametrize("name", DATASETS)
 def test_gbt_digest(name):
     model = train_gbt([DATASETS[name]()], [11], n_rounds=100)[0]
-    assert digest(model.to_json()) == DIGESTS[f"{name}/gbt"]
+    check_pins(model.to_json(), f"{name}/gbt")
 
 
 @pytest.mark.parametrize("d", [8, 16])
 @pytest.mark.parametrize("name", DATASETS)
 def test_gbt_digest_with_several_features(name, d):
     model = train_gbt([wide_dataset(name, d)], [11], n_rounds=100)[0]
-    assert digest(model.to_json()) == DIGESTS[f"{name}{d}/gbt"]
+    check_pins(model.to_json(), f"{name}{d}/gbt")
 
 
 def test_groups_hold_equal_bins_and_labels_at_sixteen_features():
@@ -200,7 +235,7 @@ def test_kfold_cv_with_smote_digest(name, kind):
     assert deployed is fitted[-1]
     # the pins were recorded before CV trained a deployed model too
     doc = {"metrics": dataclasses.asdict(metrics), "models": [m.to_json() for m in fitted[:-1]]}
-    assert digest(doc) == DIGESTS[f"{name}/cv/{kind}"]
+    check_pins(doc, f"{name}/cv/{kind}")
 
 
 @pytest.mark.parametrize("name", DATASETS)
@@ -409,14 +444,9 @@ def test_dropping_splits_of_equal_leaves_keeps_every_prediction(monkeypatch, kin
 
 def test_a_saved_split_of_equal_leaves_loads_and_predicts_as_before():
     # a forest saved before the grower dropped such splits
-    old = {
-        "feature": 0,
-        "threshold": 0.5,
-        "left": {"feature": 1, "threshold": 2.0, "left": {"leaf": 1.0}, "right": {"leaf": 1.0}},
-        "right": {"leaf": 0.0},
-    }
-    new = {"feature": 0, "threshold": 0.5, "left": {"leaf": 1.0}, "right": {"leaf": 0.0}}
-    stump = {"feature": 1, "threshold": 1.0, "left": {"leaf": 0.0}, "right": {"leaf": 1.0}}
+    old = [[0, 0.5], [1, 2.0], 1.0, 1.0, 0.0]
+    new = [[0, 0.5], 1.0, 0.0]
+    stump = [[1, 1.0], 0.0, 1.0]
     forest = MODEL_TYPES[ModelKind.RANDOM_FOREST]
     saved, collapsed = (forest.from_json({"trees": [t, stump]}) for t in (old, new))
     assert saved.nodes.left.size == collapsed.nodes.left.size + 2
@@ -462,11 +492,122 @@ def test_tree_models_survive_json_roundtrip(name):
         assert np.array_equal(back.decision_scores(X), model.decision_scores(X))
 
 
+# within +-100: a GBT score below about -709 overflows `exp` in `predict`
+NUMBERS = st.sampled_from([0.0, -0.0, 0.5, -1.5]) | st.floats(-100.0, 100.0)
+
+
+@st.composite
+def node_tables(draw, d: int = 3) -> trees.NodeTable:
+    """One to four trees, each a single leaf, a chain of up to 20 splits
+    with a leaf on one side of each, or a tree up to 5 splits deep, their
+    nodes in a random order, as the grower's level order is not pre-order.
+    Thresholds and leaves hold +-0.0."""
+    nodes = []  # (feature, threshold, left, right, value) in order of creation
+
+    def node(*children) -> int:
+        if not children:
+            nodes.append((-1, 0.0, -1, -1, draw(NUMBERS)))
+        else:
+            nodes.append((draw(st.integers(0, d - 1)), draw(NUMBERS), *children, 0.0))
+        return len(nodes) - 1
+
+    def chain(length: int) -> int:
+        if length == 0:
+            return node()
+        rest, leaf = chain(length - 1), node()
+        return node(leaf, rest) if draw(st.booleans()) else node(rest, leaf)
+
+    def bushy(depth: int) -> int:
+        if depth == 5 or not draw(st.booleans()):
+            return node()
+        return node(bushy(depth + 1), bushy(depth + 1))
+
+    shapes = st.sampled_from(["leaf", "chain", "bushy"])
+    roots = []
+    for shape in draw(st.lists(shapes, min_size=1, max_size=4)):
+        if shape == "leaf":
+            roots.append(node())
+        elif shape == "chain":
+            roots.append(chain(draw(st.integers(1, 20))))
+        else:
+            roots.append(bushy(0))
+    place = np.array(draw(st.permutations(range(len(nodes)))))
+    feature, threshold, left, right, value = (np.array(c) for c in zip(*nodes))
+    at = np.empty_like(place)
+    at[place] = np.arange(place.size)  # the node at each place
+    return trees.NodeTable(
+        roots=place[roots],
+        feature=feature[at],
+        threshold=threshold[at].astype(float),
+        left=np.where(left[at] >= 0, place[left[at]], -1),
+        right=np.where(right[at] >= 0, place[right[at]], -1),
+        value=value[at].astype(float),
+    )
+
+
+def numbered_in_preorder(nodes: trees.NodeTable) -> trees.NodeTable:
+    """``nodes`` renumbered in pre-order, tree after tree: the table that
+    the version-2 reader built from a saved model."""
+    order, roots = [], []
+    for root in nodes.roots.tolist():
+        roots.append(len(order))
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            if nodes.left[i] >= 0:
+                stack += (nodes.right[i], nodes.left[i])
+    order = np.array(order)
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(order.size)
+    left, right = nodes.left[order], nodes.right[order]
+    return trees.NodeTable(
+        roots=np.array(roots),
+        feature=nodes.feature[order],
+        threshold=nodes.threshold[order],
+        left=np.where(left >= 0, new_id[left], -1),
+        right=np.where(right >= 0, new_id[right], -1),
+        value=nodes.value[order],
+    )
+
+
+def same_table(a: trees.NodeTable, b: trees.NodeTable) -> bool:
+    """Equal columns, bit for bit, so that -0.0 differs from 0.0."""
+    columns = ("roots", "feature", "threshold", "left", "right", "value")
+    return all(
+        getattr(a, c).dtype == getattr(b, c).dtype
+        and getattr(a, c).tobytes() == getattr(b, c).tobytes()
+        for c in columns
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(nodes=node_tables(), init_score=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_preorder_tree_lists_round_trip_bit_for_bit(nodes, init_score, seed):
+    lists = nodes.to_json()
+    # the version-2 renderer's nested trees, flattened, give the same lists
+    assert json.dumps([preorder(tree) for tree in nested_render(nodes)]) == json.dumps(lists)
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([nodes.threshold, [0.0, -0.0]])
+    X = np.vstack([rng.choice(values, size=(24, 3)), rng.normal(size=(8, 3)) * 1e3])
+    models = [
+        (ModelKind.RANDOM_FOREST, trees.ForestModel(nodes)),
+        (ModelKind.GBT, trees.GBTModel(init_score=init_score, learning_rate=0.1, nodes=nodes)),
+    ]
+    for kind, model in models:
+        text = json.dumps(model.to_json(), sort_keys=True)
+        back = MODEL_TYPES[kind].from_json(json.loads(text))
+        assert json.dumps(back.to_json(), sort_keys=True) == text
+        assert same_table(back.nodes, numbered_in_preorder(nodes))
+        assert back.nodes.leaves(X).tobytes() == model.nodes.leaves(X).tobytes()
+        assert np.array_equal(back.predict(X), model.predict(X))
+        if kind is ModelKind.GBT:
+            assert back.decision_scores(X).tobytes() == model.decision_scores(X).tobytes()
+
+
 def test_a_tree_deeper_than_64_splits_walks_to_its_leaves():
     # split i sends x <= i to a leaf 0.0 and the rest on down the chain
-    tree = {"leaf": 1.0}
-    for i in reversed(range(100)):
-        tree = {"feature": 0, "threshold": float(i), "left": {"leaf": 0.0}, "right": tree}
+    tree = [entry for i in range(100) for entry in ([0, float(i)], 0.0)] + [1.0]
     nodes = trees.NodeTable.from_json([tree])
     X = np.array([[1000.0], [99.5], [98.5], [70.0], [-1.0]])
     assert nodes.leaves(X)[:, 0].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
@@ -483,7 +624,7 @@ def test_gbt_many_rejects_single_class_and_seed_mismatch():
 def test_all_constant_features_grow_single_leaves():
     ds = Dataset(np.ones((6, 2)), np.array([0, 1, 0, 1, 1, 1]), tuple("abcdef"))
     forest = train_random_forest([ds], [0], n_trees=3, max_depth=3)[0]
-    assert all("leaf" in doc for doc in forest.to_json()["trees"])
+    assert all(len(tree) == 1 for tree in forest.to_json()["trees"])
     gbt = train_gbt([ds], [0], n_rounds=2)[0]
-    assert all("leaf" in doc for doc in gbt.to_json()["trees"])
+    assert all(len(tree) == 1 for tree in gbt.to_json()["trees"])
     assert np.array_equal(gbt.predict(np.zeros((2, 2))), [1, 1])
