@@ -215,9 +215,9 @@ class LearnerConfig:
 
     logreg_l2: float = _within(1e-3, "[0, inf)")
     svm_l2: float = _within(1e-3, "(0, inf)")
-    forest_trees: int = _within(100, "[1, inf)")
+    forest_trees: int = _within(100, "[1, 10000]")
     forest_depth: int = _within(8, "[1, inf)")
-    gbt_rounds: int = _within(100, "[1, inf)")
+    gbt_rounds: int = _within(100, "[1, 10000]")
     gbt_depth: int = _within(3, "[1, inf)")
     gbt_learning_rate: float = _within(0.1, "(0, 1]")  # shrinkage
 

@@ -101,7 +101,7 @@ def new_state(config: EngineConfig) -> EngineState:
     )
 
 
-MAX_WEEK = 99  # point ids end in a two-digit week, so they sort by (participant, week)
+MAX_WEEK = 99  # point ids end in a two-digit week, so they sort by participant + "|", then week
 
 
 def _point_id(pid: str, week: int) -> str:
@@ -253,8 +253,9 @@ def step(state: EngineState, batch: WeeklyBatch, checked=None) -> tuple[EngineSt
 
     # a participant's one score labels every point of theirs
     label = {pid: label_from_score(s, st.config.score_threshold) for pid, s in st.scores.items()}
-    # point ids are unique and sort by (participant, week); as the dataset's
-    # row ids they give every seeded learner a canonical ordering
+    # point ids are unique and sort by participant + "|", then by week ("P001s10|w01"
+    # before "P001s1|w01"); as the dataset's row ids they give every seeded
+    # learner a canonical ordering
     train_ids = [pt for pt in st.rows if _participant(pt) not in st.holdout]
     train = Dataset(
         vectors=st.registry.vectors(train_ids),

@@ -75,13 +75,13 @@ def _fit_set(
 
     One ``kfold_cv`` call draws the set's one stratified split, SMOTEs each
     training fold once and scores every kind on those folds; each kind
-    trains its folds and its deployed model in one batched call; the tree
-    kinds bin each fold set once. Each kind's deployed fit reads the full
-    data, SMOTE-balanced with its own seed from one shared neighbour search
-    (each fold's SMOTE has its own). When a class has too few rows for two
-    folds, there are no folds, and each deployed model is scored on its own
-    training rows. No kind is warm-started: the linear kinds reach their
-    unique optimum, so a set does not depend on the previous week's.
+    trains its folds and its deployed model in one batched call. Each
+    kind's deployed fit reads the full data, SMOTE-balanced with its own
+    seed from one shared neighbour search (each fold's SMOTE has its own).
+    When a class has too few rows for two folds, there are no folds, and
+    each deployed model is scored on its own training rows. No kind is
+    warm-started: the linear kinds reach their unique optimum, so a set
+    does not depend on the previous week's.
     """
     zeros, ones = dataset.class_counts()
     k = min(config.cv_folds, zeros, ones)
@@ -92,20 +92,16 @@ def _fit_set(
         for kind in KIND_ORDER
     ] if k < 2 else []
     lc = config.learners
-    bins: dict = {}  # the tree kinds' binned datasets, for this set's fits only
     # built per call, in KIND_ORDER, so that a wrapper patched over a trainer is used
     train_fns = [
         functools.partial(train_logreg, l2=lc.logreg_l2),
         functools.partial(train_linear_svm, l2=lc.svm_l2),
-        functools.partial(
-            train_random_forest, n_trees=lc.forest_trees, max_depth=lc.forest_depth, bins=bins
-        ),
+        functools.partial(train_random_forest, n_trees=lc.forest_trees, max_depth=lc.forest_depth),
         functools.partial(
             train_gbt,
             n_rounds=lc.gbt_rounds,
             max_depth=lc.gbt_depth,
             learning_rate=lc.gbt_learning_rate,
-            bins=bins,
         ),
     ]
     kind_seeds = [

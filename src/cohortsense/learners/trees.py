@@ -26,7 +26,9 @@ tables are gathered, a pass turns every split whose two children are
 leaves of one value into a leaf, until none is left; no prediction of
 either kind changes. A model keeps all its trees in one stacked
 ``NodeTable``, gathered from the grower's raw node tables by one stable
-sort per trainer call. Split candidates are the midpoints between
+sort per trainer call. Each trainer call bins each of its datasets once,
+from one sort per column with its zeros unsigned, so no edge or bin
+depends on row order. Split candidates are the midpoints between
 distinct sorted feature values, capped at 32 quantile bins per feature
 for large cardinalities; search is exact over those candidates (Gini
 for classification, squared error for regression).
@@ -263,35 +265,38 @@ def _collect(parts: list[tuple], n_models: int, trees_per_model: int) -> list[No
 
 
 def _bin_columns(X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-feature candidate thresholds and the bin index of every value."""
+    """Per-feature candidate thresholds and the bin index of every value.
+
+    Each column is read with its zeros unsigned (``+ 0.0`` turns -0.0 into
+    0.0) and sorted once, so neither edges nor bins depend on row order.
+    Past MAX_BINS distinct values, the edges are the inner quantiles of
+    numpy's linear method (Hyndman & Fan 1996, definition 7), read on the
+    sorted column with numpy's own lerp: ``np.quantile``'s values, bit for
+    bit. Consecutive quantiles fall in distinct gaps of the sorted column,
+    so they ascend and drop their repeats in order.
+    """
     n, d = X.shape
+    at = (n - 1) * np.linspace(0.0, 1.0, MAX_BINS + 1)[1:-1]
+    low = np.floor(at).astype(np.int64)
+    t = at - low
     edges_list: list[np.ndarray] = []
     binned = np.zeros((n, d), dtype=np.int64)
     for f in range(d):
-        vals = X[:, f]
-        uniq = np.unique(vals)
+        vals = X[:, f] + 0.0
+        s = np.sort(vals)
+        uniq = s[np.concatenate([[True], s[1:] != s[:-1]])]
         if len(uniq) <= 1:
             edges = np.empty(0)
         elif len(uniq) <= MAX_BINS:
             edges = (uniq[:-1] + uniq[1:]) / 2.0
         else:
-            qs = np.linspace(0.0, 1.0, MAX_BINS + 1)[1:-1]
-            edges = np.unique(np.quantile(vals, qs))
+            a, b = s[low], s[low + 1]
+            edges = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+            edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
         # bin b holds values v with edges[b-1] < v <= edges[b]
         binned[:, f] = np.searchsorted(edges, vals, side="left")
         edges_list.append(edges)
     return edges_list, binned
-
-
-def _binned(datasets: list[Dataset], bins: dict | None) -> list[tuple]:
-    """`_bin_columns` of each dataset's rows, in their order, kept in the
-    caller's ``bins`` for its other trainer calls, under the dataset's
-    ``id`` and with the dataset, so that no other can take that id."""
-    bins = {} if bins is None else bins
-    for ds in datasets:
-        if id(ds) not in bins:
-            bins[id(ds)] = (ds, *_bin_columns(ds.vectors.astype(float)))
-    return [bins[id(ds)][1:] for ds in datasets]
 
 
 def _edge_table(edges: list[list[np.ndarray]]) -> np.ndarray:
@@ -534,8 +539,7 @@ class ForestModel:
 
 
 def train_random_forest(
-    datasets: list[Dataset], seeds: list[int], n_trees: int = 100, max_depth: int = 8,
-    bins: dict | None = None,
+    datasets: list[Dataset], seeds: list[int], n_trees: int = 100, max_depth: int = 8
 ) -> list[ForestModel]:
     """Bagged CART trees: Gini splits, sqrt(d) features per split, one
     forest per (dataset, seed), all trees grown together.
@@ -549,7 +553,7 @@ def train_random_forest(
     root reads its own dataset's thresholds, and forest i equals the
     forest of ``datasets[i]`` trained alone. Counts and 0/1 label sums
     are exact in any order, so growing on groups gives the trees that
-    growing on the distinct drawn rows gave. ``bins``: see `_binned`.
+    growing on the distinct drawn rows gave.
     """
     check_batch(datasets, seeds, "random forest")
     if any(len(ds) == 0 for ds in datasets):
@@ -561,14 +565,10 @@ def train_random_forest(
     sizes = [len(ds) for ds in datasets]
     starts = np.cumsum([0] + sizes[:-1])
 
-    # thresholds from each dataset's full data, bins put in canonical order (only
-    # a zero quantile's sign depends on row order: a set holding -0.0 bins its
-    # canonical rows); each bootstrap draws rows of its dataset, counted per group
+    # thresholds and bins from each dataset's canonical rows; each bootstrap
+    # draws rows of its dataset, counted per group
     orders = [ds.canonical_order() for ds in datasets]
-    edges, binned = zip(*(
-        _bin_columns(ds.vectors[o]) if np.signbit(ds.vectors[ds.vectors == 0]).any() else (e, b[o])
-        for ds, o, (e, b) in zip(datasets, orders, _binned(datasets, bins))
-    ))
+    edges, binned = zip(*(_bin_columns(ds.vectors[o]) for ds, o in zip(datasets, orders)))
     edge_values = _edge_table(list(edges))
     binned = np.concatenate(binned)
     y = np.concatenate([ds.labels[o].astype(float) for ds, o in zip(datasets, orders)])
@@ -630,7 +630,9 @@ class GBTModel:
         return scores
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return (1.0 / (1.0 + np.exp(-self.decision_scores(X))) >= 0.5).astype(int)
+        # a score below about -709 overflows exp to inf, and 1 / (1 + inf) is 0
+        with np.errstate(over="ignore"):
+            return (1.0 / (1.0 + np.exp(-self.decision_scores(X))) >= 0.5).astype(int)
 
     def check(self, input_dim: int) -> None:
         if not np.isfinite([self.init_score, self.learning_rate]).all():
@@ -659,7 +661,6 @@ def train_gbt(
     n_rounds: int = 100,
     max_depth: int = 3,
     learning_rate: float = 0.1,
-    bins: dict | None = None,
 ) -> list[GBTModel]:
     """Additive regression trees fit to logistic-loss gradients, one model
     per (dataset, seed), boosted in lockstep.
@@ -672,7 +673,7 @@ def train_gbt(
     residual and its row count as weight, so a model does not depend on
     row order. Each round grows the next tree of every dataset in one
     grower call (datasets are taken PASS_ROWS groups at a time), and model
-    i equals the model of ``datasets[i]`` trained alone. ``bins``: see `_binned`.
+    i equals the model of ``datasets[i]`` trained alone.
     """
     check_batch(datasets, seeds, "gradient boosting")
     for dataset in datasets:
@@ -682,7 +683,7 @@ def train_gbt(
     labels = [ds.labels.astype(float) for ds in datasets]
     init_scores = np.array([np.log(y.mean() / (1.0 - y.mean())) for y in labels])
 
-    edges, binned = zip(*_binned(datasets, bins))
+    edges, binned = zip(*(_bin_columns(ds.vectors) for ds in datasets))
     edge_values = _edge_table(list(edges))
     binned, y = np.concatenate(binned), np.concatenate(labels)
     _, first, count, n_groups = _group(binned, y, [len(y) for y in labels])

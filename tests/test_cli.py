@@ -333,6 +333,23 @@ def test_replay_gbt_learning_rate_above_one_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["forest_trees", "gbt_rounds"])
+def test_replay_config_asking_for_too_many_trees_exits_one_before_training(
+    tmp_path, capsys, key
+):
+    # the data dir holds no week, so nothing could train even if the config were taken
+    out, config_path = tmp_path / "out", tmp_path / "config.json"
+    config_path.write_text(json.dumps({"learners": {key: 10**12}}), encoding="utf-8")
+    code = main(
+        ["replay", "--config", str(config_path), "--data-dir", str(tmp_path),
+         "--out-dir", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {key} must lie in [1, 10000], got 1000000000000\n"
+    assert not out.exists()
+
+
 def test_replay_of_single_class_weeks_writes_one_line_to_stderr(tmp_path, capsys):
     # every participant below the threshold: each week skips the generic refresh
     data, out = tmp_path / "data", tmp_path / "out"

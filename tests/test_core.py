@@ -106,6 +106,8 @@ def test_config_validation():
         (EngineConfig, {"cv_folds": 3.0}),
         (EngineConfig, {"learners": {"forest_trees": 5}}),
         (LearnerConfig, {"forest_trees": 0}),
+        (LearnerConfig, {"forest_trees": 10**12}),
+        (LearnerConfig, {"gbt_rounds": 10_001}),
         (LearnerConfig, {"svm_l2": 0.0}),
         (LearnerConfig, {"gbt_learning_rate": "fast"}),
         (LearnerConfig, {"gbt_rounds": False}),
@@ -117,6 +119,13 @@ def test_config_rejects_out_of_range_values_and_wrong_types(make, kwargs):
     (name,) = kwargs
     with pytest.raises(ConfigError, match=name):
         make(**kwargs)
+
+
+def test_tree_counts_take_their_bounds():
+    config = LearnerConfig(forest_trees=1, gbt_rounds=10_000)
+    assert (config.forest_trees, config.gbt_rounds) == (1, 10_000)
+    config = LearnerConfig(forest_trees=10_000, gbt_rounds=1)
+    assert (config.forest_trees, config.gbt_rounds) == (10_000, 1)
 
 
 def test_config_file_round_trip(tmp_path):

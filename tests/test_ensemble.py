@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cohortsense import ensemble
 from cohortsense.cluster import ClusterSnapshot
 from cohortsense.core import EngineConfig, LearnerConfig, ValidationError
 from cohortsense.ensemble import (
@@ -15,7 +16,7 @@ from cohortsense.ensemble import (
     refresh_specialized,
     vote,
 )
-from cohortsense.learners import Dataset, compute_metrics
+from cohortsense.learners import Dataset, compute_metrics, trees
 from cohortsense.learners.base import KIND_ORDER, ModelKind
 
 FAST = LearnerConfig(forest_trees=12, forest_depth=4, gbt_rounds=15)
@@ -93,6 +94,38 @@ def test_refresh_generic_deterministic():
     p2, _ = refresh_generic(ModelPool(), rows, config(), seed=5, week=1)
     assert p1.generic.validation_f1 == p2.generic.validation_f1
     assert pool_to_json(p1) == pool_to_json(p2)
+
+
+def test_a_set_fit_bins_each_dataset_of_a_tree_trainer_call_once(monkeypatch):
+    """k + 1 `_bin_columns` calls per tree kind, one per dataset of its
+    trainer call (k fold sets and the deployed set)."""
+    binned = []  # the rows of each `_bin_columns` call
+    bin_columns = trees._bin_columns
+    monkeypatch.setattr(trees, "_bin_columns", lambda X: binned.append(X) or bin_columns(X))
+    calls = []  # (datasets, the rows each binned) per tree trainer call
+
+    def counted(train):
+        def wrapper(datasets, seeds, **kwargs):
+            first = len(binned)
+            models = train(datasets, seeds, **kwargs)
+            calls.append((datasets, binned[first:]))
+            return models
+
+        return wrapper
+
+    for name in ("train_random_forest", "train_gbt"):
+        monkeypatch.setattr(ensemble, name, counted(getattr(ensemble, name)))
+    cfg = config(cv_folds=4)
+    rows = make_rows(two_class_rows(n_per_class=30, seed=2).vectors[10:], [0] * 20 + [1] * 30)
+    ensemble._fit_set("generic", rows, cfg, seed=0)
+
+    def sorted_rows(X):
+        return X[np.lexsort(X.T[::-1])].tobytes()
+
+    assert len(calls) == 2 and len(binned) == 2 * (cfg.cv_folds + 1)
+    for datasets, Xs in calls:
+        assert len(datasets) == cfg.cv_folds + 1
+        assert sorted(map(sorted_rows, Xs)) == sorted(sorted_rows(ds.vectors) for ds in datasets)
 
 
 def test_refresh_generic_f1_nondecreasing_on_growing_separable_data():

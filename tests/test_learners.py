@@ -23,6 +23,7 @@ from cohortsense.learners import (
     train_logreg,
     train_random_forest,
 )
+from cohortsense.learners.trees import MAX_BINS, _bin_columns
 
 from smote_oracles import loop_draws, loop_smote, minority_neighbors
 
@@ -670,12 +671,62 @@ def signed_json(model) -> str:
     return json.dumps(model.to_json())
 
 
-def test_a_zero_quantile_edge_takes_its_sign_from_the_row_order():
-    """The hazard that sharing bins across row orders must avoid:
-    ``np.quantile`` partitions, so when a column holds both 0.0 and -0.0
-    a zero edge can take either sign, depending on the order of the rows."""
-    from cohortsense.learners.trees import _bin_columns
+def reference_bins(X):
+    """`_bin_columns` as it was written with ``np.unique`` and ``np.quantile``,
+    which partitions: a zero edge's sign may follow the row order."""
+    edges_list, binned = [], np.zeros(X.shape, dtype=np.int64)
+    for f in range(X.shape[1]):
+        vals = X[:, f]
+        uniq = np.unique(vals)
+        if len(uniq) <= 1:
+            edges = np.empty(0)
+        elif len(uniq) <= MAX_BINS:
+            edges = (uniq[:-1] + uniq[1:]) / 2.0
+        else:
+            edges = np.unique(np.quantile(vals, np.linspace(0.0, 1.0, MAX_BINS + 1)[1:-1]))
+        binned[:, f] = np.searchsorted(edges, vals, side="left")
+        edges_list.append(edges)
+    return edges_list, binned
 
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(2, 120), st.integers(1, 3),
+    st.integers(0, 2), st.booleans(),
+)
+@example(seed=0, n=2, d=2, decimals=1, zeros=True)
+@example(seed=1, n=2, d=1, decimals=0, zeros=False)
+def test_bin_columns_equal_the_unique_and_quantile_bins_in_any_row_order(
+    seed, n, d, decimals, zeros
+):
+    """Same values as the reference; on columns without -0.0 the same bits;
+    and edges and bins, zero signs included, whatever the row order. Cases
+    hold ties, constant columns, two rows, more than MAX_BINS distinct
+    values and, in some sets, 0.0 and -0.0 both."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, d)) * rng.choice([1.0, 10.0]), decimals)
+    X[:, int(rng.integers(0, d))] *= rng.random() < 0.2  # sometimes a constant column
+    X += 0.0  # np.round and the product above leave -0.0 where a value was a small negative
+    if zeros:
+        X[rng.random((n, d)) < 0.3] = 0.0
+        X[rng.random((n, d)) < 0.15] = -0.0
+    edges, binned = _bin_columns(X)
+    ref_edges, ref_binned = reference_bins(X)
+    assert np.array_equal(binned, ref_binned)
+    for e, r in zip(edges, ref_edges, strict=True):
+        assert e.dtype == float and np.array_equal(e, r)
+        if not np.signbit(X[X == 0]).any():
+            assert e.tobytes() == r.tobytes()
+    perm = rng.permutation(n)
+    moved_edges, moved_binned = _bin_columns(X[perm])
+    assert np.array_equal(moved_binned, binned[perm])
+    assert [e.tobytes() for e in moved_edges] == [e.tobytes() for e in edges]
+
+
+def test_trees_of_a_set_holding_negative_zeros_do_not_depend_on_row_order():
+    """A column whose reference edges change the sign of a zero with the
+    row order: the forest and GBT of either order are the same, signs of
+    zero thresholds included."""
     rng = np.random.default_rng(0)
     for _ in range(3000):
         n = int(rng.integers(34, 60))
@@ -683,47 +734,19 @@ def test_a_zero_quantile_edge_takes_its_sign_from_the_row_order():
         zero = rng.random(n) < 0.3
         v[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
         perm = rng.permutation(n)
-        edges = [json.dumps(_bin_columns(c[:, None])[0][0].tolist()) for c in (v, v[perm])]
+        edges = [json.dumps(reference_bins(c[:, None])[0][0].tolist()) for c in (v, v[perm])]
         if edges[0] != edges[1]:
             break
     else:
-        pytest.fail("no row order flipped the sign of a zero edge")
-    labels = (v > 0.2).astype(int)
-    ds = make_dataset(v[:, None], labels, [f"r{i:02d}" for i in perm.argsort()])
-    bins = {}
-    train_gbt([ds], [1], n_rounds=2, bins=bins)
-    shared = train_random_forest([ds], [5], n_trees=8, max_depth=4, bins=bins)[0]
-    canonical = ds.subset(ds.canonical_order())
-    alone = train_random_forest([canonical], [5], n_trees=8, max_depth=4)[0]
-    assert signed_json(shared) == signed_json(alone)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 80), st.integers(1, 3), st.booleans())
-def test_a_forest_on_bins_shared_with_gbt_equals_the_forest_of_its_canonical_rows(
-    seed, n, d, zeros
-):
-    """GBT bins each dataset in the order given; the forest takes those
-    bins and puts them in canonical order. Its trees, thresholds' signs
-    included, equal those of the forest of the dataset's rows in canonical
-    order, which bins them itself: with ties, constant columns, more than
-    MAX_BINS distinct values and, in some sets, 0.0 and -0.0 both."""
-    rng = np.random.default_rng(seed)
-    vectors = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 3)))
-    vectors[:, int(rng.integers(0, d))] *= rng.random() < 0.2  # sometimes a constant column
-    if zeros:
-        vectors[rng.random((n, d)) < 0.3] = 0.0
-        vectors[rng.random((n, d)) < 0.15] = -0.0
-    labels = rng.integers(0, 2, size=n)
-    labels[:2] = [0, 1]
-    pids = [f"r{i:02d}" for i in rng.permutation(n)]
-    datasets = [make_dataset(vectors, labels, pids), make_dataset(vectors[::-1], labels[::-1])]
-    bins = {}
-    train_gbt(datasets, [1, 2], n_rounds=2, bins=bins)
-    shared = train_random_forest(datasets, [5, 6], n_trees=6, max_depth=4, bins=bins)
-    canonical = [ds.subset(ds.canonical_order()) for ds in datasets]
-    alone = train_random_forest(canonical, [5, 6], n_trees=6, max_depth=4)
-    assert [signed_json(m) for m in shared] == [signed_json(m) for m in alone]
+        pytest.fail("no row order flipped the sign of a reference zero edge")
+    labels = (v > 0).astype(int)  # the best first split is at the zero edge
+    pids = [f"r{i:02d}" for i in range(n)]
+    given_order = make_dataset(v[:, None], labels, pids)
+    moved = given_order.subset(perm)
+    forests = train_random_forest([given_order, moved], [5, 5], n_trees=8, max_depth=4)
+    gbts = train_gbt([given_order, moved], [1, 1], n_rounds=4)
+    assert signed_json(forests[0]) == signed_json(forests[1])
+    assert signed_json(gbts[0]) == signed_json(gbts[1])
 
 
 def test_forest_single_class_constant_prediction():

@@ -28,6 +28,7 @@ import dataclasses
 import hashlib
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -492,8 +493,7 @@ def test_tree_models_survive_json_roundtrip(name):
         assert np.array_equal(back.decision_scores(X), model.decision_scores(X))
 
 
-# within +-100: a GBT score below about -709 overflows `exp` in `predict`
-NUMBERS = st.sampled_from([0.0, -0.0, 0.5, -1.5]) | st.floats(-100.0, 100.0)
+NUMBERS = st.sampled_from([0.0, -0.0, 0.5, -1.5]) | st.floats(-1e4, 1e4)
 
 
 @st.composite
@@ -603,6 +603,16 @@ def test_preorder_tree_lists_round_trip_bit_for_bit(nodes, init_score, seed):
         assert np.array_equal(back.predict(X), model.predict(X))
         if kind is ModelKind.GBT:
             assert back.decision_scores(X).tobytes() == model.decision_scores(X).tobytes()
+
+
+def test_a_gbt_score_that_overflows_exp_predicts_zero_without_a_warning():
+    doc = {"init_score": 0.0, "learning_rate": 1.0, "trees": [[[0, 0.0], -7068.0, 7068.0]]}
+    model = trees.GBTModel.from_json(doc)
+    X = np.array([[-1.0], [1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.decision_scores(X).tolist() == [-7068.0, 7068.0]
+        assert model.predict(X).tolist() == [0, 1]
 
 
 def test_a_tree_deeper_than_64_splits_walks_to_its_leaves():
