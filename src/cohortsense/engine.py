@@ -54,7 +54,7 @@ from .preprocess import (
 )
 from . import reporting
 
-CHECKPOINT_SCHEMA_VERSION = 3
+CHECKPOINT_SCHEMA_VERSION = 4
 
 
 class CheckpointError(ValueError):
@@ -63,6 +63,8 @@ class CheckpointError(ValueError):
 
 @dataclass
 class EngineState:
+    """A loaded state's ``pool.generic`` is None until its first `step` refits it."""
+
     config: EngineConfig
     registry: ClusterRegistry
     current_week: int = 0
@@ -295,7 +297,7 @@ def step(state: EngineState, batch: WeeklyBatch, checked=None) -> tuple[EngineSt
 
 
 def save(state: EngineState, path: str | Path) -> Path:
-    """Write the full engine state as a gzip-compressed JSON checkpoint.
+    """Write the engine state but its generic set as a gzip-compressed JSON checkpoint.
 
     Each point's vector is stored once, in the registry, under its point id;
     its label is derived from its participant's score, and its cohort in
@@ -356,9 +358,9 @@ def _payload(doc: dict) -> bytes:
 
 
 def load(path: str | Path) -> EngineState:
-    """Read a checkpoint that `save` wrote. A payload that is not the text
-    `save` would write for the state it gives, byte for byte, is refused
-    with `CheckpointError`: so is an int stored as an equal float."""
+    """Read a checkpoint that `save` wrote; ``pool.generic`` is None until the first
+    `step`. A payload that is not the text `save` would write for its state, byte
+    for byte, is refused with `CheckpointError`: so is an int stored as an equal float."""
     try:
         with gzip.open(path, "rb") as fh:
             payload = fh.read()
@@ -405,7 +407,7 @@ def _state_from_json(doc: dict) -> EngineState:
     pipeline = None if doc["pipeline"] is None else pipeline_from_json(doc["pipeline"])
     pool = pool_from_json(doc["pool"])
     # the width the pipeline projects to and the model sets read
-    widths = {s.input_dim for s in (pool.generic, *pool.specialized.values()) if s is not None}
+    widths = {s.input_dim for s in pool.specialized.values()}
     if pipeline is not None:
         widths.add(len(pipeline.projector.components))
     if registry.point_count and widths - {registry.dim}:

@@ -290,7 +290,6 @@ def _set_from_json(doc: dict) -> ModelSet:
 
 def pool_to_json(pool: ModelPool) -> dict:
     return {
-        "generic": None if pool.generic is None else _set_to_json(pool.generic),
         "specialized": {
             label: _set_to_json(s) for label, s in sorted(pool.specialized.items())
         },
@@ -299,7 +298,6 @@ def pool_to_json(pool: ModelPool) -> dict:
 
 def pool_from_json(doc: dict) -> ModelPool:
     return ModelPool(
-        generic=None if doc["generic"] is None else _set_from_json(doc["generic"]),
         specialized={
             label: _set_from_json(s) for label, s in doc["specialized"].items()
         },

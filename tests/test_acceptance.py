@@ -15,6 +15,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from nested_trees import nested_doc
+from stored_generic import version_3_doc
 from planted import FIXTURE_SEED, build_planted_fixture
 
 from cohortsense import engine, reporting
@@ -167,8 +168,11 @@ TEN_WEEKS = {
 TEN_WEEK_CHECKPOINT = "0315270bf4f90975dcc086fd24e6e546adc219c17eede88d59b6777c1f1a0eb9"
 # The checkpoint pin above hashes the payload of schema version 2, whose
 # trees were nested dicts: the test lays the payload out so. This one, of
-# version 3, hashes it as `save` writes it, each tree one pre-order list.
+# version 3, hashes it as `save` wrote it, each tree one pre-order list. Both
+# hash the payload with the run's generic set put back, as versions 2 and 3
+# stored it; the last pin hashes the payload of version 4, without it.
 TEN_WEEK_CHECKPOINT_PREORDER = "e70b66c2946b464a8be4ebf280f869deb7c590f3d4280145399fdfbb635569b6"
+TEN_WEEK_CHECKPOINT_WITHOUT_GENERIC = "2e67036eb3c139618ede160f51204a152a0fe95968dfb11f731a40ef945c53e7"
 
 
 def test_the_ten_weeks_write_the_pinned_files_and_checkpoint(default_replay, tmp_path):
@@ -190,10 +194,13 @@ def test_the_ten_weeks_write_the_pinned_files_and_checkpoint(default_replay, tmp
         digests[week] = h.hexdigest()
     assert digests == TEN_WEEKS
     doc = engine._state_to_json(state)
-    version_2 = engine._payload(nested_doc(dict(doc, schema_version=2)))
+    version_3 = version_3_doc(doc, state.pool.generic)
+    version_2 = engine._payload(nested_doc(dict(version_3, schema_version=2)))
     assert hashlib.sha256(version_2).hexdigest() == TEN_WEEK_CHECKPOINT
-    payload = engine._payload(doc)
+    payload = engine._payload(version_3)
     assert hashlib.sha256(payload).hexdigest() == TEN_WEEK_CHECKPOINT_PREORDER
+    payload = engine._payload(doc)
+    assert hashlib.sha256(payload).hexdigest() == TEN_WEEK_CHECKPOINT_WITHOUT_GENERIC
 
 
 def test_criterion_3_group_based_beats_generic(planted_replay):

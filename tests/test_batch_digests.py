@@ -46,6 +46,7 @@ from cohortsense.synthgen import CohortPlan, build_default_profiles, generate_co
 
 from columns import batch_of
 from nested_trees import nested_doc
+from stored_generic import final_states, version_3_doc
 
 SEGMENTS = ("night", "morning", "afternoon", "evening")
 
@@ -121,10 +122,13 @@ DIGESTS = {
     "synth/plan.json": "790343b9cb1847d10df69074fd7e7b617381b0fde30ff9c917fbbc913088a6ea",
     "synth/week_1.csv": "6e9da5c02f0263365b73e8f16607a1c5c7645db1b8d5a2767b49d999ab48a56a",
     "synth/week_2.csv": "f0b751ea47faad129dc498571cec5e203b81a674f08a17f472c31bf2ba4a916a",
-    # every output file, then the checkpoint JSON with its GBT models removed
+    # every output file, then the checkpoint JSON with its GBT models removed:
+    # as versions 2 and 3 laid it out, with the run's generic set, and as
+    # version 4 writes it, without
     "replay/files": "ab7366fe526db8c7a25cf4a35246a345881cf8f7c5542193e2fa6b187f6a628d",
     "replay/checkpoint_without_gbt": "750737123f3d4af1729ce2b0717280b3256d560e97b52a0098d55250f54698e4",
     "replay/checkpoint_without_gbt/preorder": "7490463fdab79f4e39fa98f0fadce0f661f8bc89cd6ce24a5212d2275036aeac",
+    "replay/checkpoint_without_gbt/without_generic": "2d8a1dec3153c5886c40f2b9a6eb1f13406201b11937300b87323316834186a2",
     # the four `--plot` charts of the same replay
     "replay/charts": "9f38c82c7f1c4e9cc43ce60a6d637b9be25290b77cfa31692f4e55accfdcdabd",
 }
@@ -194,24 +198,27 @@ def test_synth_writes_the_pinned_default_cohort(tmp_path):
     assert written == DEFAULT_SYNTH
 
 
-def test_replay_writes_the_pinned_files(tmp_path):
+def test_replay_writes_the_pinned_files(tmp_path, monkeypatch):
     data = write_synth(tmp_path)
     config = {"cv_folds": 3, "learners": {"forest_trees": 10, "gbt_rounds": 10}}
     (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
     out, checkpoint = tmp_path / "out", tmp_path / "state.json.gz"
     argv = ["replay", "--config", str(tmp_path / "config.json"), "--data-dir", str(data),
             "--out-dir", str(out), "--checkpoint", str(checkpoint), "--plot"]
+    states = final_states(monkeypatch)
     assert main(argv) == 0
     files, charts = hashlib.sha256(), hashlib.sha256()
     for path in sorted(out.iterdir()):
         pin = charts if path.name.startswith("chart_") else files
         pin.update(f"{path.name}\n".encode() + path.read_bytes())
     state = json.loads(gzip.decompress(checkpoint.read_bytes()))
-    pool = state["pool"]
-    for model_set in [pool["generic"], *pool["specialized"].values()]:
+    version_3 = version_3_doc(state, states[-1].pool.generic)
+    # the two documents share their specialized sets
+    for model_set in [version_3["pool"]["generic"], *state["pool"]["specialized"].values()]:
         del model_set["models"]["gbt"]
     assert files.hexdigest() == DIGESTS["replay/files"]
     assert charts.hexdigest() == DIGESTS["replay/charts"]
-    version_2 = nested_doc(dict(state, schema_version=2))
+    version_2 = nested_doc(dict(version_3, schema_version=2))
     assert sha(version_2) == DIGESTS["replay/checkpoint_without_gbt"]
-    assert sha(state) == DIGESTS["replay/checkpoint_without_gbt/preorder"]
+    assert sha(version_3) == DIGESTS["replay/checkpoint_without_gbt/preorder"]
+    assert sha(state) == DIGESTS["replay/checkpoint_without_gbt/without_generic"]

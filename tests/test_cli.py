@@ -17,7 +17,10 @@ from cohortsense.synthgen import FEATURES, CohortPlan
 
 from gzipped import write_gzip
 from nested_trees import nested_doc
-from test_engine import SPLIT_FEATURE, as_float, first_split, generic_models, leaf_as_int
+from stored_generic import version_3_doc
+from test_engine import (
+    SPLIT_FEATURE, as_float, cohort_models, cohort_set, first_split, leaf_as_int
+)
 
 
 def tiny_plan(weeks=3, per_group=12):
@@ -34,8 +37,8 @@ def tiny_plan(weeks=3, per_group=12):
     )
 
 
-def write_tiny_plan(path: Path, weeks=3) -> None:
-    plan = tiny_plan(weeks=weeks)
+def write_tiny_plan(path: Path, weeks=3, per_group=12) -> None:
+    plan = tiny_plan(weeks=weeks, per_group=per_group)
     doc = {
         "total_participants": plan.total_participants,
         "lonely_count": plan.lonely_count,
@@ -604,15 +607,23 @@ def test_an_out_dir_that_is_a_dangling_link_exits_one(tmp_path, capsys, command)
         assert link.is_symlink() and not (tmp_path / "nowhere").exists()
 
 
-def resume_edited_checkpoint(tmp_path, capsys, edit, out="out") -> tuple[int, str]:
-    """Replay week 1 of a 2-week cohort into ``tmp_path / "out"`` with a
-    checkpoint, apply ``edit`` to the checkpoint's JSON, resume week 2 from
-    it into ``tmp_path / out`` and return the exit code and stderr; a failed
-    resume may write no week-2 report."""
+# participants a group of a cohort whose week-1 checkpoint holds specialized
+# sets (G2's and G3's); with the default 12 it holds none
+PER_GROUP_WITH_SETS = 20
+
+
+def resume_edited_checkpoint(
+    tmp_path, capsys, edit, out="out", per_group=12
+) -> tuple[int, str]:
+    """Replay week 1 of a 2-week cohort of ``per_group`` participants a
+    group into ``tmp_path / "out"`` with a checkpoint, apply ``edit`` to the
+    checkpoint's JSON, resume week 2 from it into ``tmp_path / out`` and
+    return the exit code and stderr; a failed resume may write no week-2
+    report."""
     data = tmp_path / "data"
     plan_path = tmp_path / "plan.json"
     config_path = tmp_path / "config.json"
-    write_tiny_plan(plan_path, weeks=2)
+    write_tiny_plan(plan_path, weeks=2, per_group=per_group)
     config_path.write_text(json.dumps(FAST_CONFIG), encoding="utf-8")
     main(["synth", "--seed", "3", "--out-dir", str(data), "--plan", str(plan_path)])
     ckpt = tmp_path / "ckpt.csk"
@@ -634,19 +645,21 @@ def resume_edited_checkpoint(tmp_path, capsys, edit, out="out") -> tuple[int, st
 
 def test_replay_resume_checkpoint_with_out_of_range_split_exits_one(tmp_path, capsys):
     def edit(doc):
-        first_split(generic_models(doc)["random_forest"]["trees"])[SPLIT_FEATURE] = 99
+        first_split(cohort_models(doc)["random_forest"]["trees"])[SPLIT_FEATURE] = 99
 
-    code, err = resume_edited_checkpoint(tmp_path, capsys, edit)
+    code, err = resume_edited_checkpoint(tmp_path, capsys, edit, per_group=PER_GROUP_WITH_SETS)
     assert code == 1
     assert err.startswith("error:") and "feature 99" in err and "Traceback" not in err
 
 
 def test_replay_resume_checkpoint_with_a_truncated_tree_exits_one(tmp_path, capsys):
     def edit(doc):
-        trees = generic_models(doc)["gbt"]["trees"]
+        trees = cohort_models(doc)["gbt"]["trees"]
         next(tree for tree in trees if len(tree) > 1).pop()
 
-    code, err = resume_edited_checkpoint(tmp_path, capsys, edit, out="resumed")
+    code, err = resume_edited_checkpoint(
+        tmp_path, capsys, edit, out="resumed", per_group=PER_GROUP_WITH_SETS
+    )
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: malformed checkpoint")
     assert "tree ends before its last leaf" in err
@@ -655,9 +668,9 @@ def test_replay_resume_checkpoint_with_a_truncated_tree_exits_one(tmp_path, caps
 
 def test_replay_resume_checkpoint_with_a_nan_svm_bias_exits_one(tmp_path, capsys):
     def edit(doc):
-        doc["pool"]["generic"]["models"]["linear_svm"]["bias"] = float("nan")
+        cohort_models(doc)["linear_svm"]["bias"] = float("nan")
 
-    code, err = resume_edited_checkpoint(tmp_path, capsys, edit)
+    code, err = resume_edited_checkpoint(tmp_path, capsys, edit, per_group=PER_GROUP_WITH_SETS)
     assert code == 1
     assert err.startswith("error:") and "not finite" in err and "Traceback" not in err
 
@@ -684,16 +697,17 @@ def id_lists(doc):
 
 def version_2_trees(doc):
     """Lay out ``doc`` as version 2 did: each tree nested dicts, one per node."""
+    assert doc["pool"]["specialized"], "the checkpoint holds no tree to nest"
     doc.update(nested_doc(doc), schema_version=2)
 
 
 def nested_tags(doc):
     """Lay out ``doc`` as version 1 did: the pipeline and every model tagged
     with a schema version of its own, and every model with its kind."""
+    assert doc["pool"]["specialized"], "the checkpoint holds no model to tag"
     doc["schema_version"] = 1
     doc["pipeline"]["schema_version"] = 1
-    pool = doc["pool"]
-    for model_set in [pool["generic"], *pool["specialized"].values()]:
+    for model_set in doc["pool"]["specialized"].values():
         for kind, model in model_set["models"].items():
             model.update(schema_version=1, kind=kind)
 
@@ -708,11 +722,12 @@ def nested_tags(doc):
         (lambda doc: doc["config"]["learners"].update(logreg_iterations=80), "logreg_iterations"),
         (nested_tags, "schema version 1"),
         (version_2_trees, "schema version 2"),
+        (lambda doc: doc.update(version_3_doc(doc, None)), "schema version 3, expected 4"),
         (lambda doc: doc["registry"].update(cohort_ids=["G1"]), "registry differ"),
-        (lambda doc: as_float(doc["pool"]["generic"], "input_dim"), "pool differ"),
+        (lambda doc: as_float(cohort_set(doc), "input_dim"), "pool differ"),
         (lambda doc: as_float(doc["registry"], "min_pts_floor"), "registry differ"),
-        (lambda doc: as_float(first_split(generic_models(doc)["gbt"]["trees"]), SPLIT_FEATURE), "pool differ"),
-        (lambda doc: leaf_as_int(generic_models(doc)["random_forest"]["trees"]), "pool differ"),
+        (lambda doc: as_float(first_split(cohort_models(doc)["gbt"]["trees"]), SPLIT_FEATURE), "pool differ"),
+        (lambda doc: leaf_as_int(cohort_models(doc)["random_forest"]["trees"]), "pool differ"),
         # keys that checkpoints held before the program came to work them out
         (lambda doc: doc["registry"].update(next_label_index=4), "registry differ"),
         (lambda doc: doc["pipeline"].update(categorical_features=["social_context"]), "pipeline differ"),
@@ -720,7 +735,8 @@ def nested_tags(doc):
     ],
     ids=[
         "unedited", "no log digests", "id-list memberships", "refit cadence", "descent knob",
-        "version 1 with the nested tags", "version 2 with nested trees", "unknown registry key",
+        "version 1 with the nested tags", "version 2 with nested trees", "version 3",
+        "unknown registry key",
         "input_dim as float", "min_pts_floor as float", "gbt split feature as float", "forest leaf 0.0 as int",
         "stored next label index", "stored categorical features", "stored pca variance ratios",
     ],
@@ -728,11 +744,14 @@ def nested_tags(doc):
 def test_replay_resume_refuses_each_retired_checkpoint_layout(
     tmp_path, capsys, edit, field
 ):
-    code, err = resume_edited_checkpoint(tmp_path, capsys, edit, out="resumed")
+    code, err = resume_edited_checkpoint(
+        tmp_path, capsys, edit, out="resumed", per_group=PER_GROUP_WITH_SETS
+    )
     if field is None:
         assert code == 0 and (tmp_path / "resumed" / "report_week_2.csv").exists()
         return
     assert code == 1
+    assert len(err.splitlines()) == 1
     assert err.startswith("error:") and field in err and "Traceback" not in err
     assert not (tmp_path / "resumed").exists()
 

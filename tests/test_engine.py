@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohortsense import engine
-from cohortsense.core import EngineConfig, LearnerConfig, ValidationError
+from cohortsense import engine, ensemble
+from cohortsense.core import EngineConfig, LearnerConfig, ValidationError, label_from_score
 from cohortsense.engine import (
     CheckpointError,
     load,
@@ -41,6 +41,7 @@ from cohortsense.synthgen import (
 
 from columns import batch_of
 from gzipped import write_gzip
+from stored_generic import version_3_doc
 
 FAST_CONFIG = EngineConfig(
     cv_folds=3,
@@ -381,14 +382,16 @@ def test_checkpoint_missing_fields_is_checkpoint_error(tmp_path):
 
 
 def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches):
-    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
+    state = new_state(FAST_CONFIG)
+    for batch in mini_batches[:2]:
+        state, _ = step(state, batch)
     path = tmp_path / "state.csk"
     save(state, path)
     good = json.loads(gzip.open(path, "rb").read())
     pid = next(iter(good["scores"]))
     reg, pipeline = good["registry"], good["pipeline"]
-    generic = good["pool"]["generic"]
-    f1 = generic["validation_f1"]
+    label, cohort = next(iter(good["pool"]["specialized"].items()))
+    f1 = cohort["validation_f1"]
     labels = reg["prev_memberships"]
     assert set(labels) - {None} == {"G1", "G2", "G3"}
     assert reg["vanished"] == {}
@@ -396,16 +399,20 @@ def test_checkpoint_wrong_field_types_is_checkpoint_error(tmp_path, mini_batches
     kept = [None if x == "G3" else x for x in labels]
     g3 = sorted(pt for pt, x in zip(reg["ids"], labels) if x == "G3")
 
+    def pool_with_set(**fields):
+        sets = dict(good["pool"]["specialized"], **{label: dict(cohort, **fields)})
+        return dict(good["pool"], specialized=sets)
+
     def pool_with_f1(value):
-        return dict(good["pool"], generic=dict(generic, validation_f1=value))
+        return pool_with_set(validation_f1=value)
 
     def pool_with_model(kind, **fields):
-        models = dict(generic["models"], **{kind: dict(generic["models"][kind], **fields)})
-        return dict(good["pool"], generic=dict(generic, models=models))
+        models = dict(cohort["models"], **{kind: dict(cohort["models"][kind], **fields)})
+        return pool_with_set(models=models)
 
     nan, inf = float("nan"), float("inf")
-    logreg_weights = generic["models"]["logreg"]["weights"]
-    forest_trees = json.loads(json.dumps(generic["models"]["random_forest"]["trees"]))
+    logreg_weights = cohort["models"]["logreg"]["weights"]
+    forest_trees = json.loads(json.dumps(cohort["models"]["random_forest"]["trees"]))
     tree, leaf = next((t, i) for t, i in tree_nodes(forest_trees) if not is_split(t[i]))
     tree[leaf] = nan
 
@@ -547,19 +554,21 @@ def test_a_resume_into_logs_that_are_not_the_checkpoint_s_writes_nothing(
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_a_checkpoint_tree_5000_splits_deep_saves_and_loads(tmp_path, mini_batches):
+def test_a_checkpoint_tree_5000_splits_deep_saves_and_loads(tmp_path, week_two_doc):
     # split i sends x <= i to a leaf 0.0 and the rest on down the chain;
     # neither the tree writer nor its reader recurses
     chain = [entry for i in range(5000) for entry in ([0, float(i)], 0.0)] + [1.0]
     deep = GBTModel(init_score=-0.5, learning_rate=0.1, nodes=NodeTable.from_json([chain]))
-    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
-    state.pool.generic.models[ModelKind.GBT] = deep
     path = tmp_path / "state.csk"
+    write_gzip(path, week_two_doc)
+    state = load(path)
+    label = next(iter(state.pool.specialized))
+    state.pool.specialized[label].models[ModelKind.GBT] = deep
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # CPython's default
     try:
         save(state, path)
-        loaded = load(path).pool.generic.models[ModelKind.GBT]
+        loaded = load(path).pool.specialized[label].models[ModelKind.GBT]
     finally:
         sys.setrecursionlimit(limit)
     assert loaded.to_json() == deep.to_json()
@@ -568,9 +577,9 @@ def test_a_checkpoint_tree_5000_splits_deep_saves_and_loads(tmp_path, mini_batch
     assert np.array_equal(loaded.decision_scores(X), deep.decision_scores(X))
 
 
-def test_checkpoint_nested_too_deep_to_read_is_checkpoint_error(tmp_path, week_one_doc):
+def test_checkpoint_nested_too_deep_to_read_is_checkpoint_error(tmp_path, week_two_doc):
     # lists nested past the JSON parser's recursion limit, outside any tree
-    doc = dict(week_one_doc, registry=dict(week_one_doc["registry"], vectors="DEEP"))
+    doc = dict(week_two_doc, registry=dict(week_two_doc["registry"], vectors="DEEP"))
     path = tmp_path / "state.csk"
     write_gzip(path, json.dumps(doc).replace('"DEEP"', "[" * 100_000 + "]" * 100_000))
     with pytest.raises(CheckpointError, match="cannot read checkpoint .*recursion"):
@@ -604,19 +613,18 @@ def malformed_trees(trees: list[list]):
 
 
 @pytest.mark.parametrize("kind", ["random_forest", "gbt"])
-def test_checkpoint_malformed_tree_is_checkpoint_error(tmp_path, week_one_doc, kind):
+def test_checkpoint_malformed_tree_is_checkpoint_error(tmp_path, week_two_doc, kind):
     path = tmp_path / "state.csk"
-    for name, trees in malformed_trees(generic_models(week_one_doc)[kind]["trees"]):
-        doc = json.loads(json.dumps(week_one_doc))
-        generic_models(doc)[kind]["trees"] = trees
+    for name, trees in malformed_trees(cohort_models(week_two_doc)[kind]["trees"]):
+        doc = json.loads(json.dumps(week_two_doc))
+        cohort_models(doc)[kind]["trees"] = trees
         write_gzip(path, doc)
         with pytest.raises(CheckpointError, match="malformed checkpoint"):
             load(path)
             pytest.fail(f"{name} loaded")
-    write_gzip(path, week_one_doc)
-    assert load(path).pool.generic.models[ModelKind(kind)].to_json() == generic_models(
-        week_one_doc
-    )[kind]
+    write_gzip(path, week_two_doc)
+    (loaded,) = load(path).pool.specialized.values()
+    assert loaded.models[ModelKind(kind)].to_json() == cohort_models(week_two_doc)[kind]
 
 
 @pytest.mark.parametrize(
@@ -679,16 +687,16 @@ def leaf_as_int(trees: list[list]) -> None:
 
 
 def misfit_models(good: dict, dim: int):
-    """Checkpoints whose generic set holds a model that cannot read its vectors."""
+    """Checkpoints whose first specialized set holds a model that cannot read its vectors."""
 
     def tree_split(kind, index, value):
         doc = json.loads(json.dumps(good))
-        first_split(doc["pool"]["generic"]["models"][kind]["trees"])[index] = value
+        first_split(cohort_models(doc)[kind]["trees"])[index] = value
         return doc
 
     def weights(kind, values):
         doc = json.loads(json.dumps(good))
-        doc["pool"]["generic"]["models"][kind]["weights"] = values
+        cohort_models(doc)[kind]["weights"] = values
         return doc
 
     yield "forest feature", tree_split("random_forest", SPLIT_FEATURE, 99)
@@ -701,30 +709,38 @@ def misfit_models(good: dict, dim: int):
 
 
 def test_checkpoint_model_misfitting_input_dim_is_checkpoint_error(tmp_path, mini_batches):
-    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
+    state = new_state(FAST_CONFIG)
+    for batch in mini_batches[:2]:
+        state, _ = step(state, batch)
     path = tmp_path / "state.csk"
     save(state, path)
     good = json.loads(gzip.open(path, "rb").read())
-    dim = good["pool"]["generic"]["input_dim"]
+    dim = cohort_set(good)["input_dim"]
     for name, doc in misfit_models(good, dim):
         write_gzip(path, doc)
         with pytest.raises(CheckpointError):
             load(path)
             pytest.fail(f"{name} loaded")
     write_gzip(path, good)
-    assert load(path).pool.generic.input_dim == dim
+    (loaded,) = load(path).pool.specialized.values()
+    assert loaded.input_dim == dim
 
 
 @pytest.fixture(scope="module")
-def week_one_doc(tmp_path_factory, mini_batches):
-    """The JSON document of the checkpoint saved after week 1."""
-    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
-    path = save(state, tmp_path_factory.mktemp("week_one") / "state.csk")
-    return json.loads(gzip.decompress(path.read_bytes()))
+def week_two_doc(two_steps):
+    """The JSON document of the checkpoint saved after week 2, whose one
+    specialized set is cohort G2's."""
+    _, week_two = two_steps[0][1]
+    return json.loads(gzip.decompress(week_two))
 
 
-def generic_models(doc: dict) -> dict:
-    return doc["pool"]["generic"]["models"]
+def cohort_set(doc: dict) -> dict:
+    """The first specialized set of a checkpoint document."""
+    return next(iter(doc["pool"]["specialized"].values()))
+
+
+def cohort_models(doc: dict) -> dict:
+    return cohort_set(doc)["models"]
 
 
 @pytest.mark.parametrize(
@@ -734,25 +750,25 @@ def generic_models(doc: dict) -> dict:
         (lambda doc: doc.update(run_log=[]), "run_log differ"),
         (lambda doc: doc["registry"].update(cohort_ids=["G1", "G2", "G3"]), "registry differ"),
         (lambda doc: doc["pool"].update(min_cohort_size=15), "pool differ"),
-        (lambda doc: generic_models(doc)["gbt"].update(train_log_loss=0.5), "pool differ"),
+        (lambda doc: cohort_models(doc)["gbt"].update(train_log_loss=0.5), "pool differ"),
         # a split holds its feature and threshold only
         (
-            lambda doc: first_split(generic_models(doc)["random_forest"]["trees"]).append(1),
+            lambda doc: first_split(cohort_models(doc)["random_forest"]["trees"]).append(1),
             r"malformed checkpoint .*is not \[feature, threshold\]",
         ),
         (
-            lambda doc: generic_models(doc).update(random_forest=generic_models(doc)["gbt"]),
+            lambda doc: cohort_models(doc).update(random_forest=cohort_models(doc)["gbt"]),
             "pool differ",
         ),
         (
-            lambda doc: generic_models(doc).update(gbt=generic_models(doc)["random_forest"]),
+            lambda doc: cohort_models(doc).update(gbt=cohort_models(doc)["random_forest"]),
             "malformed checkpoint .*init_score",
         ),
         # equal numbers of another type: save writes each of these as the other
-        (lambda doc: as_float(doc["pool"]["generic"], "input_dim"), "pool differ"),
+        (lambda doc: as_float(cohort_set(doc), "input_dim"), "pool differ"),
         (lambda doc: as_float(doc["registry"], "min_pts_floor"), "registry differ"),
-        (lambda doc: as_float(first_split(generic_models(doc)["gbt"]["trees"]), SPLIT_FEATURE), "pool differ"),
-        (lambda doc: leaf_as_int(generic_models(doc)["random_forest"]["trees"]), "pool differ"),
+        (lambda doc: as_float(first_split(cohort_models(doc)["gbt"]["trees"]), SPLIT_FEATURE), "pool differ"),
+        (lambda doc: leaf_as_int(cohort_models(doc)["random_forest"]["trees"]), "pool differ"),
         # keys the program works out: fresh labels number on from those in use,
         # and the categorical features are the vocabularies' keys
         (lambda doc: doc["registry"].update(next_label_index=4), "registry differ"),
@@ -768,14 +784,31 @@ def generic_models(doc: dict) -> dict:
     ],
 )
 def test_checkpoint_save_would_not_write_is_checkpoint_error(
-    tmp_path, week_one_doc, change, message
+    tmp_path, week_two_doc, change, message
 ):
-    doc = json.loads(json.dumps(week_one_doc))
+    doc = json.loads(json.dumps(week_two_doc))
     change(doc)
     path = tmp_path / "state.csk"
     write_gzip(path, doc)
     with pytest.raises(CheckpointError, match=message):
         load(path)
+
+
+def test_a_checkpoint_that_stores_the_generic_set_is_refused(tmp_path, mini_batches):
+    state, _ = step(new_state(FAST_CONFIG), mini_batches[0])
+    path = save(state, tmp_path / "state.csk")
+    doc = json.loads(gzip.decompress(path.read_bytes()))
+    assert state.pool.generic is not None and doc["pool"].keys() == {"specialized"}
+    # as version 3 wrote it, then with the current version's number
+    version_3 = version_3_doc(doc, state.pool.generic)
+    write_gzip(path, version_3)
+    with pytest.raises(CheckpointError, match="has schema version 3, expected 4$"):
+        load(path)
+    write_gzip(path, dict(version_3, schema_version=engine.CHECKPOINT_SCHEMA_VERSION))
+    with pytest.raises(CheckpointError, match="is not laid out as save writes it: pool differ$"):
+        load(path)
+    write_gzip(path, doc)
+    assert load(path).pool.generic is None
 
 
 def test_checkpoint_failed_write_keeps_previous(tmp_path, mini_batches, monkeypatch):
@@ -988,6 +1021,17 @@ def _without_the_holdout(b):
     return [b[0], b[1], week_3], EMPTY_HOLDOUT
 
 
+def _scored_by_one_of_each_label(b):
+    """Week 1 scored by one participant of each label only: its hold-out
+    rounds to 0 participants while its training rows hold both labels, so a
+    generic set would be fitted before the hold-out is fixed."""
+    labels = b[0].labels
+    first = {label_from_score(s, FAST_CONFIG.score_threshold): p for p, s in sorted(labels.items())}
+    week_1 = dataclasses.replace(b[0], labels={p: labels[p] for p in first.values()})
+    assert len(first) == 2 and not engine._pick_holdout(week_1.labels, FAST_CONFIG)
+    return [week_1], "week 1: empty hold-out: no hold-out row survives cleaning"
+
+
 def _all_outliers(b):
     """Weeks 1-3, week 3's row i an outlier of continuous feature i mod d."""
     records = b[2].records.copy()
@@ -1029,6 +1073,7 @@ RULE_BREAKING = {
     "a week-3 feature observed in an outlier row only": _observed_in_an_outlier_only,
     "a week 3 without hold-out rows": _without_the_holdout,
     "a week 3 of outliers only": _all_outliers,
+    "a week 1 whose hold-out rounds to 0": _scored_by_one_of_each_label,
     "a week 1 of one participant": lambda b: (
         [_rows(b[0], b[0].participants == 0)],
         "week 1: PCA needs a matrix with >= 2 rows",
@@ -1205,17 +1250,71 @@ def test_run_log_restarts_on_a_fresh_replay_and_keeps_done_weeks_on_resume(tmp_p
 # ---------------------------------------------------------------- properties
 
 
+def _generic_json(state):
+    return None if state.pool.generic is None else ensemble._set_to_json(state.pool.generic)
+
+
+def _refuses_without_the_holdout(state, batch) -> bool:
+    """Whether `_check_batches` refuses ``batch`` without the rows of the
+    state's hold-out participants for want of a hold-out row: it does so
+    iff it holds that the generic set exists, once the hold-out is fixed."""
+    codes = [c for c, pid in enumerate(batch.participant_ids) if pid in state.holdout]
+    try:
+        engine._check_batches(state, [_rows(batch, ~np.isin(batch.participants, codes))])
+    except ValidationError as exc:
+        assert str(exc) == f"week {batch.week}: empty hold-out: no hold-out row survives cleaning"
+        return True
+    return False
+
+
+def _straight_weeks(batches, root: Path) -> list:
+    """Step ``batches`` in turn and save each week's checkpoint under
+    ``root``; give per week the checkpoint's bytes, the JSON of the
+    in-memory generic set and whether the batch check refuses the next
+    week without its hold-out rows."""
+    state, weeks = new_state(FAST_CONFIG), []
+    for batch, following in zip(batches, [*batches[1:], None]):
+        state, _ = step(state, batch)
+        checkpoint = save(state, root / f"week_{batch.week}.csk").read_bytes()
+        refused = following is not None and _refuses_without_the_holdout(state, following)
+        weeks.append((checkpoint, _generic_json(state), refused))
+    return weeks
+
+
+def _resume_steps_as_the_straight_run(checkpoint, batches, weeks, boundary, scratch, **replay):
+    """Resume the rest of ``batches`` from ``checkpoint``, written after
+    week ``boundary``, and check it against the straight run's ``weeks``:
+    the loaded state holds no generic set, but its batch check decides that
+    one exists as the straight state's does, and each resumed step refits
+    the straight generic set and saves the straight checkpoint."""
+    state = load(checkpoint)
+    assert state.pool.generic is None
+    _, generic, refused = weeks[boundary - 1]
+    assert refused == (generic is not None)
+    assert _refuses_without_the_holdout(state, batches[boundary]) == refused
+    stepped = []
+
+    def recorded(*args):
+        after, report = step(*args)
+        saved = save(after, scratch / f"stepped_{len(stepped)}.csk").read_bytes()
+        stepped.append((saved, _generic_json(after)))
+        return after, report
+
+    with mock.patch.object(engine, "step", recorded):
+        run_replay(state, batches[boundary:], **replay)
+    assert len(stepped) == len(batches) - boundary
+    for (saved, generic), (checkpoint, straight, _) in zip(stepped, weeks[boundary:]):
+        assert generic == straight is not None
+        assert saved == checkpoint
+
+
 @pytest.fixture(scope="module")
 def four_week_run(profiles, tmp_path_factory):
-    """A straight 4-week replay, plus the checkpoint after each of weeks 1-3."""
+    """A straight 4-week replay, plus each week's checkpoint (see `_straight_weeks`)."""
     batches = generate_cohort(mini_plan(weeks=4), profiles, seed=3)
     root = tmp_path_factory.mktemp("four_weeks")
     run_replay(FAST_CONFIG, batches, out_dir=root / "straight", plot=True)
-    state = new_state(FAST_CONFIG)
-    for batch in batches[:3]:
-        state, _ = step(state, batch)
-        save(state, root / f"week_{batch.week}.csk")
-    return batches, root
+    return batches, root, _straight_weeks(batches, root)
 
 
 class Interrupted(Exception):
@@ -1242,7 +1341,7 @@ def _step_until(boundary: int):
 def test_resume_from_every_week_boundary_gives_the_straight_files(
     four_week_run, boundary, first_run
 ):
-    batches, root = four_week_run
+    batches, root, weeks = four_week_run
     straight = root / "straight"
     checkpoint = root / f"week_{boundary}.csk"
     with tempfile.TemporaryDirectory() as tmp:
@@ -1258,11 +1357,39 @@ def test_resume_from_every_week_boundary_gives_the_straight_files(
                                plot=True)
         else:
             run_replay(FAST_CONFIG, batches[:boundary], out_dir=out, plot=True)
-        run_replay(load(checkpoint), batches[boundary:], out_dir=out, plot=True)
+        _resume_steps_as_the_straight_run(
+            checkpoint, batches, weeks, boundary, Path(tmp), out_dir=out, plot=True
+        )
         names = sorted(p.name for p in straight.iterdir())
         assert names == sorted(p.name for p in out.iterdir())
         for name in names:
             assert (straight / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def _one_class_first(batches):
+    """``batches`` with week 1 scored by two participants below the score
+    threshold only: week 1's hold-out rounds to 0 participants and its
+    training rows hold one class, so week 2 fixes the hold-out and fits the
+    first generic set."""
+    week_1 = batches[0]
+    low = sorted(
+        p for p, s in week_1.labels.items() if label_from_score(s, FAST_CONFIG.score_threshold) == 0
+    )[:2]
+    week_1 = dataclasses.replace(week_1, labels={p: week_1.labels[p] for p in low})
+    return [week_1, *batches[1:]]
+
+
+def test_a_resume_after_a_one_class_week_1_refits_the_straight_generic_set(mini_batches, tmp_path):
+    batches = _one_class_first(mini_batches)
+    weeks = _straight_weeks(batches, tmp_path)
+    (_, week_1, _), (_, week_2, _) = weeks[:2]
+    assert week_1 is None and week_2 is not None
+    assert load(tmp_path / "week_1.csk").holdout == frozenset()
+    assert load(tmp_path / "week_2.csk").holdout
+    for boundary in range(1, len(batches)):
+        _resume_steps_as_the_straight_run(
+            tmp_path / f"week_{boundary}.csk", batches, weeks, boundary, tmp_path
+        )
 
 
 @pytest.fixture(scope="module")
