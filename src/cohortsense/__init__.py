@@ -17,7 +17,7 @@ from .core import (
     load_config,
 )
 from .engine import EngineState, WeeklyReport, load, new_state, run_replay, save, step
-from .ensemble import ModelPool, ModelSet, VoteOutcome, vote
+from .ensemble import Ballots, ModelPool, ModelSet, vote
 from .synthgen import (
     CohortPlan,
     GroupProfile,
@@ -31,6 +31,7 @@ from .synthgen import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Ballots",
     "ClusterRegistry",
     "ClusterSnapshot",
     "CohortPlan",
@@ -41,7 +42,6 @@ __all__ = [
     "LearnerConfig",
     "ModelPool",
     "ModelSet",
-    "VoteOutcome",
     "WeeklyBatch",
     "WeeklyReport",
     "batch_dbscan",

@@ -96,6 +96,20 @@ def seed_entropy(seed: int, *parts: object) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
+def equal_fields(self, other: object) -> bool:
+    """``==`` of dataclasses: arrays equal by value, a float array's NaN equal to NaN."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if isinstance(a, np.ndarray):
+            if not np.array_equal(a, b, equal_nan=a.dtype.kind == "f"):
+                return False
+        elif a != b:
+            return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class WeeklyBatch:
     """One study week's rows as columns, plus known ground-truth scores.
@@ -170,17 +184,7 @@ class WeeklyBatch:
             labels=dict(labels),
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeeklyBatch):
-            return NotImplemented
-        for f in fields(self):
-            a, b = getattr(self, f.name), getattr(other, f.name)
-            if isinstance(a, np.ndarray):
-                if not np.array_equal(a, b, equal_nan=a.dtype.kind == "f"):
-                    return False
-            elif a != b:
-                return False
-        return True
+    __eq__ = equal_fields
 
 
 def _within(default, interval: str):

@@ -31,9 +31,9 @@ from .core import (
     validate_score,
 )
 from .ensemble import (
+    Ballots,
     EvalRow,
     ModelPool,
-    VoteOutcome,
     evaluate_week,
     pool_from_json,
     pool_to_json,
@@ -88,7 +88,8 @@ class WeeklyReport:
     week: int
     assignments: dict[str, str | None]  # this week's point id -> cohort label
     eval_rows: list[EvalRow]
-    votes: dict[str, VoteOutcome]  # participant id -> outcome
+    participants: tuple[str, ...]  # this week's vectorized ids, sorted: the ballots' rows
+    ballots: Ballots | None  # None until the generic set exists
     events: tuple[str, ...]
 
 
@@ -120,18 +121,19 @@ def _week_of(point_id: str) -> int:
 
 def _check_batches(state: EngineState, batches: list[WeeklyBatch]) -> list[tuple]:
     """Refuse the first batch that `step` would refuse, each after the ones
-    before it from ``state``; give each batch's pipeline and `clean` result,
-    which `step` uses. Refused are a week out of order or past ``MAX_WEEK``,
-    an empty batch, a score out of range or unlike the known one (one score
-    labels all of a participant's points), a batch lacking a feature of the
-    pipeline, a batch that cleaning refuses or, on a fresh state, whose
-    pipeline fit fails, and, once the generic set exists, a batch in which
-    no hold-out participant has a row that survives cleaning."""
+    before it from ``state``; give each batch's pipeline, `clean` result,
+    and scores and hold-out after it, which `step` uses. Refused are a week
+    out of order or past ``MAX_WEEK``, an empty batch, a score out of range
+    or unlike the known one (one score labels all of a participant's
+    points), a batch lacking a feature of the pipeline, a batch that
+    cleaning refuses or, on a fresh state, whose pipeline fit fails, and,
+    once the generic set exists, a batch in which no hold-out participant
+    has a row that survives cleaning."""
     week, scores, pipeline = state.current_week, dict(state.scores), state.pipeline
-    holdout, generic = state.holdout, state.pool.generic is not None
+    holdout, generic = state.holdout, False
     threshold = state.config.score_threshold
-    # participants with points: the generic set's rows, read until it exists
-    with_points = set() if generic else set(map(_participant, state.registry.point_ids))
+    # participants with points, from which every state works out whether the generic set exists
+    with_points = set(map(_participant, state.registry.point_ids))
     prepared = []
     for batch in batches:
         week += 1
@@ -161,11 +163,11 @@ def _check_batches(state: EngineState, batches: list[WeeklyBatch]) -> list[tuple
             pipeline = pipeline or fit_pipeline(batch, state.config.pca_variance_target, cleaned)
         except ValidationError as exc:
             raise ValidationError(f"week {week}: {exc}") from None
-        prepared.append((pipeline, cleaned))
         codes = np.unique(batch.participants[cleaned[0]]).tolist()
         kept = {batch.participant_ids[c] for c in codes}  # the participants `step` vectorizes
         if not holdout and scores:
             holdout = _pick_holdout(scores, state.config)
+        prepared.append((pipeline, cleaned, dict(scores), holdout))
         if not generic:  # `refresh_generic` fits once the training rows hold both labels
             with_points |= kept
             train = (with_points & scores.keys()) - holdout
@@ -226,10 +228,10 @@ def step(state: EngineState, batch: WeeklyBatch, checked=None) -> tuple[EngineSt
     specialized sets side by side, see `_refresh_side_by_side`), vote,
     evaluate. ``checked`` is the batch's `_check_batches` entry, when the
     caller has checked it already."""
-    pipeline, cleaned = checked or _check_batches(state, [batch])[0]
+    pipeline, cleaned, scores, holdout = checked or _check_batches(state, [batch])[0]
 
-    # the registry and the scores change in place; every other part is replaced
-    st = replace(state, registry=state.registry.copy(), scores=dict(state.scores))
+    # the registry changes in place; every other part is replaced
+    st = replace(state, registry=state.registry.copy(), scores=scores, holdout=holdout)
     week = batch.week
     events: list[str] = []
 
@@ -246,12 +248,8 @@ def step(state: EngineState, batch: WeeklyBatch, checked=None) -> tuple[EngineSt
     st.registry.insert(week_points.values(), X)
     snapshot = st.registry.snapshot()
 
-    st.scores.update(batch.labels)
-    if not st.holdout and st.scores:
-        st.holdout = _pick_holdout(st.scores, st.config)
-        events.append(
-            f"week {week}: fixed hold-out of {len(st.holdout)} participants"
-        )
+    if holdout != state.holdout:
+        events.append(f"week {week}: fixed hold-out of {len(holdout)} participants")
 
     # a participant's one score labels every point of theirs
     label = {pid: label_from_score(s, st.config.score_threshold) for pid, s in st.scores.items()}
@@ -270,15 +268,13 @@ def step(state: EngineState, batch: WeeklyBatch, checked=None) -> tuple[EngineSt
     label_of = {pt: label for label, members in snapshot.cohorts.items() for pt in members}
     assignments = {pt: label_of.get(pt) for pt in week_points.values()}
 
-    votes: dict[str, VoteOutcome] = {}
-    eval_rows: list[EvalRow] = []
+    ballots, eval_rows = None, []
     if st.pool.generic is not None:
-        held = [pt for pt in week_points.values() if _participant(pt) in st.holdout]
-        votes = dict(zip(week_points, vote(st.pool, X, list(assignments.values()))))
+        cohorts = list(assignments.values())
+        ballots = vote(st.pool, X, cohorts)
+        held = [i for i, pid in enumerate(pids) if pid in st.holdout]
         eval_rows = evaluate_week(
-            [label[_participant(pt)] for pt in held],
-            [assignments[pt] for pt in held],
-            [votes[_participant(pt)] for pt in held],
+            [label[pids[i]] for i in held], [cohorts[i] for i in held], ballots.take(held)
         )
 
     st.current_week = week
@@ -286,7 +282,8 @@ def step(state: EngineState, batch: WeeklyBatch, checked=None) -> tuple[EngineSt
         week=week,
         assignments=assignments,
         eval_rows=eval_rows,
-        votes=votes,
+        participants=tuple(pids),
+        ballots=ballots,
         events=tuple(events),
     )
     st.log_digests = reporting.chain_digests(st.log_digests, report)

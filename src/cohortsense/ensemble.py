@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import ClusterSnapshot
-from .core import EngineConfig, ValidationError
+from .core import EngineConfig, ValidationError, equal_fields
 from .learners import (
     MODEL_TYPES,
     Dataset,
@@ -50,11 +50,22 @@ class ModelPool:
     specialized: dict[str, ModelSet] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class VoteOutcome:
-    prediction: int
-    tally: dict[str, int]  # voter name -> vote
-    rule_used: str  # majority | weighted_f1 | generic_only
+@dataclass(frozen=True, eq=False)
+class Ballots:
+    """One week's votes as columns, one row per voted vector: ``votes``
+    holds, per row, the generic set's four votes in `KIND_ORDER`, then the
+    four of the row's live cohort set, or -1 where the row has none;
+    ``rules`` names the rule (majority, weighted_f1 or generic_only) that
+    decided each of ``predictions``."""
+
+    votes: np.ndarray
+    predictions: np.ndarray
+    rules: np.ndarray
+
+    __eq__ = equal_fields
+
+    def take(self, rows) -> Ballots:
+        return Ballots(self.votes[rows], self.predictions[rows], self.rules[rows])
 
 
 @dataclass(frozen=True)
@@ -182,9 +193,7 @@ def refresh_specialized(
     return ModelPool(generic=pool.generic, specialized=specialized), events
 
 
-def vote(
-    pool: ModelPool, X: np.ndarray, assignments: list[str | None]
-) -> list[VoteOutcome]:
+def vote(pool: ModelPool, X: np.ndarray, assignments: list[str | None]) -> Ballots:
     """Majority vote per row of ``X`` over the generic set plus the set of
     the row's cohort ``assignments[i]``; each model predicts its rows in one
     call. A tie is broken by summing each side's validation F1 weights; a
@@ -200,65 +209,49 @@ def vote(
             f"vectors of shape {X.shape} do not match {len(assignments)} "
             f"assignments and model dimension {pool.generic.input_dim}"
         )
-    voters = [(GENERIC_SCOPE, pool.generic, list(range(len(X))))] + [
-        (label, pool.specialized[label], [i for i, a in enumerate(assignments) if a == label])
-        for label in sorted({a for a in assignments if a in pool.specialized})
+    n_kinds = len(KIND_ORDER)
+    votes = np.full((len(X), 2 * n_kinds), -1, dtype=np.int64)
+    weights = np.zeros((2, len(X)))  # per row, the F1 weight of the zeros and of the ones
+    cohorts = np.asarray(assignments, dtype=object)
+    voters = [(pool.generic, np.arange(len(X)), 0)] + [
+        (pool.specialized[label], np.flatnonzero(cohorts == label), n_kinds)
+        for label in sorted(set(assignments) & pool.specialized.keys())
     ]
-    # per row, (voter name, validation F1, vote) in voting order
-    ballots: list[list[tuple[str, float, int]]] = [[] for _ in range(len(X))]
-    for label, model_set, rows in voters:
-        for kind in KIND_ORDER:
-            f1 = model_set.validation_f1[kind]
-            for i, p in zip(rows, model_set.models[kind].predict(X[rows])):
-                ballots[i].append((f"{label}:{kind.value}", f1, int(p)))
-    return [_decide(ballot) for ballot in ballots]
-
-
-def _decide(ballot: list[tuple[str, float, int]]) -> VoteOutcome:
-    tally = {name: v for name, _, v in ballot}
-    ones = sum(tally.values())
-    zeros = len(tally) - ones
-    if len(ballot) == len(KIND_ORDER):
-        rule = "generic_only"
-    else:
-        rule = "majority" if ones != zeros else "weighted_f1"
-    if ones != zeros:
-        prediction = int(ones > zeros)
-    else:
-        weight_one = sum(f1 for _, f1, v in ballot if v == 1)
-        weight_zero = sum(f1 for _, f1, v in ballot if v == 0)
-        prediction = int(weight_one >= weight_zero)
-    return VoteOutcome(prediction=prediction, tally=tally, rule_used=rule)
+    # each row's weights add up in voting order, as a sum over its ballot would
+    for model_set, rows, first in voters:
+        for j, kind in enumerate(KIND_ORDER, first):
+            votes[rows, j] = model_set.models[kind].predict(X[rows])
+            weights[votes[rows, j], rows] += model_set.validation_f1[kind]
+    ones, zeros = (votes == 1).sum(axis=1), (votes == 0).sum(axis=1)
+    predictions = np.where(ones != zeros, ones > zeros, weights[1] >= weights[0])
+    # names indexed by rule, not np.where of two names, whose dtype would cut "generic_only"
+    rule = np.where(votes[:, n_kinds] < 0, 2, ones == zeros)
+    names = np.array(["majority", "weighted_f1", "generic_only"])
+    return Ballots(votes, predictions.astype(np.int64), names[rule])
 
 
 def evaluate_week(
-    labels: list[int], assignments: list[str | None], outcomes: list[VoteOutcome]
+    labels: list[int], assignments: list[str | None], ballots: Ballots
 ) -> list[EvalRow]:
     """Metrics for generic kinds, each live specialized set, and voting, on
-    the hold-out rows' labels, cluster assignments and vote outcomes. Each
-    model's predictions are read from the tallies.
+    the hold-out rows' labels, cluster assignments and ballots. Each
+    model's predictions are read from the ballots' columns.
     """
     if not labels:
         raise ValidationError("cannot evaluate an empty hold-out set")
     y = np.array(labels, dtype=int)
-    live = sorted({a for a, o in zip(assignments, outcomes) if o.rule_used != "generic_only"})
-    groups = [("generic", "", GENERIC_SCOPE, list(range(len(y))))] + [
-        ("specialized", label, label, [i for i, a in enumerate(assignments) if a == label])
-        for label in live
+    n_kinds = len(KIND_ORDER)
+    cohorts = np.asarray(assignments, dtype=object)
+    groups = [("generic", "", slice(None), 0)] + [
+        ("specialized", label, cohorts == label, n_kinds)
+        for label in sorted(set(cohorts[ballots.votes[:, n_kinds] >= 0]))
     ]
     out = [
-        EvalRow(
-            scope=scope,
-            cohort=cohort,
-            kind=kind.value,
-            metrics=compute_metrics(
-                [outcomes[i].tally[f"{voter}:{kind.value}"] for i in rows], y[rows]
-            ),
-        )
-        for scope, cohort, voter, rows in groups
-        for kind in KIND_ORDER
+        EvalRow(scope, cohort, kind.value, compute_metrics(ballots.votes[rows, j], y[rows]))
+        for scope, cohort, rows, first in groups
+        for j, kind in enumerate(KIND_ORDER, first)
     ]
-    voting = compute_metrics([o.prediction for o in outcomes], y)
+    voting = compute_metrics(ballots.predictions, y)
     out.append(EvalRow(scope="voting", cohort="", kind="ensemble", metrics=voting))
     return out
 

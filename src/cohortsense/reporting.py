@@ -54,9 +54,9 @@ def write_clusters(out_dir: str | Path, report: "WeeklyReport") -> Path:
 
 def write_votes(out_dir: str | Path, report: "WeeklyReport") -> Path:
     rows = [["participant_id", "prediction", "rule_used", "n_voters"]]
-    for pid in sorted(report.votes):
-        outcome = report.votes[pid]
-        rows.append([pid, outcome.prediction, outcome.rule_used, len(outcome.tally)])
+    if (b := report.ballots) is not None:
+        voters = (b.votes >= 0).sum(axis=1)  # 4 or 8 per row
+        rows += zip(report.participants, b.predictions.tolist(), b.rules.tolist(), voters.tolist())
     return _write_rows(Path(out_dir) / f"votes_week_{report.week}.csv", rows)
 
 

@@ -140,7 +140,8 @@ def test_step_week_one_fits_pipeline_and_reports(mini_batches):
     assert report.week == 1
     assert report.assignments
     # every vectorized participant has one point, in a cohort or noise, and a vote
-    assert sorted(report.votes) == sorted(pt.split("|")[0] for pt in report.assignments)
+    assert list(report.participants) == sorted(pt.split("|")[0] for pt in report.assignments)
+    assert len(report.ballots.predictions) == len(report.participants)
     assert any(er.scope == "voting" for er in report.eval_rows)
 
 
@@ -183,7 +184,8 @@ def test_step_deterministic(mini_batches):
         runs.append(reports)
     for a, b in zip(*runs):
         assert a.assignments == b.assignments
-        assert a.votes == b.votes
+        assert a.participants == b.participants
+        assert a.ballots == b.ballots
         assert [r.metrics for r in a.eval_rows] == [r.metrics for r in b.eval_rows]
 
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import vote_oracle
 from cohortsense import ensemble
 from cohortsense.cluster import ClusterSnapshot
 from cohortsense.core import EngineConfig, LearnerConfig, ValidationError
@@ -215,16 +217,23 @@ def test_specialized_beats_generic_on_planted_group_structure():
 # ---------------------------------------------------------------- voting
 
 
+def one_vote(pool, assignment):
+    """One row's vote: its prediction, its rule and the votes cast."""
+    ballots = vote(pool, np.zeros((1, 2)), [assignment])
+    [row] = ballots.votes
+    return ballots.predictions[0], ballots.rules[0], row[row >= 0].tolist()
+
+
 def test_vote_majority_with_eight_voters():
     pool = ModelPool(
         generic=stub_set([1, 1, 1, 0], [0.5] * 4),
         specialized={"G1": stub_set([1, 1, 0, 0], [0.5] * 4)},
     )
-    [outcome] = vote(pool, np.zeros((1, 2)), ["G1"])
-    assert outcome.prediction == 1
-    assert outcome.rule_used == "majority"
-    assert len(outcome.tally) == 8
-    assert sum(outcome.tally.values()) == 5
+    prediction, rule, cast = one_vote(pool, "G1")
+    assert prediction == 1
+    assert rule == "majority"
+    assert len(cast) == 8
+    assert sum(cast) == 5
 
 
 def test_vote_noise_routes_generic_only():
@@ -232,19 +241,19 @@ def test_vote_noise_routes_generic_only():
         generic=stub_set([0, 0, 1, 0], [0.5] * 4),
         specialized={"G1": stub_set([1, 1, 1, 1], [0.9] * 4)},
     )
-    [outcome] = vote(pool, np.zeros((1, 2)), [None])
-    assert len(outcome.tally) == 4
-    assert outcome.rule_used == "generic_only"
-    assert outcome.prediction == 0
+    prediction, rule, cast = one_vote(pool, None)
+    assert len(cast) == 4
+    assert rule == "generic_only"
+    assert prediction == 0
 
 
 def test_vote_missing_specialized_set_routes_generic_only():
     pool = ModelPool(generic=stub_set([1, 1, 0, 0], [0.6, 0.6, 0.5, 0.4]))
-    [outcome] = vote(pool, np.zeros((1, 2)), ["G9"])
-    assert len(outcome.tally) == 4
-    assert outcome.rule_used == "generic_only"
+    prediction, rule, cast = one_vote(pool, "G9")
+    assert len(cast) == 4
+    assert rule == "generic_only"
     # internal 2-2 tie: weights 1.2 for ones vs 0.9 for zeros
-    assert outcome.prediction == 1
+    assert prediction == 1
 
 
 def test_vote_weighted_tie_break_hand_computed():
@@ -253,13 +262,13 @@ def test_vote_weighted_tie_break_hand_computed():
         generic=stub_set([0, 0, 1, 1], [0.8, 0.7, 0.6, 0.7]),
         specialized={"G2": stub_set([0, 0, 1, 1], [0.7, 0.7, 0.6, 0.6])},
     )
-    [outcome] = vote(pool, np.zeros((1, 2)), ["G2"])
-    assert outcome.rule_used == "weighted_f1"
+    prediction, rule, _ = one_vote(pool, "G2")
+    assert rule == "weighted_f1"
     weight_zero = 0.8 + 0.7 + 0.7 + 0.7
     weight_one = 0.6 + 0.7 + 0.6 + 0.6
     assert weight_zero == pytest.approx(2.9)
     assert weight_one == pytest.approx(2.5)
-    assert outcome.prediction == 0
+    assert prediction == 0
 
 
 def test_vote_tie_with_equal_weights_predicts_lonely():
@@ -267,7 +276,7 @@ def test_vote_tie_with_equal_weights_predicts_lonely():
         generic=stub_set([0, 0, 1, 1], [0.5] * 4),
         specialized={"G1": stub_set([0, 0, 1, 1], [0.5] * 4)},
     )
-    assert vote(pool, np.zeros((1, 2)), ["G1"])[0].prediction == 1
+    assert one_vote(pool, "G1")[0] == 1
 
 
 def test_vote_dimension_mismatch_error():
@@ -282,9 +291,9 @@ def test_vote_tally_size_invariant():
         specialized={"G1": stub_set([1, 1, 1, 1], [0.9] * 4)},
     )
     for assignment in (None, "G1", "G7"):
-        [outcome] = vote(pool, np.zeros((1, 2)), [assignment])
-        assert len(outcome.tally) in (4, 8)
-        assert (outcome.rule_used == "generic_only") == (len(outcome.tally) == 4)
+        _, rule, cast = one_vote(pool, assignment)
+        assert len(cast) in (4, 8)
+        assert (rule == "generic_only") == (len(cast) == 4)
 
 
 def test_weighted_rule_never_overrides_strict_majority():
@@ -293,9 +302,69 @@ def test_weighted_rule_never_overrides_strict_majority():
         generic=stub_set([1, 1, 1, 0], [0.1, 0.1, 0.1, 0.99]),
         specialized={"G1": stub_set([1, 1, 0, 0], [0.1, 0.1, 0.99, 0.99])},
     )
-    [outcome] = vote(pool, np.zeros((1, 2)), ["G1"])
-    assert outcome.prediction == 1
-    assert outcome.rule_used == "majority"
+    prediction, rule, _ = one_vote(pool, "G1")
+    assert prediction == 1
+    assert rule == "majority"
+
+
+class _ColumnModel:
+    """Votes each row's bit in one column of ``X``."""
+
+    def __init__(self, column):
+        self.column = column
+
+    def predict(self, X):
+        return X[:, self.column].astype(int)
+
+
+# F1s whose sums round apart by the order they add up in
+WEIGHTS = (0.0, 0.1, 0.2, 0.3, 0.55, 0.58, 0.6, 0.64, 0.69, 0.7, 0.72, 0.77, 0.81, 1.0)
+
+
+@st.composite
+def vote_weeks(draw):
+    """A generic set and 1-3 cohort sets whose models each read their own
+    column of bits, and a week of rows: each row in noise, in a cohort with
+    a set or in G9, which has none. The first three rows cast a majority,
+    an equal-count (weighted) and a generic-only vote."""
+    labels = [f"G{i}" for i in range(1, draw(st.integers(1, 3)) + 1)]
+    # a palette of one to three F1s, so that the two sides' sums often tie exactly
+    palette = draw(st.lists(st.sampled_from(WEIGHTS), min_size=1, max_size=3))
+    sets = [
+        ModelSet(
+            models={k: _ColumnModel(4 * s + j) for j, k in enumerate(KIND_ORDER)},
+            validation_f1={k: draw(st.sampled_from(palette)) for k in KIND_ORDER},
+            input_dim=4 * (len(labels) + 1),
+        )
+        for s in range(len(labels) + 1)
+    ]
+    pool = ModelPool(generic=sets[0], specialized=dict(zip(labels, sets[1:])))
+    n = draw(st.integers(3, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, 2, size=(n, sets[0].input_dim)).astype(float)
+    cohort = draw(st.sampled_from(labels))
+    first = 4 * labels.index(cohort) + 4  # the column of its set's first kind
+    X[0] = 1.0
+    X[1] = 0.0
+    X[1, [0, 1, first, first + 1]] = 1.0
+    assignments = [cohort, cohort, None] + [
+        draw(st.sampled_from([None, "G9", *labels])) for _ in range(n - 3)
+    ]
+    return pool, X, assignments
+
+
+@settings(max_examples=200, deadline=None)
+@given(vote_weeks())
+def test_vote_equals_the_row_by_row_oracle(week):
+    pool, X, assignments = week
+    ballots = vote(pool, X, assignments)
+    expected = vote_oracle.vote_rows(pool, X, assignments)
+    assert ballots.predictions.tolist() == [prediction for prediction, _, _ in expected]
+    assert ballots.rules.tolist() == [rule for _, rule, _ in expected]
+    assert [row[row >= 0].tolist() for row in ballots.votes] == [
+        list(tally.values()) for _, _, tally in expected
+    ]
+    assert ballots.rules[:3].tolist() == ["majority", "weighted_f1", "generic_only"]
 
 
 def one_cohort_pool():
@@ -315,21 +384,22 @@ def one_cohort_pool():
 def test_vote_batch_equals_one_row_at_a_time_in_any_order():
     pool, rows, assignments = one_cohort_pool()
     X = rows.vectors
-    alone = [vote(pool, X[i : i + 1], [a])[0] for i, a in enumerate(assignments)]
-    assert {len(o.tally) for o in alone} == {4, 8}
-    assert vote(pool, X, assignments) == alone
+    alone = [vote(pool, X[i : i + 1], [a]) for i, a in enumerate(assignments)]
+    assert {int((b.votes >= 0).sum()) for b in alone} == {4, 8}
+    batch = vote(pool, X, assignments)
+    assert [batch.take([i]) for i in range(len(rows))] == alone
     order = np.random.default_rng(2).permutation(len(rows))
     shuffled = vote(pool, X[order], [assignments[i] for i in order])
-    assert shuffled == [alone[i] for i in order]
+    assert [shuffled.take([k]) for k in range(len(rows))] == [alone[i] for i in order]
 
 
 # ---------------------------------------------------------------- evaluation
 
 
 def voted_holdout(pool, rows, assignments):
-    """The hold-out arguments of evaluate_week: labels, assignments, outcomes."""
-    outcomes = vote(pool, rows.vectors, assignments)
-    return rows.labels.tolist(), assignments, outcomes
+    """The hold-out arguments of evaluate_week: labels, assignments, ballots."""
+    ballots = vote(pool, rows.vectors, assignments)
+    return rows.labels.tolist(), assignments, ballots
 
 
 def test_evaluate_week_report_axes():
@@ -360,8 +430,8 @@ def test_evaluate_week_perfect_pool_alls_ones():
 
 def test_evaluate_week_rows_equal_each_models_own_predictions():
     pool, rows, assignments = one_cohort_pool()
-    labels, _, outcomes = voted_holdout(pool, rows, assignments)
-    report = evaluate_week(labels, assignments, outcomes)
+    labels, _, ballots = voted_holdout(pool, rows, assignments)
+    report = evaluate_week(labels, assignments, ballots)
     X = rows.vectors
     y = np.array(labels)
     idx = [i for i, a in enumerate(assignments) if a == "G1"]
@@ -382,8 +452,9 @@ def test_evaluate_week_rows_equal_each_models_own_predictions():
 
 
 def test_evaluate_week_empty_holdout_error():
+    pool = ModelPool(generic=stub_set([1, 1, 1, 1], [0.5] * 4))
     with pytest.raises(ValidationError):
-        evaluate_week([], [], [])
+        evaluate_week([], [], vote(pool, np.zeros((0, 2)), []))
 
 
 # ---------------------------------------------------------------- persistence
